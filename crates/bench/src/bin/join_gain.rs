@@ -1,6 +1,6 @@
 //! Paired measurement of the sorted-merge / leapfrog join gain.
 //!
-//! Same methodology as `planner_gain` and `parallel_gain`: wall-clock
+//! Same methodology as `planner_gain`: wall-clock
 //! drift on a shared machine dwarfs the effects being measured, so each
 //! comparison tightly interleaves the two arms (drift lands on both
 //! alike) and reports the median of per-round ratios.

@@ -134,10 +134,11 @@ pub struct ExplainOptions<'a> {
     /// cost-based planner also routes through the base's snapshot-keyed
     /// plan cache.
     pub planner: Planner,
-    /// Worker count for the session's incremental closes and query
-    /// evaluation — and, in [`EngineBase::explain_batch`], for fanning
-    /// the questions themselves across threads. A throughput knob only:
-    /// results are identical at every setting.
+    /// Batch worker count: how many threads
+    /// [`EngineBase::explain_batch`] fans a slice of questions across.
+    /// Read by `explain_batch*` only — one question always closes and
+    /// queries on the thread that asked. A throughput knob: results are
+    /// identical at every setting.
     pub parallelism: Parallelism,
 }
 
@@ -505,17 +506,6 @@ impl EngineBase {
         self.commit_labeled(label, spill, delta, inference)
     }
 
-    /// Deprecated forerunner of [`EngineBase::commit`]: same delta
-    /// contract, but the epoch id was discarded and historical epochs
-    /// were unreachable.
-    #[deprecated(
-        note = "use `commit` — deltas now append to the epoch ledger and return an \
-                         `EpochId`; old epochs stay addressable via `at_epoch`"
-    )]
-    pub fn absorb(&mut self, spill: Vec<Term>, delta: Vec<IdTriple>, inference: InferenceResult) {
-        let _ = self.commit(spill, delta, inference);
-    }
-
     /// Hit/miss counters and head epoch of the epoch-keyed plan cache
     /// shared by this base's sessions.
     pub fn plan_cache_stats(&self) -> PlanCacheStats {
@@ -579,7 +569,6 @@ impl EngineBase {
             inference: InferenceResult::default(),
             guard: None,
             planner: Planner::default(),
-            parallelism: Parallelism::default(),
         }
     }
 
@@ -601,7 +590,6 @@ impl EngineBase {
             inference: InferenceResult::default(),
             guard: None,
             planner: Planner::default(),
-            parallelism: Parallelism::default(),
         })
     }
 
@@ -872,7 +860,6 @@ impl EngineBase {
             inference: InferenceResult::default(),
             guard: None,
             planner: Planner::default(),
-            parallelism: Parallelism::default(),
         })
     }
 
@@ -940,16 +927,6 @@ impl EngineBase {
         self.session().explain(question, opts)
     }
 
-    /// Deprecated form of [`EngineBase::explain`] with a guard.
-    #[deprecated(note = "use `explain(question, &ExplainOptions::guarded(guard))`")]
-    pub fn explain_guarded(
-        &self,
-        question: &Question,
-        guard: &Guard,
-    ) -> Result<Explanation, EngineError> {
-        self.explain(question, &ExplainOptions::guarded(guard))
-    }
-
     /// Answers a batch of questions under one shared [`Budget`],
     /// degrading gracefully when it trips.
     ///
@@ -1005,10 +982,9 @@ impl EngineBase {
     /// honoured by [`Parallelism::Auto`]); each worker answers its slice
     /// in input order and the slices are merged back in input order, so
     /// the result vector is byte-identical to calling
-    /// [`EngineBase::explain`] in a loop. Batch-level parallelism
-    /// replaces intra-question parallelism: with more than one worker
-    /// active, each session closes and queries sequentially rather than
-    /// oversubscribing the machine with nested pools.
+    /// [`EngineBase::explain`] in a loop. Each session closes and
+    /// queries on its worker's thread; nothing fans out below the
+    /// question.
     ///
     /// A guard in `opts` meters the whole batch. Questions that trip (or
     /// start after the trip) report [`EngineError::Exhausted`] in their
@@ -1021,19 +997,10 @@ impl EngineBase {
         questions: &[Question],
         opts: &ExplainOptions<'_>,
     ) -> Vec<Result<Explanation, EngineError>> {
-        let workers = opts.parallelism.workers();
-        let per_question = ExplainOptions {
-            parallelism: if workers > 1 {
-                Parallelism::Off
-            } else {
-                opts.parallelism
-            },
-            ..*opts
-        };
-        map_chunks(workers, 1, questions, |_, chunk| {
+        map_chunks(opts.parallelism.workers(), questions, |_, chunk| {
             chunk
                 .iter()
-                .map(|q| self.explain(q, &per_question))
+                .map(|q| self.explain(q, opts))
                 .collect::<Vec<_>>()
         })
         .into_iter()
@@ -1165,9 +1132,6 @@ pub struct Session<'a> {
     guard: Option<&'a Guard>,
     /// SPARQL planner used by this session's competency queries.
     planner: Planner,
-    /// Worker count for this session's incremental closes and query
-    /// evaluation.
-    parallelism: Parallelism,
 }
 
 impl<'a> Session<'a> {
@@ -1197,29 +1161,17 @@ impl<'a> Session<'a> {
         (self.overlay, self.inference)
     }
 
-    /// Deprecated form of [`Session::explain`] with a guard.
-    #[deprecated(note = "use `explain(question, &ExplainOptions::guarded(guard))`")]
-    pub fn explain_guarded(
-        &mut self,
-        question: &Question,
-        guard: &'a Guard,
-    ) -> Result<Explanation, EngineError> {
-        self.explain(question, &ExplainOptions::guarded(guard))
-    }
-
     /// Evaluates a competency query over `view`, under the session guard
     /// when one is installed. With the cost-based planner the parsed
     /// query and its plan come from the base's chain+epoch-keyed cache —
     /// plans are computed against this session's pinned epoch view,
     /// whose statistics the per-session delta is far too small to flip.
     /// Branch sessions hit their own cache partition (see [`PlanKey`]).
-    fn run_query<V: GraphView + Sync>(&self, view: V, q: &str) -> Result<QueryResult, EngineError> {
+    fn run_query<V: GraphView>(&self, view: V, q: &str) -> Result<QueryResult, EngineError> {
         let opts = QueryOptions {
             guard: self.guard,
             planner: self.planner,
-            parallelism: self.parallelism,
-            explain: false,
-            force_join: None,
+            ..Default::default()
         };
         if self.planner == Planner::CostBased {
             if let Some(key) = self.cache_key {
@@ -1244,14 +1196,14 @@ impl<'a> Session<'a> {
         self.run_query(&self.overlay, sparql)
     }
 
-    /// Like [`Session::query`], but under the guard, planner, and
-    /// parallelism carried by `opts` (which stick for the rest of this
-    /// session, exactly as with [`Session::explain`]). This is the
+    /// Like [`Session::query`], but under the guard and planner carried
+    /// by `opts` (which stick for the rest of this session, exactly as
+    /// with [`Session::explain`]). This is the
     /// request-scoped entry point the HTTP service uses: the guard
     /// carries the request's clamped [`Budget`] and its disconnect
     /// [`feo_rdf::CancelFlag`], so an abandoned or over-budget query
     /// stops with a typed [`EngineError::Exhausted`] instead of
-    /// burning the worker pool.
+    /// holding its connection thread.
     pub fn query_opts(
         &mut self,
         sparql: &str,
@@ -1259,7 +1211,6 @@ impl<'a> Session<'a> {
     ) -> Result<QueryResult, EngineError> {
         self.guard = opts.guard;
         self.planner = opts.planner;
-        self.parallelism = opts.parallelism;
         self.run_query(&self.overlay, sparql)
     }
 
@@ -1273,7 +1224,6 @@ impl<'a> Session<'a> {
     ) -> Result<Explanation, EngineError> {
         self.guard = opts.guard;
         self.planner = opts.planner;
-        self.parallelism = opts.parallelism;
         match question {
             Question::WhyEat { food } => self.contextual(question, food),
             Question::WhyEatOver { .. } => self.contrastive(question),
@@ -1312,7 +1262,6 @@ impl<'a> Session<'a> {
         let opts = MaterializeOptions {
             guard: self.guard,
             rules: Some(&self.base.rules),
-            parallelism: self.parallelism,
         };
         let (inference, tripped) = match reasoner.materialize_delta(&mut self.overlay, &opts) {
             Ok(inference) => (inference, None),
@@ -1568,7 +1517,6 @@ impl<'a> Session<'a> {
             &MaterializeOptions {
                 guard: self.guard,
                 rules: Some(&self.base.rules),
-                parallelism: self.parallelism,
             },
         )?;
 

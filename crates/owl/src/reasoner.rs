@@ -27,7 +27,6 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::fmt;
 
 use feo_rdf::governor::{Exhausted, Guard, Resource};
-use feo_rdf::pool::{map_chunks, Parallelism};
 use feo_rdf::vocab::{owl, rdf, rdfs};
 use feo_rdf::{GraphStore, GraphView, Overlay, TermId};
 
@@ -100,7 +99,8 @@ pub enum InconsistencyKind {
 pub struct InferenceResult {
     /// Triples added to the graph by inference.
     pub added: usize,
-    /// Outer fixpoint rounds used.
+    /// Outer fixpoint rounds used — a function of the input and rule set
+    /// alone, so a round budget trips at the same point on every host.
     pub rounds: usize,
     /// Whether the fixpoint actually converged. `false` means the round
     /// cap ([`ReasonerOptions::max_rounds`]) cut the loop short and the
@@ -188,12 +188,6 @@ pub struct MaterializeOptions<'a> {
     pub guard: Option<&'a Guard>,
     /// Precompiled rule tables; `None` compiles from the store itself.
     pub rules: Option<&'a CompiledRules>,
-    /// Worker threads for the semi-naïve rounds. The closure is
-    /// byte-identical whatever the setting (see the "Deterministic
-    /// parallelism" notes on [`Reasoner::materialize`]); with derivation
-    /// tracking on, workers capture each conclusion's premises and the
-    /// pinned-order merge records them.
-    pub parallelism: Parallelism,
 }
 
 impl<'a> MaterializeOptions<'a> {
@@ -262,20 +256,9 @@ impl Reasoner {
     ///   carrying the partial statistics — triples derived before the
     ///   trip stay in the graph. Unguarded runs never error (round caps
     ///   surface as `converged: false` instead).
-    /// - with `parallelism` resolving to more than one worker, each
-    ///   semi-naïve round partitions its frontier across a scoped worker
-    ///   pool; every worker fires the compiled rules against the shared
-    ///   read-only store and the candidate buffers are merged **in pinned
-    ///   chunk order** on the calling thread, so the final closure is
-    ///   byte-identical to a sequential run. Budgets are charged at the
-    ///   merge (one choke point, exact counts) and workers poll the
-    ///   shared guard, so guarded runs still end exact-or-`Exhausted`.
-    ///   With derivation tracking on, workers capture per-conclusion
-    ///   premises and the merge records them in the same pinned order,
-    ///   so proofs are parallel-safe too.
     pub fn materialize(
         &self,
-        graph: &mut (impl GraphStore + Sync),
+        graph: &mut impl GraphStore,
         opts: &MaterializeOptions,
     ) -> Result<InferenceResult, ReasonerError> {
         let compiled;
@@ -288,55 +271,13 @@ impl Reasoner {
         };
         let mut engine = Engine::new(graph, rules, &self.options);
         engine.guard = opts.guard;
-        engine.workers = opts.parallelism.workers();
         settle(engine.run())
-    }
-
-    /// Deprecated form of [`Reasoner::materialize`] with a guard.
-    #[deprecated(note = "use `materialize(graph, &MaterializeOptions::guarded(guard))`")]
-    pub fn materialize_guarded(
-        &self,
-        graph: &mut (impl GraphStore + Sync),
-        guard: &Guard,
-    ) -> Result<InferenceResult, ReasonerError> {
-        self.materialize(graph, &MaterializeOptions::guarded(guard))
     }
 
     /// Extracts the graph's axioms and compiles them into reusable rule
     /// tables (see [`CompiledRules`]).
     pub fn compile(&self, graph: &mut impl GraphStore) -> CompiledRules {
         CompiledRules::compile(graph)
-    }
-
-    /// Deprecated form of [`Reasoner::materialize`] with precompiled
-    /// rules.
-    #[deprecated(note = "use `materialize(graph, &MaterializeOptions::with_rules(rules))`")]
-    pub fn materialize_with(
-        &self,
-        graph: &mut (impl GraphStore + Sync),
-        rules: &CompiledRules,
-    ) -> InferenceResult {
-        self.materialize(graph, &MaterializeOptions::with_rules(rules))
-            .unwrap_or_else(|e| e.into_partial())
-    }
-
-    /// Deprecated form of [`Reasoner::materialize`] with both rules and
-    /// a guard.
-    #[deprecated(note = "use `materialize` with `MaterializeOptions { guard, rules }`")]
-    pub fn materialize_with_guarded(
-        &self,
-        graph: &mut (impl GraphStore + Sync),
-        rules: &CompiledRules,
-        guard: &Guard,
-    ) -> Result<InferenceResult, ReasonerError> {
-        self.materialize(
-            graph,
-            &MaterializeOptions {
-                guard: Some(guard),
-                rules: Some(rules),
-                ..Default::default()
-            },
-        )
     }
 
     /// Semi-naïve incremental re-closure of an overlay whose base is
@@ -359,7 +300,7 @@ impl Reasoner {
     /// snapshot pipeline exists to avoid). With a guard set, a trip
     /// leaves the triples derived so far in the overlay's delta; the
     /// caller decides whether to keep or discard the partial closure.
-    pub fn materialize_delta<B: GraphView + Sync>(
+    pub fn materialize_delta<B: GraphView>(
         &self,
         overlay: &mut Overlay<B>,
         opts: &MaterializeOptions,
@@ -375,26 +316,7 @@ impl Reasoner {
         };
         let mut engine = Engine::new(overlay, rules, &self.options);
         engine.guard = opts.guard;
-        engine.workers = opts.parallelism.workers();
         settle(engine.run_delta(&seed))
-    }
-
-    /// Deprecated form of [`Reasoner::materialize_delta`] with a guard.
-    #[deprecated(note = "use `materialize_delta` with `MaterializeOptions { guard, rules }`")]
-    pub fn materialize_delta_guarded<B: GraphView + Sync>(
-        &self,
-        overlay: &mut Overlay<B>,
-        rules: &CompiledRules,
-        guard: &Guard,
-    ) -> Result<InferenceResult, ReasonerError> {
-        self.materialize_delta(
-            overlay,
-            &MaterializeOptions {
-                guard: Some(guard),
-                rules: Some(rules),
-                ..Default::default()
-            },
-        )
     }
 }
 
@@ -623,161 +545,8 @@ fn collect_step_props(expr: &ClassExpr, out: &mut BTreeSet<TermId>) {
     }
 }
 
-/// Frontier sizes below these stay on the calling thread: the fixed
-/// cost of spawning scoped workers only pays for itself once a round
-/// carries at least a few hundred rule firings.
-const PARALLEL_MIN_FRONTIER: usize = 96;
-const PARALLEL_MIN_CANDIDATES: usize = 64;
-
-/// A rule conclusion collected by a pool worker, to be merged into the
-/// store sequentially through `Engine::add_by`. With derivation
-/// tracking on, the premise triples travel with the conclusion so the
-/// merge records the same derivation the sequential worklist would
-/// (premises always reference already-inserted triples, so the
-/// derivation DAG stays acyclic regardless of merge order).
-struct Candidate {
-    rule: &'static str,
-    triple: [TermId; 3],
-    premises: Vec<[TermId; 3]>,
-}
-
-/// Pushes `t` as a candidate unless the store already holds it. The
-/// merge re-checks membership on insert, so this filter is purely an
-/// optimization that keeps duplicate work off the merge thread.
-fn emit<V: GraphView + ?Sized>(
-    g: &V,
-    out: &mut Vec<Candidate>,
-    rule: &'static str,
-    t: [TermId; 3],
-    premises: Vec<[TermId; 3]>,
-) {
-    if !g.contains_ids(t[0], t[1], t[2]) {
-        out.push(Candidate {
-            rule,
-            triple: t,
-            premises,
-        });
-    }
-}
-
-/// Fires every delta-driven instance rule for one non-`sameAs` triple
-/// against a read-only store, collecting conclusions instead of
-/// inserting them. This is the parallel dual of the rule body in
-/// `Engine::drain_queue_worklist` and must derive exactly the same
-/// conclusions — with, when `tracking`, exactly the same premises —
-/// for a given (store, aliases, triple) snapshot; `sameAs` triples
-/// never reach it — the merge step owns the alias machinery.
-fn fire_rules<V: GraphView + ?Sized>(
-    g: &V,
-    rules: &CompiledRules,
-    aliases: &HashMap<TermId, BTreeSet<TermId>>,
-    [s, p, o]: [TermId; 3],
-    tracking: bool,
-    out: &mut Vec<Candidate>,
-) {
-    // Premise capture mirrors `drain_queue_worklist` rule for rule;
-    // without tracking, no premises travel (empty vecs are free).
-    let prem = |ps: &[[TermId; 3]]| if tracking { ps.to_vec() } else { Vec::new() };
-    // cax-sco: type inheritance through the named-class closure.
-    if p == rules.rdf_type {
-        if let Some(sups) = rules.sup_class.get(&o) {
-            for &sup in sups {
-                emit(
-                    g,
-                    out,
-                    "cax-sco",
-                    [s, rules.rdf_type, sup],
-                    prem(&[[s, p, o]]),
-                );
-            }
-        }
-        return;
-    }
-    // prp-spo1
-    if let Some(sups) = rules.sup_prop.get(&p) {
-        for &q in sups {
-            emit(g, out, "prp-spo1", [s, q, o], prem(&[[s, p, o]]));
-        }
-    }
-    // prp-inv
-    if let Some(invs) = rules.inverses.get(&p) {
-        for &q in invs {
-            emit(g, out, "prp-inv", [o, q, s], prem(&[[s, p, o]]));
-        }
-    }
-    // prp-symp
-    if rules.symmetric.contains(&p) {
-        emit(g, out, "prp-symp", [o, p, s], prem(&[[s, p, o]]));
-    }
-    // prp-trp
-    if rules.transitive.contains(&p) {
-        for z in g.objects(o, p) {
-            emit(g, out, "prp-trp", [s, p, z], prem(&[[s, p, o], [o, p, z]]));
-        }
-        for t in g.match_pattern(None, Some(p), Some(s)) {
-            emit(
-                g,
-                out,
-                "prp-trp",
-                [t[0], p, o],
-                prem(&[[t[0], p, s], [s, p, o]]),
-            );
-        }
-    }
-    // prp-dom / prp-rng
-    if let Some(cs) = rules.domains.get(&p) {
-        for c in cs {
-            collect_membership(g, rules, s, c, tracking, &[], out);
-        }
-    }
-    if let Some(cs) = rules.ranges.get(&p) {
-        for c in cs {
-            collect_membership(g, rules, o, c, tracking, &[], out);
-        }
-    }
-    // prp-fp: functional — two objects are the same individual.
-    if rules.functional.contains(&p) {
-        for o2 in g.objects(s, p) {
-            if o2 != o && g.term(o).is_resource() && g.term(o2).is_resource() {
-                emit(
-                    g,
-                    out,
-                    "prp-fp",
-                    [o, rules.same_as, o2],
-                    prem(&[[s, p, o], [s, p, o2]]),
-                );
-            }
-        }
-    }
-    // prp-ifp
-    if rules.inverse_functional.contains(&p) {
-        for s2 in g.subjects(p, o) {
-            if s2 != s {
-                emit(
-                    g,
-                    out,
-                    "prp-ifp",
-                    [s, rules.same_as, s2],
-                    prem(&[[s, p, o], [s2, p, o]]),
-                );
-            }
-        }
-    }
-    // eq-rep: replicate across known aliases of s and o.
-    if let Some(al) = aliases.get(&s) {
-        for &a in al {
-            emit(g, out, "eq-rep-s", [a, p, o], prem(&[[s, p, o]]));
-        }
-    }
-    if let Some(al) = aliases.get(&o) {
-        for &a in al {
-            emit(g, out, "eq-rep-o", [s, p, a], prem(&[[s, p, o]]));
-        }
-    }
-}
-
-/// Read-only dual of `Engine::satisfies`, shared by the sequential and
-/// parallel sweeps so the two cannot drift apart.
+/// Sound membership check over any read-only view: does `g` entail
+/// `x ∈ expr` using only already-materialized triples?
 fn satisfies_in<V: GraphView + ?Sized>(
     g: &V,
     rules: &CompiledRules,
@@ -801,9 +570,7 @@ fn satisfies_in<V: GraphView + ?Sized>(
 }
 
 /// Satisfaction check that also collects the witnessing triples — the
-/// read-only dual of [`satisfies_in`] used for derivation tracking, and
-/// the single implementation behind `Engine::witnesses` so the
-/// sequential and parallel sweeps record identical premises.
+/// dual of [`satisfies_in`] used for derivation tracking.
 fn witnesses_in<V: GraphView + ?Sized>(
     g: &V,
     rules: &CompiledRules,
@@ -855,62 +622,6 @@ fn witnesses_in<V: GraphView + ?Sized>(
     }
 }
 
-/// Read-only dual of `Engine::apply_membership_by`: collects the
-/// membership consequences of `x ∈ expr` as candidates instead of
-/// asserting them, and must mirror its case analysis exactly —
-/// including how `premises` accumulate the walked edge through
-/// universal restrictions when `tracking`.
-fn collect_membership<V: GraphView + ?Sized>(
-    g: &V,
-    rules: &CompiledRules,
-    x: TermId,
-    expr: &ClassExpr,
-    tracking: bool,
-    premises: &[[TermId; 3]],
-    out: &mut Vec<Candidate>,
-) {
-    let prem = || {
-        if tracking {
-            premises.to_vec()
-        } else {
-            Vec::new()
-        }
-    };
-    match expr {
-        ClassExpr::Named(c) => emit(g, out, "cls", [x, rules.rdf_type, *c], prem()),
-        ClassExpr::IntersectionOf(es) => {
-            for e in es {
-                collect_membership(g, rules, x, e, tracking, premises, out);
-            }
-        }
-        ClassExpr::HasValue { property, value } => {
-            emit(g, out, "cls-hv1", [x, *property, *value], prem())
-        }
-        ClassExpr::AllValuesFrom { property, filler } => {
-            // cls-avf: every p-successor of x is in the filler.
-            for o in g.objects(x, *property) {
-                if tracking {
-                    let mut with_edge = premises.to_vec();
-                    with_edge.push([x, *property, o]);
-                    collect_membership(g, rules, o, filler, tracking, &with_edge, out);
-                } else {
-                    collect_membership(g, rules, o, filler, tracking, &[], out);
-                }
-            }
-        }
-        ClassExpr::OneOf(ids) if ids.len() == 1 => {
-            // Singleton enumeration: x is that individual.
-            emit(g, out, "cls-oo", [x, rules.same_as, ids[0]], prem());
-        }
-        // No existential introduction (matches OWL 2 RL), and nothing
-        // sound to conclude from a union or general enumeration.
-        ClassExpr::SomeValuesFrom { .. }
-        | ClassExpr::UnionOf(_)
-        | ClassExpr::OneOf(_)
-        | ClassExpr::ComplementOf(_) => {}
-    }
-}
-
 /// The running fixpoint state over any [`GraphStore`].
 struct Engine<'a, S: GraphStore> {
     g: &'a mut S,
@@ -934,12 +645,9 @@ struct Engine<'a, S: GraphStore> {
     /// Set when the guard trips; every hot loop bails out once this is
     /// populated so the engine unwinds quickly with its partial result.
     tripped: Option<Exhausted>,
-    /// Resolved worker count for the round-partitioned drain and the
-    /// complex-axiom sweeps; 1 keeps every loop on the calling thread.
-    workers: usize,
 }
 
-impl<'a, S: GraphStore + Sync> Engine<'a, S> {
+impl<'a, S: GraphStore> Engine<'a, S> {
     fn new(g: &'a mut S, rules: &'a CompiledRules, opts: &'a ReasonerOptions) -> Self {
         Engine {
             g,
@@ -958,7 +666,6 @@ impl<'a, S: GraphStore + Sync> Engine<'a, S> {
             chain_cursor: 0,
             guard: None,
             tripped: None,
-            workers: 1,
         }
     }
 
@@ -1145,26 +852,9 @@ impl<'a, S: GraphStore + Sync> Engine<'a, S> {
             return;
         }
         let cand = self.expanded_dirty();
-        let tracking = self.opts.track_derivations;
         for (sub, sup) in &rules.complex {
-            if self.complex_axiom_parallel(&cand, sub, sup) {
-                if self.tripped.is_some() {
-                    return;
-                }
-                continue;
-            }
-            for &x in &cand {
-                if self.guard_tripped() {
-                    return;
-                }
-                if tracking {
-                    let mut witnesses = Vec::new();
-                    if self.witnesses(x, sub, &mut witnesses) {
-                        self.apply_membership_by(x, sup, &witnesses);
-                    }
-                } else if self.satisfies(x, sub) {
-                    self.apply_membership(x, sup);
-                }
+            if !self.sweep_axiom(&cand, sub, sup) {
+                return;
             }
         }
     }
@@ -1397,93 +1087,9 @@ impl<'a, S: GraphStore + Sync> Engine<'a, S> {
         }
     }
 
-    /// Instance-rule propagation over the pending queue. Dispatches to
-    /// the round-partitioned parallel drain when a pool is configured;
-    /// with derivation tracking on, workers capture each conclusion's
-    /// premises alongside it and the pinned-order merge records them,
-    /// so proof-tracking builds take the parallel path too. Both drains
-    /// compute the same monotone fixpoint — the queue is fully empty on
-    /// return and the derived triple set is identical.
+    /// Instance-rule propagation driven by a worklist of new triples; the
+    /// queue is empty on return unless the guard tripped.
     fn drain_queue(&mut self) {
-        if self.workers > 1 {
-            self.drain_queue_rounds();
-        } else {
-            self.drain_queue_worklist();
-        }
-    }
-
-    /// Round-partitioned dual of [`Engine::drain_queue_worklist`]: the
-    /// queue frontier is split into `owl:sameAs` triples (which mutate
-    /// the alias map and so stay sequential) and plain triples, which
-    /// fan out across the pool. Each worker fires the compiled rules
-    /// against the shared read-only store into a local candidate
-    /// buffer; buffers are merged on this thread in pinned chunk order
-    /// through [`Engine::add_by`] — the single choke point that
-    /// re-checks set membership, charges the budget, and extends the
-    /// next frontier. Rules are monotone, so frontier order cannot
-    /// change the least fixpoint, and B-tree storage erases insertion
-    /// order: the final closure is byte-identical to the worklist's.
-    fn drain_queue_rounds(&mut self) {
-        let same_as = self.rules.same_as;
-        loop {
-            if self.guard_tripped() || self.queue.is_empty() {
-                return;
-            }
-            let mut plain: Vec<[TermId; 3]> = Vec::with_capacity(self.queue.len());
-            let mut same: Vec<[TermId; 3]> = Vec::new();
-            for t in self.queue.drain(..) {
-                if t[1] == same_as {
-                    same.push(t);
-                } else {
-                    plain.push(t);
-                }
-            }
-            let buffers = {
-                let g: &S = self.g;
-                let rules = self.rules;
-                let aliases = &self.aliases;
-                let guard = self.guard;
-                let tracking = self.opts.track_derivations;
-                map_chunks(self.workers, PARALLEL_MIN_FRONTIER, &plain, |_, chunk| {
-                    let mut out = Vec::new();
-                    for &t in chunk {
-                        if let Some(gd) = guard {
-                            // A tripped deadline/cancellation stops this
-                            // worker; the merge loop surfaces the trip.
-                            if gd.check_time().is_err() {
-                                break;
-                            }
-                        }
-                        fire_rules(g, rules, aliases, t, tracking, &mut out);
-                    }
-                    out
-                })
-            };
-            for c in buffers.into_iter().flatten() {
-                if self.tripped.is_some() {
-                    return;
-                }
-                let [s, p, o] = c.triple;
-                self.add_by(c.rule, &c.premises, s, p, o);
-            }
-            // sameAs triples merge the alias machinery sequentially.
-            // Plain triples of this frontier are already in the store,
-            // so `replicate_for_alias` sees them; later frontiers fire
-            // eq-rep from the updated alias map inside the workers.
-            for [s, p, o] in same {
-                if self.guard_tripped() {
-                    return;
-                }
-                self.note_alias(s, o);
-                self.add_by("eq-sym", &[[s, p, o]], o, same_as, s);
-                self.replicate_for_alias(s, o);
-                self.replicate_for_alias(o, s);
-            }
-        }
-    }
-
-    /// Instance-rule propagation driven by a worklist of new triples.
-    fn drain_queue_worklist(&mut self) {
         while let Some([s, p, o]) = self.queue.pop_front() {
             if self.guard_tripped() {
                 return;
@@ -1634,61 +1240,24 @@ impl<'a, S: GraphStore + Sync> Engine<'a, S> {
         }
     }
 
-    /// Parallel satisfaction sweep for one complex axiom: workers check
-    /// `satisfies` read-only over candidate chunks and collect the
-    /// membership consequences; the merge applies them through
-    /// [`Engine::add_by`] in pinned chunk order. With derivation
-    /// tracking on, workers collect witness triples ([`witnesses_in`])
-    /// and attach them as the candidates' premises, mirroring the
-    /// sequential sweep. Returns `false` when the axiom should take the
-    /// sequential path instead (no pool, or too few candidates to pay
-    /// for fan-out).
-    ///
-    /// Unlike the sequential sweep, workers evaluate every candidate
-    /// against the pre-pass snapshot, so a membership that depends on
-    /// another candidate's new membership lands one outer round later.
-    /// The outer fixpoint loop runs until nothing changes, so the final
-    /// closure is identical either way.
-    fn complex_axiom_parallel(
-        &mut self,
-        cand: &[TermId],
-        sub: &ClassExpr,
-        sup: &ClassExpr,
-    ) -> bool {
-        if self.workers <= 1 || cand.len() < PARALLEL_MIN_CANDIDATES {
-            return false;
-        }
-        let buffers = {
-            let g: &S = self.g;
-            let rules = self.rules;
-            let guard = self.guard;
-            let tracking = self.opts.track_derivations;
-            map_chunks(self.workers, PARALLEL_MIN_CANDIDATES, cand, |_, chunk| {
-                let mut out = Vec::new();
-                for &x in chunk {
-                    if let Some(gd) = guard {
-                        if gd.check_time().is_err() {
-                            break;
-                        }
-                    }
-                    if tracking {
-                        let mut witnesses = Vec::new();
-                        if witnesses_in(g, rules, x, sub, &mut witnesses) {
-                            collect_membership(g, rules, x, sup, tracking, &witnesses, &mut out);
-                        }
-                    } else if satisfies_in(g, rules, x, sub) {
-                        collect_membership(g, rules, x, sup, tracking, &[], &mut out);
-                    }
-                }
-                out
-            })
-        };
-        for c in buffers.into_iter().flatten() {
-            if self.tripped.is_some() {
-                return true;
+    /// One complex axiom `sub ⊑ sup` over `cand`: every candidate that
+    /// satisfies `sub` gets `sup`'s consequences asserted (with `sub`'s
+    /// witness triples as premises when derivations are tracked).
+    /// Returns false when the guard tripped mid-sweep.
+    fn sweep_axiom(&mut self, cand: &[TermId], sub: &ClassExpr, sup: &ClassExpr) -> bool {
+        let tracking = self.opts.track_derivations;
+        for &x in cand {
+            if self.guard_tripped() {
+                return false;
             }
-            let [s, p, o] = c.triple;
-            self.add_by(c.rule, &c.premises, s, p, o);
+            if tracking {
+                let mut witnesses = Vec::new();
+                if self.witnesses(x, sub, &mut witnesses) {
+                    self.apply_membership_by(x, sup, &witnesses);
+                }
+            } else if self.satisfies(x, sub) {
+                self.apply_membership(x, sup);
+            }
         }
         true
     }
@@ -1696,27 +1265,10 @@ impl<'a, S: GraphStore + Sync> Engine<'a, S> {
     /// One pass over all complex subclass-like axioms.
     fn complex_pass(&mut self) {
         let rules = self.rules;
-        let tracking = self.opts.track_derivations;
         for (sub, sup) in &rules.complex {
             let cand = self.candidates(sub);
-            if self.complex_axiom_parallel(&cand, sub, sup) {
-                if self.tripped.is_some() {
-                    return;
-                }
-                continue;
-            }
-            for x in cand {
-                if self.guard_tripped() {
-                    return;
-                }
-                if tracking {
-                    let mut witnesses = Vec::new();
-                    if self.witnesses(x, sub, &mut witnesses) {
-                        self.apply_membership_by(x, sup, &witnesses);
-                    }
-                } else if self.satisfies(x, sub) {
-                    self.apply_membership(x, sup);
-                }
+            if !self.sweep_axiom(&cand, sub, sup) {
+                return;
             }
         }
     }

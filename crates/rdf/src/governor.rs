@@ -13,9 +13,10 @@
 //! counter bumps are relaxed atomic increments, and the wall clock is
 //! only consulted every [`TIME_CHECK_INTERVAL`] ticks. A guard started
 //! from an unlimited budget short-circuits every check. Because the
-//! counters are atomics the guard is `Sync`: the parallel execution
-//! paths (see [`crate::pool`]) share one `&Guard` across worker threads
-//! so a budget covers the whole execution, not one thread's slice.
+//! counters are atomics the guard is `Sync`: a batch of questions
+//! fanned out over the worker pool (see [`crate::pool`]) shares one
+//! `&Guard` across its threads, so a budget covers the whole batch, not
+//! one thread's slice.
 //!
 //! ```
 //! use std::time::Duration;
@@ -214,9 +215,9 @@ impl Budget {
 /// The live meter for one execution, shared by reference across every
 /// pipeline layer (parser → reasoner → evaluator). Counters are relaxed
 /// atomics so read-only evaluation paths can tick through `&Guard` and
-/// the parallel paths can charge one shared guard from several worker
-/// threads: totals stay exact under concurrent charging, and whichever
-/// thread pushes a counter past its limit observes the trip. Cooperative
+/// the questions of one batch can charge one shared guard from several
+/// worker threads: totals stay exact under concurrent charging, and
+/// whichever thread pushes a counter past its limit observes the trip. Cooperative
 /// cross-thread interruption additionally goes through the
 /// [`CancelFlag`].
 #[derive(Debug)]

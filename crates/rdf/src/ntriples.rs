@@ -6,7 +6,6 @@
 //! canonical, fully-expanded triples — the interchange format used to dump
 //! materialized (inferred) graphs.
 
-use crate::governor::Guard;
 use crate::graph::Graph;
 use crate::term::Triple;
 use crate::turtle::{parse_turtle_raw, TurtleError};
@@ -34,12 +33,6 @@ pub fn parse_ntriples(input: &str, opts: &ParseOptions) -> Result<Vec<Triple>, R
         triples.push(parse_line(trimmed, lineno)?);
     }
     Ok(triples)
-}
-
-/// Parses an N-Triples document under an execution [`Guard`].
-#[deprecated(note = "use parse_ntriples(input, &ParseOptions { guard: Some(guard) })")]
-pub fn parse_ntriples_guarded(input: &str, guard: &Guard) -> Result<Vec<Triple>, RdfError> {
-    parse_ntriples(input, &ParseOptions { guard: Some(guard) })
 }
 
 /// Parses one non-blank N-Triples line into exactly one triple.
@@ -99,6 +92,7 @@ pub fn write_ntriples<G: crate::GraphView + ?Sized>(graph: &G) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::governor::Guard;
     use crate::term::Term;
 
     fn syntax(err: RdfError) -> TurtleError {

@@ -1,37 +1,37 @@
-//! A scoped worker pool for deterministic data parallelism.
+//! A scoped worker pool for deterministic batch parallelism.
 //!
-//! The workspace's hot paths — semi-naïve reasoner rounds, BGP join
-//! probes, batched explanation serving — are all shaped the same way: a
-//! slice of independent work items is mapped over a read-only shared
-//! structure, and the per-item outputs are concatenated. [`map_chunks`]
-//! runs that shape across `std::thread::scope` workers while keeping the
-//! output **byte-identical to the sequential run**: the input slice is
-//! split into contiguous chunks, each worker processes its chunk in
-//! order, and the per-chunk outputs are stitched back together in chunk
-//! order. Because every item is processed independently against the same
-//! immutable view, concatenating chunk outputs in pinned order
-//! reproduces exactly the sequence a single thread would have produced.
+//! Threads exist at one level of the workspace: the *question*.
+//! `EngineBase::explain_batch` maps a slice of independent questions
+//! over one read-only snapshot, and the server runs one thread per
+//! connection; a single closure or a single query always runs on the
+//! thread that asked for it. [`map_chunks`] runs the batch shape across
+//! `std::thread::scope` workers while keeping the output **byte-identical
+//! to the sequential run**: the input slice is split into contiguous
+//! chunks, each worker processes its chunk in order, and the per-chunk
+//! outputs are stitched back together in chunk order. Because every
+//! item is processed independently against the same immutable view,
+//! concatenating chunk outputs in pinned order reproduces exactly the
+//! sequence a single thread would have produced.
 //!
-//! The [`Parallelism`] knob travels on the per-layer options structs
-//! (`MaterializeOptions`, `QueryOptions`, `ExplainOptions`). `Auto`
-//! honours the `FEO_THREADS` environment variable so deployments (and
-//! CI) can pin the worker count without touching call sites.
+//! The [`Parallelism`] knob travels on `ExplainOptions` and is read by
+//! `explain_batch*` only. `Auto` honours the `FEO_THREADS` environment
+//! variable so deployments (and CI) can pin the batch worker count
+//! without touching call sites.
 
 use std::num::NonZeroUsize;
 
 /// Upper bound on workers; protects against absurd `FEO_THREADS` values.
 const MAX_WORKERS: usize = 64;
 
-/// How many worker threads a parallel-capable execution may use.
+/// How many worker threads a batch of questions may use.
 ///
-/// * `Off` — strictly sequential; parallel code paths are bypassed
-///   entirely (the ≤ 5% overhead contract is really ~0%).
+/// * `Off` — the whole batch runs on the calling thread.
 /// * `Fixed(n)` — exactly `n` workers regardless of environment.
 /// * `Auto` — the `FEO_THREADS` environment variable when set, otherwise
 ///   the machine's available parallelism.
 ///
-/// Whatever the setting, results are identical: parallel execution in
-/// this workspace is a throughput knob, never a semantics knob.
+/// Whatever the setting, results are identical: batch parallelism is a
+/// throughput knob, never a semantics knob.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Parallelism {
     /// Sequential execution on the calling thread.
@@ -81,11 +81,9 @@ fn env_threads() -> Option<usize> {
 /// threads and returns the per-chunk outputs **in chunk order**.
 ///
 /// `f` receives `(chunk_start_index, chunk_slice)` so callers can
-/// recover global item positions. The work is only fanned out when it
-/// is worth a thread: with `workers <= 1`, fewer than two items per
-/// prospective worker, or fewer than `min_items` items in total, `f`
-/// runs once inline on the calling thread — the sequential fast path
-/// that keeps `Parallelism::Off` overhead at zero.
+/// recover global item positions. With `workers <= 1`, or fewer items
+/// than workers, `f` runs once inline on the calling thread — the
+/// sequential fast path that keeps `Parallelism::Off` overhead at zero.
 ///
 /// Chunk boundaries never influence the *content* of the result:
 /// callers must make `f` item-local (each item processed independently
@@ -97,20 +95,20 @@ fn env_threads() -> Option<usize> {
 /// panicking worker propagates its panic to the caller after the scope
 /// joins (workers in this workspace return typed errors instead of
 /// panicking, so this is a backstop, not a channel).
-pub fn map_chunks<I, T, F>(workers: usize, min_items: usize, items: &[I], f: F) -> Vec<T>
+pub fn map_chunks<I, T, F>(workers: usize, items: &[I], f: F) -> Vec<T>
 where
     I: Sync,
     T: Send,
     F: Fn(usize, &[I]) -> T + Sync,
 {
     let n = items.len();
-    if workers <= 1 || n < min_items.max(2) || n < workers {
+    if workers <= 1 || n < workers {
         if n == 0 {
             return Vec::new();
         }
         return vec![f(0, items)];
     }
-    let workers = workers.min(n).min(MAX_WORKERS);
+    let workers = workers.min(MAX_WORKERS);
     let chunk = n.div_ceil(workers);
     let bounds: Vec<(usize, usize)> = (0..workers)
         .map(|w| (w * chunk, ((w + 1) * chunk).min(n)))
@@ -177,7 +175,7 @@ mod tests {
         let items: Vec<u64> = (0..1000).collect();
         let sequential: Vec<u64> = items.iter().map(|x| x * 3).collect();
         for workers in [1, 2, 3, 4, 7, 8] {
-            let chunks = map_chunks(workers, 1, &items, |_, chunk| {
+            let chunks = map_chunks(workers, &items, |_, chunk| {
                 chunk.iter().map(|x| x * 3).collect::<Vec<u64>>()
             });
             let merged: Vec<u64> = chunks.into_iter().flatten().collect();
@@ -188,7 +186,7 @@ mod tests {
     #[test]
     fn map_chunks_reports_global_offsets() {
         let items: Vec<u32> = (0..100).collect();
-        let chunks = map_chunks(4, 1, &items, |start, chunk| {
+        let chunks = map_chunks(4, &items, |start, chunk| {
             chunk
                 .iter()
                 .enumerate()
@@ -203,9 +201,9 @@ mod tests {
     #[test]
     fn small_inputs_stay_inline() {
         let items = [1u8];
-        let chunks = map_chunks(8, 64, &items, |start, chunk| (start, chunk.len()));
+        let chunks = map_chunks(8, &items, |start, chunk| (start, chunk.len()));
         assert_eq!(chunks, vec![(0, 1)]);
-        let none: Vec<(usize, usize)> = map_chunks(8, 64, &[] as &[u8], |s, c| (s, c.len()));
+        let none: Vec<(usize, usize)> = map_chunks(8, &[] as &[u8], |s, c| (s, c.len()));
         assert!(none.is_empty());
     }
 
@@ -214,7 +212,7 @@ mod tests {
         use crate::governor::Budget;
         let guard = Budget::new().with_max_solutions(10_000_000).start();
         let items: Vec<u32> = (0..4096).collect();
-        let chunks = map_chunks(4, 1, &items, |_, chunk| {
+        let chunks = map_chunks(4, &items, |_, chunk| {
             for _ in chunk {
                 guard.add_solutions(1).map_err(|e| e.resource).ok();
             }

@@ -67,12 +67,6 @@ pub(crate) fn parse_turtle_raw(input: &str) -> Result<Vec<Triple>, TurtleError> 
     Ok(parser.triples)
 }
 
-/// Parses a Turtle document under an execution [`Guard`].
-#[deprecated(note = "use parse_turtle(input, &ParseOptions { guard: Some(guard) })")]
-pub fn parse_turtle_guarded(input: &str, guard: &Guard) -> Result<Vec<Triple>, RdfError> {
-    parse_turtle(input, &ParseOptions { guard: Some(guard) })
-}
-
 /// Parses a Turtle document directly into a [`Graph`], returning the
 /// number of triples newly added.
 pub fn parse_turtle_into(

@@ -46,7 +46,12 @@ fn sample_records() -> Vec<WalRecord> {
 /// Valid on-disk bytes to mutate: one segment file, one WAL file.
 fn valid_files() -> (Vec<u8>, Vec<u8>) {
     let g = sample_graph();
-    let dir = std::env::temp_dir().join(format!("feo-fuzz-seed-{}", std::process::id()));
+    // Per thread: two tests of this file call this at once.
+    let dir = std::env::temp_dir().join(format!(
+        "feo-fuzz-seed-{}-{:?}",
+        std::process::id(),
+        std::thread::current().id()
+    ));
     let _ = std::fs::remove_dir_all(&dir);
     let store = DiskStore::save(&dir, &g, g.stats(), 1, &sample_records()).expect("save");
     let seg = std::fs::read(store.segment_path()).expect("segment readable");

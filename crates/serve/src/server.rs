@@ -1,9 +1,10 @@
 //! The HTTP explanation service.
 //!
 //! Thread-per-connection over `std::net::TcpListener` — deliberately
-//! boring concurrency: the expensive work (reasoning, SPARQL) is
-//! already parallelized *inside* the engine, so the transport layer
-//! only needs enough threads to keep the admission gate fed. Routes:
+//! boring concurrency: one request reasons and queries on its
+//! connection's thread (an `/explain` batch may fan its questions
+//! across `"parallelism"` workers), so the transport layer only needs
+//! enough threads to keep the admission gate fed. Routes:
 //!
 //! | route            | method | behaviour |
 //! |------------------|--------|-----------|
@@ -34,7 +35,6 @@ use std::time::{Duration, Instant};
 use feo_core::json::{json_string, ToJson};
 use feo_core::{EngineBase, EngineError, EpochId, ExplainOptions, Hypothesis, Question};
 use feo_rdf::{Budget, CancelFlag, Parallelism};
-use feo_sparql::Planner;
 
 use crate::admission::{Admission, AdmissionConfig, AdmissionStats, Shed};
 use crate::body::Json;
@@ -77,7 +77,7 @@ pub struct ServeConfig {
     /// How long shutdown waits for in-flight requests before
     /// cancelling them.
     pub drain_deadline_ms: u64,
-    /// Engine parallelism when the request doesn't choose.
+    /// Batch workers for `/explain` when the request doesn't choose.
     pub parallelism: Parallelism,
 }
 
@@ -638,8 +638,8 @@ fn build_budget(
     (budget, deadline_ms)
 }
 
-/// Engine parallelism for one request: client choice capped at 16
-/// workers, else the server default.
+/// Batch workers for one `/explain` request: client choice capped at
+/// 16, else the server default.
 fn request_parallelism(cfg: &ServeConfig, body: &Json) -> Parallelism {
     match body.get("parallelism").and_then(Json::as_u64) {
         Some(0) => Parallelism::Off,
@@ -787,10 +787,6 @@ fn handle_query(ctx: &Arc<Ctx>, request: &Request, conn: &Conn) -> Response {
     };
     let cancel = CancelFlag::new();
     let (budget, deadline_ms) = build_budget(&ctx.cfg, body.as_ref(), request, cancel.clone());
-    let parallelism = body
-        .as_ref()
-        .map(|b| request_parallelism(&ctx.cfg, b))
-        .unwrap_or(ctx.cfg.parallelism);
     let tenant = request.header("x-feo-tenant").unwrap_or("anonymous");
     let wait = Duration::from_millis(deadline_ms.min(ctx.cfg.queue_wait_cap_ms));
     let permit = match ctx.admission.admit(tenant, Instant::now() + wait) {
@@ -800,11 +796,7 @@ fn handle_query(ctx: &Arc<Ctx>, request: &Request, conn: &Conn) -> Response {
     let live = ctx.register_live(cancel.clone());
     spawn_disconnect_watcher(conn, cancel, live.done.clone(), Arc::clone(&ctx.admission));
     let guard = budget.start();
-    let opts = ExplainOptions {
-        guard: Some(&guard),
-        planner: Planner::default(),
-        parallelism,
-    };
+    let opts = ExplainOptions::guarded(&guard);
     let result = match (as_of, branch.as_deref()) {
         (Some(epoch), None) => match ctx.base.at_epoch(EpochId(epoch)) {
             Some(mut session) => session.query_opts(&full, &opts),

@@ -315,7 +315,7 @@ fn client_disconnect_cancels_inflight_work() {
     let handle = spawn(cfg);
     let addr = handle.addr();
 
-    // A deliberately long request: many questions, engine parallelism
+    // A deliberately long request: many questions, batch parallelism
     // off, generous deadline — it can only end early via cancellation.
     let mut questions = Vec::new();
     for _ in 0..1000 {

@@ -19,7 +19,6 @@ use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use feo_rdf::governor::{Exhausted, Guard};
-use feo_rdf::pool::map_chunks;
 use feo_rdf::vocab::xsd;
 use feo_rdf::{Graph, GraphStore, GraphView, Overlay, RunCursor, RunSpec, Term, TermId, Triple};
 
@@ -28,7 +27,7 @@ use crate::error::{Result, SparqlError};
 use crate::parser::parse_query;
 use crate::plan::{
     plan_query, BgpPlan, ElementPlan, GroupPlan, JoinAlgo, Plan, Planner, QueryOptions,
-    HASH_JOIN_MIN_INPUT, PARALLEL_MIN_INPUT,
+    HASH_JOIN_MIN_INPUT,
 };
 use crate::results::{QueryResult, SolutionTable};
 use crate::value::{
@@ -49,8 +48,8 @@ static MERGE_JOINS: AtomicU64 = AtomicU64::new(0);
 static LEAPFROG_JOINS: AtomicU64 = AtomicU64::new(0);
 
 /// Snapshot of the cumulative per-algorithm join-operator counts for
-/// this process (sequential and parallel variants count together; a
-/// fused leapfrog group counts once however many patterns it covers).
+/// this process (a fused leapfrog group counts once however many
+/// patterns it covers).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct JoinCounters {
     pub nested: u64,
@@ -69,37 +68,6 @@ pub fn join_counters() -> JoinCounters {
     }
 }
 
-/// Evaluator tuning knobs for the deprecated `*_with` entry points.
-#[deprecated(note = "use `QueryOptions { planner, .. }` with `query` / `execute`")]
-#[derive(Debug, Clone)]
-pub struct ExecOptions {
-    /// Greedily reorder BGP triple patterns by bound-position count
-    /// before matching. Disabling evaluates patterns in author order —
-    /// the ablation baseline.
-    pub reorder_bgp: bool,
-}
-
-#[allow(deprecated)]
-impl Default for ExecOptions {
-    fn default() -> Self {
-        ExecOptions { reorder_bgp: true }
-    }
-}
-
-#[allow(deprecated)]
-impl ExecOptions {
-    /// The planner the legacy knob selected: greedy reordering or
-    /// author order. The cost-based planner did not exist behind this
-    /// options type.
-    fn planner(&self) -> Planner {
-        if self.reorder_bgp {
-            Planner::Greedy
-        } else {
-            Planner::Off
-        }
-    }
-}
-
 /// Parses and executes `text` against any [`GraphView`].
 ///
 /// The one SPARQL entry point: [`QueryOptions`] carries the execution
@@ -114,11 +82,7 @@ impl ExecOptions {
 /// discarded with the evaluation, so the caller's dictionary and triple
 /// set are untouched. Pass `&graph` for shared reads; `&mut graph` still
 /// compiles for older call sites.
-pub fn query<G: GraphView + Sync>(
-    graph: G,
-    text: &str,
-    opts: &QueryOptions,
-) -> Result<QueryResult> {
+pub fn query<G: GraphView>(graph: G, text: &str, opts: &QueryOptions) -> Result<QueryResult> {
     if let Some(guard) = opts.guard {
         guard.check_input(text.len())?;
     }
@@ -132,11 +96,7 @@ pub fn query<G: GraphView + Sync>(
 /// the view's statistics before any row flows; callers that reuse one
 /// plan across many executions (the engine's plan cache) should compile
 /// once with [`plan_query`] and call [`execute_prepared`].
-pub fn execute<G: GraphView + Sync>(
-    graph: G,
-    q: &Query,
-    opts: &QueryOptions,
-) -> Result<QueryResult> {
+pub fn execute<G: GraphView>(graph: G, q: &Query, opts: &QueryOptions) -> Result<QueryResult> {
     if opts.explain || opts.planner == Planner::CostBased {
         let plan = plan_query(&graph, q);
         if opts.explain {
@@ -152,7 +112,7 @@ pub fn execute<G: GraphView + Sync>(
 /// The plan must come from [`plan_query`] on the same query; a plan
 /// whose shape does not match degrades to greedy ordering for the
 /// mismatched nodes rather than misevaluating.
-pub fn execute_prepared<G: GraphView + Sync>(
+pub fn execute_prepared<G: GraphView>(
     graph: G,
     q: &Query,
     plan: &Plan,
@@ -164,66 +124,7 @@ pub fn execute_prepared<G: GraphView + Sync>(
     execute_inner(graph, q, opts, Some(plan))
 }
 
-/// Parses and executes with the legacy options struct.
-#[deprecated(note = "use `query(graph, text, &QueryOptions { planner, .. })`")]
-#[allow(deprecated)]
-pub fn query_with<G: GraphView + Sync>(
-    graph: G,
-    text: &str,
-    opts: &ExecOptions,
-) -> Result<QueryResult> {
-    let q = parse_query(text)?;
-    execute_inner(
-        graph,
-        &q,
-        &QueryOptions {
-            planner: opts.planner(),
-            ..QueryOptions::default()
-        },
-        None,
-    )
-}
-
-/// Executes a parsed query with the legacy options struct.
-#[deprecated(note = "use `execute(graph, q, &QueryOptions { planner, .. })`")]
-#[allow(deprecated)]
-pub fn execute_with<G: GraphView + Sync>(
-    graph: G,
-    q: &Query,
-    opts: &ExecOptions,
-) -> Result<QueryResult> {
-    execute_inner(
-        graph,
-        q,
-        &QueryOptions {
-            planner: opts.planner(),
-            ..QueryOptions::default()
-        },
-        None,
-    )
-}
-
-/// Parses and executes under an execution [`Guard`].
-#[deprecated(note = "use `query(graph, text, &QueryOptions::guarded(guard))`")]
-pub fn query_guarded<G: GraphView + Sync>(
-    graph: G,
-    text: &str,
-    guard: &Guard,
-) -> Result<QueryResult> {
-    query(graph, text, &QueryOptions::guarded(guard))
-}
-
-/// Executes a parsed query under an execution [`Guard`].
-#[deprecated(note = "use `execute(graph, q, &QueryOptions::guarded(guard))`")]
-pub fn execute_guarded<G: GraphView + Sync>(
-    graph: G,
-    q: &Query,
-    guard: &Guard,
-) -> Result<QueryResult> {
-    execute(graph, q, &QueryOptions::guarded(guard))
-}
-
-fn execute_inner<G: GraphView + Sync>(
+fn execute_inner<G: GraphView>(
     graph: G,
     q: &Query,
     opts: &QueryOptions,
@@ -239,7 +140,6 @@ fn execute_inner<G: GraphView + Sync>(
         force: opts.force_join,
         guard: opts.guard,
         tripped: Cell::new(None),
-        workers: opts.parallelism.workers(),
     };
 
     let rows = ctx.eval_group(
@@ -433,12 +333,9 @@ struct Ctx<'a, G: GraphView> {
     /// closures) that cannot return a `Result`; checked at element
     /// boundaries and again when evaluation finishes.
     tripped: Cell<Option<Exhausted>>,
-    /// Resolved worker count for planner-marked parallel steps; 1 keeps
-    /// every join on the calling thread.
-    workers: usize,
 }
 
-impl<'a, G: GraphView + Sync> Ctx<'a, G> {
+impl<'a, G: GraphView> Ctx<'a, G> {
     /// Amortized governor poll for `&self` hot loops. Returns true when
     /// execution should stop; the trip is stashed in `self.tripped` and
     /// surfaced as an error at the next fallible boundary.
@@ -671,10 +568,6 @@ impl<'a, G: GraphView + Sync> Ctx<'a, G> {
                 let mut i = 0;
                 while i < bp.steps.len() {
                     let step = &bp.steps[i];
-                    // Planner-marked parallel steps fan out only when a
-                    // pool is configured and the input side is wide
-                    // enough to amortize worker startup.
-                    let par = self.workers > 1 && step.parallel && rows.len() >= PARALLEL_MIN_INPUT;
                     if let Some(gid) = step.star {
                         let mut j = i + 1;
                         while j < bp.steps.len() && bp.steps[j].star == Some(gid) {
@@ -688,7 +581,7 @@ impl<'a, G: GraphView + Sync> Ctx<'a, G> {
                                 .iter()
                                 .map(|s| &patterns[s.pattern])
                                 .collect();
-                            rows = self.match_star_leapfrog(&members, rows, par)?;
+                            rows = self.match_star_leapfrog(&members, rows)?;
                             if rows.is_empty() {
                                 break;
                             }
@@ -715,27 +608,9 @@ impl<'a, G: GraphView + Sync> Ctx<'a, G> {
                     };
                     let wide = forced || rows.len() >= HASH_JOIN_MIN_INPUT;
                     rows = match algo {
-                        JoinAlgo::Hash if wide => {
-                            if par {
-                                self.match_triple_pattern_hash_par(tp, rows)?
-                            } else {
-                                self.match_triple_pattern_hash(tp, rows)?
-                            }
-                        }
-                        JoinAlgo::Merge if wide => {
-                            if par {
-                                self.match_triple_pattern_merge_par(tp, rows)?
-                            } else {
-                                self.match_triple_pattern_merge(tp, rows)?
-                            }
-                        }
-                        _ => {
-                            if par {
-                                self.match_triple_pattern_par(tp, rows)?
-                            } else {
-                                self.match_triple_pattern(tp, rows)?
-                            }
-                        }
+                        JoinAlgo::Hash if wide => self.match_triple_pattern_hash(tp, rows)?,
+                        JoinAlgo::Merge if wide => self.match_triple_pattern_merge(tp, rows)?,
+                        _ => self.match_triple_pattern(tp, rows)?,
                     };
                     if rows.is_empty() {
                         break;
@@ -856,58 +731,50 @@ impl<'a, G: GraphView + Sync> Ctx<'a, G> {
         rows: Vec<Binding>,
     ) -> Result<Vec<Binding>> {
         NESTED_JOINS.fetch_add(1, Ordering::Relaxed);
+        let s = self.endpoint(&tp.subject)?;
+        let o = self.endpoint(&tp.object)?;
+        // A plain predicate is one dictionary id, a variable predicate
+        // one slot; a complex path has neither and walks `eval_path`.
+        let (p_fixed, p_slot) = match &tp.path {
+            Path::Iri(p) => match self.g.lookup_iri(p) {
+                Some(id) => (Some(id), None),
+                // Unknown predicate: every row finds nothing.
+                None => return Ok(Vec::new()),
+            },
+            Path::Var(v) => (None, self.vars.get(v)),
+            _ => (None, None),
+        };
+        let complex = !matches!(tp.path, Path::Iri(_) | Path::Var(_));
         let mut uncharged: usize = 0;
         let mut out = Vec::new();
         for b in rows {
             let produced_before = out.len();
-            let s_slot = self.term_slot(&tp.subject);
-            let o_slot = self.term_slot(&tp.object);
-            let s_val = self.term_value(&tp.subject, &b)?;
-            let o_val = self.term_value(&tp.object, &b)?;
-
-            match &tp.path {
-                Path::Var(pv) => {
-                    let p_slot = self.vars.get(pv);
-                    let p_val = p_slot.and_then(|s| b[s]);
-                    for [ms, mp, mo] in self.g.match_pattern(s_val, p_val, o_val) {
-                        let mut nb = b.clone();
-                        if let Some(slot) = s_slot {
-                            nb[slot] = Some(ms);
-                        }
-                        if let Some(slot) = p_slot {
-                            nb[slot] = Some(mp);
-                        }
-                        if let Some(slot) = o_slot {
-                            nb[slot] = Some(mo);
-                        }
-                        out.push(nb);
+            let (s_val, o_val) = (s.value(&b), o.value(&b));
+            if complex {
+                for (ms, mo) in self.eval_path(&tp.path, s_val, o_val) {
+                    let mut nb = b.clone();
+                    if let Some(slot) = s.slot {
+                        nb[slot] = Some(ms);
                     }
+                    if let Some(slot) = o.slot {
+                        nb[slot] = Some(mo);
+                    }
+                    out.push(nb);
                 }
-                Path::Iri(p) => {
-                    let p_id = self.g.lookup_iri(p);
-                    let Some(p_id) = p_id else { continue };
-                    for [ms, _, mo] in self.g.match_pattern(s_val, Some(p_id), o_val) {
-                        let mut nb = b.clone();
-                        if let Some(slot) = s_slot {
-                            nb[slot] = Some(ms);
-                        }
-                        if let Some(slot) = o_slot {
-                            nb[slot] = Some(mo);
-                        }
-                        out.push(nb);
+            } else {
+                let p_val = p_fixed.or_else(|| p_slot.and_then(|slot| b[slot]));
+                for [ms, mp, mo] in self.g.match_pattern(s_val, p_val, o_val) {
+                    let mut nb = b.clone();
+                    if let Some(slot) = s.slot {
+                        nb[slot] = Some(ms);
                     }
-                }
-                path => {
-                    for (ms, mo) in self.eval_path(path, s_val, o_val) {
-                        let mut nb = b.clone();
-                        if let Some(slot) = s_slot {
-                            nb[slot] = Some(ms);
-                        }
-                        if let Some(slot) = o_slot {
-                            nb[slot] = Some(mo);
-                        }
-                        out.push(nb);
+                    if let Some(slot) = p_slot {
+                        nb[slot] = Some(mp);
                     }
+                    if let Some(slot) = o.slot {
+                        nb[slot] = Some(mo);
+                    }
+                    out.push(nb);
                 }
             }
             uncharged += out.len() - produced_before;
@@ -918,6 +785,20 @@ impl<'a, G: GraphView + Sync> Ctx<'a, G> {
         }
         self.charge_solutions(uncharged)?;
         Ok(out)
+    }
+
+    /// Shared prologue of the hash and merge operators: both endpoints
+    /// resolved and the pattern's one-predicate scan, narrowed by any
+    /// ground endpoint, materialized once per call. `None` when the
+    /// predicate is not in the dictionary — every row finds nothing.
+    fn predicate_scan(&mut self, tp: &TriplePattern, p: &str) -> Result<Option<PredicateScan>> {
+        let Some(p_id) = self.g.lookup_iri(p) else {
+            return Ok(None);
+        };
+        let s = self.endpoint(&tp.subject)?;
+        let o = self.endpoint(&tp.object)?;
+        let triples = self.g.match_pattern(s.ground, Some(p_id), o.ground);
+        Ok(Some(PredicateScan { s, o, triples }))
     }
 
     /// Hash-join variant of [`Self::match_triple_pattern`] for plain-IRI
@@ -937,21 +818,9 @@ impl<'a, G: GraphView + Sync> Ctx<'a, G> {
             return self.match_triple_pattern(tp, rows);
         };
         HASH_JOINS.fetch_add(1, Ordering::Relaxed);
-        let Some(p_id) = self.g.lookup_iri(p) else {
-            // Unknown predicate: every row finds nothing.
+        let Some(scan) = self.predicate_scan(tp, p)? else {
             return Ok(Vec::new());
         };
-        let s_slot = self.term_slot(&tp.subject);
-        let o_slot = self.term_slot(&tp.object);
-        let s_ground = match &tp.subject {
-            TermPattern::Var(_) | TermPattern::Blank(_) => None,
-            ground => Some(self.intern_ground(ground)?),
-        };
-        let o_ground = match &tp.object {
-            TermPattern::Var(_) | TermPattern::Blank(_) => None,
-            ground => Some(self.intern_ground(ground)?),
-        };
-        let scan: Vec<[TermId; 3]> = self.g.match_pattern(s_ground, Some(p_id), o_ground);
         let mut by_s: Option<HashMap<TermId, Vec<usize>>> = None;
         let mut by_o: Option<HashMap<TermId, Vec<usize>>> = None;
         let mut by_so: Option<HashSet<(TermId, TermId)>> = None;
@@ -959,46 +828,23 @@ impl<'a, G: GraphView + Sync> Ctx<'a, G> {
         let mut uncharged: usize = 0;
         for b in rows {
             let produced_before = out.len();
-            let s_val = s_slot.and_then(|slot| b[slot]);
-            let o_val = o_slot.and_then(|slot| b[slot]);
-            match (s_val, o_val) {
+            match scan.bound_in(&b) {
                 (Some(sv), Some(ov)) => {
-                    let set =
-                        by_so.get_or_insert_with(|| scan.iter().map(|t| (t[0], t[2])).collect());
+                    let set = by_so
+                        .get_or_insert_with(|| scan.triples.iter().map(|t| (t[0], t[2])).collect());
                     if set.contains(&(sv, ov)) {
                         out.push(b);
                     }
                 }
                 (Some(sv), None) => {
-                    let map = by_s.get_or_insert_with(|| index_scan(&scan, 0));
-                    if let Some(hits) = map.get(&sv) {
-                        for &i in hits {
-                            let mut nb = b.clone();
-                            if bind(&mut nb, o_slot, scan[i][2]) {
-                                out.push(nb);
-                            }
-                        }
-                    }
+                    let map = by_s.get_or_insert_with(|| index_scan(&scan.triples, 0));
+                    scan.extend(&mut out, &b, map.get(&sv).into_iter().flatten().copied());
                 }
                 (None, Some(ov)) => {
-                    let map = by_o.get_or_insert_with(|| index_scan(&scan, 2));
-                    if let Some(hits) = map.get(&ov) {
-                        for &i in hits {
-                            let mut nb = b.clone();
-                            if bind(&mut nb, s_slot, scan[i][0]) {
-                                out.push(nb);
-                            }
-                        }
-                    }
+                    let map = by_o.get_or_insert_with(|| index_scan(&scan.triples, 2));
+                    scan.extend(&mut out, &b, map.get(&ov).into_iter().flatten().copied());
                 }
-                (None, None) => {
-                    for t in &scan {
-                        let mut nb = b.clone();
-                        if bind(&mut nb, s_slot, t[0]) && bind(&mut nb, o_slot, t[2]) {
-                            out.push(nb);
-                        }
-                    }
-                }
+                (None, None) => scan.extend(&mut out, &b, 0..scan.triples.len()),
             }
             uncharged += out.len() - produced_before;
             if uncharged >= CHARGE_BATCH {
@@ -1033,30 +879,18 @@ impl<'a, G: GraphView + Sync> Ctx<'a, G> {
             return self.match_triple_pattern(tp, rows);
         };
         MERGE_JOINS.fetch_add(1, Ordering::Relaxed);
-        let Some(p_id) = self.g.lookup_iri(p) else {
-            // Unknown predicate: every row finds nothing.
+        let Some(scan) = self.predicate_scan(tp, p)? else {
             return Ok(Vec::new());
         };
-        let s_slot = self.term_slot(&tp.subject);
-        let o_slot = self.term_slot(&tp.object);
-        let s_ground = match &tp.subject {
-            TermPattern::Var(_) | TermPattern::Blank(_) => None,
-            ground => Some(self.intern_ground(ground)?),
-        };
-        let o_ground = match &tp.object {
-            TermPattern::Var(_) | TermPattern::Blank(_) => None,
-            ground => Some(self.intern_ground(ground)?),
-        };
-        let scan: Vec<[TermId; 3]> = self.g.match_pattern(s_ground, Some(p_id), o_ground);
-        let key_col = merge_key_col(s_ground, o_ground);
-        let dir = KeyDirectory::build(&scan, key_col);
+        let key_col = merge_key_col(scan.s.ground, scan.o.ground);
+        let dir = KeyDirectory::build(&scan.triples, key_col);
+        // Hash index over the non-key column, for rows bound only there.
         let mut fallback: Option<HashMap<TermId, Vec<usize>>> = None;
         let mut out = Vec::new();
         let mut uncharged: usize = 0;
         for b in rows {
             let produced_before = out.len();
-            let s_val = s_slot.and_then(|slot| b[slot]);
-            let o_val = o_slot.and_then(|slot| b[slot]);
+            let (s_val, o_val) = scan.bound_in(&b);
             match (s_val, o_val) {
                 (Some(sv), Some(ov)) => {
                     let (kv, other_col, other_v) = if key_col == 0 {
@@ -1064,56 +898,21 @@ impl<'a, G: GraphView + Sync> Ctx<'a, G> {
                     } else {
                         (ov, 0, sv)
                     };
-                    if dir.hits(kv).iter().any(|&i| scan[i][other_col] == other_v) {
+                    let hits = dir.hits(kv);
+                    if hits.iter().any(|&i| scan.triples[i][other_col] == other_v) {
                         out.push(b);
                     }
                 }
-                (Some(sv), None) if key_col == 0 => {
-                    for &i in dir.hits(sv) {
-                        let mut nb = b.clone();
-                        if bind(&mut nb, o_slot, scan[i][2]) {
-                            out.push(nb);
-                        }
+                (Some(v), None) | (None, Some(v)) => {
+                    let col = if s_val.is_some() { 0 } else { 2 };
+                    if col == key_col {
+                        scan.extend(&mut out, &b, dir.hits(v).iter().copied());
+                    } else {
+                        let map = fallback.get_or_insert_with(|| index_scan(&scan.triples, col));
+                        scan.extend(&mut out, &b, map.get(&v).into_iter().flatten().copied());
                     }
                 }
-                (None, Some(ov)) if key_col == 2 => {
-                    for &i in dir.hits(ov) {
-                        let mut nb = b.clone();
-                        if bind(&mut nb, s_slot, scan[i][0]) {
-                            out.push(nb);
-                        }
-                    }
-                }
-                (Some(sv), None) => {
-                    let map = fallback.get_or_insert_with(|| index_scan(&scan, 0));
-                    if let Some(hits) = map.get(&sv) {
-                        for &i in hits {
-                            let mut nb = b.clone();
-                            if bind(&mut nb, o_slot, scan[i][2]) {
-                                out.push(nb);
-                            }
-                        }
-                    }
-                }
-                (None, Some(ov)) => {
-                    let map = fallback.get_or_insert_with(|| index_scan(&scan, 2));
-                    if let Some(hits) = map.get(&ov) {
-                        for &i in hits {
-                            let mut nb = b.clone();
-                            if bind(&mut nb, s_slot, scan[i][0]) {
-                                out.push(nb);
-                            }
-                        }
-                    }
-                }
-                (None, None) => {
-                    for t in &scan {
-                        let mut nb = b.clone();
-                        if bind(&mut nb, s_slot, t[0]) && bind(&mut nb, o_slot, t[2]) {
-                            out.push(nb);
-                        }
-                    }
-                }
+                (None, None) => scan.extend(&mut out, &b, 0..scan.triples.len()),
             }
             uncharged += out.len() - produced_before;
             if uncharged >= CHARGE_BATCH {
@@ -1123,341 +922,6 @@ impl<'a, G: GraphView + Sync> Ctx<'a, G> {
         }
         self.charge_solutions(uncharged)?;
         Ok(out)
-    }
-
-    /// Parallel dual of [`Self::match_triple_pattern_merge`]: the key
-    /// directory is built once up front (it is a shared read-only
-    /// structure like the hash path's shards), rows probe it in
-    /// contiguous chunks, and chunk outputs concatenate in pinned input
-    /// order — the solution sequence matches the sequential merge for
-    /// every worker count. Off-key fallback rows are detected in one
-    /// boundness pass so the fallback hash shards exist before workers
-    /// start.
-    fn match_triple_pattern_merge_par(
-        &mut self,
-        tp: &TriplePattern,
-        rows: Vec<Binding>,
-    ) -> Result<Vec<Binding>> {
-        let Path::Iri(p) = &tp.path else {
-            // Planner only marks plain predicates; stay correct anyway.
-            return self.match_triple_pattern(tp, rows);
-        };
-        MERGE_JOINS.fetch_add(1, Ordering::Relaxed);
-        let Some(p_id) = self.g.lookup_iri(p) else {
-            // Unknown predicate: every row finds nothing.
-            return Ok(Vec::new());
-        };
-        let s_slot = self.term_slot(&tp.subject);
-        let o_slot = self.term_slot(&tp.object);
-        let s_ground = match &tp.subject {
-            TermPattern::Var(_) | TermPattern::Blank(_) => None,
-            ground => Some(self.intern_ground(ground)?),
-        };
-        let o_ground = match &tp.object {
-            TermPattern::Var(_) | TermPattern::Blank(_) => None,
-            ground => Some(self.intern_ground(ground)?),
-        };
-        let scan: Vec<[TermId; 3]> = self.g.match_pattern(s_ground, Some(p_id), o_ground);
-        let key_col = merge_key_col(s_ground, o_ground);
-        let dir = KeyDirectory::build(&scan, key_col);
-        // One boundness pass decides whether any row joins on the
-        // non-key column and needs the hash fallback shards.
-        let mut need_fallback = false;
-        for b in &rows {
-            let sb = s_slot.and_then(|sl| b[sl]).is_some();
-            let ob = o_slot.and_then(|sl| b[sl]).is_some();
-            need_fallback |= if key_col == 0 { !sb && ob } else { sb && !ob };
-        }
-        let other_col = if key_col == 0 { 2 } else { 0 };
-        let workers = self.workers;
-        let fallback = need_fallback.then(|| build_shards(workers, &scan, other_col));
-        let guard = self.guard;
-        let results = map_chunks(workers, PARALLEL_MIN_INPUT, &rows, |_, chunk| {
-            let mut out: Vec<Binding> = Vec::new();
-            let mut uncharged = 0usize;
-            let mut trip: Option<Exhausted> = None;
-            for b in chunk {
-                if let Some(gd) = guard {
-                    if let Err(e) = gd.check_time() {
-                        trip = Some(e);
-                        break;
-                    }
-                }
-                let before = out.len();
-                let s_val = s_slot.and_then(|sl| b[sl]);
-                let o_val = o_slot.and_then(|sl| b[sl]);
-                match (s_val, o_val) {
-                    (Some(sv), Some(ov)) => {
-                        let (kv, oc, other_v) = if key_col == 0 {
-                            (sv, 2, ov)
-                        } else {
-                            (ov, 0, sv)
-                        };
-                        if dir.hits(kv).iter().any(|&i| scan[i][oc] == other_v) {
-                            out.push(b.clone());
-                        }
-                    }
-                    (Some(sv), None) if key_col == 0 => {
-                        for &i in dir.hits(sv) {
-                            let mut nb = b.clone();
-                            if bind(&mut nb, o_slot, scan[i][2]) {
-                                out.push(nb);
-                            }
-                        }
-                    }
-                    (None, Some(ov)) if key_col == 2 => {
-                        for &i in dir.hits(ov) {
-                            let mut nb = b.clone();
-                            if bind(&mut nb, s_slot, scan[i][0]) {
-                                out.push(nb);
-                            }
-                        }
-                    }
-                    (Some(v), None) | (None, Some(v)) => {
-                        // Off-key join: probe the fallback shards in
-                        // chunk order (ascending global indices, same
-                        // as the sequential lazy map).
-                        let (bind_slot, bind_col) = if key_col == 0 {
-                            (s_slot, 0)
-                        } else {
-                            (o_slot, 2)
-                        };
-                        for shard in fallback.iter().flatten() {
-                            if let Some(hits) = shard.get(&v) {
-                                for &i in hits {
-                                    let mut nb = b.clone();
-                                    if bind(&mut nb, bind_slot, scan[i][bind_col]) {
-                                        out.push(nb);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    (None, None) => {
-                        for t in &scan {
-                            let mut nb = b.clone();
-                            if bind(&mut nb, s_slot, t[0]) && bind(&mut nb, o_slot, t[2]) {
-                                out.push(nb);
-                            }
-                        }
-                    }
-                }
-                uncharged += out.len() - before;
-                if uncharged >= CHARGE_BATCH {
-                    if let Err(e) = charge(guard, &mut uncharged) {
-                        trip = Some(e);
-                        break;
-                    }
-                }
-            }
-            if trip.is_none() {
-                trip = charge(guard, &mut uncharged).err();
-            }
-            (out, trip)
-        });
-        self.merge_partitions(results)
-    }
-
-    /// Row-partitioned dual of [`Self::match_triple_pattern`] for simple
-    /// (plain-IRI or variable) predicates: ground terms are interned
-    /// once up front, then input rows split into contiguous chunks and
-    /// workers match read-only against the shared view. Chunk outputs
-    /// concatenate in pinned input order, so the solution sequence is
-    /// identical to the sequential loop's. Workers charge the shared
-    /// guard directly (its counters are atomic); a trip stops the
-    /// worker's chunk and surfaces as a typed error after the merge —
-    /// overshoot is bounded by one charge batch per worker.
-    fn match_triple_pattern_par(
-        &mut self,
-        tp: &TriplePattern,
-        rows: Vec<Binding>,
-    ) -> Result<Vec<Binding>> {
-        let s_slot = self.term_slot(&tp.subject);
-        let o_slot = self.term_slot(&tp.object);
-        let s_ground = match &tp.subject {
-            TermPattern::Var(_) | TermPattern::Blank(_) => None,
-            ground => Some(self.intern_ground(ground)?),
-        };
-        let o_ground = match &tp.object {
-            TermPattern::Var(_) | TermPattern::Blank(_) => None,
-            ground => Some(self.intern_ground(ground)?),
-        };
-        let (p_fixed, p_slot) = match &tp.path {
-            Path::Iri(p) => match self.g.lookup_iri(p) {
-                Some(id) => (Some(id), None),
-                // Unknown predicate: every row finds nothing.
-                None => return Ok(Vec::new()),
-            },
-            Path::Var(v) => (None, self.vars.get(v)),
-            // Complex paths keep the sequential closure evaluator.
-            _ => return self.match_triple_pattern(tp, rows),
-        };
-        NESTED_JOINS.fetch_add(1, Ordering::Relaxed);
-        let g = &self.g;
-        let guard = self.guard;
-        let results = map_chunks(self.workers, PARALLEL_MIN_INPUT, &rows, |_, chunk| {
-            let mut out: Vec<Binding> = Vec::new();
-            let mut uncharged = 0usize;
-            let mut trip: Option<Exhausted> = None;
-            for b in chunk {
-                if let Some(gd) = guard {
-                    if let Err(e) = gd.check_time() {
-                        trip = Some(e);
-                        break;
-                    }
-                }
-                let s_val = s_ground.or_else(|| s_slot.and_then(|sl| b[sl]));
-                let o_val = o_ground.or_else(|| o_slot.and_then(|sl| b[sl]));
-                let p_val = p_fixed.or_else(|| p_slot.and_then(|sl| b[sl]));
-                let before = out.len();
-                for [ms, mp, mo] in g.match_pattern(s_val, p_val, o_val) {
-                    let mut nb = b.clone();
-                    if let Some(slot) = s_slot {
-                        nb[slot] = Some(ms);
-                    }
-                    if let Some(slot) = p_slot {
-                        nb[slot] = Some(mp);
-                    }
-                    if let Some(slot) = o_slot {
-                        nb[slot] = Some(mo);
-                    }
-                    out.push(nb);
-                }
-                uncharged += out.len() - before;
-                if uncharged >= CHARGE_BATCH {
-                    if let Err(e) = charge(guard, &mut uncharged) {
-                        trip = Some(e);
-                        break;
-                    }
-                }
-            }
-            if trip.is_none() {
-                trip = charge(guard, &mut uncharged).err();
-            }
-            (out, trip)
-        });
-        self.merge_partitions(results)
-    }
-
-    /// Parallel dual of [`Self::match_triple_pattern_hash`]: the build
-    /// side hashes in sharded chunks across the pool (each worker hashes
-    /// one contiguous slice of the scan, keyed by global scan index),
-    /// then input rows probe the shards in parallel. Probing consults
-    /// shards in chunk order and shard hit lists are ascending, so per
-    /// key the concatenated hits reproduce exactly the single-map scan
-    /// order — the output multiset and sequence match the sequential
-    /// path for every worker count.
-    fn match_triple_pattern_hash_par(
-        &mut self,
-        tp: &TriplePattern,
-        rows: Vec<Binding>,
-    ) -> Result<Vec<Binding>> {
-        let Path::Iri(p) = &tp.path else {
-            // Planner only marks plain predicates; stay correct anyway.
-            return self.match_triple_pattern(tp, rows);
-        };
-        HASH_JOINS.fetch_add(1, Ordering::Relaxed);
-        let Some(p_id) = self.g.lookup_iri(p) else {
-            // Unknown predicate: every row finds nothing.
-            return Ok(Vec::new());
-        };
-        let s_slot = self.term_slot(&tp.subject);
-        let o_slot = self.term_slot(&tp.object);
-        let s_ground = match &tp.subject {
-            TermPattern::Var(_) | TermPattern::Blank(_) => None,
-            ground => Some(self.intern_ground(ground)?),
-        };
-        let o_ground = match &tp.object {
-            TermPattern::Var(_) | TermPattern::Blank(_) => None,
-            ground => Some(self.intern_ground(ground)?),
-        };
-        let scan: Vec<[TermId; 3]> = self.g.match_pattern(s_ground, Some(p_id), o_ground);
-        // One cheap pass decides which probe structures the row set
-        // needs (rows can differ in boundness under OPTIONAL / UNION).
-        let (mut need_s, mut need_o, mut need_so) = (false, false, false);
-        for b in &rows {
-            let sb = s_slot.and_then(|sl| b[sl]).is_some();
-            let ob = o_slot.and_then(|sl| b[sl]).is_some();
-            match (sb, ob) {
-                (true, true) => need_so = true,
-                (true, false) => need_s = true,
-                (false, true) => need_o = true,
-                (false, false) => {}
-            }
-        }
-        let workers = self.workers;
-        let by_s = need_s.then(|| build_shards(workers, &scan, 0));
-        let by_o = need_o.then(|| build_shards(workers, &scan, 2));
-        let by_so: Option<HashSet<(TermId, TermId)>> =
-            need_so.then(|| scan.iter().map(|t| (t[0], t[2])).collect());
-        let guard = self.guard;
-        let results = map_chunks(workers, PARALLEL_MIN_INPUT, &rows, |_, chunk| {
-            let mut out: Vec<Binding> = Vec::new();
-            let mut uncharged = 0usize;
-            let mut trip: Option<Exhausted> = None;
-            for b in chunk {
-                if let Some(gd) = guard {
-                    if let Err(e) = gd.check_time() {
-                        trip = Some(e);
-                        break;
-                    }
-                }
-                let before = out.len();
-                let s_val = s_slot.and_then(|sl| b[sl]);
-                let o_val = o_slot.and_then(|sl| b[sl]);
-                match (s_val, o_val) {
-                    (Some(sv), Some(ov)) => {
-                        if by_so.as_ref().is_some_and(|set| set.contains(&(sv, ov))) {
-                            out.push(b.clone());
-                        }
-                    }
-                    (Some(sv), None) => {
-                        for shard in by_s.iter().flatten() {
-                            if let Some(hits) = shard.get(&sv) {
-                                for &i in hits {
-                                    let mut nb = b.clone();
-                                    if bind(&mut nb, o_slot, scan[i][2]) {
-                                        out.push(nb);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    (None, Some(ov)) => {
-                        for shard in by_o.iter().flatten() {
-                            if let Some(hits) = shard.get(&ov) {
-                                for &i in hits {
-                                    let mut nb = b.clone();
-                                    if bind(&mut nb, s_slot, scan[i][0]) {
-                                        out.push(nb);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    (None, None) => {
-                        for t in &scan {
-                            let mut nb = b.clone();
-                            if bind(&mut nb, s_slot, t[0]) && bind(&mut nb, o_slot, t[2]) {
-                                out.push(nb);
-                            }
-                        }
-                    }
-                }
-                uncharged += out.len() - before;
-                if uncharged >= CHARGE_BATCH {
-                    if let Err(e) = charge(guard, &mut uncharged) {
-                        trip = Some(e);
-                        break;
-                    }
-                }
-            }
-            if trip.is_none() {
-                trip = charge(guard, &mut uncharged).err();
-            }
-            (out, trip)
-        });
-        self.merge_partitions(results)
     }
 
     /// Fused multiway star join: `members` are k triple patterns sharing
@@ -1478,7 +942,6 @@ impl<'a, G: GraphView + Sync> Ctx<'a, G> {
         &mut self,
         members: &[&TriplePattern],
         rows: Vec<Binding>,
-        par: bool,
     ) -> Result<Vec<Binding>> {
         // Resolve the shared slot and one run spec per member; any shape
         // the planner would not have fused (stale plan) falls back to
@@ -1564,50 +1027,6 @@ impl<'a, G: GraphView + Sync> Ctx<'a, G> {
         let mut emit = inter;
         emit.sort_by_key(|&(src, _)| src);
 
-        if par {
-            let guard = self.guard;
-            let results = map_chunks(self.workers, PARALLEL_MIN_INPUT, &rows, |_, chunk| {
-                let mut out: Vec<Binding> = Vec::new();
-                let mut uncharged = 0usize;
-                let mut trip: Option<Exhausted> = None;
-                for b in chunk {
-                    if let Some(gd) = guard {
-                        if let Err(e) = gd.check_time() {
-                            trip = Some(e);
-                            break;
-                        }
-                    }
-                    let before = out.len();
-                    match b[v_slot] {
-                        Some(v) => {
-                            if sorted_v.binary_search(&v).is_ok() {
-                                out.push(b.clone());
-                            }
-                        }
-                        None => {
-                            for &(_, v) in &emit {
-                                let mut nb = b.clone();
-                                nb[v_slot] = Some(v);
-                                out.push(nb);
-                            }
-                        }
-                    }
-                    uncharged += out.len() - before;
-                    if uncharged >= CHARGE_BATCH {
-                        if let Err(e) = charge(guard, &mut uncharged) {
-                            trip = Some(e);
-                            break;
-                        }
-                    }
-                }
-                if trip.is_none() {
-                    trip = charge(guard, &mut uncharged).err();
-                }
-                (out, trip)
-            });
-            return self.merge_partitions(results);
-        }
-
         let mut out = Vec::new();
         let mut uncharged = 0usize;
         for b in rows {
@@ -1656,27 +1075,6 @@ impl<'a, G: GraphView + Sync> Ctx<'a, G> {
         Ok(rows)
     }
 
-    /// Concatenates per-chunk outputs in pinned order; the first worker
-    /// trip (if any) is recorded and surfaced as a typed error.
-    fn merge_partitions(
-        &self,
-        results: Vec<(Vec<Binding>, Option<Exhausted>)>,
-    ) -> Result<Vec<Binding>> {
-        let mut out = Vec::new();
-        let mut trip: Option<Exhausted> = None;
-        for (chunk_out, chunk_trip) in results {
-            out.extend(chunk_out);
-            if trip.is_none() {
-                trip = chunk_trip;
-            }
-        }
-        if let Some(e) = trip {
-            self.tripped.set(Some(e));
-            return Err(SparqlError::Exhausted(e));
-        }
-        Ok(out)
-    }
-
     fn term_slot(&self, tp: &TermPattern) -> Option<usize> {
         match tp {
             TermPattern::Var(v) => self.vars.get(v),
@@ -1685,14 +1083,19 @@ impl<'a, G: GraphView + Sync> Ctx<'a, G> {
         }
     }
 
-    /// The bound id for this position, if any. Ground terms that are not
-    /// in the dictionary yield a sentinel no-match by interning (the
-    /// pattern simply finds nothing).
-    fn term_value(&mut self, tp: &TermPattern, b: &Binding) -> Result<Option<TermId>> {
+    /// Resolves one pattern position for a whole operator call. Ground
+    /// terms that are not in the dictionary intern to a spill id that
+    /// matches no triple (the pattern simply finds nothing).
+    fn endpoint(&mut self, tp: &TermPattern) -> Result<Endpoint> {
         Ok(match tp {
-            TermPattern::Var(v) => self.vars.get(v).and_then(|s| b[s]),
-            TermPattern::Blank(l) => self.vars.get(&format!("_:{l}")).and_then(|s| b[s]),
-            ground => Some(self.intern_ground(ground)?),
+            TermPattern::Var(_) | TermPattern::Blank(_) => Endpoint {
+                slot: self.term_slot(tp),
+                ground: None,
+            },
+            ground => Endpoint {
+                slot: None,
+                ground: Some(self.intern_ground(ground)?),
+            },
         })
     }
 
@@ -2696,6 +2099,53 @@ fn bgp_plan_matches(bp: &BgpPlan, n: usize) -> bool {
     true
 }
 
+/// One subject/object position of a triple pattern: a binding slot
+/// (variable or blank label) or an interned ground term, never both.
+#[derive(Clone, Copy)]
+struct Endpoint {
+    slot: Option<usize>,
+    ground: Option<TermId>,
+}
+
+impl Endpoint {
+    /// The id row `b` fixes this position to, if any.
+    fn value(self, b: &Binding) -> Option<TermId> {
+        self.ground.or_else(|| self.slot.and_then(|slot| b[slot]))
+    }
+}
+
+/// Build side of the hash and merge operators (see
+/// `Ctx::predicate_scan`): `triples` already satisfy the pattern's
+/// ground endpoints, so rows only probe on their variable positions.
+struct PredicateScan {
+    s: Endpoint,
+    o: Endpoint,
+    triples: Vec<[TermId; 3]>,
+}
+
+impl PredicateScan {
+    /// What row `b` binds the subject and object variables to.
+    fn bound_in(&self, b: &Binding) -> (Option<TermId>, Option<TermId>) {
+        (
+            self.s.slot.and_then(|slot| b[slot]),
+            self.o.slot.and_then(|slot| b[slot]),
+        )
+    }
+
+    /// Pushes `b` extended by each scan triple in `hits`, in order. Both
+    /// endpoints go through [`bind`], so a position the row already
+    /// fixes is re-checked rather than overwritten.
+    fn extend(&self, out: &mut Vec<Binding>, b: &Binding, hits: impl IntoIterator<Item = usize>) {
+        for i in hits {
+            let [ms, _, mo] = self.triples[i];
+            let mut nb = b.clone();
+            if bind(&mut nb, self.s.slot, ms) && bind(&mut nb, self.o.slot, mo) {
+                out.push(nb);
+            }
+        }
+    }
+}
+
 /// Binds `val` into `slot` (when the position is a variable), reporting
 /// false on a conflict with an existing binding — the shared-variable
 /// case (`?x p ?x`) and probe-side rebinding both funnel through here.
@@ -2783,33 +2233,6 @@ fn index_scan(scan: &[[TermId; 3]], col: usize) -> HashMap<TermId, Vec<usize>> {
 /// charged every `CHARGE_BATCH` rows (bounding overshoot to one batch
 /// plus one binding's matches per charging thread).
 const CHARGE_BATCH: usize = 256;
-
-/// Flushes a worker's accumulated row count into the shared guard.
-fn charge(guard: Option<&Guard>, uncharged: &mut usize) -> std::result::Result<(), Exhausted> {
-    let n = std::mem::take(uncharged);
-    match guard {
-        Some(g) if n > 0 => g.add_solutions(n as u64),
-        _ => Ok(()),
-    }
-}
-
-/// Sharded parallel dual of [`index_scan`]: each worker hashes one
-/// contiguous chunk of the scan, keying hits by **global** scan index.
-/// Probing every shard in chunk order yields hit indices in ascending
-/// order — exactly the sequence the single-map build produces.
-fn build_shards(
-    workers: usize,
-    scan: &[[TermId; 3]],
-    col: usize,
-) -> Vec<HashMap<TermId, Vec<usize>>> {
-    map_chunks(workers, PARALLEL_MIN_INPUT, scan, |start, chunk| {
-        let mut map: HashMap<TermId, Vec<usize>> = HashMap::new();
-        for (i, t) in chunk.iter().enumerate() {
-            map.entry(t[col]).or_default().push(start + i);
-        }
-        map
-    })
-}
 
 fn contains_aggregate(e: &Expr) -> bool {
     match e {

@@ -46,11 +46,7 @@ pub mod results;
 pub mod value;
 
 pub use error::{Result, SparqlError};
-#[allow(deprecated)]
-pub use eval::{
-    execute, execute_guarded, execute_prepared, execute_with, join_counters, query, query_guarded,
-    query_with, ExecOptions, JoinCounters,
-};
+pub use eval::{execute, execute_prepared, join_counters, query, JoinCounters};
 pub use parser::parse_query;
 pub use plan::{plan_query, JoinAlgo, Plan, Planner, QueryOptions};
 pub use results::{QueryResult, SolutionTable};

@@ -22,7 +22,6 @@ use std::collections::HashSet;
 use std::fmt::Write as _;
 
 use feo_rdf::governor::Guard;
-use feo_rdf::pool::Parallelism;
 use feo_rdf::vocab::rdf;
 use feo_rdf::GraphView;
 
@@ -91,10 +90,8 @@ impl JoinAlgo {
     }
 }
 
-/// The one options struct accepted by [`crate::query`] / [`crate::execute`].
-///
-/// Replaces the previous `ExecOptions` + `*_guarded` duals: the guard,
-/// the planner choice, and EXPLAIN mode travel together.
+/// The one options struct accepted by [`crate::query`] / [`crate::execute`]:
+/// the guard, the planner choice, and EXPLAIN mode travel together.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct QueryOptions<'a> {
     /// Execution governor: input-size cap on the query text, solution
@@ -106,11 +103,6 @@ pub struct QueryOptions<'a> {
     /// When set, return the rendered plan as [`crate::QueryResult::Plan`]
     /// instead of executing — SQL `EXPLAIN` semantics.
     pub explain: bool,
-    /// Worker pool for planner-marked joins (leaf scans and hash-join
-    /// build/probe over large intermediaries). Whatever the setting, the
-    /// solution multiset is identical — partitions merge in pinned input
-    /// order — so this is a throughput knob, never a semantics knob.
-    pub parallelism: Parallelism,
     /// When set, execute every join step with this algorithm instead of
     /// the planner's choice (leapfrog degrades per step to nested where
     /// no star group exists). Join order is unchanged, and every
@@ -211,11 +203,6 @@ pub struct PlanStep {
     /// steps sharing `g`, intersected in one multiway operator. Set iff
     /// `algo == JoinAlgo::Leapfrog`.
     pub star: Option<usize>,
-    /// This step's estimated work is large enough that partitioning the
-    /// input rows (and the hash build) across a worker pool pays for the
-    /// fan-out. The evaluator additionally requires enough input rows at
-    /// runtime ([`PARALLEL_MIN_INPUT`]) and a configured pool.
-    pub parallel: bool,
 }
 
 /// Build side below this many triples: per-row range scans are cheap
@@ -225,15 +212,6 @@ pub(crate) const HASH_JOIN_BUILD_MIN: f64 = 64.0;
 /// Fewer input rows than this at runtime: probe setup cannot amortize,
 /// fall back to the nested-loop path.
 pub(crate) const HASH_JOIN_MIN_INPUT: usize = 8;
-
-/// Estimated per-row matches above which the planner marks a step
-/// parallelizable: below this the per-row work is too small for thread
-/// fan-out to beat the sequential loop.
-pub(crate) const PARALLEL_EST_MIN: f64 = 256.0;
-
-/// Fewer input rows than this at runtime: partitioning cannot amortize
-/// worker startup, stay sequential even on a parallel-marked step.
-pub(crate) const PARALLEL_MIN_INPUT: usize = 128;
 
 /// Compiles `q` into a [`Plan`] using `view`'s statistics.
 pub fn plan_query<G: GraphView>(view: &G, q: &Query) -> Plan {
@@ -361,15 +339,12 @@ fn plan_bgp<G: GraphView>(
                 let gid = next_star;
                 next_star += 1;
                 for &(est, mi, index) in &members {
-                    // Intersection cost is one pass over the runs; the
-                    // runtime row gate keeps tiny inputs sequential.
                     steps.push(PlanStep {
                         pattern: mi,
                         est_rows: est,
                         index,
                         algo: JoinAlgo::Leapfrog,
                         star: Some(gid),
-                        parallel: true,
                     });
                     for slot in pattern_var_slots(&patterns[mi], vars) {
                         bound.insert(slot);
@@ -389,10 +364,6 @@ fn plan_bgp<G: GraphView>(
         } else {
             JoinAlgo::Nested
         };
-        // Hash/merge steps have O(1)/O(log n) probes, so parallelism
-        // pays once the input side is wide (the runtime row gate); scan
-        // steps need the per-row work itself to clear the threshold.
-        let parallel = algo != JoinAlgo::Nested || best_est >= PARALLEL_EST_MIN;
         for slot in pattern_var_slots(tp, vars) {
             bound.insert(slot);
         }
@@ -402,7 +373,6 @@ fn plan_bgp<G: GraphView>(
             index: best_index,
             algo,
             star: None,
-            parallel,
         });
     }
     BgpPlan { steps }
@@ -649,16 +619,14 @@ fn render_group(out: &mut String, group: &GroupPattern, plan: &GroupPlan, depth:
                         (JoinAlgo::Leapfrog, Some(g)) => format!(" join=leapfrog star={g}"),
                         (algo, _) => format!(" join={}", algo.name()),
                     };
-                    let par = if step.parallel { " par" } else { "" };
                     let _ = writeln!(
                         out,
-                        "{}. {}  [idx={} est={:.1}{}{}]",
+                        "{}. {}  [idx={} est={:.1}{}]",
                         order + 1,
                         pattern,
                         step.index.name(),
                         step.est_rows,
-                        join,
-                        par
+                        join
                     );
                 }
             }

@@ -77,7 +77,7 @@ fn usage_and_exit() -> ! {
            feo explain steps <Food> [profile flags]\n\
            feo proof <Individual> <fact|foil> [profile flags]\n\
            feo query <SPARQL string> [--explain] [--planner off|greedy|cost-based]\n\
-                     [--threads off|auto|N] [--as-of N] [--commit S]\n\
+                     [--as-of N] [--commit S]\n\
            feo history [--commit S] [profile flags]\n\
            feo branch create <name> [--from N] [--apply S] [--commit S]\n\
            feo branch diff <a> <b> [--branch name=S] [--commit S]\n\
@@ -86,7 +86,10 @@ fn usage_and_exit() -> ! {
            feo list\n\
            feo serve [--port N | --addr H:P] [--max-inflight N] [--max-queue N]\n\
                      [--tenant-rate R --tenant-burst B] [--deadline-ms N]\n\
-                     [--max-deadline-ms N] [--drain-ms N] [profile + ledger flags]\n\
+                     [--max-deadline-ms N] [--drain-ms N] [--threads off|auto|N]\n\
+                     [profile + ledger flags]\n\
+                     (--threads: workers one /explain batch fans its questions\n\
+                     across; a single question or query runs on one thread)\n\
            feo compact --store <dir>\n\
          \n\
          PROFILE FLAGS:\n\
@@ -135,7 +138,6 @@ struct Opts {
     json: bool,
     explain: bool,
     planner: Planner,
-    parallelism: Parallelism,
     positional: Vec<String>,
     as_of: Option<u64>,
     commits: Vec<(String, Hypothesis)>,
@@ -154,7 +156,6 @@ fn parse_opts(args: &[String]) -> Opts {
     let mut json = false;
     let mut explain = false;
     let mut planner = Planner::default();
-    let mut parallelism = Parallelism::default();
     let mut as_of: Option<u64> = None;
     let mut commits: Vec<(String, Hypothesis)> = Vec::new();
     let mut branches: Vec<(String, Hypothesis)> = Vec::new();
@@ -221,19 +222,6 @@ fn parse_opts(args: &[String]) -> Opts {
                     }
                 }
             }
-            "--threads" => {
-                parallelism = match value("--threads").to_ascii_lowercase().as_str() {
-                    "off" | "1" => Parallelism::Off,
-                    "auto" => Parallelism::Auto,
-                    n => match n.parse::<usize>() {
-                        Ok(n) if n > 0 => Parallelism::Fixed(n),
-                        _ => {
-                            eprintln!("--threads needs a positive integer, 'off', or 'auto'");
-                            exit(2);
-                        }
-                    },
-                }
-            }
             "--as-of" => {
                 as_of = Some(value("--as-of").parse().unwrap_or_else(|_| {
                     eprintln!("--as-of needs an epoch number");
@@ -286,7 +274,6 @@ fn parse_opts(args: &[String]) -> Opts {
         json,
         explain,
         planner,
-        parallelism,
         positional,
         as_of,
         commits,
@@ -424,9 +411,8 @@ fn cmd_explain(args: &[String]) {
         }
         let n = opts.as_of.unwrap_or(base.head().0);
         let eopts = ExplainOptions {
-            guard: None,
             planner: opts.planner,
-            parallelism: opts.parallelism,
+            ..Default::default()
         };
         match base.explain_as_of(EpochId(n), &question, &eopts) {
             Ok(e) if opts.json => println!("{}", e.to_json()),
@@ -526,9 +512,8 @@ fn cmd_query(args: &[String]) {
             exit(1);
         };
         let eopts = ExplainOptions {
-            guard: None,
             planner: opts.planner,
-            parallelism: opts.parallelism,
+            ..Default::default()
         };
         match session.query_opts(&full, &eopts) {
             Ok(result) => print_query_result(result, opts.json),
@@ -544,7 +529,6 @@ fn cmd_query(args: &[String]) {
     let qopts = QueryOptions {
         guard: None,
         planner: opts.planner,
-        parallelism: opts.parallelism,
         explain: opts.explain,
         force_join: None,
     };
@@ -782,12 +766,24 @@ fn cmd_serve(args: &[String]) {
             "--queue-wait-ms" => {
                 cfg.queue_wait_cap_ms = parse_u64("--queue-wait-ms", value("--queue-wait-ms"))
             }
+            "--threads" => {
+                cfg.parallelism = match value("--threads").to_ascii_lowercase().as_str() {
+                    "off" | "1" => Parallelism::Off,
+                    "auto" => Parallelism::Auto,
+                    n => match n.parse::<usize>() {
+                        Ok(n) if n > 0 => Parallelism::Fixed(n),
+                        _ => {
+                            eprintln!("--threads needs a positive integer, 'off', or 'auto'");
+                            exit(2);
+                        }
+                    },
+                }
+            }
             other => passthrough.push(other.to_string()),
         }
         i += 1;
     }
     let opts = parse_opts(&passthrough);
-    cfg.parallelism = opts.parallelism;
     let base = std::sync::Arc::new(base_with_chain(&opts));
     let server = match Server::bind(base, cfg) {
         Ok(server) => server,

@@ -3,7 +3,7 @@
 //! *semantics* — and not even alternative *orders*: every operator must
 //! return the byte-identical row-ordered table for the same plan, on
 //! every storage backend (in-memory indexes, mmap segment runs, overlay
-//! deltas stacked on either) and in both thread modes. A tripping
+//! deltas stacked on either). A tripping
 //! `Guard` must yield a typed `SparqlError::Exhausted`, never a silently
 //! truncated table.
 
@@ -13,7 +13,7 @@ use feo::ontology::ns::sparql_prologue;
 use feo::owl::Reasoner;
 use feo::rdf::disk::segment::{write_segment, Segment};
 use feo::rdf::governor::Budget;
-use feo::rdf::{Graph, GraphStore, GraphView, Overlay, Parallelism};
+use feo::rdf::{Graph, GraphStore, GraphView, Overlay};
 use feo::sparql::{query, JoinAlgo, Planner, QueryOptions, QueryResult, SparqlError};
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -28,8 +28,6 @@ const FORCES: [Option<JoinAlgo>; 5] = [
     Some(JoinAlgo::Merge),
     Some(JoinAlgo::Leapfrog),
 ];
-
-const MODES: [Parallelism; 2] = [Parallelism::Off, Parallelism::Fixed(4)];
 
 /// Queries chosen to give the operators real work: a ground-object star
 /// (the leapfrog target shape), variable-chain joins probing both key
@@ -149,9 +147,9 @@ fn rows(result: QueryResult) -> Vec<Vec<String>> {
     result.expect_solutions().local_rows().to_vec()
 }
 
-/// Every (force, parallelism) combination must reproduce the reference
-/// table byte-for-byte on the given view.
-fn assert_all_combos_identical<G: GraphView + Sync + Copy>(view: G, q: &str, backend: &str) {
+/// Every force mode must reproduce the reference table byte-for-byte on
+/// the given view.
+fn assert_all_combos_identical<G: GraphView + Copy>(view: G, q: &str, backend: &str) {
     let reference = rows(
         query(
             view,
@@ -164,18 +162,15 @@ fn assert_all_combos_identical<G: GraphView + Sync + Copy>(view: G, q: &str, bac
         .expect("hash reference evaluates"),
     );
     for force in FORCES {
-        for parallelism in MODES {
-            let opts = QueryOptions {
-                force_join: force,
-                parallelism,
-                ..Default::default()
-            };
-            let got = rows(query(view, q, &opts).expect("forced evaluation evaluates"));
-            assert_eq!(
-                got, reference,
-                "{backend}: force={force:?} {parallelism:?} diverged on:\n{q}"
-            );
-        }
+        let opts = QueryOptions {
+            force_join: force,
+            ..Default::default()
+        };
+        let got = rows(query(view, q, &opts).expect("forced evaluation evaluates"));
+        assert_eq!(
+            got, reference,
+            "{backend}: force={force:?} diverged on:\n{q}"
+        );
     }
 }
 

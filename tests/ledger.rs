@@ -242,16 +242,6 @@ fn branch_diff_tracks_divergence() {
     );
 }
 
-/// The deprecated `absorb` shim still works and lands on the ledger.
-#[test]
-fn absorb_shim_commits_an_epoch() {
-    let (_, _, mut base) = world(12, 46);
-    #[allow(deprecated)]
-    base.absorb(Vec::new(), Vec::new(), Default::default());
-    assert_eq!(base.head(), EpochId(1));
-    assert!(base.ledger().verify_chain().is_none());
-}
-
 /// The curated KG exercises the same replay property on real data.
 #[test]
 fn curated_chain_replays_byte_identically() {

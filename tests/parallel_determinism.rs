@@ -1,29 +1,26 @@
-//! Parallel-vs-sequential determinism: `Parallelism` is a throughput
-//! knob, never a semantics knob. For seeded synthetic KGs assembled and
-//! materialized exactly as the engine does it, `Parallelism::Fixed(4)`
-//! must produce byte-identical results to `Parallelism::Off` — the
-//! same closure triples, the same query tables in the same row order,
-//! and the same `explain_batch` answers slot for slot.
+//! Batch determinism: `Parallelism` is a throughput knob, never a
+//! semantics knob. Threads exist at one level — the question — so the
+//! one thing it sizes is `explain_batch`, whose answers at
+//! `Fixed(2/4/8)` must equal `Off` slot for slot, errors included.
 //!
-//! One statistic is deliberately *not* compared: `InferenceResult::rounds`.
-//! The parallel complex-axiom sweep evaluates every candidate against
-//! the pre-pass snapshot, so a membership that depends on another
-//! candidate's new membership can land one outer round later than on
-//! the sequential path. The fixpoint is the same either way; only the
-//! round bookkeeping may differ.
+//! Below the question everything runs on the calling thread. That
+//! single path is pinned here too: tracked derivations are
+//! reproducible with premises inside the closure, and neither
+//! `feo_sparql::query` nor `materialize_delta` asks its view to be
+//! `Sync`, so neither can fan out again unnoticed.
 
-use feo::core::ecosystem::assemble;
+use std::cell::Cell;
+
+use feo::core::ecosystem::{assemble, assert_question};
+use feo::core::queries::contextual_query;
 use feo::core::{EngineBase, ExplainOptions, Population, Question};
-use feo::foodkg::{synthetic, Season, SyntheticConfig, SystemContext, UserProfile};
-use feo::ontology::ns::sparql_prologue;
-use feo::owl::{MaterializeOptions, Reasoner};
-use feo::rdf::{Graph, IdTriple, Parallelism};
-use feo::sparql::{query, Planner, QueryOptions};
+use feo::foodkg::{curated, synthetic, Season, SyntheticConfig, SystemContext, UserProfile};
+use feo::owl::{CompiledRules, MaterializeOptions, Reasoner, ReasonerOptions};
+use feo::rdf::{Graph, GraphView, IdTriple, Overlay, Parallelism, Term, TermId};
+use feo::sparql::query;
 use proptest::prelude::*;
 
-const MODES: [Parallelism; 2] = [Parallelism::Off, Parallelism::Fixed(4)];
-
-fn synthetic_world(recipes: usize, seed: u64) -> (Graph, Vec<String>) {
+fn synthetic_world(recipes: usize, seed: u64) -> Graph {
     let kg = synthetic(&SyntheticConfig {
         recipes,
         ingredients: recipes / 2 + 10,
@@ -34,68 +31,7 @@ fn synthetic_world(recipes: usize, seed: u64) -> (Graph, Vec<String>) {
         .likes(&[&kg.recipes[0].id])
         .allergies(&[&kg.ingredients[0].id]);
     let ctx = SystemContext::new(Season::Autumn);
-    let g = assemble(&kg, &user, &ctx);
-    let names = kg.recipes.iter().map(|r| r.id.clone()).collect();
-    (g, names)
-}
-
-/// Everything observable about a materialization except round counts:
-/// the exact triple sequence (the store iterates in id order, so equal
-/// sequences mean equal graphs), the dictionary size, and the stats
-/// that must match when the fixpoints match.
-fn closure_fingerprint(
-    recipes: usize,
-    seed: u64,
-    parallelism: Parallelism,
-) -> (Vec<IdTriple>, usize, usize, bool, usize) {
-    let (mut g, _) = synthetic_world(recipes, seed);
-    let result = Reasoner::new()
-        .materialize(
-            &mut g,
-            &MaterializeOptions {
-                parallelism,
-                ..Default::default()
-            },
-        )
-        .expect("unguarded materialization converges");
-    (
-        g.iter_ids().collect(),
-        g.term_count(),
-        result.added,
-        result.converged,
-        result.inconsistencies.len(),
-    )
-}
-
-/// Join-heavy queries whose intermediaries are large enough to cross
-/// the parallel-scan and parallel-hash-join thresholds on the bigger
-/// generated KGs (and stay on the sequential path on the smaller ones —
-/// both must agree regardless).
-fn probe_queries() -> Vec<String> {
-    let p = sparql_prologue();
-    vec![
-        format!(
-            "{p}SELECT ?r ?i ?n WHERE {{\n\
-               ?r a food:Recipe .\n\
-               ?r food:hasIngredient ?i .\n\
-               ?i food:hasNutrient ?n .\n\
-             }}"
-        ),
-        format!(
-            "{p}SELECT ?r ?i ?s WHERE {{\n\
-               ?r food:calories ?c .\n\
-               ?i food:availableInSeason ?s .\n\
-               ?r food:hasIngredient ?i .\n\
-               FILTER (?c > 300) .\n\
-             }}"
-        ),
-        format!("{p}SELECT ?r ?n WHERE {{ ?r (food:hasIngredient/food:hasNutrient) ?n }}"),
-        format!(
-            "{p}SELECT ?r (COUNT(?i) AS ?k) WHERE {{\n\
-               ?r food:hasIngredient ?i .\n\
-             }} GROUP BY ?r"
-        ),
-    ]
+    assemble(&kg, &user, &ctx)
 }
 
 /// A mixed batch over the synthetic KG: contextual, contrastive,
@@ -145,50 +81,6 @@ fn batch_fingerprint(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// The materialized closure is byte-identical at every worker count.
-    #[test]
-    fn parallel_closure_matches_sequential(
-        recipes in 20usize..80,
-        seed in 0u64..10_000,
-    ) {
-        let reference = closure_fingerprint(recipes, seed, Parallelism::Off);
-        for workers in [2usize, 4, 8] {
-            let got = closure_fingerprint(recipes, seed, Parallelism::Fixed(workers));
-            prop_assert_eq!(
-                &got, &reference,
-                "closure diverged at {} workers on seed {}", workers, seed
-            );
-        }
-    }
-
-    /// Query tables are byte-identical — same rows in the same order,
-    /// not merely the same multiset — under every planner.
-    #[test]
-    fn parallel_queries_match_sequential(
-        recipes in 20usize..80,
-        seed in 0u64..10_000,
-    ) {
-        let (mut g, _) = synthetic_world(recipes, seed);
-        Reasoner::new()
-            .materialize(&mut g, &Default::default())
-            .expect("converges");
-        for q in probe_queries() {
-            for planner in [Planner::Off, Planner::Greedy, Planner::CostBased] {
-                let run = |parallelism: Parallelism| {
-                    query(&g, &q, &QueryOptions { planner, parallelism, ..Default::default() })
-                        .expect("evaluates")
-                        .expect_solutions()
-                };
-                let reference = run(Parallelism::Off);
-                let got = run(Parallelism::Fixed(4));
-                prop_assert_eq!(
-                    got.local_rows(), reference.local_rows(),
-                    "{:?} rows diverged on seed {} query:\n{}", planner, seed, q
-                );
-            }
-        }
-    }
-
     /// `explain_batch` output is byte-identical slot for slot, including
     /// which slots hold errors.
     #[test]
@@ -214,7 +106,7 @@ proptest! {
             .with_population(population);
         let questions = question_batch(&names, 12);
         let reference = batch_fingerprint(&base, &questions, Parallelism::Off);
-        for workers in [2usize, 4] {
+        for workers in [2usize, 4, 8] {
             let got = batch_fingerprint(&base, &questions, Parallelism::Fixed(workers));
             prop_assert_eq!(
                 &got, &reference,
@@ -224,101 +116,149 @@ proptest! {
     }
 }
 
-/// Derivation tracking no longer forces the sequential path: with
-/// tracking on, pool workers capture each conclusion's premises and the
-/// pinned-order merge records them. The closure must stay
-/// byte-identical across worker counts, the parallel run must be
+/// Derivation tracking changes what is recorded, never what is derived:
+/// the closure is byte-identical with tracking on, the run is
 /// reproducible (same derivation map twice), and every recorded
-/// derivation must be structurally sound — its premises are triples of
-/// the closed graph, so proof trees render without dangling references.
+/// derivation is structurally sound — its premises are triples of the
+/// closed graph, so proof trees render without dangling references.
+/// (The name predates the removal of intra-closure fan-out; it is kept
+/// because the test id is pinned.)
 #[test]
 fn tracked_derivations_survive_the_parallel_path() {
-    use feo::owl::ReasonerOptions;
-
-    let close = |parallelism: Parallelism| {
-        let (mut g, _) = synthetic_world(40, 7);
+    let close = |track_derivations: bool| {
+        let mut g = synthetic_world(40, 7);
         let result = Reasoner::with_options(ReasonerOptions {
-            track_derivations: true,
+            track_derivations,
             ..Default::default()
         })
-        .materialize(
-            &mut g,
-            &MaterializeOptions {
-                parallelism,
-                ..Default::default()
-            },
-        )
+        .materialize(&mut g, &Default::default())
         .expect("converges");
         (g, result)
     };
 
-    let (seq_g, seq) = close(Parallelism::Off);
-    let (par_g, par) = close(Parallelism::Fixed(4));
-    let (par_g2, par2) = close(Parallelism::Fixed(4));
+    let (plain_g, plain) = close(false);
+    let (g, tracked) = close(true);
+    let (g2, tracked2) = close(true);
 
-    // Same fixpoint, and the parallel run is reproducible down to the
-    // recorded derivations.
     assert_eq!(
-        seq_g.iter_ids().collect::<Vec<_>>(),
-        par_g.iter_ids().collect::<Vec<_>>(),
+        plain_g.iter_ids().collect::<Vec<_>>(),
+        g.iter_ids().collect::<Vec<_>>(),
         "closure diverged with tracking on"
     );
-    assert_eq!(par.derivations.len(), par2.derivations.len());
-    for (t, d) in &par.derivations {
-        let again = par2.derivations.get(t).expect("reproducible key set");
+    assert_eq!(g.len(), g2.len());
+    assert_eq!(tracked.derivations.len(), tracked2.derivations.len());
+    for (t, d) in &tracked.derivations {
+        let again = tracked2.derivations.get(t).expect("reproducible key set");
         assert_eq!((d.rule, &d.premises), (again.rule, &again.premises));
     }
-    assert_eq!(par_g.len(), par_g2.len());
 
-    // Both modes explain every inferred triple, and premises always
-    // reference real triples of the closure (acyclic proof DAG).
-    assert_eq!(seq.derivations.len(), par.derivations.len());
-    assert!(!par.derivations.is_empty(), "tracking recorded nothing");
-    for (t, d) in &par.derivations {
+    // Every inferred triple is explained, and premises always reference
+    // real triples of the closure (acyclic proof DAG).
+    assert_eq!(tracked.derivations.len(), plain.added);
+    assert!(!tracked.derivations.is_empty(), "tracking recorded nothing");
+    for (t, d) in &tracked.derivations {
         assert!(
-            par_g.contains_ids(t[0], t[1], t[2]),
+            g.contains_ids(t[0], t[1], t[2]),
             "derived triple missing from closure"
         );
         for p in &d.premises {
             assert!(
-                par_g.contains_ids(p[0], p[1], p[2]),
+                g.contains_ids(p[0], p[1], p[2]),
                 "premise of {:?} ({}) not in closure",
                 t,
                 d.rule
             );
         }
-        let node = feo::owl::proof(&par, *t);
-        assert!(!node.render(&par_g).is_empty());
+        let node = feo::owl::proof(&tracked, *t);
+        assert!(!node.render(&g).is_empty());
     }
 }
 
-/// `Parallelism::Auto` (the default in every options struct) honours
-/// `FEO_THREADS`, so the suite run under `FEO_THREADS=1` and
-/// `FEO_THREADS=4` exercises both paths; this pins the explicit modes
-/// against each other once more on the curated KG for good measure.
-#[test]
-fn curated_kg_closure_is_mode_independent() {
-    let run = |parallelism: Parallelism| {
-        let kg = feo::foodkg::curated();
-        let user = UserProfile::new("u")
-            .likes(&["LentilSoup"])
-            .diet("Vegetarian");
-        let ctx = SystemContext::new(Season::Autumn).region("Florida");
-        let mut g = assemble(&kg, &user, &ctx);
-        let r = Reasoner::new()
-            .materialize(
-                &mut g,
-                &MaterializeOptions {
-                    parallelism,
-                    ..Default::default()
-                },
-            )
-            .expect("converges");
-        (g.iter_ids().collect::<Vec<_>>(), g.term_count(), r.added)
-    };
-    let mut fingerprints = MODES.iter().map(|&m| run(m));
-    let first = fingerprints.next().expect("at least one mode");
-    for other in fingerprints {
-        assert_eq!(first, other);
+/// A view that is deliberately `!Sync`: it counts `match_pattern` calls
+/// in a `Cell`. Only the required methods delegate, so the planner and
+/// the leapfrog cursors take the trait's scanning defaults.
+struct CountingView<'g> {
+    inner: &'g Graph,
+    scans: Cell<u64>,
+}
+
+impl GraphView for CountingView<'_> {
+    fn len(&self) -> usize {
+        GraphView::len(self.inner)
     }
+    fn term_count(&self) -> usize {
+        GraphView::term_count(self.inner)
+    }
+    fn lookup(&self, term: &Term) -> Option<TermId> {
+        GraphView::lookup(self.inner, term)
+    }
+    fn term(&self, id: TermId) -> &Term {
+        GraphView::term(self.inner, id)
+    }
+    fn contains_ids(&self, s: TermId, p: TermId, o: TermId) -> bool {
+        GraphView::contains_ids(self.inner, s, p, o)
+    }
+    fn match_pattern(
+        &self,
+        s: Option<TermId>,
+        p: Option<TermId>,
+        o: Option<TermId>,
+    ) -> Vec<IdTriple> {
+        self.scans.set(self.scans.get() + 1);
+        GraphView::match_pattern(self.inner, s, p, o)
+    }
+    fn iter_ids(&self) -> Box<dyn Iterator<Item = IdTriple> + '_> {
+        GraphView::iter_ids(self.inner)
+    }
+}
+
+/// Pins at the type level that nothing below the question fans out: a
+/// delta closure and CQ1 both run over a `!Sync` view (this test does
+/// not compile if either layer asks for `Sync` again) and answer
+/// exactly as they do over the plain graph.
+#[test]
+fn closure_and_query_run_over_a_non_sync_view() {
+    let kg = curated();
+    let user = UserProfile::new("u")
+        .likes(&["BroccoliCheddarSoup", "LentilSoup"])
+        .allergies(&["Broccoli"])
+        .diet("Vegetarian")
+        .goals(&["HighFiberGoal"]);
+    let ctx = SystemContext::new(Season::Autumn).region("Florida");
+    let mut g = assemble(&kg, &user, &ctx);
+    let reasoner = Reasoner::new();
+    let rules = reasoner.compile(&mut g);
+    reasoner
+        .materialize(&mut g, &MaterializeOptions::with_rules(&rules))
+        .expect("curated KG converges");
+
+    let question = Question::WhyEat {
+        food: "CauliflowerPotatoCurry".into(),
+    };
+    fn answer<V: GraphView>(
+        view: V,
+        question: &Question,
+        rules: &CompiledRules,
+    ) -> (usize, Vec<Vec<String>>) {
+        let mut overlay = Overlay::new(view);
+        assert_question(question, &mut overlay);
+        let inference = Reasoner::new()
+            .materialize_delta(&mut overlay, &MaterializeOptions::with_rules(rules))
+            .expect("delta closure converges");
+        let table = query(&overlay, &contextual_query(question), &Default::default())
+            .expect("CQ1 evaluates")
+            .expect_solutions();
+        (inference.added, table.local_rows())
+    }
+
+    let reference = answer(&g, &question, &rules);
+    assert!(reference.0 > 0, "the question must derive something");
+    assert!(!reference.1.is_empty(), "CQ1 must bind something");
+
+    let counting = CountingView {
+        inner: &g,
+        scans: Cell::new(0),
+    };
+    assert_eq!(answer(&counting, &question, &rules), reference);
+    assert!(counting.scans.get() > 0, "the view was never scanned");
 }

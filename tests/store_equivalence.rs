@@ -3,16 +3,10 @@
 //! synthetic KGs, an engine reopened from a persistent store
 //! (`EngineBase::save_to` → `EngineBase::open`) must answer every
 //! CQ1–CQ3 explanation and every probe query byte-identically to a
-//! freshly built in-memory engine — under all three planners and both
-//! parallelism modes. Commits replay through the WAL to the same
-//! epochs, the same layer sizes, and the same tamper-evidence hashes;
-//! compaction folds the WAL without perturbing a single byte of any
-//! answer.
-//!
-//! `ExplainOptions::parallelism` defaults to `Parallelism::Auto`,
-//! which honours `FEO_THREADS` — ci runs this suite under
-//! `FEO_THREADS=1` and `FEO_THREADS=4`; the explicit
-//! `Off`/`Fixed(4)` loop below pins both paths in a single run too.
+//! freshly built in-memory engine — under all three planners. Commits
+//! replay through the WAL to the same epochs, the same layer sizes, and
+//! the same tamper-evidence hashes; compaction folds the WAL without
+//! perturbing a single byte of any answer.
 
 use feo::core::ecosystem::{apply_hypothesis, assert_question};
 use feo::core::{EngineBase, EpochId, ExplainOptions, Hypothesis, Question, ToJson};
@@ -21,13 +15,12 @@ use feo::foodkg::{
     UserProfile,
 };
 use feo::ontology::ns::sparql_prologue;
-use feo::rdf::{GraphStore, Parallelism};
+use feo::rdf::GraphStore;
 use feo::sparql::Planner;
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 
 const PLANNERS: [Planner; 3] = [Planner::Off, Planner::Greedy, Planner::CostBased];
-const MODES: [Parallelism; 2] = [Parallelism::Off, Parallelism::Fixed(4)];
 
 /// A unique, self-cleaning store directory per proptest case.
 fn store_dir(tag: &str, recipes: usize, seed: u64) -> PathBuf {
@@ -123,12 +116,10 @@ fn explain_fingerprint(
     epoch: EpochId,
     question: &Question,
     planner: Planner,
-    parallelism: Parallelism,
 ) -> Result<String, TestCaseError> {
     let opts = ExplainOptions {
-        guard: None,
         planner,
-        parallelism,
+        ..Default::default()
     };
     let e = base
         .explain_as_of(epoch, question, &opts)
@@ -148,15 +139,13 @@ fn query_fingerprint(
     epoch: EpochId,
     sparql: &str,
     planner: Planner,
-    parallelism: Parallelism,
 ) -> Result<String, TestCaseError> {
     let mut session = base
         .at_epoch(epoch)
         .ok_or_else(|| TestCaseError::fail(format!("epoch {} off the chain", epoch.0)))?;
     let opts = ExplainOptions {
-        guard: None,
         planner,
-        parallelism,
+        ..Default::default()
     };
     let result = session
         .query_opts(sparql, &opts)
@@ -201,8 +190,7 @@ fn write_delta(g: &mut impl GraphStore, kg: &FoodKg, user: &UserProfile, seed: u
 
 /// Asserts the two backends are observably indistinguishable at every
 /// epoch on the chain: closure size, dictionary size, history chain,
-/// every CQ explanation, and every probe query, across all planners
-/// and both parallelism modes.
+/// every CQ explanation, and every probe query, across all planners.
 fn assert_twins_equal(
     mem: &EngineBase,
     disk: &EngineBase,
@@ -230,31 +218,27 @@ fn assert_twins_equal(
     );
     for epoch in (0..=mem.head().0).map(EpochId) {
         for planner in PLANNERS {
-            for parallelism in MODES {
-                for q in cq_questions(kg) {
-                    prop_assert_eq!(
-                        explain_fingerprint(mem, epoch, &q, planner, parallelism)?,
-                        explain_fingerprint(disk, epoch, &q, planner, parallelism)?,
-                        "{}: {:?} diverged at epoch {} ({:?}, {:?})",
-                        label,
-                        q,
-                        epoch.0,
-                        planner,
-                        parallelism
-                    );
-                }
-                for sparql in probe_queries() {
-                    prop_assert_eq!(
-                        query_fingerprint(mem, epoch, &sparql, planner, parallelism)?,
-                        query_fingerprint(disk, epoch, &sparql, planner, parallelism)?,
-                        "{}: query diverged at epoch {} ({:?}, {:?}):\n{}",
-                        label,
-                        epoch.0,
-                        planner,
-                        parallelism,
-                        sparql
-                    );
-                }
+            for q in cq_questions(kg) {
+                prop_assert_eq!(
+                    explain_fingerprint(mem, epoch, &q, planner)?,
+                    explain_fingerprint(disk, epoch, &q, planner)?,
+                    "{}: {:?} diverged at epoch {} ({:?})",
+                    label,
+                    q,
+                    epoch.0,
+                    planner
+                );
+            }
+            for sparql in probe_queries() {
+                prop_assert_eq!(
+                    query_fingerprint(mem, epoch, &sparql, planner)?,
+                    query_fingerprint(disk, epoch, &sparql, planner)?,
+                    "{}: query diverged at epoch {} ({:?}):\n{}",
+                    label,
+                    epoch.0,
+                    planner,
+                    sparql
+                );
             }
         }
     }
@@ -332,7 +316,7 @@ proptest! {
         let head = disk.head();
         let before: Vec<String> = cq_questions(&kg)
             .iter()
-            .map(|q| explain_fingerprint(&disk, head, q, Planner::CostBased, Parallelism::Off))
+            .map(|q| explain_fingerprint(&disk, head, q, Planner::CostBased))
             .collect::<Result<_, _>>()?;
 
         disk.compact().map_err(|e| TestCaseError::fail(format!("compact: {e}")))?;
@@ -342,7 +326,7 @@ proptest! {
         let after: Vec<String> = cq_questions(&kg)
             .iter()
             .map(|q| {
-                explain_fingerprint(&disk, EpochId(0), q, Planner::CostBased, Parallelism::Off)
+                explain_fingerprint(&disk, EpochId(0), q, Planner::CostBased)
             })
             .collect::<Result<_, _>>()?;
         prop_assert_eq!(&before, &after, "compaction changed a head answer");
@@ -350,7 +334,7 @@ proptest! {
         // The in-memory engine's head agrees with the compacted base.
         let mem_head: Vec<String> = cq_questions(&kg)
             .iter()
-            .map(|q| explain_fingerprint(&mem, mem.head(), q, Planner::CostBased, Parallelism::Off))
+            .map(|q| explain_fingerprint(&mem, mem.head(), q, Planner::CostBased))
             .collect::<Result<_, _>>()?;
         prop_assert_eq!(&before, &mem_head, "compacted store diverged from memory head");
 
@@ -364,7 +348,7 @@ proptest! {
         let again: Vec<String> = cq_questions(&kg)
             .iter()
             .map(|q| {
-                explain_fingerprint(&reopened, EpochId(0), q, Planner::CostBased, Parallelism::Off)
+                explain_fingerprint(&reopened, EpochId(0), q, Planner::CostBased)
             })
             .collect::<Result<_, _>>()?;
         prop_assert_eq!(&before, &again, "reopened compacted store diverged");
