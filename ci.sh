@@ -75,8 +75,7 @@ echo "== batch parallelism (bounded wall-clock, FEO_THREADS=4)"
 # budget trips must yield typed Exhausted partials — never a panic or a
 # torn closure. Parallelism::Auto honours FEO_THREADS, so the serve
 # suite (whose /explain sizes its batch from it) runs at 4 batch workers
-# here whatever the host's core count — unoptimized, like the workspace
-# stage: its disconnect test needs a request that outlives 150 ms.
+# here whatever the host's core count.
 FEO_THREADS=4 timeout 240 cargo test -q --offline --release \
     --test parallel_determinism --test parallel_stress
 FEO_THREADS=4 timeout 240 cargo test -q --offline -p feo-serve
@@ -198,9 +197,20 @@ timeout 240 cargo run -q --release --offline -p feo-bench --bin serve_load -- --
 echo "== benchmark: its own tests + one traced smoke run"
 # The benchmark judges every PR, so it is gated too: its unit and smoke
 # tests, then one traced run that exits non-zero on a wrong answer, a
-# refused or degraded request, or a missing layer metric.
+# refused or degraded request, or a missing layer metric. The counts on
+# its result line are a function of seed 1 alone, so they are pinned: a
+# closure that derives more, fewer or later, or a query set that returns
+# other rows, fails here instead of only shifting a timing.
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
-cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
-    --workload explain_inproc --seed 1 --smoke --trace 1 >/dev/null
+TRACE_RESULT=$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+    --workload explain_inproc --seed 1 --smoke --trace 1 | tail -n 1)
+for pinned in owl.delta_inferred:2733 owl.delta_rounds:251 \
+    sparql.result_rows:3895 sparql.join_nested:13425; do
+    if ! grep -qF "\"${pinned%%:*}\":{\"value\":${pinned##*:}," <<<"$TRACE_RESULT"; then
+        echo "benchmark: ${pinned%%:*} is no longer ${pinned##*:}" >&2
+        echo "$TRACE_RESULT" >&2
+        exit 1
+    fi
+done
 
 echo "CI green."

@@ -370,15 +370,13 @@ pub struct CompiledRules {
     /// Asserted `owl:sameAs` pairs (fed to the alias machinery at the
     /// start of a full run).
     initial_same_as: Vec<(TermId, TermId)>,
-    /// Max nesting depth over the left-hand sides of `complex` and
-    /// `disjoint_classes` expressions: how many property steps away a
-    /// node's membership can depend on a triple. Bounds the backward
-    /// expansion of the delta-mode dirty set.
-    lhs_depth: usize,
-    /// `someValuesFrom` properties occurring (at any depth) in those
-    /// left-hand sides — the only edges membership evidence can travel
-    /// along, so backward expansion follows only these.
-    lhs_step_props: BTreeSet<TermId>,
+    /// Per `complex` axiom (same index), the triggers a new triple can
+    /// fire it through in delta mode.
+    complex_triggers: Vec<AxiomTriggers>,
+    /// Per `disjoint_classes` pair (same index), the triggers of both
+    /// sides: a new triple matching one nominates the individuals whose
+    /// membership in either side it can have changed.
+    disjoint_triggers: Vec<Vec<Trigger>>,
     axiom_count: usize,
     warnings: Vec<String>,
 }
@@ -469,17 +467,15 @@ impl CompiledRules {
         transitive_close(&mut sup_class);
         transitive_close(&mut sup_prop);
 
-        let mut lhs_depth = 0;
-        let mut lhs_step_props = BTreeSet::new();
-        for (lhs, _) in complex.iter().chain(disjoint_classes.iter()) {
-            lhs_depth = lhs_depth.max(expr_depth(lhs));
-            collect_step_props(lhs, &mut lhs_step_props);
-        }
-        for (_, rhs) in &disjoint_classes {
-            // Disjointness tests both sides as membership checks.
-            lhs_depth = lhs_depth.max(expr_depth(rhs));
-            collect_step_props(rhs, &mut lhs_step_props);
-        }
+        let complex_triggers = complex
+            .iter()
+            .map(|(sub, sup)| AxiomTriggers::compile(sub, sup))
+            .collect();
+        // Disjointness tests both sides as membership checks.
+        let disjoint_triggers = disjoint_classes
+            .iter()
+            .map(|(a, b)| [a, b].into_iter().flat_map(triggers_of).collect())
+            .collect();
 
         CompiledRules {
             rdf_type,
@@ -501,8 +497,8 @@ impl CompiledRules {
             disjoint_properties,
             different_from,
             initial_same_as,
-            lhs_depth,
-            lhs_step_props,
+            complex_triggers,
+            disjoint_triggers,
             axiom_count: ontology.axioms.len(),
             warnings: ontology.warnings.clone(),
         }
@@ -514,32 +510,130 @@ impl CompiledRules {
     }
 }
 
-/// How many property steps from an individual a membership witness for
-/// `expr` can reach (see [`CompiledRules::lhs_depth`]).
-fn expr_depth(expr: &ClassExpr) -> usize {
-    match expr {
-        ClassExpr::SomeValuesFrom { filler, .. } => 1 + expr_depth(filler),
-        ClassExpr::IntersectionOf(es) | ClassExpr::UnionOf(es) => {
-            es.iter().map(expr_depth).max().unwrap_or(0)
+/// The atom of a class expression that a single new triple can make
+/// true.
+#[derive(Debug, Clone, Copy)]
+enum TriggerAtom {
+    /// `Named(c)`: a new `x rdf:type c`.
+    Type(TermId),
+    /// `HasValue { property, value }`: a new `x property value`.
+    Value(TermId, TermId),
+    /// `SomeValuesFrom { property, .. }`: a new `x property y`, the
+    /// filler still to be checked on `y`.
+    Edge(TermId),
+}
+
+/// One way a new triple can enter a class expression: the atom it
+/// matches and where that atom sits. `OneOf` contributes no trigger (no
+/// triple changes it) and `AllValuesFrom` / `ComplementOf` none because
+/// [`satisfies_in`] never holds for them.
+#[derive(Debug, Clone)]
+struct Trigger {
+    atom: TriggerAtom,
+    /// `someValuesFrom` properties from the expression's root down to
+    /// the atom's node: an individual `path.len()` such edges above the
+    /// triple's subject is the one whose membership may have changed.
+    path: Vec<TermId>,
+    /// Child index taken at each intersection / union from the root
+    /// down to the atom — the route [`holds_pinned`] follows.
+    route: Vec<usize>,
+}
+
+impl Trigger {
+    fn matches(&self, rdf_type: TermId, [_, p, o]: [TermId; 3]) -> bool {
+        match self.atom {
+            TriggerAtom::Type(c) => p == rdf_type && o == c,
+            TriggerAtom::Value(q, v) => p == q && o == v,
+            TriggerAtom::Edge(q) => p == q,
         }
-        ClassExpr::Named(_)
-        | ClassExpr::OneOf(_)
-        | ClassExpr::HasValue { .. }
-        | ClassExpr::AllValuesFrom { .. }
-        | ClassExpr::ComplementOf(_) => 0,
     }
 }
 
-fn collect_step_props(expr: &ClassExpr, out: &mut BTreeSet<TermId>) {
+/// One [`Trigger`] per atom of `expr`.
+fn triggers_of(expr: &ClassExpr) -> Vec<Trigger> {
+    let mut out = Vec::new();
+    collect_triggers(expr, &mut Vec::new(), &mut Vec::new(), &mut out);
+    out
+}
+
+/// Appends the triggers of `expr`, itself at `path` and `route` inside
+/// the expression being compiled.
+fn collect_triggers(
+    expr: &ClassExpr,
+    path: &mut Vec<TermId>,
+    route: &mut Vec<usize>,
+    out: &mut Vec<Trigger>,
+) {
+    let mut push = |atom| {
+        out.push(Trigger {
+            atom,
+            path: path.clone(),
+            route: route.clone(),
+        })
+    };
     match expr {
+        ClassExpr::Named(c) => push(TriggerAtom::Type(*c)),
+        ClassExpr::HasValue { property, value } => push(TriggerAtom::Value(*property, *value)),
         ClassExpr::SomeValuesFrom { property, filler } => {
-            out.insert(*property);
-            collect_step_props(filler, out);
+            push(TriggerAtom::Edge(*property));
+            path.push(*property);
+            collect_triggers(filler, path, route, out);
+            path.pop();
         }
         ClassExpr::IntersectionOf(es) | ClassExpr::UnionOf(es) => {
-            for e in es {
-                collect_step_props(e, out);
+            for (i, e) in es.iter().enumerate() {
+                route.push(i);
+                collect_triggers(e, path, route, out);
+                route.pop();
             }
+        }
+        ClassExpr::OneOf(_) | ClassExpr::AllValuesFrom { .. } | ClassExpr::ComplementOf(_) => {}
+    }
+}
+
+/// The delta-mode entry points of one complex axiom `sub ⊑ sup`.
+#[derive(Debug, Clone)]
+struct AxiomTriggers {
+    /// One per atom of `sub`: a matching triple can make an individual
+    /// newly satisfy `sub`, tested with [`holds_pinned`].
+    lhs: Vec<Trigger>,
+    /// One per `AllValuesFrom` reachable in `sup` through intersections
+    /// and `AllValuesFrom` fillers (cls-avf): a new edge under an
+    /// individual that satisfied `sub` all along still owes its object
+    /// the filler, so the individual is re-tested with the unpinned
+    /// [`satisfies_in`] and `sup` applied again. `path` holds the
+    /// `allValuesFrom` properties above the edge; `route` is unused.
+    rhs_universals: Vec<Trigger>,
+}
+
+impl AxiomTriggers {
+    fn compile(sub: &ClassExpr, sup: &ClassExpr) -> Self {
+        let mut rhs_universals = Vec::new();
+        collect_universal_triggers(sup, &mut Vec::new(), &mut rhs_universals);
+        AxiomTriggers {
+            lhs: triggers_of(sub),
+            rhs_universals,
+        }
+    }
+}
+
+/// Mirrors the cases of [`Engine::apply_membership_by`] that recurse.
+fn collect_universal_triggers(expr: &ClassExpr, path: &mut Vec<TermId>, out: &mut Vec<Trigger>) {
+    match expr {
+        ClassExpr::IntersectionOf(es) => {
+            for e in es {
+                collect_universal_triggers(e, path, out);
+            }
+        }
+        ClassExpr::AllValuesFrom { property, filler } => {
+            out.push(Trigger {
+                atom: TriggerAtom::Edge(*property),
+                path: path.clone(),
+                route: Vec::new(),
+            });
+            path.push(*property);
+            collect_universal_triggers(filler, path, out);
+            path.pop();
         }
         _ => {}
     }
@@ -566,6 +660,53 @@ fn satisfies_in<V: GraphView + ?Sized>(
         // Open-world: membership in a complement or universal
         // restriction is never derived, matching OWL 2 RL.
         ClassExpr::AllValuesFrom { .. } | ClassExpr::ComplementOf(_) => false,
+    }
+}
+
+/// [`satisfies_in`] for `x ∈ expr` when a triple matching one
+/// [`Trigger`] of `expr` is already known to be there: the atoms on the
+/// trigger's `route` are true by construction, so only what branches
+/// off it is evaluated. `below` holds the nodes the walk back from the
+/// triple's subject passed, the subject first and `x`'s successor last;
+/// a `SomeValuesFrom` on the route descends to that known node instead
+/// of enumerating `objects`, and once `below` is used up it is the edge
+/// atom itself, whose filler is checked on the triple's `object`. A
+/// union takes the pinned arm only — another arm made true by another
+/// new triple is that triple's trigger.
+fn holds_pinned<V: GraphView + ?Sized>(
+    g: &V,
+    rules: &CompiledRules,
+    x: TermId,
+    expr: &ClassExpr,
+    route: &[usize],
+    below: &[TermId],
+    object: TermId,
+) -> bool {
+    match expr {
+        ClassExpr::Named(_) | ClassExpr::HasValue { .. } => true,
+        ClassExpr::IntersectionOf(es) => {
+            let Some((&pinned, route)) = route.split_first() else {
+                return false;
+            };
+            es.iter().enumerate().all(|(i, e)| {
+                if i == pinned {
+                    holds_pinned(g, rules, x, e, route, below, object)
+                } else {
+                    satisfies_in(g, rules, x, e)
+                }
+            })
+        }
+        ClassExpr::UnionOf(es) => match route.split_first() {
+            Some((&pinned, route)) => es
+                .get(pinned)
+                .is_some_and(|e| holds_pinned(g, rules, x, e, route, below, object)),
+            None => false,
+        },
+        ClassExpr::SomeValuesFrom { filler, .. } => match below.split_last() {
+            Some((&next, below)) => holds_pinned(g, rules, next, filler, route, below, object),
+            None => satisfies_in(g, rules, object, filler),
+        },
+        ClassExpr::OneOf(_) | ClassExpr::AllValuesFrom { .. } | ClassExpr::ComplementOf(_) => false,
     }
 }
 
@@ -631,12 +772,14 @@ struct Engine<'a, S: GraphStore> {
     /// sameAs alias sets, maintained incrementally.
     aliases: HashMap<TermId, BTreeSet<TermId>>,
     queue: VecDeque<[TermId; 3]>,
-    /// Delta mode only: individuals mentioned by any new triple, and the
-    /// new triples themselves, for scoping the complex/chain/consistency
-    /// passes to what the delta could have changed.
+    /// Delta mode only: the seed and every triple derived since, in
+    /// insertion order, for scoping the complex/chain/consistency passes
+    /// to what the delta could have changed.
     delta_mode: bool,
-    dirty: HashSet<TermId>,
     new_triples: Vec<[TermId; 3]>,
+    /// Per complex axiom, the position in `new_triples` up to which its
+    /// triggers have been matched.
+    complex_cursors: Vec<usize>,
     /// Position in `new_triples` up to which chains have been evaluated.
     chain_cursor: usize,
     /// Execution governor for the guarded entry points; `None` on the
@@ -661,8 +804,8 @@ impl<'a, S: GraphStore> Engine<'a, S> {
             aliases: HashMap::new(),
             queue: VecDeque::new(),
             delta_mode: false,
-            dirty: HashSet::new(),
             new_triples: Vec::new(),
+            complex_cursors: vec![0; rules.complex.len()],
             chain_cursor: 0,
             guard: None,
             tripped: None,
@@ -776,12 +919,8 @@ impl<'a, S: GraphStore> Engine<'a, S> {
         for (a, b) in pairs {
             self.note_alias(a, b);
         }
-        for &t in seed {
-            self.dirty.insert(t[0]);
-            self.dirty.insert(t[2]);
-            self.new_triples.push(t);
-            self.queue.push_back(t);
-        }
+        self.new_triples.extend_from_slice(seed);
+        self.queue.extend(seed);
 
         loop {
             if self.guard_tripped() {
@@ -817,44 +956,101 @@ impl<'a, S: GraphStore> Engine<'a, S> {
         (self.result, self.tripped)
     }
 
-    /// Dirty individuals plus everything whose class membership could
-    /// depend on them: walk backward along the `someValuesFrom` edge
-    /// properties of the compiled left-hand sides, once per nesting
-    /// level. A node newly satisfying a complex expression must have a
-    /// new triple somewhere in its witness tree, and witness trees only
-    /// descend through those properties, so this set covers every
-    /// possible new member.
-    fn expanded_dirty(&self) -> Vec<TermId> {
-        let mut set: BTreeSet<TermId> = self.dirty.iter().copied().collect();
-        for _ in 0..self.rules.lhs_depth {
-            let mut grow: Vec<TermId> = Vec::new();
-            for &n in &set {
-                for &p in &self.rules.lhs_step_props {
-                    for t in self.g.match_pattern(None, Some(p), Some(n)) {
-                        grow.push(t[0]);
+    /// Every way `triple` enters one of `triggers`: per matching trigger,
+    /// each individual that reaches the triple's subject backward along
+    /// the trigger's `path` (the root), with the nodes walked on the way
+    /// up — the subject first, the root's successor last, as
+    /// [`holds_pinned`] takes them. Empty once the guard has tripped.
+    fn entries<'t>(
+        &mut self,
+        triggers: &'t [Trigger],
+        triple: [TermId; 3],
+    ) -> Vec<(&'t Trigger, TermId, Vec<TermId>)> {
+        let mut out = Vec::new();
+        for trigger in triggers {
+            if self.guard_tripped() {
+                return Vec::new();
+            }
+            if !trigger.matches(self.rules.rdf_type, triple) {
+                continue;
+            }
+            let mut level = vec![(triple[0], Vec::new())];
+            for &step in trigger.path.iter().rev() {
+                if self.guard_tripped() {
+                    return Vec::new();
+                }
+                let mut above = Vec::new();
+                for (node, below) in &level {
+                    for parent in self.g.subjects(step, *node) {
+                        let mut below = below.clone();
+                        below.push(*node);
+                        above.push((parent, below));
+                    }
+                }
+                level = above;
+            }
+            out.extend(
+                level
+                    .into_iter()
+                    .map(|(root, below)| (trigger, root, below)),
+            );
+        }
+        out
+    }
+
+    /// Delta-scoped [`Engine::complex_pass`], as a semi-naïve join: each
+    /// axiom matches the triples added since its last turn against its
+    /// own triggers and evaluates its left-hand side pinned to the
+    /// triple that fired it, instead of re-testing every individual near
+    /// the delta. Exact because an individual that newly satisfies a
+    /// left-hand side has a new triple somewhere in its witness tree;
+    /// that triple matches one atom, the individual reaches the triple's
+    /// subject along exactly that atom's path, and when the last such
+    /// triple comes up the rest of the tree is already in the graph.
+    /// Individuals that held before are the closed base's business,
+    /// except for what `rhs_universals` covers.
+    fn complex_pass_delta(&mut self) {
+        let rules = self.rules;
+        for (i, (sub, sup)) in rules.complex.iter().enumerate() {
+            let triggers = &rules.complex_triggers[i];
+            let fresh = std::mem::replace(&mut self.complex_cursors[i], self.new_triples.len())
+                ..self.new_triples.len();
+            // Id order, the order a sorted candidate sweep applies in.
+            let mut roots: BTreeSet<TermId> = BTreeSet::new();
+            for idx in fresh {
+                let triple = self.new_triples[idx];
+                for (trigger, root, below) in self.entries(&triggers.lhs, triple) {
+                    if self.guard_tripped() {
+                        return;
+                    }
+                    if !roots.contains(&root)
+                        && holds_pinned(
+                            &*self.g,
+                            rules,
+                            root,
+                            sub,
+                            &trigger.route,
+                            &below,
+                            triple[2],
+                        )
+                    {
+                        roots.insert(root);
+                    }
+                }
+                for (_, root, _) in self.entries(&triggers.rhs_universals, triple) {
+                    if self.guard_tripped() {
+                        return;
+                    }
+                    if !roots.contains(&root) && self.satisfies(root, sub) {
+                        roots.insert(root);
                     }
                 }
             }
-            let before = set.len();
-            set.extend(grow);
-            if set.len() == before {
-                break;
-            }
-        }
-        set.into_iter().collect()
-    }
-
-    /// Delta-scoped [`Engine::complex_pass`]: membership is re-evaluated
-    /// only for individuals the delta could have affected.
-    fn complex_pass_delta(&mut self) {
-        let rules = self.rules;
-        if rules.complex.is_empty() {
-            return;
-        }
-        let cand = self.expanded_dirty();
-        for (sub, sup) in &rules.complex {
-            if !self.sweep_axiom(&cand, sub, sup) {
-                return;
+            for x in roots {
+                if self.guard_tripped() {
+                    return;
+                }
+                self.conclude(x, sub, sup);
             }
         }
     }
@@ -935,20 +1131,30 @@ impl<'a, S: GraphStore> Engine<'a, S> {
     /// Delta-scoped consistency: report only violations a delta triple or
     /// delta-affected individual participates in. A consistent base stays
     /// silent; a violation introduced by the session is always caught.
+    /// Disjointness is tested on the individuals some new triple enters
+    /// either side's expression for (the triggers of
+    /// [`Engine::complex_pass_delta`], over all of `new_triples`): on a
+    /// consistent base that reports exactly what testing every
+    /// individual would, since a new violation needs a new triple in
+    /// one side's witness tree.
     fn check_consistency_delta(&mut self) {
         let rules = self.rules;
-        if !rules.disjoint_classes.is_empty() {
-            let cand = self.expanded_dirty();
-            for (a, b) in &rules.disjoint_classes {
-                for &x in &cand {
-                    if self.satisfies(x, a) && self.satisfies(x, b) {
-                        let detail =
-                            format!("{} is an instance of disjoint classes", self.g.term_name(x));
-                        self.result.inconsistencies.push(Inconsistency {
-                            kind: InconsistencyKind::DisjointClassesViolation,
-                            detail,
-                        });
-                    }
+        for (i, (a, b)) in rules.disjoint_classes.iter().enumerate() {
+            let mut cand: BTreeSet<TermId> = BTreeSet::new();
+            for idx in 0..self.new_triples.len() {
+                let triple = self.new_triples[idx];
+                for (_, root, _) in self.entries(&rules.disjoint_triggers[i], triple) {
+                    cand.insert(root);
+                }
+            }
+            for x in cand {
+                if self.satisfies(x, a) && self.satisfies(x, b) {
+                    let detail =
+                        format!("{} is an instance of disjoint classes", self.g.term_name(x));
+                    self.result.inconsistencies.push(Inconsistency {
+                        kind: InconsistencyKind::DisjointClassesViolation,
+                        detail,
+                    });
                 }
             }
         }
@@ -1048,8 +1254,6 @@ impl<'a, S: GraphStore> Engine<'a, S> {
             }
             self.queue.push_back([s, p, o]);
             if self.delta_mode {
-                self.dirty.insert(s);
-                self.dirty.insert(o);
                 self.new_triples.push([s, p, o]);
             }
             if self.opts.track_derivations {
@@ -1241,25 +1445,33 @@ impl<'a, S: GraphStore> Engine<'a, S> {
     }
 
     /// One complex axiom `sub ⊑ sup` over `cand`: every candidate that
-    /// satisfies `sub` gets `sup`'s consequences asserted (with `sub`'s
-    /// witness triples as premises when derivations are tracked).
-    /// Returns false when the guard tripped mid-sweep.
+    /// satisfies `sub` gets `sup`'s consequences asserted. Returns false
+    /// when the guard tripped mid-sweep.
     fn sweep_axiom(&mut self, cand: &[TermId], sub: &ClassExpr, sup: &ClassExpr) -> bool {
-        let tracking = self.opts.track_derivations;
         for &x in cand {
             if self.guard_tripped() {
                 return false;
             }
-            if tracking {
-                let mut witnesses = Vec::new();
-                if self.witnesses(x, sub, &mut witnesses) {
-                    self.apply_membership_by(x, sup, &witnesses);
-                }
-            } else if self.satisfies(x, sub) {
-                self.apply_membership(x, sup);
+            // With tracking on, the witness search is the membership test.
+            if self.opts.track_derivations || self.satisfies(x, sub) {
+                self.conclude(x, sub, sup);
             }
         }
         true
+    }
+
+    /// Asserts `sup`'s consequences for an `x` that satisfies `sub`,
+    /// with `sub`'s witness triples as premises when derivations are
+    /// tracked (nothing is asserted if no witness is found).
+    fn conclude(&mut self, x: TermId, sub: &ClassExpr, sup: &ClassExpr) {
+        if self.opts.track_derivations {
+            let mut witnesses = Vec::new();
+            if self.witnesses(x, sub, &mut witnesses) {
+                self.apply_membership_by(x, sup, &witnesses);
+            }
+        } else {
+            self.apply_membership(x, sup);
+        }
     }
 
     /// One pass over all complex subclass-like axioms.
@@ -1556,7 +1768,7 @@ mod tests {
         g
     }
 
-    fn has(g: &Graph, s: &str, p: &str, o: &str) -> bool {
+    fn has(g: &impl GraphView, s: &str, p: &str, o: &str) -> bool {
         let e = |n: &str| -> String {
             if n.contains("://") {
                 n.to_string()
@@ -1983,6 +2195,283 @@ mod tests {
             .materialize(&mut g, &MaterializeOptions::guarded(&guard))
             .unwrap_err();
         assert_eq!(err.exhausted().resource, Resource::Cancelled);
+    }
+
+    /// Left-hand-side shapes FEO does not have, one axiom per shape.
+    const SHAPES_TBOX: &str = "\
+        e:Deep owl:equivalentClass [ a owl:Restriction ; owl:onProperty e:p ;\n\
+          owl:someValuesFrom [ a owl:Restriction ; owl:onProperty e:q ; owl:someValuesFrom e:C ] ] .\n\
+        e:Any owl:equivalentClass [ owl:unionOf (\n\
+          e:A\n\
+          [ a owl:Restriction ; owl:onProperty e:v ; owl:hasValue e:k ]\n\
+          [ a owl:Restriction ; owl:onProperty e:r ; owl:someValuesFrom e:D ] ) ] .\n\
+        e:Both owl:equivalentClass [ owl:intersectionOf (\n\
+          [ a owl:Restriction ; owl:onProperty e:s ; owl:someValuesFrom e:E ]\n\
+          [ a owl:Restriction ; owl:onProperty e:t ; owl:hasValue e:on ] ) ] .\n\
+        e:Linked owl:equivalentClass [ a owl:Restriction ; owl:onProperty e:u ;\n\
+          owl:someValuesFrom e:F ] .\n\
+        e:Hot owl:disjointWith [ a owl:Restriction ; owl:onProperty e:w ;\n\
+          owl:someValuesFrom e:Cold ] .\n\
+        e:Plain rdfs:subClassOf [ a owl:Restriction ; owl:onProperty e:m ; owl:allValuesFrom e:H ] .\n\
+        e:Strict rdfs:subClassOf [ a owl:Restriction ; owl:onProperty e:m ;\n\
+          owl:allValuesFrom [ a owl:Restriction ; owl:onProperty e:n ; owl:allValuesFrom e:G ] ] .\n";
+
+    /// Closes `SHAPES_TBOX` + `abox`, then adds `delta` twice — to a
+    /// copy that is re-materialized from scratch and to an overlay that
+    /// is closed incrementally — and requires the same triples and the
+    /// same inconsistency kinds from both, `expect` among the triples.
+    /// Returns the kinds for the caller to pin.
+    fn delta_like_full(abox: &str, delta: &str, expect: &[[&str; 3]]) -> Vec<InconsistencyKind> {
+        use feo_rdf::turtle::parse_turtle;
+        let mut base = graph(&format!("{SHAPES_TBOX}{abox}"));
+        let reasoner = Reasoner::new();
+        let rules = reasoner.compile(&mut base);
+        let closed = reasoner
+            .materialize(&mut base, &MaterializeOptions::with_rules(&rules))
+            .expect("materialize");
+        assert!(closed.is_consistent(), "{:?}", closed.inconsistencies);
+        let delta = parse_turtle(
+            &format!("@prefix e: <http://e/> .\n{delta}"),
+            &Default::default(),
+        )
+        .expect("delta parses");
+
+        let mut full = base.clone();
+        let mut overlay = Overlay::new(&base);
+        for t in &delta {
+            full.insert(t);
+            overlay.insert(t);
+        }
+        let from_scratch = reasoner
+            .materialize(&mut full, &MaterializeOptions::with_rules(&rules))
+            .expect("materialize");
+        let incremental = reasoner
+            .materialize_delta(&mut overlay, &MaterializeOptions::with_rules(&rules))
+            .expect("materialize_delta");
+
+        let triples = |g: &dyn GraphView| -> BTreeSet<String> {
+            g.iter_triples().map(|t| t.to_string()).collect()
+        };
+        let (full_set, overlay_set) = (triples(&full), triples(&overlay));
+        assert!(
+            full_set == overlay_set,
+            "after {delta:?}: only from scratch {:?}, only incremental {:?}",
+            full_set.difference(&overlay_set).collect::<Vec<_>>(),
+            overlay_set.difference(&full_set).collect::<Vec<_>>()
+        );
+        for [s, p, o] in expect {
+            assert!(has(&overlay, s, p, o), "missing {s} {p} {o}");
+        }
+        let kinds =
+            |r: &InferenceResult| -> Vec<_> { r.inconsistencies.iter().map(|i| i.kind).collect() };
+        assert_eq!(kinds(&from_scratch), kinds(&incremental));
+        kinds(&incremental)
+    }
+
+    #[test]
+    fn delta_enters_a_depth_two_left_hand_side_through_every_atom() {
+        let deep = [["x", rdf::TYPE, "Deep"], ["x2", rdf::TYPE, "Deep"]];
+        // The class atom, two edges below both roots.
+        delta_like_full(
+            "e:x e:p e:y . e:x2 e:p e:y . e:y e:q e:z .",
+            "e:z a e:C .",
+            &deep,
+        );
+        // The inner edge, one below.
+        delta_like_full(
+            "e:x e:p e:y . e:x2 e:p e:y . e:z a e:C .",
+            "e:y e:q e:z .",
+            &deep,
+        );
+        // The outer edge, at the root.
+        delta_like_full(
+            "e:y e:q e:z . e:z a e:C .",
+            "e:x e:p e:y . e:x2 e:p e:y .",
+            &deep,
+        );
+        // All of it new; and a chain that stops short derives nothing.
+        delta_like_full(
+            "e:o a e:Other .",
+            "e:x e:p e:y . e:x2 e:p e:y . e:y e:q e:z . e:z a e:C . e:n e:p e:z .",
+            &deep,
+        );
+        let mut short = graph(&format!("{SHAPES_TBOX}e:n e:p e:z . e:z a e:C ."));
+        Reasoner::new()
+            .materialize(&mut short, &Default::default())
+            .expect("materialize");
+        assert!(!has(&short, "n", rdf::TYPE, "Deep"));
+    }
+
+    #[test]
+    fn delta_enters_a_union_through_each_arm() {
+        let any = [["x", rdf::TYPE, "Any"]];
+        delta_like_full("e:o a e:Other .", "e:x a e:A .", &any);
+        delta_like_full("e:o a e:Other .", "e:x e:v e:k .", &any);
+        delta_like_full("e:d a e:D .", "e:x e:r e:d .", &any);
+        delta_like_full("e:x e:r e:d .", "e:d a e:D .", &any);
+        // The wrong value enters no arm.
+        delta_like_full("e:o a e:Other .", "e:y e:v e:other .", &[]);
+    }
+
+    #[test]
+    fn delta_enters_an_intersection_through_either_conjunct() {
+        let both = [["x", rdf::TYPE, "Both"]];
+        delta_like_full("e:x e:s e:e1 . e:e1 a e:E .", "e:x e:t e:on .", &both);
+        delta_like_full("e:x e:t e:on . e:e1 a e:E .", "e:x e:s e:e1 .", &both);
+        delta_like_full("e:x e:t e:on . e:x e:s e:e1 .", "e:e1 a e:E .", &both);
+        // The other direction of the equivalence: cls-hv1.
+        delta_like_full("e:o a e:Other .", "e:x a e:Both .", &[["x", "t", "on"]]);
+        // One conjunct alone is not enough.
+        let mut half = graph(&format!("{SHAPES_TBOX}e:x e:s e:e1 . e:e1 a e:E ."));
+        let reasoner = Reasoner::new();
+        let rules = reasoner.compile(&mut half);
+        reasoner
+            .materialize(&mut half, &MaterializeOptions::with_rules(&rules))
+            .expect("materialize");
+        let mut overlay = Overlay::new(&half);
+        overlay.insert_iris("http://e/x", "http://e/t", "http://e/off");
+        reasoner
+            .materialize_delta(&mut overlay, &MaterializeOptions::with_rules(&rules))
+            .expect("materialize_delta");
+        assert!(!has(&overlay, "x", rdf::TYPE, "Both"));
+    }
+
+    #[test]
+    fn delta_edge_to_an_already_satisfied_filler_fires() {
+        delta_like_full(
+            "e:f a e:F .",
+            "e:x e:u e:f .",
+            &[["x", rdf::TYPE, "Linked"]],
+        );
+    }
+
+    #[test]
+    fn delta_edge_under_a_universal_right_hand_side_fires() {
+        // cls-avf for an individual that was a member all along: the new
+        // edge enters no left-hand side, yet its object is owed the filler.
+        delta_like_full("e:x a e:Plain .", "e:x e:m e:y .", &[["y", rdf::TYPE, "H"]]);
+        // The same one universal further down, and the whole tree new.
+        delta_like_full(
+            "e:x a e:Strict . e:x e:m e:y .",
+            "e:y e:n e:z .",
+            &[["z", rdf::TYPE, "G"]],
+        );
+        delta_like_full(
+            "e:y e:n e:z .",
+            "e:x a e:Strict . e:x e:m e:y .",
+            &[["z", rdf::TYPE, "G"]],
+        );
+    }
+
+    #[test]
+    fn delta_disjointness_is_found_through_either_side() {
+        let violated = vec![InconsistencyKind::DisjointClassesViolation];
+        // The named side arrives.
+        assert_eq!(
+            delta_like_full("e:x e:w e:y . e:y a e:Cold .", "e:x a e:Hot .", &[]),
+            violated
+        );
+        // The restriction side arrives through its edge…
+        assert_eq!(
+            delta_like_full("e:x a e:Hot . e:y a e:Cold .", "e:x e:w e:y .", &[]),
+            violated
+        );
+        // …and through its filler, one edge below the individual.
+        assert_eq!(
+            delta_like_full("e:x a e:Hot . e:x e:w e:y .", "e:y a e:Cold .", &[]),
+            violated
+        );
+        // A delta about somebody else stays silent.
+        assert_eq!(
+            delta_like_full("e:x a e:Hot . e:y a e:Cold .", "e:z e:w e:y .", &[]),
+            vec![]
+        );
+    }
+
+    /// Counts the scans that reach the base and the rows they return.
+    struct CountingView<'g> {
+        inner: &'g Graph,
+        scans: std::cell::Cell<(u64, u64)>,
+    }
+
+    impl GraphView for CountingView<'_> {
+        fn len(&self) -> usize {
+            GraphView::len(self.inner)
+        }
+        fn term_count(&self) -> usize {
+            GraphView::term_count(self.inner)
+        }
+        fn lookup(&self, term: &feo_rdf::Term) -> Option<TermId> {
+            GraphView::lookup(self.inner, term)
+        }
+        fn term(&self, id: TermId) -> &feo_rdf::Term {
+            GraphView::term(self.inner, id)
+        }
+        fn contains_ids(&self, s: TermId, p: TermId, o: TermId) -> bool {
+            GraphView::contains_ids(self.inner, s, p, o)
+        }
+        // `objects` and `subjects` are the trait's defaults, so every
+        // scan of the base, whichever method asked, is counted here.
+        fn match_pattern(
+            &self,
+            s: Option<TermId>,
+            p: Option<TermId>,
+            o: Option<TermId>,
+        ) -> Vec<[TermId; 3]> {
+            let rows = GraphView::match_pattern(self.inner, s, p, o);
+            let (calls, total) = self.scans.get();
+            self.scans.set((calls + 1, total + rows.len() as u64));
+            rows
+        }
+        fn iter_ids(&self) -> Box<dyn Iterator<Item = [TermId; 3]> + '_> {
+            GraphView::iter_ids(self.inner)
+        }
+    }
+
+    /// The cost of a question is a function of the question: one hub
+    /// characteristic supports every recipe, and the same why-eat delta
+    /// makes the same scans, returning the same number of rows, whether
+    /// the hub has 50 recipes under it or 400. A count, not a timing.
+    #[test]
+    fn delta_closure_reads_do_not_grow_with_a_hub() {
+        let scans_for = |recipes: usize| -> (u64, u64) {
+            let mut src = String::from(
+                "e:Fact owl:equivalentClass [ owl:intersectionOf (\n\
+                   [ a owl:Restriction ; owl:onProperty e:supports ; owl:someValuesFrom e:Parameter ]\n\
+                   [ a owl:Restriction ; owl:onProperty e:presentIn ; owl:hasValue e:Eco ] ) ] .\n\
+                 e:hasParameter rdfs:range e:Parameter .\n\
+                 e:budget e:presentIn e:Eco .\n",
+            );
+            for i in 0..recipes {
+                src.push_str(&format!(
+                    "e:budget e:supports e:r{i} . e:c{i} e:supports e:r{i} ; e:presentIn e:Eco .\n"
+                ));
+            }
+            let mut g = graph(&src);
+            let reasoner = Reasoner::new();
+            let rules = reasoner.compile(&mut g);
+            reasoner
+                .materialize(&mut g, &MaterializeOptions::with_rules(&rules))
+                .expect("materialize");
+            let counting = CountingView {
+                inner: &g,
+                scans: Default::default(),
+            };
+            let mut overlay = Overlay::new(&counting);
+            overlay.insert_iris("http://e/q", rdf::TYPE, "http://e/WhyEat");
+            overlay.insert_iris("http://e/q", "http://e/hasParameter", "http://e/r7");
+            let result = reasoner
+                .materialize_delta(&mut overlay, &MaterializeOptions::with_rules(&rules))
+                .expect("materialize_delta");
+            assert!(has(&overlay, "budget", rdf::TYPE, "Fact"));
+            assert!(has(&overlay, "c7", rdf::TYPE, "Fact"));
+            assert!(!has(&overlay, "c8", rdf::TYPE, "Fact"));
+            assert_eq!(result.added, 3, "r7 a Parameter and the two Facts");
+            counting.scans.get()
+        };
+        let small = scans_for(50);
+        assert!(small.0 > 0, "the base was never scanned");
+        assert_eq!(small, scans_for(400));
     }
 }
 

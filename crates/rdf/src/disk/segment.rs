@@ -34,6 +34,8 @@
 //! sort order, id ranges) is validated at open, after the checksum; a
 //! file that passes [`Segment::open`] cannot make any later read panic.
 
+use std::fs::File;
+use std::io::{BufWriter, Seek, SeekFrom, Write};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
@@ -141,93 +143,121 @@ fn decode_stats(bytes: &[u8]) -> Result<GraphStats, StoreError> {
 
 // ---- writer ----------------------------------------------------------
 
-/// Serializes `view` (with its maintained `stats` and the engine's
-/// epoch-0 inferred-triple count) into segment bytes.
-fn segment_bytes<V: GraphView + ?Sized>(
-    view: &V,
-    stats: &GraphStats,
-    base_inferred: u64,
-) -> Vec<u8> {
-    let n = view.term_count();
-
-    // Dictionary in dense id order, plus cumulative offsets.
-    let mut dict_blob = Vec::new();
-    let mut offsets: Vec<u64> = Vec::with_capacity(n + 1);
-    let mut encoded_bounds: Vec<(usize, usize)> = Vec::with_capacity(n);
-    offsets.push(0);
-    for i in 0..n {
-        let start = dict_blob.len();
-        codec::encode_term(&mut dict_blob, view.term(TermId(i as u32)));
-        encoded_bounds.push((start, dict_blob.len()));
-        offsets.push(dict_blob.len() as u64);
-    }
-
-    // Permutation of ids sorted by encoded bytes (the lookup index).
-    let mut perm: Vec<u32> = (0..n as u32).collect();
-    perm.sort_unstable_by(|&a, &b| {
-        let (sa, ea) = encoded_bounds[a as usize];
-        let (sb, eb) = encoded_bounds[b as usize];
-        dict_blob[sa..ea].cmp(&dict_blob[sb..eb])
-    });
-
-    // The three sorted runs.
-    let mut spo: Vec<[u32; 3]> = view.iter_ids().map(|[s, p, o]| [s.0, p.0, o.0]).collect();
-    spo.sort_unstable();
-    spo.dedup();
-    let mut pos: Vec<[u32; 3]> = spo.iter().map(|&[s, p, o]| [p, o, s]).collect();
-    pos.sort_unstable();
-    let mut osp: Vec<[u32; 3]> = spo.iter().map(|&[s, p, o]| [o, s, p]).collect();
-    osp.sort_unstable();
-
-    let mut stats_section = Vec::new();
-    encode_stats(&mut stats_section, stats);
-    let meta_section = base_inferred.to_le_bytes();
-
-    let mut out = Vec::new();
-    out.extend_from_slice(MAGIC);
-    out.push(FORMAT_VERSION);
-    out.extend_from_slice(&[0u8; 8]); // checksum patched below
-    out.extend_from_slice(&(n as u64).to_le_bytes());
-    out.extend_from_slice(&(spo.len() as u64).to_le_bytes());
-    out.extend_from_slice(&(stats_section.len() as u64).to_le_bytes());
-    out.extend_from_slice(&(meta_section.len() as u64).to_le_bytes());
-    for off in &offsets {
-        out.extend_from_slice(&off.to_le_bytes());
-    }
-    out.extend_from_slice(&dict_blob);
-    for id in &perm {
-        out.extend_from_slice(&id.to_le_bytes());
-    }
-    for run in [&spo, &pos, &osp] {
-        for &[a, b, c] in run.iter() {
-            out.extend_from_slice(&a.to_le_bytes());
-            out.extend_from_slice(&b.to_le_bytes());
-            out.extend_from_slice(&c.to_le_bytes());
-        }
-    }
-    out.extend_from_slice(&stats_section);
-    out.extend_from_slice(&meta_section);
-
-    let checksum = fnv_bytes(FNV_OFFSET, &out[16..]);
-    out[8..16].copy_from_slice(&checksum.to_le_bytes());
-    out
+/// The segment file being written: buffered, with the body's FNV-1a
+/// kept as the bytes go by so the file is never held in memory.
+struct SegmentWriter<'p> {
+    out: BufWriter<File>,
+    tmp: &'p Path,
+    checksum: u64,
 }
 
-/// Writes `view` as a segment file at `path`, crash-safely: the bytes
-/// land in `<path>.tmp` first, are fsynced, and only then renamed over
-/// `path` — a crash mid-write leaves either the old file or none.
+impl SegmentWriter<'_> {
+    /// Appends bytes the checksum covers (everything from offset 16).
+    fn put(&mut self, bytes: &[u8]) -> Result<(), StoreError> {
+        self.checksum = fnv_bytes(self.checksum, bytes);
+        self.out
+            .write_all(bytes)
+            .map_err(|e| StoreError::io("write", self.tmp, e))
+    }
+
+    fn put_run(&mut self, run: &[[u32; 3]]) -> Result<(), StoreError> {
+        let mut record = [0u8; 12];
+        for &[a, b, c] in run {
+            record[..4].copy_from_slice(&a.to_le_bytes());
+            record[4..8].copy_from_slice(&b.to_le_bytes());
+            record[8..].copy_from_slice(&c.to_le_bytes());
+            self.put(&record)?;
+        }
+        Ok(())
+    }
+}
+
+/// Writes `view` (with its maintained `stats` and the engine's epoch-0
+/// inferred-triple count) as a segment file at `path`, crash-safely:
+/// the bytes stream into `<path>.tmp` first, are fsynced, and only then
+/// renamed over `path` — a crash mid-write leaves either the old file
+/// or none.
 pub fn write_segment<V: GraphView + ?Sized>(
     path: &Path,
     view: &V,
     stats: &GraphStats,
     base_inferred: u64,
 ) -> Result<(), StoreError> {
-    let bytes = segment_bytes(view, stats, base_inferred);
-    let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, &bytes).map_err(|e| StoreError::io("write", &tmp, e))?;
-    if let Ok(f) = std::fs::File::open(&tmp) {
-        f.sync_all().map_err(|e| StoreError::io("fsync", &tmp, e))?;
+    let n = view.term_count();
+
+    // Dictionary in dense id order, plus cumulative offsets.
+    let mut dict_blob = Vec::new();
+    let mut offsets: Vec<u64> = Vec::with_capacity(n + 1);
+    offsets.push(0);
+    for i in 0..n {
+        codec::encode_term(&mut dict_blob, view.term(TermId(i as u32)));
+        offsets.push(dict_blob.len() as u64);
     }
+
+    // Permutation of ids sorted by encoded bytes (the lookup index).
+    let entry =
+        |id: u32| &dict_blob[offsets[id as usize] as usize..offsets[id as usize + 1] as usize];
+    let mut perm: Vec<u32> = (0..n as u32).collect();
+    perm.sort_unstable_by(|&a, &b| entry(a).cmp(entry(b)));
+
+    let mut run: Vec<[u32; 3]> = view.iter_ids().map(|[s, p, o]| [s.0, p.0, o.0]).collect();
+    run.sort_unstable();
+    run.dedup();
+
+    let mut stats_section = Vec::new();
+    encode_stats(&mut stats_section, stats);
+    let meta_section = base_inferred.to_le_bytes();
+
+    let tmp = path.with_extension("tmp");
+    let file = File::create(&tmp).map_err(|e| StoreError::io("write", &tmp, e))?;
+    let mut w = SegmentWriter {
+        out: BufWriter::new(file),
+        tmp: &tmp,
+        checksum: FNV_OFFSET,
+    };
+    let mut head = [0u8; 16]; // checksum at 8..16 patched below
+    head[..7].copy_from_slice(MAGIC);
+    head[7] = FORMAT_VERSION;
+    w.out
+        .write_all(&head)
+        .map_err(|e| StoreError::io("write", &tmp, e))?;
+    w.put(&(n as u64).to_le_bytes())?;
+    w.put(&(run.len() as u64).to_le_bytes())?;
+    w.put(&(stats_section.len() as u64).to_le_bytes())?;
+    w.put(&(meta_section.len() as u64).to_le_bytes())?;
+    for off in &offsets {
+        w.put(&off.to_le_bytes())?;
+    }
+    w.put(&dict_blob)?;
+    for id in &perm {
+        w.put(&id.to_le_bytes())?;
+    }
+    drop((offsets, dict_blob, perm));
+
+    // The three sorted runs out of one buffer, rotated in place:
+    // [s, p, o] → [p, o, s] → [o, s, p].
+    w.put_run(&run)?;
+    for _ in 0..2 {
+        for t in &mut run {
+            t.rotate_left(1);
+        }
+        run.sort_unstable();
+        w.put_run(&run)?;
+    }
+    w.put(&stats_section)?;
+    w.put(&meta_section)?;
+
+    let checksum = w.checksum;
+    let mut file = w
+        .out
+        .into_inner()
+        .map_err(|e| StoreError::io("write", &tmp, e.into_error()))?;
+    file.seek(SeekFrom::Start(8))
+        .and_then(|_| file.write_all(&checksum.to_le_bytes()))
+        .map_err(|e| StoreError::io("write", &tmp, e))?;
+    file.sync_all()
+        .map_err(|e| StoreError::io("fsync", &tmp, e))?;
+    drop(file);
     std::fs::rename(&tmp, path).map_err(|e| StoreError::io("rename", path, e))?;
     Ok(())
 }
@@ -765,6 +795,21 @@ mod tests {
         assert_eq!(seg.predicate_stats(p), g.stats().predicate(p));
         let food = g.lookup_iri("http://e/Food").unwrap();
         assert_eq!(seg.class_instance_count(food), 2);
+    }
+
+    /// The format is pinned byte for byte: length and checksum field of
+    /// this fixed graph, as the build-in-memory writer this one replaced
+    /// produced them.
+    #[test]
+    fn written_bytes_are_pinned() {
+        let g = sample();
+        let path = tmp_path("pinned.feo");
+        write_segment(&path, &g, g.stats(), 7).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!(bytes.len(), 671);
+        assert_eq!(le64(&bytes, 8), 0xd3f6_a7cb_53c1_442b);
+        assert_eq!(fnv_bytes(FNV_OFFSET, &bytes[16..]), le64(&bytes, 8));
+        assert!(!path.with_extension("tmp").exists());
     }
 
     #[test]

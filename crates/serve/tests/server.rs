@@ -312,13 +312,13 @@ fn client_disconnect_cancels_inflight_work() {
         max_questions: 4096,
         ..test_config()
     };
-    let handle = spawn(cfg);
+    let handle = spawn(cfg.clone());
     let addr = handle.addr();
 
     // A deliberately long request: many questions, batch parallelism
     // off, generous deadline — it can only end early via cancellation.
     let mut questions = Vec::new();
-    for _ in 0..1000 {
+    for _ in 0..cfg.max_questions / 2 {
         questions.push(r#"{"type":"why-eat","food":"CauliflowerPotatoCurry"}"#.to_string());
         questions.push(r#"{"type":"what-if","hypothesis":"pregnant"}"#.to_string());
     }
@@ -333,8 +333,16 @@ fn client_disconnect_cancels_inflight_work() {
         body
     );
     stream.write_all(request.as_bytes()).expect("write");
-    // Let the request get admitted and start working, then vanish.
-    thread::sleep(Duration::from_millis(150));
+    // Vanish the moment the request is admitted and working.
+    let sent = Instant::now();
+    while handle.admission_stats().inflight != 1 {
+        assert!(
+            sent.elapsed() < Duration::from_secs(5),
+            "request never admitted: {:?}",
+            handle.admission_stats()
+        );
+        thread::sleep(Duration::from_millis(1));
+    }
     drop(stream);
 
     // The watcher must flip the cancel flag and the worker must

@@ -9,7 +9,9 @@ use feo::foodkg::{
     curated, random_profiles, synthetic, user_to_rdf, FoodKg, Season, SyntheticConfig,
     SystemContext, UserProfile,
 };
-use feo::owl::{MaterializeOptions, Reasoner};
+use feo::ontology::ns::eo;
+use feo::owl::{MaterializeOptions, Reasoner, ReasonerOptions};
+use feo::rdf::vocab::rdf;
 use feo::rdf::{GraphStore, GraphView, Overlay};
 use proptest::prelude::*;
 
@@ -34,9 +36,13 @@ fn apply_delta(g: &mut impl GraphStore, kg: &FoodKg, user: &UserProfile, seed: u
         _ => Hypothesis::AllergicTo("Broccoli".into()),
     };
     apply_hypothesis(&hypothesis, user, g);
-    let question = match seed % 2 {
+    let question = match (seed / 3) % 3 {
         0 => Question::WhyEat {
             food: format!("R{}", seed % 7),
+        },
+        1 => Question::WhyEatOver {
+            preferred: format!("R{}", seed % 7),
+            alternative: format!("R{}", (seed + 3) % 7),
         },
         _ => Question::WhatIf { hypothesis },
     };
@@ -79,7 +85,7 @@ fn delta_matches_full(kg: FoodKg, seed: u64) {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
     fn incremental_equals_full_on_synthetic_kgs(
@@ -122,3 +128,66 @@ fn empty_delta_derives_nothing() {
     assert_eq!(result.added, 0);
     assert_eq!(overlay.delta_len(), 0);
 }
+
+/// Derivation tracking through the delta closure: the premises recorded
+/// for every delta-derived `eo:Fact` are the witness triples of the
+/// definition's left-hand side. The expected lines are what the
+/// candidate sweep this pass replaced recorded for the same question.
+#[test]
+fn tracked_delta_derivation_of_a_fact_keeps_its_premises() {
+    let kg = curated();
+    let user = UserProfile::new("u")
+        .likes(&["BroccoliCheddarSoup", "LentilSoup"])
+        .allergies(&["Broccoli"])
+        .diet("Vegetarian")
+        .goals(&["HighFiberGoal"]);
+    let ctx = SystemContext::new(Season::Autumn).region("Florida");
+    let mut base = assemble(&kg, &user, &ctx);
+    let reasoner = Reasoner::with_options(ReasonerOptions {
+        track_derivations: true,
+        ..Default::default()
+    });
+    let rules = reasoner.compile(&mut base);
+    reasoner
+        .materialize(&mut base, &MaterializeOptions::with_rules(&rules))
+        .expect("materialize");
+
+    let mut overlay = Overlay::new(&base);
+    let question = Question::WhyEat {
+        food: "CauliflowerPotatoCurry".into(),
+    };
+    assert_question(&question, &mut overlay);
+    let result = reasoner
+        .materialize_delta(&mut overlay, &MaterializeOptions::with_rules(&rules))
+        .expect("materialize");
+
+    let rdf_type = overlay.lookup_iri(rdf::TYPE).expect("rdf:type");
+    let fact = overlay.lookup_iri(eo::FACT).expect("eo:Fact");
+    let mut lines: Vec<String> = result
+        .derivations
+        .iter()
+        .filter(|(t, _)| t[1] == rdf_type && t[2] == fact)
+        .map(|(t, d)| {
+            let premises: Vec<String> = d
+                .premises
+                .iter()
+                .map(|p| p.map(|id| overlay.term_name(id)).join(" "))
+                .collect();
+            format!(
+                "{} by {}: {}",
+                overlay.term_name(t[0]),
+                d.rule,
+                premises.join("; ")
+            )
+        })
+        .collect();
+    lines.sort();
+    assert_eq!(lines, EXPECTED_FACT_DERIVATIONS);
+}
+
+const EXPECTED_FACT_DERIVATIONS: [&str; 2] = [
+    "Autumn by cls: Autumn isSupportiveCharacteristicOf CauliflowerPotatoCurry; \
+     CauliflowerPotatoCurry type Parameter; Autumn presentIn CurrentEcosystem",
+    "HighFiberGoal by cls: HighFiberGoal isSupportiveCharacteristicOf CauliflowerPotatoCurry; \
+     CauliflowerPotatoCurry type Parameter; HighFiberGoal presentIn CurrentEcosystem",
+];
