@@ -16,9 +16,14 @@
 //! The [`Parallelism`] knob travels on `ExplainOptions` and is read by
 //! `explain_batch*` only. `Auto` honours the `FEO_THREADS` environment
 //! variable so deployments (and CI) can pin the batch worker count
-//! without touching call sites.
+//! without touching call sites. The variable is read **once per
+//! process**, by the first `Auto` resolution: it is a start-up setting,
+//! and a server resolving it per request would pay an environment
+//! lookup and a re-read of the CPU affinity mask and cgroup quota files
+//! on every `/explain`.
 
 use std::num::NonZeroUsize;
+use std::sync::OnceLock;
 
 /// Upper bound on workers; protects against absurd `FEO_THREADS` values.
 const MAX_WORKERS: usize = 64;
@@ -28,7 +33,8 @@ const MAX_WORKERS: usize = 64;
 /// * `Off` — the whole batch runs on the calling thread.
 /// * `Fixed(n)` — exactly `n` workers regardless of environment.
 /// * `Auto` — the `FEO_THREADS` environment variable when set, otherwise
-///   the machine's available parallelism.
+///   the machine's available parallelism; resolved once per process
+///   (changing the variable after the first resolution has no effect).
 ///
 /// Whatever the setting, results are identical: batch parallelism is a
 /// throughput knob, never a semantics knob.
@@ -38,7 +44,8 @@ pub enum Parallelism {
     Off,
     /// Exactly this many workers (values are clamped to `1..=64`).
     Fixed(usize),
-    /// `FEO_THREADS` when set, otherwise `std::thread::available_parallelism`.
+    /// `FEO_THREADS` when set, otherwise
+    /// `std::thread::available_parallelism`, as of the first resolution.
     #[default]
     Auto,
 }
@@ -49,13 +56,16 @@ impl Parallelism {
         match self {
             Parallelism::Off => 1,
             Parallelism::Fixed(n) => n.clamp(1, MAX_WORKERS),
-            Parallelism::Auto => match env_threads() {
-                Some(n) => n.clamp(1, MAX_WORKERS),
-                None => std::thread::available_parallelism()
-                    .map(NonZeroUsize::get)
-                    .unwrap_or(1)
-                    .min(MAX_WORKERS),
-            },
+            Parallelism::Auto => {
+                static AUTO: OnceLock<usize> = OnceLock::new();
+                *AUTO.get_or_init(|| match env_threads() {
+                    Some(n) => n.clamp(1, MAX_WORKERS),
+                    None => std::thread::available_parallelism()
+                        .map(NonZeroUsize::get)
+                        .unwrap_or(1)
+                        .min(MAX_WORKERS),
+                })
+            }
         }
     }
 
@@ -168,6 +178,15 @@ mod tests {
     #[test]
     fn auto_resolves_to_at_least_one() {
         assert!(Parallelism::Auto.workers() >= 1);
+    }
+
+    #[test]
+    fn auto_resolves_once_per_process() {
+        let first = Parallelism::Auto.workers();
+        assert!((1..=MAX_WORKERS).contains(&first));
+        for _ in 0..3 {
+            assert_eq!(Parallelism::Auto.workers(), first);
+        }
     }
 
     #[test]

@@ -120,8 +120,8 @@ impl Conn {
         })
     }
 
-    /// The underlying stream (for response writing and for cloning a
-    /// disconnect-watcher handle).
+    /// The underlying stream (responses are written through it, and
+    /// its fd is what the disconnect watcher peeks).
     pub fn stream(&self) -> &TcpStream {
         &self.stream
     }
@@ -307,31 +307,32 @@ pub fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Serializes and writes `response`; `close` controls the
-/// `Connection` header.
+/// Serializes `response` and writes it with one `write`; `close`
+/// controls the `Connection` header. Head and body leave in a single
+/// segment: written separately, the body waits for the client's
+/// delayed ACK of the head (≈ 40 ms on Linux) before it is sent.
 pub fn write_response(
-    stream: &mut TcpStream,
+    mut out: impl Write,
     response: &Response,
     close: bool,
 ) -> std::io::Result<()> {
-    let mut head = format!(
+    let mut wire = Vec::with_capacity(128 + response.body.len());
+    write!(
+        wire,
         "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n",
         response.status,
         reason(response.status),
         response.content_type,
         response.body.len(),
         if close { "close" } else { "keep-alive" },
-    );
+    )?;
     for (name, value) in &response.extra {
-        head.push_str(name);
-        head.push_str(": ");
-        head.push_str(value);
-        head.push_str("\r\n");
+        write!(wire, "{name}: {value}\r\n")?;
     }
-    head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(&response.body)?;
-    stream.flush()
+    wire.extend_from_slice(b"\r\n");
+    wire.extend_from_slice(&response.body);
+    out.write_all(&wire)?;
+    out.flush()
 }
 
 #[cfg(test)]

@@ -17,16 +17,22 @@
 //!   Partial Content` with the engine's `DegradationReport`, so
 //!   clients see *which* explanations they got and *why* the rest
 //!   were skipped.
-//! - **Cancellation**: a watcher thread per in-flight request flips
-//!   the request's `CancelFlag` when the client disconnects, aborting
-//!   the work at the governor's next check.
+//! - **Cancellation**: one watcher thread per server peeks the
+//!   sockets of the in-flight requests and flips a request's
+//!   `CancelFlag` when its client disconnects, aborting the work at
+//!   the governor's next check.
 //! - **Graceful shutdown**: SIGTERM/SIGINT stop the accept loop,
 //!   `/ready` flips to `503`, in-flight requests drain up to a
 //!   deadline, stragglers are cancelled, and the process exits 0.
 //!
 //! Everything is `std`-only: `TcpListener` + thread-per-connection,
 //! hand-rolled HTTP framing ([`http`]), and a small JSON parser
-//! ([`body`]). No async runtime, no serde.
+//! ([`body`]). No async runtime, no serde, no `libc` crate: the three
+//! system calls `std` lacks (`signal`, `poll`, a non-blocking `recv`
+//! peek) are declared by hand. A request's path through the transport
+//! neither sleeps nor spawns — a connection is accepted when it
+//! arrives and a response is one `write` on a `TCP_NODELAY` socket —
+//! so a served explanation costs what the engine costs.
 //!
 //! ```no_run
 //! use std::sync::Arc;
@@ -51,6 +57,7 @@ pub mod body;
 pub mod http;
 pub mod server;
 pub mod shutdown;
+mod sys;
 
 pub use admission::{Admission, AdmissionConfig, AdmissionStats, Shed, TenantStats};
 pub use body::Json;

@@ -15,20 +15,28 @@
 //! | `/stats`         | GET    | admission counters + plan-cache stats |
 //!
 //! Every request passes the [`Admission`] gate first; shed requests
-//! get `429` + `Retry-After` before any engine work happens. A
-//! watcher thread per in-flight request `peek`s the client socket and
-//! flips the request's [`CancelFlag`] on disconnect, so abandoned
-//! work stops at the governor's next check instead of running to
-//! completion. Shutdown is drain-then-cancel: stop accepting, reject
-//! new work, wait for in-flight requests up to a deadline, then
-//! cancel stragglers through the same flags.
+//! get `429` + `Retry-After` before any engine work happens. One
+//! watcher thread for the whole server peeks the sockets of the
+//! requests in the live registry and flips a request's [`CancelFlag`]
+//! when its client disconnects, so abandoned work stops at the
+//! governor's next check instead of running to completion. Shutdown is
+//! drain-then-cancel: stop accepting, reject new work, wait for
+//! in-flight requests up to a deadline, then cancel stragglers through
+//! the same registry.
+//!
+//! Nothing on a request's path sleeps, spawns or duplicates a socket:
+//! the accept loop waits in `poll(2)` for a connection (the timeout
+//! only bounds how stale its view of the shutdown flag gets), a
+//! response is one `write` on a `TCP_NODELAY` socket, and registering
+//! with the watcher is a map insert.
 
 use std::collections::HashMap;
 use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::fd::{AsRawFd, RawFd};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -39,12 +47,21 @@ use feo_rdf::{Budget, CancelFlag, Parallelism};
 use crate::admission::{Admission, AdmissionConfig, AdmissionStats, Shed};
 use crate::body::Json;
 use crate::http::{write_response, Conn, HttpError, Request, Response};
+use crate::sys;
 
-/// Poll interval of the accept loop (shutdown-flag latency).
+/// Longest the accept loop waits for a connection before it looks at
+/// the shutdown flag again (shutdown latency, not connection latency).
 const ACCEPT_POLL: Duration = Duration::from_millis(10);
 
-/// Poll interval of the per-request disconnect watcher.
+/// How often the disconnect watcher peeks the in-flight sockets
+/// (disconnect-detection latency).
 const WATCH_POLL: Duration = Duration::from_millis(20);
+
+/// The watcher's first pause after it wakes from its park; each later
+/// one is twice the last, up to [`WATCH_POLL`]. A request that has only
+/// just started is therefore looked at often, and a hang-up wastes at
+/// most about as much work again as the request had already done.
+const WATCH_FIRST: Duration = Duration::from_millis(1);
 
 /// Server configuration: transport knobs plus the ceilings every
 /// request budget is clamped to. Clients may *narrow* their budget
@@ -132,53 +149,112 @@ struct Ctx {
     base: Arc<EngineBase>,
     cfg: ServeConfig,
     admission: Arc<Admission>,
-    /// Cancel flags of in-flight requests, for drain-deadline
-    /// force-cancellation.
-    live: Mutex<HashMap<u64, CancelFlag>>,
-    next_request: AtomicU64,
+    /// The requests executing right now: the one registry that both
+    /// drain's force-cancel and the disconnect watcher read.
+    live: Mutex<LiveRequests>,
+    /// Wakes the watcher: a request registered while it was parked, or
+    /// the server is done.
+    watcher_wake: Condvar,
     connections: AtomicUsize,
 }
 
+/// The live registry. An entry is inserted, inspected and removed only
+/// under the lock, and [`LiveGuard`] removes it while the request's
+/// connection thread still owns the socket — so a registered fd is
+/// always open and always the request's own, and a request that has
+/// finished can no longer be cancelled.
+#[derive(Default)]
+struct LiveRequests {
+    by_id: HashMap<u64, (RawFd, CancelFlag)>,
+    next_id: u64,
+    /// The watcher is blocked until notified (the registry was empty).
+    watcher_parked: bool,
+    /// The server has drained; the watcher exits.
+    closed: bool,
+}
+
 impl Ctx {
-    fn register_live(self: &Arc<Self>, cancel: CancelFlag) -> LiveGuard {
-        let id = self.next_request.fetch_add(1, Ordering::Relaxed);
-        self.live
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(id, cancel);
+    fn lock_live(&self) -> MutexGuard<'_, LiveRequests> {
+        self.live.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Registers an in-flight request on `socket` until the returned
+    /// guard drops.
+    fn register_live(self: &Arc<Self>, socket: &TcpStream, cancel: CancelFlag) -> LiveGuard {
+        let mut live = self.lock_live();
+        let id = live.next_id;
+        live.next_id += 1;
+        live.by_id.insert(id, (socket.as_raw_fd(), cancel));
+        if live.watcher_parked {
+            self.watcher_wake.notify_one();
+        }
         LiveGuard {
             ctx: Arc::clone(self),
             id,
-            done: Arc::new(AtomicBool::new(false)),
         }
     }
 
     /// Cancels every in-flight request; returns how many were live.
     fn cancel_live(&self) -> usize {
-        let live = self.live.lock().unwrap_or_else(|e| e.into_inner());
-        for flag in live.values() {
-            flag.cancel();
+        let live = self.lock_live();
+        for (_, cancel) in live.by_id.values() {
+            cancel.cancel();
         }
-        live.len()
+        live.by_id.len()
+    }
+
+    /// The server's disconnect watcher: it peeks the socket of each
+    /// live request and cancels those whose client has gone, so
+    /// abandoned work frees its admission slot at the governor's next
+    /// check, then pauses — [`WATCH_FIRST`] at first, [`WATCH_POLL`]
+    /// under steady load — and looks again. Parked while nothing is in
+    /// flight; returns once [`Ctx::close_live`] has been called.
+    fn watch_disconnects(&self) {
+        let mut pause = WATCH_FIRST;
+        let mut live = self.lock_live();
+        while !live.closed {
+            if live.by_id.is_empty() {
+                live.watcher_parked = true;
+                live = self
+                    .watcher_wake
+                    .wait(live)
+                    .unwrap_or_else(|e| e.into_inner());
+                live.watcher_parked = false;
+                pause = WATCH_FIRST;
+                continue;
+            }
+            for (fd, cancel) in live.by_id.values() {
+                // A flag that is already up was counted when it went up.
+                if !cancel.is_cancelled() && sys::peer_gone(*fd) {
+                    cancel.cancel();
+                    self.admission.note_disconnect_cancel();
+                }
+            }
+            live = self
+                .watcher_wake
+                .wait_timeout(live, pause)
+                .unwrap_or_else(|e| e.into_inner())
+                .0;
+            pause = (pause * 2).min(WATCH_POLL);
+        }
+    }
+
+    /// Tells the watcher to exit.
+    fn close_live(&self) {
+        self.lock_live().closed = true;
+        self.watcher_wake.notify_all();
     }
 }
 
-/// RAII registration of an in-flight request: deregisters from the
-/// live map and tells the disconnect watcher to stand down.
+/// RAII registration of an in-flight request in the live registry.
 struct LiveGuard {
     ctx: Arc<Ctx>,
     id: u64,
-    done: Arc<AtomicBool>,
 }
 
 impl Drop for LiveGuard {
     fn drop(&mut self) {
-        self.done.store(true, Ordering::SeqCst);
-        self.ctx
-            .live
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .remove(&self.id);
+        self.ctx.lock_live().by_id.remove(&self.id);
     }
 }
 
@@ -211,8 +287,8 @@ impl Server {
                 base,
                 cfg,
                 admission,
-                live: Mutex::new(HashMap::new()),
-                next_request: AtomicU64::new(0),
+                live: Mutex::new(LiveRequests::default()),
+                watcher_wake: Condvar::new(),
                 connections: AtomicUsize::new(0),
             }),
             shutdown: Arc::new(AtomicBool::new(false)),
@@ -255,6 +331,17 @@ impl Server {
     /// Accept loop. Returns after a shutdown request once drain
     /// completes (or its deadline forces cancellation).
     pub fn run(self) -> Result<DrainOutcome, ServeError> {
+        // The disconnect watcher lives exactly as long as the accept
+        // loop and its drain; the scope joins it.
+        thread::scope(|scope| {
+            scope.spawn(|| self.ctx.watch_disconnects());
+            let outcome = self.accept_and_drain();
+            self.ctx.close_live();
+            outcome
+        })
+    }
+
+    fn accept_and_drain(&self) -> Result<DrainOutcome, ServeError> {
         let mut workers: Vec<JoinHandle<()>> = Vec::new();
         while !self.shutdown.load(Ordering::SeqCst) {
             match self.listener.accept() {
@@ -271,8 +358,14 @@ impl Server {
                         ctx.connections.fetch_sub(1, Ordering::Relaxed);
                     }));
                 }
+                // Nobody waiting: block until somebody is, so a
+                // connection is accepted the moment it arrives. The
+                // listener stays non-blocking and the wait bounded so
+                // that setting the shutdown flag is all it takes to
+                // stop the loop.
                 Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                    thread::sleep(ACCEPT_POLL);
+                    sys::wait_readable(self.listener.as_raw_fd(), ACCEPT_POLL)
+                        .map_err(|e| ServeError::Io(format!("poll: {e}")))?;
                 }
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 Err(e) => return Err(ServeError::Io(format!("accept: {e}"))),
@@ -334,16 +427,19 @@ impl ServerHandle {
 }
 
 /// 503s a connection accepted over the connection cap.
-fn reject_over_capacity(mut stream: TcpStream) {
+fn reject_over_capacity(stream: TcpStream) {
     let response =
         Response::json(503, "{\"error\":\"shed\",\"reason\":\"connection_limit\"}").retry_after(1);
-    let _ = write_response(&mut stream, &response, true);
+    let _ = write_response(&stream, &response, true);
 }
 
 /// Serves one connection until close, error, or drain.
 fn handle_connection(ctx: &Arc<Ctx>, stream: TcpStream) {
     let _ = stream.set_nonblocking(false);
     let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
+    // A reply is one complete write; never hold it (or the second of
+    // two pipelined replies) back for the client's ACK.
+    let _ = stream.set_nodelay(true);
     let mut conn = match Conn::new(stream, ctx.cfg.max_body_bytes) {
         Ok(conn) => conn,
         Err(_) => return,
@@ -361,11 +457,7 @@ fn handle_connection(ctx: &Arc<Ctx>, stream: TcpStream) {
                         )
                     });
                 let close = request.wants_close() || ctx.admission.is_draining();
-                let mut stream = match conn.stream().try_clone() {
-                    Ok(stream) => stream,
-                    Err(_) => return,
-                };
-                if write_response(&mut stream, &response, close).is_err() || close {
+                if write_response(conn.stream(), &response, close).is_err() || close {
                     return;
                 }
             }
@@ -387,9 +479,7 @@ fn handle_connection(ctx: &Arc<Ctx>, stream: TcpStream) {
                     ),
                     HttpError::Disconnected | HttpError::Io(_) => return,
                 };
-                if let Ok(mut stream) = conn.stream().try_clone() {
-                    let _ = write_response(&mut stream, &response, true);
-                }
+                let _ = write_response(conn.stream(), &response, true);
                 return;
             }
         }
@@ -648,49 +738,6 @@ fn request_parallelism(cfg: &ServeConfig, body: &Json) -> Parallelism {
     }
 }
 
-/// Watches the client socket while a request executes; flips `cancel`
-/// if the peer disconnects so the governor aborts the work.
-fn spawn_disconnect_watcher(
-    conn: &Conn,
-    cancel: CancelFlag,
-    done: Arc<AtomicBool>,
-    admission: Arc<Admission>,
-) {
-    let Ok(peer) = conn.stream().try_clone() else {
-        return;
-    };
-    if peer.set_read_timeout(Some(WATCH_POLL)).is_err() {
-        return;
-    }
-    thread::spawn(move || {
-        let mut probe = [0u8; 1];
-        while !done.load(Ordering::SeqCst) {
-            match peer.peek(&mut probe) {
-                // EOF: the client hung up mid-request.
-                Ok(0) => {
-                    if !done.load(Ordering::SeqCst) {
-                        cancel.cancel();
-                        admission.note_disconnect_cancel();
-                    }
-                    return;
-                }
-                // Bytes waiting (a pipelined next request) — alive.
-                Ok(_) => thread::sleep(WATCH_POLL),
-                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                // Reset/broken pipe: gone.
-                Err(_) => {
-                    if !done.load(Ordering::SeqCst) {
-                        cancel.cancel();
-                        admission.note_disconnect_cancel();
-                    }
-                    return;
-                }
-            }
-        }
-    });
-}
-
 /// POST `/explain`: parse, admit, execute under budget, map the
 /// outcome to 200 (complete) or 206 (degraded).
 fn handle_explain(ctx: &Arc<Ctx>, request: &Request, conn: &Conn) -> Response {
@@ -727,8 +774,7 @@ fn handle_explain(ctx: &Arc<Ctx>, request: &Request, conn: &Conn) -> Response {
         Ok(permit) => permit,
         Err(shed) => return shed_response(shed),
     };
-    let live = ctx.register_live(cancel.clone());
-    spawn_disconnect_watcher(conn, cancel, live.done.clone(), Arc::clone(&ctx.admission));
+    let live = ctx.register_live(conn.stream(), cancel);
     let result = ctx
         .base
         .explain_batch_with_budget(&questions, &budget, parallelism);
@@ -793,8 +839,7 @@ fn handle_query(ctx: &Arc<Ctx>, request: &Request, conn: &Conn) -> Response {
         Ok(permit) => permit,
         Err(shed) => return shed_response(shed),
     };
-    let live = ctx.register_live(cancel.clone());
-    spawn_disconnect_watcher(conn, cancel, live.done.clone(), Arc::clone(&ctx.admission));
+    let live = ctx.register_live(conn.stream(), cancel);
     let guard = budget.start();
     let opts = ExplainOptions::guarded(&guard);
     let result = match (as_of, branch.as_deref()) {

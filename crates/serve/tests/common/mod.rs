@@ -1,5 +1,6 @@
 //! Shared helpers for the integration tests: engine fixtures and a
 //! tiny blocking HTTP client.
+#![allow(dead_code)] // each test file uses its own subset
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -63,12 +64,15 @@ pub fn http(
     stream.read_to_end(&mut raw).expect("read response");
     let text = String::from_utf8(raw).expect("UTF-8 response");
     let (head, response_body) = text.split_once("\r\n\r\n").expect("header terminator");
-    let status = head
-        .strip_prefix("HTTP/1.1 ")
+    (status_of(head), head.to_string(), response_body.to_string())
+}
+
+/// The status code on the first line of a response head.
+fn status_of(head: &str) -> u16 {
+    head.strip_prefix("HTTP/1.1 ")
         .and_then(|rest| rest.get(..3))
         .and_then(|code| code.parse::<u16>().ok())
-        .expect("status line");
-    (status, head.to_string(), response_body.to_string())
+        .expect("status line")
 }
 
 /// POST with a JSON body.
@@ -79,4 +83,68 @@ pub fn post(addr: SocketAddr, path: &str, body: &str) -> (u16, String, String) {
 /// GET a path.
 pub fn get(addr: SocketAddr, path: &str) -> (u16, String, String) {
     http(addr, "GET", path, &[], "")
+}
+
+/// A keep-alive client connection. It frames replies by
+/// `Content-Length`, so pipelined replies that arrive together are
+/// handed out one at a time, and it leaves `TCP_NODELAY` off, as curl
+/// and most HTTP clients do — a server that makes such a client wait
+/// for a delayed ACK shows it here.
+pub struct Client {
+    stream: TcpStream,
+    buf: Vec<u8>,
+}
+
+impl Client {
+    pub fn connect(addr: SocketAddr) -> Client {
+        let stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .expect("read timeout");
+        Client {
+            stream,
+            buf: Vec::new(),
+        }
+    }
+
+    /// Sends `raw` (one request, or several pipelined) in one write.
+    pub fn send(&mut self, raw: &str) {
+        self.stream
+            .write_all(raw.as_bytes())
+            .expect("write request");
+    }
+
+    /// Reads the next reply; returns `(status, body)`.
+    pub fn read_response(&mut self) -> (u16, String) {
+        loop {
+            if let Some(head_end) = self.buf.windows(4).position(|w| w == b"\r\n\r\n") {
+                let head = std::str::from_utf8(&self.buf[..head_end]).expect("UTF-8 head");
+                let status = status_of(head);
+                let length = head
+                    .lines()
+                    .find_map(|line| line.strip_prefix("Content-Length: "))
+                    .and_then(|v| v.parse::<usize>().ok())
+                    .expect("content-length");
+                let total = head_end + 4 + length;
+                if self.buf.len() >= total {
+                    let body = String::from_utf8(self.buf[head_end + 4..total].to_vec())
+                        .expect("UTF-8 body");
+                    self.buf.drain(..total);
+                    return (status, body);
+                }
+            }
+            let mut chunk = [0u8; 4096];
+            let n = self.stream.read(&mut chunk).expect("read response");
+            assert!(n > 0, "server closed the connection mid-reply");
+            self.buf.extend_from_slice(&chunk[..n]);
+        }
+    }
+}
+
+/// A keep-alive `POST /explain` carrying `body`.
+pub fn explain_request(body: &str) -> String {
+    format!(
+        "POST /explain HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    )
 }

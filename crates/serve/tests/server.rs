@@ -9,7 +9,7 @@ use std::net::TcpStream;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use common::{get, post, spawn, test_config};
+use common::{explain_request, get, post, spawn, test_config, Client};
 use feo_serve::{AdmissionConfig, ServeConfig};
 
 const WHY_EAT: &str = r#"{"questions":[{"type":"why-eat","food":"CauliflowerPotatoCurry"}]}"#;
@@ -364,6 +364,87 @@ fn client_disconnect_cancels_inflight_work() {
     // The shared engine is still coherent: new requests succeed.
     let (status, _, body) = post(addr, "/explain", WHY_EAT);
     assert_eq!(status, 200, "{body}");
+    handle.shutdown_and_join().expect("clean shutdown");
+}
+
+/// The middle of `samples`.
+fn median(mut samples: Vec<Duration>) -> Duration {
+    samples.sort();
+    samples[samples.len() / 2]
+}
+
+#[test]
+fn keep_alive_requests_are_not_stalled() {
+    let handle = spawn(test_config());
+    // The reply must not be split into a segment the client ACKs late
+    // and a segment that waits for that ACK (≈ 40 ms per request).
+    let mut client = Client::connect(handle.addr());
+    let mut round_trips = Vec::new();
+    for _ in 0..50 {
+        let sent = Instant::now();
+        client.send("GET /health HTTP/1.1\r\nHost: test\r\n\r\n");
+        let (status, body) = client.read_response();
+        round_trips.push(sent.elapsed());
+        assert_eq!(status, 200, "{body}");
+    }
+    let median = median(round_trips);
+    assert!(
+        median < Duration::from_millis(10),
+        "median keep-alive round trip {median:?}"
+    );
+    drop(client);
+    handle.shutdown_and_join().expect("clean shutdown");
+}
+
+#[test]
+fn pipelined_requests_are_answered_without_a_false_disconnect() {
+    let handle = spawn(test_config());
+    let mut client = Client::connect(handle.addr());
+    let soup = r#"{"questions":[{"type":"why-eat","food":"ButternutSquashSoup"}]}"#;
+    let pair = explain_request(WHY_EAT) + &explain_request(soup);
+    // While the first request executes, the second sits unread in the
+    // socket: bytes the disconnect watcher must not take for a hangup.
+    // And neither reply may wait for the client to ACK anything: not
+    // the first for its own head, not the second for the first.
+    let mut round_trips = Vec::new();
+    for _ in 0..9 {
+        let sent = Instant::now();
+        client.send(&pair);
+        let (status, first) = client.read_response();
+        assert_eq!(status, 200, "{first}");
+        assert!(first.contains("Cauliflower Potato Curry"), "{first}");
+        let (status, second) = client.read_response();
+        round_trips.push(sent.elapsed());
+        assert_eq!(status, 200, "{second}");
+        assert!(second.contains("Butternut Squash Soup"), "{second}");
+    }
+    let median = median(round_trips);
+    assert!(
+        median < Duration::from_millis(10),
+        "median round trip of a pipelined pair {median:?}"
+    );
+    assert_eq!(handle.admission_stats().cancelled_disconnects, 0);
+    drop(client);
+    handle.shutdown_and_join().expect("clean shutdown");
+}
+
+#[test]
+fn fresh_connections_do_not_wait_for_a_poll_tick() {
+    let handle = spawn(test_config());
+    let addr = handle.addr();
+    // `get` connects, sends `Connection: close` and reads to EOF.
+    let mut connect_to_reply = Vec::new();
+    for _ in 0..30 {
+        let started = Instant::now();
+        let (status, _, body) = get(addr, "/health");
+        connect_to_reply.push(started.elapsed());
+        assert_eq!(status, 200, "{body}");
+    }
+    let median = median(connect_to_reply);
+    assert!(
+        median < Duration::from_millis(5),
+        "median connect-to-reply {median:?}"
+    );
     handle.shutdown_and_join().expect("clean shutdown");
 }
 
