@@ -45,7 +45,6 @@ use super::mmap::{map_file, MapData};
 use super::{fnv_bytes, StoreError, FNV_OFFSET, FORMAT_VERSION};
 use crate::graph::IdTriple;
 use crate::intern::TermId;
-use crate::run::{RunCursor, RunSpec};
 use crate::stats::{GraphStats, PredicateStats};
 use crate::term::Term;
 use crate::view::GraphView;
@@ -568,67 +567,6 @@ impl Segment {
     }
 }
 
-/// Sorted, seekable cursor over the tail column of one `[a, b, *]`
-/// prefix range of an mmap run: reads the mapped bytes in place, so a
-/// leapfrog join over a disk-backed base never materializes the run.
-pub struct SegmentRun<'a> {
-    seg: &'a Segment,
-    run: usize,
-    at: usize,
-    end: usize,
-}
-
-impl<'a> SegmentRun<'a> {
-    fn new(seg: &'a Segment, run: usize, a: u32, b: u32) -> SegmentRun<'a> {
-        let range = seg.scan(run, Some(a), Some(b));
-        SegmentRun {
-            seg,
-            run,
-            at: range.start,
-            end: range.end,
-        }
-    }
-
-    fn val(&self, i: usize) -> u32 {
-        self.seg.tri_at(self.run, i)[2]
-    }
-}
-
-impl RunCursor for SegmentRun<'_> {
-    fn peek(&self) -> Option<TermId> {
-        (self.at < self.end).then(|| TermId(self.val(self.at)))
-    }
-
-    fn advance(&mut self) {
-        if self.at < self.end {
-            self.at += 1;
-        }
-    }
-
-    fn seek(&mut self, target: TermId) {
-        if self.peek().is_some_and(|v| v >= target) {
-            return;
-        }
-        // Gallop then binary search, bounded to the prefix range.
-        let mut step = 1usize;
-        let mut lo = self.at;
-        while lo + step < self.end && self.val(lo + step) < target.0 {
-            lo += step;
-            step *= 2;
-        }
-        let mut hi = (lo + step + 1).min(self.end);
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if self.val(mid) < target.0 {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        self.at = lo;
-    }
-}
-
 impl GraphView for Segment {
     fn len(&self) -> usize {
         self.triple_count
@@ -709,13 +647,6 @@ impl GraphView for Segment {
 
     fn maintained_stats(&self) -> Option<&GraphStats> {
         Some(&self.stats)
-    }
-
-    fn ordered_run(&self, spec: RunSpec) -> Box<dyn RunCursor + '_> {
-        match spec {
-            RunSpec::Subjects { p, o } => Box::new(SegmentRun::new(self, self.pos, p.0, o.0)),
-            RunSpec::Objects { s, p } => Box::new(SegmentRun::new(self, self.spo, s.0, p.0)),
-        }
     }
 
     fn iter_ids(&self) -> Box<dyn Iterator<Item = IdTriple> + '_> {

@@ -9,7 +9,6 @@
 use std::collections::BTreeSet;
 
 use crate::intern::{Interner, TermId};
-use crate::run::{BTreeRun, RunSpec};
 use crate::stats::GraphStats;
 use crate::term::{Iri, Term, Triple};
 use crate::vocab::rdf;
@@ -313,16 +312,6 @@ impl Graph {
         match self.lookup_iri(rdf::TYPE) {
             Some(ty) => self.subjects(ty, class_id),
             None => Vec::new(),
-        }
-    }
-
-    /// Sorted, seekable cursor over the free position of `spec`,
-    /// streamed straight from the index permutation that stores it
-    /// (`pos` for subjects, `spo` for objects) — no materialization.
-    pub fn index_run(&self, spec: RunSpec) -> BTreeRun<'_> {
-        match spec {
-            RunSpec::Subjects { p, o } => BTreeRun::new(&self.pos, p.0, o.0),
-            RunSpec::Objects { s, p } => BTreeRun::new(&self.spo, s.0, p.0),
         }
     }
 

@@ -25,7 +25,6 @@ use std::sync::Arc;
 use crate::disk::Segment;
 use crate::graph::{Graph, IdTriple};
 use crate::intern::TermId;
-use crate::run::{MergeRun, RunCursor, RunSpec, SliceRun};
 use crate::stats::{GraphStats, PredicateStats};
 use crate::term::{Term, Triple};
 use crate::view::GraphView;
@@ -234,15 +233,6 @@ impl Layer {
             .map(|&[s, p, o]| [TermId(s), TermId(p), TermId(o)])
     }
 
-    /// Sorted cursor over this layer's run for `spec` — a borrow of the
-    /// frozen permutation vectors, no copying.
-    fn run(&self, spec: RunSpec) -> SliceRun<'_> {
-        match spec {
-            RunSpec::Subjects { p, o } => SliceRun::new(scan2(&self.pos, Some(p.0), Some(o.0))),
-            RunSpec::Objects { s, p } => SliceRun::new(scan2(&self.spo, Some(s.0), Some(p.0))),
-        }
-    }
-
     /// This layer's delta statistics.
     pub fn stats(&self) -> &GraphStats {
         &self.stats
@@ -360,12 +350,6 @@ impl GraphView for BaseStore {
     }
     fn maintained_stats(&self) -> Option<&GraphStats> {
         Some(self.stats())
-    }
-    fn ordered_run(&self, spec: RunSpec) -> Box<dyn RunCursor + '_> {
-        match self {
-            BaseStore::Mem(g) => Box::new(g.index_run(spec)),
-            BaseStore::Disk(s) => GraphView::ordered_run(&**s, spec),
-        }
     }
     fn iter_ids(&self) -> Box<dyn Iterator<Item = IdTriple> + '_> {
         match self {
@@ -704,22 +688,6 @@ impl GraphView for LedgerView<'_> {
                 .iter()
                 .map(|l| l.stats.class_instances(class_id))
                 .sum::<u64>()
-    }
-
-    fn ordered_run(&self, spec: RunSpec) -> Box<dyn RunCursor + '_> {
-        if self.layers.iter().all(|l| l.is_empty()) {
-            return self.base.ordered_run(spec);
-        }
-        // Base first, then layers oldest-first: the merged cursor's
-        // flattened source order matches `match_pattern` concatenation.
-        let mut parts: Vec<Box<dyn RunCursor + '_>> = Vec::with_capacity(self.layers.len() + 1);
-        parts.push(self.base.ordered_run(spec));
-        for l in &self.layers {
-            if !l.is_empty() {
-                parts.push(Box::new(l.run(spec)));
-            }
-        }
-        Box::new(MergeRun::new(parts))
     }
 
     fn iter_ids(&self) -> Box<dyn Iterator<Item = IdTriple> + '_> {

@@ -39,7 +39,6 @@ pub mod intern;
 pub mod ledger;
 pub mod ntriples;
 pub mod pool;
-pub mod run;
 pub mod stats;
 pub mod term;
 pub mod turtle;
@@ -52,7 +51,6 @@ pub use graph::{Graph, IdTriple};
 pub use intern::{Interner, TermId};
 pub use ledger::{BaseStore, BranchChain, EpochId, Layer, Ledger, LedgerView};
 pub use pool::Parallelism;
-pub use run::{MergeRun, PairRun, RunCursor, RunSpec, SliceRun, VecRun};
 pub use stats::{GraphStats, PredicateStats};
 pub use term::{BlankNode, Iri, Literal, Term, Triple};
 pub use view::{GraphStore, GraphView, Overlay};

@@ -16,7 +16,6 @@ use std::collections::{BTreeSet, HashMap};
 
 use crate::graph::{Graph, IdTriple};
 use crate::intern::TermId;
-use crate::run::{BTreeRun, MergeRun, PairRun, RunCursor, RunSpec};
 use crate::stats::{GraphStats, PredicateStats};
 use crate::term::{Iri, Term, Triple};
 use crate::vocab::rdf;
@@ -160,27 +159,6 @@ pub trait GraphView {
         }
     }
 
-    /// Sorted, seekable cursor over the ids at the free position of
-    /// `spec` (see [`RunSpec`]). Backends with native sorted runs
-    /// (B-tree permutations, committed-layer vectors, mmap segment
-    /// runs) stream them zero-copy; the default materializes the
-    /// matching scan once, tagging each id with its scan position so
-    /// `(source, id)` ordering still reproduces `match_pattern` order.
-    fn ordered_run(&self, spec: RunSpec) -> Box<dyn RunCursor + '_> {
-        let (scan, col) = match spec {
-            RunSpec::Subjects { p, o } => (self.match_pattern(None, Some(p), Some(o)), 0),
-            RunSpec::Objects { s, p } => (self.match_pattern(Some(s), Some(p), None), 2),
-        };
-        let mut pairs: Vec<(usize, u32)> = scan
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (i, t[col].0))
-            .collect();
-        pairs.sort_by_key(|&(i, v)| (v, i));
-        pairs.dedup_by_key(|&mut (_, v)| v);
-        Box::new(PairRun::new(pairs))
-    }
-
     /// Iterates all triples as interned ids.
     fn iter_ids(&self) -> Box<dyn Iterator<Item = IdTriple> + '_>;
 
@@ -313,9 +291,6 @@ impl GraphView for Graph {
     fn maintained_stats(&self) -> Option<&GraphStats> {
         Some(Graph::stats(self))
     }
-    fn ordered_run(&self, spec: RunSpec) -> Box<dyn RunCursor + '_> {
-        Box::new(Graph::index_run(self, spec))
-    }
     fn iter_ids(&self) -> Box<dyn Iterator<Item = IdTriple> + '_> {
         Box::new(Graph::iter_ids(self))
     }
@@ -371,9 +346,6 @@ macro_rules! deref_graph_view {
             }
             fn class_instance_count(&self, class_id: TermId) -> u64 {
                 (**self).class_instance_count(class_id)
-            }
-            fn ordered_run(&self, spec: RunSpec) -> Box<dyn RunCursor + '_> {
-                (**self).ordered_run(spec)
             }
             fn iter_ids(&self) -> Box<dyn Iterator<Item = IdTriple> + '_> {
                 (**self).iter_ids()
@@ -609,19 +581,6 @@ impl<B: GraphView> GraphView for Overlay<B> {
 
     fn class_instance_count(&self, class_id: TermId) -> u64 {
         self.base.class_instance_count(class_id) + self.delta_stats.class_instances(class_id)
-    }
-
-    fn ordered_run(&self, spec: RunSpec) -> Box<dyn RunCursor + '_> {
-        if self.spo.is_empty() {
-            return self.base.ordered_run(spec);
-        }
-        // Delta after base: MergeRun's flattened source order matches
-        // `match_pattern`'s base-then-delta concatenation.
-        let delta: Box<dyn RunCursor + '_> = match spec {
-            RunSpec::Subjects { p, o } => Box::new(BTreeRun::new(&self.pos, p.0, o.0)),
-            RunSpec::Objects { s, p } => Box::new(BTreeRun::new(&self.spo, s.0, p.0)),
-        };
-        Box::new(MergeRun::new(vec![self.base.ordered_run(spec), delta]))
     }
 
     fn iter_ids(&self) -> Box<dyn Iterator<Item = IdTriple> + '_> {

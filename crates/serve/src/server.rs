@@ -603,7 +603,7 @@ fn stats_json(ctx: &Ctx) -> String {
         .collect::<Vec<_>>()
         .join(",");
     format!(
-        "{{\"admission\":{{\"admitted\":{},\"completed\":{},\"shed_queue_full\":{},\"shed_deadline\":{},\"rejected_quota\":{},\"cancelled_disconnects\":{},\"inflight\":{},\"queued\":{},\"ewma_service_micros\":{},\"tenants\":{{{tenants}}}}},\"plan_cache\":{},\"joins\":{{\"nested\":{},\"hash\":{},\"merge\":{},\"leapfrog\":{}}},\"epoch\":{},\"draining\":{}}}",
+        "{{\"admission\":{{\"admitted\":{},\"completed\":{},\"shed_queue_full\":{},\"shed_deadline\":{},\"rejected_quota\":{},\"cancelled_disconnects\":{},\"inflight\":{},\"queued\":{},\"ewma_service_micros\":{},\"tenants\":{{{tenants}}}}},\"plan_cache\":{},\"joins\":{{\"nested\":{},\"hash\":{}}},\"epoch\":{},\"draining\":{}}}",
         a.admitted,
         a.completed,
         a.shed_queue_full,
@@ -616,8 +616,6 @@ fn stats_json(ctx: &Ctx) -> String {
         ctx.base.plan_cache_stats().to_json(),
         j.nested,
         j.hash,
-        j.merge,
-        j.leapfrog,
         ctx.base.head().0,
         ctx.admission.is_draining(),
     )

@@ -18,7 +18,7 @@ fn base() -> Arc<EngineBase> {
     Arc::new(EngineBase::new(curated(), user, ctx).expect("curated is consistent"))
 }
 
-/// A batch long enough that it cannot finish before the flag flips.
+/// A batch of `2 * repeats` questions.
 fn long_batch(repeats: usize) -> Vec<Question> {
     let mut questions = Vec::new();
     for _ in 0..repeats {
@@ -34,7 +34,16 @@ fn long_batch(repeats: usize) -> Vec<Question> {
 
 #[test]
 fn cancel_mid_batch_returns_typed_outcome_promptly() {
+    // 4,096 questions, as `client_disconnect_cancels_inflight_work`
+    // sends: far more than can finish between the first plan-cache
+    // lookup and the flag flipping.
+    const QUESTIONS: usize = 4096;
     let base = base();
+    let lookups = |b: &EngineBase| {
+        let stats = b.plan_cache_stats();
+        stats.hits + stats.misses
+    };
+    let idle = lookups(&base);
     let cancel = CancelFlag::new();
     let budget = Budget::new()
         .with_deadline(Duration::from_secs(60))
@@ -43,12 +52,24 @@ fn cancel_mid_batch_returns_typed_outcome_promptly() {
         let base = Arc::clone(&base);
         thread::spawn(move || {
             let started = Instant::now();
-            let outcome =
-                base.explain_batch_with_budget(&long_batch(500), &budget, Parallelism::Off);
+            let outcome = base.explain_batch_with_budget(
+                &long_batch(QUESTIONS / 2),
+                &budget,
+                Parallelism::Off,
+            );
             (outcome, started.elapsed())
         })
     };
-    thread::sleep(Duration::from_millis(40));
+    // Cancel once the batch is observably running: its first question
+    // has looked up a plan.
+    let spawned = Instant::now();
+    while lookups(&base) == idle {
+        assert!(
+            spawned.elapsed() < Duration::from_secs(5),
+            "batch never started"
+        );
+        thread::sleep(Duration::from_millis(1));
+    }
     let cancelled_at = Instant::now();
     cancel.cancel();
     let (outcome, total) = worker.join().expect("worker returns, not panics");
@@ -68,7 +89,7 @@ fn cancel_mid_batch_returns_typed_outcome_promptly() {
     );
     assert_eq!(
         degradation.completed.len() + degradation.skipped.len(),
-        1000,
+        QUESTIONS,
         "every question accounted for exactly once"
     );
     assert_eq!(outcome.explanations.len(), degradation.completed.len());

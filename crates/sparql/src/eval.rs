@@ -4,8 +4,10 @@
 //! bindings) flowing through group-pattern elements, matching the SPARQL
 //! algebra: triples blocks join, OPTIONAL left-joins, UNION concatenates,
 //! MINUS anti-joins on shared domains, FILTERs apply at group scope, BIND
-//! extends, VALUES joins an inline table. BGPs are greedily reordered by
-//! bound-position count before matching.
+//! extends, VALUES joins an inline table. BGPs run in the order and with
+//! the join operator (nested or hash) of a [`Plan`] compiled from the
+//! view's statistics; the author-order and greedy strategies of
+//! [`Planner::Off`] / [`Planner::Greedy`] apply only when no plan does.
 //!
 //! Evaluation is read-only: the input is any [`feo_rdf::GraphView`]
 //! (a `&Graph`, an [`feo_rdf::Overlay`] session, or the `&mut Graph`
@@ -20,14 +22,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use feo_rdf::governor::{Exhausted, Guard};
 use feo_rdf::vocab::xsd;
-use feo_rdf::{Graph, GraphStore, GraphView, Overlay, RunCursor, RunSpec, Term, TermId, Triple};
+use feo_rdf::{Graph, GraphStore, GraphView, Overlay, Term, TermId, Triple};
 
 use crate::ast::*;
 use crate::error::{Result, SparqlError};
 use crate::parser::parse_query;
 use crate::plan::{
     plan_query, BgpPlan, ElementPlan, GroupPlan, JoinAlgo, Plan, Planner, QueryOptions,
-    HASH_JOIN_MIN_INPUT,
+    HASH_JOIN_MIN,
 };
 use crate::results::{QueryResult, SolutionTable};
 use crate::value::{
@@ -44,12 +46,14 @@ type Binding = Vec<Option<TermId>>;
 // benchmarks' sanity checks, never synchronization.
 static NESTED_JOINS: AtomicU64 = AtomicU64::new(0);
 static HASH_JOINS: AtomicU64 = AtomicU64::new(0);
-static MERGE_JOINS: AtomicU64 = AtomicU64::new(0);
-static LEAPFROG_JOINS: AtomicU64 = AtomicU64::new(0);
 
 /// Snapshot of the cumulative per-algorithm join-operator counts for
-/// this process (a fused leapfrog group counts once however many
-/// patterns it covers).
+/// this process.
+///
+/// `merge` and `leapfrog` are always 0: the sort-merge and leapfrog
+/// operators they counted were deleted, and the fields stay only
+/// because the benchmark's trace (`benchmark/src/trace.rs`) still
+/// reads them; they go when that file drops them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct JoinCounters {
     pub nested: u64,
@@ -63,8 +67,7 @@ pub fn join_counters() -> JoinCounters {
     JoinCounters {
         nested: NESTED_JOINS.load(Ordering::Relaxed),
         hash: HASH_JOINS.load(Ordering::Relaxed),
-        merge: MERGE_JOINS.load(Ordering::Relaxed),
-        leapfrog: LEAPFROG_JOINS.load(Ordering::Relaxed),
+        ..JoinCounters::default()
     }
 }
 
@@ -557,65 +560,31 @@ impl<'a, G: GraphView> Ctx<'a, G> {
         plan: Option<&BgpPlan>,
     ) -> Result<Vec<Binding>> {
         // Planned path: execute the precomputed order with each step's
-        // join-algorithm choice. Consecutive steps sharing a star-group
-        // id run as one fused leapfrog intersection; `force_join` swaps
-        // operators without touching order. A malformed plan (wrong
-        // length, index out of range, duplicate steps) falls through to
-        // the row-time strategies below.
+        // join-algorithm choice; `force_join` swaps operators without
+        // touching order. A malformed plan (wrong length, index out of
+        // range, duplicate steps) falls through to the row-time
+        // strategies below.
         if let Some(bp) = plan {
             if bgp_plan_matches(bp, patterns.len()) {
                 let mut rows = input;
-                let mut i = 0;
-                while i < bp.steps.len() {
-                    let step = &bp.steps[i];
-                    if let Some(gid) = step.star {
-                        let mut j = i + 1;
-                        while j < bp.steps.len() && bp.steps[j].star == Some(gid) {
-                            j += 1;
-                        }
-                        // A forced non-leapfrog algorithm splits the
-                        // group into its members; each then executes
-                        // below under the forced operator.
-                        if j - i >= 2 && matches!(self.force, None | Some(JoinAlgo::Leapfrog)) {
-                            let members: Vec<&TriplePattern> = bp.steps[i..j]
-                                .iter()
-                                .map(|s| &patterns[s.pattern])
-                                .collect();
-                            rows = self.match_star_leapfrog(&members, rows)?;
-                            if rows.is_empty() {
-                                break;
-                            }
-                            i = j;
-                            continue;
-                        }
-                    }
+                for step in &bp.steps {
                     let tp = &patterns[step.pattern];
-                    // Forcing an algorithm bypasses the input-width gate
-                    // so differential tests exercise the operator on any
-                    // row count; the planner's own choices keep it.
-                    let (algo, forced) = match self.force {
-                        None | Some(JoinAlgo::Leapfrog) => {
-                            // A star member reaching here has no group
-                            // to intersect with; nested is the per-step
-                            // equivalent.
-                            let a = match step.algo {
-                                JoinAlgo::Leapfrog => JoinAlgo::Nested,
-                                a => a,
-                            };
-                            (a, false)
-                        }
-                        Some(a) => (a, true),
+                    // A hash step builds its table only when enough rows
+                    // arrive to amortize it. Forcing an algorithm
+                    // bypasses that gate so differential tests exercise
+                    // the operator on any row count.
+                    let hash = match self.force {
+                        Some(forced) => forced == JoinAlgo::Hash,
+                        None => step.algo == JoinAlgo::Hash && rows.len() >= HASH_JOIN_MIN,
                     };
-                    let wide = forced || rows.len() >= HASH_JOIN_MIN_INPUT;
-                    rows = match algo {
-                        JoinAlgo::Hash if wide => self.match_triple_pattern_hash(tp, rows)?,
-                        JoinAlgo::Merge if wide => self.match_triple_pattern_merge(tp, rows)?,
-                        _ => self.match_triple_pattern(tp, rows)?,
+                    rows = if hash {
+                        self.match_triple_pattern_hash(tp, rows)?
+                    } else {
+                        self.match_triple_pattern(tp, rows)?
                     };
                     if rows.is_empty() {
                         break;
                     }
-                    i += 1;
                 }
                 return Ok(rows);
             }
@@ -787,20 +756,6 @@ impl<'a, G: GraphView> Ctx<'a, G> {
         Ok(out)
     }
 
-    /// Shared prologue of the hash and merge operators: both endpoints
-    /// resolved and the pattern's one-predicate scan, narrowed by any
-    /// ground endpoint, materialized once per call. `None` when the
-    /// predicate is not in the dictionary — every row finds nothing.
-    fn predicate_scan(&mut self, tp: &TriplePattern, p: &str) -> Result<Option<PredicateScan>> {
-        let Some(p_id) = self.g.lookup_iri(p) else {
-            return Ok(None);
-        };
-        let s = self.endpoint(&tp.subject)?;
-        let o = self.endpoint(&tp.object)?;
-        let triples = self.g.match_pattern(s.ground, Some(p_id), o.ground);
-        Ok(Some(PredicateScan { s, o, triples }))
-    }
-
     /// Hash-join variant of [`Self::match_triple_pattern`] for plain-IRI
     /// predicates: one index scan over the pattern's predicate (narrowed
     /// by any ground endpoints) builds the join side, then each input
@@ -818,9 +773,14 @@ impl<'a, G: GraphView> Ctx<'a, G> {
             return self.match_triple_pattern(tp, rows);
         };
         HASH_JOINS.fetch_add(1, Ordering::Relaxed);
-        let Some(scan) = self.predicate_scan(tp, p)? else {
+        let Some(p_id) = self.g.lookup_iri(p) else {
+            // Unknown predicate: every row finds nothing.
             return Ok(Vec::new());
         };
+        let s = self.endpoint(&tp.subject)?;
+        let o = self.endpoint(&tp.object)?;
+        let triples = self.g.match_pattern(s.ground, Some(p_id), o.ground);
+        let scan = PredicateScan { s, o, triples };
         let mut by_s: Option<HashMap<TermId, Vec<usize>>> = None;
         let mut by_o: Option<HashMap<TermId, Vec<usize>>> = None;
         let mut by_so: Option<HashSet<(TermId, TermId)>> = None;
@@ -856,240 +816,17 @@ impl<'a, G: GraphView> Ctx<'a, G> {
         Ok(out)
     }
 
-    /// Sorted-merge variant of [`Self::match_triple_pattern_hash`]: the
-    /// planner marks joins whose one-predicate scan arrives already
-    /// ordered on the join column (`pos` scans sort by object, per-
-    /// subject `spo` scans by object, per-object scans by subject), so
-    /// instead of hashing the scan this operator binary-searches a
-    /// sorted key directory built in one linear pass. Layered views
-    /// concatenate per-layer sorted ranges; a linear sortedness check
-    /// catches that case and one stable sort by key restores the
-    /// directory invariant while keeping per-key hits in scan order —
-    /// the exact hit sequence the hash path's index map yields, so
-    /// results stay byte-identical. Rows whose boundness does not match
-    /// the key column (OPTIONAL / UNION mixtures) fall back to the same
-    /// lazily built hash index the hash operator uses.
-    fn match_triple_pattern_merge(
-        &mut self,
-        tp: &TriplePattern,
-        rows: Vec<Binding>,
-    ) -> Result<Vec<Binding>> {
-        let Path::Iri(p) = &tp.path else {
-            // Planner only marks plain predicates; stay correct anyway.
-            return self.match_triple_pattern(tp, rows);
-        };
-        MERGE_JOINS.fetch_add(1, Ordering::Relaxed);
-        let Some(scan) = self.predicate_scan(tp, p)? else {
-            return Ok(Vec::new());
-        };
-        let key_col = merge_key_col(scan.s.ground, scan.o.ground);
-        let dir = KeyDirectory::build(&scan.triples, key_col);
-        // Hash index over the non-key column, for rows bound only there.
-        let mut fallback: Option<HashMap<TermId, Vec<usize>>> = None;
-        let mut out = Vec::new();
-        let mut uncharged: usize = 0;
-        for b in rows {
-            let produced_before = out.len();
-            let (s_val, o_val) = scan.bound_in(&b);
-            match (s_val, o_val) {
-                (Some(sv), Some(ov)) => {
-                    let (kv, other_col, other_v) = if key_col == 0 {
-                        (sv, 2, ov)
-                    } else {
-                        (ov, 0, sv)
-                    };
-                    let hits = dir.hits(kv);
-                    if hits.iter().any(|&i| scan.triples[i][other_col] == other_v) {
-                        out.push(b);
-                    }
-                }
-                (Some(v), None) | (None, Some(v)) => {
-                    let col = if s_val.is_some() { 0 } else { 2 };
-                    if col == key_col {
-                        scan.extend(&mut out, &b, dir.hits(v).iter().copied());
-                    } else {
-                        let map = fallback.get_or_insert_with(|| index_scan(&scan.triples, col));
-                        scan.extend(&mut out, &b, map.get(&v).into_iter().flatten().copied());
-                    }
-                }
-                (None, None) => scan.extend(&mut out, &b, 0..scan.triples.len()),
-            }
-            uncharged += out.len() - produced_before;
-            if uncharged >= CHARGE_BATCH {
-                self.charge_solutions(uncharged)?;
-                uncharged = 0;
-            }
-        }
-        self.charge_solutions(uncharged)?;
-        Ok(out)
-    }
-
-    /// Fused multiway star join: `members` are k triple patterns sharing
-    /// one variable, each with a plain-IRI predicate and a ground other
-    /// endpoint, so each contributes an ordered run (see
-    /// [`feo_rdf::RunSpec`]) over the shared variable's candidates. A
-    /// leapfrog intersection seeks the k cursors through each other's
-    /// gaps — O(k · min-run · log) instead of scanning and hashing every
-    /// run — and the accepted values then extend the input rows.
-    ///
-    /// Output order is byte-identical to executing the members as
-    /// sequential binary joins: each accepted value is tagged with the
-    /// layer ([`RunCursor::source`]) it came from in the *first*
-    /// member's cursor, and emission sorts by `(source, id)` — exactly
-    /// the concatenated scan order `match_pattern` yields for that
-    /// member, while the remaining members act as pure filters.
-    fn match_star_leapfrog(
-        &mut self,
-        members: &[&TriplePattern],
-        rows: Vec<Binding>,
-    ) -> Result<Vec<Binding>> {
-        // Resolve the shared slot and one run spec per member; any shape
-        // the planner would not have fused (stale plan) falls back to
-        // nested execution, which is always correct.
-        let mut v_slot: Option<usize> = None;
-        let mut specs: Vec<RunSpec> = Vec::with_capacity(members.len());
-        for tp in members {
-            let Path::Iri(p) = &tp.path else {
-                return self.star_fallback(members, rows);
-            };
-            let p_id = self.g.lookup_iri(p);
-            let s_slot = self.term_slot(&tp.subject);
-            let o_slot = self.term_slot(&tp.object);
-            let (slot, spec) = match (s_slot, o_slot) {
-                (Some(slot), None) => {
-                    let o = self.intern_ground(&tp.object)?;
-                    (slot, p_id.map(|p| RunSpec::Subjects { p, o }))
-                }
-                (None, Some(slot)) => {
-                    let s = self.intern_ground(&tp.subject)?;
-                    (slot, p_id.map(|p| RunSpec::Objects { s, p }))
-                }
-                _ => return self.star_fallback(members, rows),
-            };
-            if *v_slot.get_or_insert(slot) != slot {
-                return self.star_fallback(members, rows);
-            }
-            match spec {
-                Some(sp) => specs.push(sp),
-                // Unknown predicate: that member matches nothing, so the
-                // whole intersection is empty (the hash operator returns
-                // the same empty solution set).
-                None => return Ok(Vec::new()),
-            }
-        }
-        let Some(v_slot) = v_slot else {
-            return self.star_fallback(members, rows);
-        };
-        LEAPFROG_JOINS.fetch_add(1, Ordering::Relaxed);
-
-        // Intersect the k ordered runs: repeatedly seek every cursor to
-        // the current maximum until all agree, accept, advance the
-        // anchor (the first member — the planner sorts the smallest
-        // estimated run first).
-        let mut inter: Vec<(usize, TermId)> = Vec::new();
-        {
-            let mut cursors: Vec<Box<dyn RunCursor + '_>> =
-                specs.iter().map(|&sp| self.g.ordered_run(sp)).collect();
-            let mut ticks = 0u32;
-            'outer: while let Some(first) = cursors[0].peek() {
-                let mut hi = first;
-                loop {
-                    let mut agreed = true;
-                    for c in cursors.iter_mut() {
-                        c.seek(hi);
-                        match c.peek() {
-                            None => break 'outer,
-                            Some(v) if v > hi => {
-                                hi = v;
-                                agreed = false;
-                            }
-                            Some(_) => {}
-                        }
-                    }
-                    ticks += cursors.len() as u32;
-                    if ticks >= 1024 {
-                        ticks = 0;
-                        self.checkpoint()?;
-                    }
-                    if agreed {
-                        break;
-                    }
-                }
-                inter.push((cursors[0].source(), hi));
-                cursors[0].advance();
-            }
-        }
-
-        // Ascending ids for bound-row membership tests; emission order
-        // for unbound rows re-sorts by (source, id) — stable, and values
-        // within one source are already ascending.
-        let sorted_v: Vec<TermId> = inter.iter().map(|&(_, v)| v).collect();
-        let mut emit = inter;
-        emit.sort_by_key(|&(src, _)| src);
-
-        let mut out = Vec::new();
-        let mut uncharged = 0usize;
-        for b in rows {
-            let before = out.len();
-            match b[v_slot] {
-                // Already-bound shared variable (OPTIONAL / UNION rows):
-                // membership test against the intersection.
-                Some(v) => {
-                    if sorted_v.binary_search(&v).is_ok() {
-                        out.push(b);
-                    }
-                }
-                None => {
-                    for &(_, v) in &emit {
-                        let mut nb = b.clone();
-                        nb[v_slot] = Some(v);
-                        out.push(nb);
-                    }
-                }
-            }
-            uncharged += out.len() - before;
-            if uncharged >= CHARGE_BATCH {
-                self.charge_solutions(uncharged)?;
-                uncharged = 0;
-            }
-        }
-        self.charge_solutions(uncharged)?;
-        Ok(out)
-    }
-
-    /// Stale-plan escape for [`Self::match_star_leapfrog`]: executes the
-    /// group members as sequential nested-loop joins, which is correct
-    /// for any pattern shape.
-    fn star_fallback(
-        &mut self,
-        members: &[&TriplePattern],
-        rows: Vec<Binding>,
-    ) -> Result<Vec<Binding>> {
-        let mut rows = rows;
-        for tp in members {
-            rows = self.match_triple_pattern(tp, rows)?;
-            if rows.is_empty() {
-                break;
-            }
-        }
-        Ok(rows)
-    }
-
-    fn term_slot(&self, tp: &TermPattern) -> Option<usize> {
-        match tp {
-            TermPattern::Var(v) => self.vars.get(v),
-            TermPattern::Blank(l) => self.vars.get(&format!("_:{l}")),
-            _ => None,
-        }
-    }
-
     /// Resolves one pattern position for a whole operator call. Ground
     /// terms that are not in the dictionary intern to a spill id that
     /// matches no triple (the pattern simply finds nothing).
     fn endpoint(&mut self, tp: &TermPattern) -> Result<Endpoint> {
         Ok(match tp {
-            TermPattern::Var(_) | TermPattern::Blank(_) => Endpoint {
-                slot: self.term_slot(tp),
+            TermPattern::Var(v) => Endpoint {
+                slot: self.vars.get(v),
+                ground: None,
+            },
+            TermPattern::Blank(l) => Endpoint {
+                slot: self.vars.get(&format!("_:{l}")),
                 ground: None,
             },
             ground => Endpoint {
@@ -2114,9 +1851,10 @@ impl Endpoint {
     }
 }
 
-/// Build side of the hash and merge operators (see
-/// `Ctx::predicate_scan`): `triples` already satisfy the pattern's
-/// ground endpoints, so rows only probe on their variable positions.
+/// Build side of the hash operator (see
+/// `Ctx::match_triple_pattern_hash`): `triples` already satisfy the
+/// pattern's ground endpoints, so rows only probe on their variable
+/// positions.
 struct PredicateScan {
     s: Endpoint,
     o: Endpoint,
@@ -2157,65 +1895,6 @@ fn bind(b: &mut Binding, slot: Option<usize>, val: TermId) -> bool {
             true
         }
         Some(existing) => existing == val,
-    }
-}
-
-/// The scan column a merge join keys on, given which endpoints the scan
-/// was narrowed by: per-subject `spo` scans sort by object, per-object
-/// (and full-predicate `pos`) scans sort by subject and object
-/// respectively — mirroring the planner's `merge_worthwhile` analysis
-/// of the hexastore permutations.
-fn merge_key_col(s_ground: Option<TermId>, o_ground: Option<TermId>) -> usize {
-    if s_ground.is_some() {
-        2
-    } else if o_ground.is_some() {
-        0
-    } else {
-        2
-    }
-}
-
-/// Sorted key directory over one column of a predicate scan: distinct
-/// keys ascending, `hits(key)` returning that key's scan positions in
-/// ascending order. Single-layer scans arrive presorted and keep their
-/// identity order for free; layered concatenations (overlay deltas,
-/// ledger layers) get one stable sort, which preserves per-key
-/// ascending scan positions — the invariant that keeps merge-join
-/// output byte-identical to the hash path's index-map probes.
-struct KeyDirectory {
-    keys: Vec<TermId>,
-    starts: Vec<usize>,
-    order: Vec<usize>,
-}
-
-impl KeyDirectory {
-    fn build(scan: &[[TermId; 3]], col: usize) -> KeyDirectory {
-        let mut order: Vec<usize> = (0..scan.len()).collect();
-        if scan.windows(2).any(|w| w[0][col] > w[1][col]) {
-            order.sort_by_key(|&i| scan[i][col]);
-        }
-        let mut keys: Vec<TermId> = Vec::new();
-        let mut starts: Vec<usize> = Vec::new();
-        for (pos, &i) in order.iter().enumerate() {
-            let k = scan[i][col];
-            if keys.last() != Some(&k) {
-                keys.push(k);
-                starts.push(pos);
-            }
-        }
-        starts.push(order.len());
-        KeyDirectory {
-            keys,
-            starts,
-            order,
-        }
-    }
-
-    fn hits(&self, key: TermId) -> &[usize] {
-        match self.keys.binary_search(&key) {
-            Ok(k) => &self.order[self.starts[k]..self.starts[k + 1]],
-            Err(_) => &[],
-        }
     }
 }
 

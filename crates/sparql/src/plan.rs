@@ -57,25 +57,18 @@ impl Planner {
 
 /// Physical join algorithm for one BGP step.
 ///
-/// The planner picks per step from statistics and the orderings the
-/// hexastore permutations provide; the choice never affects results —
-/// every algorithm produces byte-identical row-ordered tables — only
-/// constant factors. [`QueryOptions::force_join`] overrides the choice
-/// at execution time (the differential test hook); join *order* is
-/// decided independently, so forcing swaps operators on an identical
+/// The planner picks per step from statistics; the choice never affects
+/// results — both algorithms produce byte-identical row-ordered tables —
+/// only constant factors. [`QueryOptions::force_join`] overrides the
+/// choice at execution time (the differential test hook); join *order*
+/// is decided independently, so forcing swaps operators on an identical
 /// plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JoinAlgo {
-    /// Per-input-row B-tree/run range scans (the small-input baseline).
+    /// Per-input-row index range scans (the small-input baseline).
     Nested,
     /// Build a hash table over the pattern's scan once, probe per row.
     Hash,
-    /// Sort-merge: stream the scan already ordered on the join key and
-    /// binary-search key groups — no hash table.
-    Merge,
-    /// Leapfrog-style multiway intersection of k sorted runs sharing
-    /// one variable (star patterns), seeking through all runs at once.
-    Leapfrog,
 }
 
 impl JoinAlgo {
@@ -84,8 +77,6 @@ impl JoinAlgo {
         match self {
             JoinAlgo::Nested => "nested",
             JoinAlgo::Hash => "hash",
-            JoinAlgo::Merge => "merge",
-            JoinAlgo::Leapfrog => "leapfrog",
         }
     }
 }
@@ -104,10 +95,9 @@ pub struct QueryOptions<'a> {
     /// instead of executing — SQL `EXPLAIN` semantics.
     pub explain: bool,
     /// When set, execute every join step with this algorithm instead of
-    /// the planner's choice (leapfrog degrades per step to nested where
-    /// no star group exists). Join order is unchanged, and every
-    /// algorithm returns byte-identical tables, so this is a
-    /// differential-testing and benchmarking hook, not a semantics knob.
+    /// the planner's choice, whatever the input width. Join order is
+    /// unchanged, and both algorithms return byte-identical tables, so
+    /// this is a differential-testing hook, not a semantics knob.
     pub force_join: Option<JoinAlgo>,
 }
 
@@ -198,20 +188,14 @@ pub struct PlanStep {
     pub index: IndexChoice,
     /// Physical join algorithm the evaluator executes this step with.
     pub algo: JoinAlgo,
-    /// Star-group id: `Some(g)` marks this step as one member of a
-    /// fused leapfrog intersection; members of a group are consecutive
-    /// steps sharing `g`, intersected in one multiway operator. Set iff
-    /// `algo == JoinAlgo::Leapfrog`.
-    pub star: Option<usize>,
 }
 
-/// Build side below this many triples: per-row range scans are cheap
-/// enough that hashing only adds constant overhead.
-pub(crate) const HASH_JOIN_BUILD_MIN: f64 = 64.0;
-
-/// Fewer input rows than this at runtime: probe setup cannot amortize,
-/// fall back to the nested-loop path.
-pub(crate) const HASH_JOIN_MIN_INPUT: usize = 8;
+/// The one hash-join gate. The planner marks a step `Hash` only when
+/// its estimated build scan has at least this many triples, and the
+/// evaluator runs a `Hash` step as a hash join only when at least this
+/// many rows arrive; below either, per-row range scans are cheaper than
+/// building the table (DESIGN.md "Join execution" has the measurements).
+pub(crate) const HASH_JOIN_MIN: usize = 64;
 
 /// Compiles `q` into a [`Plan`] using `view`'s statistics.
 pub fn plan_query<G: GraphView>(view: &G, q: &Query) -> Plan {
@@ -297,7 +281,6 @@ fn plan_bgp<G: GraphView>(
 ) -> BgpPlan {
     let mut remaining: Vec<usize> = (0..patterns.len()).collect();
     let mut steps = Vec::with_capacity(patterns.len());
-    let mut next_star = 0usize;
     while !remaining.is_empty() {
         // Minimum estimated cardinality wins; a strictly-smaller test
         // keeps the first minimum, so ties preserve author order.
@@ -312,54 +295,9 @@ fn plan_bgp<G: GraphView>(
                 best_index = index;
             }
         }
-        let pi = remaining[best];
-
-        // Star fusion: when the chosen pattern is a doubly-ground run
-        // over a still-unbound variable and at least one sibling shares
-        // that variable the same way, fuse the whole star into one
-        // leapfrog group — k runs intersected with simultaneous seeks
-        // instead of k-1 pairwise joins.
-        if let Some(v) = star_slot(&patterns[pi], vars, bound) {
-            let mut members: Vec<(f64, usize, IndexChoice)> = remaining
-                .iter()
-                .filter(|&&mi| star_slot(&patterns[mi], vars, bound) == Some(v))
-                .map(|&mi| {
-                    let (est, index) = estimate(view, &patterns[mi], vars, bound);
-                    (est, mi, index)
-                })
-                .collect();
-            if members.len() >= 2 {
-                // Smallest run first: the anchor drives the seeks and
-                // defines the emitted order. Ties keep author order.
-                members.sort_by(|a, b| {
-                    a.0.partial_cmp(&b.0)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then(a.1.cmp(&b.1))
-                });
-                let gid = next_star;
-                next_star += 1;
-                for &(est, mi, index) in &members {
-                    steps.push(PlanStep {
-                        pattern: mi,
-                        est_rows: est,
-                        index,
-                        algo: JoinAlgo::Leapfrog,
-                        star: Some(gid),
-                    });
-                    for slot in pattern_var_slots(&patterns[mi], vars) {
-                        bound.insert(slot);
-                    }
-                }
-                remaining.retain(|mi| !members.iter().any(|&(_, m, _)| m == *mi));
-                continue;
-            }
-        }
-
-        remaining.remove(best);
+        let pi = remaining.remove(best);
         let tp = &patterns[pi];
-        let algo = if merge_worthwhile(view, tp, vars, bound) {
-            JoinAlgo::Merge
-        } else if hash_join_worthwhile(view, tp, vars, bound) {
+        let algo = if hash_join_worthwhile(view, tp, vars, bound) {
             JoinAlgo::Hash
         } else {
             JoinAlgo::Nested
@@ -372,31 +310,9 @@ fn plan_bgp<G: GraphView>(
             est_rows: best_est,
             index: best_index,
             algo,
-            star: None,
         });
     }
     BgpPlan { steps }
-}
-
-/// The still-unbound variable slot of a star-eligible pattern: an IRI
-/// predicate with exactly one variable endpoint whose other endpoint is
-/// a ground term — the shape whose match set is one sorted dictionary
-/// run, seekable for leapfrog intersection.
-fn star_slot(tp: &TriplePattern, vars: &VarTable, bound: &HashSet<usize>) -> Option<usize> {
-    if !matches!(&tp.path, Path::Iri(_)) {
-        return None;
-    }
-    let slot_of = |t: &TermPattern| match t {
-        TermPattern::Var(v) => vars.get(v),
-        TermPattern::Blank(l) => vars.get(&format!("_:{l}")),
-        _ => None,
-    };
-    let ground = |t: &TermPattern| matches!(t, TermPattern::Iri(_) | TermPattern::Literal(_));
-    match (slot_of(&tp.subject), slot_of(&tp.object)) {
-        (Some(s), None) if ground(&tp.object) && !bound.contains(&s) => Some(s),
-        (None, Some(o)) if ground(&tp.subject) && !bound.contains(&o) => Some(o),
-        _ => None,
-    }
 }
 
 /// Variable/blank slots this pattern can bind.
@@ -529,57 +445,7 @@ fn hash_join_worthwhile<G: GraphView>(
         (true, false) => triples / ps.distinct_objects.max(1) as f64,
         (false, false) => 1.0,
     };
-    scan >= HASH_JOIN_BUILD_MIN
-}
-
-/// A sort-merge join applies when a hash join would (a large enough
-/// scan joining on a bound variable) *and* the scan the evaluator's
-/// dispatch produces is already sorted on a joined column, so no table
-/// needs building:
-///
-/// - subject ground → SPO prefix scan, sorted by object;
-/// - object ground → POS prefix scan, sorted by subject;
-/// - both free → POS predicate scan, sorted by (object, subject).
-///
-/// The one bound-join shape with no usable ordering is a subject-only
-/// join with the object free (sorted by the wrong column) — that stays
-/// a hash join.
-fn merge_worthwhile<G: GraphView>(
-    view: &G,
-    tp: &TriplePattern,
-    vars: &VarTable,
-    bound: &HashSet<usize>,
-) -> bool {
-    let Path::Iri(p) = &tp.path else {
-        return false;
-    };
-    let is_var = |t: &TermPattern| matches!(t, TermPattern::Var(_) | TermPattern::Blank(_));
-    let s_join = is_var(&tp.subject) && term_bound(&tp.subject, vars, bound);
-    let o_join = is_var(&tp.object) && term_bound(&tp.object, vars, bound);
-    if !s_join && !o_join {
-        return false;
-    }
-    let Some(pid) = view.lookup_iri(p) else {
-        return false;
-    };
-    let ps = view.predicate_stats(pid);
-    let triples = ps.triples as f64;
-    let scan = match (is_var(&tp.subject), is_var(&tp.object)) {
-        (true, true) => triples,
-        (false, true) => triples / ps.distinct_subjects.max(1) as f64,
-        (true, false) => triples / ps.distinct_objects.max(1) as f64,
-        (false, false) => 1.0,
-    };
-    if scan < HASH_JOIN_BUILD_MIN {
-        return false;
-    }
-    // The sorted key column must be one the join binds.
-    match (is_var(&tp.subject), is_var(&tp.object)) {
-        (false, true) => o_join,
-        (true, false) => s_join,
-        (true, true) => o_join,
-        (false, false) => false,
-    }
+    scan >= HASH_JOIN_MIN as f64
 }
 
 // ---- rendering -----------------------------------------------------------
@@ -614,10 +480,9 @@ fn render_group(out: &mut String, group: &GroupPattern, plan: &GroupPlan, depth:
                         .get(step.pattern)
                         .map(fmt_pattern)
                         .unwrap_or_else(|| "<pattern out of range>".to_string());
-                    let join = match (step.algo, step.star) {
-                        (JoinAlgo::Nested, _) => String::new(),
-                        (JoinAlgo::Leapfrog, Some(g)) => format!(" join=leapfrog star={g}"),
-                        (algo, _) => format!(" join={}", algo.name()),
+                    let join = match step.algo {
+                        JoinAlgo::Nested => String::new(),
+                        algo => format!(" join={}", algo.name()),
                     };
                     let _ = writeln!(
                         out,
@@ -848,21 +713,20 @@ mod tests {
         let ElementPlan::Bgp(bp) = &plan.root.elements[0] else {
             panic!("expected BGP plan");
         };
-        // Second step joins ?s against a 200-triple scan sorted by the
-        // wrong column (object): hash join, not merge.
+        // Second step joins ?s against a 200-triple scan: hash join.
         let second = &bp.steps[1];
         assert_eq!(second.pattern, 1);
         assert_eq!(
             second.algo,
             JoinAlgo::Hash,
-            "large subject-join over an object-sorted scan hashes: {plan:?}"
+            "large subject-join hashes: {plan:?}"
         );
         // First step has no bound variable yet: nested scan.
         assert_eq!(bp.steps[0].algo, JoinAlgo::Nested);
     }
 
     #[test]
-    fn object_join_over_large_scan_merges() {
+    fn object_join_over_large_scan_hashes() {
         let mut g = Graph::new();
         for i in 0..200 {
             g.insert_iris(
@@ -874,9 +738,9 @@ mod tests {
         for i in 0..40 {
             g.insert_iris(&format!("http://e/t{i}"), "http://e/tag", "http://e/x");
         }
-        // ?t binds first (tag scan), then link joins on its object —
-        // the POS scan is sorted by object, so the planner merges.
-        let (_, plan) = plan_for(
+        // ?t binds first (tag scan), then link joins on its object
+        // against a 200-triple scan: hash join.
+        let (q, plan) = plan_for(
             &g,
             "SELECT * WHERE { ?t <http://e/tag> <http://e/x> . ?s <http://e/link> ?t }",
         );
@@ -885,68 +749,9 @@ mod tests {
         };
         let second = &bp.steps[1];
         assert_eq!(second.pattern, 1);
-        assert_eq!(second.algo, JoinAlgo::Merge, "{plan:?}");
-        assert!(second.star.is_none());
-    }
-
-    #[test]
-    fn star_patterns_fuse_into_leapfrog_group() {
-        let mut g = Graph::new();
-        for i in 0..100 {
-            g.insert_iris(&format!("http://e/r{i}"), "http://e/p1", "http://e/a");
-        }
-        for i in 0..80 {
-            g.insert_iris(&format!("http://e/r{i}"), "http://e/p2", "http://e/b");
-        }
-        for i in 0..60 {
-            g.insert_iris(&format!("http://e/r{i}"), "http://e/p3", "http://e/c");
-        }
-        let (q, plan) = plan_for(
-            &g,
-            "SELECT * WHERE { ?r <http://e/p1> <http://e/a> . \
-             ?r <http://e/p2> <http://e/b> . ?r <http://e/p3> <http://e/c> }",
-        );
-        let ElementPlan::Bgp(bp) = &plan.root.elements[0] else {
-            panic!("expected BGP plan");
-        };
-        assert_eq!(bp.steps.len(), 3);
-        for step in &bp.steps {
-            assert_eq!(step.algo, JoinAlgo::Leapfrog, "{plan:?}");
-            assert_eq!(step.star, Some(0));
-        }
-        // Smallest run anchors the intersection.
-        assert_eq!(bp.steps[0].pattern, 2);
-        assert_eq!(bp.steps[1].pattern, 1);
-        assert_eq!(bp.steps[2].pattern, 0);
+        assert_eq!(second.algo, JoinAlgo::Hash, "{plan:?}");
         let text = plan.render(&q, Planner::CostBased);
-        assert!(text.contains("join=leapfrog star=0"), "{text}");
-    }
-
-    #[test]
-    fn bound_star_variable_disables_fusion() {
-        let mut g = Graph::new();
-        for i in 0..100 {
-            g.insert_iris(&format!("http://e/r{i}"), "http://e/p1", "http://e/a");
-            g.insert_iris(&format!("http://e/r{i}"), "http://e/p2", "http://e/b");
-        }
-        for i in 0..100 {
-            g.insert_iris(&format!("http://e/q{i}"), "http://e/link", "http://e/r0");
-        }
-        // ?r is bound by the first (selective) pattern before the star
-        // members are reached: no fusion, they join one at a time.
-        let (_, plan) = plan_for(
-            &g,
-            "SELECT * WHERE { ?q <http://e/link> ?r . \
-             ?r <http://e/p1> <http://e/a> . ?r <http://e/p2> <http://e/b> }",
-        );
-        let ElementPlan::Bgp(bp) = &plan.root.elements[0] else {
-            panic!("expected BGP plan");
-        };
-        // However ordered, no step may carry a star id once ?r binds
-        // outside the group... unless fusion fired first. Either all
-        // members fused before the link pattern ran, or none did.
-        let starred = bp.steps.iter().filter(|s| s.star.is_some()).count();
-        assert!(starred == 0 || starred == 2, "{plan:?}");
+        assert!(text.contains("join=hash"), "{text}");
     }
 
     #[test]

@@ -1,9 +1,9 @@
-//! Join-algorithm equivalence: hash, sorted-merge, leapfrog, and nested
-//! joins are alternative *physical operators*, never alternative
-//! *semantics* — and not even alternative *orders*: every operator must
-//! return the byte-identical row-ordered table for the same plan, on
-//! every storage backend (in-memory indexes, mmap segment runs, overlay
-//! deltas stacked on either). A tripping
+//! Join-algorithm equivalence: hash and nested joins are alternative
+//! *physical operators*, never alternative *semantics* — and not even
+//! alternative *orders*: both operators must return the byte-identical
+//! row-ordered table for the same plan, on every storage backend
+//! (in-memory indexes, mmap segments, overlay deltas stacked on
+//! either). A tripping
 //! `Guard` must yield a typed `SparqlError::Exhausted`, never a silently
 //! truncated table.
 
@@ -18,31 +18,24 @@ use feo::sparql::{query, JoinAlgo, Planner, QueryOptions, QueryResult, SparqlErr
 use proptest::prelude::*;
 use std::path::PathBuf;
 
-/// `None` is the planner's own choice; the four `Some` entries force
-/// each operator onto every join step (leapfrog degrades to nested
-/// outside star groups, which is itself part of the contract).
-const FORCES: [Option<JoinAlgo>; 5] = [
-    None,
-    Some(JoinAlgo::Nested),
-    Some(JoinAlgo::Hash),
-    Some(JoinAlgo::Merge),
-    Some(JoinAlgo::Leapfrog),
-];
+/// `None` is the planner's own choice; the two `Some` entries force
+/// each operator onto every join step, whatever its input width.
+const FORCES: [Option<JoinAlgo>; 3] = [None, Some(JoinAlgo::Nested), Some(JoinAlgo::Hash)];
 
-/// Queries chosen to give the operators real work: a ground-object star
-/// (the leapfrog target shape), variable-chain joins probing both key
-/// columns of the merge directory, mixed boundness arriving from an
-/// OPTIONAL, and an aggregate consuming join output.
+/// Queries chosen to give the operators real work: a ground-object star,
+/// variable-chain joins probing the hash operator's subject and object
+/// indexes, mixed boundness arriving from an OPTIONAL, and an aggregate
+/// consuming join output.
 fn equivalence_queries() -> Vec<String> {
     let p = sparql_prologue();
     // The generator's Zipf sampling makes the low-index ingredients the
-    // most frequent, so this star has large per-member runs and a small
-    // intersection — exactly the leapfrog case.
+    // most frequent, so this star has large per-member scans and a small
+    // intersection.
     let ing0 = FoodKg::iri("SynIngredient0");
     let ing1 = FoodKg::iri("SynIngredient1");
     vec![
         // Star on a shared subject with ground objects: k triple
-        // patterns intersecting ordered subject runs.
+        // patterns intersecting their subject sets.
         format!(
             "{p}SELECT ?r WHERE {{\n\
                ?r food:hasIngredient <{ing0}> .\n\
@@ -51,7 +44,7 @@ fn equivalence_queries() -> Vec<String> {
              }}"
         ),
         // Same star but the shared variable is already bound when the
-        // group runs: the intersection acts as a semijoin filter.
+        // star runs: each member acts as a semijoin filter.
         format!(
             "{p}SELECT ?r ?c WHERE {{\n\
                ?r food:calories ?c .\n\
@@ -71,8 +64,8 @@ fn equivalence_queries() -> Vec<String> {
                FILTER (?c > 700) .\n\
              }}"
         ),
-        // Variable chain joining on the subject key column and then the
-        // object key column of the scan.
+        // Variable chain joining on the subject column and then the
+        // object column of the scan.
         format!(
             "{p}SELECT ?r ?i ?n WHERE {{\n\
                ?r a food:Recipe .\n\
@@ -120,8 +113,8 @@ fn segment_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("feo-joineq-{}-{tag}.seg", std::process::id()))
 }
 
-/// Extra cross-links layered over a base so overlay-backed runs merge a
-/// real delta (duplicates against the base are no-ops, so every insert
+/// Extra cross-links layered over a base so overlay-backed scans
+/// concatenate a real delta (duplicates against the base are no-ops, so every insert
 /// here is chosen to be new).
 fn extend_delta(delta: &mut impl GraphStore) {
     let ing0 = FoodKg::iri("SynIngredient0");
@@ -177,8 +170,7 @@ fn assert_all_combos_identical<G: GraphView + Copy>(view: G, q: &str, backend: &
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Forced hash / merge / leapfrog / nested and the planner's own
-    /// choice return byte-identical row-ordered tables on the in-memory
+    /// Forced hash / nested and the planner's own choice return byte-identical row-ordered tables on the in-memory
     /// backend and on overlay deltas stacked over it.
     #[test]
     fn forced_algorithms_match_in_memory(
@@ -194,9 +186,9 @@ proptest! {
         }
     }
 
-    /// The same contract over mmap segment runs: the segment's gallop
-    /// cursors and the overlay's merged cursors must be order-identical
-    /// to the hash path.
+    /// The same contract over an mmap segment: the segment's scans and
+    /// the overlay's concatenated scans must be order-identical to the
+    /// hash path.
     #[test]
     fn forced_algorithms_match_on_segment(
         recipes in 15usize..35,
@@ -219,9 +211,8 @@ proptest! {
 
     /// Under a guard, every forced operator either returns exactly the
     /// unguarded table or fails with a typed `Exhausted` — never a
-    /// silently partial table. (Operators legitimately differ in
-    /// *whether* they trip: leapfrog produces no intermediate rows where
-    /// hash would.)
+    /// silently partial table. (Operators may legitimately differ in
+    /// *whether* they trip, since the budget counts rows as produced.)
     #[test]
     fn guarded_forced_runs_are_exact_or_exhausted(
         recipes in 15usize..40,
@@ -262,11 +253,10 @@ proptest! {
 
 // ---- EXPLAIN determinism ------------------------------------------------
 
-/// The cost-based planner pins the algorithm choice: the same query over
-/// the same graph renders the same plan twice, and the ground-object
-/// star compiles to a fused leapfrog group.
+/// The cost-based planner pins the join order and algorithm choice: the
+/// same query over the same graph renders the same plan twice.
 #[test]
-fn explain_pins_leapfrog_star_deterministically() {
+fn explain_is_deterministic() {
     let g = materialized_graph(30, 7);
     let q = &equivalence_queries()[0];
     let explain = |g: &Graph| -> String {
@@ -288,8 +278,4 @@ fn explain_pins_leapfrog_star_deterministically() {
     let first = explain(&g);
     let second = explain(&g);
     assert_eq!(first, second, "EXPLAIN must be deterministic");
-    assert!(
-        first.contains("join=leapfrog"),
-        "ground-object star must plan as leapfrog:\n{first}"
-    );
 }

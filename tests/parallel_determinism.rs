@@ -175,8 +175,8 @@ fn tracked_derivations_survive_the_parallel_path() {
 }
 
 /// A view that is deliberately `!Sync`: it counts `match_pattern` calls
-/// in a `Cell`. Only the required methods delegate, so the planner and
-/// the leapfrog cursors take the trait's scanning defaults.
+/// in a `Cell`. Only the required methods delegate, so the planner's
+/// statistics take the trait's scanning defaults.
 struct CountingView<'g> {
     inner: &'g Graph,
     scans: Cell<u64>,
