@@ -47,6 +47,7 @@ use feo_sparql::{
     execute, execute_prepared, parse_query, plan_query, Planner, QueryOptions, QueryResult,
     SolutionTable, SparqlError,
 };
+use std::collections::HashSet;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -1388,8 +1389,8 @@ impl<'a> Session<'a> {
         let q = queries::contrastive_query(question);
         let table = self.run_query(&self.overlay, &q)?.expect_solutions();
 
-        let mut fact_parts: Vec<String> = Vec::new();
-        let mut foil_parts: Vec<String> = Vec::new();
+        let (mut fact_parts, mut fact_seen) = (Vec::new(), HashSet::new());
+        let (mut foil_parts, mut foil_seen) = (Vec::new(), HashSet::new());
         for row in table.local_rows() {
             let (fact_type, fact, foil_type, foil) = (&row[0], &row[1], &row[2], &row[3]);
             // Parameter-typed rows are the question parameters themselves
@@ -1397,15 +1398,11 @@ impl<'a> Session<'a> {
             // already surfaces through the Liked/Disliked rows.
             if fact_type != "Parameter" {
                 let f = self.fact_clause(preferred, fact, fact_type);
-                if !fact_parts.contains(&f) {
-                    fact_parts.push(f);
-                }
+                push_unique(&mut fact_parts, &mut fact_seen, f);
             }
             if foil_type != "Parameter" {
                 let o = self.foil_clause(alternative, foil, foil_type);
-                if !foil_parts.contains(&o) {
-                    foil_parts.push(o);
-                }
+                push_unique(&mut foil_parts, &mut foil_seen, o);
             }
         }
         let mut statements = fact_parts.clone();
@@ -1528,16 +1525,13 @@ impl<'a> Session<'a> {
         let q = queries::counterfactual_query(&subject_iri);
         let table = self.run_query(&world, &q)?.expect_solutions();
 
-        let mut forbidden: Vec<String> = Vec::new();
-        let mut suggested: Vec<String> = Vec::new();
+        let (mut forbidden, mut forbidden_seen) = (Vec::new(), HashSet::new());
+        let (mut suggested, mut suggested_seen) = (Vec::new(), HashSet::new());
         for row in table.local_rows() {
             let (property, base, inherited) = (&row[0], &row[1], &row[2]);
             match property.as_str() {
                 "forbids" => {
-                    let item = humanize(base);
-                    if !forbidden.contains(&item) {
-                        forbidden.push(item);
-                    }
+                    push_unique(&mut forbidden, &mut forbidden_seen, humanize(base));
                 }
                 "recommends" => {
                     let item = if inherited.is_empty() {
@@ -1545,9 +1539,7 @@ impl<'a> Session<'a> {
                     } else {
                         humanize(inherited)
                     };
-                    if !suggested.contains(&item) {
-                        suggested.push(item);
-                    }
+                    push_unique(&mut suggested, &mut suggested_seen, item);
                 }
                 _ => {}
             }
@@ -1774,6 +1766,16 @@ impl<'a> Session<'a> {
             statements,
             answer,
         })
+    }
+}
+
+/// Appends `item` to `list` unless `seen` already holds it, so a list
+/// built by repeated calls is deduplicated in first-seen order in one
+/// pass.
+fn push_unique(list: &mut Vec<String>, seen: &mut HashSet<String>, item: String) {
+    if !seen.contains(&item) {
+        seen.insert(item.clone());
+        list.push(item);
     }
 }
 

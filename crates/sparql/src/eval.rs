@@ -3,11 +3,17 @@
 //! The evaluator executes the AST directly with solution sets (vectors of
 //! bindings) flowing through group-pattern elements, matching the SPARQL
 //! algebra: triples blocks join, OPTIONAL left-joins, UNION concatenates,
-//! MINUS anti-joins on shared domains, FILTERs apply at group scope, BIND
-//! extends, VALUES joins an inline table. BGPs run in the order and with
-//! the join operator (nested or hash) of a [`Plan`] compiled from the
-//! view's statistics; the author-order and greedy strategies of
-//! [`Planner::Off`] / [`Planner::Greedy`] apply only when no plan does.
+//! MINUS anti-joins on shared domains, BIND extends, VALUES joins an
+//! inline table. BGPs run in the order and with the join operator (nested
+//! or hash) of a [`Plan`] compiled from the view's statistics; the
+//! author-order and greedy strategies of [`Planner::Off`] /
+//! [`Planner::Greedy`] apply only when no plan does.
+//!
+//! A FILTER has group scope but runs where the plan placed it, once its
+//! variables are final (`GroupPlan::filters`; at group end without a
+//! plan), dropping the same rows in the same order. Correlated
+//! sub-patterns — an EXISTS group, an OPTIONAL's right side — run once
+//! per distinct key: the row's values on the slots they mention.
 //!
 //! Evaluation is read-only: the input is any [`feo_rdf::GraphView`]
 //! (a `&Graph`, an [`feo_rdf::Overlay`] session, or the `&mut Graph`
@@ -28,8 +34,8 @@ use crate::ast::*;
 use crate::error::{Result, SparqlError};
 use crate::parser::parse_query;
 use crate::plan::{
-    plan_query, BgpPlan, ElementPlan, GroupPlan, JoinAlgo, Plan, Planner, QueryOptions,
-    HASH_JOIN_MIN,
+    pattern_var_slots, plan_query, term_bound, BgpPlan, ElementPlan, GroupPlan, JoinAlgo, Plan,
+    Planner, QueryOptions, HASH_JOIN_MIN,
 };
 use crate::results::{QueryResult, SolutionTable};
 use crate::value::{
@@ -112,9 +118,9 @@ pub fn execute<G: GraphView>(graph: G, q: &Query, opts: &QueryOptions) -> Result
 
 /// Executes a parsed query with a previously compiled [`Plan`].
 ///
-/// The plan must come from [`plan_query`] on the same query; a plan
-/// whose shape does not match degrades to greedy ordering for the
-/// mismatched nodes rather than misevaluating.
+/// The plan must come from [`plan_query`] on the same query: its filter
+/// placement is trusted. A plan whose shape does not match degrades to
+/// greedy ordering for the mismatched nodes rather than misevaluating.
 pub fn execute_prepared<G: GraphView>(
     graph: G,
     q: &Query,
@@ -143,6 +149,8 @@ fn execute_inner<G: GraphView>(
         force: opts.force_join,
         guard: opts.guard,
         tripped: Cell::new(None),
+        key_slots: Vec::new(),
+        exists: FxMap::default(),
     };
 
     let rows = ctx.eval_group(
@@ -198,81 +206,132 @@ impl VarTable {
     }
 }
 
-pub(crate) fn register_group_vars(group: &GroupPattern, vars: &mut VarTable) {
+/// What a walk reports: a variable (a blank-node label spelled
+/// `_:label`), a `BIND` (it fails on a row that already binds its
+/// target) or a `BNODE()` call (a fresh node per evaluation).
+pub(crate) enum Seen<'q> {
+    Var(&'q str),
+    Bind,
+    BNode,
+}
+
+/// Reports everything `group` mentions, EXISTS groups included, in the
+/// order that fixes slot numbering.
+fn walk_group(group: &GroupPattern, f: &mut dyn FnMut(Seen<'_>)) {
     for el in &group.elements {
-        match el {
-            GroupElement::Triples(ts) => {
-                for t in ts {
-                    register_term_vars(&t.subject, vars);
-                    if let Path::Var(v) = &t.path {
-                        vars.slot(v);
-                    }
-                    register_term_vars(&t.object, vars);
+        walk_element(el, f);
+    }
+}
+
+pub(crate) fn walk_element(el: &GroupElement, f: &mut dyn FnMut(Seen<'_>)) {
+    match el {
+        GroupElement::Triples(ts) => {
+            for t in ts {
+                walk_term(&t.subject, f);
+                if let Path::Var(v) = &t.path {
+                    f(Seen::Var(v));
                 }
+                walk_term(&t.object, f);
             }
-            GroupElement::Optional(g) | GroupElement::Minus(g) | GroupElement::Group(g) => {
-                register_group_vars(g, vars)
+        }
+        GroupElement::Optional(g) | GroupElement::Minus(g) | GroupElement::Group(g) => {
+            walk_group(g, f)
+        }
+        GroupElement::Union(arms) => {
+            for a in arms {
+                walk_group(a, f);
             }
-            GroupElement::Union(arms) => {
-                for a in arms {
-                    register_group_vars(a, vars);
-                }
-            }
-            GroupElement::Filter(e) => register_expr_vars(e, vars),
-            GroupElement::Bind(e, v) => {
-                register_expr_vars(e, vars);
-                vars.slot(v);
-            }
-            GroupElement::Values(vb) => {
-                for v in &vb.vars {
-                    vars.slot(v);
-                }
+        }
+        GroupElement::Filter(e) => walk_expr(e, f),
+        GroupElement::Bind(e, v) => {
+            walk_expr(e, f);
+            f(Seen::Var(v));
+            f(Seen::Bind);
+        }
+        GroupElement::Values(vb) => {
+            for v in &vb.vars {
+                f(Seen::Var(v));
             }
         }
     }
 }
 
-fn register_term_vars(tp: &TermPattern, vars: &mut VarTable) {
+fn walk_term(tp: &TermPattern, f: &mut dyn FnMut(Seen<'_>)) {
     match tp {
-        TermPattern::Var(v) => {
-            vars.slot(v);
-        }
-        TermPattern::Blank(l) => {
-            vars.slot(&format!("_:{l}"));
-        }
+        TermPattern::Var(v) => f(Seen::Var(v)),
+        TermPattern::Blank(l) => f(Seen::Var(&format!("_:{l}"))),
         _ => {}
     }
 }
 
-fn register_expr_vars(e: &Expr, vars: &mut VarTable) {
+fn walk_expr(e: &Expr, f: &mut dyn FnMut(Seen<'_>)) {
     match e {
-        Expr::Var(v) => {
-            vars.slot(v);
-        }
+        Expr::Var(v) => f(Seen::Var(v)),
         Expr::Or(a, b) | Expr::And(a, b) | Expr::Compare(_, a, b) | Expr::Arith(_, a, b) => {
-            register_expr_vars(a, vars);
-            register_expr_vars(b, vars);
+            walk_expr(a, f);
+            walk_expr(b, f);
         }
-        Expr::Not(a) | Expr::UnaryMinus(a) => register_expr_vars(a, vars),
+        Expr::Not(a) | Expr::UnaryMinus(a) => walk_expr(a, f),
         Expr::In(a, list, _) => {
-            register_expr_vars(a, vars);
+            walk_expr(a, f);
             for e in list {
-                register_expr_vars(e, vars);
+                walk_expr(e, f);
             }
         }
-        Expr::Call(_, args) => {
+        Expr::Call(builtin, args) => {
+            if *builtin == Builtin::BNode {
+                f(Seen::BNode);
+            }
             for a in args {
-                register_expr_vars(a, vars);
+                walk_expr(a, f);
             }
         }
-        Expr::Exists(g, _) => register_group_vars(g, vars),
+        Expr::Exists(g, _) => walk_group(g, f),
         Expr::Aggregate(agg) => {
             if let Some(inner) = &agg.expr {
-                register_expr_vars(inner, vars);
+                walk_expr(inner, f);
             }
         }
         Expr::Iri(_) | Expr::Literal(_) => {}
     }
+}
+
+/// The slots a walk mentions (ascending) and whether it binds or mints.
+#[derive(Default)]
+pub(crate) struct Mentions {
+    pub(crate) slots: Vec<usize>,
+    pub(crate) binds: bool,
+    pub(crate) mints: bool,
+}
+
+impl Mentions {
+    pub(crate) fn of(vars: &VarTable, walk: impl FnOnce(&mut dyn FnMut(Seen<'_>))) -> Mentions {
+        let mut m = Mentions::default();
+        walk(&mut |seen| match seen {
+            Seen::Var(v) => m.slots.extend(vars.get(v)),
+            Seen::Bind => m.binds = true,
+            Seen::BNode => m.mints = true,
+        });
+        m.slots.sort_unstable();
+        m.slots.dedup();
+        m
+    }
+}
+
+pub(crate) fn register_group_vars(group: &GroupPattern, vars: &mut VarTable) {
+    walk_group(group, &mut |seen| {
+        if let Seen::Var(v) = seen {
+            vars.slot(v);
+        }
+    });
+}
+
+fn register_expr_vars(e: &Expr, vars: &mut VarTable) {
+    walk_expr(e, &mut |seen| {
+        if let Seen::Var(v) = seen {
+            vars.slot(v);
+        }
+    });
 }
 
 pub(crate) fn register_modifier_vars(q: &Query, vars: &mut VarTable) {
@@ -336,6 +395,11 @@ struct Ctx<'a, G: GraphView> {
     /// closures) that cannot return a `Result`; checked at element
     /// boundaries and again when evaluation finishes.
     tripped: Cell<Option<Exhausted>>,
+    /// Key slots of each correlated sub-pattern met so far, by address
+    /// (a query has a handful: a scan beats hashing).
+    key_slots: Vec<(usize, Option<Vec<usize>>)>,
+    /// `EXISTS` results by (group address, key).
+    exists: FxMap<(usize, SlotKey), bool>,
 }
 
 impl<'a, G: GraphView> Ctx<'a, G> {
@@ -389,19 +453,24 @@ impl<'a, G: GraphView> Ctx<'a, G> {
     /// `i`, recursing with the matching subplan. A shape mismatch at any
     /// node simply drops the plan for that node — evaluation stays
     /// correct, only the precomputed order is lost.
+    /// A FILTER runs where the plan placed it, or else at group end.
     fn eval_group(
         &mut self,
         group: &GroupPattern,
         input: Vec<Binding>,
         plan: Option<&GroupPlan>,
     ) -> Result<Vec<Binding>> {
+        let placed: &[(usize, usize)] = plan.map_or(&[], |p| &p.filters);
+        let mut next_placed = 0;
+        let mut late: Vec<&Expr> = Vec::new();
         let mut rows = input;
-        let mut filters: Vec<&Expr> = Vec::new();
         for (i, el) in group.elements.iter().enumerate() {
+            self.run_placed(group, placed, &mut next_placed, i, &mut rows);
             self.checkpoint()?;
             let sub = plan.and_then(|p| p.elements.get(i));
             match el {
-                GroupElement::Filter(e) => filters.push(e),
+                GroupElement::Filter(e) if placed.iter().all(|&(_, f)| f != i) => late.push(e),
+                GroupElement::Filter(_) => {}
                 GroupElement::Triples(ts) => {
                     let bp = match sub {
                         Some(ElementPlan::Bgp(bp)) => Some(bp),
@@ -421,16 +490,7 @@ impl<'a, G: GraphView> Ctx<'a, G> {
                         Some(ElementPlan::Optional(gp)) => Some(gp),
                         _ => None,
                     };
-                    let mut out = Vec::new();
-                    for b in rows {
-                        let extended = self.eval_group(inner, vec![b.clone()], gp)?;
-                        if extended.is_empty() {
-                            out.push(b);
-                        } else {
-                            out.extend(extended);
-                        }
-                    }
-                    rows = out;
+                    rows = self.left_join(inner, rows, gp)?;
                 }
                 GroupElement::Union(arms) => {
                     let arm_plans = match sub {
@@ -451,18 +511,13 @@ impl<'a, G: GraphView> Ctx<'a, G> {
                     };
                     let empty = vec![vec![None; self.vars.len()]];
                     let rhs = self.eval_group(inner, empty, gp)?;
+                    // Drop a row compatible with some right-hand row on a
+                    // non-empty shared domain.
                     rows.retain(|b| {
                         !rhs.iter().any(|r| {
-                            let mut shared = false;
-                            for (x, y) in b.iter().zip(r.iter()) {
-                                if let (Some(x), Some(y)) = (x, y) {
-                                    if x != y {
-                                        return false;
-                                    }
-                                    shared = true;
-                                }
-                            }
-                            shared
+                            let mut shared =
+                                b.iter().zip(r).filter_map(|(x, y)| x.zip(*y)).peekable();
+                            shared.peek().is_some() && shared.all(|(x, y)| x == y)
                         })
                     });
                 }
@@ -471,19 +526,16 @@ impl<'a, G: GraphView> Ctx<'a, G> {
                         .vars
                         .get(v)
                         .ok_or_else(|| SparqlError::eval("unregistered BIND variable"))?;
-                    let mut out = Vec::with_capacity(rows.len());
-                    for mut b in rows {
+                    for b in &mut rows {
                         if b[slot].is_some() {
                             return Err(SparqlError::eval(format!(
                                 "BIND would rebind already-bound variable ?{v}"
                             )));
                         }
-                        if let Some(val) = self.eval_expr(e, &b) {
+                        if let Some(val) = self.eval_expr(e, b) {
                             b[slot] = Some(val.into_term_id(&mut self.g));
                         }
-                        out.push(b);
                     }
-                    rows = out;
                 }
                 GroupElement::Values(vb) => {
                     let slots: Vec<usize> = vb
@@ -496,33 +548,25 @@ impl<'a, G: GraphView> Ctx<'a, G> {
                         })
                         .collect::<Result<_>>()?;
                     // Intern the data terms.
-                    let mut table: Vec<Vec<Option<TermId>>> = Vec::new();
-                    for row in &vb.rows {
-                        let mut r = Vec::with_capacity(row.len());
-                        for cell in row {
-                            r.push(match cell {
-                                None => None,
-                                Some(tp) => Some(self.intern_ground(tp)?),
-                            });
-                        }
-                        table.push(r);
-                    }
+                    let table: Vec<Vec<Option<TermId>>> = vb
+                        .rows
+                        .iter()
+                        .map(|row| {
+                            row.iter()
+                                .map(|cell| {
+                                    cell.as_ref().map(|tp| self.intern_ground(tp)).transpose()
+                                })
+                                .collect::<Result<_>>()
+                        })
+                        .collect::<Result<_>>()?;
                     let mut out = Vec::new();
                     for b in &rows {
                         for trow in &table {
                             let mut merged = b.clone();
-                            let mut ok = true;
-                            for (slot, cell) in slots.iter().zip(trow.iter()) {
-                                match (merged[*slot], cell) {
-                                    (Some(x), Some(y)) if x != *y => {
-                                        ok = false;
-                                        break;
-                                    }
-                                    (None, Some(y)) => merged[*slot] = Some(*y),
-                                    _ => {}
-                                }
-                            }
-                            if ok {
+                            let mut cells = slots.iter().zip(trow);
+                            if cells.all(|(&s, cell)| {
+                                cell.is_none_or(|y| bind(&mut merged, Some(s), y))
+                            }) {
                                 out.push(merged);
                             }
                         }
@@ -531,24 +575,129 @@ impl<'a, G: GraphView> Ctx<'a, G> {
                 }
             }
         }
-        for f in filters {
-            let mut kept = Vec::with_capacity(rows.len());
-            for b in rows {
-                if self.filter_passes(f, &b)? {
-                    kept.push(b);
-                }
-            }
-            rows = kept;
+        self.run_placed(group, placed, &mut next_placed, usize::MAX, &mut rows);
+        for f in late {
+            rows.retain(|b| self.filter_passes(f, b));
         }
         Ok(rows)
     }
 
-    fn filter_passes(&mut self, e: &Expr, b: &Binding) -> Result<bool> {
-        // EXISTS needs mutable evaluation; handle at this level.
-        Ok(match self.eval_expr(e, b) {
+    /// Runs the placed filters due once `point` elements have run;
+    /// `next` is the first of `placed` not yet run.
+    fn run_placed(
+        &mut self,
+        group: &GroupPattern,
+        placed: &[(usize, usize)],
+        next: &mut usize,
+        point: usize,
+        rows: &mut Vec<Binding>,
+    ) {
+        while let Some(&(at, f)) = placed.get(*next) {
+            if at > point {
+                break;
+            }
+            *next += 1;
+            if let Some(GroupElement::Filter(e)) = group.elements.get(f) {
+                rows.retain(|b| self.filter_passes(e, b));
+            }
+        }
+    }
+
+    fn filter_passes(&mut self, e: &Expr, b: &Binding) -> bool {
+        match self.eval_expr(e, b) {
             Some(v) => ebv(&self.g, &v) == Some(true),
             None => false,
-        })
+        }
+    }
+
+    /// The slots a correlated sub-pattern's key reads: all it mentions,
+    /// since nothing else of the row can change its result. `None` (run
+    /// per row) when they do not fit a [`SlotKey`], or when it calls
+    /// `BNODE()`, whose fresh node rows with one key must not share.
+    fn key_slots(&mut self, group: &GroupPattern) -> Option<&[usize]> {
+        let addr = group as *const GroupPattern as usize;
+        let i = match self.key_slots.iter().position(|&(a, _)| a == addr) {
+            Some(i) => i,
+            None => {
+                let m = Mentions::of(&self.vars, |f| walk_group(group, f));
+                let cacheable = !m.mints && m.slots.len() <= KEY_SLOTS;
+                self.key_slots.push((addr, cacheable.then_some(m.slots)));
+                self.key_slots.len() - 1
+            }
+        };
+        self.key_slots[i].1.as_deref()
+    }
+
+    /// `EXISTS { group }` for row `b`, evaluated once per distinct key
+    /// per execution. A failed evaluation (a `BIND` conflict, or a trip
+    /// that `tripped` surfaces at the next checkpoint) is "no solution"
+    /// and is not cached.
+    fn exists(&mut self, group: &GroupPattern, b: &Binding) -> bool {
+        let site = group as *const GroupPattern as usize;
+        let key = self.key_slots(group).map(|s| (site, slot_key(s, b)));
+        if let Some(&hit) = key.and_then(|k| self.exists.get(&k)) {
+            return hit;
+        }
+        let Ok(rows) = self.eval_group(group, vec![b.clone()], None) else {
+            return false;
+        };
+        if let Some(k) = key {
+            self.exists.insert(k, !rows.is_empty());
+        }
+        !rows.is_empty()
+    }
+
+    /// `rows OPTIONAL { inner }` with the right side evaluated once per
+    /// distinct key: a repeated key replays the recorded extensions (the
+    /// key slots' values) onto its row, in order, charged to the solution
+    /// budget like join rows.
+    fn left_join(
+        &mut self,
+        inner: &GroupPattern,
+        rows: Vec<Binding>,
+        plan: Option<&GroupPlan>,
+    ) -> Result<Vec<Binding>> {
+        // A single row has nothing to share a key with.
+        let keyed = self
+            .key_slots(inner)
+            .filter(|_| rows.len() > 1)
+            .map(<[usize]>::to_vec);
+        let slots = keyed.as_deref().unwrap_or(&[]);
+        let w = slots.len();
+        // Per key: where its extensions start in `exts`, and how many.
+        let mut seen: FxMap<SlotKey, (usize, usize)> = FxMap::default();
+        let mut exts: Vec<Option<TermId>> = Vec::new();
+        let (mut out, mut uncharged) = (Vec::new(), 0);
+        for b in rows {
+            let key = keyed.as_ref().map(|_| slot_key(slots, &b));
+            if let Some(&(start, n)) = key.and_then(|k| seen.get(&k)) {
+                for ext in (0..n).map(|i| &exts[start + i * w..start + (i + 1) * w]) {
+                    let mut nb = b.clone();
+                    slots.iter().zip(ext).for_each(|(&s, &v)| nb[s] = v);
+                    out.push(nb);
+                }
+                if n == 0 {
+                    out.push(b);
+                }
+                uncharged += n;
+                if uncharged >= CHARGE_BATCH {
+                    self.charge_solutions(std::mem::take(&mut uncharged))?;
+                }
+                continue;
+            }
+            let extended = self.eval_group(inner, vec![b.clone()], plan)?;
+            if let Some(k) = key {
+                seen.insert(k, (exts.len(), extended.len()));
+                exts.extend(extended.iter().flat_map(|e| slots.iter().map(|&s| e[s])));
+            }
+            if extended.is_empty() {
+                out.push(b);
+            } else {
+                out.extend(extended);
+            }
+        }
+        self.charge_solutions(uncharged)?;
+        Ok(out)
     }
 
     // ---- BGP -------------------------------------------------------------
@@ -589,47 +738,30 @@ impl<'a, G: GraphView> Ctx<'a, G> {
                 return Ok(rows);
             }
         }
-        if self.planner == Planner::Off {
-            let mut rows = input;
-            for tp in patterns {
-                rows = self.match_triple_pattern(tp, rows)?;
-                if rows.is_empty() {
-                    break;
+        // Unplanned: author order under `Planner::Off`, else a greedy
+        // static reorder preferring the most bound positions given the
+        // variables bound so far (constants always count).
+        let mut ordered: Vec<&TriplePattern> = patterns.iter().collect();
+        if self.planner != Planner::Off {
+            let mut bound: HashSet<usize> = (input.first().into_iter().flatten().enumerate())
+                .filter_map(|(i, v)| v.map(|_| i))
+                .collect();
+            let mut remaining = std::mem::take(&mut ordered);
+            while !remaining.is_empty() {
+                // Strictly-greater keeps the first maximum, so ties resolve
+                // to author order and the solution sequence is deterministic.
+                let (mut best_idx, mut best_score) = (0, 0);
+                for (i, tp) in remaining.iter().enumerate() {
+                    let score = self.pattern_selectivity(tp, &bound);
+                    if i == 0 || score > best_score {
+                        (best_idx, best_score) = (i, score);
+                    }
                 }
-            }
-            return Ok(rows);
-        }
-        // Greedy static reorder: prefer patterns with most bound positions
-        // given the variables bound so far (constants always count).
-        let mut bound: HashSet<usize> = HashSet::new();
-        if let Some(first) = input.first() {
-            for (i, v) in first.iter().enumerate() {
-                if v.is_some() {
-                    bound.insert(i);
-                }
+                let tp = remaining.remove(best_idx);
+                bound.extend(pattern_var_slots(tp, &self.vars));
+                ordered.push(tp);
             }
         }
-        let mut remaining: Vec<&TriplePattern> = patterns.iter().collect();
-        let mut ordered: Vec<&TriplePattern> = Vec::with_capacity(remaining.len());
-        while !remaining.is_empty() {
-            // Strictly-greater keeps the first maximum, so ties resolve
-            // to author order and the solution sequence is deterministic.
-            let mut best_idx = 0;
-            let mut best_score = 0;
-            for (i, tp) in remaining.iter().enumerate() {
-                let score = self.pattern_selectivity(tp, &bound);
-                if i == 0 || score > best_score {
-                    best_idx = i;
-                    best_score = score;
-                }
-            }
-            let tp = remaining.remove(best_idx);
-            for slot in self.pattern_var_slots(tp) {
-                bound.insert(slot);
-            }
-            ordered.push(tp);
-        }
-
         let mut rows = input;
         for tp in ordered {
             rows = self.match_triple_pattern(tp, rows)?;
@@ -640,58 +772,21 @@ impl<'a, G: GraphView> Ctx<'a, G> {
         Ok(rows)
     }
 
-    fn pattern_var_slots(&self, tp: &TriplePattern) -> Vec<usize> {
-        let mut out = Vec::new();
-        for t in [&tp.subject, &tp.object] {
-            match t {
-                TermPattern::Var(v) => out.extend(self.vars.get(v)),
-                TermPattern::Blank(l) => out.extend(self.vars.get(&format!("_:{l}"))),
-                _ => {}
-            }
-        }
-        if let Path::Var(v) = &tp.path {
-            out.extend(self.vars.get(v));
-        }
-        out
-    }
-
+    /// Greedy score: ground positions count 3, bound variables 2, a
+    /// complex path 1 (evaluate it late unless its endpoints help).
     fn pattern_selectivity(&self, tp: &TriplePattern, bound: &HashSet<usize>) -> usize {
-        let mut score = 0;
         let term_score = |t: &TermPattern| match t {
-            TermPattern::Var(v) => {
-                if self.vars.get(v).is_some_and(|s| bound.contains(&s)) {
-                    2
-                } else {
-                    0
-                }
+            TermPattern::Var(_) | TermPattern::Blank(_) => {
+                2 * usize::from(term_bound(t, &self.vars, bound))
             }
-            TermPattern::Blank(l) => {
-                if self
-                    .vars
-                    .get(&format!("_:{l}"))
-                    .is_some_and(|s| bound.contains(&s))
-                {
-                    2
-                } else {
-                    0
-                }
-            }
-            _ => 3, // ground terms are most selective
+            _ => 3,
         };
-        score += term_score(&tp.subject);
-        score += term_score(&tp.object);
-        score += match &tp.path {
-            Path::Var(v) => {
-                if self.vars.get(v).is_some_and(|s| bound.contains(&s)) {
-                    2
-                } else {
-                    0
-                }
-            }
+        let path_score = match &tp.path {
+            Path::Var(v) => 2 * usize::from(self.vars.get(v).is_some_and(|s| bound.contains(&s))),
             Path::Iri(_) => 3,
-            _ => 1, // complex paths: evaluate late unless endpoints help
+            _ => 1,
         };
-        score
+        term_score(&tp.subject) + term_score(&tp.object) + path_score
     }
 
     fn match_triple_pattern(
@@ -887,24 +982,10 @@ impl<'a, G: GraphView> Ctx<'a, G> {
                 out
             }
             Path::Alternative(l, r) => {
-                let mut out = self.eval_path(l, s, o);
-                let seen: HashSet<(TermId, TermId)> = out.iter().copied().collect();
-                for pair in self.eval_path(r, s, o) {
-                    if !seen.contains(&pair) {
-                        out.push(pair);
-                    }
-                }
-                out
+                union_pairs(self.eval_path(l, s, o), self.eval_path(r, s, o))
             }
             Path::ZeroOrOne(inner) => {
-                let mut out = self.zero_length_pairs(s, o);
-                let seen: HashSet<(TermId, TermId)> = out.iter().copied().collect();
-                for pair in self.eval_path(inner, s, o) {
-                    if !seen.contains(&pair) {
-                        out.push(pair);
-                    }
-                }
-                out
+                union_pairs(self.zero_length_pairs(s, o), self.eval_path(inner, s, o))
             }
             Path::ZeroOrMore(inner) => self.closure_pairs(inner, s, o, true),
             Path::OneOrMore(inner) => self.closure_pairs(inner, s, o, false),
@@ -1079,13 +1160,7 @@ impl<'a, G: GraphView> Ctx<'a, G> {
                 Some(Value::Bool(found != *negated))
             }
             Expr::Call(builtin, args) => self.call(*builtin, args, b),
-            Expr::Exists(group, negated) => {
-                let found = match self.eval_group(group, vec![b.clone()], None) {
-                    Ok(rows) => !rows.is_empty(),
-                    Err(_) => false,
-                };
-                Some(Value::Bool(found != *negated))
-            }
+            Expr::Exists(group, negated) => Some(Value::Bool(self.exists(group, b) != *negated)),
             Expr::Aggregate(_) => None, // only valid in aggregation context
         }
     }
@@ -1447,44 +1522,40 @@ impl<'a, G: GraphView> Ctx<'a, G> {
 
         // ORDER BY over full bindings.
         let mut rows = rows;
-        if !q.modifiers.order_by.is_empty() {
-            let mut keyed: Vec<(Vec<crate::value::OrderKey>, BoolMask, Binding)> = Vec::new();
+        let order_by = &q.modifiers.order_by;
+        if !order_by.is_empty() {
+            let mut keyed: Vec<(Vec<crate::value::OrderKey>, Binding)> = Vec::new();
             for b in rows {
-                let mut keys = Vec::new();
-                let mut descs = Vec::new();
-                for oc in &q.modifiers.order_by {
-                    let v = self.eval_expr(&oc.expr, &b);
-                    keys.push(order_key(&self.g, v.as_ref()));
-                    descs.push(oc.descending);
-                }
-                keyed.push((keys, descs, b));
+                let keys = order_by
+                    .iter()
+                    .map(|oc| {
+                        let v = self.eval_expr(&oc.expr, &b);
+                        order_key(&self.g, v.as_ref())
+                    })
+                    .collect();
+                keyed.push((keys, b));
             }
-            keyed.sort_by(|(ka, da, _), (kb, _, _)| {
-                for ((a, b), desc) in ka.iter().zip(kb.iter()).zip(da.iter()) {
+            keyed.sort_by(|(ka, _), (kb, _)| {
+                for ((a, b), oc) in ka.iter().zip(kb).zip(order_by) {
                     let ord = a.cmp(b);
-                    let ord = if *desc { ord.reverse() } else { ord };
-                    if ord != std::cmp::Ordering::Equal {
+                    let ord = if oc.descending { ord.reverse() } else { ord };
+                    if ord.is_ne() {
                         return ord;
                     }
                 }
                 std::cmp::Ordering::Equal
             });
-            rows = keyed.into_iter().map(|(_, _, b)| b).collect();
+            rows = keyed.into_iter().map(|(_, b)| b).collect();
         }
 
         // Projection.
         let (names, slots): (Vec<String>, Vec<usize>) = match projection {
             Projection::All => {
-                let mut pairs: Vec<(String, usize)> = self
-                    .vars
-                    .names
-                    .iter()
-                    .enumerate()
+                // Slot order, blank-node labels left out.
+                (self.vars.names.iter().enumerate())
                     .filter(|(_, n)| !n.starts_with("_:"))
                     .map(|(i, n)| (n.clone(), i))
-                    .collect();
-                pairs.sort_by_key(|a| a.1);
-                pairs.into_iter().unzip()
+                    .unzip()
             }
             Projection::Items(items) => {
                 let pairs: Vec<(String, usize)> = items
@@ -1723,38 +1794,16 @@ impl<'a, G: GraphView> Ctx<'a, G> {
                 }
                 Some(Value::Num(acc / values.len() as f64))
             }
-            AggregateKind::Min => {
-                let mut best: Option<Value> = None;
-                for v in values {
-                    best = Some(match best {
-                        None => v,
-                        Some(b) => {
-                            if values_compare(&self.g, &v, &b) == Some(std::cmp::Ordering::Less) {
-                                v
-                            } else {
-                                b
-                            }
-                        }
-                    });
-                }
-                best
-            }
-            AggregateKind::Max => {
-                let mut best: Option<Value> = None;
-                for v in values {
-                    best = Some(match best {
-                        None => v,
-                        Some(b) => {
-                            if values_compare(&self.g, &v, &b) == Some(std::cmp::Ordering::Greater)
-                            {
-                                v
-                            } else {
-                                b
-                            }
-                        }
-                    });
-                }
-                best
+            AggregateKind::Min | AggregateKind::Max => {
+                let wins = match agg.kind {
+                    AggregateKind::Min => std::cmp::Ordering::Less,
+                    _ => std::cmp::Ordering::Greater,
+                };
+                let better =
+                    |v: &Value, best: &Value| values_compare(&self.g, v, best) == Some(wins);
+                values
+                    .into_iter()
+                    .reduce(|best, v| if better(&v, &best) { v } else { best })
             }
             AggregateKind::Sample => values.into_iter().next(),
             AggregateKind::GroupConcat => {
@@ -1814,8 +1863,15 @@ impl<'a, G: GraphView> Ctx<'a, G> {
     }
 }
 
-/// Row-sort helper alias (descending flags per ORDER BY condition).
-type BoolMask = Vec<bool>;
+/// `out` followed by the pairs of `more` that `out` does not hold.
+fn union_pairs(
+    mut out: Vec<(TermId, TermId)>,
+    more: Vec<(TermId, TermId)>,
+) -> Vec<(TermId, TermId)> {
+    let seen: HashSet<(TermId, TermId)> = out.iter().copied().collect();
+    out.extend(more.into_iter().filter(|pair| !seen.contains(pair)));
+    out
+}
 
 /// A plan is executable against `n` patterns when it covers each
 /// pattern exactly once.
@@ -1849,6 +1905,42 @@ impl Endpoint {
     fn value(self, b: &Binding) -> Option<TermId> {
         self.ground.or_else(|| self.slot.and_then(|slot| b[slot]))
     }
+}
+
+/// FxHash (rustc's multiply-rotate hash) for the sub-pattern caches:
+/// SipHash made a cached EXISTS check cost as much as a small evaluation.
+/// Keys are dictionary-assigned term ids, never text from outside.
+#[derive(Default)]
+struct FxHasher(u64);
+
+impl std::hash::Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.0 = (self.0.rotate_left(5) ^ u64::from_le_bytes(word))
+                .wrapping_mul(0x517c_c1b7_2722_0a95);
+        }
+    }
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type FxMap<K, V> = HashMap<K, V, std::hash::BuildHasherDefault<FxHasher>>;
+
+/// A row's values on a sub-pattern's key slots, inline so a per-row key
+/// costs no allocation (the paper's listings read two slots; `None` pads,
+/// and one sub-pattern's keys all have one width).
+type SlotKey = [Option<TermId>; KEY_SLOTS];
+const KEY_SLOTS: usize = 4;
+
+fn slot_key(slots: &[usize], b: &Binding) -> SlotKey {
+    let mut key = [None; KEY_SLOTS];
+    for (k, &s) in key.iter_mut().zip(slots) {
+        *k = b[s];
+    }
+    key
 }
 
 /// Build side of the hash operator (see

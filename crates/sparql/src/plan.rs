@@ -7,9 +7,11 @@
 //! [`GraphView::class_instance_count`]), records which hexastore index
 //! the evaluator's dispatch will hit for each pattern, and marks steps
 //! whose build side is large enough that a hash join beats per-row
-//! B-tree range scans. The evaluator executes the plan verbatim instead
-//! of re-deriving an order on every call; [`feo-core`'s plan cache]
-//! reuses one plan across repeated questions on an unchanged snapshot.
+//! B-tree range scans; per group it places each FILTER after the last
+//! element that mentions its variables. The evaluator executes the plan
+//! verbatim instead of re-deriving an order on every call; [`feo-core`'s
+//! plan cache] reuses one plan across repeated questions on an unchanged
+//! snapshot.
 //!
 //! Estimates are deliberately simple — uniform-distribution formulas
 //! over per-predicate triple / distinct-subject / distinct-object
@@ -28,7 +30,7 @@ use feo_rdf::GraphView;
 use crate::ast::{
     GroupElement, GroupPattern, LiteralPattern, Path, Query, TermPattern, TriplePattern,
 };
-use crate::eval::{register_group_vars, register_modifier_vars, VarTable};
+use crate::eval::{register_group_vars, register_modifier_vars, walk_element, Mentions, VarTable};
 
 /// Join-order strategy for BGP evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -141,8 +143,8 @@ impl IndexChoice {
 /// A compiled query plan, mirroring the query's group-pattern tree.
 ///
 /// The evaluator walks plan and AST in lockstep; a structural mismatch
-/// (a plan compiled from a different query) degrades to the greedy
-/// strategy for the mismatched node instead of misevaluating.
+/// degrades to the greedy strategy for the mismatched node, but filter
+/// placement is trusted, so a plan is only for the query it came from.
 #[derive(Debug, Clone, Default)]
 pub struct Plan {
     pub root: GroupPlan,
@@ -152,6 +154,10 @@ pub struct Plan {
 #[derive(Debug, Clone, Default)]
 pub struct GroupPlan {
     pub elements: Vec<ElementPlan>,
+    /// `(point, filter)` pairs ordered by point: FILTER element `filter`
+    /// runs once `point` elements have (0: on the group's input). One not
+    /// listed runs at group end, as without a plan; clearing is safe.
+    pub filters: Vec<(usize, usize)>,
 }
 
 /// Plan node for one group element.
@@ -270,7 +276,41 @@ fn plan_group<G: GraphView>(
         };
         elements.push(planned);
     }
-    GroupPlan { elements }
+    GroupPlan {
+        elements,
+        filters: place_filters(group, vars),
+    }
+}
+
+/// Places each FILTER after the last element that mentions one of its
+/// variables (EXISTS groups included), or on the group's input: later
+/// elements leave those values as they are, so it drops there the rows
+/// it would drop at group end, in the same order. Filters at one point
+/// keep author order; none moves before a `BIND` (whose "would rebind"
+/// error it could suppress), and a group calling `BNODE()` keeps them at
+/// group end (placement would change which labels it mints).
+fn place_filters(group: &GroupPattern, vars: &VarTable) -> Vec<(usize, usize)> {
+    let seen: Vec<Mentions> = group
+        .elements
+        .iter()
+        .map(|el| Mentions::of(vars, |f| walk_element(el, f)))
+        .collect();
+    if seen.iter().any(|m| m.mints) {
+        return Vec::new();
+    }
+    let is_filter = |i: usize| matches!(group.elements[i], GroupElement::Filter(_));
+    let mut placed: Vec<(usize, usize)> = (0..seen.len())
+        .filter(|&i| is_filter(i))
+        .map(|i| {
+            let last = (0..seen.len()).rev().find(|&j| {
+                !is_filter(j)
+                    && (seen[j].binds || seen[j].slots.iter().any(|s| seen[i].slots.contains(s)))
+            });
+            (last.map_or(0, |j| j + 1), i)
+        })
+        .collect();
+    placed.sort_by_key(|&(point, _)| point);
+    placed
 }
 
 fn plan_bgp<G: GraphView>(
@@ -282,12 +322,23 @@ fn plan_bgp<G: GraphView>(
     let mut remaining: Vec<usize> = (0..patterns.len()).collect();
     let mut steps = Vec::with_capacity(patterns.len());
     while !remaining.is_empty() {
-        // Minimum estimated cardinality wins; a strictly-smaller test
-        // keeps the first minimum, so ties preserve author order.
+        // No cross product while a pattern joins on a bound variable (or
+        // has none): its estimate is an average that layers skew low.
+        // `?x rdf:type <C>` scans are counted exactly and still compete
+        // (DESIGN.md "Query planning"). Minimum estimate wins; a strictly
+        // smaller test keeps the first minimum, so ties keep author order.
+        let joins = |pi: &usize| {
+            let slots = pattern_var_slots(&patterns[*pi], vars);
+            slots.is_empty() || slots.iter().any(|s| bound.contains(s))
+        };
+        let joining = remaining.iter().any(joins);
         let mut best = 0;
         let mut best_est = f64::INFINITY;
         let mut best_index = IndexChoice::Full;
         for (i, &pi) in remaining.iter().enumerate() {
+            if joining && !joins(&pi) && class_scan(&patterns[pi]).is_none() {
+                continue;
+            }
             let (est, index) = estimate(view, &patterns[pi], vars, bound);
             if est < best_est {
                 best = i;
@@ -302,9 +353,7 @@ fn plan_bgp<G: GraphView>(
         } else {
             JoinAlgo::Nested
         };
-        for slot in pattern_var_slots(tp, vars) {
-            bound.insert(slot);
-        }
+        bound.extend(pattern_var_slots(tp, vars));
         steps.push(PlanStep {
             pattern: pi,
             est_rows: best_est,
@@ -316,7 +365,7 @@ fn plan_bgp<G: GraphView>(
 }
 
 /// Variable/blank slots this pattern can bind.
-fn pattern_var_slots(tp: &TriplePattern, vars: &VarTable) -> Vec<usize> {
+pub(crate) fn pattern_var_slots(tp: &TriplePattern, vars: &VarTable) -> Vec<usize> {
     let mut out = Vec::new();
     for t in [&tp.subject, &tp.object] {
         match t {
@@ -333,7 +382,7 @@ fn pattern_var_slots(tp: &TriplePattern, vars: &VarTable) -> Vec<usize> {
 
 /// Ground terms count as bound; variables and blank labels only when
 /// their slot is in the bound set.
-fn term_bound(tp: &TermPattern, vars: &VarTable, bound: &HashSet<usize>) -> bool {
+pub(crate) fn term_bound(tp: &TermPattern, vars: &VarTable, bound: &HashSet<usize>) -> bool {
     match tp {
         TermPattern::Var(v) => vars.get(v).is_some_and(|s| bound.contains(&s)),
         TermPattern::Blank(l) => vars
@@ -368,15 +417,11 @@ fn estimate<G: GraphView>(
                 (true, true) => ((triples / (ds * dout)).min(1.0), IndexChoice::Spo),
                 (true, false) => (triples / ds, IndexChoice::Spo),
                 (false, true) => {
-                    // `?x rdf:type <C>` has an exact maintained count.
-                    if view.lookup_iri(rdf::TYPE) == Some(pid) {
-                        if let TermPattern::Iri(class) = &tp.object {
-                            let n = match view.lookup_iri(class) {
-                                Some(cid) => view.class_instance_count(cid) as f64,
-                                None => 0.0,
-                            };
-                            return (n, IndexChoice::Pos);
-                        }
+                    if let Some(class) = class_scan(tp) {
+                        let n = view
+                            .lookup_iri(class)
+                            .map_or(0, |c| view.class_instance_count(c));
+                        return (n as f64, IndexChoice::Pos);
                     }
                     (triples / dout, IndexChoice::Pos)
                 }
@@ -412,6 +457,15 @@ fn estimate<G: GraphView>(
             };
             (est + 1.0, IndexChoice::Path)
         }
+    }
+}
+
+/// The class of a `?x rdf:type <C>` pattern: the one scan the statistics
+/// count exactly (`GraphView::class_instance_count`).
+fn class_scan(tp: &TriplePattern) -> Option<&str> {
+    match (&tp.path, &tp.object) {
+        (Path::Iri(p), TermPattern::Iri(class)) if p == rdf::TYPE => Some(class),
+        _ => None,
     }
 }
 
@@ -467,10 +521,20 @@ fn indent(out: &mut String, depth: usize) {
     }
 }
 
+/// Renders a group's elements in author order, except that each placed
+/// filter appears at the point where it runs.
 fn render_group(out: &mut String, group: &GroupPattern, plan: &GroupPlan, depth: usize) {
+    let render_placed = |out: &mut String, point: usize| {
+        for _ in plan.filters.iter().filter(|&&(at, _)| at == point) {
+            indent(out, depth);
+            out.push_str("filter\n");
+        }
+    };
+    render_placed(out, 0);
     for (i, el) in group.elements.iter().enumerate() {
         let sub = plan.elements.get(i);
         match (el, sub) {
+            (GroupElement::Filter(_), _) if plan.filters.iter().any(|&(_, f)| f == i) => {}
             (GroupElement::Triples(ts), Some(ElementPlan::Bgp(bp))) => {
                 indent(out, depth);
                 out.push_str("bgp\n");
@@ -536,6 +600,7 @@ fn render_group(out: &mut String, group: &GroupPattern, plan: &GroupPlan, depth:
                 out.push_str("<plan/query shape mismatch>\n");
             }
         }
+        render_placed(out, i + 1);
     }
 }
 
@@ -668,6 +733,39 @@ mod tests {
     }
 
     #[test]
+    fn cross_product_waits_for_joining_patterns() {
+        // CQ1's shape: a question's parameter has ten characteristics, two
+        // things are in the ecosystem, one is a Fact.
+        let mut g = Graph::new();
+        g.insert_iris("http://e/q", "http://e/param", "http://e/r");
+        for i in 0..10 {
+            g.insert_iris("http://e/r", "http://e/char", &format!("http://e/c{i}"));
+        }
+        for i in 0..2 {
+            g.insert_iris(&format!("http://e/c{i}"), "http://e/in", "http://e/eco");
+        }
+        g.insert_iris("http://e/c0", rdf::TYPE, "http://e/Fact");
+        let order = |tail: &str| {
+            let (_, plan) = plan_for(
+                &g,
+                &format!(
+                    "SELECT * WHERE {{ BIND (<http://e/q> AS ?q) . \
+                     ?q <http://e/param> ?r . {tail} . ?r <http://e/char> ?c }}"
+                ),
+            );
+            let ElementPlan::Bgp(bp) = &plan.root.elements[1] else {
+                panic!("expected BGP plan: {plan:?}");
+            };
+            bp.steps.iter().map(|s| s.pattern).collect::<Vec<_>>()
+        };
+        // The ecosystem scan estimates 2 rows against the join's 10, but
+        // pairs every row with all of it: it waits until ?c is bound.
+        assert_eq!(order("?c <http://e/in> <http://e/eco>"), vec![0, 2, 1]);
+        // A class scan's size is counted exactly, so it still goes first.
+        assert_eq!(order("?c a <http://e/Fact>"), vec![0, 1, 2]);
+    }
+
+    #[test]
     fn unknown_predicate_runs_first() {
         let g = sample_graph();
         let (_, plan) = plan_for(
@@ -769,6 +867,39 @@ mod tests {
         assert!(narrow < broad, "narrow first:\n{text}");
         assert!(text.contains("filter"), "{text}");
         assert!(text.contains("idx="), "{text}");
+    }
+
+    #[test]
+    fn render_shows_filters_where_they_run() {
+        let g = sample_graph();
+        // CQ3's shape: BGP, OPTIONAL, then a NOT EXISTS on a BGP variable.
+        let (q, plan) = plan_for(
+            &g,
+            "SELECT * WHERE { <http://e/r0> ?p ?v . ?v <http://e/broad> ?x \
+             OPTIONAL { ?v <http://e/narrow> ?o } \
+             FILTER NOT EXISTS { ?sub <http://e/broad> ?p } }",
+        );
+        assert_eq!(plan.root.filters, vec![(1, 2)], "after the BGP: {plan:?}");
+        let text = plan.render(&q, Planner::CostBased);
+        let lines: Vec<&str> = text.lines().map(str::trim_start).collect();
+        let at = |s: &str| lines.iter().position(|l| *l == s).expect(s);
+        assert!(at("bgp") < at("filter"), "{text}");
+        assert!(at("filter") < at("optional"), "{text}");
+
+        // Filters behind a BIND wait for it even when they mention
+        // nothing it binds, and keep author order at one point; a filter
+        // no element mentions runs on the group's input.
+        let (_, plan) = plan_for(
+            &g,
+            "SELECT * WHERE { ?r <http://e/broad> ?v FILTER (?v != <http://e/v1>) \
+             BIND (1 AS ?k) FILTER (?r != <http://e/r2>) FILTER (?zz = 3) }",
+        );
+        assert_eq!(plan.root.filters, vec![(3, 1), (3, 3), (3, 4)], "{plan:?}");
+        let (_, plan) = plan_for(
+            &g,
+            "SELECT * WHERE { ?r <http://e/broad> ?v FILTER (?zz = 3) }",
+        );
+        assert_eq!(plan.root.filters, vec![(0, 1)], "{plan:?}");
     }
 
     #[test]
