@@ -48,6 +48,15 @@ echo "== adversarial suite (bounded wall-clock)"
 # has to finish inside the timeout.
 timeout 120 cargo test -q --offline --release --test adversarial
 
+echo "== closure oracle and incremental closure (bounded wall-clock)"
+# The full closure is the delta closure started from empty, so it is
+# checked against a naive fixpoint reasoner that shares no code with
+# the engine (closure and inconsistencies, on generated ontologies, the
+# curated KG and seeded worlds), and the delta closure against a full
+# re-materialization, optimized.
+timeout 240 cargo test -q --offline --release --test closure_oracle --test incremental_closure
+timeout 240 cargo test -q --offline --release -p feo-owl --test closure_oracle
+
 echo "== planner equivalence (bounded wall-clock)"
 # All three planners must return identical solution multisets on seeded
 # synthetic KGs, guarded or not.

@@ -1,7 +1,7 @@
 //! Ablation benches for the design choices DESIGN.md calls out:
 //!
 //! - SPARQL planner: cost-based vs. greedy reordering vs. author order;
-//! - reasoner schema-closure materialization on vs. off;
+//! - reasoner derivation tracking off vs. on;
 //! - explanation-pipeline cost split: assemble vs. materialize vs. query.
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -47,28 +47,6 @@ fn bench_bgp_reordering(c: &mut Criterion) {
         };
         group.bench_function(label, |b| {
             b.iter(|| black_box(query(&g, &q, &opts).expect("runs")))
-        });
-    }
-    group.finish();
-}
-
-fn bench_schema_closure(c: &mut Criterion) {
-    let (kg, user, ctx) = synthetic_fixture(200);
-    let base = assemble(&kg, &user, &ctx);
-    let mut group = c.benchmark_group("ablation_schema_closure");
-    group.sample_size(10);
-    for (label, closure) in [("with_closure", true), ("without_closure", false)] {
-        let opts = ReasonerOptions {
-            materialize_schema_closure: closure,
-            ..Default::default()
-        };
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                let mut g = base.clone();
-                black_box(
-                    Reasoner::with_options(opts.clone()).materialize(&mut g, &Default::default()),
-                )
-            })
         });
     }
     group.finish();
@@ -132,7 +110,6 @@ fn bench_derivation_tracking(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_bgp_reordering,
-    bench_schema_closure,
     bench_pipeline_phases,
     bench_derivation_tracking
 );

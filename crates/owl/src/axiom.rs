@@ -45,8 +45,7 @@ impl ClassExpr {
         }
     }
 
-    /// Structural size — used by tests and to pick the cheapest conjunct
-    /// when enumerating candidates.
+    /// Structural size: the number of nodes in the expression tree.
     pub fn size(&self) -> usize {
         match self {
             ClassExpr::Named(_) => 1,

@@ -20,11 +20,27 @@
 //! realized as generic "satisfies / apply" evaluation of class
 //! expressions on each side of every (Sub|Equivalent)ClassOf axiom.
 //!
-//! Consistency: cax-dw (disjoint classes), cls-nothing2, prp-irp
-//! (irreflexive), prp-asyp (asymmetric), eq-diff1 (sameAs ∧ differentFrom).
+//! Consistency: cax-dw (disjoint classes), prp-pdw (disjoint
+//! properties), cls-nothing2, prp-irp (irreflexive), prp-asyp
+//! (asymmetric), eq-diff1 (sameAs ∧ differentFrom).
+//!
+//! ## One algorithm, two seeds
+//!
+//! Read as a Datalog program (DaRLing's reading of OWL 2 RL), the
+//! closure is one semi-naïve fixpoint: every pass joins only the triples
+//! added since its last turn against the store. [`Reasoner::materialize`]
+//! starts it from an empty closure, with every triple of the graph, the
+//! schema closure and the asserted `owl:sameAs` pairs as the seed;
+//! [`Reasoner::materialize_delta`] starts it from a closed base, with
+//! the overlay's delta triples and the base's `owl:sameAs` pairs as the
+//! seed. The instance rules run off a worklist, complex class axioms off
+//! per-atom triggers, property chains as a semi-naïve join, and the
+//! consistency rules over every fresh triple.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::fmt;
+use std::ops::Range;
 
 use feo_rdf::governor::{Exhausted, Guard, Resource};
 use feo_rdf::vocab::{owl, rdf, rdfs};
@@ -36,16 +52,9 @@ use crate::extract::extract_axioms;
 /// Tuning knobs for materialization.
 #[derive(Debug, Clone)]
 pub struct ReasonerOptions {
-    /// Insert the transitive closure of `rdfs:subClassOf` /
-    /// `rdfs:subPropertyOf` over named classes/properties into the graph,
-    /// so SPARQL queries can use single-hop subclass patterns the way the
-    /// paper's Listing 1 does. Default: true.
-    pub materialize_schema_closure: bool,
     /// Abort after this many outer rounds (safety valve; the fixpoint
     /// normally converges in a handful). Default: 64.
     pub max_rounds: usize,
-    /// Run consistency checks after the fixpoint. Default: true.
-    pub check_consistency: bool,
     /// Record, for every inferred triple, the rule that produced it and
     /// its premise triples — the analogue of Pellet's axiom explanations.
     /// Default: false (costs memory proportional to the inferred set).
@@ -55,9 +64,7 @@ pub struct ReasonerOptions {
 impl Default for ReasonerOptions {
     fn default() -> Self {
         ReasonerOptions {
-            materialize_schema_closure: true,
             max_rounds: 64,
-            check_consistency: true,
             track_derivations: false,
         }
     }
@@ -206,6 +213,14 @@ impl<'a> MaterializeOptions<'a> {
             ..Default::default()
         }
     }
+
+    /// The precompiled rules, or rules compiled from `g`.
+    fn rules_for(&self, g: &mut impl GraphStore) -> Cow<'a, CompiledRules> {
+        match self.rules {
+            Some(rules) => Cow::Borrowed(rules),
+            None => Cow::Owned(CompiledRules::compile(g)),
+        }
+    }
 }
 
 impl fmt::Display for ReasonerError {
@@ -224,11 +239,12 @@ impl std::error::Error for ReasonerError {}
 
 /// The materializing reasoner.
 ///
-/// [`Reasoner::materialize`] recompiles the TBox on every call, so graphs
-/// whose schema changes between runs keep working. The snapshot + overlay
-/// pipeline instead calls [`Reasoner::compile`] once on the base graph and
-/// then [`Reasoner::materialize_delta`] per session overlay, skipping both
-/// re-extraction and the full fixpoint.
+/// [`Reasoner::materialize`] recompiles the TBox on every call unless
+/// given [`CompiledRules`], so graphs whose schema changes between runs
+/// keep working. The snapshot + overlay pipeline instead calls
+/// [`Reasoner::compile`] once on the base graph and then
+/// [`Reasoner::materialize_delta`] per session overlay: the same
+/// closure, seeded with the session's triples instead of the graph's.
 #[derive(Debug, Default, Clone)]
 pub struct Reasoner {
     options: ReasonerOptions,
@@ -246,6 +262,13 @@ impl Reasoner {
     /// Materializes all derivable triples into `graph` and returns run
     /// statistics. Idempotent: a second run adds nothing.
     ///
+    /// This is the semi-naïve closure started from empty: the schema
+    /// closure (the transitive `rdfs:subClassOf` / `rdfs:subPropertyOf`
+    /// pairs over named classes and properties, so SPARQL can use
+    /// single-hop subclass patterns the way the paper's Listing 1 does)
+    /// and the asserted `owl:sameAs` pairs are derived first, and every
+    /// triple of the graph is the seed.
+    ///
     /// Behavior under [`MaterializeOptions`]:
     /// - with `rules`, reuses the precompiled tables; otherwise extracts
     ///   and compiles the TBox first (use [`Reasoner::compile`] to split
@@ -261,17 +284,14 @@ impl Reasoner {
         graph: &mut impl GraphStore,
         opts: &MaterializeOptions,
     ) -> Result<InferenceResult, ReasonerError> {
-        let compiled;
-        let rules = match opts.rules {
-            Some(r) => r,
-            None => {
-                compiled = CompiledRules::compile(graph);
-                &compiled
-            }
-        };
-        let mut engine = Engine::new(graph, rules, &self.options);
-        engine.guard = opts.guard;
-        settle(engine.run())
+        let rules = opts.rules_for(graph);
+        let mut engine = Engine::new(graph, &rules, &self.options, opts.guard);
+        for &(a, b) in &rules.initial_same_as {
+            engine.note_alias(a, b);
+        }
+        engine.materialize_schema();
+        let seed: Vec<[TermId; 3]> = engine.g.iter_ids().collect();
+        settle(engine.run(seed))
     }
 
     /// Extracts the graph's axioms and compiles them into reusable rule
@@ -281,18 +301,19 @@ impl Reasoner {
     }
 
     /// Semi-naïve incremental re-closure of an overlay whose base is
-    /// already materialized: only consequences reachable from the
-    /// overlay's delta triples are derived, which is equivalent to a full
-    /// re-materialization of `base ∪ delta` when
+    /// already materialized: the closure [`Reasoner::materialize`] runs,
+    /// seeded with the overlay's delta triples instead of every triple,
+    /// so only consequences reachable from them are derived. That is
+    /// equivalent to a full re-materialization of `base ∪ delta` when
     ///
     /// - the base was materialized under the same `rules`, and
     /// - the delta contains ABox assertions only (the TBox, and therefore
     ///   `rules`, is unchanged).
     ///
     /// All derived triples land in the overlay's delta; the base is never
-    /// touched. Consistency checking (when enabled) is likewise scoped to
-    /// the delta: only violations involving delta-affected triples or
-    /// individuals are reported.
+    /// touched. Consistency checking is likewise scoped to the delta:
+    /// only violations involving delta-affected triples or individuals
+    /// are reported.
     ///
     /// The rule tables normally arrive via [`MaterializeOptions::rules`],
     /// compiled once from the base; when absent they are compiled from
@@ -305,18 +326,18 @@ impl Reasoner {
         overlay: &mut Overlay<B>,
         opts: &MaterializeOptions,
     ) -> Result<InferenceResult, ReasonerError> {
+        let rules = opts.rules_for(overlay);
         let seed: Vec<[TermId; 3]> = overlay.delta_log().to_vec();
-        let compiled;
-        let rules = match opts.rules {
-            Some(r) => r,
-            None => {
-                compiled = CompiledRules::compile(overlay);
-                &compiled
-            }
-        };
-        let mut engine = Engine::new(overlay, rules, &self.options);
-        engine.guard = opts.guard;
-        settle(engine.run_delta(&seed))
+        // Aliases derived in the base closure exist only as `owl:sameAs`
+        // triples there; rebuild the alias sets so eq-rep fires when a
+        // delta triple touches an aliased individual. On a closed base
+        // every re-noted pair is a no-op insert.
+        let same_as = overlay.match_pattern(None, Some(rules.same_as), None);
+        let mut engine = Engine::new(overlay, &rules, &self.options, opts.guard);
+        for [a, _, b] in same_as {
+            engine.note_alias(a, b);
+        }
+        settle(engine.run(seed))
     }
 }
 
@@ -349,18 +370,18 @@ pub struct CompiledRules {
     same_as: TermId,
     /// Named-class superclasses (transitive, irreflexive-by-construction
     /// unless cycles exist, in which case cycle members include each other).
-    sup_class: HashMap<TermId, BTreeSet<TermId>>,
+    sup_class: FxMap<TermId, BTreeSet<TermId>>,
     /// Named-property superproperties (transitive).
-    sup_prop: HashMap<TermId, BTreeSet<TermId>>,
-    inverses: HashMap<TermId, Vec<TermId>>,
-    transitive: HashSet<TermId>,
-    symmetric: HashSet<TermId>,
-    asymmetric: HashSet<TermId>,
-    functional: HashSet<TermId>,
-    inverse_functional: HashSet<TermId>,
-    irreflexive: HashSet<TermId>,
-    domains: HashMap<TermId, Vec<ClassExpr>>,
-    ranges: HashMap<TermId, Vec<ClassExpr>>,
+    sup_prop: FxMap<TermId, BTreeSet<TermId>>,
+    inverses: FxMap<TermId, Vec<TermId>>,
+    transitive: FxSet<TermId>,
+    symmetric: FxSet<TermId>,
+    asymmetric: BTreeSet<TermId>,
+    functional: FxSet<TermId>,
+    inverse_functional: FxSet<TermId>,
+    irreflexive: BTreeSet<TermId>,
+    domains: FxMap<TermId, Vec<ClassExpr>>,
+    ranges: FxMap<TermId, Vec<ClassExpr>>,
     chains: Vec<(Vec<TermId>, TermId)>,
     /// Subclass-like pairs where at least one side is a complex expression.
     complex: Vec<(ClassExpr, ClassExpr)>,
@@ -368,15 +389,21 @@ pub struct CompiledRules {
     disjoint_properties: Vec<(TermId, TermId)>,
     different_from: Vec<(TermId, TermId)>,
     /// Asserted `owl:sameAs` pairs (fed to the alias machinery at the
-    /// start of a full run).
+    /// start of a closure from empty).
     initial_same_as: Vec<(TermId, TermId)>,
     /// Per `complex` axiom (same index), the triggers a new triple can
-    /// fire it through in delta mode.
+    /// fire it through.
     complex_triggers: Vec<AxiomTriggers>,
-    /// Per `disjoint_classes` pair (same index), the triggers of both
-    /// sides: a new triple matching one nominates the individuals whose
-    /// membership in either side it can have changed.
-    disjoint_triggers: Vec<Vec<Trigger>>,
+    /// Per `disjoint_classes` pair (same index), the entry points of
+    /// both sides in `lhs` and `members`: a new triple matching one
+    /// nominates the individuals whose membership in either side it can
+    /// have changed.
+    disjoint_triggers: Vec<AxiomTriggers>,
+    /// The predicates, and the classes of `rdf:type` triples, that some
+    /// pass reads back from a closure's fresh triples: the trigger atoms,
+    /// the chain steps and the consistency rules' properties.
+    watched_predicates: Vec<TermId>,
+    watched_classes: Vec<TermId>,
     axiom_count: usize,
     warnings: Vec<String>,
 }
@@ -395,17 +422,17 @@ impl CompiledRules {
         let rdf_type = g.intern_iri(rdf::TYPE);
         let same_as = g.intern_iri(owl::SAME_AS);
 
-        let mut sup_class: HashMap<TermId, BTreeSet<TermId>> = HashMap::new();
-        let mut sup_prop: HashMap<TermId, BTreeSet<TermId>> = HashMap::new();
-        let mut inverses: HashMap<TermId, Vec<TermId>> = HashMap::new();
-        let mut transitive = HashSet::new();
-        let mut symmetric = HashSet::new();
-        let mut asymmetric = HashSet::new();
-        let mut functional = HashSet::new();
-        let mut inverse_functional = HashSet::new();
-        let mut irreflexive = HashSet::new();
-        let mut domains: HashMap<TermId, Vec<ClassExpr>> = HashMap::new();
-        let mut ranges: HashMap<TermId, Vec<ClassExpr>> = HashMap::new();
+        let mut sup_class: FxMap<TermId, BTreeSet<TermId>> = FxMap::default();
+        let mut sup_prop: FxMap<TermId, BTreeSet<TermId>> = FxMap::default();
+        let mut inverses: FxMap<TermId, Vec<TermId>> = FxMap::default();
+        let mut transitive = FxSet::default();
+        let mut symmetric = FxSet::default();
+        let mut asymmetric = BTreeSet::new();
+        let mut functional = FxSet::default();
+        let mut inverse_functional = FxSet::default();
+        let mut irreflexive = BTreeSet::new();
+        let mut domains: FxMap<TermId, Vec<ClassExpr>> = FxMap::default();
+        let mut ranges: FxMap<TermId, Vec<ClassExpr>> = FxMap::default();
         let mut chains = Vec::new();
         let mut complex = Vec::new();
         let mut disjoint_classes = Vec::new();
@@ -424,9 +451,7 @@ impl CompiledRules {
 
         for axiom in &ontology.axioms {
             match axiom {
-                Axiom::SubPropertyOf(a, b) => {
-                    sup_prop.entry(*a).or_default().insert(*b);
-                }
+                Axiom::SubPropertyOf(a, b) => _ = sup_prop.entry(*a).or_default().insert(*b),
                 Axiom::EquivalentProperties(a, b) => {
                     sup_prop.entry(*a).or_default().insert(*b);
                     sup_prop.entry(*b).or_default().insert(*a);
@@ -435,24 +460,12 @@ impl CompiledRules {
                     inverses.entry(*a).or_default().push(*b);
                     inverses.entry(*b).or_default().push(*a);
                 }
-                Axiom::TransitiveProperty(p) => {
-                    transitive.insert(*p);
-                }
-                Axiom::SymmetricProperty(p) => {
-                    symmetric.insert(*p);
-                }
-                Axiom::AsymmetricProperty(p) => {
-                    asymmetric.insert(*p);
-                }
-                Axiom::FunctionalProperty(p) => {
-                    functional.insert(*p);
-                }
-                Axiom::InverseFunctionalProperty(p) => {
-                    inverse_functional.insert(*p);
-                }
-                Axiom::IrreflexiveProperty(p) => {
-                    irreflexive.insert(*p);
-                }
+                Axiom::TransitiveProperty(p) => _ = transitive.insert(*p),
+                Axiom::SymmetricProperty(p) => _ = symmetric.insert(*p),
+                Axiom::AsymmetricProperty(p) => _ = asymmetric.insert(*p),
+                Axiom::FunctionalProperty(p) => _ = functional.insert(*p),
+                Axiom::InverseFunctionalProperty(p) => _ = inverse_functional.insert(*p),
+                Axiom::IrreflexiveProperty(p) => _ = irreflexive.insert(*p),
                 Axiom::Domain(p, c) => domains.entry(*p).or_default().push(c.clone()),
                 Axiom::Range(p, c) => ranges.entry(*p).or_default().push(c.clone()),
                 Axiom::PropertyChain(chain, p) => chains.push((chain.clone(), *p)),
@@ -467,15 +480,35 @@ impl CompiledRules {
         transitive_close(&mut sup_class);
         transitive_close(&mut sup_prop);
 
-        let complex_triggers = complex
+        let complex_triggers: Vec<AxiomTriggers> = complex
             .iter()
             .map(|(sub, sup)| AxiomTriggers::compile(sub, sup))
             .collect();
         // Disjointness tests both sides as membership checks.
         let disjoint_triggers = disjoint_classes
             .iter()
-            .map(|(a, b)| [a, b].into_iter().flat_map(triggers_of).collect())
+            .map(|(a, b)| AxiomTriggers {
+                lhs: [a, b].into_iter().flat_map(triggers_of).collect(),
+                rhs_universals: Vec::new(),
+                members: enumerated([a, b]),
+            })
+            .collect::<Vec<_>>();
+
+        let mut watched_predicates: BTreeSet<TermId> = chains
+            .iter()
+            .flat_map(|(chain, _)| chain.iter().copied())
+            .chain(disjoint_properties.iter().flat_map(|&(p, q)| [p, q]))
+            .chain(irreflexive.iter().chain(&asymmetric).copied())
             .collect();
+        let mut watched_classes = BTreeSet::new();
+        for entries in complex_triggers.iter().chain(&disjoint_triggers) {
+            for trigger in entries.lhs.iter().chain(&entries.rhs_universals) {
+                match trigger.atom {
+                    TriggerAtom::Type(c) => watched_classes.insert(c),
+                    TriggerAtom::Value(p, _) | TriggerAtom::Edge(p) => watched_predicates.insert(p),
+                };
+            }
+        }
 
         CompiledRules {
             rdf_type,
@@ -499,6 +532,8 @@ impl CompiledRules {
             initial_same_as,
             complex_triggers,
             disjoint_triggers,
+            watched_predicates: watched_predicates.into_iter().collect(),
+            watched_classes: watched_classes.into_iter().collect(),
             axiom_count: ontology.axioms.len(),
             warnings: ontology.warnings.clone(),
         }
@@ -525,8 +560,9 @@ enum TriggerAtom {
 
 /// One way a new triple can enter a class expression: the atom it
 /// matches and where that atom sits. `OneOf` contributes no trigger (no
-/// triple changes it) and `AllValuesFrom` / `ComplementOf` none because
-/// [`satisfies_in`] never holds for them.
+/// triple changes it; its members are [`AxiomTriggers::members`]) and
+/// `AllValuesFrom` / `ComplementOf` none because [`satisfies_in`] never
+/// holds for them.
 #[derive(Debug, Clone)]
 struct Trigger {
     atom: TriggerAtom,
@@ -537,16 +573,6 @@ struct Trigger {
     /// Child index taken at each intersection / union from the root
     /// down to the atom — the route [`holds_pinned`] follows.
     route: Vec<usize>,
-}
-
-impl Trigger {
-    fn matches(&self, rdf_type: TermId, [_, p, o]: [TermId; 3]) -> bool {
-        match self.atom {
-            TriggerAtom::Type(c) => p == rdf_type && o == c,
-            TriggerAtom::Value(q, v) => p == q && o == v,
-            TriggerAtom::Edge(q) => p == q,
-        }
-    }
 }
 
 /// One [`Trigger`] per atom of `expr`.
@@ -591,7 +617,7 @@ fn collect_triggers(
     }
 }
 
-/// The delta-mode entry points of one complex axiom `sub ⊑ sup`.
+/// The entry points of one complex axiom `sub ⊑ sup`.
 #[derive(Debug, Clone)]
 struct AxiomTriggers {
     /// One per atom of `sub`: a matching triple can make an individual
@@ -604,6 +630,10 @@ struct AxiomTriggers {
     /// [`satisfies_in`] and `sup` applied again. `path` holds the
     /// `allValuesFrom` properties above the edge; `route` is unused.
     rhs_universals: Vec<Trigger>,
+    /// The individuals an enumeration in `sub` names: `sub` can hold
+    /// for them with no triple behind it, which no trigger sees, so a
+    /// closure tests them on the axiom's first turn.
+    members: Vec<TermId>,
 }
 
 impl AxiomTriggers {
@@ -613,8 +643,24 @@ impl AxiomTriggers {
         AxiomTriggers {
             lhs: triggers_of(sub),
             rhs_universals,
+            members: enumerated([sub]),
         }
     }
+}
+
+/// The members of every `OneOf` reachable in `exprs` through
+/// intersections and unions.
+fn enumerated<'e>(exprs: impl IntoIterator<Item = &'e ClassExpr>) -> Vec<TermId> {
+    let (mut out, mut stack): (Vec<TermId>, Vec<&ClassExpr>) =
+        (Vec::new(), exprs.into_iter().collect());
+    while let Some(expr) = stack.pop() {
+        match expr {
+            ClassExpr::OneOf(ids) => out.extend(ids),
+            ClassExpr::IntersectionOf(es) | ClassExpr::UnionOf(es) => stack.extend(es),
+            _ => {}
+        }
+    }
+    out
 }
 
 /// Mirrors the cases of [`Engine::apply_membership_by`] that recurse.
@@ -647,20 +693,7 @@ fn satisfies_in<V: GraphView + ?Sized>(
     x: TermId,
     expr: &ClassExpr,
 ) -> bool {
-    match expr {
-        ClassExpr::Named(c) => g.contains_ids(x, rules.rdf_type, *c),
-        ClassExpr::IntersectionOf(es) => es.iter().all(|e| satisfies_in(g, rules, x, e)),
-        ClassExpr::UnionOf(es) => es.iter().any(|e| satisfies_in(g, rules, x, e)),
-        ClassExpr::SomeValuesFrom { property, filler } => g
-            .objects(x, *property)
-            .into_iter()
-            .any(|o| satisfies_in(g, rules, o, filler)),
-        ClassExpr::HasValue { property, value } => g.contains_ids(x, *property, *value),
-        ClassExpr::OneOf(ids) => ids.contains(&x),
-        // Open-world: membership in a complement or universal
-        // restriction is never derived, matching OWL 2 RL.
-        ClassExpr::AllValuesFrom { .. } | ClassExpr::ComplementOf(_) => false,
-    }
+    witnesses_in(g, rules, x, expr, &mut Vec::new())
 }
 
 /// [`satisfies_in`] for `x ∈ expr` when a triple matching one
@@ -670,8 +703,8 @@ fn satisfies_in<V: GraphView + ?Sized>(
 /// triple's subject passed, the subject first and `x`'s successor last;
 /// a `SomeValuesFrom` on the route descends to that known node instead
 /// of enumerating `objects`, and once `below` is used up it is the edge
-/// atom itself, whose filler is checked on the triple's `object`. A
-/// union takes the pinned arm only — another arm made true by another
+/// atom itself, whose filler `object_in` checks on the triple's object.
+/// A union takes the pinned arm only — another arm made true by another
 /// new triple is that triple's trigger.
 fn holds_pinned<V: GraphView + ?Sized>(
     g: &V,
@@ -680,7 +713,7 @@ fn holds_pinned<V: GraphView + ?Sized>(
     expr: &ClassExpr,
     route: &[usize],
     below: &[TermId],
-    object: TermId,
+    object_in: &mut dyn FnMut(&ClassExpr) -> bool,
 ) -> bool {
     match expr {
         ClassExpr::Named(_) | ClassExpr::HasValue { .. } => true,
@@ -690,7 +723,7 @@ fn holds_pinned<V: GraphView + ?Sized>(
             };
             es.iter().enumerate().all(|(i, e)| {
                 if i == pinned {
-                    holds_pinned(g, rules, x, e, route, below, object)
+                    holds_pinned(g, rules, x, e, route, below, object_in)
                 } else {
                     satisfies_in(g, rules, x, e)
                 }
@@ -699,19 +732,19 @@ fn holds_pinned<V: GraphView + ?Sized>(
         ClassExpr::UnionOf(es) => match route.split_first() {
             Some((&pinned, route)) => es
                 .get(pinned)
-                .is_some_and(|e| holds_pinned(g, rules, x, e, route, below, object)),
+                .is_some_and(|e| holds_pinned(g, rules, x, e, route, below, object_in)),
             None => false,
         },
         ClassExpr::SomeValuesFrom { filler, .. } => match below.split_last() {
-            Some((&next, below)) => holds_pinned(g, rules, next, filler, route, below, object),
-            None => satisfies_in(g, rules, object, filler),
+            Some((&next, below)) => holds_pinned(g, rules, next, filler, route, below, object_in),
+            None => object_in(filler),
         },
         ClassExpr::OneOf(_) | ClassExpr::AllValuesFrom { .. } | ClassExpr::ComplementOf(_) => false,
     }
 }
 
-/// Satisfaction check that also collects the witnessing triples — the
-/// dual of [`satisfies_in`] used for derivation tracking.
+/// [`satisfies_in`] that also collects the witnessing triples, for
+/// derivation tracking; a failed check leaves `out` as it was.
 fn witnesses_in<V: GraphView + ?Sized>(
     g: &V,
     rules: &CompiledRules,
@@ -759,8 +792,119 @@ fn witnesses_in<V: GraphView + ?Sized>(
             }
         }
         ClassExpr::OneOf(ids) => ids.contains(&x),
+        // Open-world: membership in a complement or universal
+        // restriction is never derived, matching OWL 2 RL.
         ClassExpr::AllValuesFrom { .. } | ClassExpr::ComplementOf(_) => false,
     }
+}
+
+/// FxHash (rustc's multiply-rotate hash) for the closure's postings and
+/// fresh sets: keys are dictionary-assigned term ids, never text from
+/// outside, and SipHash would cost as much as the lookups it guards.
+#[derive(Default)]
+struct FxHasher(u64);
+
+impl std::hash::Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+    fn write_u32(&mut self, word: u32) {
+        self.write_u64(u64::from(word));
+    }
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type FxMap<K, V> = HashMap<K, V, std::hash::BuildHasherDefault<FxHasher>>;
+type FxSet<K> = HashSet<K, std::hash::BuildHasherDefault<FxHasher>>;
+
+/// The seed and every triple derived since, numbered in insertion
+/// order, as posting lists so a pass reads only the triples its atoms
+/// can match: one per watched predicate, and one per watched class for
+/// the `rdf:type` triples (see [`CompiledRules`]). A posting is a
+/// triple with its number; the others are only counted.
+struct Fresh {
+    len: usize,
+    rdf_type: TermId,
+    by_predicate: FxMap<TermId, Vec<(u32, [TermId; 3])>>,
+    by_class: FxMap<TermId, Vec<(u32, [TermId; 3])>>,
+}
+
+impl Fresh {
+    fn new(rules: &CompiledRules, nothing: Option<TermId>) -> Self {
+        let lists =
+            |ids: &mut dyn Iterator<Item = TermId>| ids.map(|id| (id, Vec::new())).collect();
+        Fresh {
+            len: 0,
+            rdf_type: rules.rdf_type,
+            by_predicate: lists(&mut rules.watched_predicates.iter().copied()),
+            by_class: lists(&mut rules.watched_classes.iter().copied().chain(nothing)),
+        }
+    }
+
+    fn push(&mut self, triple: [TermId; 3]) {
+        let at = self.len as u32;
+        self.len += 1;
+        if let Some(list) = self.by_predicate.get_mut(&triple[1]) {
+            list.push((at, triple));
+        }
+        if triple[1] == self.rdf_type {
+            if let Some(list) = self.by_class.get_mut(&triple[2]) {
+                list.push((at, triple));
+            }
+        }
+    }
+
+    /// The triples at positions in `range` that `atom` can match (those
+    /// with its predicate, or for a class atom its `rdf:type` triples).
+    /// The atom's predicate or class must be watched.
+    fn matching(
+        &self,
+        atom: TriggerAtom,
+        range: Range<usize>,
+    ) -> impl Iterator<Item = [TermId; 3]> + '_ {
+        let list = match atom {
+            TriggerAtom::Type(c) => self.by_class.get(&c),
+            TriggerAtom::Value(p, _) | TriggerAtom::Edge(p) => self.by_predicate.get(&p),
+        };
+        let list = list.map_or(&[][..], Vec::as_slice);
+        let lo = list.partition_point(|&(at, _)| (at as usize) < range.start);
+        let hi = list.partition_point(|&(at, _)| (at as usize) < range.end);
+        list[lo..hi].iter().map(|&(_, triple)| triple)
+    }
+
+    fn with_predicate(
+        &self,
+        p: TermId,
+        range: Range<usize>,
+    ) -> impl Iterator<Item = [TermId; 3]> + '_ {
+        self.matching(TriggerAtom::Edge(p), range)
+    }
+}
+
+/// Polls the governor (amortized wall-clock / cancellation check) and
+/// reports whether execution should stop, recording the trip. A free
+/// function so hot loops can poll while other fields are borrowed.
+#[inline]
+fn poll(guard: Option<&Guard>, tripped: &mut Option<Exhausted>) -> bool {
+    if tripped.is_some() {
+        return true;
+    }
+    if let Some(g) = guard {
+        if let Err(exhausted) = g.check_time() {
+            *tripped = Some(exhausted);
+            return true;
+        }
+    }
+    false
 }
 
 /// The running fixpoint state over any [`GraphStore`].
@@ -770,20 +914,19 @@ struct Engine<'a, S: GraphStore> {
     opts: &'a ReasonerOptions,
     result: InferenceResult,
     /// sameAs alias sets, maintained incrementally.
-    aliases: HashMap<TermId, BTreeSet<TermId>>,
+    aliases: FxMap<TermId, BTreeSet<TermId>>,
     queue: VecDeque<[TermId; 3]>,
-    /// Delta mode only: the seed and every triple derived since, in
-    /// insertion order, for scoping the complex/chain/consistency passes
-    /// to what the delta could have changed.
-    delta_mode: bool,
-    new_triples: Vec<[TermId; 3]>,
-    /// Per complex axiom, the position in `new_triples` up to which its
+    /// The seed and every triple derived since: the complex, chain and
+    /// consistency passes read only these, each from its own cursor.
+    fresh: Fresh,
+    /// Per complex axiom, the position in `fresh` up to which its
     /// triggers have been matched.
     complex_cursors: Vec<usize>,
-    /// Position in `new_triples` up to which chains have been evaluated.
-    chain_cursor: usize,
+    /// Per property chain, the position in `fresh` up to which it has
+    /// been evaluated.
+    chain_cursors: Vec<usize>,
     /// Execution governor for the guarded entry points; `None` on the
-    /// legacy (unguarded) paths.
+    /// unguarded paths.
     guard: Option<&'a Guard>,
     /// Set when the guard trips; every hot loop bails out once this is
     /// populated so the engine unwinds quickly with its partial result.
@@ -791,7 +934,13 @@ struct Engine<'a, S: GraphStore> {
 }
 
 impl<'a, S: GraphStore> Engine<'a, S> {
-    fn new(g: &'a mut S, rules: &'a CompiledRules, opts: &'a ReasonerOptions) -> Self {
+    fn new(
+        g: &'a mut S,
+        rules: &'a CompiledRules,
+        opts: &'a ReasonerOptions,
+        guard: Option<&'a Guard>,
+    ) -> Self {
+        let fresh = Fresh::new(rules, g.lookup_iri(owl::NOTHING));
         Engine {
             g,
             rules,
@@ -801,39 +950,25 @@ impl<'a, S: GraphStore> Engine<'a, S> {
                 warnings: rules.warnings.clone(),
                 ..Default::default()
             },
-            aliases: HashMap::new(),
+            aliases: FxMap::default(),
             queue: VecDeque::new(),
-            delta_mode: false,
-            new_triples: Vec::new(),
+            fresh,
             complex_cursors: vec![0; rules.complex.len()],
-            chain_cursor: 0,
-            guard: None,
+            chain_cursors: vec![0; rules.chains.len()],
+            guard,
             tripped: None,
         }
     }
 
-    /// Polls the governor (amortized wall-clock / cancellation check) and
-    /// reports whether execution should stop. Hot loops call this at
-    /// their iteration boundaries.
     #[inline]
     fn guard_tripped(&mut self) -> bool {
-        if self.tripped.is_some() {
-            return true;
-        }
-        if let Some(g) = self.guard {
-            if let Err(exhausted) = g.check_time() {
-                self.tripped = Some(exhausted);
-                return true;
-            }
-        }
-        false
+        poll(self.guard, &mut self.tripped)
     }
 
-    /// Handles the outer round cap shared by both fixpoints. Returns true
-    /// when the loop must stop. On the legacy path this flips
-    /// `converged` and records a warning (the historical behavior); on
-    /// the guarded path it additionally trips the guard so callers get a
-    /// typed `Exhausted { resource: Rounds }`.
+    /// Handles the outer round cap. Returns true when the loop must
+    /// stop. Unguarded, this flips `converged` and records a warning;
+    /// guarded, it additionally trips the guard so callers get a typed
+    /// `Exhausted { resource: Rounds }`.
     fn round_cap_hit(&mut self) -> bool {
         if self.result.rounds < self.opts.max_rounds {
             return false;
@@ -853,17 +988,20 @@ impl<'a, S: GraphStore> Engine<'a, S> {
         true
     }
 
-    fn run(mut self) -> (InferenceResult, Option<Exhausted>) {
-        for &(a, b) in &self.rules.initial_same_as.clone() {
-            self.note_alias(a, b);
+    /// The semi-naïve closure: derives what `seed` (triples already in
+    /// the store) and everything derived on the way can entail,
+    /// assuming the rest of the store is already closed under `rules`.
+    /// Triples the caller derived before (aliases, the schema closure)
+    /// are fresh and queued already; `seed` may repeat them, and the
+    /// queue takes it as given (a repeated `owl:sameAs` triple
+    /// replicates again what was derived since) while `fresh` records
+    /// each triple once.
+    fn run(mut self, seed: Vec<[TermId; 3]>) -> (InferenceResult, Option<Exhausted>) {
+        let derived: FxSet<[TermId; 3]> = self.queue.iter().copied().collect();
+        for &t in seed.iter().filter(|t| !derived.contains(*t)) {
+            self.fresh.push(t);
         }
-        if self.opts.materialize_schema_closure {
-            self.materialize_schema();
-        }
-
-        // Seed: every asserted triple can fire instance rules.
-        let all: Vec<[TermId; 3]> = self.g.iter_ids().collect();
-        self.queue.extend(all);
+        self.queue.extend(seed);
 
         loop {
             if self.guard_tripped() {
@@ -895,93 +1033,45 @@ impl<'a, S: GraphStore> Engine<'a, S> {
             // A tripped budget means the closure stopped early: whatever
             // was derived is sound, but the fixpoint was not reached.
             self.result.converged = false;
-        } else if self.opts.check_consistency {
+        } else {
             self.check_consistency();
         }
         (self.result, self.tripped)
     }
 
-    /// Semi-naïve delta closure: derive only what the seed triples (and
-    /// their consequences) can newly entail, assuming everything else is
-    /// already closed under `rules`.
-    fn run_delta(mut self, seed: &[[TermId; 3]]) -> (InferenceResult, Option<Exhausted>) {
-        self.delta_mode = true;
-        // Aliases discovered during the base closure exist only as
-        // `owl:sameAs` triples there; rebuild the alias map so eq-rep
-        // fires when a delta triple touches an aliased individual. On a
-        // closed base every re-noted pair is a no-op insert.
-        let pairs: Vec<(TermId, TermId)> = self
-            .g
-            .match_pattern(None, Some(self.rules.same_as), None)
-            .into_iter()
-            .map(|t| (t[0], t[2]))
-            .collect();
-        for (a, b) in pairs {
-            self.note_alias(a, b);
-        }
-        self.new_triples.extend_from_slice(seed);
-        self.queue.extend(seed);
-
-        loop {
-            if self.guard_tripped() {
-                break;
-            }
-            self.result.rounds += 1;
-            if let Some(g) = self.guard {
-                if let Err(exhausted) = g.add_round() {
-                    self.tripped = Some(exhausted);
-                    break;
-                }
-            }
-            self.drain_queue();
-            let before = self.result.added;
-            self.complex_pass_delta();
-            self.chain_pass_delta();
-            if self.tripped.is_some() {
-                break;
-            }
-            if self.result.added == before && self.queue.is_empty() {
-                break;
-            }
-            if self.round_cap_hit() {
-                break;
-            }
-        }
-
-        if self.tripped.is_some() {
-            self.result.converged = false;
-        } else if self.opts.check_consistency {
-            self.check_consistency_delta();
-        }
-        (self.result, self.tripped)
-    }
-
-    /// Every way `triple` enters one of `triggers`: per matching trigger,
-    /// each individual that reaches the triple's subject backward along
-    /// the trigger's `path` (the root), with the nodes walked on the way
-    /// up — the subject first, the root's successor last, as
-    /// [`holds_pinned`] takes them. Empty once the guard has tripped.
-    fn entries<'t>(
+    /// Calls `visit` once per way a fresh triple at a position in
+    /// `range` enters `trigger`: with each individual that reaches the
+    /// triple's subject backward along the trigger's `path` (the root),
+    /// the nodes walked on the way up — the subject first, the root's
+    /// successor last, as [`holds_pinned`] takes them — and the triple's
+    /// object. Stops once the guard has tripped.
+    fn for_each_entry(
         &mut self,
-        triggers: &'t [Trigger],
-        triple: [TermId; 3],
-    ) -> Vec<(&'t Trigger, TermId, Vec<TermId>)> {
-        let mut out = Vec::new();
-        for trigger in triggers {
-            if self.guard_tripped() {
-                return Vec::new();
+        trigger: &Trigger,
+        range: Range<usize>,
+        mut visit: impl FnMut(&S, TermId, &[TermId], TermId),
+    ) {
+        let g = &*self.g;
+        for triple in self.fresh.matching(trigger.atom, range) {
+            if poll(self.guard, &mut self.tripped) {
+                return;
             }
-            if !trigger.matches(self.rules.rdf_type, triple) {
+            // The posting list fixes the predicate, and a type atom's class.
+            if matches!(trigger.atom, TriggerAtom::Value(_, v) if v != triple[2]) {
+                continue;
+            }
+            if trigger.path.is_empty() {
+                visit(g, triple[0], &[], triple[2]);
                 continue;
             }
             let mut level = vec![(triple[0], Vec::new())];
             for &step in trigger.path.iter().rev() {
-                if self.guard_tripped() {
-                    return Vec::new();
+                if poll(self.guard, &mut self.tripped) {
+                    return;
                 }
                 let mut above = Vec::new();
                 for (node, below) in &level {
-                    for parent in self.g.subjects(step, *node) {
+                    for parent in g.subjects(step, *node) {
                         let mut below = below.clone();
                         below.push(*node);
                         above.push((parent, below));
@@ -989,62 +1079,65 @@ impl<'a, S: GraphStore> Engine<'a, S> {
                 }
                 level = above;
             }
-            out.extend(
-                level
-                    .into_iter()
-                    .map(|(root, below)| (trigger, root, below)),
-            );
+            for (root, below) in &level {
+                visit(g, *root, below, triple[2]);
+            }
         }
-        out
     }
 
-    /// Delta-scoped [`Engine::complex_pass`], as a semi-naïve join: each
+    /// The complex subclass-like axioms, as a semi-naïve join: each
     /// axiom matches the triples added since its last turn against its
     /// own triggers and evaluates its left-hand side pinned to the
-    /// triple that fired it, instead of re-testing every individual near
-    /// the delta. Exact because an individual that newly satisfies a
-    /// left-hand side has a new triple somewhere in its witness tree;
-    /// that triple matches one atom, the individual reaches the triple's
-    /// subject along exactly that atom's path, and when the last such
-    /// triple comes up the rest of the tree is already in the graph.
-    /// Individuals that held before are the closed base's business,
+    /// triple that fired it. Exact because an individual that newly
+    /// satisfies a left-hand side has a new triple somewhere in its
+    /// witness tree; that triple matches one atom, the individual
+    /// reaches the triple's subject along exactly that atom's path, and
+    /// when the last such triple comes up the rest of the tree is
+    /// already in the graph. An enumeration holds with no triple behind
+    /// it, so its members are tested on the axiom's first turn.
+    /// Individuals that held before are the closed store's business,
     /// except for what `rhs_universals` covers.
-    fn complex_pass_delta(&mut self) {
+    fn complex_pass(&mut self) {
         let rules = self.rules;
         for (i, (sub, sup)) in rules.complex.iter().enumerate() {
             let triggers = &rules.complex_triggers[i];
-            let fresh = std::mem::replace(&mut self.complex_cursors[i], self.new_triples.len())
-                ..self.new_triples.len();
+            let end = self.fresh.len;
+            let start = std::mem::replace(&mut self.complex_cursors[i], end);
             // Id order, the order a sorted candidate sweep applies in.
             let mut roots: BTreeSet<TermId> = BTreeSet::new();
-            for idx in fresh {
-                let triple = self.new_triples[idx];
-                for (trigger, root, below) in self.entries(&triggers.lhs, triple) {
-                    if self.guard_tripped() {
-                        return;
-                    }
+            if start == 0 {
+                let g = &*self.g;
+                roots.extend(
+                    triggers
+                        .members
+                        .iter()
+                        .filter(|&&x| satisfies_in(g, rules, x, sub)),
+                );
+            }
+            for trigger in &triggers.lhs {
+                // An edge atom's filler is one expression, and the store
+                // does not change while roots are collected: the check
+                // on an object is made once per object.
+                let mut filled: FxMap<TermId, bool> = FxMap::default();
+                self.for_each_entry(trigger, start..end, |g, root, below, object| {
+                    let mut object_in = |filler: &ClassExpr| {
+                        *filled
+                            .entry(object)
+                            .or_insert_with(|| satisfies_in(g, rules, object, filler))
+                    };
                     if !roots.contains(&root)
-                        && holds_pinned(
-                            &*self.g,
-                            rules,
-                            root,
-                            sub,
-                            &trigger.route,
-                            &below,
-                            triple[2],
-                        )
+                        && holds_pinned(g, rules, root, sub, &trigger.route, below, &mut object_in)
                     {
                         roots.insert(root);
                     }
-                }
-                for (_, root, _) in self.entries(&triggers.rhs_universals, triple) {
-                    if self.guard_tripped() {
-                        return;
-                    }
-                    if !roots.contains(&root) && self.satisfies(root, sub) {
+                });
+            }
+            for trigger in &triggers.rhs_universals {
+                self.for_each_entry(trigger, start..end, |g, root, _, _| {
+                    if !roots.contains(&root) && satisfies_in(g, rules, root, sub) {
                         roots.insert(root);
                     }
-                }
+                });
             }
             for x in roots {
                 if self.guard_tripped() {
@@ -1055,177 +1148,184 @@ impl<'a, S: GraphStore> Engine<'a, S> {
         }
     }
 
-    /// Delta-scoped [`Engine::chain_pass`]: each not-yet-processed new
-    /// triple is matched against every chain position, extending left
-    /// and right through the (base ∪ delta) view.
-    fn chain_pass_delta(&mut self) {
+    /// Property chains (prp-spo2), as a semi-naïve join: each chain
+    /// matches the triples added since its last turn, and an instance is
+    /// found at its first step that is fresh in the turn, so its steps
+    /// to the left are old (in the store and not fresh when the turn
+    /// began) and its steps to the right may be anything in the store.
+    /// Like a forward sweep, a turn reads the store as it was when the
+    /// turn began: its conclusions are added when it ends, and the next
+    /// turn takes them as fresh. A step's fresh triples are walked in
+    /// store order (object, then subject), the order a forward sweep
+    /// from the chain's first step meets them.
+    fn chain_pass(&mut self) {
         let rules = self.rules;
-        let fresh: Vec<[TermId; 3]> = self.new_triples[self.chain_cursor..].to_vec();
-        self.chain_cursor = self.new_triples.len();
-        if rules.chains.is_empty() || fresh.is_empty() {
-            return;
-        }
         let tracking = self.opts.track_derivations;
-        for (chain, q) in &rules.chains {
-            for &[a, p, b] in &fresh {
-                if self.guard_tripped() {
-                    return;
+        for (c, (chain, q)) in rules.chains.iter().enumerate() {
+            let end = self.fresh.len;
+            let start = std::mem::replace(&mut self.chain_cursors[c], end);
+            // A left step's old triples are the store's minus the turn's
+            // fresh ones. When every triple in the store is fresh (the
+            // first turn of a closure from empty), a step with none before
+            // the turn has none, and no instance is found to its right.
+            let all_fresh = self.g.len() == end;
+            let lefts = &chain[..chain.len() - 1];
+            let no_old: FxSet<TermId> = lefts
+                .iter()
+                .copied()
+                .filter(|&p| all_fresh && self.fresh.with_predicate(p, 0..start).next().is_none())
+                .collect();
+            let fresh_lefts: FxSet<[TermId; 3]> = lefts
+                .iter()
+                .filter(|p| !no_old.contains(p))
+                .flat_map(|&p| self.fresh.with_predicate(p, start..end))
+                .collect();
+            let mut found: Vec<(TermId, TermId, Vec<[TermId; 3]>)> = Vec::new();
+            for (i, &p) in chain.iter().enumerate() {
+                if chain[..i].iter().any(|pj| no_old.contains(pj)) {
+                    continue;
                 }
-                for i in 0..chain.len() {
-                    if chain[i] != p {
-                        continue;
+                let mut fresh: Vec<[TermId; 3]> =
+                    self.fresh.with_predicate(p, start..end).collect();
+                fresh.sort_unstable_by_key(|&[s, _, o]| (o, s));
+                for [a, _, b] in fresh {
+                    if self.guard_tripped() {
+                        return;
                     }
                     // Sequences over chain[..i] ending at `a`, walked
-                    // backward (steps recorded in reverse).
-                    let mut lefts: Vec<(TermId, Vec<[TermId; 3]>)> = vec![(a, Vec::new())];
-                    for &pj in chain[..i].iter().rev() {
-                        let mut next = Vec::new();
-                        for (node, steps) in lefts {
-                            for t in self.g.match_pattern(None, Some(pj), Some(node)) {
-                                let mut s2 = steps.clone();
-                                if tracking {
-                                    s2.push(t);
-                                }
-                                next.push((t[0], s2));
-                            }
-                        }
-                        lefts = next;
-                        if lefts.is_empty() {
-                            break;
-                        }
+                    // backward (steps recorded in reverse), and over
+                    // chain[i+1..] starting at `b`.
+                    let lefts = walk(a, chain[..i].iter().rev(), tracking, |pj, node| {
+                        let subjects = self.g.subjects(pj, node).into_iter();
+                        let old = subjects.filter(|&s| !fresh_lefts.contains(&[s, pj, node]));
+                        old.map(|s| (s, [s, pj, node])).collect()
+                    });
+                    if lefts.is_empty() {
+                        continue;
                     }
-                    // Sequences over chain[i+1..] starting at `b`.
-                    let mut rights: Vec<(TermId, Vec<[TermId; 3]>)> = vec![(b, Vec::new())];
-                    for &pj in &chain[i + 1..] {
-                        let mut next = Vec::new();
-                        for (node, steps) in rights {
-                            for z in self.g.objects(node, pj) {
-                                let mut s2 = steps.clone();
-                                if tracking {
-                                    s2.push([node, pj, z]);
-                                }
-                                next.push((z, s2));
-                            }
-                        }
-                        rights = next;
-                        if rights.is_empty() {
-                            break;
-                        }
-                    }
-                    for (start, lsteps) in &lefts {
-                        for (end, rsteps) in &rights {
+                    let rights = walk(b, chain[i + 1..].iter(), tracking, |pj, node| {
+                        let objects = self.g.objects(node, pj).into_iter();
+                        objects.map(|z| (z, [node, pj, z])).collect()
+                    });
+                    for (x, lsteps) in &lefts {
+                        for (z, rsteps) in &rights {
                             let mut steps = Vec::new();
                             if tracking {
                                 steps.extend(lsteps.iter().rev().copied());
                                 steps.push([a, p, b]);
                                 steps.extend(rsteps.iter().copied());
                             }
-                            self.add_by("prp-spo2", &steps, *start, *q, *end);
+                            found.push((*x, *z, steps));
                         }
                     }
                 }
             }
+            for (x, z, steps) in found {
+                self.add_by("prp-spo2", &steps, x, *q, z);
+            }
         }
     }
 
-    /// Delta-scoped consistency: report only violations a delta triple or
-    /// delta-affected individual participates in. A consistent base stays
-    /// silent; a violation introduced by the session is always caught.
-    /// Disjointness is tested on the individuals some new triple enters
-    /// either side's expression for (the triggers of
-    /// [`Engine::complex_pass_delta`], over all of `new_triples`): on a
-    /// consistent base that reports exactly what testing every
-    /// individual would, since a new violation needs a new triple in
-    /// one side's witness tree.
-    fn check_consistency_delta(&mut self) {
+    /// Consistency over everything fresh: a violation is reported when
+    /// a fresh triple or an individual some fresh triple enters either
+    /// side of a disjointness for takes part in it. From empty that is
+    /// every violation; over a consistent closed store it is exactly
+    /// the violations the fresh triples introduced, since a new one
+    /// needs a new triple in one side's witness tree. Each rule reports
+    /// in store order (object, then subject, for a property), each
+    /// violation once.
+    fn check_consistency(&mut self) {
+        use InconsistencyKind::*;
         let rules = self.rules;
-        for (i, (a, b)) in rules.disjoint_classes.iter().enumerate() {
-            let mut cand: BTreeSet<TermId> = BTreeSet::new();
-            for idx in 0..self.new_triples.len() {
-                let triple = self.new_triples[idx];
-                for (_, root, _) in self.entries(&rules.disjoint_triggers[i], triple) {
+        let all = 0..self.fresh.len;
+        let mut candidates = Vec::new();
+        for entries in &rules.disjoint_triggers {
+            let mut cand: BTreeSet<TermId> = entries.members.iter().copied().collect();
+            for trigger in &entries.lhs {
+                self.for_each_entry(trigger, all.clone(), |_, root, _, _| {
                     cand.insert(root);
-                }
+                });
             }
+            candidates.push(cand);
+        }
+        let (g, fresh) = (&*self.g, &self.fresh);
+        let name = |id| g.term_name(id);
+        let found = &mut self.result.inconsistencies;
+        let mut report = |kind, detail| found.push(Inconsistency { kind, detail });
+        // The (object, subject) pairs of the fresh `p` triples that
+        // `hold`, in store order.
+        let pairs = |p, hold: &dyn Fn(TermId, TermId) -> bool| -> BTreeSet<(TermId, TermId)> {
+            fresh
+                .with_predicate(p, all.clone())
+                .filter(|&[x, _, y]| hold(x, y))
+                .map(|[x, _, y]| (y, x))
+                .collect()
+        };
+        // cax-dw: disjoint classes sharing a member.
+        for ((a, b), cand) in rules.disjoint_classes.iter().zip(candidates) {
             for x in cand {
-                if self.satisfies(x, a) && self.satisfies(x, b) {
-                    let detail =
-                        format!("{} is an instance of disjoint classes", self.g.term_name(x));
-                    self.result.inconsistencies.push(Inconsistency {
-                        kind: InconsistencyKind::DisjointClassesViolation,
-                        detail,
-                    });
+                if satisfies_in(g, rules, x, a) && satisfies_in(g, rules, x, b) {
+                    let detail = format!("{} is an instance of disjoint classes", name(x));
+                    report(DisjointClassesViolation, detail);
                 }
             }
         }
-        let nothing = self.g.lookup_iri(owl::NOTHING);
-        for idx in 0..self.new_triples.len() {
-            let [x, p, y] = self.new_triples[idx];
-            for &(pp, qq) in &rules.disjoint_properties {
-                let other = if p == pp {
-                    qq
-                } else if p == qq {
-                    pp
-                } else {
-                    continue;
-                };
-                if self.g.contains_ids(x, other, y) {
-                    let detail = format!(
-                        "disjoint properties {} and {} both relate {} to {}",
-                        self.g.term_name(p),
-                        self.g.term_name(other),
-                        self.g.term_name(x),
-                        self.g.term_name(y)
-                    );
-                    self.result.inconsistencies.push(Inconsistency {
-                        kind: InconsistencyKind::DisjointPropertiesViolation,
-                        detail,
-                    });
-                }
-            }
-            if p == rules.rdf_type && Some(y) == nothing {
-                let detail = format!("{} is an instance of owl:Nothing", self.g.term_name(x));
-                self.result.inconsistencies.push(Inconsistency {
-                    kind: InconsistencyKind::NothingHasInstance,
-                    detail,
-                });
-            }
-            if rules.irreflexive.contains(&p) && x == y {
-                let detail = format!(
-                    "irreflexive property {} relates {} to itself",
-                    self.g.term_name(p),
-                    self.g.term_name(x)
-                );
-                self.result.inconsistencies.push(Inconsistency {
-                    kind: InconsistencyKind::IrreflexiveViolation,
-                    detail,
-                });
-            }
-            if rules.asymmetric.contains(&p) && x != y && self.g.contains_ids(y, p, x) {
-                let detail = format!(
-                    "asymmetric property {} holds in both directions between {} and {}",
-                    self.g.term_name(p),
-                    self.g.term_name(x),
-                    self.g.term_name(y)
-                );
-                self.result.inconsistencies.push(Inconsistency {
-                    kind: InconsistencyKind::AsymmetricViolation,
-                    detail,
-                });
+        // prp-pdw: disjoint properties linking the same pair, named in
+        // declaration order whichever side is fresh.
+        for &(p, q) in &rules.disjoint_properties {
+            let mut both = pairs(p, &|x, y| g.contains_ids(x, q, y));
+            both.extend(pairs(q, &|x, y| g.contains_ids(x, p, y)));
+            for (y, x) in both {
+                let (p, q, x, y) = (name(p), name(q), name(x), name(y));
+                let detail = format!("disjoint properties {p} and {q} both relate {x} to {y}");
+                report(DisjointPropertiesViolation, detail);
             }
         }
+        // cls-nothing2
+        if let Some(nothing) = g.lookup_iri(owl::NOTHING) {
+            let members: BTreeSet<TermId> = fresh
+                .matching(TriggerAtom::Type(nothing), all.clone())
+                .map(|[x, _, _]| x)
+                .collect();
+            for x in members {
+                report(
+                    NothingHasInstance,
+                    format!("{} is an instance of owl:Nothing", name(x)),
+                );
+            }
+        }
+        // prp-irp
+        for &p in &rules.irreflexive {
+            for (_, x) in pairs(p, &|x, y| x == y) {
+                let (p, x) = (name(p), name(x));
+                report(
+                    IrreflexiveViolation,
+                    format!("irreflexive property {p} relates {x} to itself"),
+                );
+            }
+        }
+        // prp-asyp: both directions are violations, each reported once.
+        for &p in &rules.asymmetric {
+            let one_way = pairs(p, &|x, y| x != y && g.contains_ids(y, p, x));
+            let both: BTreeSet<_> = one_way
+                .into_iter()
+                .flat_map(|(y, x)| [(y, x), (x, y)])
+                .collect();
+            for (y, x) in both {
+                let (p, x, y) = (name(p), name(x), name(y));
+                let detail =
+                    format!("asymmetric property {p} holds in both directions between {x} and {y}");
+                report(AsymmetricViolation, detail);
+            }
+        }
+        // eq-diff1
         for &(a, b) in &rules.different_from {
-            if self.g.contains_ids(a, rules.same_as, b) || self.g.contains_ids(b, rules.same_as, a)
-            {
-                let detail = format!(
-                    "{} and {} are both sameAs and differentFrom",
-                    self.g.term_name(a),
-                    self.g.term_name(b)
+            if g.contains_ids(a, rules.same_as, b) || g.contains_ids(b, rules.same_as, a) {
+                let (a, b) = (name(a), name(b));
+                report(
+                    SameAndDifferent,
+                    format!("{a} and {b} are both sameAs and differentFrom"),
                 );
-                self.result.inconsistencies.push(Inconsistency {
-                    kind: InconsistencyKind::SameAndDifferent,
-                    detail,
-                });
             }
         }
     }
@@ -1253,9 +1353,7 @@ impl<'a, S: GraphStore> Engine<'a, S> {
                 }
             }
             self.queue.push_back([s, p, o]);
-            if self.delta_mode {
-                self.new_triples.push([s, p, o]);
-            }
+            self.fresh.push([s, p, o]);
             if self.opts.track_derivations {
                 self.result.derivations.insert(
                     [s, p, o],
@@ -1268,134 +1366,100 @@ impl<'a, S: GraphStore> Engine<'a, S> {
         }
     }
 
+    /// Inserts the schema closure: every named superclass and
+    /// superproperty pair of the compiled tables (scm-sco, scm-spo).
     fn materialize_schema(&mut self) {
+        let rules = self.rules;
         let sco = self.g.intern_iri(rdfs::SUB_CLASS_OF);
         let spo = self.g.intern_iri(rdfs::SUB_PROPERTY_OF);
-        let class_pairs: Vec<(TermId, TermId)> = self
-            .rules
-            .sup_class
-            .iter()
-            .flat_map(|(&c, sups)| sups.iter().map(move |&s| (c, s)))
-            .collect();
-        for (c, s) in class_pairs {
-            self.add_by("scm-sco", &[], c, sco, s);
-        }
-        let prop_pairs: Vec<(TermId, TermId)> = self
-            .rules
-            .sup_prop
-            .iter()
-            .flat_map(|(&p, sups)| sups.iter().map(move |&s| (p, s)))
-            .collect();
-        for (p, s) in prop_pairs {
-            self.add_by("scm-spo", &[], p, spo, s);
+        for (rule, p, sups) in [
+            ("scm-sco", sco, &rules.sup_class),
+            ("scm-spo", spo, &rules.sup_prop),
+        ] {
+            for (&sub, sups) in sups {
+                for &sup in sups {
+                    self.add_by(rule, &[], sub, p, sup);
+                }
+            }
         }
     }
 
     /// Instance-rule propagation driven by a worklist of new triples; the
     /// queue is empty on return unless the guard tripped.
     fn drain_queue(&mut self) {
+        let rules = self.rules;
         while let Some([s, p, o]) = self.queue.pop_front() {
             if self.guard_tripped() {
                 return;
             }
+            let premise = [[s, p, o]];
             // cax-sco: type inheritance through the named-class closure.
-            if p == self.rules.rdf_type {
-                if let Some(sups) = self.rules.sup_class.get(&o) {
-                    for sup in sups.clone() {
-                        self.add_by("cax-sco", &[[s, p, o]], s, self.rules.rdf_type, sup);
-                    }
+            if p == rules.rdf_type {
+                for &sup in rules.sup_class.get(&o).into_iter().flatten() {
+                    self.add_by("cax-sco", &premise, s, p, sup);
                 }
+                self.replicate(s, p, o);
                 continue;
             }
-            if p == self.rules.same_as {
+            if p == rules.same_as {
                 self.note_alias(s, o);
-                self.add_by("eq-sym", &[[s, p, o]], o, self.rules.same_as, s);
+                self.add_by("eq-sym", &premise, o, p, s);
                 self.replicate_for_alias(s, o);
                 self.replicate_for_alias(o, s);
                 continue;
             }
-
-            // prp-spo1
-            if let Some(sups) = self.rules.sup_prop.get(&p) {
-                for q in sups.clone() {
-                    self.add_by("prp-spo1", &[[s, p, o]], s, q, o);
-                }
+            for &q in rules.sup_prop.get(&p).into_iter().flatten() {
+                self.add_by("prp-spo1", &premise, s, q, o);
             }
-            // prp-inv
-            if let Some(invs) = self.rules.inverses.get(&p) {
-                for q in invs.clone() {
-                    self.add_by("prp-inv", &[[s, p, o]], o, q, s);
-                }
+            for &q in rules.inverses.get(&p).into_iter().flatten() {
+                self.add_by("prp-inv", &premise, o, q, s);
             }
-            // prp-symp
-            if self.rules.symmetric.contains(&p) {
-                self.add_by("prp-symp", &[[s, p, o]], o, p, s);
+            if rules.symmetric.contains(&p) {
+                self.add_by("prp-symp", &premise, o, p, s);
             }
-            // prp-trp
-            if self.rules.transitive.contains(&p) {
+            if rules.transitive.contains(&p) {
                 for z in self.g.objects(o, p) {
                     self.add_by("prp-trp", &[[s, p, o], [o, p, z]], s, p, z);
                 }
-                let xs: Vec<TermId> = self
-                    .g
-                    .match_pattern(None, Some(p), Some(s))
-                    .into_iter()
-                    .map(|t| t[0])
-                    .collect();
-                for x in xs {
+                for x in self.g.subjects(p, s) {
                     self.add_by("prp-trp", &[[x, p, s], [s, p, o]], x, p, o);
                 }
             }
             // prp-dom / prp-rng
-            if let Some(cs) = self.rules.domains.get(&p).cloned() {
-                for c in cs {
-                    self.apply_membership(s, &c);
-                }
+            for c in rules.domains.get(&p).into_iter().flatten() {
+                self.apply_membership_by(s, c, &[]);
             }
-            if let Some(cs) = self.rules.ranges.get(&p).cloned() {
-                for c in cs {
-                    self.apply_membership(o, &c);
-                }
+            for c in rules.ranges.get(&p).into_iter().flatten() {
+                self.apply_membership_by(o, c, &[]);
             }
             // prp-fp: functional — two objects are the same individual.
-            if self.rules.functional.contains(&p) {
+            if rules.functional.contains(&p) {
                 for o2 in self.g.objects(s, p) {
                     if o2 != o && self.g.term(o).is_resource() && self.g.term(o2).is_resource() {
-                        self.add_by(
-                            "prp-fp",
-                            &[[s, p, o], [s, p, o2]],
-                            o,
-                            self.rules.same_as,
-                            o2,
-                        );
+                        self.add_by("prp-fp", &[[s, p, o], [s, p, o2]], o, rules.same_as, o2);
                     }
                 }
             }
             // prp-ifp
-            if self.rules.inverse_functional.contains(&p) {
+            if rules.inverse_functional.contains(&p) {
                 for s2 in self.g.subjects(p, o) {
                     if s2 != s {
-                        self.add_by(
-                            "prp-ifp",
-                            &[[s, p, o], [s2, p, o]],
-                            s,
-                            self.rules.same_as,
-                            s2,
-                        );
+                        self.add_by("prp-ifp", &[[s, p, o], [s2, p, o]], s, rules.same_as, s2);
                     }
                 }
             }
-            // eq-rep: replicate across known aliases of s and o.
-            if let Some(al) = self.aliases.get(&s).cloned() {
-                for a in al {
-                    self.add_by("eq-rep-s", &[[s, p, o]], a, p, o);
-                }
-            }
-            if let Some(al) = self.aliases.get(&o).cloned() {
-                for a in al {
-                    self.add_by("eq-rep-o", &[[s, p, o]], s, p, a);
-                }
-            }
+            self.replicate(s, p, o);
+        }
+    }
+
+    /// eq-rep: replicates a triple across the known aliases of its
+    /// subject and object.
+    fn replicate(&mut self, s: TermId, p: TermId, o: TermId) {
+        for a in self.aliases.get(&s).cloned().into_iter().flatten() {
+            self.add_by("eq-rep-s", &[[s, p, o]], a, p, o);
+        }
+        for a in self.aliases.get(&o).cloned().into_iter().flatten() {
+            self.add_by("eq-rep-o", &[[s, p, o]], s, p, a);
         }
     }
 
@@ -1444,101 +1508,23 @@ impl<'a, S: GraphStore> Engine<'a, S> {
         }
     }
 
-    /// One complex axiom `sub ⊑ sup` over `cand`: every candidate that
-    /// satisfies `sub` gets `sup`'s consequences asserted. Returns false
-    /// when the guard tripped mid-sweep.
-    fn sweep_axiom(&mut self, cand: &[TermId], sub: &ClassExpr, sup: &ClassExpr) -> bool {
-        for &x in cand {
-            if self.guard_tripped() {
-                return false;
-            }
-            // With tracking on, the witness search is the membership test.
-            if self.opts.track_derivations || self.satisfies(x, sub) {
-                self.conclude(x, sub, sup);
-            }
-        }
-        true
-    }
-
     /// Asserts `sup`'s consequences for an `x` that satisfies `sub`,
     /// with `sub`'s witness triples as premises when derivations are
     /// tracked (nothing is asserted if no witness is found).
     fn conclude(&mut self, x: TermId, sub: &ClassExpr, sup: &ClassExpr) {
         if self.opts.track_derivations {
             let mut witnesses = Vec::new();
-            if self.witnesses(x, sub, &mut witnesses) {
+            if witnesses_in(&*self.g, self.rules, x, sub, &mut witnesses) {
                 self.apply_membership_by(x, sup, &witnesses);
             }
         } else {
-            self.apply_membership(x, sup);
+            self.apply_membership_by(x, sup, &[]);
         }
     }
 
-    /// One pass over all complex subclass-like axioms.
-    fn complex_pass(&mut self) {
-        let rules = self.rules;
-        for (sub, sup) in &rules.complex {
-            let cand = self.candidates(sub);
-            if !self.sweep_axiom(&cand, sub, sup) {
-                return;
-            }
-        }
-    }
-
-    /// Property-chain evaluation (prp-spo2), full pass. When derivation
-    /// tracking is on, the walked step triples are recorded as premises.
-    fn chain_pass(&mut self) {
-        let chains = self.rules.chains.clone();
-        let tracking = self.opts.track_derivations;
-        for (chain, q) in &chains {
-            let mut frontier: Vec<(TermId, TermId, Vec<[TermId; 3]>)> = self
-                .g
-                .match_pattern(None, Some(chain[0]), None)
-                .into_iter()
-                .map(|t| {
-                    let steps = if tracking { vec![t] } else { Vec::new() };
-                    (t[0], t[2], steps)
-                })
-                .collect();
-            for &p in &chain[1..] {
-                let mut next = Vec::new();
-                for (start, mid, steps) in frontier {
-                    if self.guard_tripped() {
-                        return;
-                    }
-                    for z in self.g.objects(mid, p) {
-                        let mut s2 = steps.clone();
-                        if tracking {
-                            s2.push([mid, p, z]);
-                        }
-                        next.push((start, z, s2));
-                    }
-                }
-                frontier = next;
-                if frontier.is_empty() {
-                    break;
-                }
-            }
-            for (s, o, steps) in frontier {
-                self.add_by("prp-spo2", &steps, s, *q, o);
-            }
-        }
-    }
-
-    /// Sound membership check: does the graph entail `x ∈ expr` using only
-    /// already-materialized triples?
-    fn satisfies(&self, x: TermId, expr: &ClassExpr) -> bool {
-        satisfies_in(&*self.g, self.rules, x, expr)
-    }
-
-    /// Asserts the consequences of `x ∈ expr`.
-    fn apply_membership(&mut self, x: TermId, expr: &ClassExpr) {
-        self.apply_membership_by(x, expr, &[]);
-    }
-
-    /// Like [`Engine::apply_membership`], recording `premises` as the
-    /// evidence for every consequence (used when derivation tracking is
-    /// on: the premises are the witness triples of the left-hand side).
+    /// Asserts the consequences of `x ∈ expr`, recording `premises` as
+    /// the evidence for every consequence (with derivation tracking on,
+    /// the witness triples of the left-hand side).
     fn apply_membership_by(&mut self, x: TermId, expr: &ClassExpr, premises: &[[TermId; 3]]) {
         match expr {
             ClassExpr::Named(c) => self.add_by("cls", premises, x, self.rules.rdf_type, *c),
@@ -1570,162 +1556,40 @@ impl<'a, S: GraphStore> Engine<'a, S> {
             | ClassExpr::ComplementOf(_) => {}
         }
     }
+}
 
-    /// Satisfaction check that also collects the witnessing triples —
-    /// used for derivation tracking. Semantically identical to
-    /// [`Engine::satisfies`].
-    fn witnesses(&self, x: TermId, expr: &ClassExpr, out: &mut Vec<[TermId; 3]>) -> bool {
-        witnesses_in(&*self.g, self.rules, x, expr, out)
-    }
-
-    /// Individuals that could plausibly satisfy `expr` — a superset filter
-    /// used to avoid scanning every node for every axiom.
-    fn candidates(&self, expr: &ClassExpr) -> Vec<TermId> {
-        match expr {
-            ClassExpr::Named(c) => self.g.instances_of(*c),
-            ClassExpr::IntersectionOf(es) => {
-                // Use the conjunct with the most selective concrete
-                // candidate set; fall back to the first with any.
-                let mut best: Option<Vec<TermId>> = None;
-                for e in es {
-                    if matches!(
-                        e,
-                        ClassExpr::AllValuesFrom { .. } | ClassExpr::ComplementOf(_)
-                    ) {
-                        continue;
-                    }
-                    let c = self.candidates(e);
-                    if best.as_ref().is_none_or(|b| c.len() < b.len()) {
-                        best = Some(c);
-                    }
+/// The sequences of triples that lead from `start` along `steps`, one
+/// step at a time with the `(node it reaches, triple)` pairs `next`
+/// gives for `(step, node)`: each with the node it ends at, and its
+/// triples when `tracking`.
+fn walk<'s>(
+    start: TermId,
+    steps: impl Iterator<Item = &'s TermId>,
+    tracking: bool,
+    mut next: impl FnMut(TermId, TermId) -> Vec<(TermId, [TermId; 3])>,
+) -> Vec<(TermId, Vec<[TermId; 3]>)> {
+    let mut seqs = vec![(start, Vec::new())];
+    for &step in steps {
+        let mut longer = Vec::new();
+        for (node, seq) in seqs {
+            for (reached, triple) in next(step, node) {
+                let mut seq = seq.clone();
+                if tracking {
+                    seq.push(triple);
                 }
-                best.unwrap_or_else(|| self.all_subjects())
+                longer.push((reached, seq));
             }
-            ClassExpr::UnionOf(es) => {
-                let mut out: BTreeSet<TermId> = BTreeSet::new();
-                for e in es {
-                    out.extend(self.candidates(e));
-                }
-                out.into_iter().collect()
-            }
-            ClassExpr::SomeValuesFrom { property, .. } => {
-                let mut out: BTreeSet<TermId> = BTreeSet::new();
-                for t in self.g.match_pattern(None, Some(*property), None) {
-                    out.insert(t[0]);
-                }
-                out.into_iter().collect()
-            }
-            ClassExpr::HasValue { property, value } => self.g.subjects(*property, *value),
-            ClassExpr::OneOf(ids) => ids.clone(),
-            ClassExpr::AllValuesFrom { .. } | ClassExpr::ComplementOf(_) => self.all_subjects(),
+        }
+        seqs = longer;
+        if seqs.is_empty() {
+            break;
         }
     }
-
-    fn all_subjects(&self) -> Vec<TermId> {
-        let mut out: BTreeSet<TermId> = BTreeSet::new();
-        for [s, _, _] in self.g.iter_ids() {
-            out.insert(s);
-        }
-        out.into_iter().collect()
-    }
-
-    fn check_consistency(&mut self) {
-        // cax-dw: disjoint classes sharing a member.
-        let pairs = self.rules.disjoint_classes.clone();
-        for (a, b) in &pairs {
-            for x in self.candidates(a) {
-                if self.satisfies(x, a) && self.satisfies(x, b) {
-                    let detail =
-                        format!("{} is an instance of disjoint classes", self.g.term_name(x));
-                    self.result.inconsistencies.push(Inconsistency {
-                        kind: InconsistencyKind::DisjointClassesViolation,
-                        detail,
-                    });
-                }
-            }
-        }
-        // prp-pdw: disjoint properties linking the same pair.
-        for &(p, q) in &self.rules.disjoint_properties.clone() {
-            for [x, _, y] in self.g.match_pattern(None, Some(p), None) {
-                if self.g.contains_ids(x, q, y) {
-                    let detail = format!(
-                        "disjoint properties {} and {} both relate {} to {}",
-                        self.g.term_name(p),
-                        self.g.term_name(q),
-                        self.g.term_name(x),
-                        self.g.term_name(y)
-                    );
-                    self.result.inconsistencies.push(Inconsistency {
-                        kind: InconsistencyKind::DisjointPropertiesViolation,
-                        detail,
-                    });
-                }
-            }
-        }
-        // cls-nothing2
-        if let Some(nothing) = self.g.lookup_iri(owl::NOTHING) {
-            for x in self.g.instances_of(nothing) {
-                let detail = format!("{} is an instance of owl:Nothing", self.g.term_name(x));
-                self.result.inconsistencies.push(Inconsistency {
-                    kind: InconsistencyKind::NothingHasInstance,
-                    detail,
-                });
-            }
-        }
-        // prp-irp
-        for &p in &self.rules.irreflexive.clone() {
-            for [s, _, o] in self.g.match_pattern(None, Some(p), None) {
-                if s == o {
-                    let detail = format!(
-                        "irreflexive property {} relates {} to itself",
-                        self.g.term_name(p),
-                        self.g.term_name(s)
-                    );
-                    self.result.inconsistencies.push(Inconsistency {
-                        kind: InconsistencyKind::IrreflexiveViolation,
-                        detail,
-                    });
-                }
-            }
-        }
-        // prp-asyp
-        for &p in &self.rules.asymmetric.clone() {
-            for [s, _, o] in self.g.match_pattern(None, Some(p), None) {
-                if self.g.contains_ids(o, p, s) && s != o {
-                    let detail = format!(
-                        "asymmetric property {} holds in both directions between {} and {}",
-                        self.g.term_name(p),
-                        self.g.term_name(s),
-                        self.g.term_name(o)
-                    );
-                    self.result.inconsistencies.push(Inconsistency {
-                        kind: InconsistencyKind::AsymmetricViolation,
-                        detail,
-                    });
-                }
-            }
-        }
-        // eq-diff1
-        for &(a, b) in &self.rules.different_from.clone() {
-            if self.g.contains_ids(a, self.rules.same_as, b)
-                || self.g.contains_ids(b, self.rules.same_as, a)
-            {
-                let detail = format!(
-                    "{} and {} are both sameAs and differentFrom",
-                    self.g.term_name(a),
-                    self.g.term_name(b)
-                );
-                self.result.inconsistencies.push(Inconsistency {
-                    kind: InconsistencyKind::SameAndDifferent,
-                    detail,
-                });
-            }
-        }
-    }
+    seqs
 }
 
 /// In-place transitive closure of an adjacency map.
-fn transitive_close(map: &mut HashMap<TermId, BTreeSet<TermId>>) {
+fn transitive_close(map: &mut FxMap<TermId, BTreeSet<TermId>>) {
     // Simple semi-naive closure; schema graphs are small.
     loop {
         let mut additions: BTreeMap<TermId, BTreeSet<TermId>> = BTreeMap::new();
@@ -1981,6 +1845,19 @@ mod tests {
         assert!(has(&g, "Sunday", rdf::TYPE, "Weekend"));
     }
 
+    /// An enumeration on a left-hand side holds with no triple behind it,
+    /// so no trigger ever fires for it: its members enter the closure from
+    /// empty on the axiom's first turn.
+    #[test]
+    fn one_of_left_hand_side_types_its_members_without_asserted_types() {
+        let mut g = graph("e:Season owl:equivalentClass [ owl:oneOf (e:Spring e:Summer) ] .");
+        Reasoner::new()
+            .materialize(&mut g, &Default::default())
+            .expect("materialize");
+        assert!(has(&g, "Spring", rdf::TYPE, "Season"));
+        assert!(has(&g, "Summer", rdf::TYPE, "Season"));
+    }
+
     #[test]
     fn detects_disjointness_violation() {
         let mut g = graph(
@@ -2052,20 +1929,6 @@ mod tests {
             .materialize(&mut g, &Default::default())
             .expect("materialize");
         assert!(has(&g, "curry", "hasCharacteristic", "autumn"));
-    }
-
-    #[test]
-    fn schema_closure_can_be_disabled() {
-        let mut g = graph("e:A rdfs:subClassOf e:B . e:B rdfs:subClassOf e:C . e:x a e:A .");
-        let opts = ReasonerOptions {
-            materialize_schema_closure: false,
-            ..Default::default()
-        };
-        Reasoner::with_options(opts)
-            .materialize(&mut g, &Default::default())
-            .expect("materialize");
-        assert!(!has(&g, "A", rdfs::SUB_CLASS_OF, "C"));
-        assert!(has(&g, "x", rdf::TYPE, "C"), "instance closure still runs");
     }
 
     #[test]
@@ -2363,6 +2226,41 @@ mod tests {
         );
     }
 
+    /// A delta triple at any step of a chain joins the base's triples on
+    /// either side of it.
+    #[test]
+    fn delta_chain_step_joins_base_partners() {
+        let chain = "e:r owl:propertyChainAxiom ( e:p e:q e:s ) .\n";
+        let ends = [["a", "r", "d"]];
+        for (base, delta) in [
+            ("e:b e:q e:c . e:c e:s e:d .", "e:a e:p e:b ."),
+            ("e:a e:p e:b . e:c e:s e:d .", "e:b e:q e:c ."),
+            ("e:a e:p e:b . e:b e:q e:c .", "e:c e:s e:d ."),
+        ] {
+            let mut g = graph(&format!("{chain}{base}"));
+            let reasoner = Reasoner::new();
+            let rules = reasoner.compile(&mut g);
+            reasoner
+                .materialize(&mut g, &MaterializeOptions::with_rules(&rules))
+                .expect("materialize");
+            let mut overlay = Overlay::new(&g);
+            let triples = feo_rdf::turtle::parse_turtle(
+                &format!("@prefix e: <http://e/> .\n{delta}"),
+                &Default::default(),
+            )
+            .expect("delta parses");
+            for t in &triples {
+                overlay.insert(t);
+            }
+            reasoner
+                .materialize_delta(&mut overlay, &MaterializeOptions::with_rules(&rules))
+                .expect("materialize_delta");
+            for [s, p, o] in ends {
+                assert!(has(&overlay, s, p, o), "{delta}: missing {s} {p} {o}");
+            }
+        }
+    }
+
     #[test]
     fn delta_disjointness_is_found_through_either_side() {
         let violated = vec![InconsistencyKind::DisjointClassesViolation];
@@ -2557,6 +2455,44 @@ mod disjoint_property_tests {
             .inconsistencies
             .iter()
             .any(|i| i.kind == InconsistencyKind::DisjointPropertiesViolation));
+    }
+
+    /// Both sides of the violation fresh in one delta: reported once,
+    /// with the properties in declaration order.
+    #[test]
+    fn delta_reports_a_disjoint_property_violation_once() {
+        let mut base = Graph::new();
+        parse_turtle_into(
+            &format!(
+                "@prefix owl: <{}> .\n@prefix e: <http://e/> .\n\
+                 e:likes owl:propertyDisjointWith e:dislikes .",
+                owl::NS
+            ),
+            &mut base,
+            &Default::default(),
+        )
+        .unwrap();
+        let reasoner = Reasoner::new();
+        let rules = reasoner.compile(&mut base);
+        reasoner
+            .materialize(&mut base, &MaterializeOptions::with_rules(&rules))
+            .expect("materialize");
+        let mut overlay = Overlay::new(&base);
+        overlay.insert_iris("http://e/u", "http://e/likes", "http://e/kale");
+        overlay.insert_iris("http://e/u", "http://e/dislikes", "http://e/kale");
+        let r = reasoner
+            .materialize_delta(&mut overlay, &MaterializeOptions::with_rules(&rules))
+            .expect("materialize_delta");
+        let details: Vec<&str> = r
+            .inconsistencies
+            .iter()
+            .filter(|i| i.kind == InconsistencyKind::DisjointPropertiesViolation)
+            .map(|i| i.detail.as_str())
+            .collect();
+        assert_eq!(
+            details,
+            ["disjoint properties likes and dislikes both relate u to kale"]
+        );
     }
 
     #[test]
