@@ -77,6 +77,15 @@ echo "== filter placement and correlated sub-patterns (bounded wall-clock)"
 # EXISTS once per distinct ?property (its own binary: counter deltas).
 timeout 180 cargo test -q --offline --release --test filter_placement --test exists_once_per_key
 
+echo "== prepared templates (bounded wall-clock)"
+# Explanations run templates parsed and planned once per base and bound
+# to the question by a seed row: every template's table must equal its
+# text form run through feo_sparql::query (curated KG on a memory and a
+# store-opened base, the benchmark world at head and after 16 commits),
+# explain must make no plan-cache lookup, and CQ1-CQ3 plans must be the
+# same at every epoch of a 64-commit chain.
+timeout 180 cargo test -q --offline --release --test prepared_templates
+
 echo "== planner smoke (bounded wall-clock)"
 # The paired planner-gain harness must run end to end; full numbers go
 # to EXPERIMENTS.md, the smoke run just has to complete.

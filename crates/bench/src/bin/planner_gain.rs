@@ -6,8 +6,8 @@
 //! reports the median of per-round ratios.
 //!
 //! Two experiments:
-//!  1. CQ1–CQ3 explanations, cost-based (plan cache included — the
-//!     production hot path) vs. greedy reordering. The contract is
+//!  1. CQ1–CQ3 explanations, cost-based (the plans prepared with the
+//!     base — the production hot path) vs. greedy reordering. The contract is
 //!     "planned no slower than greedy".
 //!  2. An adversarially-authored BGP (the first two patterns share no
 //!     variable, so author order opens with a cartesian product) over
@@ -134,7 +134,7 @@ fn main() {
         if smoke { " (smoke)" } else { "" }
     );
 
-    println!("  CQ explanations, cost-based (with plan cache) vs greedy:");
+    println!("  CQ explanations, cost-based (prepared plans) vs greedy:");
     for scenario in all_scenarios() {
         let label = scenario.name.split(' ').next().unwrap_or("cq");
         let ratio = measure_explain(&scenario, &params);

@@ -1,32 +1,24 @@
-//! Epoch-keyed SPARQL plan cache.
+//! Epoch-keyed plan cache for ad-hoc SPARQL text.
 //!
-//! The engine answers every question by instantiating a handful of
-//! SPARQL templates, so the same query text recurs across sessions over
-//! one [`crate::EngineBase`]. Parsing and cost-based planning are pure
-//! functions of (query text, graph statistics), and with the epoch
-//! ledger every epoch's graph is immutable forever — so entries are
-//! keyed by `(EpochId, query text)` and each entry is a pure function
-//! of its key.
+//! Explanations run the prepared competency templates
+//! ([`crate::queries`]) and never come here. This cache serves query text
+//! a caller writes — `Session::query`, behind `/query`, `feo query` and
+//! `query_as_of` — where a repeated query would otherwise be parsed and
+//! planned again on every call.
 //!
-//! This keying also closes the race the old design documented: entries
-//! used to be stamped with an epoch read *before* planning, so a lookup
-//! racing an invalidate could insert a plan computed against new
-//! statistics under an old stamp. Now the caller passes the epoch and
-//! the matching epoch view together; whatever interleaving occurs, an
-//! entry under key `(e, q)` always holds the plan for epoch `e`'s
-//! statistics. Commits invalidate nothing — the head moves to a fresh
-//! key, while entries for older epochs stay retained so time-travel
-//! queries keep hitting cached plans. A capacity bound evicts the
-//! entries furthest from the head when the cache grows too large.
+//! Parsing and cost-based planning are pure functions of (query text,
+//! graph statistics), and with the epoch ledger every epoch's graph is
+//! immutable forever, so entries are keyed by (chain, epoch, query text)
+//! and each entry is a pure function of its key. The caller passes the
+//! key and the matching view together, so a concurrent commit can never
+//! smuggle a plan for one epoch under another epoch's key. Commits
+//! invalidate nothing: the head moves to a fresh key, while entries for
+//! older epochs stay so time-travel queries keep hitting. A capacity
+//! bound evicts the epochs furthest from the head.
 //!
-//! Branches partition the key space: a [`PlanKey`] is `(chain, epoch,
-//! query)`, where chain 0 is the main commit chain and each named
-//! branch gets a stable non-zero id at creation. A branch epoch's
-//! statistics differ from the main epoch with the same number, so
-//! without the chain component the keys would collide; with it, branch
-//! sessions reuse cached plans exactly like main-chain sessions —
-//! which is what keeps branch-heavy multi-tenant serving from
-//! re-planning every request.
+//! Chain 0 is the main commit chain; each named branch gets a stable
+//! non-zero id at creation, because a branch epoch's statistics differ
+//! from the main epoch with the same number.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -39,59 +31,16 @@ use feo_sparql::{parse_query, plan_query, Plan, SparqlError};
 /// Entries retained across all epochs before eviction kicks in.
 const MAX_ENTRIES: usize = 256;
 
-/// Lock stripes: a lookup hashes its query text to one of these
-/// independent shards, so concurrent sessions replaying *different*
-/// templates never serialize on one lock — not even on the write path,
-/// where a freshly planned entry previously blocked every reader of the
-/// single map while it was inserted.
-const STRIPES: usize = 16;
-
-/// FNV-1a over the query text picks the stripe: cheap, allocation-free,
-/// stable across runs, and spreads the engine's template set evenly.
-fn stripe_of(text: &str) -> usize {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in text.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    (h % STRIPES as u64) as usize
-}
-
-/// The commit chain and epoch a cached plan was computed against.
-/// `chain` 0 is the main ledger chain; named branches get stable
-/// non-zero ids so their epochs never collide with main epochs of the
-/// same number.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct PlanKey {
-    pub chain: u64,
-    pub epoch: u64,
-}
-
-impl PlanKey {
-    /// A key on the main commit chain.
-    pub fn main(epoch: u64) -> Self {
-        PlanKey { chain: 0, epoch }
-    }
-
-    /// A key on a named branch's chain (`branch` ids start at 1).
-    pub fn branch(branch: u64, epoch: u64) -> Self {
-        PlanKey {
-            chain: branch,
-            epoch,
-        }
-    }
-}
-
 /// Hit/miss counters and current state of a [`crate::EngineBase`]'s plan
-/// cache — exposed so tests (and curious callers) can verify that
-/// repeated questions reuse cached plans and that commits re-key the
-/// head without disturbing older epochs.
+/// cache for ad-hoc query text — exposed so tests (and curious callers)
+/// can verify that repeated queries reuse cached plans and that commits
+/// re-key the head without disturbing older epochs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlanCacheStats {
     /// Lookups answered from the cache without re-parsing or re-planning.
     pub hits: u64,
     /// Lookups that had to parse and plan (first sight of a
-    /// (epoch, query) pair).
+    /// (chain, epoch, query) triple).
     pub misses: u64,
     /// Entries currently cached, across all retained epochs.
     pub entries: usize,
@@ -107,79 +56,65 @@ struct CachedPlan {
 
 /// Interior-mutable cache living on the shared, otherwise-immutable
 /// [`crate::EngineBase`]. All operations take `&self`, so any number of
-/// concurrent sessions can share one cache through an `Arc`d base.
-///
-/// The map is sharded into [`STRIPES`] independently locked stripes
-/// keyed by a hash of the query text: hits take only their stripe's
-/// read lock, and an insert's write lock stalls only lookups of texts
-/// that hash to the same stripe. The capacity bound applies per stripe
-/// (`MAX_ENTRIES / STRIPES`), so the global bound still holds while
-/// eviction decisions stay local to one lock.
+/// concurrent sessions can share one cache through an `Arc`d base; hits
+/// take the read lock only.
 #[derive(Default)]
 pub(crate) struct PlanCache {
-    stripes: [RwLock<HashMap<(PlanKey, String), CachedPlan>>; STRIPES],
+    /// Plans by (chain, epoch), then by query text.
+    entries: RwLock<HashMap<(u64, u64), HashMap<String, CachedPlan>>>,
     head: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
 impl PlanCache {
-    /// Returns the parsed query and its plan for `key`, reusing a
-    /// cached pair when one exists; otherwise parses `text`, plans it
-    /// against `view`'s statistics, and caches the result under
-    /// `(key, text)`.
+    /// Returns the parsed query and its plan for `text` under `key`, a
+    /// (chain, epoch) pair, reusing a cached pair when one exists;
+    /// otherwise parses `text`, plans it against `view`'s statistics,
+    /// and caches the result.
     ///
-    /// Correctness contract: `view` must be the graph view *of*
-    /// `key`'s chain and epoch. The key and the statistics travel
-    /// together, so a concurrent commit can never smuggle a plan for
-    /// one epoch under another epoch's key.
+    /// Correctness contract: `view` must be the graph view *of* `key`'s
+    /// chain and epoch.
     pub(crate) fn get_or_insert<G: GraphView>(
         &self,
         text: &str,
-        key: PlanKey,
+        key: (u64, u64),
         view: G,
     ) -> Result<(Arc<Query>, Arc<Plan>), SparqlError> {
-        let stripe = &self.stripes[stripe_of(text)];
+        // A poisoned lock only means another thread panicked while
+        // holding it; every update leaves the map whole, so keep serving
+        // rather than propagate the panic.
+        if let Some(hit) = (self.entries.read().unwrap_or_else(|e| e.into_inner()))
+            .get(&key)
+            .and_then(|plans| plans.get(text))
         {
-            // A poisoned lock only means another thread panicked while
-            // holding it; the map is still structurally sound, so keep
-            // serving rather than propagate the panic.
-            let entries = stripe.read().unwrap_or_else(|e| e.into_inner());
-            if let Some(hit) = entries.get(&(key, text.to_string())) {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok((Arc::clone(&hit.query), Arc::clone(&hit.plan)));
-            }
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return Ok((Arc::clone(&hit.query), Arc::clone(&hit.plan)));
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         let query = Arc::new(parse_query(text)?);
         let plan = Arc::new(plan_query(&view, &query));
-        let mut entries = stripe.write().unwrap_or_else(|e| e.into_inner());
-        if entries.len() >= MAX_ENTRIES / STRIPES {
-            Self::evict(&mut entries, self.head.load(Ordering::Acquire), key);
+        let mut entries = self.entries.write().unwrap_or_else(|e| e.into_inner());
+        if entries.values().map(HashMap::len).sum::<usize>() >= MAX_ENTRIES {
+            // Drop the epoch furthest from the main-chain head, sparing
+            // the key being inserted. Branch epochs compete on their
+            // number too: head distance is a recency proxy either way.
+            let head = self.head.load(Ordering::Acquire);
+            let victim = (entries.keys().copied())
+                .filter(|&k| k != key)
+                .max_by_key(|&(_, epoch)| head.abs_diff(epoch));
+            if let Some(victim) = victim {
+                entries.remove(&victim);
+            }
         }
-        entries.insert(
-            (key, text.to_string()),
+        entries.entry(key).or_default().insert(
+            text.to_string(),
             CachedPlan {
                 query: Arc::clone(&query),
                 plan: Arc::clone(&plan),
             },
         );
         Ok((query, plan))
-    }
-
-    /// Drops one stripe's entries whose epoch lies furthest from the
-    /// main-chain head, sparing the key currently being inserted.
-    /// Branch entries compete on their epoch number like main-chain
-    /// ones — the head distance is a recency proxy either way.
-    fn evict(entries: &mut HashMap<(PlanKey, String), CachedPlan>, head: u64, inserting: PlanKey) {
-        let victim = entries
-            .keys()
-            .map(|(k, _)| *k)
-            .filter(|&k| k != inserting)
-            .max_by_key(|k| head.abs_diff(k.epoch));
-        if let Some(victim) = victim {
-            entries.retain(|(k, _), _| *k != victim);
-        }
     }
 
     /// Announces a new head epoch after a commit. Nothing is dropped:
@@ -190,14 +125,11 @@ impl PlanCache {
     }
 
     pub(crate) fn stats(&self) -> PlanCacheStats {
+        let entries = self.entries.read().unwrap_or_else(|e| e.into_inner());
         PlanCacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            entries: self
-                .stripes
-                .iter()
-                .map(|s| s.read().unwrap_or_else(|e| e.into_inner()).len())
-                .sum(),
+            entries: entries.values().map(HashMap::len).sum(),
             epoch: self.head.load(Ordering::Acquire),
         }
     }
@@ -220,12 +152,8 @@ mod tests {
     fn repeated_lookup_hits() {
         let cache = PlanCache::default();
         let g = graph();
-        cache
-            .get_or_insert(Q, PlanKey::main(0), &g)
-            .expect("parses");
-        cache
-            .get_or_insert(Q, PlanKey::main(0), &g)
-            .expect("parses");
+        cache.get_or_insert(Q, (0, 0), &g).expect("parses");
+        cache.get_or_insert(Q, (0, 0), &g).expect("parses");
         let stats = cache.stats();
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.hits, 1);
@@ -236,20 +164,14 @@ mod tests {
     fn commits_retain_old_epochs() {
         let cache = PlanCache::default();
         let g = graph();
-        cache
-            .get_or_insert(Q, PlanKey::main(0), &g)
-            .expect("parses");
+        cache.get_or_insert(Q, (0, 0), &g).expect("parses");
         cache.advance_head(1);
         // Head lookups re-plan under the new key…
-        cache
-            .get_or_insert(Q, PlanKey::main(1), &g)
-            .expect("parses");
+        cache.get_or_insert(Q, (0, 1), &g).expect("parses");
         assert_eq!(cache.stats().misses, 2);
         assert_eq!(cache.stats().entries, 2);
         // …but time-travel back to epoch 0 still hits.
-        cache
-            .get_or_insert(Q, PlanKey::main(0), &g)
-            .expect("parses");
+        cache.get_or_insert(Q, (0, 0), &g).expect("parses");
         let stats = cache.stats();
         assert_eq!(stats.hits, 1, "epoch-0 plan must survive the commit");
         assert_eq!(stats.epoch, 1);
@@ -260,25 +182,15 @@ mod tests {
         let cache = PlanCache::default();
         let g = graph();
         // Same epoch number, different chains: distinct entries.
-        cache
-            .get_or_insert(Q, PlanKey::main(3), &g)
-            .expect("parses");
-        cache
-            .get_or_insert(Q, PlanKey::branch(1, 3), &g)
-            .expect("parses");
+        cache.get_or_insert(Q, (0, 3), &g).expect("parses");
+        cache.get_or_insert(Q, (1, 3), &g).expect("parses");
         assert_eq!(cache.stats().entries, 2, "chains must not collide");
         // Each chain hits its own entry on replay.
-        cache
-            .get_or_insert(Q, PlanKey::main(3), &g)
-            .expect("parses");
-        cache
-            .get_or_insert(Q, PlanKey::branch(1, 3), &g)
-            .expect("parses");
+        cache.get_or_insert(Q, (0, 3), &g).expect("parses");
+        cache.get_or_insert(Q, (1, 3), &g).expect("parses");
         assert_eq!(cache.stats().hits, 2);
         // A second branch is a third partition.
-        cache
-            .get_or_insert(Q, PlanKey::branch(2, 3), &g)
-            .expect("parses");
+        cache.get_or_insert(Q, (2, 3), &g).expect("parses");
         assert_eq!(cache.stats().entries, 3);
     }
 
@@ -286,9 +198,7 @@ mod tests {
     fn parse_errors_are_not_cached() {
         let cache = PlanCache::default();
         let g = graph();
-        assert!(cache
-            .get_or_insert("SELEKT nonsense", PlanKey::main(0), &g)
-            .is_err());
+        assert!(cache.get_or_insert("SELEKT nonsense", (0, 0), &g).is_err());
         assert_eq!(cache.stats().entries, 0);
     }
 
@@ -296,11 +206,9 @@ mod tests {
     fn distinct_texts_get_distinct_entries() {
         let cache = PlanCache::default();
         let g = graph();
+        cache.get_or_insert(Q, (0, 0), &g).expect("parses");
         cache
-            .get_or_insert(Q, PlanKey::main(0), &g)
-            .expect("parses");
-        cache
-            .get_or_insert("ASK { ?s ?p ?o }", PlanKey::main(0), &g)
+            .get_or_insert("ASK { ?s ?p ?o }", (0, 0), &g)
             .expect("parses");
         assert_eq!(cache.stats().entries, 2);
     }
@@ -315,25 +223,21 @@ mod tests {
             cache
                 .get_or_insert(
                     &format!("SELECT ?s WHERE {{ ?s ?p {epoch} }}"),
-                    PlanKey::main(epoch),
+                    (0, epoch),
                     &g,
                 )
                 .expect("parses");
             epoch += 1;
         }
         cache.advance_head(epoch);
-        cache
-            .get_or_insert(Q, PlanKey::main(epoch), &g)
-            .expect("parses");
+        cache.get_or_insert(Q, (0, epoch), &g).expect("parses");
         let stats = cache.stats();
         assert!(
             stats.entries <= MAX_ENTRIES,
             "capacity bound holds: {stats:?}"
         );
         // The head insert itself survived.
-        cache
-            .get_or_insert(Q, PlanKey::main(epoch), &g)
-            .expect("parses");
+        cache.get_or_insert(Q, (0, epoch), &g).expect("parses");
         assert!(cache.stats().hits >= 1);
     }
 
@@ -384,9 +288,8 @@ mod tests {
                         let epoch = (worker as u64 + i) % 6;
                         let view: &Graph = if epoch.is_multiple_of(2) { small } else { big };
                         let text = texts[(i as usize + worker) % texts.len()];
-                        let (_, plan) = cache
-                            .get_or_insert(text, PlanKey::main(epoch), view)
-                            .expect("parses");
+                        let (_, plan) =
+                            cache.get_or_insert(text, (0, epoch), view).expect("parses");
                         assert_eq!(
                             format!("{plan:?}"),
                             expect(epoch, text),

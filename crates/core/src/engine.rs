@@ -26,8 +26,9 @@
 //!   underneath.
 //!
 //! Each `explain` call asserts the question individual, re-closes the
-//! view, evaluates the explanation type's SPARQL template, and renders
-//! the answer — the exact §IV reasoning-then-querying workflow.
+//! view, runs the explanation type's SPARQL template (prepared once with
+//! the base, bound to the question by a seed row), and renders the
+//! answer — the exact §IV reasoning-then-querying workflow.
 
 use feo_foodkg::{FoodKg, Season, SystemContext, UserProfile};
 use feo_ontology::ns::feo;
@@ -44,18 +45,18 @@ use feo_rdf::{
 
 use feo_recommender::{RecommendationSet, TraceStep};
 use feo_sparql::{
-    execute, execute_prepared, parse_query, plan_query, Planner, QueryOptions, QueryResult,
-    SolutionTable, SparqlError,
+    execute, execute_prepared, execute_seeded, parse_query, Plan, Planner, QueryOptions,
+    QueryResult, SolutionTable, SparqlError,
 };
 use std::collections::HashSet;
 use std::path::Path;
 use std::sync::Arc;
 
-use crate::cache::{PlanCache, PlanCacheStats, PlanKey};
+use crate::cache::{PlanCache, PlanCacheStats};
 use crate::ecosystem::{apply_hypothesis, assemble, assert_question};
 use crate::explanation::{humanize, Explanation};
 use crate::knowledge::{records_to_rdf, Population, EVERYDAY_RECORD, SCIENTIFIC_RECORD};
-use crate::queries;
+use crate::queries::{Prepared, Templates};
 use crate::question::{ExplanationType, Hypothesis, Question};
 
 /// Errors raised by the explanation engine.
@@ -132,8 +133,9 @@ pub struct ExplainOptions<'a> {
     /// evaluation; `None` runs unguarded.
     pub guard: Option<&'a Guard>,
     /// SPARQL planner used for the competency queries. The default
-    /// cost-based planner also routes through the base's snapshot-keyed
-    /// plan cache.
+    /// cost-based planner runs the plans prepared when the base was built
+    /// or opened; `Off` and `Greedy` run the same prepared queries
+    /// without them.
     pub planner: Planner,
     /// Batch worker count: how many threads
     /// [`EngineBase::explain_batch`] fans a slice of questions across.
@@ -277,8 +279,8 @@ impl BranchDiff {
 struct NamedBranch {
     name: String,
     /// Stable non-zero plan-cache chain id (creation order + 1):
-    /// partitions this branch's cached plans from the main chain and
-    /// from every other branch.
+    /// partitions this branch's cached ad-hoc plans from the main chain
+    /// and from every other branch.
     cache_chain: u64,
     chain: BranchChain,
 }
@@ -317,8 +319,10 @@ pub struct EngineBase {
     population: Option<Population>,
     recommendations: Option<RecommendationSet>,
     track_proofs: bool,
-    /// Parsed queries and their cost-based plans, keyed by
-    /// `(EpochId, query text)` (see [`crate::cache`]).
+    /// The competency templates, prepared against the sealed base.
+    templates: Templates,
+    /// Parsed ad-hoc queries and their cost-based plans, keyed by chain,
+    /// epoch and query text (see [`crate::cache`]).
     plan_cache: PlanCache,
     /// Attached persistent store, when the base was opened from or
     /// saved to disk. Commits append WAL records here; a failed append
@@ -370,6 +374,7 @@ impl EngineBase {
                     .collect(),
             ));
         }
+        let templates = Templates::prepare(&graph)?;
         Ok(EngineBase {
             kg,
             user,
@@ -382,6 +387,7 @@ impl EngineBase {
             population: None,
             recommendations: None,
             track_proofs,
+            templates,
             plan_cache: PlanCache::default(),
             store: None,
         })
@@ -507,8 +513,9 @@ impl EngineBase {
         self.commit_labeled(label, spill, delta, inference)
     }
 
-    /// Hit/miss counters and head epoch of the epoch-keyed plan cache
-    /// shared by this base's sessions.
+    /// Hit/miss counters and head epoch of the plan cache for ad-hoc
+    /// query text ([`Session::query`]), shared by this base's sessions.
+    /// Explanations run prepared templates and never look a plan up.
     pub fn plan_cache_stats(&self) -> PlanCacheStats {
         self.plan_cache.stats()
     }
@@ -565,7 +572,7 @@ impl EngineBase {
         Session {
             base: self,
             epoch,
-            cache_key: Some(PlanKey::main(epoch.0)),
+            chain: 0,
             overlay: Overlay::new(self.ledger.head_view()),
             inference: InferenceResult::default(),
             guard: None,
@@ -586,7 +593,7 @@ impl EngineBase {
         Some(Session {
             base: self,
             epoch,
-            cache_key: Some(PlanKey::main(epoch.0)),
+            chain: 0,
             overlay: Overlay::new(view),
             inference: InferenceResult::default(),
             guard: None,
@@ -595,9 +602,8 @@ impl EngineBase {
     }
 
     /// Answers `question` exactly as the engine would have at `epoch`:
-    /// the session view stacks only the layers committed up to then,
-    /// and plans come from the per-epoch cache partition, so later
-    /// commits cannot perturb the answer.
+    /// the session view stacks only the layers committed up to then, so
+    /// later commits cannot perturb the answer.
     pub fn explain_as_of(
         &self,
         epoch: EpochId,
@@ -702,6 +708,7 @@ impl EngineBase {
             let (spill, delta) = overlay.into_delta();
             (rules, spill, delta)
         };
+        let templates = Templates::prepare(ledger.base())?;
         let plan_cache = PlanCache::default();
         plan_cache.advance_head(ledger.head().0);
         let mut engine = EngineBase {
@@ -716,6 +723,7 @@ impl EngineBase {
             population: None,
             recommendations: None,
             track_proofs: false,
+            templates,
             plan_cache,
             store: Some(opened.store),
         };
@@ -845,18 +853,16 @@ impl EngineBase {
         })
     }
 
-    /// Opens a session over the named branch's head view. Branch
-    /// sessions share the base's plan cache through their own key
-    /// partition — `(branch id, branch epoch, query)` — so replaying a
-    /// question template on a branch reuses its cached plan instead of
-    /// re-planning every request, without ever colliding with the main
-    /// epoch of the same number.
+    /// Opens a session over the named branch's head view. Its ad-hoc
+    /// queries share the base's plan cache through their own key
+    /// partition — `(branch id, branch epoch, query)` — so they never
+    /// collide with the main epoch of the same number.
     pub fn branch_session(&self, name: &str) -> Option<Session<'_>> {
         let branch = self.branch(name)?;
         Some(Session {
             base: self,
             epoch: branch.chain.head(),
-            cache_key: Some(PlanKey::branch(branch.cache_chain, branch.chain.head().0)),
+            chain: branch.cache_chain,
             overlay: Overlay::new(self.ledger.branch_view(&branch.chain)),
             inference: InferenceResult::default(),
             guard: None,
@@ -1120,10 +1126,9 @@ pub struct Session<'a> {
     base: &'a EngineBase,
     /// The ledger epoch this session's view is pinned at.
     epoch: EpochId,
-    /// Plan-cache partition key — the chain (main or a named branch)
-    /// and epoch this session's view is pinned at. `None` disables
-    /// caching for this session.
-    cache_key: Option<PlanKey>,
+    /// Plan-cache chain of the epoch: 0 for the main chain, the
+    /// branch's id on a branch.
+    chain: u64,
     overlay: Overlay<LedgerView<'a>>,
     /// Closure stats and derivations accumulated by this session's
     /// incremental closes (disjoint from the base's own inference).
@@ -1162,39 +1167,50 @@ impl<'a> Session<'a> {
         (self.overlay, self.inference)
     }
 
-    /// Evaluates a competency query over `view`, under the session guard
-    /// when one is installed. With the cost-based planner the parsed
-    /// query and its plan come from the base's chain+epoch-keyed cache —
-    /// plans are computed against this session's pinned epoch view,
-    /// whose statistics the per-session delta is far too small to flip.
-    /// Branch sessions hit their own cache partition (see [`PlanKey`]).
-    fn run_query<V: GraphView>(&self, view: V, q: &str) -> Result<QueryResult, EngineError> {
-        let opts = QueryOptions {
+    fn query_options(&self) -> QueryOptions<'a> {
+        QueryOptions {
             guard: self.guard,
             planner: self.planner,
             ..Default::default()
-        };
-        if self.planner == Planner::CostBased {
-            if let Some(key) = self.cache_key {
-                let (parsed, plan) =
-                    self.base
-                        .plan_cache
-                        .get_or_insert(q, key, self.overlay.base())?;
-                return Ok(execute_prepared(view, &parsed, &plan, &opts)?);
-            }
-            let parsed = parse_query(q)?;
-            let plan = plan_query(self.overlay.base(), &parsed);
-            return Ok(execute_prepared(view, &parsed, &plan, &opts)?);
         }
-        let parsed = parse_query(q)?;
-        Ok(execute(view, &parsed, &opts)?)
+    }
+
+    /// Runs a competency template over `view`, its parameters bound to
+    /// the IRIs in `args` by a seed row, under the session guard.
+    fn run_template<V: GraphView>(
+        &self,
+        view: V,
+        template: &Prepared,
+        args: &[&str],
+    ) -> Result<SolutionTable, EngineError> {
+        let seed: Vec<(&str, Term)> = (template.params.iter().copied())
+            .zip(args.iter().map(|iri| Term::iri(*iri)))
+            .collect();
+        let unplanned = Plan::default();
+        let plan = match self.planner {
+            Planner::CostBased => &template.plan,
+            Planner::Off | Planner::Greedy => &unplanned,
+        };
+        let result = execute_seeded(view, &template.query, plan, &seed, &self.query_options())?;
+        Ok(result.expect_solutions())
     }
 
     /// Runs an arbitrary SPARQL query over this session's epoch view
-    /// plus its private delta — the entry point behind
-    /// `feo query --as-of`.
+    /// plus its private delta — the entry point behind `/query` and
+    /// `feo query --as-of`. With the cost-based planner the parsed query
+    /// and its plan come from the base's plan cache, planned against the
+    /// session's epoch view.
     pub fn query(&self, sparql: &str) -> Result<QueryResult, EngineError> {
-        self.run_query(&self.overlay, sparql)
+        let opts = self.query_options();
+        if self.planner == Planner::CostBased {
+            let (parsed, plan) = self.base.plan_cache.get_or_insert(
+                sparql,
+                (self.chain, self.epoch.0),
+                self.overlay.base(),
+            )?;
+            return Ok(execute_prepared(&self.overlay, &parsed, &plan, &opts)?);
+        }
+        Ok(execute(&self.overlay, &parse_query(sparql)?, &opts)?)
     }
 
     /// Like [`Session::query`], but under the guard and planner carried
@@ -1212,7 +1228,7 @@ impl<'a> Session<'a> {
     ) -> Result<QueryResult, EngineError> {
         self.guard = opts.guard;
         self.planner = opts.planner;
-        self.run_query(&self.overlay, sparql)
+        self.query(sparql)
     }
 
     /// Answers a question with the matching explanation type, under the
@@ -1289,8 +1305,8 @@ impl<'a> Session<'a> {
     fn contextual(&mut self, question: &Question, food: &str) -> Result<Explanation, EngineError> {
         self.require_recipe(food)?;
         self.assert_and_close(question)?;
-        let q = queries::contextual_query(question);
-        let table = self.run_query(&self.overlay, &q)?.expect_solutions();
+        let iri = question.iri();
+        let table = self.run_template(&self.overlay, &self.base.templates.contextual, &[&iri])?;
 
         let mut statements = Vec::new();
         for row in table.local_rows() {
@@ -1386,8 +1402,8 @@ impl<'a> Session<'a> {
         self.require_recipe(preferred)?;
         self.require_recipe(alternative)?;
         self.assert_and_close(question)?;
-        let q = queries::contrastive_query(question);
-        let table = self.run_query(&self.overlay, &q)?.expect_solutions();
+        let iri = question.iri();
+        let table = self.run_template(&self.overlay, &self.base.templates.contrastive, &[&iri])?;
 
         let (mut fact_parts, mut fact_seen) = (Vec::new(), HashSet::new());
         let (mut foil_parts, mut foil_seen) = (Vec::new(), HashSet::new());
@@ -1522,8 +1538,8 @@ impl<'a> Session<'a> {
             Hypothesis::FollowedDiet(d) => FoodKg::iri(d),
             Hypothesis::AllergicTo(i) => FoodKg::iri(i),
         };
-        let q = queries::counterfactual_query(&subject_iri);
-        let table = self.run_query(&world, &q)?.expect_solutions();
+        let table =
+            self.run_template(&world, &self.base.templates.counterfactual, &[&subject_iri])?;
 
         let (mut forbidden, mut forbidden_seen) = (Vec::new(), HashSet::new());
         let (mut suggested, mut suggested_seen) = (Vec::new(), HashSet::new());
@@ -1618,8 +1634,11 @@ impl<'a> Session<'a> {
             return Err(EngineError::MissingPopulation);
         }
         self.require_recipe(food)?;
-        let q = queries::case_based_query(&FoodKg::iri(&self.base.user.id), &FoodKg::iri(food));
-        let table = self.run_query(&self.overlay, &q)?.expect_solutions();
+        let table = self.run_template(
+            &self.overlay,
+            &self.base.templates.case_based,
+            &[&FoodKg::iri(&self.base.user.id), &FoodKg::iri(food)],
+        )?;
         let supporters: i64 = table
             .rows
             .first()
@@ -1651,8 +1670,11 @@ impl<'a> Session<'a> {
         explanation_type: ExplanationType,
     ) -> Result<Explanation, EngineError> {
         self.require_recipe(food)?;
-        let q = queries::knowledge_record_query(&FoodKg::iri(food), record_class);
-        let table = self.run_query(&self.overlay, &q)?.expect_solutions();
+        let table = self.run_template(
+            &self.overlay,
+            &self.base.templates.knowledge_record,
+            &[&FoodKg::iri(food), record_class],
+        )?;
         let mut statements = Vec::new();
         for row in table.local_rows() {
             let (about, text, source) = (&row[1], &row[2], &row[3]);
@@ -1740,8 +1762,11 @@ impl<'a> Session<'a> {
         if self.base.kg.diet(diet).is_none() {
             return Err(EngineError::UnknownEntity(diet.to_string()));
         }
-        let q = queries::statistical_query(&FoodKg::iri(diet));
-        let table = self.run_query(&self.overlay, &q)?.expect_solutions();
+        let table = self.run_template(
+            &self.overlay,
+            &self.base.templates.statistical,
+            &[&FoodKg::iri(diet)],
+        )?;
         let get = |row: &Vec<Option<feo_rdf::Term>>, i: usize| -> i64 {
             row.get(i)
                 .and_then(|c| c.as_ref())

@@ -35,7 +35,7 @@ pub mod queries;
 pub mod question;
 pub mod scenarios;
 
-pub use cache::{PlanCacheStats, PlanKey};
+pub use cache::PlanCacheStats;
 pub use engine::{
     BranchDiff, BranchInfo, BudgetedOutcome, CommitInfo, DegradationReport, EngineBase,
     EngineError, ExplainOptions, ExplanationEngine, Session,

@@ -1,11 +1,14 @@
-//! Plan-cache behavior at the engine level: repeated `explain` calls on
-//! an unchanged epoch must reuse cached plans (hits grow, misses do
-//! not), the ablation planners must bypass the cache, and committing a
-//! session delta must move the head to a fresh cache partition while
-//! older epochs' entries stay retained for time-travel queries.
+//! Plan-cache behavior at the engine level. Explanations run the
+//! templates prepared with the base and never look a plan up; the cache
+//! serves ad-hoc query text: a repeated `Session::query` on an unchanged
+//! epoch reuses its plan (hits grow, misses do not), the ablation
+//! planners bypass the cache, and a commit moves the head to a fresh
+//! cache partition while older epochs' entries stay retained for
+//! time-travel queries.
 
-use feo_core::{EngineBase, ExplainOptions, ExplanationEngine, Question};
+use feo_core::{EngineBase, EpochId, ExplainOptions, ExplanationEngine, Hypothesis, Question};
 use feo_foodkg::{curated, Season, SystemContext, UserProfile};
+use feo_ontology::ns::sparql_prologue;
 use feo_sparql::Planner;
 
 fn base() -> EngineBase {
@@ -24,63 +27,60 @@ fn cq1() -> Question {
     }
 }
 
-/// The acceptance criterion: repeated `explain` on an unchanged
-/// snapshot re-parses and re-plans nothing — only the counters move,
-/// and only the hit counter.
-#[test]
-fn repeated_explain_hits_the_plan_cache() {
-    let base = base();
-    let question = cq1();
-
-    base.explain(&question, &ExplainOptions::default()).unwrap();
-    let first = base.plan_cache_stats();
-    assert!(first.misses >= 1, "first explain must plan: {first:?}");
-    assert_eq!(first.epoch, 0, "sessions never commit into the base");
-
-    let answer = base.explain(&question, &ExplainOptions::default()).unwrap();
-    let second = base.plan_cache_stats();
-    assert_eq!(
-        second.misses, first.misses,
-        "unchanged snapshot must not re-parse or re-plan"
-    );
-    assert!(
-        second.hits > first.hits,
-        "repeat explain must be served from the cache: {second:?}"
-    );
-    assert_eq!(second.entries, first.entries);
-
-    // And the cached plan answers identically.
-    let fresh = base.explain(&question, &ExplainOptions::default()).unwrap();
-    assert_eq!(answer.answer, fresh.answer);
+fn recipes_query() -> String {
+    format!(
+        "{}SELECT ?r WHERE {{ ?r a food:Recipe }}",
+        sparql_prologue()
+    )
 }
 
-/// Distinct questions instantiate distinct query texts: each gets its
-/// own entry, and re-asking either stays all-hit.
+/// The acceptance criterion: explanations parse nothing, plan nothing
+/// and look nothing up — the cache's counters stay at zero however many
+/// questions, of whichever kind, are asked.
 #[test]
-fn distinct_questions_get_distinct_entries() {
+fn explain_makes_no_plan_cache_lookups() {
     let base = base();
-    let q2 = Question::WhyEatOver {
-        preferred: "ButternutSquashSoup".into(),
-        alternative: "BroccoliCheddarSoup".into(),
-    };
+    let questions = [
+        cq1(),
+        Question::WhyEatOver {
+            preferred: "ButternutSquashSoup".into(),
+            alternative: "BroccoliCheddarSoup".into(),
+        },
+        Question::WhatIf {
+            hypothesis: Hypothesis::Pregnant,
+        },
+        Question::WhyGenerally {
+            food: "CauliflowerPotatoCurry".into(),
+        },
+    ];
+    for _ in 0..2 {
+        for question in &questions {
+            base.explain(question, &ExplainOptions::default()).unwrap();
+        }
+    }
+    let stats = base.plan_cache_stats();
+    assert_eq!(stats.hits + stats.misses, 0, "no lookups: {stats:?}");
+    assert_eq!(stats.entries, 0);
+}
 
-    base.explain(&cq1(), &ExplainOptions::default()).unwrap();
-    let after_cq1 = base.plan_cache_stats();
-    base.explain(&q2, &ExplainOptions::default()).unwrap();
-    let after_cq2 = base.plan_cache_stats();
-    assert!(
-        after_cq2.entries > after_cq1.entries,
-        "CQ2's query text is new: {after_cq2:?}"
-    );
+/// Ad-hoc text is cached per query: a repeat is a pure hit, a new text
+/// gets its own entry.
+#[test]
+fn repeated_query_hits_the_plan_cache() {
+    let base = base();
+    let text = recipes_query();
+    let first = base.session().query(&text).unwrap().expect_solutions();
+    let stats = base.plan_cache_stats();
+    assert_eq!((stats.misses, stats.hits, stats.entries), (1, 0, 1));
 
-    let misses_settled = after_cq2.misses;
-    base.explain(&cq1(), &ExplainOptions::default()).unwrap();
-    base.explain(&q2, &ExplainOptions::default()).unwrap();
-    assert_eq!(
-        base.plan_cache_stats().misses,
-        misses_settled,
-        "both questions are now fully cached"
-    );
+    let again = base.session().query(&text).unwrap().expect_solutions();
+    assert_eq!(again, first, "the cached plan answers identically");
+    let stats = base.plan_cache_stats();
+    assert_eq!((stats.misses, stats.hits), (1, 1), "{stats:?}");
+
+    let other = format!("{}ASK {{ ?s ?p ?o }}", sparql_prologue());
+    base.session().query(&other).unwrap();
+    assert_eq!(base.plan_cache_stats().entries, 2);
 }
 
 /// The ablation planners (Off / Greedy) skip the cache entirely — their
@@ -109,27 +109,31 @@ fn ablation_planners_bypass_the_cache() {
 
 /// The legacy façade commits every question's delta onto the ledger, so
 /// each `explain` advances the head epoch. With epoch-keyed entries a
-/// commit drops nothing: the head lookup re-plans under a fresh key
-/// (the statistics changed) while earlier epochs' plans stay retained
+/// commit drops nothing: a query at the new head re-plans under a fresh
+/// key (the statistics changed) while the epoch-0 plan stays retained
 /// for time-travel queries.
 #[test]
 fn facade_commit_rekeys_the_head() {
     let user = UserProfile::new("user").likes(&["BroccoliCheddarSoup"]);
     let ctx = SystemContext::new(Season::Autumn);
     let mut engine = ExplanationEngine::new(curated(), user, ctx).unwrap();
+    let text = recipes_query();
+    engine.base().session().query(&text).unwrap();
     engine.explain(&cq1()).unwrap();
     engine.explain(&cq1()).unwrap();
-    let stats = engine.into_base().plan_cache_stats();
+    let base = engine.into_base();
+    let committed = base.plan_cache_stats();
     assert!(
-        stats.epoch >= 2,
-        "every façade explain commits, bumping the epoch: {stats:?}"
+        committed.epoch >= 2,
+        "every façade explain commits, bumping the epoch: {committed:?}"
     );
-    assert!(
-        stats.entries >= 2,
-        "old epochs' plans stay retained for time travel: {stats:?}"
-    );
-    assert!(
-        stats.misses >= 2,
-        "post-commit repeats must re-plan against fresh statistics: {stats:?}"
-    );
+    assert_eq!(committed.hits + committed.misses, 1, "{committed:?}");
+
+    base.session().query(&text).unwrap();
+    base.session().query(&text).unwrap();
+    base.query_as_of(EpochId(0), &text).unwrap();
+    let stats = base.plan_cache_stats();
+    assert_eq!(stats.misses, 2, "the head re-plans once: {stats:?}");
+    assert_eq!(stats.hits, 2, "head repeat and epoch 0 both hit: {stats:?}");
+    assert_eq!(stats.entries, 2, "epoch 0's plan is retained: {stats:?}");
 }

@@ -583,8 +583,9 @@ fn engine_error_response(error: &EngineError, sparql_is_client_fault: bool) -> R
     )
 }
 
-/// `/stats` body: admission counters (global and per-tenant), plan
-/// cache, cumulative join-operator counters, ledger head.
+/// `/stats` body: admission counters (global and per-tenant), the plan
+/// cache (ad-hoc `/query` text only), cumulative join-operator
+/// counters, ledger head.
 fn stats_json(ctx: &Ctx) -> String {
     let a = ctx.admission.stats();
     let j = feo_sparql::join_counters();

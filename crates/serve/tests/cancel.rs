@@ -11,6 +11,7 @@ use feo_core::{EngineBase, ExplainOptions, Hypothesis, Question};
 use feo_foodkg::{curated, Season, SystemContext, UserProfile};
 use feo_rdf::governor::{Budget, CancelFlag, Resource};
 use feo_rdf::Parallelism;
+use feo_sparql::join_counters;
 
 fn base() -> Arc<EngineBase> {
     let user = UserProfile::new("cancel-user");
@@ -35,15 +36,19 @@ fn long_batch(repeats: usize) -> Vec<Question> {
 #[test]
 fn cancel_mid_batch_returns_typed_outcome_promptly() {
     // 4,096 questions, as `client_disconnect_cancels_inflight_work`
-    // sends: far more than can finish between the first plan-cache
-    // lookup and the flag flipping.
+    // sends: far more than can finish between the first join and the
+    // flag flipping.
     const QUESTIONS: usize = 4096;
     let base = base();
-    let lookups = |b: &EngineBase| {
-        let stats = b.plan_cache_stats();
-        stats.hits + stats.misses
+    // Join operators run on every explanation's competency query. The
+    // counters are process-wide, so another test's work can move them
+    // first; a cancel that lands before the batch starts still has to
+    // yield the typed outcome checked below.
+    let joins = || {
+        let j = join_counters();
+        j.nested + j.hash
     };
-    let idle = lookups(&base);
+    let idle = joins();
     let cancel = CancelFlag::new();
     let budget = Budget::new()
         .with_deadline(Duration::from_secs(60))
@@ -61,9 +66,9 @@ fn cancel_mid_batch_returns_typed_outcome_promptly() {
         })
     };
     // Cancel once the batch is observably running: its first question
-    // has looked up a plan.
+    // has joined.
     let spawned = Instant::now();
-    while lookups(&base) == idle {
+    while joins() == idle {
         assert!(
             spawned.elapsed() < Duration::from_secs(5),
             "batch never started"
@@ -115,8 +120,8 @@ fn engine_stays_coherent_after_cancellation() {
         .expect("typed outcome");
     assert!(!outcome.is_complete());
 
-    // The same base, fresh budget: full service, correct answers, and
-    // the plan cache still advances (no poisoned shared state).
+    // The same base, fresh budget: full service and correct answers
+    // (no poisoned shared state).
     let clean = base
         .explain_batch_with_budget(
             &[Question::WhyEat {

@@ -103,42 +103,46 @@ pub fn query<G: GraphView>(graph: G, text: &str, opts: &QueryOptions) -> Result<
 ///
 /// With [`Planner::CostBased`] the query is compiled to a [`Plan`] from
 /// the view's statistics before any row flows; callers that reuse one
-/// plan across many executions (the engine's plan cache) should compile
-/// once with [`plan_query`] and call [`execute_prepared`].
+/// plan across many executions should compile once with [`plan_query`]
+/// and call [`execute_prepared`]. The other planners run without a plan.
 pub fn execute<G: GraphView>(graph: G, q: &Query, opts: &QueryOptions) -> Result<QueryResult> {
-    if opts.explain || opts.planner == Planner::CostBased {
-        let plan = plan_query(&graph, q);
-        if opts.explain {
-            return Ok(QueryResult::Plan(plan.render(q, opts.planner)));
-        }
-        return execute_inner(graph, q, opts, Some(&plan));
-    }
-    execute_inner(graph, q, opts, None)
+    let plan = if opts.explain || opts.planner == Planner::CostBased {
+        plan_query(&graph, q)
+    } else {
+        Plan::default()
+    };
+    execute_prepared(graph, q, &plan, opts)
 }
 
-/// Executes a parsed query with a previously compiled [`Plan`].
-///
-/// The plan must come from [`plan_query`] on the same query: its filter
-/// placement is trusted. A plan whose shape does not match degrades to
-/// greedy ordering for the mismatched nodes rather than misevaluating.
+/// Executes a parsed query with a previously compiled [`Plan`]:
+/// [`execute_seeded`] with no seed.
 pub fn execute_prepared<G: GraphView>(
     graph: G,
     q: &Query,
     plan: &Plan,
     opts: &QueryOptions,
 ) -> Result<QueryResult> {
+    execute_seeded(graph, q, plan, &[], opts)
+}
+
+/// Executes a parsed query with a previously compiled [`Plan`] from a
+/// seed row binding each named variable to its term, as a leading `BIND`
+/// would (a term the view lacks is interned into the scratch overlay).
+///
+/// The plan must come from [`crate::plan_seeded`] on the same query and
+/// seeded names: its filter placement is trusted. A plan whose shape does
+/// not match degrades to greedy ordering for the mismatched nodes rather
+/// than misevaluating; [`Plan::default`] runs without one.
+pub fn execute_seeded<G: GraphView>(
+    graph: G,
+    q: &Query,
+    plan: &Plan,
+    seed: &[(&str, Term)],
+    opts: &QueryOptions,
+) -> Result<QueryResult> {
     if opts.explain {
         return Ok(QueryResult::Plan(plan.render(q, opts.planner)));
     }
-    execute_inner(graph, q, opts, Some(plan))
-}
-
-fn execute_inner<G: GraphView>(
-    graph: G,
-    q: &Query,
-    opts: &QueryOptions,
-    plan: Option<&Plan>,
-) -> Result<QueryResult> {
     let mut vars = VarTable::default();
     register_group_vars(&q.where_pattern, &mut vars);
     register_modifier_vars(q, &mut vars);
@@ -152,12 +156,15 @@ fn execute_inner<G: GraphView>(
         key_slots: Vec::new(),
         exists: FxMap::default(),
     };
+    let mut row = vec![None; ctx.vars.len()];
+    for (name, term) in seed {
+        let slot = ctx.vars.get(name).ok_or_else(|| {
+            SparqlError::eval(format!("seeded variable ?{name} is not in the query"))
+        })?;
+        row[slot] = Some(ctx.g.intern(term));
+    }
 
-    let rows = ctx.eval_group(
-        &q.where_pattern,
-        vec![vec![None; ctx.vars.len()]],
-        plan.map(|p| &p.root),
-    )?;
+    let rows = ctx.eval_group(&q.where_pattern, vec![row], Some(&plan.root))?;
 
     let result = match &q.form {
         QueryForm::Ask => Ok(QueryResult::Boolean(!rows.is_empty())),

@@ -34,6 +34,10 @@
 //! let table = result.expect_solutions();
 //! assert!(table.contains_local("c", "Autumn"));
 //! ```
+//!
+//! A query asked many times about different individuals is prepared
+//! instead: parsed once ([`parse_query`]), planned once ([`plan_seeded`]),
+//! and run with [`execute_seeded`], its parameters bound by a seed row.
 
 pub mod ast;
 pub mod error;
@@ -46,7 +50,7 @@ pub mod results;
 pub mod value;
 
 pub use error::{Result, SparqlError};
-pub use eval::{execute, execute_prepared, join_counters, query, JoinCounters};
+pub use eval::{execute, execute_prepared, execute_seeded, join_counters, query, JoinCounters};
 pub use parser::parse_query;
-pub use plan::{plan_query, JoinAlgo, Plan, Planner, QueryOptions};
+pub use plan::{plan_query, plan_seeded, JoinAlgo, Plan, Planner, QueryOptions};
 pub use results::{QueryResult, SolutionTable};

@@ -9,9 +9,9 @@
 //! whose build side is large enough that a hash join beats per-row
 //! B-tree range scans; per group it places each FILTER after the last
 //! element that mentions its variables. The evaluator executes the plan
-//! verbatim instead of re-deriving an order on every call; [`feo-core`'s
-//! plan cache] reuses one plan across repeated questions on an unchanged
-//! snapshot.
+//! verbatim instead of re-deriving an order on every call, so a query
+//! planned once ([`plan_seeded`], with the variables a seed row will bind
+//! counted as bound) can run any number of times.
 //!
 //! Estimates are deliberately simple — uniform-distribution formulas
 //! over per-predicate triple / distinct-subject / distinct-object
@@ -205,40 +205,51 @@ pub(crate) const HASH_JOIN_MIN: usize = 64;
 
 /// Compiles `q` into a [`Plan`] using `view`'s statistics.
 pub fn plan_query<G: GraphView>(view: &G, q: &Query) -> Plan {
+    plan_seeded(view, q, &[])
+}
+
+/// [`plan_query`] for a query that runs from a seed row
+/// ([`crate::execute_seeded`]): the variables named in `seeded` count as
+/// bound from the start, as they would after a leading `BIND`.
+pub fn plan_seeded<G: GraphView>(view: &G, q: &Query, seeded: &[&str]) -> Plan {
     let mut vars = VarTable::default();
     register_group_vars(&q.where_pattern, &mut vars);
     register_modifier_vars(q, &mut vars);
-    let mut bound: HashSet<usize> = HashSet::new();
+    let mut bound: HashSet<usize> = seeded.iter().filter_map(|v| vars.get(v)).collect();
     Plan {
-        root: plan_group(view, &q.where_pattern, &vars, &mut bound),
+        root: plan_group(view, &q.where_pattern, &vars, &mut bound, true),
     }
 }
 
+/// `one_row`: the group starts from a single row (the WHERE group does:
+/// the seed row). It stays one row through BINDs and FILTERs, so its
+/// first BGP's first step multiplies nothing (see [`plan_bgp`]).
 fn plan_group<G: GraphView>(
     view: &G,
     group: &GroupPattern,
     vars: &VarTable,
     bound: &mut HashSet<usize>,
+    mut one_row: bool,
 ) -> GroupPlan {
     let mut elements = Vec::with_capacity(group.elements.len());
     for el in &group.elements {
         let planned = match el {
-            GroupElement::Triples(ts) => ElementPlan::Bgp(plan_bgp(view, ts, vars, bound)),
+            GroupElement::Triples(ts) => ElementPlan::Bgp(plan_bgp(view, ts, vars, bound, one_row)),
             GroupElement::Group(inner) => {
                 // Bindings escape a nested group: plan with, and keep, the
                 // shared bound set.
-                ElementPlan::Group(plan_group(view, inner, vars, bound))
+                ElementPlan::Group(plan_group(view, inner, vars, bound, false))
             }
             GroupElement::Optional(inner) => {
                 // OPTIONAL may leave its variables unbound, so they do not
                 // count as bound for later estimates.
                 let mut inner_bound = bound.clone();
-                ElementPlan::Optional(plan_group(view, inner, vars, &mut inner_bound))
+                ElementPlan::Optional(plan_group(view, inner, vars, &mut inner_bound, false))
             }
             GroupElement::Minus(inner) => {
                 // MINUS evaluates against a fresh empty binding.
                 let mut inner_bound = HashSet::new();
-                ElementPlan::Minus(plan_group(view, inner, vars, &mut inner_bound))
+                ElementPlan::Minus(plan_group(view, inner, vars, &mut inner_bound, false))
             }
             GroupElement::Union(arms) => {
                 // A variable is bound after the union only when every arm
@@ -247,7 +258,7 @@ fn plan_group<G: GraphView>(
                 let mut common: Option<HashSet<usize>> = None;
                 for arm in arms {
                     let mut arm_bound = bound.clone();
-                    arm_plans.push(plan_group(view, arm, vars, &mut arm_bound));
+                    arm_plans.push(plan_group(view, arm, vars, &mut arm_bound, false));
                     common = Some(match common {
                         None => arm_bound,
                         Some(c) => c.intersection(&arm_bound).copied().collect(),
@@ -275,6 +286,7 @@ fn plan_group<G: GraphView>(
             GroupElement::Filter(_) => ElementPlan::Leaf,
         };
         elements.push(planned);
+        one_row &= matches!(el, GroupElement::Bind(..) | GroupElement::Filter(_));
     }
     GroupPlan {
         elements,
@@ -318,6 +330,7 @@ fn plan_bgp<G: GraphView>(
     patterns: &[TriplePattern],
     vars: &VarTable,
     bound: &mut HashSet<usize>,
+    one_row: bool,
 ) -> BgpPlan {
     let mut remaining: Vec<usize> = (0..patterns.len()).collect();
     let mut steps = Vec::with_capacity(patterns.len());
@@ -325,13 +338,15 @@ fn plan_bgp<G: GraphView>(
         // No cross product while a pattern joins on a bound variable (or
         // has none): its estimate is an average that layers skew low.
         // `?x rdf:type <C>` scans are counted exactly and still compete
-        // (DESIGN.md "Query planning"). Minimum estimate wins; a strictly
-        // smaller test keeps the first minimum, so ties keep author order.
+        // (DESIGN.md "Query planning"), as does every pattern for a first
+        // step from one row, which nothing can multiply. Minimum estimate
+        // wins; a strictly smaller test keeps the first minimum, so ties
+        // keep author order.
         let joins = |pi: &usize| {
             let slots = pattern_var_slots(&patterns[*pi], vars);
             slots.is_empty() || slots.iter().any(|s| bound.contains(s))
         };
-        let joining = remaining.iter().any(joins);
+        let joining = !(one_row && steps.is_empty()) && remaining.iter().any(joins);
         let mut best = 0;
         let mut best_est = f64::INFINITY;
         let mut best_index = IndexChoice::Full;
@@ -763,6 +778,40 @@ mod tests {
         assert_eq!(order("?c <http://e/in> <http://e/eco>"), vec![0, 2, 1]);
         // A class scan's size is counted exactly, so it still goes first.
         assert_eq!(order("?c a <http://e/Fact>"), vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn seeded_variable_plans_like_the_constant_it_stands_for() {
+        // CQ3's shape: the hypothesis has ten triples, two properties sit
+        // under the one the query asks about.
+        let mut g = Graph::new();
+        for i in 0..10 {
+            g.insert_iris("http://e/h", &format!("http://e/p{i}"), "http://e/o");
+        }
+        for i in 0..2 {
+            g.insert_iris(&format!("http://e/p{i}"), "http://e/sub", "http://e/top");
+        }
+        let order = |plan: &Plan| {
+            let ElementPlan::Bgp(bp) = plan.root.elements.last().expect("a BGP") else {
+                panic!("expected BGP plan: {plan:?}");
+            };
+            bp.steps.iter().map(|s| s.pattern).collect::<Vec<_>>()
+        };
+        let tail = "?p <http://e/sub> <http://e/top> }";
+        let (_, constant) = plan_for(
+            &g,
+            &format!("SELECT * WHERE {{ <http://e/h> ?p ?o . {tail}"),
+        );
+        let (_, bound) = plan_for(
+            &g,
+            &format!("SELECT * WHERE {{ BIND (<http://e/h> AS ?h) . ?h ?p ?o . {tail}"),
+        );
+        let q = parse_query(&format!("SELECT * WHERE {{ ?h ?p ?o . {tail}")).expect("parses");
+        let seeded = plan_seeded(&g, &q, &["h"]);
+        // The two-row scan goes first: from one row it multiplies nothing.
+        assert_eq!(order(&constant), vec![1, 0]);
+        assert_eq!(order(&seeded), order(&constant));
+        assert_eq!(order(&bound), order(&constant));
     }
 
     #[test]

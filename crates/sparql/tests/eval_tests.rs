@@ -2,8 +2,10 @@
 //! checks query results against hand-computed answers.
 
 use feo_rdf::turtle::parse_turtle_into;
-use feo_rdf::Graph;
-use feo_sparql::{query, QueryResult, SolutionTable};
+use feo_rdf::{Graph, Term};
+use feo_sparql::{
+    execute_seeded, parse_query, plan_seeded, query, QueryOptions, QueryResult, SolutionTable,
+};
 
 fn graph(src: &str) -> Graph {
     let mut g = Graph::new();
@@ -543,4 +545,45 @@ fn query_result_accessors() {
     )
     .unwrap();
     assert!(matches!(r, QueryResult::Solutions(_)));
+}
+
+#[test]
+fn seeded_execution_binds_parameters_like_bind() {
+    let g = food_graph();
+    let body = "SELECT ?r ?v WHERE { ?who e:likes ?r . ?r e:hasIngredient ?v } ORDER BY ?r ?v";
+    let prepared = parse_query(&format!("PREFIX e: <http://e/>\n{body}")).unwrap();
+    let plan = plan_seeded(&g, &prepared, &["who"]);
+    let run = |who: &str| {
+        execute_seeded(
+            &g,
+            &prepared,
+            &plan,
+            &[("who", Term::iri(who))],
+            &QueryOptions::default(),
+        )
+    };
+    let bound = |who: &str| {
+        let text = body.replacen(
+            "WHERE { ",
+            &format!("WHERE {{ BIND (<{who}> AS ?who) . "),
+            1,
+        );
+        select(&mut g.clone(), &text)
+    };
+    for who in ["http://e/alice", "http://e/bob", "http://e/nobody"] {
+        assert_eq!(run(who).unwrap().expect_solutions(), bound(who), "{who}");
+    }
+    assert_eq!(run("http://e/bob").unwrap().expect_solutions().len(), 2);
+    assert!(run("http://e/nobody")
+        .unwrap()
+        .expect_solutions()
+        .is_empty());
+    let unknown = execute_seeded(
+        &g,
+        &prepared,
+        &plan,
+        &[("whom", Term::iri("http://e/bob"))],
+        &QueryOptions::default(),
+    );
+    assert!(unknown.is_err(), "a seed must name a variable of the query");
 }

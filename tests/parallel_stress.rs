@@ -262,8 +262,9 @@ fn repeated_cancel_races_never_panic() {
         let results = base.explain_batch(&questions[..8], &opts);
         canceller.join().expect("canceller panicked");
         assert_eq!(results.len(), 8);
-        // The plan cache must stay coherent through racing sessions.
+        // Racing sessions run the prepared templates: the ad-hoc plan
+        // cache is never touched.
         let stats = base.plan_cache_stats();
-        assert!(stats.hits + stats.misses >= stats.entries as u64);
+        assert_eq!((stats.hits, stats.misses, stats.entries), (0, 0, 0));
     }
 }
