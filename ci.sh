@@ -57,10 +57,16 @@ echo "== closure oracle and incremental closure (bounded wall-clock)"
 timeout 240 cargo test -q --offline --release --test closure_oracle --test incremental_closure
 timeout 240 cargo test -q --offline --release -p feo-owl --test closure_oracle
 
-echo "== planner equivalence (bounded wall-clock)"
-# All three planners must return identical solution multisets on seeded
-# synthetic KGs, guarded or not.
-timeout 180 cargo test -q --offline --release --test plan_equivalence
+echo "== evaluator oracle (bounded wall-clock)"
+# Query answers are checked against a naive evaluator that shares no
+# code with the engine (nested loops over a Vec of triples: no index,
+# no statistics, no plan): the planner's test queries on seeded
+# synthetic KGs, guarded or not; generated queries on memory, mmap and
+# overlay views under every join operator, plus conformance cases for
+# the scoping rules; and the six explanation templates on the curated
+# KG and the benchmark's world, with Table I's rows.
+timeout 240 cargo test -q --offline --release \
+    --test plan_equivalence --test evaluator_oracle --test template_oracle
 
 echo "== join equivalence (bounded wall-clock)"
 # The two join operators, nested and hash, forced onto every step or
@@ -86,11 +92,6 @@ echo "== prepared templates (bounded wall-clock)"
 # same at every epoch of a 64-commit chain.
 timeout 180 cargo test -q --offline --release --test prepared_templates
 
-echo "== planner smoke (bounded wall-clock)"
-# The paired planner-gain harness must run end to end; full numbers go
-# to EXPERIMENTS.md, the smoke run just has to complete.
-timeout 180 cargo run -q --release --offline -p feo-bench --bin planner_gain -- --smoke
-
 echo "== batch parallelism (bounded wall-clock, FEO_THREADS=4)"
 # Threads exist per question only: explain_batch at Fixed(2/4/8) must be
 # slot-for-slot identical to Off, and cross-thread cancellation and
@@ -109,14 +110,9 @@ echo "== epoch ledger (bounded wall-clock)"
 # chain must verify.
 timeout 240 cargo test -q --offline --release --test ledger
 
-echo "== ledger ops smoke (bounded wall-clock)"
-# The paired ledger-ops harness must run end to end; full numbers go to
-# BENCH_pr6.json, the smoke run just has to complete.
-timeout 180 cargo run -q --release --offline -p feo-bench --bin ledger_ops -- --smoke
-
 echo "== persistent store suite (bounded wall-clock)"
 # The mmap-backed disk store must be a representation change only:
-# differential equivalence against the memory backend (all planners),
+# differential equivalence against the memory backend,
 # exhaustive corruption fault injection with typed errors,
 # binary-format fuzzing, and a warm-restart round trip through the real
 # binary (`--store` bootstrap → fresh-process reopen → `feo compact` →
@@ -125,11 +121,6 @@ timeout 300 cargo test -q --offline --release --test store_equivalence
 timeout 180 cargo test -q --offline --release -p feo-rdf --test store_corruption
 timeout 180 cargo test -q --offline --release -p feo-rdf --test fuzz_store
 timeout 300 cargo test -q --offline --release --test warm_restart
-
-echo "== store ops smoke (bounded wall-clock)"
-# The paired store-ops harness must run end to end; full numbers go to
-# BENCH_pr8.json, the smoke run just has to complete.
-timeout 240 cargo run -q --release --offline -p feo-bench --bin store_ops -- --smoke
 
 echo "== serve: HTTP service end-to-end (boot, degrade, shed, drain)"
 # Boot the real binary on an ephemeral port, drive it with curl, then

@@ -1,6 +1,5 @@
 //! Ablation benches for the design choices DESIGN.md calls out:
 //!
-//! - SPARQL planner: cost-based vs. greedy reordering vs. author order;
 //! - reasoner derivation tracking off vs. on;
 //! - explanation-pipeline cost split: assemble vs. materialize vs. query.
 
@@ -10,47 +9,8 @@ use std::hint::black_box;
 use feo_bench::synthetic_fixture;
 use feo_core::ecosystem::{assemble, assert_question};
 use feo_core::{queries, Question};
-use feo_ontology::ns::sparql_prologue;
 use feo_owl::{Reasoner, ReasonerOptions};
-use feo_sparql::{query, Planner, QueryOptions};
-
-fn bench_bgp_reordering(c: &mut Criterion) {
-    let (kg, user, ctx) = synthetic_fixture(200);
-    let mut g = assemble(&kg, &user, &ctx);
-    Reasoner::new()
-        .materialize(&mut g, &Default::default())
-        .expect("materialize");
-
-    // Written so author order hits a cartesian product: the first two
-    // patterns share no variable, and only the third connects them. Both
-    // planners pick the connecting pattern second instead.
-    let q = format!(
-        "{}SELECT ?r ?i ?s WHERE {{\n\
-           ?r food:calories ?c .\n\
-           ?i food:availableInSeason ?s .\n\
-           ?r food:hasIngredient ?i .\n\
-           FILTER (?c > 700) .\n\
-         }}",
-        sparql_prologue()
-    );
-
-    let mut group = c.benchmark_group("ablation_bgp_reorder");
-    group.sample_size(20);
-    for (label, planner) in [
-        ("cost_based", Planner::CostBased),
-        ("greedy_reorder", Planner::Greedy),
-        ("author_order", Planner::Off),
-    ] {
-        let opts = QueryOptions {
-            planner,
-            ..Default::default()
-        };
-        group.bench_function(label, |b| {
-            b.iter(|| black_box(query(&g, &q, &opts).expect("runs")))
-        });
-    }
-    group.finish();
-}
+use feo_sparql::{query, QueryOptions};
 
 fn bench_pipeline_phases(c: &mut Criterion) {
     let (kg, user, ctx) = synthetic_fixture(200);
@@ -107,10 +67,5 @@ fn bench_derivation_tracking(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_bgp_reordering,
-    bench_pipeline_phases,
-    bench_derivation_tracking
-);
+criterion_group!(benches, bench_pipeline_phases, bench_derivation_tracking);
 criterion_main!(benches);

@@ -45,8 +45,7 @@ use feo_rdf::{
 
 use feo_recommender::{RecommendationSet, TraceStep};
 use feo_sparql::{
-    execute, execute_prepared, execute_seeded, parse_query, Plan, Planner, QueryOptions,
-    QueryResult, SolutionTable, SparqlError,
+    execute_prepared, execute_seeded, QueryOptions, QueryResult, SolutionTable, SparqlError,
 };
 use std::collections::HashSet;
 use std::path::Path;
@@ -132,11 +131,6 @@ pub struct ExplainOptions<'a> {
     /// Execution governor checked by incremental closes and SPARQL
     /// evaluation; `None` runs unguarded.
     pub guard: Option<&'a Guard>,
-    /// SPARQL planner used for the competency queries. The default
-    /// cost-based planner runs the plans prepared when the base was built
-    /// or opened; `Off` and `Greedy` run the same prepared queries
-    /// without them.
-    pub planner: Planner,
     /// Batch worker count: how many threads
     /// [`EngineBase::explain_batch`] fans a slice of questions across.
     /// Read by `explain_batch*` only — one question always closes and
@@ -150,7 +144,6 @@ impl<'a> ExplainOptions<'a> {
     pub fn guarded(guard: &'a Guard) -> Self {
         ExplainOptions {
             guard: Some(guard),
-            planner: Planner::default(),
             parallelism: Parallelism::default(),
         }
     }
@@ -576,7 +569,6 @@ impl EngineBase {
             overlay: Overlay::new(self.ledger.head_view()),
             inference: InferenceResult::default(),
             guard: None,
-            planner: Planner::default(),
         }
     }
 
@@ -597,7 +589,6 @@ impl EngineBase {
             overlay: Overlay::new(view),
             inference: InferenceResult::default(),
             guard: None,
-            planner: Planner::default(),
         })
     }
 
@@ -866,7 +857,6 @@ impl EngineBase {
             overlay: Overlay::new(self.ledger.branch_view(&branch.chain)),
             inference: InferenceResult::default(),
             guard: None,
-            planner: Planner::default(),
         })
     }
 
@@ -924,8 +914,7 @@ impl EngineBase {
     /// `Arc<EngineBase>` — and no question can leak state into the next.
     ///
     /// [`ExplainOptions`] carries the execution guard (a trip surfaces
-    /// as [`EngineError::Exhausted`] instead of unbounded work) and the
-    /// SPARQL planner choice.
+    /// as [`EngineError::Exhausted`] instead of unbounded work).
     pub fn explain<'s>(
         &'s self,
         question: &Question,
@@ -1035,7 +1024,6 @@ impl EngineBase {
         let guard = budget.start();
         let opts = ExplainOptions {
             guard: Some(&guard),
-            planner: Planner::default(),
             parallelism,
         };
         let results = self.explain_batch(questions, &opts);
@@ -1136,8 +1124,6 @@ pub struct Session<'a> {
     /// Execution governor checked by incremental closes and SPARQL
     /// evaluation; `None` on the legacy unguarded path.
     guard: Option<&'a Guard>,
-    /// SPARQL planner used by this session's competency queries.
-    planner: Planner,
 }
 
 impl<'a> Session<'a> {
@@ -1170,7 +1156,6 @@ impl<'a> Session<'a> {
     fn query_options(&self) -> QueryOptions<'a> {
         QueryOptions {
             guard: self.guard,
-            planner: self.planner,
             ..Default::default()
         }
     }
@@ -1186,36 +1171,37 @@ impl<'a> Session<'a> {
         let seed: Vec<(&str, Term)> = (template.params.iter().copied())
             .zip(args.iter().map(|iri| Term::iri(*iri)))
             .collect();
-        let unplanned = Plan::default();
-        let plan = match self.planner {
-            Planner::CostBased => &template.plan,
-            Planner::Off | Planner::Greedy => &unplanned,
-        };
-        let result = execute_seeded(view, &template.query, plan, &seed, &self.query_options())?;
+        let result = execute_seeded(
+            view,
+            &template.query,
+            &template.plan,
+            &seed,
+            &self.query_options(),
+        )?;
         Ok(result.expect_solutions())
     }
 
     /// Runs an arbitrary SPARQL query over this session's epoch view
     /// plus its private delta — the entry point behind `/query` and
-    /// `feo query --as-of`. With the cost-based planner the parsed query
-    /// and its plan come from the base's plan cache, planned against the
-    /// session's epoch view.
+    /// `feo query --as-of`. The parsed query and its plan come from the
+    /// base's plan cache, planned against the session's epoch view.
     pub fn query(&self, sparql: &str) -> Result<QueryResult, EngineError> {
-        let opts = self.query_options();
-        if self.planner == Planner::CostBased {
-            let (parsed, plan) = self.base.plan_cache.get_or_insert(
-                sparql,
-                (self.chain, self.epoch.0),
-                self.overlay.base(),
-            )?;
-            return Ok(execute_prepared(&self.overlay, &parsed, &plan, &opts)?);
-        }
-        Ok(execute(&self.overlay, &parse_query(sparql)?, &opts)?)
+        let (parsed, plan) = self.base.plan_cache.get_or_insert(
+            sparql,
+            (self.chain, self.epoch.0),
+            self.overlay.base(),
+        )?;
+        Ok(execute_prepared(
+            &self.overlay,
+            &parsed,
+            &plan,
+            &self.query_options(),
+        )?)
     }
 
-    /// Like [`Session::query`], but under the guard and planner carried
-    /// by `opts` (which stick for the rest of this session, exactly as
-    /// with [`Session::explain`]). This is the
+    /// Like [`Session::query`], but under the guard carried by `opts`
+    /// (which sticks for the rest of this session, exactly as with
+    /// [`Session::explain`]). This is the
     /// request-scoped entry point the HTTP service uses: the guard
     /// carries the request's clamped [`Budget`] and its disconnect
     /// [`feo_rdf::CancelFlag`], so an abandoned or over-budget query
@@ -1227,20 +1213,18 @@ impl<'a> Session<'a> {
         opts: &ExplainOptions<'a>,
     ) -> Result<QueryResult, EngineError> {
         self.guard = opts.guard;
-        self.planner = opts.planner;
         self.query(sparql)
     }
 
     /// Answers a question with the matching explanation type, under the
-    /// guard and planner carried by [`ExplainOptions`] (which stick for
-    /// the rest of this session).
+    /// guard carried by [`ExplainOptions`] (which sticks for the rest of
+    /// this session).
     pub fn explain(
         &mut self,
         question: &Question,
         opts: &ExplainOptions<'a>,
     ) -> Result<Explanation, EngineError> {
         self.guard = opts.guard;
-        self.planner = opts.planner;
         match question {
             Question::WhyEat { food } => self.contextual(question, food),
             Question::WhyEatOver { .. } => self.contrastive(question),

@@ -21,7 +21,7 @@
 //! Each template exists once, as constant text whose parameters are
 //! ordinary variables. `Templates` parses and plans all six once per
 //! base, and a session binds the parameters with a seed row; the
-//! `*_query` functions render the text with them bound by `BIND`.
+//! `*_query` functions render each as text with them bound by `BIND`.
 
 use feo_ontology::ns::sparql_prologue;
 use feo_rdf::GraphView;
@@ -188,6 +188,25 @@ pub fn contrastive_query(question: &Question) -> String {
 /// CQ3 as text, bound to the hypothesis subject `hypothesis_iri`.
 pub fn counterfactual_query(hypothesis_iri: &str) -> String {
     render(COUNTERFACTUAL, &[("hypothesis", hypothesis_iri)])
+}
+
+/// The case-based template as text, bound to `user_iri` and `food_iri`.
+pub fn case_based_query(user_iri: &str, food_iri: &str) -> String {
+    render(CASE_BASED, &[("user", user_iri), ("food", food_iri)])
+}
+
+/// The knowledge-record template as text, bound to `food_iri` and the
+/// record class `record_class`.
+pub fn knowledge_record_query(food_iri: &str, record_class: &str) -> String {
+    render(
+        KNOWLEDGE_RECORD,
+        &[("food", food_iri), ("recordClass", record_class)],
+    )
+}
+
+/// The statistical template as text, bound to `diet_iri`.
+pub fn statistical_query(diet_iri: &str) -> String {
+    render(STATISTICAL, &[("diet", diet_iri)])
 }
 
 #[cfg(test)]

@@ -1,15 +1,13 @@
 //! Plan-cache behavior at the engine level. Explanations run the
 //! templates prepared with the base and never look a plan up; the cache
 //! serves ad-hoc query text: a repeated `Session::query` on an unchanged
-//! epoch reuses its plan (hits grow, misses do not), the ablation
-//! planners bypass the cache, and a commit moves the head to a fresh
-//! cache partition while older epochs' entries stay retained for
-//! time-travel queries.
+//! epoch reuses its plan (hits grow, misses do not), and a commit moves
+//! the head to a fresh cache partition while older epochs' entries stay
+//! retained for time-travel queries.
 
 use feo_core::{EngineBase, EpochId, ExplainOptions, ExplanationEngine, Hypothesis, Question};
 use feo_foodkg::{curated, Season, SystemContext, UserProfile};
 use feo_ontology::ns::sparql_prologue;
-use feo_sparql::Planner;
 
 fn base() -> EngineBase {
     let user = UserProfile::new("user")
@@ -81,30 +79,6 @@ fn repeated_query_hits_the_plan_cache() {
     let other = format!("{}ASK {{ ?s ?p ?o }}", sparql_prologue());
     base.session().query(&other).unwrap();
     assert_eq!(base.plan_cache_stats().entries, 2);
-}
-
-/// The ablation planners (Off / Greedy) skip the cache entirely — their
-/// whole point is measuring evaluation without compiled plans.
-#[test]
-fn ablation_planners_bypass_the_cache() {
-    let base = base();
-    for planner in [Planner::Off, Planner::Greedy] {
-        base.explain(
-            &cq1(),
-            &ExplainOptions {
-                planner,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-    }
-    let stats = base.plan_cache_stats();
-    assert_eq!(
-        stats.hits + stats.misses,
-        0,
-        "no lookups expected: {stats:?}"
-    );
-    assert_eq!(stats.entries, 0);
 }
 
 /// The legacy façade commits every question's delta onto the ledger, so

@@ -5,9 +5,8 @@
 //! algebra: triples blocks join, OPTIONAL left-joins, UNION concatenates,
 //! MINUS anti-joins on shared domains, BIND extends, VALUES joins an
 //! inline table. BGPs run in the order and with the join operator (nested
-//! or hash) of a [`Plan`] compiled from the view's statistics; the
-//! author-order and greedy strategies of [`Planner::Off`] /
-//! [`Planner::Greedy`] apply only when no plan does.
+//! or hash) of a [`Plan`] compiled from the view's statistics; a group
+//! without a plan (an EXISTS body) runs its patterns in author order.
 //!
 //! A FILTER has group scope but runs where the plan placed it, once its
 //! variables are final (`GroupPlan::filters`; at group end without a
@@ -34,8 +33,7 @@ use crate::ast::*;
 use crate::error::{Result, SparqlError};
 use crate::parser::parse_query;
 use crate::plan::{
-    pattern_var_slots, plan_query, term_bound, BgpPlan, ElementPlan, GroupPlan, JoinAlgo, Plan,
-    Planner, QueryOptions, HASH_JOIN_MIN,
+    plan_query, BgpPlan, ElementPlan, GroupPlan, JoinAlgo, Plan, QueryOptions, HASH_JOIN_MIN,
 };
 use crate::results::{QueryResult, SolutionTable};
 use crate::value::{
@@ -82,9 +80,9 @@ pub fn join_counters() -> JoinCounters {
 /// The one SPARQL entry point: [`QueryOptions`] carries the execution
 /// [`Guard`] (input-size cap on the query text, solution budget on
 /// join-row production, deadline / cancellation polling in hot loops —
-/// a tripped budget surfaces as [`SparqlError::Exhausted`]), the
-/// [`Planner`] choice, and EXPLAIN mode (return the rendered plan as
-/// [`QueryResult::Plan`] instead of executing).
+/// a tripped budget surfaces as [`SparqlError::Exhausted`]) and EXPLAIN
+/// mode (return the rendered plan as [`QueryResult::Plan`] instead of
+/// executing).
 ///
 /// The view is read-only; computed terms (query constants, BIND results,
 /// VALUES data) are interned into a private scratch [`Overlay`] that is
@@ -101,16 +99,11 @@ pub fn query<G: GraphView>(graph: G, text: &str, opts: &QueryOptions) -> Result<
 
 /// Executes a parsed query (see [`query`] for the options contract).
 ///
-/// With [`Planner::CostBased`] the query is compiled to a [`Plan`] from
-/// the view's statistics before any row flows; callers that reuse one
-/// plan across many executions should compile once with [`plan_query`]
-/// and call [`execute_prepared`]. The other planners run without a plan.
+/// The query is compiled to a [`Plan`] from the view's statistics before
+/// any row flows; callers that reuse one plan across many executions
+/// should compile once with [`plan_query`] and call [`execute_prepared`].
 pub fn execute<G: GraphView>(graph: G, q: &Query, opts: &QueryOptions) -> Result<QueryResult> {
-    let plan = if opts.explain || opts.planner == Planner::CostBased {
-        plan_query(&graph, q)
-    } else {
-        Plan::default()
-    };
+    let plan = plan_query(&graph, q);
     execute_prepared(graph, q, &plan, opts)
 }
 
@@ -131,7 +124,7 @@ pub fn execute_prepared<G: GraphView>(
 ///
 /// The plan must come from [`crate::plan_seeded`] on the same query and
 /// seeded names: its filter placement is trusted. A plan whose shape does
-/// not match degrades to greedy ordering for the mismatched nodes rather
+/// not match runs the mismatched nodes' patterns in author order rather
 /// than misevaluating; [`Plan::default`] runs without one.
 pub fn execute_seeded<G: GraphView>(
     graph: G,
@@ -141,7 +134,7 @@ pub fn execute_seeded<G: GraphView>(
     opts: &QueryOptions,
 ) -> Result<QueryResult> {
     if opts.explain {
-        return Ok(QueryResult::Plan(plan.render(q, opts.planner)));
+        return Ok(QueryResult::Plan(plan.render(q)));
     }
     let mut vars = VarTable::default();
     register_group_vars(&q.where_pattern, &mut vars);
@@ -149,7 +142,6 @@ pub fn execute_seeded<G: GraphView>(
     let mut ctx = Ctx {
         g: Overlay::new(graph),
         vars,
-        planner: opts.planner,
         force: opts.force_join,
         guard: opts.guard,
         tripped: Cell::new(None),
@@ -389,9 +381,6 @@ struct Ctx<'a, G: GraphView> {
     /// preserves the "unknown constant finds nothing" semantics.
     g: Overlay<G>,
     vars: VarTable,
-    /// Fallback BGP strategy when no plan step applies (plan shape
-    /// mismatch, EXISTS subgroups, the non-cost-based planners).
-    planner: Planner,
     /// Join-algorithm override from [`QueryOptions::force_join`]: swaps
     /// the physical operator per planned step without touching join
     /// order (results are byte-identical under every algorithm).
@@ -718,8 +707,7 @@ impl<'a, G: GraphView> Ctx<'a, G> {
         // Planned path: execute the precomputed order with each step's
         // join-algorithm choice; `force_join` swaps operators without
         // touching order. A malformed plan (wrong length, index out of
-        // range, duplicate steps) falls through to the row-time
-        // strategies below.
+        // range, duplicate steps) falls through to author order below.
         if let Some(bp) = plan {
             if bgp_plan_matches(bp, patterns.len()) {
                 let mut rows = input;
@@ -745,55 +733,16 @@ impl<'a, G: GraphView> Ctx<'a, G> {
                 return Ok(rows);
             }
         }
-        // Unplanned: author order under `Planner::Off`, else a greedy
-        // static reorder preferring the most bound positions given the
-        // variables bound so far (constants always count).
-        let mut ordered: Vec<&TriplePattern> = patterns.iter().collect();
-        if self.planner != Planner::Off {
-            let mut bound: HashSet<usize> = (input.first().into_iter().flatten().enumerate())
-                .filter_map(|(i, v)| v.map(|_| i))
-                .collect();
-            let mut remaining = std::mem::take(&mut ordered);
-            while !remaining.is_empty() {
-                // Strictly-greater keeps the first maximum, so ties resolve
-                // to author order and the solution sequence is deterministic.
-                let (mut best_idx, mut best_score) = (0, 0);
-                for (i, tp) in remaining.iter().enumerate() {
-                    let score = self.pattern_selectivity(tp, &bound);
-                    if i == 0 || score > best_score {
-                        (best_idx, best_score) = (i, score);
-                    }
-                }
-                let tp = remaining.remove(best_idx);
-                bound.extend(pattern_var_slots(tp, &self.vars));
-                ordered.push(tp);
-            }
-        }
+        // Unplanned (an EXISTS body, or a plan that does not fit): author
+        // order.
         let mut rows = input;
-        for tp in ordered {
+        for tp in patterns {
             rows = self.match_triple_pattern(tp, rows)?;
             if rows.is_empty() {
                 break;
             }
         }
         Ok(rows)
-    }
-
-    /// Greedy score: ground positions count 3, bound variables 2, a
-    /// complex path 1 (evaluate it late unless its endpoints help).
-    fn pattern_selectivity(&self, tp: &TriplePattern, bound: &HashSet<usize>) -> usize {
-        let term_score = |t: &TermPattern| match t {
-            TermPattern::Var(_) | TermPattern::Blank(_) => {
-                2 * usize::from(term_bound(t, &self.vars, bound))
-            }
-            _ => 3,
-        };
-        let path_score = match &tp.path {
-            Path::Var(v) => 2 * usize::from(self.vars.get(v).is_some_and(|s| bound.contains(&s))),
-            Path::Iri(_) => 3,
-            _ => 1,
-        };
-        term_score(&tp.subject) + term_score(&tp.object) + path_score
     }
 
     fn match_triple_pattern(
@@ -871,7 +820,7 @@ impl<'a, G: GraphView> Ctx<'a, G> {
         rows: Vec<Binding>,
     ) -> Result<Vec<Binding>> {
         let Path::Iri(p) = &tp.path else {
-            // Planner only marks plain predicates; stay correct anyway.
+            // The planner only marks plain predicates; stay correct anyway.
             return self.match_triple_pattern(tp, rows);
         };
         HASH_JOINS.fetch_add(1, Ordering::Relaxed);

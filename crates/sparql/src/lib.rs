@@ -6,16 +6,15 @@
 //!
 //! Pipeline: [`lexer`] → [`parser`] → cost-based planning ([`plan`]) →
 //! evaluation ([`eval`]) with solution sets. Supported: SELECT / ASK /
-//! CONSTRUCT, BGPs with statistics-driven join ordering (greedy and
-//! author-order fallbacks via [`Planner`]), OPTIONAL, UNION, MINUS,
+//! CONSTRUCT, BGPs in one statistics-driven join order (an EXISTS body,
+//! which has no plan, runs in author order), OPTIONAL, UNION, MINUS,
 //! FILTER (incl. EXISTS / NOT EXISTS), BIND, VALUES, property paths
 //! (`^ / | * + ?` and negated sets), the builtin function library,
 //! GROUP BY with aggregates, HAVING, ORDER BY, DISTINCT / REDUCED,
 //! LIMIT / OFFSET.
 //!
 //! The single entry point is [`query`] / [`execute`] with
-//! [`QueryOptions`] carrying the governor guard, the planner choice,
-//! and EXPLAIN mode:
+//! [`QueryOptions`] carrying the governor guard and EXPLAIN mode:
 //!
 //! ```
 //! use feo_rdf::Graph;
@@ -52,5 +51,5 @@ pub mod value;
 pub use error::{Result, SparqlError};
 pub use eval::{execute, execute_prepared, execute_seeded, join_counters, query, JoinCounters};
 pub use parser::parse_query;
-pub use plan::{plan_query, plan_seeded, JoinAlgo, Plan, Planner, QueryOptions};
+pub use plan::{plan_query, plan_seeded, JoinAlgo, Plan, QueryOptions};
 pub use results::{QueryResult, SolutionTable};

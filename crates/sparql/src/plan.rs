@@ -32,31 +32,6 @@ use crate::ast::{
 };
 use crate::eval::{register_group_vars, register_modifier_vars, walk_element, Mentions, VarTable};
 
-/// Join-order strategy for BGP evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Planner {
-    /// Evaluate triple patterns in author order (the ablation baseline).
-    Off,
-    /// Greedy bound-position reordering, decided per call while rows
-    /// flow — the pre-planner behavior.
-    Greedy,
-    /// Compile a [`Plan`] up front from graph statistics: estimated
-    /// join order, index choice, and hash-join placement per BGP.
-    #[default]
-    CostBased,
-}
-
-impl Planner {
-    /// Stable lowercase name used in plan renderings and CLI flags.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Planner::Off => "off",
-            Planner::Greedy => "greedy",
-            Planner::CostBased => "cost-based",
-        }
-    }
-}
-
 /// Physical join algorithm for one BGP step.
 ///
 /// The planner picks per step from statistics; the choice never affects
@@ -84,15 +59,13 @@ impl JoinAlgo {
 }
 
 /// The one options struct accepted by [`crate::query`] / [`crate::execute`]:
-/// the guard, the planner choice, and EXPLAIN mode travel together.
+/// the guard, EXPLAIN mode and the join-operator override travel together.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct QueryOptions<'a> {
     /// Execution governor: input-size cap on the query text, solution
     /// budget on join-row production, deadline / cancellation polling in
     /// hot loops. `None` runs unguarded.
     pub guard: Option<&'a Guard>,
-    /// Join-order strategy.
-    pub planner: Planner,
     /// When set, return the rendered plan as [`crate::QueryResult::Plan`]
     /// instead of executing — SQL `EXPLAIN` semantics.
     pub explain: bool,
@@ -104,7 +77,7 @@ pub struct QueryOptions<'a> {
 }
 
 impl<'a> QueryOptions<'a> {
-    /// Options running under `guard` with the default planner.
+    /// Options running under `guard`.
     pub fn guarded(guard: &'a Guard) -> Self {
         QueryOptions {
             guard: Some(guard),
@@ -143,7 +116,7 @@ impl IndexChoice {
 /// A compiled query plan, mirroring the query's group-pattern tree.
 ///
 /// The evaluator walks plan and AST in lockstep; a structural mismatch
-/// degrades to the greedy strategy for the mismatched node, but filter
+/// runs the mismatched node's patterns in author order, but filter
 /// placement is trusted, so a plan is only for the query it came from.
 #[derive(Debug, Clone, Default)]
 pub struct Plan {
@@ -380,7 +353,7 @@ fn plan_bgp<G: GraphView>(
 }
 
 /// Variable/blank slots this pattern can bind.
-pub(crate) fn pattern_var_slots(tp: &TriplePattern, vars: &VarTable) -> Vec<usize> {
+fn pattern_var_slots(tp: &TriplePattern, vars: &VarTable) -> Vec<usize> {
     let mut out = Vec::new();
     for t in [&tp.subject, &tp.object] {
         match t {
@@ -397,7 +370,7 @@ pub(crate) fn pattern_var_slots(tp: &TriplePattern, vars: &VarTable) -> Vec<usiz
 
 /// Ground terms count as bound; variables and blank labels only when
 /// their slot is in the bound set.
-pub(crate) fn term_bound(tp: &TermPattern, vars: &VarTable, bound: &HashSet<usize>) -> bool {
+fn term_bound(tp: &TermPattern, vars: &VarTable, bound: &HashSet<usize>) -> bool {
     match tp {
         TermPattern::Var(v) => vars.get(v).is_some_and(|s| bound.contains(&s)),
         TermPattern::Blank(l) => vars
@@ -523,8 +496,8 @@ impl Plan {
     /// Human-readable plan: the group tree with each BGP's join order,
     /// index choice, estimate, and hash-join placement. `q` must be the
     /// query this plan was compiled from.
-    pub fn render(&self, q: &Query, planner: Planner) -> String {
-        let mut out = format!("plan planner={}\n", planner.name());
+    pub fn render(&self, q: &Query) -> String {
+        let mut out = String::from("plan\n");
         render_group(&mut out, &q.where_pattern, &self.root, 0);
         out
     }
@@ -897,7 +870,7 @@ mod tests {
         let second = &bp.steps[1];
         assert_eq!(second.pattern, 1);
         assert_eq!(second.algo, JoinAlgo::Hash, "{plan:?}");
-        let text = plan.render(&q, Planner::CostBased);
+        let text = plan.render(&q);
         assert!(text.contains("join=hash"), "{text}");
     }
 
@@ -909,8 +882,8 @@ mod tests {
             "SELECT * WHERE { ?r <http://e/broad> ?v . ?r <http://e/narrow> ?o . \
              FILTER (?v != ?o) }",
         );
-        let text = plan.render(&q, Planner::CostBased);
-        assert!(text.starts_with("plan planner=cost-based"), "{text}");
+        let text = plan.render(&q);
+        assert!(text.starts_with("plan\n"), "{text}");
         let narrow = text.find("narrow").expect("narrow rendered");
         let broad = text.find("broad").expect("broad rendered");
         assert!(narrow < broad, "narrow first:\n{text}");
@@ -929,7 +902,7 @@ mod tests {
              FILTER NOT EXISTS { ?sub <http://e/broad> ?p } }",
         );
         assert_eq!(plan.root.filters, vec![(1, 2)], "after the BGP: {plan:?}");
-        let text = plan.render(&q, Planner::CostBased);
+        let text = plan.render(&q);
         let lines: Vec<&str> = text.lines().map(str::trim_start).collect();
         let at = |s: &str| lines.iter().position(|l| *l == s).expect(s);
         assert!(at("bgp") < at("filter"), "{text}");

@@ -264,7 +264,7 @@ fn match_seq(
     match_seq(rest, chars, next, ci, budget)
 }
 
-/// Greedy repetition with backtracking into the continuation `rest`.
+/// Longest-first repetition with backtracking into the continuation `rest`.
 #[allow(clippy::too_many_arguments)]
 fn match_repeat(
     inner: &Node,

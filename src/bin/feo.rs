@@ -7,7 +7,7 @@
 //! feo explain what-if-pregnant [flags]          counterfactual explanation
 //! feo explain steps <Food> [flags]              trace-based explanation
 //! feo proof <Individual> <fact|foil> [flags]    reasoner proof tree
-//! feo query <SPARQL> [--explain] [--planner P]  query the materialized graph
+//! feo query <SPARQL> [--explain]               query the materialized graph
 //! feo history [--commit S ...]                  show the epoch ledger chain
 //! feo branch create|diff|list ...               named what-if branch worlds
 //! feo export [--raw]                            dump the graph as Turtle
@@ -76,8 +76,7 @@ fn usage_and_exit() -> ! {
            feo explain what-if-pregnant [profile flags]\n\
            feo explain steps <Food> [profile flags]\n\
            feo proof <Individual> <fact|foil> [profile flags]\n\
-           feo query <SPARQL string> [--explain] [--planner off|greedy|cost-based]\n\
-                     [--as-of N] [--commit S]\n\
+           feo query <SPARQL string> [--explain] [--as-of N] [--commit S]\n\
            feo history [--commit S] [profile flags]\n\
            feo branch create <name> [--from N] [--apply S] [--commit S]\n\
            feo branch diff <a> <b> [--branch name=S] [--commit S]\n\
@@ -137,7 +136,6 @@ struct Opts {
     raw: bool,
     json: bool,
     explain: bool,
-    planner: Planner,
     positional: Vec<String>,
     as_of: Option<u64>,
     commits: Vec<(String, Hypothesis)>,
@@ -155,7 +153,6 @@ fn parse_opts(args: &[String]) -> Opts {
     let mut raw = false;
     let mut json = false;
     let mut explain = false;
-    let mut planner = Planner::default();
     let mut as_of: Option<u64> = None;
     let mut commits: Vec<(String, Hypothesis)> = Vec::new();
     let mut branches: Vec<(String, Hypothesis)> = Vec::new();
@@ -211,17 +208,6 @@ fn parse_opts(args: &[String]) -> Opts {
             "--raw" => raw = true,
             "--json" => json = true,
             "--explain" => explain = true,
-            "--planner" => {
-                planner = match value("--planner").to_ascii_lowercase().as_str() {
-                    "off" => Planner::Off,
-                    "greedy" => Planner::Greedy,
-                    "cost-based" | "cost" => Planner::CostBased,
-                    other => {
-                        eprintln!("unknown planner '{other}' (off | greedy | cost-based)");
-                        exit(2);
-                    }
-                }
-            }
             "--as-of" => {
                 as_of = Some(value("--as-of").parse().unwrap_or_else(|_| {
                     eprintln!("--as-of needs an epoch number");
@@ -273,7 +259,6 @@ fn parse_opts(args: &[String]) -> Opts {
         raw,
         json,
         explain,
-        planner,
         positional,
         as_of,
         commits,
@@ -410,11 +395,7 @@ fn cmd_explain(args: &[String]) {
             base = base.with_recommendations(coach.recommend(&opts.user, &opts.ctx, 50));
         }
         let n = opts.as_of.unwrap_or(base.head().0);
-        let eopts = ExplainOptions {
-            planner: opts.planner,
-            ..Default::default()
-        };
-        match base.explain_as_of(EpochId(n), &question, &eopts) {
+        match base.explain_as_of(EpochId(n), &question, &ExplainOptions::default()) {
             Ok(e) if opts.json => println!("{}", e.to_json()),
             Ok(e) => {
                 if opts.as_of.is_some() {
@@ -507,15 +488,11 @@ fn cmd_query(args: &[String]) {
         // assembled graph.
         let base = base_with_chain(&opts);
         let epoch = EpochId(opts.as_of.unwrap_or(base.head().0));
-        let Some(mut session) = base.at_epoch(epoch) else {
+        let Some(session) = base.at_epoch(epoch) else {
             eprintln!("unknown epoch: {} is past the ledger head", epoch.0);
             exit(1);
         };
-        let eopts = ExplainOptions {
-            planner: opts.planner,
-            ..Default::default()
-        };
-        match session.query_opts(&full, &eopts) {
+        match session.query(&full) {
             Ok(result) => print_query_result(result, opts.json),
             Err(e) => {
                 eprintln!("{e}");
@@ -527,10 +504,8 @@ fn cmd_query(args: &[String]) {
     let mut g = assemble(&curated(), &opts.user, &opts.ctx);
     let _ = Reasoner::new().materialize(&mut g, &Default::default());
     let qopts = QueryOptions {
-        guard: None,
-        planner: opts.planner,
         explain: opts.explain,
-        force_join: None,
+        ..Default::default()
     };
     match feo::sparql::query(&g, &full, &qopts) {
         Ok(result) => print_query_result(result, opts.json),

@@ -71,5 +71,5 @@ pub mod prelude {
     pub use crate::rdf::governor::{Budget, CancelFlag, Exhausted, Guard};
     pub use crate::rdf::Parallelism;
     pub use crate::serve::{ServeConfig, Server};
-    pub use crate::sparql::{Planner, QueryOptions, QueryResult};
+    pub use crate::sparql::{QueryOptions, QueryResult};
 }

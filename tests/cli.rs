@@ -222,3 +222,26 @@ fn bad_input_fails_cleanly() {
     assert!(!ok);
     assert!(!stderr.is_empty());
 }
+
+#[test]
+fn query_explain_prints_the_plan_tree() {
+    let cq1 = feo::core::queries::contextual_query(&feo::core::Question::WhyEat {
+        food: "CauliflowerPotatoCurry".into(),
+    });
+    let (stdout, stderr, ok) = feo(&["query", "--explain", &cq1]);
+    assert!(ok, "{stderr}");
+    assert!(stdout.starts_with("plan\n"), "{stdout}");
+    assert!(stdout.lines().any(|l| l.trim() == "bgp"), "{stdout}");
+    assert!(stdout.contains("  1. ?question "), "bgp steps: {stdout}");
+}
+
+#[test]
+fn planner_flag_is_unknown() {
+    let out = Command::new(env!("CARGO_BIN_EXE_feo"))
+        .args(["query", "--planner", "greedy", "ASK { ?s ?p ?o }"])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown flag '--planner'"), "{stderr}");
+}

@@ -14,7 +14,7 @@ use feo::owl::Reasoner;
 use feo::rdf::disk::segment::{write_segment, Segment};
 use feo::rdf::governor::Budget;
 use feo::rdf::{Graph, GraphStore, GraphView, Overlay};
-use feo::sparql::{query, JoinAlgo, Planner, QueryOptions, QueryResult, SparqlError};
+use feo::sparql::{query, JoinAlgo, QueryOptions, QueryResult, SparqlError};
 use proptest::prelude::*;
 use std::path::PathBuf;
 
@@ -253,7 +253,7 @@ proptest! {
 
 // ---- EXPLAIN determinism ------------------------------------------------
 
-/// The cost-based planner pins the join order and algorithm choice: the
+/// The planner pins the join order and algorithm choice: the
 /// same query over the same graph renders the same plan twice.
 #[test]
 fn explain_is_deterministic() {
@@ -265,7 +265,6 @@ fn explain_is_deterministic() {
             q,
             &QueryOptions {
                 explain: true,
-                planner: Planner::CostBased,
                 ..Default::default()
             },
         )

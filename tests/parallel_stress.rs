@@ -173,7 +173,6 @@ fn cancellation_from_second_thread_during_explain_batch() {
         let opts = ExplainOptions {
             guard: Some(&guard),
             parallelism: Parallelism::Fixed(4),
-            ..Default::default()
         };
         let canceller = {
             let flag = flag.clone();
@@ -250,7 +249,6 @@ fn repeated_cancel_races_never_panic() {
         let opts = ExplainOptions {
             guard: Some(&guard),
             parallelism: Parallelism::Fixed(4),
-            ..Default::default()
         };
         let canceller = {
             let flag = flag.clone();

@@ -1,10 +1,10 @@
-//! Planner equivalence: the cost-based planner, the greedy reorderer,
-//! and author-order evaluation are alternative *orders*, never
-//! alternative *semantics*. For seeded synthetic KGs (the
-//! `feo-foodkg` generator, assembled and materialized exactly as the
-//! engine does it) every planner must return the identical solution
-//! multiset — and a tripping `Guard` must yield a typed
+//! The engine against the naive evaluator of `oracle/`: for seeded
+//! synthetic KGs (the `feo-foodkg` generator, assembled and materialized
+//! exactly as the engine does it) the planned evaluation must return the
+//! oracle's solution multiset — and a tripping `Guard` must yield a typed
 //! `SparqlError::Exhausted`, never a silently truncated table.
+
+mod oracle;
 
 use feo::core::ecosystem::assemble;
 use feo::foodkg::{synthetic, Season, SyntheticConfig, SystemContext, UserProfile};
@@ -12,12 +12,10 @@ use feo::ontology::ns::sparql_prologue;
 use feo::owl::Reasoner;
 use feo::rdf::governor::Budget;
 use feo::rdf::Graph;
-use feo::sparql::{query, Planner, QueryOptions, SolutionTable, SparqlError};
+use feo::sparql::{parse_query, query, QueryOptions, SolutionTable, SparqlError};
 use proptest::prelude::*;
 
-const PLANNERS: [Planner; 3] = [Planner::Off, Planner::Greedy, Planner::CostBased];
-
-/// Queries chosen to give the planners real decisions: multi-pattern
+/// Queries chosen to give the planner real decisions: multi-pattern
 /// joins (including an adversarial author order that opens with a
 /// cartesian product), OPTIONAL / UNION nodes, a property path, and an
 /// aggregate.
@@ -84,18 +82,21 @@ fn materialized_graph(recipes: usize, seed: u64) -> Graph {
     g
 }
 
-/// Rows as sorted strings: multiset comparison independent of solution
-/// order (projection order keeps columns aligned across planners).
-fn multiset(t: &SolutionTable) -> Vec<String> {
-    let mut rows: Vec<String> = t.local_rows().iter().map(|r| r.join("|")).collect();
-    rows.sort();
-    rows
+/// A table as the oracle's multiset.
+fn multiset(t: &SolutionTable) -> Vec<oracle::Solution> {
+    oracle::multiset(&t.vars, &t.rows)
+}
+
+/// The oracle's answer to `q` over `g`.
+fn reference(g: &Graph, q: &str) -> Vec<oracle::Solution> {
+    oracle::evaluate(g.iter_triples(), &parse_query(q).expect("query parses"))
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// All three planners agree on every query over every generated KG.
+    /// The engine returns the oracle's multiset for every query over
+    /// every generated KG.
     #[test]
     fn planners_return_identical_multisets(
         recipes in 15usize..45,
@@ -103,28 +104,21 @@ proptest! {
     ) {
         let g = materialized_graph(recipes, seed);
         for q in equivalence_queries() {
-            let reference = query(&g, &q, &QueryOptions { planner: Planner::Off, ..Default::default() })
-                .expect("author order evaluates")
+            let got = query(&g, &q, &QueryOptions::default())
+                .expect("planned evaluation evaluates")
                 .expect_solutions();
-            let reference = multiset(&reference);
-            for planner in [Planner::Greedy, Planner::CostBased] {
-                let got = query(&g, &q, &QueryOptions { planner, ..Default::default() })
-                    .expect("planned evaluation evaluates")
-                    .expect_solutions();
-                prop_assert_eq!(
-                    &multiset(&got),
-                    &reference,
-                    "planner {:?} diverged on seed {} query:\n{}",
-                    planner, seed, q
-                );
-            }
+            prop_assert_eq!(
+                multiset(&got),
+                reference(&g, &q),
+                "the engine diverged from the oracle on seed {} query:\n{}",
+                seed, q
+            );
         }
     }
 
-    /// Under a guard, each planner either returns exactly the unguarded
+    /// Under a guard, the engine either returns exactly the oracle's
     /// multiset or fails with a typed `Exhausted` — never a silently
-    /// partial table. (Planners legitimately differ in *whether* they
-    /// trip: a better join order produces fewer intermediate rows.)
+    /// partial table.
     #[test]
     fn guarded_runs_are_exact_or_exhausted(
         recipes in 15usize..40,
@@ -134,32 +128,26 @@ proptest! {
         let g = materialized_graph(recipes, seed);
         let budget = Budget::new().with_max_solutions(max_solutions);
         for q in equivalence_queries() {
-            let reference = query(&g, &q, &Default::default())
-                .expect("unguarded evaluates")
-                .expect_solutions();
-            let reference = multiset(&reference);
-            for planner in PLANNERS {
-                let guard = budget.start();
-                let opts = QueryOptions { guard: Some(&guard), planner, ..Default::default() };
-                match query(&g, &q, &opts) {
-                    Ok(result) => prop_assert_eq!(
-                        &multiset(&result.expect_solutions()),
-                        &reference,
-                        "guarded {:?} returned a different table on seed {}",
-                        planner, seed
-                    ),
-                    Err(SparqlError::Exhausted(_)) => {}
-                    Err(other) => prop_assert!(
-                        false,
-                        "planner {:?} failed with a non-budget error: {:?}",
-                        planner, other
-                    ),
-                }
+            let guard = budget.start();
+            match query(&g, &q, &QueryOptions::guarded(&guard)) {
+                Ok(result) => prop_assert_eq!(
+                    multiset(&result.expect_solutions()),
+                    reference(&g, &q),
+                    "a guarded run returned a different table on seed {}",
+                    seed
+                ),
+                Err(SparqlError::Exhausted(_)) => {}
+                Err(other) => prop_assert!(
+                    false,
+                    "a guarded run failed with a non-budget error: {:?}",
+                    other
+                ),
             }
         }
     }
 
-    /// A guard with headroom is behaviorally invisible for every planner.
+    /// A guard with headroom is invisible: the guarded table is the
+    /// unguarded one, row for row.
     #[test]
     fn generous_guard_is_transparent_for_all_planners(
         recipes in 15usize..40,
@@ -168,31 +156,23 @@ proptest! {
         let g = materialized_graph(recipes, seed);
         let budget = Budget::new().with_max_solutions(50_000_000);
         for q in equivalence_queries() {
-            for planner in PLANNERS {
-                let bare = query(&g, &q, &QueryOptions { planner, ..Default::default() })
-                    .expect("evaluates")
-                    .expect_solutions();
-                let guard = budget.start();
-                let guarded = query(
-                    &g,
-                    &q,
-                    &QueryOptions { guard: Some(&guard), planner, ..Default::default() },
-                )
+            let bare = query(&g, &q, &QueryOptions::default())
+                .expect("evaluates")
+                .expect_solutions();
+            let guard = budget.start();
+            let guarded = query(&g, &q, &QueryOptions::guarded(&guard))
                 .expect("generous guard never trips")
                 .expect_solutions();
-                prop_assert_eq!(multiset(&bare), multiset(&guarded));
-            }
+            prop_assert_eq!(bare, guarded);
         }
     }
 }
 
-// ---- greedy tie-break regression ---------------------------------------
+// ---- tie-break regression -----------------------------------------------
 
-/// Two disconnected patterns with identical statistics: every planner
+/// Two disconnected patterns with identical statistics: the planner
 /// ties, ties keep author order, and author order pins the exact row
 /// sequence (first pattern outer, second inner, both in index order).
-/// Before the deterministic tie-break the greedy reorder depended on
-/// selection-scan incidentals and this order was unstable.
 #[test]
 fn tied_patterns_pin_solution_order() {
     let mut g = Graph::new();
@@ -215,21 +195,9 @@ fn tied_patterns_pin_solution_order() {
         vec!["s2".into(), "o2".into(), "t1".into(), "u1".into()],
         vec!["s2".into(), "o2".into(), "t2".into(), "u2".into()],
     ];
-    for planner in PLANNERS {
-        let t = query(
-            &g,
-            q,
-            &QueryOptions {
-                planner,
-                ..Default::default()
-            },
-        )
+    let t = query(&g, q, &QueryOptions::default())
         .expect("evaluates")
         .expect_solutions();
-        assert_eq!(
-            t.local_rows(),
-            expected,
-            "{planner:?} must keep author order on tied patterns"
-        );
-    }
+    assert_eq!(t.local_rows(), expected, "tied patterns keep author order");
+    assert_eq!(multiset(&t), reference(&g, q));
 }

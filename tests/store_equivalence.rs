@@ -3,7 +3,7 @@
 //! synthetic KGs, an engine reopened from a persistent store
 //! (`EngineBase::save_to` → `EngineBase::open`) must answer every
 //! CQ1–CQ3 explanation and every probe query byte-identically to a
-//! freshly built in-memory engine — under all three planners. Commits
+//! freshly built in-memory engine. Commits
 //! replay through the WAL to the same epochs, the same layer sizes, and
 //! the same tamper-evidence hashes; compaction folds the WAL without
 //! perturbing a single byte of any answer.
@@ -16,11 +16,8 @@ use feo::foodkg::{
 };
 use feo::ontology::ns::sparql_prologue;
 use feo::rdf::GraphStore;
-use feo::sparql::Planner;
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
-
-const PLANNERS: [Planner; 3] = [Planner::Off, Planner::Greedy, Planner::CostBased];
 
 /// A unique, self-cleaning store directory per proptest case.
 fn store_dir(tag: &str, recipes: usize, seed: u64) -> PathBuf {
@@ -115,14 +112,9 @@ fn explain_fingerprint(
     base: &EngineBase,
     epoch: EpochId,
     question: &Question,
-    planner: Planner,
 ) -> Result<String, TestCaseError> {
-    let opts = ExplainOptions {
-        planner,
-        ..Default::default()
-    };
     let e = base
-        .explain_as_of(epoch, question, &opts)
+        .explain_as_of(epoch, question, &ExplainOptions::default())
         .map_err(|e| TestCaseError::fail(format!("explain_as_of: {e}")))?;
     Ok(format!(
         "{}|{:?}|{:?}|{}",
@@ -138,17 +130,12 @@ fn query_fingerprint(
     base: &EngineBase,
     epoch: EpochId,
     sparql: &str,
-    planner: Planner,
 ) -> Result<String, TestCaseError> {
-    let mut session = base
+    let session = base
         .at_epoch(epoch)
         .ok_or_else(|| TestCaseError::fail(format!("epoch {} off the chain", epoch.0)))?;
-    let opts = ExplainOptions {
-        planner,
-        ..Default::default()
-    };
     let result = session
-        .query_opts(sparql, &opts)
+        .query(sparql)
         .map_err(|e| TestCaseError::fail(format!("query: {e}")))?;
     Ok(result.to_json())
 }
@@ -190,7 +177,7 @@ fn write_delta(g: &mut impl GraphStore, kg: &FoodKg, user: &UserProfile, seed: u
 
 /// Asserts the two backends are observably indistinguishable at every
 /// epoch on the chain: closure size, dictionary size, history chain,
-/// every CQ explanation, and every probe query, across all planners.
+/// every CQ explanation, and every probe query.
 fn assert_twins_equal(
     mem: &EngineBase,
     disk: &EngineBase,
@@ -217,29 +204,25 @@ fn assert_twins_equal(
         label
     );
     for epoch in (0..=mem.head().0).map(EpochId) {
-        for planner in PLANNERS {
-            for q in cq_questions(kg) {
-                prop_assert_eq!(
-                    explain_fingerprint(mem, epoch, &q, planner)?,
-                    explain_fingerprint(disk, epoch, &q, planner)?,
-                    "{}: {:?} diverged at epoch {} ({:?})",
-                    label,
-                    q,
-                    epoch.0,
-                    planner
-                );
-            }
-            for sparql in probe_queries() {
-                prop_assert_eq!(
-                    query_fingerprint(mem, epoch, &sparql, planner)?,
-                    query_fingerprint(disk, epoch, &sparql, planner)?,
-                    "{}: query diverged at epoch {} ({:?}):\n{}",
-                    label,
-                    epoch.0,
-                    planner,
-                    sparql
-                );
-            }
+        for q in cq_questions(kg) {
+            prop_assert_eq!(
+                explain_fingerprint(mem, epoch, &q)?,
+                explain_fingerprint(disk, epoch, &q)?,
+                "{}: {:?} diverged at epoch {}",
+                label,
+                q,
+                epoch.0
+            );
+        }
+        for sparql in probe_queries() {
+            prop_assert_eq!(
+                query_fingerprint(mem, epoch, &sparql)?,
+                query_fingerprint(disk, epoch, &sparql)?,
+                "{}: query diverged at epoch {}:\n{}",
+                label,
+                epoch.0,
+                sparql
+            );
         }
     }
     Ok(())
@@ -316,7 +299,7 @@ proptest! {
         let head = disk.head();
         let before: Vec<String> = cq_questions(&kg)
             .iter()
-            .map(|q| explain_fingerprint(&disk, head, q, Planner::CostBased))
+            .map(|q| explain_fingerprint(&disk, head, q))
             .collect::<Result<_, _>>()?;
 
         disk.compact().map_err(|e| TestCaseError::fail(format!("compact: {e}")))?;
@@ -326,7 +309,7 @@ proptest! {
         let after: Vec<String> = cq_questions(&kg)
             .iter()
             .map(|q| {
-                explain_fingerprint(&disk, EpochId(0), q, Planner::CostBased)
+                explain_fingerprint(&disk, EpochId(0), q)
             })
             .collect::<Result<_, _>>()?;
         prop_assert_eq!(&before, &after, "compaction changed a head answer");
@@ -334,7 +317,7 @@ proptest! {
         // The in-memory engine's head agrees with the compacted base.
         let mem_head: Vec<String> = cq_questions(&kg)
             .iter()
-            .map(|q| explain_fingerprint(&mem, mem.head(), q, Planner::CostBased))
+            .map(|q| explain_fingerprint(&mem, mem.head(), q))
             .collect::<Result<_, _>>()?;
         prop_assert_eq!(&before, &mem_head, "compacted store diverged from memory head");
 
@@ -348,7 +331,7 @@ proptest! {
         let again: Vec<String> = cq_questions(&kg)
             .iter()
             .map(|q| {
-                explain_fingerprint(&reopened, EpochId(0), q, Planner::CostBased)
+                explain_fingerprint(&reopened, EpochId(0), q)
             })
             .collect::<Result<_, _>>()?;
         prop_assert_eq!(&before, &again, "reopened compacted store diverged");
