@@ -42,6 +42,17 @@ cargo test -q --offline
 echo "== workspace tests"
 cargo test -q --offline --workspace
 
+echo "== examples (each runs to completion)"
+# Clippy only compiles the examples; run each one, optimized, and fail
+# on a non-zero exit (a panic, or an `expect` on an engine error).
+for example in examples/*.rs; do
+    name=$(basename "$example" .rs)
+    if ! cargo run -q --offline --release --example "$name" >/dev/null; then
+        echo "example $name exited non-zero" >&2
+        exit 1
+    fi
+done
+
 echo "== adversarial suite (bounded wall-clock)"
 # Pathological inputs (malformed Turtle, ontology cycles, closure
 # blowups) must degrade via the governor, never hang: the whole suite

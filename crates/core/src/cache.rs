@@ -2,9 +2,9 @@
 //!
 //! Explanations run the prepared competency templates
 //! ([`crate::queries`]) and never come here. This cache serves query text
-//! a caller writes — `Session::query`, behind `/query`, `feo query` and
-//! `query_as_of` — where a repeated query would otherwise be parsed and
-//! planned again on every call.
+//! a caller writes — `Session::query`, behind `/query` and `feo query`,
+//! at the head, a past epoch or a branch head — where a repeated query
+//! would otherwise be parsed and planned again on every call.
 //!
 //! Parsing and cost-based planning are pure functions of (query text,
 //! graph statistics), and with the epoch ledger every epoch's graph is

@@ -1,11 +1,10 @@
 //! The competency-question harness: runs CQ1–CQ3 against the paper's
-//! scenarios and checks the results against the paper's printed tables.
-//! Used by the integration tests, the benches, and the `reproduce`
-//! binary that regenerates the listings for EXPERIMENTS.md.
+//! scenarios and checks the results against the paper's printed tables
+//! (Listings 1–3). Its unit tests and `tests/pipeline.rs` pin them.
 
 use feo_sparql::SolutionTable;
 
-use crate::engine::EngineError;
+use crate::engine::{EngineError, ExplainOptions};
 use crate::scenarios::{scenario_a, scenario_b, scenario_c, Scenario};
 
 /// Expected vs. measured outcome of one competency question.
@@ -29,8 +28,8 @@ fn check(
     scenario: Scenario,
     expected_rows: Vec<Vec<(&'static str, &'static str)>>,
 ) -> Result<CqOutcome, EngineError> {
-    let mut engine = scenario.engine()?;
-    let explanation = engine.explain(&scenario.question)?;
+    let base = scenario.engine()?;
+    let explanation = base.explain(&scenario.question, &ExplainOptions::default())?;
     let bindings = explanation.bindings.clone();
 
     let expected_found = expected_rows.iter().all(|row| {

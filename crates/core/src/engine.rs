@@ -18,12 +18,10 @@
 //!   Question individuals are asserted into a per-session [`Overlay`]
 //!   and closed incrementally with the precompiled rules — committed
 //!   layers are never touched, so concurrent sessions cannot observe
-//!   each other.
-//! - [`ExplanationEngine`] is the original single-owner façade: it wraps
-//!   an [`EngineBase`] and commits each session's delta as a new epoch,
-//!   preserving the accumulate-across-questions behaviour (and proof
-//!   trees) of earlier versions while using the incremental closure
-//!   underneath.
+//!   each other. A caller that wants a question's delta on the ledger
+//!   (say, to render a proof of a question-derived typing) commits it
+//!   with [`EngineBase::commit_with`] and
+//!   [`crate::ecosystem::assert_question`].
 //!
 //! Each `explain` call asserts the question individual, re-closes the
 //! view, runs the explanation type's SPARQL template (prepared once with
@@ -75,7 +73,7 @@ pub enum EngineError {
     MissingPopulation,
     /// An execution budget tripped while reasoning or querying (see
     /// [`feo_rdf::governor`]). Catch this to degrade gracefully — or use
-    /// [`EngineBase::explain_with_budget`], which does it for you.
+    /// [`EngineBase::explain_batch_with_budget`], which does it for you.
     Exhausted(Exhausted),
     /// A time-travel call named an epoch past the ledger head.
     UnknownEpoch(u64),
@@ -205,9 +203,10 @@ impl std::fmt::Display for DegradationReport {
     }
 }
 
-/// Result of [`EngineBase::explain_with_budget`]: every explanation that
-/// finished within the budget, plus a [`DegradationReport`] when the
-/// budget tripped before the batch completed.
+/// Result of [`EngineBase::explain_batch_with_budget`]: every
+/// explanation that finished within the budget, plus a
+/// [`DegradationReport`] when the budget tripped before the batch
+/// completed.
 #[derive(Debug)]
 pub struct BudgetedOutcome {
     pub explanations: Vec<Explanation>,
@@ -561,12 +560,17 @@ impl EngineBase {
     /// session writes only into its private overlay; any number of
     /// sessions can run concurrently over one base.
     pub fn session(&self) -> Session<'_> {
-        let epoch = self.ledger.head();
+        self.session_over(self.ledger.head(), 0, self.ledger.head_view())
+    }
+
+    /// A fresh session over `view`, which is epoch `epoch` of plan-cache
+    /// chain `chain` (0 for the main chain, a branch's id otherwise).
+    fn session_over<'s>(&'s self, epoch: EpochId, chain: u64, view: LedgerView<'s>) -> Session<'s> {
         Session {
             base: self,
             epoch,
-            chain: 0,
-            overlay: Overlay::new(self.ledger.head_view()),
+            chain,
+            overlay: Overlay::new(view),
             inference: InferenceResult::default(),
             guard: None,
         }
@@ -582,14 +586,7 @@ impl EngineBase {
     /// ones reflect the current recommender output.
     pub fn at_epoch(&self, epoch: EpochId) -> Option<Session<'_>> {
         let view = self.ledger.view(epoch)?;
-        Some(Session {
-            base: self,
-            epoch,
-            chain: 0,
-            overlay: Overlay::new(view),
-            inference: InferenceResult::default(),
-            guard: None,
-        })
+        Some(self.session_over(epoch, 0, view))
     }
 
     /// Answers `question` exactly as the engine would have at `epoch`:
@@ -604,13 +601,6 @@ impl EngineBase {
         self.at_epoch(epoch)
             .ok_or(EngineError::UnknownEpoch(epoch.0))?
             .explain(question, opts)
-    }
-
-    /// Runs a SPARQL query over a historical epoch's view.
-    pub fn query_as_of(&self, epoch: EpochId, sparql: &str) -> Result<QueryResult, EngineError> {
-        self.at_epoch(epoch)
-            .ok_or(EngineError::UnknownEpoch(epoch.0))?
-            .query(sparql)
     }
 
     // ---- persistent store --------------------------------------------
@@ -850,26 +840,11 @@ impl EngineBase {
     /// collide with the main epoch of the same number.
     pub fn branch_session(&self, name: &str) -> Option<Session<'_>> {
         let branch = self.branch(name)?;
-        Some(Session {
-            base: self,
-            epoch: branch.chain.head(),
-            chain: branch.cache_chain,
-            overlay: Overlay::new(self.ledger.branch_view(&branch.chain)),
-            inference: InferenceResult::default(),
-            guard: None,
-        })
-    }
-
-    /// Answers a question in a throwaway session over a branch head.
-    pub fn explain_on_branch(
-        &self,
-        name: &str,
-        question: &Question,
-        opts: &ExplainOptions<'_>,
-    ) -> Result<Explanation, EngineError> {
-        self.branch_session(name)
-            .ok_or_else(|| EngineError::UnknownBranch(name.to_string()))?
-            .explain(question, opts)
+        Some(self.session_over(
+            branch.chain.head(),
+            branch.cache_chain,
+            self.ledger.branch_view(&branch.chain),
+        ))
     }
 
     /// All branches, in creation order.
@@ -923,53 +898,6 @@ impl EngineBase {
         self.session().explain(question, opts)
     }
 
-    /// Answers a batch of questions under one shared [`Budget`],
-    /// degrading gracefully when it trips.
-    ///
-    /// One [`Guard`] meters the whole batch — reasoning and querying for
-    /// every question draw from the same deadline and budgets. When a
-    /// budget trips mid-batch the call still succeeds: the outcome
-    /// carries every explanation completed before the trip plus a
-    /// [`DegradationReport`] naming the tripped resource and the skipped
-    /// explanation types. Non-budget errors (unknown entity, missing
-    /// population, engine bugs) abort the batch as a real `Err`.
-    pub fn explain_with_budget(
-        &self,
-        questions: &[Question],
-        budget: &Budget,
-    ) -> Result<BudgetedOutcome, EngineError> {
-        let guard = budget.start();
-        let mut explanations = Vec::new();
-        let mut completed = Vec::new();
-        for (i, question) in questions.iter().enumerate() {
-            match self.explain(question, &ExplainOptions::guarded(&guard)) {
-                Ok(explanation) => {
-                    completed.push(explanation.explanation_type);
-                    explanations.push(explanation);
-                }
-                Err(EngineError::Exhausted(exhausted)) => {
-                    let skipped = questions[i..]
-                        .iter()
-                        .map(Question::explanation_type)
-                        .collect();
-                    return Ok(BudgetedOutcome {
-                        explanations,
-                        degradation: Some(DegradationReport {
-                            exhausted,
-                            completed,
-                            skipped,
-                        }),
-                    });
-                }
-                Err(other) => return Err(other),
-            }
-        }
-        Ok(BudgetedOutcome {
-            explanations,
-            degradation: None,
-        })
-    }
-
     /// Answers a batch of questions concurrently — one throwaway
     /// [`Session`] per question, all reading this shared snapshot.
     ///
@@ -1004,17 +932,28 @@ impl EngineBase {
         .collect()
     }
 
-    /// Parallel counterpart of [`EngineBase::explain_with_budget`]: the
-    /// batch fans out across the pool under one shared [`Budget`], and
-    /// the outcome aggregates what finished before the budget tripped.
+    /// Answers a batch of questions under one shared [`Budget`],
+    /// degrading gracefully when it trips.
     ///
-    /// Unlike the sequential form, workers race the shared budget — so
-    /// *which* questions land in `completed` versus `skipped` after a
-    /// trip depends on scheduling. The guarantees that do hold at every
-    /// worker count: every returned explanation is complete and correct,
-    /// `completed` ∪ `skipped` covers the batch exactly once, and a run
-    /// whose budget never trips is byte-identical to the sequential
-    /// path. Non-budget errors abort with `Err` as before.
+    /// One [`Guard`] meters the whole batch — reasoning and querying for
+    /// every question draw from the same deadline and budgets — and the
+    /// batch fans out across `parallelism` workers as in
+    /// [`EngineBase::explain_batch`]. When a budget trips the call still
+    /// succeeds: the outcome carries every explanation that completed
+    /// plus a [`DegradationReport`] naming the tripped resource and the
+    /// skipped explanation types. Non-budget errors (unknown entity,
+    /// missing population, engine bugs) abort the batch as a real `Err`.
+    ///
+    /// Every question is attempted, so after a trip a question that
+    /// never touches the guard (trace-based, simulation) is still
+    /// answered rather than skipped. With more than one worker, workers
+    /// race the shared budget, so *which* questions land in `completed`
+    /// versus `skipped` after a trip depends on scheduling; with
+    /// [`Parallelism::Off`] it does not. At every worker count, every
+    /// returned explanation is complete and correct, `completed` ∪
+    /// `skipped` covers the batch exactly once, and a run whose budget
+    /// never trips is byte-identical to [`EngineBase::explain`] in a
+    /// loop.
     pub fn explain_batch_with_budget(
         &self,
         questions: &[Question],
@@ -1122,7 +1061,7 @@ pub struct Session<'a> {
     /// incremental closes (disjoint from the base's own inference).
     inference: InferenceResult,
     /// Execution governor checked by incremental closes and SPARQL
-    /// evaluation; `None` on the legacy unguarded path.
+    /// evaluation; `None` runs unguarded.
     guard: Option<&'a Guard>,
 }
 
@@ -1147,8 +1086,9 @@ impl<'a> Session<'a> {
         self.overlay.delta_len()
     }
 
-    /// Decomposes the session into its overlay and inference — used by
-    /// [`ExplanationEngine`] to commit the delta as a ledger epoch.
+    /// Decomposes the session into its overlay and inference, for a
+    /// caller that reads or closes the overlay itself or hands the delta
+    /// to [`EngineBase::commit`].
     pub fn into_parts(self) -> (Overlay<LedgerView<'a>>, InferenceResult) {
         (self.overlay, self.inference)
     }
@@ -1785,99 +1725,5 @@ fn push_unique(list: &mut Vec<String>, seen: &mut HashSet<String>, item: String)
     if !seen.contains(&item) {
         seen.insert(item.clone());
         list.push(item);
-    }
-}
-
-/// The FEO explanation engine — single-owner façade over [`EngineBase`].
-///
-/// Each [`ExplanationEngine::explain`] call runs a [`Session`] and then
-/// commits the session's delta into the owned base, so question
-/// individuals and their inferred classifications accumulate exactly as
-/// in earlier versions (and [`ExplanationEngine::proof_of_type`] can
-/// explain typings derived while answering). For isolated or concurrent
-/// question answering use [`EngineBase`] directly.
-pub struct ExplanationEngine {
-    base: EngineBase,
-}
-
-impl ExplanationEngine {
-    /// Assembles and materializes the reasoning graph.
-    pub fn new(kg: FoodKg, user: UserProfile, ctx: SystemContext) -> Result<Self, EngineError> {
-        EngineBase::new(kg, user, ctx).map(|base| ExplanationEngine { base })
-    }
-
-    /// Like [`ExplanationEngine::new`], but the reasoner tracks
-    /// derivations so [`ExplanationEngine::proof_of_type`] can render
-    /// Pellet-style proof trees for inferred classifications.
-    pub fn new_with_proofs(
-        kg: FoodKg,
-        user: UserProfile,
-        ctx: SystemContext,
-    ) -> Result<Self, EngineError> {
-        EngineBase::new_with_proofs(kg, user, ctx).map(|base| ExplanationEngine { base })
-    }
-
-    /// Adds a reference population (enables case-based and statistical
-    /// explanations).
-    pub fn with_population(mut self, population: Population) -> Self {
-        self.base = self.base.with_population(population);
-        self
-    }
-
-    /// Adds recommender output (enables trace-based explanations and the
-    /// recommendation deltas in counterfactuals).
-    pub fn with_recommendations(mut self, set: RecommendationSet) -> Self {
-        self.base = self.base.with_recommendations(set);
-        self
-    }
-
-    /// Answers a question, then commits the session's delta (question
-    /// triples, derived classifications, derivations) as a new epoch on
-    /// the base's ledger.
-    pub fn explain(&mut self, question: &Question) -> Result<Explanation, EngineError> {
-        let mut session = self.base.session();
-        let result = session.explain(question, &ExplainOptions::default());
-        let (overlay, inference) = session.into_parts();
-        let (spill, delta) = overlay.into_delta();
-        self.base.commit_labeled("explain", spill, delta, inference);
-        result
-    }
-
-    /// Renders the reasoner's proof tree for `individual rdf:type class`,
-    /// e.g. why Broccoli was classified an `eo:Foil`. Requires
-    /// [`ExplanationEngine::new_with_proofs`]; returns `None` when the
-    /// typing does not hold or was asserted rather than inferred.
-    pub fn proof_of_type(&self, individual_local: &str, class_iri: &str) -> Option<String> {
-        self.base.proof_of_type(individual_local, class_iri)
-    }
-
-    /// The shared base — e.g. to wrap it in an `Arc` for concurrent
-    /// sessions after the stateful phase is over.
-    pub fn into_base(self) -> EngineBase {
-        self.base
-    }
-
-    pub fn base(&self) -> &EngineBase {
-        &self.base
-    }
-
-    pub fn inference(&self) -> &InferenceResult {
-        self.base.inference()
-    }
-
-    pub fn graph(&self) -> &BaseStore {
-        self.base.graph()
-    }
-
-    pub fn kg(&self) -> &FoodKg {
-        self.base.kg()
-    }
-
-    pub fn user(&self) -> &UserProfile {
-        self.base.user()
-    }
-
-    pub fn context(&self) -> &SystemContext {
-        self.base.context()
     }
 }

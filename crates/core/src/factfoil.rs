@@ -12,7 +12,7 @@
 //! The classification itself is carried out by the OWL reasoner through
 //! the `eo:Fact` / `eo:Foil` equivalent-class definitions; this module
 //! provides the typed read-out plus a self-contained reproduction of the
-//! full 2×2 matrix used by tests and the `reproduce` binary.
+//! full 2×2 matrix, which the tests pin cell by cell.
 
 use feo_ontology::ns::{eo, feo};
 use feo_owl::Reasoner;

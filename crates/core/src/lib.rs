@@ -10,16 +10,22 @@
 //! (§VI) implemented as extensions (trace-based, case-based, everyday,
 //! scientific, simulation-based, statistical).
 //!
+//! One type builds the world: [`EngineBase`] assembles, materializes
+//! and seals it as epoch 0 of a ledger. Every question is answered in a
+//! throwaway [`Session`] over one epoch of that ledger, so a base behind
+//! an `Arc` serves any number of threads.
+//!
 //! ```
-//! use feo_core::{ExplanationEngine, Question};
+//! use feo_core::{EngineBase, ExplainOptions, Question};
 //! use feo_foodkg::{curated, Season, SystemContext, UserProfile};
 //!
 //! let user = UserProfile::new("u").allergies(&["Broccoli"]);
 //! let ctx = SystemContext::new(Season::Autumn);
-//! let mut engine = ExplanationEngine::new(curated(), user, ctx).unwrap();
-//! let e = engine.explain(&Question::WhyEat {
-//!     food: "CauliflowerPotatoCurry".into(),
-//! }).unwrap();
+//! let base = EngineBase::new(curated(), user, ctx).unwrap();
+//! let e = base.explain(
+//!     &Question::WhyEat { food: "CauliflowerPotatoCurry".into() },
+//!     &ExplainOptions::default(),
+//! ).unwrap();
 //! assert!(e.answer.contains("current season"));
 //! ```
 
@@ -38,7 +44,7 @@ pub mod scenarios;
 pub use cache::PlanCacheStats;
 pub use engine::{
     BranchDiff, BranchInfo, BudgetedOutcome, CommitInfo, DegradationReport, EngineBase,
-    EngineError, ExplainOptions, ExplanationEngine, Session,
+    EngineError, ExplainOptions, Session,
 };
 pub use explanation::{humanize, Explanation};
 pub use factfoil::{classify, figure3_matrix, Classification};

@@ -1,10 +1,10 @@
 //! The paper's three evaluation scenarios (§V-A, §V-B, §V-C), packaged
-//! as ready-made (user, context, question) triples so tests, examples,
-//! benches, and the `reproduce` binary all run the same setups.
+//! as ready-made (user, context, question) triples so tests and
+//! examples all run the same setups.
 
 use feo_foodkg::{curated, FoodKg, Season, SystemContext, UserProfile};
 
-use crate::engine::{EngineError, ExplanationEngine};
+use crate::engine::{EngineBase, EngineError};
 use crate::question::{Hypothesis, Question};
 
 /// One packaged scenario.
@@ -22,8 +22,8 @@ pub struct Scenario {
 
 impl Scenario {
     /// Builds an engine for this scenario over the curated KG.
-    pub fn engine(&self) -> Result<ExplanationEngine, EngineError> {
-        ExplanationEngine::new(curated(), self.user.clone(), self.context.clone())
+    pub fn engine(&self) -> Result<EngineBase, EngineError> {
+        EngineBase::new(curated(), self.user.clone(), self.context.clone())
     }
 
     pub fn kg(&self) -> FoodKg {

@@ -1,11 +1,11 @@
-//! Budgeted-explanation tests: `EngineBase::explain_with_budget` must
+//! Budgeted-explanation tests: `EngineBase::explain_batch_with_budget` must
 //! degrade gracefully when a budget trips — returning every completed
 //! explanation plus a `DegradationReport` — while non-budget errors stay
 //! real errors.
 
 use std::time::Duration;
 
-use feo_core::{EngineBase, EngineError, ExplainOptions, ExplanationType, Question};
+use feo_core::{EngineBase, EngineError, ExplainOptions, ExplanationType, Parallelism, Question};
 use feo_foodkg::{curated, Season, SystemContext, UserProfile};
 use feo_rdf::governor::{Budget, CancelFlag, Resource};
 
@@ -35,7 +35,7 @@ fn cq_questions() -> Vec<Question> {
 fn unlimited_budget_completes_every_question() {
     let base = base();
     let outcome = base
-        .explain_with_budget(&cq_questions(), &Budget::new())
+        .explain_batch_with_budget(&cq_questions(), &Budget::new(), Parallelism::Off)
         .unwrap();
     assert!(outcome.is_complete());
     assert_eq!(outcome.explanations.len(), 2);
@@ -70,7 +70,9 @@ fn expired_deadline_degrades_with_report() {
     let base = base();
     let budget = Budget::new().with_deadline(Duration::ZERO);
     std::thread::sleep(Duration::from_millis(2));
-    let outcome = base.explain_with_budget(&cq_questions(), &budget).unwrap();
+    let outcome = base
+        .explain_batch_with_budget(&cq_questions(), &budget, Parallelism::Off)
+        .unwrap();
     assert!(!outcome.is_complete());
     assert!(outcome.explanations.is_empty());
     let report = outcome.degradation.unwrap();
@@ -90,7 +92,9 @@ fn expired_deadline_degrades_with_report() {
 fn solution_budget_trips_in_query_stage() {
     let base = base();
     let budget = Budget::new().with_max_solutions(1);
-    let outcome = base.explain_with_budget(&cq_questions(), &budget).unwrap();
+    let outcome = base
+        .explain_batch_with_budget(&cq_questions(), &budget, Parallelism::Off)
+        .unwrap();
     let report = outcome.degradation.expect("one join row cannot suffice");
     assert_eq!(report.exhausted.resource, Resource::Solutions);
 }
@@ -101,7 +105,9 @@ fn cancellation_degrades_immediately() {
     let flag = CancelFlag::new();
     flag.cancel();
     let budget = Budget::new().with_cancel(flag);
-    let outcome = base.explain_with_budget(&cq_questions(), &budget).unwrap();
+    let outcome = base
+        .explain_batch_with_budget(&cq_questions(), &budget, Parallelism::Off)
+        .unwrap();
     let report = outcome.degradation.unwrap();
     assert_eq!(report.exhausted.resource, Resource::Cancelled);
 }
@@ -113,7 +119,7 @@ fn non_budget_errors_abort_the_batch() {
         food: "NoSuchRecipe".into(),
     }];
     let err = base
-        .explain_with_budget(&questions, &Budget::new())
+        .explain_batch_with_budget(&questions, &Budget::new(), Parallelism::Off)
         .unwrap_err();
     assert!(matches!(err, EngineError::UnknownEntity(_)), "{err:?}");
 }

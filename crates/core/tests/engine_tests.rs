@@ -1,11 +1,14 @@
 //! Engine-level tests: every explanation type of Table I produces an
 //! informative, correctly-typed explanation; error paths are exercised.
 
-use feo_core::{EngineError, ExplanationEngine, ExplanationType, Hypothesis, Population, Question};
+use feo_core::ecosystem::assert_question;
+use feo_core::{
+    EngineBase, EngineError, ExplainOptions, ExplanationType, Hypothesis, Population, Question,
+};
 use feo_foodkg::{curated, Season, SystemContext, UserProfile};
 use feo_recommender::{HealthCoach, Recommender};
 
-fn engine_full() -> ExplanationEngine {
+fn base_full() -> EngineBase {
     let kg = curated();
     let user = UserProfile::new("user")
         .likes(&["BroccoliCheddarSoup", "LentilSoup"])
@@ -17,7 +20,7 @@ fn engine_full() -> ExplanationEngine {
     let coach = HealthCoach::new(&coach_kg);
     let recs = coach.recommend(&user, &ctx, 10);
     let population = Population::generate(&kg, 150, 42);
-    ExplanationEngine::new(kg, user, ctx)
+    EngineBase::new(kg, user, ctx)
         .unwrap()
         .with_population(population)
         .with_recommendations(recs)
@@ -25,7 +28,7 @@ fn engine_full() -> ExplanationEngine {
 
 #[test]
 fn all_nine_types_produce_informative_explanations() {
-    let mut engine = engine_full();
+    let base = base_full();
     let questions = vec![
         Question::WhyEat {
             food: "CauliflowerPotatoCurry".into(),
@@ -58,8 +61,8 @@ fn all_nine_types_produce_informative_explanations() {
     ];
     let mut seen = Vec::new();
     for q in questions {
-        let e = engine
-            .explain(&q)
+        let e = base
+            .explain(&q, &ExplainOptions::default())
             .unwrap_or_else(|err| panic!("{q:?}: {err}"));
         assert_eq!(e.explanation_type, q.explanation_type());
         assert!(e.is_informative(), "{q:?} produced empty explanation");
@@ -73,11 +76,14 @@ fn all_nine_types_produce_informative_explanations() {
 
 #[test]
 fn trace_based_reflects_recommender_steps() {
-    let mut engine = engine_full();
-    let e = engine
-        .explain(&Question::WhatSteps {
-            food: "ButternutSquashSoup".into(),
-        })
+    let base = base_full();
+    let e = base
+        .explain(
+            &Question::WhatSteps {
+                food: "ButternutSquashSoup".into(),
+            },
+            &ExplainOptions::default(),
+        )
         .unwrap();
     assert!(e.answer.contains("score"));
     assert!(
@@ -89,11 +95,14 @@ fn trace_based_reflects_recommender_steps() {
 
 #[test]
 fn trace_based_explains_eliminations_too() {
-    let mut engine = engine_full();
-    let e = engine
-        .explain(&Question::WhatSteps {
-            food: "BroccoliCheddarSoup".into(),
-        })
+    let base = base_full();
+    let e = base
+        .explain(
+            &Question::WhatSteps {
+                food: "BroccoliCheddarSoup".into(),
+            },
+            &ExplainOptions::default(),
+        )
         .unwrap();
     assert!(
         e.answer.contains("allergen Broccoli"),
@@ -104,11 +113,14 @@ fn trace_based_explains_eliminations_too() {
 
 #[test]
 fn scientific_explanations_cite_sources() {
-    let mut engine = engine_full();
-    let e = engine
-        .explain(&Question::WhatLiterature {
-            food: "SpinachFrittata".into(),
-        })
+    let base = base_full();
+    let e = base
+        .explain(
+            &Question::WhatLiterature {
+                food: "SpinachFrittata".into(),
+            },
+            &ExplainOptions::default(),
+        )
         .unwrap();
     assert!(
         e.statements
@@ -123,11 +135,14 @@ fn scientific_explanations_cite_sources() {
 
 #[test]
 fn everyday_explanations_have_no_citations() {
-    let mut engine = engine_full();
-    let e = engine
-        .explain(&Question::WhyGenerally {
-            food: "CauliflowerPotatoCurry".into(),
-        })
+    let base = base_full();
+    let e = base
+        .explain(
+            &Question::WhyGenerally {
+                food: "CauliflowerPotatoCurry".into(),
+            },
+            &ExplainOptions::default(),
+        )
         .unwrap();
     assert!(e.is_informative());
     assert!(
@@ -138,11 +153,14 @@ fn everyday_explanations_have_no_citations() {
 
 #[test]
 fn simulation_projects_weekly_calories() {
-    let mut engine = engine_full();
-    let e = engine
-        .explain(&Question::WhatIfEatenDaily {
-            food: "MargheritaPizza".into(),
-        })
+    let base = base_full();
+    let e = base
+        .explain(
+            &Question::WhatIfEatenDaily {
+                food: "MargheritaPizza".into(),
+            },
+            &ExplainOptions::default(),
+        )
         .unwrap();
     // 650 kcal * 7 = 4550.
     assert!(e.answer.contains("4550"), "{}", e.answer);
@@ -150,11 +168,14 @@ fn simulation_projects_weekly_calories() {
 
 #[test]
 fn statistical_reports_population_counts() {
-    let mut engine = engine_full();
-    let e = engine
-        .explain(&Question::WhatEvidenceForDiet {
-            diet: "Vegetarian".into(),
-        })
+    let base = base_full();
+    let e = base
+        .explain(
+            &Question::WhatEvidenceForDiet {
+                diet: "Vegetarian".into(),
+            },
+            &ExplainOptions::default(),
+        )
         .unwrap();
     assert!(
         e.answer.contains("users following the Vegetarian diet"),
@@ -180,11 +201,14 @@ fn statistical_reports_population_counts() {
 
 #[test]
 fn case_based_counts_similar_users() {
-    let mut engine = engine_full();
-    let e = engine
-        .explain(&Question::WhatOtherUsers {
-            food: "LentilSoup".into(),
-        })
+    let base = base_full();
+    let e = base
+        .explain(
+            &Question::WhatOtherUsers {
+                food: "LentilSoup".into(),
+            },
+            &ExplainOptions::default(),
+        )
         .unwrap();
     assert!(
         e.answer.contains("share your diet or goals"),
@@ -198,11 +222,14 @@ fn counterfactual_diet_hypothesis() {
     let kg = curated();
     let user = UserProfile::new("u");
     let ctx = SystemContext::new(Season::Autumn);
-    let mut engine = ExplanationEngine::new(kg, user, ctx).unwrap();
-    let e = engine
-        .explain(&Question::WhatIf {
-            hypothesis: Hypothesis::FollowedDiet("Vegan".into()),
-        })
+    let base = EngineBase::new(kg, user, ctx).unwrap();
+    let e = base
+        .explain(
+            &Question::WhatIf {
+                hypothesis: Hypothesis::FollowedDiet("Vegan".into()),
+            },
+            &ExplainOptions::default(),
+        )
         .unwrap();
     // Vegan forbids dairy/meat dishes: some forbidden foods must appear.
     assert!(e.answer.contains("forbidden from eating"), "{}", e.answer);
@@ -216,16 +243,19 @@ fn counterfactual_diet_hypothesis() {
 #[test]
 fn counterfactual_allergy_hypothesis() {
     let kg = curated();
-    let mut engine = ExplanationEngine::new(
+    let base = EngineBase::new(
         kg,
         UserProfile::new("u"),
         SystemContext::new(Season::Autumn),
     )
     .unwrap();
-    let e = engine
-        .explain(&Question::WhatIf {
-            hypothesis: Hypothesis::AllergicTo("Peanuts".into()),
-        })
+    let e = base
+        .explain(
+            &Question::WhatIf {
+                hypothesis: Hypothesis::AllergicTo("Peanuts".into()),
+            },
+            &ExplainOptions::default(),
+        )
         .unwrap();
     assert_eq!(e.explanation_type, ExplanationType::Counterfactual);
     // The forbids chain reaches the peanut dish.
@@ -235,22 +265,28 @@ fn counterfactual_allergy_hypothesis() {
 #[test]
 fn missing_population_is_reported() {
     let kg = curated();
-    let mut engine = ExplanationEngine::new(
+    let base = EngineBase::new(
         kg,
         UserProfile::new("u"),
         SystemContext::new(Season::Autumn),
     )
     .unwrap();
-    let err = engine
-        .explain(&Question::WhatOtherUsers {
-            food: "Sushi".into(),
-        })
+    let err = base
+        .explain(
+            &Question::WhatOtherUsers {
+                food: "Sushi".into(),
+            },
+            &ExplainOptions::default(),
+        )
         .unwrap_err();
     assert_eq!(err, EngineError::MissingPopulation);
-    let err = engine
-        .explain(&Question::WhatEvidenceForDiet {
-            diet: "Vegan".into(),
-        })
+    let err = base
+        .explain(
+            &Question::WhatEvidenceForDiet {
+                diet: "Vegan".into(),
+            },
+            &ExplainOptions::default(),
+        )
         .unwrap_err();
     assert_eq!(err, EngineError::MissingPopulation);
 }
@@ -258,39 +294,45 @@ fn missing_population_is_reported() {
 #[test]
 fn missing_recommendations_is_reported() {
     let kg = curated();
-    let mut engine = ExplanationEngine::new(
+    let base = EngineBase::new(
         kg,
         UserProfile::new("u"),
         SystemContext::new(Season::Autumn),
     )
     .unwrap();
-    let err = engine
-        .explain(&Question::WhatSteps {
-            food: "Sushi".into(),
-        })
+    let err = base
+        .explain(
+            &Question::WhatSteps {
+                food: "Sushi".into(),
+            },
+            &ExplainOptions::default(),
+        )
         .unwrap_err();
     assert_eq!(err, EngineError::MissingRecommendations);
 }
 
 #[test]
 fn unknown_entities_are_reported() {
-    let mut engine = engine_full();
-    let err = engine
-        .explain(&Question::WhyEat {
-            food: "MysteryMeatloaf".into(),
-        })
+    let base = base_full();
+    let err = base
+        .explain(
+            &Question::WhyEat {
+                food: "MysteryMeatloaf".into(),
+            },
+            &ExplainOptions::default(),
+        )
         .unwrap_err();
     assert!(matches!(err, EngineError::UnknownEntity(e) if e == "MysteryMeatloaf"));
 }
 
 #[test]
 fn repeated_questions_are_stable() {
-    let mut engine = engine_full();
+    let base = base_full();
     let q = Question::WhyEat {
         food: "CauliflowerPotatoCurry".into(),
     };
-    let a = engine.explain(&q).unwrap();
-    let b = engine.explain(&q).unwrap();
+    let a = base.explain(&q, &ExplainOptions::default()).unwrap();
+    let b = base.explain(&q, &ExplainOptions::default()).unwrap();
     assert_eq!(a.answer, b.answer);
     assert_eq!(a.bindings.rows, b.bindings.rows);
 }
@@ -299,16 +341,18 @@ fn repeated_questions_are_stable() {
 fn different_context_changes_contextual_answer() {
     let kg = curated();
     let user = UserProfile::new("u");
-    let mut autumn_engine =
-        ExplanationEngine::new(kg.clone(), user.clone(), SystemContext::new(Season::Autumn))
-            .unwrap();
-    let mut summer_engine =
-        ExplanationEngine::new(kg, user, SystemContext::new(Season::Summer)).unwrap();
+    let autumn_engine =
+        EngineBase::new(kg.clone(), user.clone(), SystemContext::new(Season::Autumn)).unwrap();
+    let summer_engine = EngineBase::new(kg, user, SystemContext::new(Season::Summer)).unwrap();
     let q = Question::WhyEat {
         food: "CauliflowerPotatoCurry".into(),
     };
-    let autumn = autumn_engine.explain(&q).unwrap();
-    let summer = summer_engine.explain(&q).unwrap();
+    let autumn = autumn_engine
+        .explain(&q, &ExplainOptions::default())
+        .unwrap();
+    let summer = summer_engine
+        .explain(&q, &ExplainOptions::default())
+        .unwrap();
     assert!(autumn.answer.contains("current season"));
     assert!(
         summer.answer.contains("No external context"),
@@ -324,15 +368,18 @@ fn proof_mode_renders_classification_proofs() {
         .likes(&["BroccoliCheddarSoup"])
         .allergies(&["Broccoli"]);
     let ctx = SystemContext::new(Season::Autumn);
-    let mut engine = ExplanationEngine::new_with_proofs(kg, user, ctx).expect("consistent");
-    engine
-        .explain(&Question::WhyEatOver {
-            preferred: "ButternutSquashSoup".into(),
-            alternative: "BroccoliCheddarSoup".into(),
-        })
-        .unwrap();
+    let mut base = EngineBase::new_with_proofs(kg, user, ctx).expect("consistent");
+    let question = Question::WhyEatOver {
+        preferred: "ButternutSquashSoup".into(),
+        alternative: "BroccoliCheddarSoup".into(),
+    };
+    // The proof reads the head closure, so the question and what the
+    // reasoner derives from it are committed first.
+    base.commit_with("question", |overlay| {
+        assert_question(&question, overlay);
+    });
     // Why is Broccoli a Foil? The proof tree bottoms out at assertions.
-    let proof = engine
+    let proof = base
         .proof_of_type("Broccoli", feo_ontology::ns::eo::FOIL)
         .expect("Broccoli must be classified Foil with a recorded proof");
     assert!(
@@ -341,7 +388,7 @@ fn proof_mode_renders_classification_proofs() {
     );
     assert!(proof.contains("Foil"), "{proof}");
     // A typing that does not hold yields no proof.
-    assert!(engine
+    assert!(base
         .proof_of_type("Cheddar", feo_ontology::ns::eo::FOIL)
         .is_none());
 }
@@ -353,12 +400,15 @@ fn budget_characteristic_surfaces_in_explanations() {
     let kg = curated();
     let user = UserProfile::new("user").budget(1).likes(&["Sushi"]);
     let ctx = SystemContext::new(Season::Autumn);
-    let mut engine = ExplanationEngine::new(kg, user, ctx).unwrap();
+    let base = EngineBase::new(kg, user, ctx).unwrap();
 
-    let e = engine
-        .explain(&Question::WhyEat {
-            food: "LentilSoup".into(),
-        })
+    let e = base
+        .explain(
+            &Question::WhyEat {
+                food: "LentilSoup".into(),
+            },
+            &ExplainOptions::default(),
+        )
         .unwrap();
     assert!(
         e.answer.contains("fits your budget"),
@@ -366,11 +416,14 @@ fn budget_characteristic_surfaces_in_explanations() {
         e.answer
     );
 
-    let e = engine
-        .explain(&Question::WhyEatOver {
-            preferred: "LentilSoup".into(),
-            alternative: "Sushi".into(),
-        })
+    let e = base
+        .explain(
+            &Question::WhyEatOver {
+                preferred: "LentilSoup".into(),
+                alternative: "Sushi".into(),
+            },
+            &ExplainOptions::default(),
+        )
         .unwrap();
     assert!(
         e.answer.contains("exceeds your budget"),
@@ -384,11 +437,14 @@ fn no_budget_means_no_budget_characteristics() {
     let kg = curated();
     let user = UserProfile::new("user");
     let ctx = SystemContext::new(Season::Summer);
-    let mut engine = ExplanationEngine::new(kg, user, ctx).unwrap();
-    let e = engine
-        .explain(&Question::WhyEat {
-            food: "LentilSoup".into(),
-        })
+    let base = EngineBase::new(kg, user, ctx).unwrap();
+    let e = base
+        .explain(
+            &Question::WhyEat {
+                food: "LentilSoup".into(),
+            },
+            &ExplainOptions::default(),
+        )
         .unwrap();
     assert!(!e.answer.contains("budget"), "{}", e.answer);
 }

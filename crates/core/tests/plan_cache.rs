@@ -5,7 +5,8 @@
 //! the head to a fresh cache partition while older epochs' entries stay
 //! retained for time-travel queries.
 
-use feo_core::{EngineBase, EpochId, ExplainOptions, ExplanationEngine, Hypothesis, Question};
+use feo_core::ecosystem::assert_question;
+use feo_core::{EngineBase, EpochId, ExplainOptions, Hypothesis, Question};
 use feo_foodkg::{curated, Season, SystemContext, UserProfile};
 use feo_ontology::ns::sparql_prologue;
 
@@ -32,7 +33,7 @@ fn recipes_query() -> String {
     )
 }
 
-/// The acceptance criterion: explanations parse nothing, plan nothing
+/// The contract: explanations parse nothing, plan nothing
 /// and look nothing up — the cache's counters stay at zero however many
 /// questions, of whichever kind, are asked.
 #[test]
@@ -81,31 +82,32 @@ fn repeated_query_hits_the_plan_cache() {
     assert_eq!(base.plan_cache_stats().entries, 2);
 }
 
-/// The legacy façade commits every question's delta onto the ledger, so
-/// each `explain` advances the head epoch. With epoch-keyed entries a
-/// commit drops nothing: a query at the new head re-plans under a fresh
-/// key (the statistics changed) while the epoch-0 plan stays retained
-/// for time-travel queries.
+/// A commit moves the head epoch. With epoch-keyed entries it drops
+/// nothing: a query at the new head re-plans under a fresh key (the
+/// statistics changed) while the epoch-0 plan stays retained for
+/// time-travel queries.
 #[test]
-fn facade_commit_rekeys_the_head() {
+fn commit_rekeys_the_head() {
     let user = UserProfile::new("user").likes(&["BroccoliCheddarSoup"]);
     let ctx = SystemContext::new(Season::Autumn);
-    let mut engine = ExplanationEngine::new(curated(), user, ctx).unwrap();
+    let mut base = EngineBase::new(curated(), user, ctx).unwrap();
     let text = recipes_query();
-    engine.base().session().query(&text).unwrap();
-    engine.explain(&cq1()).unwrap();
-    engine.explain(&cq1()).unwrap();
-    let base = engine.into_base();
+    base.session().query(&text).unwrap();
+    for _ in 0..2 {
+        base.commit_with("question", |overlay| {
+            assert_question(&cq1(), overlay);
+        });
+    }
     let committed = base.plan_cache_stats();
     assert!(
         committed.epoch >= 2,
-        "every façade explain commits, bumping the epoch: {committed:?}"
+        "every commit bumps the epoch: {committed:?}"
     );
     assert_eq!(committed.hits + committed.misses, 1, "{committed:?}");
 
     base.session().query(&text).unwrap();
     base.session().query(&text).unwrap();
-    base.query_as_of(EpochId(0), &text).unwrap();
+    base.at_epoch(EpochId(0)).unwrap().query(&text).unwrap();
     let stats = base.plan_cache_stats();
     assert_eq!(stats.misses, 2, "the head re-plans once: {stats:?}");
     assert_eq!(stats.hits, 2, "head repeat and epoch 0 both hit: {stats:?}");

@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --example contrastive_meal_planning`
 
-use feo::core::{scenario_b, ExplanationEngine, Question};
+use feo::core::{scenario_b, EngineBase, ExplainOptions, Question};
 use feo::foodkg::{curated, Season, SystemContext, UserProfile};
 
 fn main() {
@@ -12,8 +12,10 @@ fn main() {
     let s = scenario_b();
     println!("== {} ==", s.name);
     println!("Setup: {}", s.setup);
-    let mut engine = s.engine().expect("consistent");
-    let e = engine.explain(&s.question).expect("explained");
+    let base = s.engine().expect("consistent");
+    let e = base
+        .explain(&s.question, &ExplainOptions::default())
+        .expect("explained");
     println!("Q: {}", s.question.text());
     println!("\nListing 2 result table:\n{}", e.bindings);
     println!("A: {}", e.answer);
@@ -26,7 +28,7 @@ fn main() {
         .diet("Vegetarian")
         .goals(&["HighFiberGoal"]);
     let ctx = SystemContext::new(Season::Autumn);
-    let mut engine = ExplanationEngine::new(curated(), user, ctx).expect("consistent");
+    let base = EngineBase::new(curated(), user, ctx).expect("consistent");
 
     for (preferred, alternative) in [
         ("KaleQuinoaBowl", "GrilledChickenSalad"),
@@ -37,7 +39,9 @@ fn main() {
             preferred: preferred.into(),
             alternative: alternative.into(),
         };
-        let e = engine.explain(&q).expect("explained");
+        let e = base
+            .explain(&q, &ExplainOptions::default())
+            .expect("explained");
         println!("Q: {}", q.text());
         println!("A: {}\n", e.answer);
     }

@@ -6,7 +6,7 @@
 //!
 //! Run with: `cargo run --example family_dinner`
 
-use feo::core::{ExplanationEngine, Question};
+use feo::core::{EngineBase, ExplainOptions, Question};
 use feo::foodkg::{curated, Season, SystemContext, UserProfile};
 use feo::recommender::GroupCoach;
 
@@ -43,9 +43,9 @@ fn main() {
     // Explain the winning dish for the most constrained member.
     let top = set.top().expect("a dish survives").to_string();
     println!("\nWhy {} works for dana:", top);
-    let mut engine = ExplanationEngine::new(curated(), family[2].clone(), ctx).expect("consistent");
-    let e = engine
-        .explain(&Question::WhyEat { food: top })
+    let base = EngineBase::new(curated(), family[2].clone(), ctx).expect("consistent");
+    let e = base
+        .explain(&Question::WhyEat { food: top }, &ExplainOptions::default())
         .expect("explained");
     println!("  {}", e.answer);
 }

@@ -5,7 +5,7 @@
 //!
 //! Run with: `cargo run --example health_coach`
 
-use feo::core::{ExplanationEngine, Population, Question};
+use feo::core::{EngineBase, ExplainOptions, Population, Question};
 use feo::foodkg::{curated, Season, SystemContext, UserProfile};
 use feo::recommender::{HealthCoach, Recommender};
 
@@ -35,7 +35,7 @@ fn main() {
 
     // 2. Explain, post-hoc, with FEO.
     let population = Population::generate(&kg, 200, 7);
-    let mut engine = ExplanationEngine::new(curated(), user, ctx)
+    let base = EngineBase::new(curated(), user, ctx)
         .expect("consistent")
         .with_population(population)
         .with_recommendations(recs);
@@ -49,7 +49,9 @@ fn main() {
             diet: "Vegetarian".into(),
         },
     ] {
-        let e = engine.explain(&question).expect("explained");
+        let e = base
+            .explain(&question, &ExplainOptions::default())
+            .expect("explained");
         println!("[{}]", e.explanation_type);
         println!("Q: {}", question.text());
         println!("A: {}\n", e.answer);

@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use feo::core::{ExplanationEngine, Question};
+use feo::core::{EngineBase, ExplainOptions, Question};
 use feo::foodkg::{curated, Season, SystemContext, UserProfile};
 
 fn main() {
@@ -14,20 +14,21 @@ fn main() {
 
     // Assemble TBoxes + FoodKG + ecosystem and materialize inferences
     // (the paper's "run the reasoner, export the inferred axioms" step).
-    let mut engine =
-        ExplanationEngine::new(curated(), user, ctx).expect("ontology stack is consistent");
+    let base = EngineBase::new(curated(), user, ctx).expect("ontology stack is consistent");
     println!(
         "materialized graph: {} triples ({} inferred, {} reasoning rounds)\n",
-        engine.graph().len(),
-        engine.inference().added,
-        engine.inference().rounds
+        base.graph().len(),
+        base.inference().added,
+        base.inference().rounds
     );
 
     // The paper's §V-A competency question.
     let question = Question::WhyEat {
         food: "CauliflowerPotatoCurry".into(),
     };
-    let explanation = engine.explain(&question).expect("explanation generated");
+    let explanation = base
+        .explain(&question, &ExplainOptions::default())
+        .expect("explanation generated");
 
     println!("Q: {}", question.text());
     println!(

@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --example whatif_pregnancy`
 
-use feo::core::{scenario_c, ExplanationEngine, Hypothesis, Question};
+use feo::core::{scenario_c, EngineBase, ExplainOptions, Hypothesis, Question};
 use feo::foodkg::{curated, Season, SystemContext, UserProfile};
 use feo::recommender::{HealthCoach, Recommender};
 
@@ -13,8 +13,10 @@ fn main() {
     let s = scenario_c();
     println!("== {} ==", s.name);
     println!("Setup: {}", s.setup);
-    let mut engine = s.engine().expect("consistent");
-    let e = engine.explain(&s.question).expect("explained");
+    let base = s.engine().expect("consistent");
+    let e = base
+        .explain(&s.question, &ExplainOptions::default())
+        .expect("explained");
     println!("Q: {}", s.question.text());
     println!("\nListing 3 result table:\n{}", e.bindings);
     println!("A: {}", e.answer);
@@ -42,14 +44,16 @@ fn main() {
     }
 
     // Other hypotheses.
-    let mut engine = ExplanationEngine::new(curated(), base_user, ctx).expect("consistent");
+    let base = EngineBase::new(curated(), base_user, ctx).expect("consistent");
     for hypothesis in [
         Hypothesis::FollowedDiet("Vegan".into()),
         Hypothesis::FollowedDiet("GlutenFree".into()),
         Hypothesis::AllergicTo("Peanuts".into()),
     ] {
         let q = Question::WhatIf { hypothesis };
-        let e = engine.explain(&q).expect("explained");
+        let e = base
+            .explain(&q, &ExplainOptions::default())
+            .expect("explained");
         println!("Q: {}", q.text());
         println!("A: {}\n", e.answer);
     }

@@ -36,7 +36,7 @@
 
 use std::process::exit;
 
-use feo::core::ecosystem::{apply_hypothesis, assemble};
+use feo::core::ecosystem::{apply_hypothesis, assemble, assert_question};
 use feo::prelude::*;
 use feo::recommender::{HealthCoach, Recommender};
 
@@ -319,18 +319,6 @@ fn base_with_chain(opts: &Opts) -> EngineBase {
     base
 }
 
-fn engine_for(opts: &Opts, proofs: bool) -> ExplanationEngine {
-    let result = if proofs {
-        ExplanationEngine::new_with_proofs(curated(), opts.user.clone(), opts.ctx.clone())
-    } else {
-        ExplanationEngine::new(curated(), opts.user.clone(), opts.ctx.clone())
-    };
-    result.unwrap_or_else(|e| {
-        eprintln!("failed to build engine: {e}");
-        exit(1);
-    })
-}
-
 fn cmd_recommend(args: &[String]) {
     let opts = parse_opts(args);
     let kg = curated();
@@ -385,47 +373,21 @@ fn cmd_explain(args: &[String]) {
             exit(2);
         }
     };
-    if opts.as_of.is_some() || opts.store.is_some() {
-        // Ledger path: answer over an epoch view of the (possibly
-        // store-backed) chain instead of the single-owner façade.
-        let mut base = base_with_chain(&opts);
-        if matches!(question, Question::WhatSteps { .. }) {
-            let kg = curated();
-            let coach = HealthCoach::new(&kg);
-            base = base.with_recommendations(coach.recommend(&opts.user, &opts.ctx, 50));
-        }
-        let n = opts.as_of.unwrap_or(base.head().0);
-        match base.explain_as_of(EpochId(n), &question, &ExplainOptions::default()) {
-            Ok(e) if opts.json => println!("{}", e.to_json()),
-            Ok(e) => {
-                if opts.as_of.is_some() {
-                    println!("Q: {} (as of epoch {n})", question.text());
-                } else {
-                    println!("Q: {}", question.text());
-                }
-                if !e.bindings.is_empty() {
-                    println!("\n{}", e.bindings);
-                }
-                println!("A: {}", e.answer);
-            }
-            Err(err) => {
-                eprintln!("cannot explain: {err}");
-                exit(1);
-            }
-        }
-        return;
-    }
-    let mut engine = engine_for(&opts, false);
+    let mut base = base_with_chain(&opts);
     if matches!(question, Question::WhatSteps { .. }) {
         let kg = curated();
         let coach = HealthCoach::new(&kg);
-        let recs = coach.recommend(&opts.user, &opts.ctx, 50);
-        engine = engine.with_recommendations(recs);
+        base = base.with_recommendations(coach.recommend(&opts.user, &opts.ctx, 50));
     }
-    match engine.explain(&question) {
+    let n = opts.as_of.unwrap_or(base.head().0);
+    match base.explain_as_of(EpochId(n), &question, &ExplainOptions::default()) {
         Ok(e) if opts.json => println!("{}", e.to_json()),
         Ok(e) => {
-            println!("Q: {}", question.text());
+            if opts.as_of.is_some() {
+                println!("Q: {} (as of epoch {n})", question.text());
+            } else {
+                println!("Q: {}", question.text());
+            }
             if !e.bindings.is_empty() {
                 println!("\n{}", e.bindings);
             }
@@ -453,17 +415,25 @@ fn cmd_proof(args: &[String]) {
         }
     };
     let opts = parse_opts(&args[2..]);
-    let mut engine = engine_for(&opts, true);
-    // A question parameter is needed for fact/foil classification; use the
-    // first liked food or a default.
+    let mut base = EngineBase::new_with_proofs(curated(), opts.user.clone(), opts.ctx.clone())
+        .unwrap_or_else(|e| {
+            eprintln!("failed to build engine: {e}");
+            exit(1);
+        });
+    // Fact/foil classification is relative to a question parameter, so
+    // the question (the first liked food, or a default) is committed
+    // with its closure and derivations before the proof is read.
     let param = opts
         .user
         .likes
         .first()
         .cloned()
         .unwrap_or_else(|| "ButternutSquashSoup".to_string());
-    let _ = engine.explain(&Question::WhyEat { food: param });
-    match engine.proof_of_type(&individual, class) {
+    let question = Question::WhyEat { food: param };
+    base.commit_with("proof", |overlay| {
+        assert_question(&question, overlay);
+    });
+    match base.proof_of_type(&individual, class) {
         Some(p) => println!("{p}"),
         None => {
             println!(
@@ -482,32 +452,19 @@ fn cmd_query(args: &[String]) {
     };
     // Prepend the standard prefixes so short queries work out of the box.
     let full = format!("{}{}", feo::ontology::ns::sparql_prologue(), sparql);
-    if opts.as_of.is_some() || opts.store.is_some() {
-        // Ledger path: answer over the epoch view (time travel with
-        // --as-of, the store-backed head with --store), not the raw
-        // assembled graph.
-        let base = base_with_chain(&opts);
-        let epoch = EpochId(opts.as_of.unwrap_or(base.head().0));
-        let Some(session) = base.at_epoch(epoch) else {
-            eprintln!("unknown epoch: {} is past the ledger head", epoch.0);
-            exit(1);
-        };
-        match session.query(&full) {
-            Ok(result) => print_query_result(result, opts.json),
-            Err(e) => {
-                eprintln!("{e}");
-                exit(1);
-            }
-        }
-        return;
-    }
-    let mut g = assemble(&curated(), &opts.user, &opts.ctx);
-    let _ = Reasoner::new().materialize(&mut g, &Default::default());
+    // Answer over an epoch view of the chain: the head by default,
+    // an older epoch with --as-of, the store-backed head with --store.
+    let base = base_with_chain(&opts);
+    let epoch = opts.as_of.unwrap_or(base.head().0);
+    let Some(view) = base.ledger().view(EpochId(epoch)) else {
+        eprintln!("{}", EngineError::UnknownEpoch(epoch));
+        exit(1);
+    };
     let qopts = QueryOptions {
         explain: opts.explain,
         ..Default::default()
     };
-    match feo::sparql::query(&g, &full, &qopts) {
+    match feo::sparql::query(&view, &full, &qopts) {
         Ok(result) => print_query_result(result, opts.json),
         Err(e) => {
             eprintln!("{e}");

@@ -1,6 +1,6 @@
 //! # feo — Food Explanation Ontology, reproduced in Rust
 //!
-//! Facade crate re-exporting the full stack built for the reproduction of
+//! Umbrella crate re-exporting the full stack built for the reproduction of
 //! *"Semantic Modeling for Food Recommendation Explanations"* (ICDE 2021):
 //!
 //! - [`rdf`] — RDF term model, indexed triple store, Turtle/N-Triples;
@@ -13,18 +13,23 @@
 //! - [`serve`] — the HTTP explanation service (admission control,
 //!   load shedding, graceful degradation and shutdown).
 //!
+//! [`core::EngineBase`] is the one engine type: it builds the world once
+//! and answers each question in a throwaway session. The CLI, the HTTP
+//! service and the benchmark all go through it.
+//!
 //! ```
-//! use feo::core::{ExplanationEngine, Question};
+//! use feo::core::{EngineBase, ExplainOptions, Question};
 //! use feo::foodkg::{curated, Season, SystemContext, UserProfile};
 //!
-//! let mut engine = ExplanationEngine::new(
+//! let base = EngineBase::new(
 //!     curated(),
 //!     UserProfile::new("u"),
 //!     SystemContext::new(Season::Autumn),
 //! ).unwrap();
-//! let e = engine.explain(&Question::WhyEat {
-//!     food: "CauliflowerPotatoCurry".into(),
-//! }).unwrap();
+//! let e = base.explain(
+//!     &Question::WhyEat { food: "CauliflowerPotatoCurry".into() },
+//!     &ExplainOptions::default(),
+//! ).unwrap();
 //! println!("{}", e.answer);
 //! ```
 
@@ -62,8 +67,8 @@ pub use feo_sparql as sparql;
 pub mod prelude {
     pub use crate::core::{
         BranchDiff, BranchInfo, BudgetedOutcome, CommitInfo, DegradationReport, EngineBase,
-        EngineError, EpochId, ExplainOptions, Explanation, ExplanationEngine, Hypothesis,
-        PlanCacheStats, Question, Session, ToJson,
+        EngineError, EpochId, ExplainOptions, Explanation, Hypothesis, PlanCacheStats, Question,
+        Session, ToJson,
     };
     pub use crate::error::FeoError;
     pub use crate::foodkg::{curated, Season, SystemContext, UserProfile};

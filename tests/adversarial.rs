@@ -175,6 +175,7 @@ fn oversized_documents_are_rejected_before_parsing() {
 fn end_to_end_engine_survives_budget_exhaustion() {
     use feo_core::{EngineBase, Question};
     use feo_foodkg::{curated, Season, SystemContext, UserProfile};
+    use feo_rdf::Parallelism;
 
     let base = EngineBase::new(
         curated(),
@@ -194,7 +195,9 @@ fn end_to_end_engine_survives_budget_exhaustion() {
     // A budget too small for the batch: the engine must return what it
     // could do plus a degradation report, not an error or a panic.
     let budget = Budget::new().with_max_solutions(1);
-    let outcome = base.explain_with_budget(&questions, &budget).unwrap();
+    let outcome = base
+        .explain_batch_with_budget(&questions, &budget, Parallelism::Off)
+        .unwrap();
     let report = outcome.degradation.expect("budget must trip");
     assert_eq!(report.exhausted.resource, Resource::Solutions);
     assert_eq!(

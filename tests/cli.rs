@@ -235,6 +235,33 @@ fn query_explain_prints_the_plan_tree() {
     assert!(stdout.contains("  1. ?question "), "bgp steps: {stdout}");
 }
 
+/// `--explain` prints the plan of the epoch view the query would run
+/// over, at an old epoch as at the head.
+#[test]
+fn query_explain_prints_the_plan_at_an_old_epoch() {
+    let cq1 = feo::core::queries::contextual_query(&feo::core::Question::WhyEat {
+        food: "CauliflowerPotatoCurry".into(),
+    });
+    let (stdout, stderr, ok) = feo(&["query", "--explain", &cq1, "--as-of", "0"]);
+    assert!(ok, "{stderr}");
+    assert!(stdout.starts_with("plan\n"), "{stdout}");
+}
+
+/// Every query runs over the engine's epoch view, which holds the
+/// knowledge records, so naming the head epoch changes nothing.
+#[test]
+fn query_sees_the_same_graph_with_and_without_as_of() {
+    let q = "SELECT (COUNT(?r) AS ?n) WHERE { ?r a feo:EverydayKnowledgeRecord }";
+    let (head, _, ok_head) = feo(&["query", q]);
+    let (at0, _, ok0) = feo(&["query", q, "--as-of", "0"]);
+    assert!(ok_head && ok0);
+    assert_eq!(head, at0);
+    assert!(
+        !head.contains("| 0 "),
+        "the records are in the graph: {head}"
+    );
+}
+
 #[test]
 fn planner_flag_is_unknown() {
     let out = Command::new(env!("CARGO_BIN_EXE_feo"))

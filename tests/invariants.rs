@@ -3,7 +3,7 @@
 //! knowledge graphs and user profiles.
 
 use feo::core::ecosystem::assemble;
-use feo::core::{classify, Classification, ExplanationEngine, Question};
+use feo::core::{classify, Classification, EngineBase, ExplainOptions, Question};
 use feo::foodkg::{synthetic, FoodKg, Season, SyntheticConfig, SystemContext, UserProfile};
 use feo::owl::Reasoner;
 use feo::recommender::{HealthCoach, Recommender};
@@ -146,10 +146,10 @@ proptest! {
         let user = arb_user(&kg, seed);
         let ctx = SystemContext::new(season);
         let target = kg.recipes[kg.recipes.len() / 2].id.clone();
-        let mut engine = ExplanationEngine::new(kg, user, ctx).expect("consistent");
+        let base = EngineBase::new(kg, user, ctx).expect("consistent");
         let q = Question::WhyEat { food: target };
-        let a = engine.explain(&q).expect("explains");
-        let b = engine.explain(&q).expect("explains again");
+        let a = base.explain(&q, &ExplainOptions::default()).expect("explains");
+        let b = base.explain(&q, &ExplainOptions::default()).expect("explains again");
         prop_assert_eq!(a.answer, b.answer);
         prop_assert_eq!(a.bindings.rows, b.bindings.rows);
     }

@@ -1,11 +1,13 @@
 //! Workspace integration tests: the full pipeline exercised through the
-//! `feo` facade, across every crate boundary — KG → recommender →
+//! `feo` umbrella crate, across every crate boundary — KG → recommender →
 //! ontology assembly → reasoner → SPARQL → explanation, plus export
 //! fidelity (the paper's "export the ontology with the inferred axioms"
 //! step round-tripped through Turtle).
 
+use feo::core::ecosystem::assert_question;
 use feo::core::{
-    competency, scenario_a, scenario_b, scenario_c, ExplanationEngine, Population, Question,
+    competency, scenario_a, scenario_b, scenario_c, EngineBase, ExplainOptions, Population,
+    Question,
 };
 use feo::foodkg::{
     curated, synthetic, FoodKg, Season, SyntheticConfig, SystemContext, UserProfile,
@@ -46,13 +48,21 @@ fn recommend_then_explain_round_trip() {
     let recs = coach.recommend(&user, &ctx, 5);
     let top = recs.top().expect("recommended").to_string();
 
-    let mut engine = ExplanationEngine::new(curated(), user, ctx)
+    let base = EngineBase::new(curated(), user, ctx)
         .expect("consistent")
         .with_recommendations(recs);
-    let contextual = engine
-        .explain(&Question::WhyEat { food: top.clone() })
+    let contextual = base
+        .explain(
+            &Question::WhyEat { food: top.clone() },
+            &ExplainOptions::default(),
+        )
         .unwrap();
-    let trace = engine.explain(&Question::WhatSteps { food: top }).unwrap();
+    let trace = base
+        .explain(
+            &Question::WhatSteps { food: top },
+            &ExplainOptions::default(),
+        )
+        .unwrap();
     assert!(contextual.is_informative() || trace.is_informative());
 }
 
@@ -61,12 +71,18 @@ fn materialized_export_round_trips_through_turtle() {
     // Export the materialized graph as Turtle, re-parse it, and verify
     // the competency query gives identical rows over the re-import.
     let s = scenario_b();
-    let mut engine = s.engine().expect("consistent");
-    let direct = engine.explain(&s.question).unwrap();
+    let mut base = s.engine().expect("consistent");
+    let direct = base
+        .explain(&s.question, &ExplainOptions::default())
+        .unwrap();
 
-    // Export the full head view — base plus every committed layer (the
-    // façade's explain committed the question delta as an epoch).
-    let head = engine.base().ledger().head_view();
+    // The answer came from a throwaway session; commit the question and
+    // its closure so the exported head holds the question individual,
+    // then export the full head view (base plus every committed layer).
+    base.commit_with("question", |overlay| {
+        assert_question(&s.question, overlay);
+    });
+    let head = base.ledger().head_view();
     let ttl = write_turtle(&head, feo::ontology::ns::PREFIXES);
     let mut reimported = Graph::new();
     parse_turtle_into(&ttl, &mut reimported, &Default::default()).expect("export parses");
@@ -93,10 +109,15 @@ fn synthetic_kg_pipeline_end_to_end() {
     let recipe = kg.recipes[3].id.clone();
     let user = UserProfile::new("u").likes(&[&kg.recipes[0].id]);
     let ctx = SystemContext::new(Season::Winter);
-    let mut engine = ExplanationEngine::new(kg, user, ctx).expect("synthetic stack is consistent");
-    assert!(engine.inference().is_consistent());
-    assert!(engine.inference().warnings.is_empty());
-    let e = engine.explain(&Question::WhyEat { food: recipe }).unwrap();
+    let base = EngineBase::new(kg, user, ctx).expect("synthetic stack is consistent");
+    assert!(base.inference().is_consistent());
+    assert!(base.inference().warnings.is_empty());
+    let e = base
+        .explain(
+            &Question::WhyEat { food: recipe },
+            &ExplainOptions::default(),
+        )
+        .unwrap();
     // Synthetic recipes may or may not have winter support; either way the
     // pipeline must answer without error.
     assert!(!e.answer.is_empty());
@@ -147,10 +168,100 @@ fn figures_regenerate() {
     let g = feo::ontology::schema::tbox_graph();
     let tree = feo::ontology::report::characteristic_tree(&g).unwrap();
     assert!(tree.size() >= 14);
+    // Figure 1: the user and system characteristics §III-A names.
+    let under = |parent: &str, children: &[&str]| {
+        let node = tree.find(parent).unwrap_or_else(|| panic!("{parent}"));
+        for child in children {
+            assert!(node.find(child).is_some(), "{child} under {parent}");
+        }
+    };
+    under(
+        "UserCharacteristic",
+        &[
+            "LikedFoodCharacteristic",
+            "DislikedFoodCharacteristic",
+            "AllergicFoodCharacteristic",
+            "DietCharacteristic",
+            "NutritionalGoalCharacteristic",
+            "PregnancyCharacteristic",
+            "BudgetCharacteristic",
+        ],
+    );
+    under(
+        "SystemCharacteristic",
+        &[
+            "SeasonCharacteristic",
+            "LocationCharacteristic",
+            "TimeCharacteristic",
+        ],
+    );
+    assert!(tree.find("Parameter").is_some());
     let lattice = feo::ontology::report::property_lattice(&g);
     assert!(lattice.len() >= 25);
+    // Figure 2: the inverse pairs beside hasCharacteristic's.
+    for (p, inverse) in [
+        ("dislikes", "dislikedBy"),
+        ("likes", "likedBy"),
+        ("availableInSeason", "seasonOf"),
+    ] {
+        let info = lattice.iter().find(|i| i.local == p).unwrap();
+        assert!(info.inverse_of.iter().any(|i| i == inverse), "{p}");
+    }
     let matrix = feo::core::figure3_matrix();
     assert_eq!(matrix.len(), 4);
+}
+
+/// Figure 4: once CQ1 is committed, its neighbourhood in the head view
+/// has the question → parameter link, the curry → cauliflower → autumn
+/// chain, the inferred supportive edges, Autumn's presence in the
+/// ecosystem and its inferred types.
+#[test]
+fn figure_four_neighbourhood_after_cq1() {
+    let s = scenario_a();
+    let mut base = s.engine().unwrap();
+    let question = FoodKg::iri("WhyEatCauliflowerPotatoCurry");
+    assert!(base.ledger().head_view().lookup_iri(&question).is_none());
+    base.commit_with("cq1", |overlay| {
+        assert_question(&s.question, overlay);
+    });
+    let g = base.ledger().head_view();
+    let edges = |subject: &str| -> Vec<(String, String)> {
+        let id = g.lookup_iri(&FoodKg::iri(subject)).expect(subject);
+        (g.match_pattern(Some(id), None, None).into_iter())
+            .map(|[_, p, o]| (g.term_name(p), g.term_name(o)))
+            .collect()
+    };
+    for (subject, p, o) in [
+        (
+            "WhyEatCauliflowerPotatoCurry",
+            "hasParameter",
+            "CauliflowerPotatoCurry",
+        ),
+        ("WhyEatCauliflowerPotatoCurry", "type", "Question"),
+        ("CauliflowerPotatoCurry", "type", "Parameter"),
+        ("CauliflowerPotatoCurry", "hasIngredient", "Cauliflower"),
+        ("CauliflowerPotatoCurry", "hasCharacteristic", "Cauliflower"),
+        ("CauliflowerPotatoCurry", "hasCharacteristic", "Autumn"),
+        ("Cauliflower", "availableInSeason", "Autumn"),
+        ("Cauliflower", "hasCharacteristic", "Autumn"),
+        ("Autumn", "isSupportiveCharacteristicOf", "Cauliflower"),
+        (
+            "Autumn",
+            "isSupportiveCharacteristicOf",
+            "CauliflowerPotatoCurry",
+        ),
+        ("Autumn", "presentIn", "CurrentEcosystem"),
+        ("Autumn", "type", "SeasonCharacteristic"),
+        ("Autumn", "type", "SystemCharacteristic"),
+        ("Autumn", "type", "Characteristic"),
+        ("Autumn", "type", "Fact"),
+    ] {
+        let out = edges(subject);
+        assert!(
+            out.iter().any(|(q, v)| q == p && v == o),
+            "{subject} --{p}--> {o} missing from {out:?}"
+        );
+    }
 }
 
 #[test]
@@ -176,8 +287,8 @@ fn inference_counts_are_substantial() {
     // The reasoner must be doing real work: the materialized graph grows
     // by a large factor over the asserted one.
     let s = scenario_a();
-    let engine = s.engine().unwrap();
-    let inferred = engine.inference().added;
+    let base = s.engine().unwrap();
+    let inferred = base.inference().added;
     assert!(
         inferred > 500,
         "expected substantive inference, got {inferred} added triples"
@@ -185,7 +296,7 @@ fn inference_counts_are_substantial() {
 }
 
 #[test]
-fn full_engine_supports_all_nine_types_via_facade() {
+fn engine_base_supports_all_nine_types() {
     let kg = curated();
     let user = UserProfile::new("u")
         .likes(&["LentilSoup"])
@@ -195,7 +306,7 @@ fn full_engine_supports_all_nine_types_via_facade() {
     let kg2 = curated();
     let coach = HealthCoach::new(&kg2);
     let recs = coach.recommend(&user, &ctx, 10);
-    let mut engine = ExplanationEngine::new(kg, user, ctx)
+    let base = EngineBase::new(kg, user, ctx)
         .unwrap()
         .with_population(Population::generate(&curated(), 100, 1))
         .with_recommendations(recs);
@@ -222,7 +333,8 @@ fn full_engine_supports_all_nine_types_via_facade() {
             diet: "Vegetarian".into(),
         },
     ] {
-        engine.explain(&q).unwrap_or_else(|e| panic!("{q:?}: {e}"));
+        base.explain(&q, &ExplainOptions::default())
+            .unwrap_or_else(|e| panic!("{q:?}: {e}"));
     }
 }
 

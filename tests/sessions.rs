@@ -5,7 +5,7 @@
 use std::sync::Arc;
 use std::thread;
 
-use feo::core::{EngineBase, ExplainOptions, ExplanationEngine, Hypothesis, Population, Question};
+use feo::core::{EngineBase, ExplainOptions, Hypothesis, Population, Question};
 use feo::foodkg::{curated, Season, SystemContext, UserProfile};
 use feo::recommender::{HealthCoach, Recommender};
 
@@ -159,21 +159,4 @@ fn builder_order_is_insensitive() {
             "{q:?} differs between builder orders"
         );
     }
-}
-
-/// The legacy façade still accumulates proof state across questions
-/// while the new API underneath stays incremental.
-#[test]
-fn legacy_engine_still_accumulates_and_converts_to_base() {
-    let kg = curated();
-    let user = paper_user();
-    let ctx = SystemContext::new(Season::Autumn).region("Florida");
-    let mut engine = ExplanationEngine::new(kg, user, ctx).unwrap();
-    let first = engine.explain(&cq1()).unwrap();
-    let second = engine.explain(&cq1()).unwrap();
-    assert_eq!(first.answer, second.answer);
-    // The owned base can be extracted and shared afterwards.
-    let base: EngineBase = engine.into_base();
-    let third = base.explain(&cq1(), &ExplainOptions::default()).unwrap();
-    assert_eq!(first.answer, third.answer);
 }
