@@ -72,10 +72,12 @@ echo "== evaluator oracle (bounded wall-clock)"
 # Query answers are checked against a naive evaluator that shares no
 # code with the engine (nested loops over a Vec of triples: no index,
 # no statistics, no plan): the planner's test queries on seeded
-# synthetic KGs, guarded or not; generated queries on memory, mmap and
-# overlay views under every join operator, plus conformance cases for
-# the scoping rules; and the six explanation templates on the curated
-# KG and the benchmark's world, with Table I's rows.
+# synthetic KGs, guarded or not; generated queries, ordered and sliced,
+# on memory, mmap and overlay views under every join operator, plus
+# conformance cases for the scoping rules and for ORDER BY; and the six
+# explanation templates on the curated KG and the benchmark's world,
+# with Table I's rows. Ordered results compare in order: the runs of
+# equal ORDER BY keys in sequence, each run as a multiset.
 timeout 240 cargo test -q --offline --release \
     --test plan_equivalence --test evaluator_oracle --test template_oracle
 
@@ -100,8 +102,10 @@ echo "== prepared templates (bounded wall-clock)"
 # text form run through feo_sparql::query (curated KG on a memory and a
 # store-opened base, the benchmark world at head and after 16 commits),
 # explain must make no plan-cache lookup, and CQ1-CQ3 plans must be the
-# same at every epoch of a 64-commit chain.
-timeout 180 cargo test -q --offline --release --test prepared_templates
+# same at every epoch of a 64-commit chain. The answers themselves are
+# pinned too (the benchmark only compares a build with itself): a digest
+# of 141 explanations and their bindings on the benchmark's world.
+timeout 180 cargo test -q --offline --release --test prepared_templates --test answer_digest
 
 echo "== batch parallelism (bounded wall-clock, FEO_THREADS=4)"
 # Threads exist per question only: explain_batch at Fixed(2/4/8) must be

@@ -45,7 +45,9 @@ use feo_recommender::{RecommendationSet, TraceStep};
 use feo_sparql::{
     execute_prepared, execute_seeded, QueryOptions, QueryResult, SolutionTable, SparqlError,
 };
+use std::borrow::Cow;
 use std::collections::HashSet;
+use std::hash::Hash;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -1232,11 +1234,9 @@ impl<'a> Session<'a> {
         let iri = question.iri();
         let table = self.run_template(&self.overlay, &self.base.templates.contextual, &[&iri])?;
 
-        let mut statements = Vec::new();
-        for row in table.local_rows() {
-            let (characteristic, class) = (&row[0], &row[1]);
-            statements.push(self.contextual_sentence(food, characteristic, class));
-        }
+        let statements: Vec<String> = (0..table.len())
+            .map(|r| self.contextual_sentence(food, &table.local(r, 0), &table.local(r, 1)))
+            .collect();
         let answer = if statements.is_empty() {
             format!("No external context currently supports {}.", humanize(food))
         } else {
@@ -1329,22 +1329,22 @@ impl<'a> Session<'a> {
         let iri = question.iri();
         let table = self.run_template(&self.overlay, &self.base.templates.contrastive, &[&iri])?;
 
-        let (mut fact_parts, mut fact_seen) = (Vec::new(), HashSet::new());
-        let (mut foil_parts, mut foil_seen) = (Vec::new(), HashSet::new());
-        for row in table.local_rows() {
-            let (fact_type, fact, foil_type, foil) = (&row[0], &row[1], &row[2], &row[3]);
-            // Parameter-typed rows are the question parameters themselves
-            // (self-characteristics from preference seeds); their polarity
-            // already surfaces through the Liked/Disliked rows.
-            if fact_type != "Parameter" {
-                let f = self.fact_clause(preferred, fact, fact_type);
-                push_unique(&mut fact_parts, &mut fact_seen, f);
-            }
-            if foil_type != "Parameter" {
-                let o = self.foil_clause(alternative, foil, foil_type);
-                push_unique(&mut foil_parts, &mut foil_seen, o);
-            }
-        }
+        // Parameter-typed rows are the question parameters themselves
+        // (self-characteristics from preference seeds); their polarity
+        // already surfaces through the Liked/Disliked rows. A clause may
+        // not name its fact, so clauses are deduplicated again.
+        let pairs = |col: usize| {
+            distinct(
+                (0..table.len())
+                    .map(|r| (table.local(r, col), table.local(r, col + 1)))
+                    .filter(|(kind, _)| kind != "Parameter"),
+            )
+        };
+        let fact_parts =
+            distinct((pairs(0).iter()).map(|(kind, fact)| self.fact_clause(preferred, fact, kind)));
+        let foil_parts = distinct(
+            (pairs(2).iter()).map(|(kind, foil)| self.foil_clause(alternative, foil, kind)),
+        );
         let mut statements = fact_parts.clone();
         statements.extend(foil_parts.iter().cloned());
         let answer = if fact_parts.is_empty() && foil_parts.is_empty() {
@@ -1465,25 +1465,13 @@ impl<'a> Session<'a> {
         let table =
             self.run_template(&world, &self.base.templates.counterfactual, &[&subject_iri])?;
 
-        let (mut forbidden, mut forbidden_seen) = (Vec::new(), HashSet::new());
-        let (mut suggested, mut suggested_seen) = (Vec::new(), HashSet::new());
-        for row in table.local_rows() {
-            let (property, base, inherited) = (&row[0], &row[1], &row[2]);
-            match property.as_str() {
-                "forbids" => {
-                    push_unique(&mut forbidden, &mut forbidden_seen, humanize(base));
-                }
-                "recommends" => {
-                    let item = if inherited.is_empty() {
-                        humanize(base)
-                    } else {
-                        humanize(inherited)
-                    };
-                    push_unique(&mut suggested, &mut suggested_seen, item);
-                }
-                _ => {}
-            }
-        }
+        let t = &table;
+        let rows = |property| (0..t.len()).filter(move |&r| t.local(r, 0) == property);
+        let forbidden = humanized(rows("forbids").map(|r| t.local(r, 1)));
+        let suggested = humanized(rows("recommends").map(|r| match t.local(r, 2) {
+            inherited if inherited.is_empty() => t.local(r, 1),
+            inherited => inherited,
+        }));
 
         let mut statements = Vec::new();
         let mut sentences = Vec::new();
@@ -1599,18 +1587,14 @@ impl<'a> Session<'a> {
             &self.base.templates.knowledge_record,
             &[&FoodKg::iri(food), record_class],
         )?;
-        let mut statements = Vec::new();
-        for row in table.local_rows() {
-            let (about, text, source) = (&row[1], &row[2], &row[3]);
-            let s = if source.is_empty() {
-                format!("{} ({}).", text.trim_end_matches('.'), humanize(about))
+        let statements = distinct((0..table.len()).map(|r| {
+            let (about, text, source) = (table.local(r, 1), table.local(r, 2), table.local(r, 3));
+            if source.is_empty() {
+                format!("{} ({}).", text.trim_end_matches('.'), humanize(&about))
             } else {
                 format!("{} [{}]", text, source)
-            };
-            if !statements.contains(&s) {
-                statements.push(s);
             }
-        }
+        }));
         let answer = if statements.is_empty() {
             format!("No recorded evidence mentions {}.", humanize(food))
         } else {
@@ -1718,12 +1702,18 @@ impl<'a> Session<'a> {
     }
 }
 
-/// Appends `item` to `list` unless `seen` already holds it, so a list
-/// built by repeated calls is deduplicated in first-seen order in one
-/// pass.
-fn push_unique(list: &mut Vec<String>, seen: &mut HashSet<String>, item: String) {
-    if !seen.contains(&item) {
-        seen.insert(item.clone());
-        list.push(item);
-    }
+/// Each distinct name of `names` humanized once, in first-seen order:
+/// `humanize` is injective, so this lists what deduplicating its output
+/// would.
+fn humanized<'t>(names: impl Iterator<Item = Cow<'t, str>>) -> Vec<String> {
+    distinct(names).iter().map(|n| humanize(n)).collect()
+}
+
+/// `items` without repeats, in first-seen order.
+fn distinct<T: Clone + Eq + Hash>(items: impl IntoIterator<Item = T>) -> Vec<T> {
+    let mut seen = HashSet::new();
+    items
+        .into_iter()
+        .filter(|i| seen.insert(i.clone()))
+        .collect()
 }

@@ -19,7 +19,14 @@
 //! older call sites still hold). Computed terms (query constants, BIND /
 //! SELECT expressions, VALUES data) are interned into a private scratch
 //! overlay that is dropped when evaluation finishes, so the caller's
-//! dictionary is never polluted by the queries it answers.
+//! dictionary is never polluted by the queries it answers. Each query
+//! constant is resolved, and each REGEX pattern compiled, once per
+//! execution ([`Memo`]).
+//!
+//! Rows stay term ids to the end: ORDER BY ranks each distinct key id
+//! once and sorts rows by rank, projection and DISTINCT work on one flat
+//! id buffer, and only the cells that OFFSET / LIMIT keep are decoded
+//! into the [`SolutionTable`]'s terms.
 
 use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
@@ -35,10 +42,11 @@ use crate::parser::parse_query;
 use crate::plan::{
     plan_query, BgpPlan, ElementPlan, GroupPlan, JoinAlgo, Plan, QueryOptions, HASH_JOIN_MIN,
 };
+use crate::regexlite::Regex;
 use crate::results::{QueryResult, SolutionTable};
 use crate::value::{
     as_integer, as_numeric, as_string, ebv, order_key, str_builtin, values_compare, values_equal,
-    Value,
+    OrderKey, Value,
 };
 
 /// One solution: a slot per registered variable.
@@ -147,6 +155,7 @@ pub fn execute_seeded<G: GraphView>(
         tripped: Cell::new(None),
         key_slots: Vec::new(),
         exists: FxMap::default(),
+        memo: Memo::default(),
     };
     let mut row = vec![None; ctx.vars.len()];
     for (name, term) in seed {
@@ -396,6 +405,18 @@ struct Ctx<'a, G: GraphView> {
     key_slots: Vec<(usize, Option<Vec<usize>>)>,
     /// `EXISTS` results by (group address, key).
     exists: FxMap<(usize, SlotKey), bool>,
+    memo: Memo,
+}
+
+/// What an execution resolves once and then reuses: each query constant
+/// by the address of its AST node, so an EXISTS body, an OPTIONAL side or
+/// a filter that runs again per key or per row looks nothing up twice,
+/// and each compiled REGEX / REPLACE pattern (`None`: it does not
+/// compile) by its text and flags.
+#[derive(Default)]
+struct Memo {
+    terms: FxMap<usize, Option<TermId>>,
+    regexes: HashMap<(String, String), Option<Regex>>,
 }
 
 impl<'a, G: GraphView> Ctx<'a, G> {
@@ -756,7 +777,7 @@ impl<'a, G: GraphView> Ctx<'a, G> {
         // A plain predicate is one dictionary id, a variable predicate
         // one slot; a complex path has neither and walks `eval_path`.
         let (p_fixed, p_slot) = match &tp.path {
-            Path::Iri(p) => match self.g.lookup_iri(p) {
+            Path::Iri(p) => match self.lookup_const(p) {
                 Some(id) => (Some(id), None),
                 // Unknown predicate: every row finds nothing.
                 None => return Ok(Vec::new()),
@@ -824,7 +845,7 @@ impl<'a, G: GraphView> Ctx<'a, G> {
             return self.match_triple_pattern(tp, rows);
         };
         HASH_JOINS.fetch_add(1, Ordering::Relaxed);
-        let Some(p_id) = self.g.lookup_iri(p) else {
+        let Some(p_id) = self.lookup_const(p) else {
             // Unknown predicate: every row finds nothing.
             return Ok(Vec::new());
         };
@@ -887,10 +908,39 @@ impl<'a, G: GraphView> Ctx<'a, G> {
         })
     }
 
+    /// A ground term's id, interned into the scratch overlay when the
+    /// view lacks it.
     fn intern_ground(&mut self, tp: &TermPattern) -> Result<TermId> {
-        let term = ground_to_term(tp)
-            .ok_or_else(|| SparqlError::eval("variable where a ground term was expected"))?;
-        Ok(self.g.intern(&term))
+        self.resolved(tp as *const TermPattern as usize, |g| {
+            ground_to_term(tp).map(|term| g.intern(&term))
+        })
+        .ok_or_else(|| SparqlError::eval("variable where a ground term was expected"))
+    }
+
+    /// A plain predicate's id in the view (`None`: the view lacks it, so
+    /// the pattern matches nothing).
+    fn lookup_const(&mut self, iri: &String) -> Option<TermId> {
+        self.resolved(iri as *const String as usize, |g| g.lookup_iri(iri))
+    }
+
+    /// What `resolve` gives for the query constant at address `node`,
+    /// run once per execution.
+    fn resolved(
+        &mut self,
+        node: usize,
+        resolve: impl FnOnce(&mut Overlay<G>) -> Option<TermId>,
+    ) -> Option<TermId> {
+        *(self.memo.terms)
+            .entry(node)
+            .or_insert_with(|| resolve(&mut self.g))
+    }
+
+    /// The compiled `pattern` under `flags`, or `None` when it does not
+    /// compile; compiled once per execution.
+    fn regex(&mut self, pattern: String, flags: String) -> Option<&Regex> {
+        (self.memo.regexes.entry((pattern, flags)))
+            .or_insert_with_key(|(p, f)| Regex::new(p, f).ok())
+            .as_ref()
     }
 
     // ---- property paths ---------------------------------------------------
@@ -898,13 +948,13 @@ impl<'a, G: GraphView> Ctx<'a, G> {
     /// All `(start, end)` node pairs related by `path`, restricted by the
     /// optionally bound endpoints.
     fn eval_path(
-        &self,
+        &mut self,
         path: &Path,
         s: Option<TermId>,
         o: Option<TermId>,
     ) -> Vec<(TermId, TermId)> {
         match path {
-            Path::Iri(p) => match self.g.lookup_iri(p) {
+            Path::Iri(p) => match self.lookup_const(p) {
                 Some(pid) => self
                     .g
                     .match_pattern(s, Some(pid), o)
@@ -949,13 +999,13 @@ impl<'a, G: GraphView> Ctx<'a, G> {
                 let forward: HashSet<TermId> = members
                     .iter()
                     .filter(|(_, inv)| !inv)
-                    .filter_map(|(iri, _)| self.g.lookup_iri(iri))
+                    .filter_map(|(iri, _)| self.lookup_const(iri))
                     .collect();
                 let has_forward = members.iter().any(|(_, inv)| !inv);
                 let inverse: HashSet<TermId> = members
                     .iter()
                     .filter(|(_, inv)| *inv)
-                    .filter_map(|(iri, _)| self.g.lookup_iri(iri))
+                    .filter_map(|(iri, _)| self.lookup_const(iri))
                     .collect();
                 let has_inverse = members.iter().any(|(_, inv)| *inv);
                 let mut out = Vec::new();
@@ -1006,24 +1056,20 @@ impl<'a, G: GraphView> Ctx<'a, G> {
 
     /// Transitive closure pairs for `inner*` / `inner+`.
     fn closure_pairs(
-        &self,
+        &mut self,
         inner: &Path,
         s: Option<TermId>,
         o: Option<TermId>,
         include_zero: bool,
     ) -> Vec<(TermId, TermId)> {
-        let starts: Vec<TermId> = match (s, o) {
-            (Some(a), _) => vec![a],
-            (None, Some(_)) => {
-                // Walk backward from the object instead.
-                let inv = Path::Inverse(Box::new(inner.clone()));
-                return self
-                    .closure_pairs(&inv, o, s, include_zero)
-                    .into_iter()
-                    .map(|(a, b)| (b, a))
-                    .collect();
-            }
-            (None, None) => self.all_nodes(),
+        // With only the object bound, walk backward from it, on `inner`
+        // itself: a temporary inverse path would hand the constant memo a
+        // node address that a later temporary can reuse.
+        let backward = s.is_none() && o.is_some();
+        let (from, to) = if backward { (o, s) } else { (s, o) };
+        let starts: Vec<TermId> = match from {
+            Some(a) => vec![a],
+            None => self.all_nodes(),
         };
         let mut out = Vec::new();
         for start in starts {
@@ -1039,15 +1085,23 @@ impl<'a, G: GraphView> Ctx<'a, G> {
                 if self.guard_tripped() {
                     break;
                 }
-                for (_, next) in self.eval_path(inner, Some(node), None) {
+                let steps: Vec<TermId> = if backward {
+                    let pairs = self.eval_path(inner, None, Some(node));
+                    pairs.into_iter().map(|(prev, _)| prev).collect()
+                } else {
+                    let pairs = self.eval_path(inner, Some(node), None);
+                    pairs.into_iter().map(|(_, next)| next).collect()
+                };
+                for next in steps {
                     if reached.insert(next) {
                         frontier.push(next);
                     }
                 }
             }
             for end in reached {
-                match o {
+                match to {
                     Some(target) if end != target => {}
+                    _ if backward => out.push((end, start)),
                     _ => out.push((start, end)),
                 }
             }
@@ -1062,7 +1116,9 @@ impl<'a, G: GraphView> Ctx<'a, G> {
     fn eval_expr(&mut self, e: &Expr, b: &Binding) -> Option<Value> {
         match e {
             Expr::Var(v) => self.vars.get(v).and_then(|s| b[s]).map(Value::Term),
-            Expr::Iri(iri) => Some(Value::Term(self.g.intern_iri(iri))),
+            Expr::Iri(iri) => self
+                .resolved(iri as *const String as usize, |g| Some(g.intern_iri(iri)))
+                .map(Value::Term),
             Expr::Literal(l) => Some(self.literal_value(l)),
             Expr::Or(x, y) => {
                 let l = self.eval_expr(x, b).and_then(|v| ebv(&self.g, &v));
@@ -1386,9 +1442,8 @@ impl<'a, G: GraphView> Ctx<'a, G> {
                     Some(v) => as_string(&self.g, v)?.0,
                     None => String::new(),
                 };
-                let re = crate::regexlite::Regex::new(&pat, &flags).ok()?;
                 Some(Value::Str {
-                    s: re.replace_all(&s, &rep),
+                    s: self.regex(pat, flags)?.replace_all(&s, &rep),
                     lang,
                 })
             }
@@ -1406,8 +1461,7 @@ impl<'a, G: GraphView> Ctx<'a, G> {
                     Some(v) => as_string(&self.g, v)?.0,
                     None => String::new(),
                 };
-                let re = crate::regexlite::Regex::new(&pat, &flags).ok()?;
-                Some(Value::Bool(re.is_match(&text)))
+                Some(Value::Bool(self.regex(pat, flags)?.is_match(&text)))
             }
             Abs => as_numeric(&self.g, vals.first()?).map(|n| Value::Num(n.abs())),
             Ceil => as_numeric(&self.g, vals.first()?).map(|n| Value::Num(n.ceil())),
@@ -1446,63 +1500,32 @@ impl<'a, G: GraphView> Ctx<'a, G> {
         q: &Query,
         projection: &Projection,
         distinct: bool,
-        rows: Vec<Binding>,
+        mut rows: Vec<Binding>,
     ) -> Result<QueryResult> {
         let aggregating = !q.modifiers.group_by.is_empty()
             || matches!(projection, Projection::Items(items)
                 if items.iter().any(|i| matches!(i, ProjectionItem::Expr(e, _) if contains_aggregate(e))));
 
-        let rows = if aggregating {
-            self.aggregate_rows(q, projection, rows)?
-        } else {
+        if aggregating {
+            rows = self.aggregate_rows(q, projection, rows)?;
+        } else if let Projection::Items(items) = projection {
             // Extend rows with SELECT expression results.
-            let mut rows = rows;
-            if let Projection::Items(items) = projection {
-                for item in items {
-                    if let ProjectionItem::Expr(e, v) = item {
-                        let slot = self.vars.get(v).ok_or_else(|| {
-                            SparqlError::eval(format!(
-                                "SELECT expression variable ?{v} is not registered"
-                            ))
-                        })?;
-                        for b in &mut rows {
-                            if let Some(val) = self.eval_expr(e, &b.clone()) {
-                                b[slot] = Some(val.into_term_id(&mut self.g));
-                            }
+            for item in items {
+                if let ProjectionItem::Expr(e, v) = item {
+                    let slot = self.vars.get(v).ok_or_else(|| {
+                        SparqlError::eval(format!(
+                            "SELECT expression variable ?{v} is not registered"
+                        ))
+                    })?;
+                    for b in &mut rows {
+                        if let Some(val) = self.eval_expr(e, b) {
+                            b[slot] = Some(val.into_term_id(&mut self.g));
                         }
                     }
                 }
             }
-            rows
-        };
-
-        // ORDER BY over full bindings.
-        let mut rows = rows;
-        let order_by = &q.modifiers.order_by;
-        if !order_by.is_empty() {
-            let mut keyed: Vec<(Vec<crate::value::OrderKey>, Binding)> = Vec::new();
-            for b in rows {
-                let keys = order_by
-                    .iter()
-                    .map(|oc| {
-                        let v = self.eval_expr(&oc.expr, &b);
-                        order_key(&self.g, v.as_ref())
-                    })
-                    .collect();
-                keyed.push((keys, b));
-            }
-            keyed.sort_by(|(ka, _), (kb, _)| {
-                for ((a, b), oc) in ka.iter().zip(kb).zip(order_by) {
-                    let ord = a.cmp(b);
-                    let ord = if oc.descending { ord.reverse() } else { ord };
-                    if ord.is_ne() {
-                        return ord;
-                    }
-                }
-                std::cmp::Ordering::Equal
-            });
-            rows = keyed.into_iter().map(|(_, b)| b).collect();
         }
+        let order = self.order_by(&q.modifiers.order_by, &rows);
 
         // Projection.
         let (names, slots): (Vec<String>, Vec<usize>) = match projection {
@@ -1533,33 +1556,78 @@ impl<'a, G: GraphView> Ctx<'a, G> {
             }
         };
 
-        let mut projected: Vec<Vec<Option<TermId>>> = rows
-            .into_iter()
-            .map(|b| slots.iter().map(|&s| b[s]).collect())
+        // Projected rows, in order, side by side in one buffer; DISTINCT
+        // keeps each one's first occurrence and the slice picks from those.
+        let w = slots.len();
+        let flat: Vec<Option<TermId>> = (order.iter())
+            .flat_map(|&r| {
+                let b = &rows[r];
+                slots.iter().map(move |&s| b[s])
+            })
             .collect();
-
+        let row = |i: usize| &flat[i * w..(i + 1) * w];
+        let mut kept: Vec<usize> = (0..order.len()).collect();
         if distinct {
-            let mut seen = HashSet::new();
-            projected.retain(|r| seen.insert(r.clone()));
+            let mut seen = FxSet::with_capacity_and_hasher(kept.len(), Default::default());
+            kept.retain(|&i| seen.insert(row(i)));
         }
-
         let offset = q.modifiers.offset.unwrap_or(0);
         let limit = q.modifiers.limit.unwrap_or(usize::MAX);
-        let sliced: Vec<Vec<Option<TermId>>> =
-            projected.into_iter().skip(offset).take(limit).collect();
-
         let table = SolutionTable {
             vars: names,
-            rows: sliced
-                .into_iter()
-                .map(|r| {
-                    r.into_iter()
+            rows: (kept.into_iter().skip(offset).take(limit))
+                .map(|i| {
+                    (row(i).iter())
                         .map(|c| c.map(|id| self.g.term(id).clone()))
                         .collect()
                 })
                 .collect(),
         };
         Ok(QueryResult::Solutions(table))
+    }
+
+    /// The order ORDER BY puts `rows` in, as row indexes. A condition's
+    /// key is a term id per row: a variable's slot, or any other
+    /// expression's value interned (an error is unbound). Each distinct
+    /// id is decoded once into an [`OrderKey`], the keys are ranked (equal
+    /// keys, equal ranks) and rows sort stably on their ranks.
+    fn order_by(&mut self, conditions: &[OrderCondition], rows: &[Binding]) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..rows.len()).collect();
+        let k = conditions.len();
+        if k == 0 {
+            return order;
+        }
+        let mut ranks = vec![0u32; rows.len() * k];
+        for (c, oc) in conditions.iter().enumerate() {
+            let ids: Vec<Option<TermId>> = match &oc.expr {
+                Expr::Var(v) => {
+                    let slot = self.vars.get(v);
+                    rows.iter().map(|b| slot.and_then(|s| b[s])).collect()
+                }
+                e => (rows.iter())
+                    .map(|b| self.eval_expr(e, b).map(|v| v.into_term_id(&mut self.g)))
+                    .collect(),
+            };
+            let mut distinct = ids.clone();
+            distinct.sort_unstable();
+            distinct.dedup();
+            let keys: Vec<OrderKey<'_>> =
+                distinct.iter().map(|&id| order_key(&self.g, id)).collect();
+            let mut by_key: Vec<usize> = (0..keys.len()).collect();
+            by_key.sort_by(|&a, &b| keys[a].compare(&keys[b]));
+            let mut rank = vec![0u32; keys.len()];
+            for pair in by_key.windows(2) {
+                let step = keys[pair[0]].compare(&keys[pair[1]]).is_ne();
+                rank[pair[1]] = rank[pair[0]] + u32::from(step);
+            }
+            for (r, id) in ids.iter().enumerate() {
+                // Every id is one of `distinct`.
+                let at = distinct.binary_search(id).unwrap_or_default();
+                ranks[r * k + c] = if oc.descending { !rank[at] } else { rank[at] };
+            }
+        }
+        order.sort_by(|&a, &b| ranks[a * k..(a + 1) * k].cmp(&ranks[b * k..(b + 1) * k]));
+        order
     }
 
     fn aggregate_rows(
@@ -1874,9 +1942,18 @@ impl std::hash::Hasher for FxHasher {
         for chunk in bytes.chunks(8) {
             let mut word = [0; 8];
             word[..chunk.len()].copy_from_slice(chunk);
-            self.0 = (self.0.rotate_left(5) ^ u64::from_le_bytes(word))
-                .wrapping_mul(0x517c_c1b7_2722_0a95);
+            self.write_u64(u64::from_le_bytes(word));
         }
+    }
+    // Ids, discriminants and lengths skip the byte loop (same hash).
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(n.into());
+    }
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
     }
     fn finish(&self) -> u64 {
         self.0
@@ -1884,6 +1961,7 @@ impl std::hash::Hasher for FxHasher {
 }
 
 type FxMap<K, V> = HashMap<K, V, std::hash::BuildHasherDefault<FxHasher>>;
+type FxSet<K> = HashSet<K, std::hash::BuildHasherDefault<FxHasher>>;
 
 /// A row's values on a sub-pattern's key slots, inline so a per-row key
 /// costs no allocation (the paper's listings read two slots; `None` pads,
@@ -1991,5 +2069,47 @@ fn literal_pattern_to_term(l: &LiteralPattern) -> Term {
             feo_rdf::Iri::new(dt.clone()),
         )),
         (None, None) => Term::simple(l.lexical.clone()),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::regexlite::COMPILES;
+
+    /// `?s{i} :p "v{i}"` for `i` below 500.
+    fn strings() -> Graph {
+        let mut g = Graph::new();
+        for i in 0..500 {
+            g.insert(&Triple {
+                subject: Term::iri(format!("http://t/s{i}")),
+                predicate: Term::iri("http://t/p"),
+                object: Term::simple(format!("v{i}")),
+            });
+        }
+        g
+    }
+
+    /// Rows of `text` over `g`, and the patterns compiled meanwhile.
+    fn run(g: &Graph, text: &str) -> (usize, usize) {
+        let before = COMPILES.with(|n| n.get());
+        let t = query(g, text, &QueryOptions::default())
+            .expect("query runs")
+            .expect_solutions();
+        (t.len(), COMPILES.with(|n| n.get()) - before)
+    }
+
+    #[test]
+    fn a_regex_compiles_once_per_execution() {
+        let g = strings();
+        let filter = r#"SELECT ?s WHERE { ?s <http://t/p> ?v FILTER REGEX(?v, "^v1") }"#;
+        // v1, v10..v19, v100..v199.
+        assert_eq!(run(&g, filter), (111, 1));
+        let replace = r#"SELECT ?s WHERE { ?s <http://t/p> ?v
+            FILTER (REPLACE(?v, "v", "w") = "w7") }"#;
+        assert_eq!(run(&g, replace), (1, 1));
+        // An invalid pattern drops every row, compiled (and failing) once.
+        let invalid = r#"SELECT ?s WHERE { ?s <http://t/p> ?v FILTER REGEX(?v, "(") }"#;
+        assert_eq!(run(&g, invalid), (0, 1));
     }
 }

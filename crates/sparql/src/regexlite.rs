@@ -71,6 +71,7 @@ impl Regex {
     /// Compiles `pattern` with SPARQL-style `flags` (only `i` is
     /// meaningful; other known-but-unsupported flags error).
     pub fn new(pattern: &str, flags: &str) -> Result<Regex, RegexError> {
+        note_compile();
         let mut case_insensitive = false;
         for f in flags.chars() {
             match f {
@@ -514,6 +515,21 @@ impl RParser {
             }
         }
     }
+}
+
+/// Counts [`Regex::new`] calls on this thread in tests (the evaluator's
+/// compile-once test reads it); nothing otherwise.
+#[cfg(not(test))]
+fn note_compile() {}
+
+#[cfg(test)]
+thread_local! {
+    pub(crate) static COMPILES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+#[cfg(test)]
+fn note_compile() {
+    COMPILES.with(|n| n.set(n.get() + 1));
 }
 
 #[cfg(test)]

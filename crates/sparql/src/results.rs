@@ -4,6 +4,7 @@
 //! so results outlive the queried graph. The `Display` implementation
 //! renders the aligned text tables used throughout the paper's listings.
 
+use std::borrow::Cow;
 use std::fmt;
 
 use feo_rdf::term::Term;
@@ -97,21 +98,23 @@ impl SolutionTable {
         })
     }
 
-    /// Rows rendered with IRI local names — the compact form the paper's
-    /// result tables use (`feo:Autumn` → `Autumn`).
+    /// The cell at `row`, `col` in the compact form the paper's result
+    /// tables use (`feo:Autumn` → `Autumn`): an IRI's local name or a
+    /// literal's lexical form, borrowed; `_:label` for a blank node; empty
+    /// when unbound or out of range.
+    pub fn local(&self, row: usize, col: usize) -> Cow<'_, str> {
+        match self.rows.get(row).and_then(|r| r.get(col)) {
+            Some(Some(Term::Iri(i))) => Cow::Borrowed(i.local_name()),
+            Some(Some(Term::Literal(l))) => Cow::Borrowed(l.lexical_form()),
+            Some(Some(Term::BlankNode(b))) => Cow::Owned(format!("_:{}", b.as_str())),
+            _ => Cow::Borrowed(""),
+        }
+    }
+
+    /// Every row through [`SolutionTable::local`].
     pub fn local_rows(&self) -> Vec<Vec<String>> {
-        self.rows
-            .iter()
-            .map(|r| {
-                r.iter()
-                    .map(|c| match c {
-                        None => String::new(),
-                        Some(Term::Iri(i)) => i.local_name().to_string(),
-                        Some(Term::Literal(l)) => l.lexical_form().to_string(),
-                        Some(Term::BlankNode(b)) => format!("_:{}", b.as_str()),
-                    })
-                    .collect()
-            })
+        (self.rows.iter().enumerate())
+            .map(|(r, cells)| (0..cells.len()).map(|c| self.local(r, c).into()).collect())
             .collect()
     }
 
@@ -202,6 +205,12 @@ mod tests {
         assert_eq!(t.column("characteristic").len(), 1);
         assert!(t.get(0, "classes").is_some());
         assert!(t.get(0, "missing").is_none());
+        assert!(matches!(
+            t.local(0, 1),
+            Cow::Borrowed("SeasonCharacteristic")
+        ));
+        assert_eq!(t.local(0, 2), "");
+        assert_eq!(t.local(1, 0), "");
     }
 
     #[test]

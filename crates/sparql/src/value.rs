@@ -201,70 +201,51 @@ pub fn values_compare<G: GraphView + ?Sized>(
     None
 }
 
-/// Total order key for ORDER BY: unbound < blank < IRI < literal, with
-/// numeric literals ordered by value, then others by lexical form.
-#[derive(Debug, Clone, PartialEq)]
-pub enum OrderKey {
+/// ORDER BY key of a term, borrowed from the view's dictionary:
+/// unbound < blank < IRI < literal, numeric literals first and by value
+/// (NaN after every other number), then other literals by lexical form.
+#[derive(Debug)]
+pub(crate) enum OrderKey<'a> {
     Unbound,
-    Blank(String),
-    Iri(String),
+    Blank(&'a str),
+    Iri(&'a str),
     Number(f64),
-    Text(String),
+    Text(&'a str),
 }
 
-impl OrderKey {
-    fn rank(&self) -> u8 {
-        match self {
-            OrderKey::Unbound => 0,
-            OrderKey::Blank(_) => 1,
-            OrderKey::Iri(_) => 2,
-            OrderKey::Number(_) => 3,
-            OrderKey::Text(_) => 4,
-        }
-    }
-}
-
-impl Eq for OrderKey {}
-
-impl PartialOrd for OrderKey {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for OrderKey {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        use std::cmp::Ordering;
+impl OrderKey<'_> {
+    /// The total order the keys sort by; equal keys tie.
+    pub(crate) fn compare(&self, other: &Self) -> std::cmp::Ordering {
+        use OrderKey::*;
+        let kind = |k: &Self| match k {
+            Unbound => 0,
+            Blank(_) => 1,
+            Iri(_) => 2,
+            Number(_) => 3,
+            Text(_) => 4,
+        };
         match (self, other) {
-            (OrderKey::Blank(a), OrderKey::Blank(b)) => a.cmp(b),
-            (OrderKey::Iri(a), OrderKey::Iri(b)) => a.cmp(b),
-            (OrderKey::Number(a), OrderKey::Number(b)) => {
-                a.partial_cmp(b).unwrap_or(Ordering::Equal)
-            }
-            (OrderKey::Text(a), OrderKey::Text(b)) => a.cmp(b),
-            _ => self.rank().cmp(&other.rank()),
+            (Blank(a), Blank(b)) | (Iri(a), Iri(b)) | (Text(a), Text(b)) => a.cmp(b),
+            (Number(a), Number(b)) => a
+                .partial_cmp(b)
+                .unwrap_or_else(|| a.is_nan().cmp(&b.is_nan())),
+            _ => kind(self).cmp(&kind(other)),
         }
     }
 }
 
-/// Computes the ORDER BY key for an optional value.
-pub fn order_key<G: GraphView + ?Sized>(g: &G, v: Option<&Value>) -> OrderKey {
-    let Some(v) = v else {
+/// The ORDER BY key of an optionally bound term.
+pub(crate) fn order_key<G: GraphView + ?Sized>(g: &G, id: Option<TermId>) -> OrderKey<'_> {
+    let Some(id) = id else {
         return OrderKey::Unbound;
     };
-    if let Some(n) = as_numeric(g, v) {
-        return OrderKey::Number(n);
-    }
-    match v {
-        Value::Term(id) => match g.term(*id) {
-            Term::BlankNode(b) => OrderKey::Blank(b.as_str().to_string()),
-            Term::Iri(i) => OrderKey::Iri(i.as_str().to_string()),
-            Term::Literal(l) => OrderKey::Text(l.lexical_form().to_string()),
+    match g.term(id) {
+        Term::BlankNode(b) => OrderKey::Blank(b.as_str()),
+        Term::Iri(i) => OrderKey::Iri(i.as_str()),
+        Term::Literal(l) => match l.as_double() {
+            Some(n) => OrderKey::Number(n),
+            None => OrderKey::Text(l.lexical_form()),
         },
-        Value::IriStr(s) => OrderKey::Iri(s.clone()),
-        Value::Str { s, .. } => OrderKey::Text(s.clone()),
-        Value::Bool(b) => OrderKey::Text(b.to_string()),
-        Value::Int(_) | Value::Num(_) => unreachable!("handled by as_numeric"),
     }
 }
 
@@ -382,18 +363,22 @@ mod tests {
 
     #[test]
     fn order_keys_total_order() {
-        let (g, iri, int5, s, _) = setup();
+        let (mut g, iri, int5, s, _) = setup();
+        let nan = Value::Num(f64::NAN).into_term_id(&mut g);
         let mut keys = [
-            order_key(&g, Some(&Value::Term(s))),
+            order_key(&g, Some(s)),
+            order_key(&g, Some(nan)),
             order_key(&g, None),
-            order_key(&g, Some(&Value::Term(int5))),
-            order_key(&g, Some(&Value::Term(iri))),
+            order_key(&g, Some(int5)),
+            order_key(&g, Some(iri)),
         ];
-        keys.sort();
-        assert_eq!(keys[0], OrderKey::Unbound);
-        assert!(matches!(keys[1], OrderKey::Iri(_)));
-        assert!(matches!(keys[2], OrderKey::Number(_)));
-        assert!(matches!(keys[3], OrderKey::Text(_)));
+        keys.sort_by(OrderKey::compare);
+        assert!(matches!(keys[0], OrderKey::Unbound));
+        assert!(matches!(keys[1], OrderKey::Iri("http://e/x")));
+        assert!(matches!(keys[2], OrderKey::Number(n) if n == 5.0));
+        assert!(matches!(keys[3], OrderKey::Number(n) if n.is_nan()));
+        assert!(matches!(keys[4], OrderKey::Text("abc")));
+        assert!(keys[3].compare(&keys[3]).is_eq(), "NaN ties with NaN");
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! runs on a materialized synthetic world held in memory, in an mmap
 //! `Segment`, and in an `Overlay` with a delta over the segment, with
 //! the planner's join operators and with each operator forced onto
-//! every step; every run must return the oracle's multiset.
+//! every step, ordered by up to three keys and sliced; every run must
+//! return the oracle's rows: its `ORDER BY` runs in order, each run as a
+//! multiset.
 
 mod oracle;
 
@@ -55,11 +57,13 @@ type PatternSpec = (usize, bool, u8);
 /// A generated query: its patterns, how the tail is wrapped (0 plain,
 /// 1 `OPTIONAL`, 2 `UNION`, 3 `MINUS`, 4 `NOT EXISTS`, 5 `EXISTS`), an
 /// extra (1 `!BOUND` on the last variable, 2 a numeric filter, 3 a type
-/// pattern) and the projection (0 `*`, 1 `DISTINCT`, 2 `COUNT`).
-type QuerySpec = (Vec<PatternSpec>, u8, u8, u8);
+/// pattern), the projection (0 `*`, 1 `DISTINCT`, 2 `COUNT`), the
+/// `ORDER BY` keys (which variable, descending) and the slice (0 none,
+/// 1 `LIMIT`, 2 `OFFSET`, 3 both).
+type QuerySpec = (Vec<PatternSpec>, u8, u8, u8, Vec<(u8, bool)>, u8);
 
 fn generated_query(spec: &QuerySpec) -> String {
-    let (patterns, shape, extra, projection) = spec;
+    let (patterns, shape, extra, projection, order, slice) = spec;
     let start = if patterns[0].1 {
         Kind::Recipe
     } else {
@@ -126,11 +130,39 @@ fn generated_query(spec: &QuerySpec) -> String {
         }
         _ => {}
     }
+    // A grouped query orders on what it groups and counts; any other on
+    // any variable, projected or not.
+    let keys: Vec<String> = (order.iter())
+        .map(|&(v, descending)| {
+            let var = match projection {
+                2 if v % 2 == 0 => "?v0".to_string(),
+                2 => "?n".to_string(),
+                _ => format!("?v{}", v as usize % kinds.len()),
+            };
+            if descending {
+                format!("DESC({var})")
+            } else {
+                var
+            }
+        })
+        .collect();
+    let mut modifiers = String::new();
+    if !keys.is_empty() {
+        modifiers.push_str(&format!(" ORDER BY {}", keys.join(" ")));
+    }
+    if slice & 1 == 1 {
+        modifiers.push_str(" LIMIT 7");
+    }
+    if slice & 2 == 2 {
+        modifiers.push_str(" OFFSET 3");
+    }
     let p = sparql_prologue();
     match projection {
-        1 => format!("{p}SELECT DISTINCT ?v0 ?v1 WHERE {{ {body} }}"),
-        2 => format!("{p}SELECT ?v0 (COUNT(DISTINCT ?v1) AS ?n) WHERE {{ {body} }} GROUP BY ?v0"),
-        _ => format!("{p}SELECT * WHERE {{ {body} }}"),
+        1 => format!("{p}SELECT DISTINCT ?v0 ?v1 WHERE {{ {body} }}{modifiers}"),
+        2 => format!(
+            "{p}SELECT ?v0 (COUNT(DISTINCT ?v1) AS ?n) WHERE {{ {body} }} GROUP BY ?v0{modifiers}"
+        ),
+        _ => format!("{p}SELECT * WHERE {{ {body} }}{modifiers}"),
     }
 }
 
@@ -164,7 +196,7 @@ fn delta(overlay: &mut impl GraphStore) {
 fn engine_matches<G: GraphView + Copy>(
     view: G,
     text: &str,
-    expected: &[oracle::Solution],
+    expected: &oracle::Ordered,
     backend: &str,
 ) -> Result<(), TestCaseError> {
     for force in [None, Some(JoinAlgo::Nested), Some(JoinAlgo::Hash)] {
@@ -175,14 +207,11 @@ fn engine_matches<G: GraphView + Copy>(
         let t = query(view, text, &opts)
             .map_err(|e| TestCaseError::fail(format!("{backend}: {e}\n{text}")))?
             .expect_solutions();
-        prop_assert_eq!(
-            oracle::multiset(&t.vars, &t.rows),
-            expected.to_vec(),
-            "{} (force {:?}) diverged from the oracle on:\n{}",
-            backend,
-            force,
-            text
-        );
+        expected.check(&t.vars, &t.rows).map_err(|e| {
+            TestCaseError::fail(format!(
+                "{backend} (force {force:?}) diverged from the oracle: {e}\n{text}"
+            ))
+        })?;
     }
     Ok(())
 }
@@ -195,7 +224,14 @@ proptest! {
         recipes in 10usize..20,
         seed in 0u64..10_000,
         specs in prop::collection::vec(
-            (prop::collection::vec((0usize..8, any::<bool>(), 0u8..4), 2..5), 0u8..6, 0u8..4, 0u8..3),
+            (
+                prop::collection::vec((0usize..8, any::<bool>(), 0u8..4), 2..5),
+                0u8..6,
+                0u8..4,
+                0u8..3,
+                prop::collection::vec((0u8..5, any::<bool>()), 0..4),
+                0u8..4,
+            ),
             6..7,
         ),
     ) {
@@ -211,10 +247,10 @@ proptest! {
         for spec in &specs {
             let text = generated_query(spec);
             let parsed = parse_query(&text).expect("generated query parses");
-            let base = oracle::evaluate(g.iter_triples(), &parsed);
+            let base = oracle::ordered(g.iter_triples(), &parsed);
             engine_matches(&g, &text, &base, "memory")?;
             engine_matches(&seg, &text, &base, "segment")?;
-            let layered = oracle::evaluate(overlay.iter_triples(), &parsed);
+            let layered = oracle::ordered(overlay.iter_triples(), &parsed);
             engine_matches(&overlay, &text, &layered, "segment+overlay")?;
         }
         drop(overlay);
@@ -225,22 +261,54 @@ proptest! {
 
 // ---- conformance --------------------------------------------------------
 
-/// A term as a table cell: an IRI's local name, a literal's text.
+/// A term as a table cell: an IRI's local name, a literal's text, and
+/// `_:` for any blank node (the parser picks its label).
 fn cell(t: &Term) -> String {
     match t {
         Term::Iri(iri) => iri.local_name().to_string(),
         Term::Literal(l) => l.lexical_form().to_string(),
-        Term::BlankNode(b) => format!("_:{}", b.as_str()),
+        Term::BlankNode(_) => "_:".to_string(),
     }
 }
 
-fn cells(solutions: &[oracle::Solution]) -> Vec<Vec<(String, String)>> {
-    let mut out: Vec<Vec<(String, String)>> = solutions
+/// Solutions as rows of cells, in their order.
+fn rows_of(solutions: &[oracle::Solution]) -> Vec<Vec<(String, String)>> {
+    solutions
         .iter()
         .map(|s| s.iter().map(|(v, t)| (v.clone(), cell(t))).collect())
-        .collect();
+        .collect()
+}
+
+fn cells(solutions: &[oracle::Solution]) -> Vec<Vec<(String, String)>> {
+    let mut out = rows_of(solutions);
     out.sort();
     out
+}
+
+/// An expected table as rows of `(variable, cell)` pairs, in its order.
+fn expected_rows(expected: &[&[(&str, &str)]]) -> Vec<Vec<(String, String)>> {
+    expected
+        .iter()
+        .map(|row| {
+            let mut row: Vec<(String, String)> = (row.iter())
+                .map(|(v, c)| (v.to_string(), c.to_string()))
+                .collect();
+            row.sort();
+            row
+        })
+        .collect()
+}
+
+/// A case's data under the prefix `:`.
+fn case_graph(data: &str) -> Graph {
+    let mut g = Graph::new();
+    parse_turtle_into(
+        &format!("@prefix : <http://t/> .\n{data}"),
+        &mut g,
+        &Default::default(),
+    )
+    .expect("case data parses");
+    g
 }
 
 /// `(name, data, query, expected solutions)`; data and query share the
@@ -314,6 +382,17 @@ const CASES: &[Case] = &[
         &[&[("y", "a")], &[("y", "b")], &[("y", "c")]],
     ),
     (
+        "two + paths to constants, each on its own predicate",
+        ":a :p :b . :b :p :c . :x :q :y . :y :q :z .",
+        "SELECT ?s ?t WHERE { ?s :p+ :c . ?t :q+ :z }",
+        &[
+            &[("s", "a"), ("t", "x")],
+            &[("s", "a"), ("t", "y")],
+            &[("s", "b"), ("t", "x")],
+            &[("s", "b"), ("t", "y")],
+        ],
+    ),
+    (
         "a + path over a cycle relates every pair once",
         ":a :p :b . :b :p :c . :c :p :a .",
         "SELECT (COUNT(*) AS ?pairs) WHERE { ?x :p+ ?y }",
@@ -324,28 +403,10 @@ const CASES: &[Case] = &[
 #[test]
 fn conformance_cases_match_their_expected_tables() {
     for (name, data, text, expected) in CASES {
-        let mut g = Graph::new();
-        parse_turtle_into(
-            &format!("@prefix : <http://t/> .\n{data}"),
-            &mut g,
-            &Default::default(),
-        )
-        .expect("case data parses");
+        let g = case_graph(data);
         let text = format!("PREFIX : <http://t/>\n{text}");
-        let want: Vec<Vec<(String, String)>> = {
-            let mut rows: Vec<Vec<(String, String)>> = expected
-                .iter()
-                .map(|row| {
-                    let mut row: Vec<(String, String)> = (row.iter())
-                        .map(|(v, c)| (v.to_string(), c.to_string()))
-                        .collect();
-                    row.sort();
-                    row
-                })
-                .collect();
-            rows.sort();
-            rows
-        };
+        let mut want = expected_rows(expected);
+        want.sort();
         let reference = oracle::evaluate(g.iter_triples(), &parse_query(&text).expect("parses"));
         assert_eq!(cells(&reference), want, "oracle: {name}");
         let t = query(&g, &text, &QueryOptions::default())
@@ -356,5 +417,136 @@ fn conformance_cases_match_their_expected_tables() {
             want,
             "engine: {name}"
         );
+    }
+}
+
+/// Cases whose row order is the answer. Ties come from `VALUES`, whose
+/// row order is the input order a stable sort keeps.
+const ORDERED: &[Case] = &[
+    (
+        "ORDER BY a computed key: STR of an IRI",
+        ":b :p 1 . :a :p 2 . :c :p 3 .",
+        "SELECT ?x WHERE { ?x :p ?n } ORDER BY ASC(STR(?x))",
+        &[&[("x", "a")], &[("x", "b")], &[("x", "c")]],
+    ),
+    (
+        "ORDER BY a computed key: DESC of a product",
+        ":b :p 1 . :a :p 2 . :c :p 3 .",
+        "SELECT ?x WHERE { ?x :p ?n } ORDER BY DESC(?n * 2)",
+        &[&[("x", "c")], &[("x", "a")], &[("x", "b")]],
+    ),
+    (
+        "an unbound key sorts first",
+        ":a :p 1 ; :q 5 . :b :p 2 . :c :p 3 ; :q 1 .",
+        "SELECT ?x ?v WHERE { ?x :p ?n OPTIONAL { ?x :q ?v } } ORDER BY ?v",
+        &[
+            &[("x", "b")],
+            &[("x", "c"), ("v", "1")],
+            &[("x", "a"), ("v", "5")],
+        ],
+    ),
+    (
+        "an unbound key sorts last under DESC",
+        ":a :p 1 ; :q 5 . :b :p 2 . :c :p 3 ; :q 1 .",
+        "SELECT ?x ?v WHERE { ?x :p ?n OPTIONAL { ?x :q ?v } } ORDER BY DESC(?v)",
+        &[
+            &[("x", "a"), ("v", "5")],
+            &[("x", "c"), ("v", "1")],
+            &[("x", "b")],
+        ],
+    ),
+    (
+        "blank < IRI < literal, IRIs by text, numbers by value before other literals",
+        ":s :p \"b\" , \"a\" , 10 , 7 , :y , :x , [] .",
+        "SELECT ?o WHERE { :s :p ?o } ORDER BY ?o",
+        &[
+            &[("o", "_:")],
+            &[("o", "x")],
+            &[("o", "y")],
+            &[("o", "7")],
+            &[("o", "10")],
+            &[("o", "a")],
+            &[("o", "b")],
+        ],
+    ),
+    (
+        "1 and 1.0 tie and keep their input order",
+        "",
+        "SELECT ?x WHERE { VALUES ?x { \"1.0\"^^<http://www.w3.org/2001/XMLSchema#decimal> 1 0 } } \
+         ORDER BY ?x",
+        &[&[("x", "0")], &[("x", "1.0")], &[("x", "1")]],
+    ),
+    (
+        "1 and 1.0 tie and keep their input order under DESC",
+        "",
+        "SELECT ?x WHERE { VALUES ?x { 1 \"1.0\"^^<http://www.w3.org/2001/XMLSchema#decimal> 2 } } \
+         ORDER BY DESC(?x)",
+        &[&[("x", "2")], &[("x", "1")], &[("x", "1.0")]],
+    ),
+    (
+        "DISTINCT keeps a solution where a non-projected key first puts it",
+        ":a :p 3 . :b :p 1 . :a :p 0 . :c :p 2 .",
+        "SELECT DISTINCT ?x WHERE { ?x :p ?n } ORDER BY ?n",
+        &[&[("x", "a")], &[("x", "b")], &[("x", "c")]],
+    ),
+    (
+        "DISTINCT keeps a solution where a non-projected DESC key first puts it",
+        ":a :p 3 . :b :p 1 . :a :p 0 . :c :p 2 .",
+        "SELECT DISTINCT ?x WHERE { ?x :p ?n } ORDER BY DESC(?n)",
+        &[&[("x", "a")], &[("x", "c")], &[("x", "b")]],
+    ),
+    (
+        "NaN sorts after every other number",
+        "",
+        "SELECT ?x WHERE { VALUES ?x { \"NaN\"^^<http://www.w3.org/2001/XMLSchema#double> 2 1 } } \
+         ORDER BY ?x",
+        &[&[("x", "1")], &[("x", "2")], &[("x", "NaN")]],
+    ),
+    (
+        "NaN sorts first under DESC",
+        "",
+        "SELECT ?x WHERE { VALUES ?x { 1 \"NaN\"^^<http://www.w3.org/2001/XMLSchema#double> 2 } } \
+         ORDER BY DESC(?x)",
+        &[&[("x", "NaN")], &[("x", "2")], &[("x", "1")]],
+    ),
+    (
+        "OFFSET and LIMIT slice the ordered solutions",
+        ":a :p 1 . :b :p 2 . :c :p 3 . :d :p 4 .",
+        "SELECT ?x WHERE { ?x :p ?n } ORDER BY DESC(?n) LIMIT 2 OFFSET 1",
+        &[&[("x", "c")], &[("x", "b")]],
+    ),
+];
+
+#[test]
+fn ordered_conformance_cases_match_their_expected_tables_in_order() {
+    for (name, data, text, expected) in ORDERED {
+        let g = case_graph(data);
+        let text = format!("PREFIX : <http://t/>\n{text}");
+        let want = expected_rows(expected);
+        // The oracle: its runs, sliced, cut the expected table into
+        // multisets that are its own.
+        let reference = oracle::ordered(g.iter_triples(), &parse_query(&text).expect("parses"));
+        let flat: Vec<(usize, &oracle::Solution)> = (reference.runs.iter().enumerate())
+            .flat_map(|(i, run)| run.iter().map(move |s| (i, s)))
+            .skip(reference.offset)
+            .take(reference.limit.unwrap_or(usize::MAX))
+            .collect();
+        assert_eq!(flat.len(), want.len(), "oracle: {name}");
+        let mut at = 0;
+        for run in flat.chunk_by(|a, b| a.0 == b.0) {
+            let solutions: Vec<oracle::Solution> = run.iter().map(|(_, s)| (*s).clone()).collect();
+            let mut chunk = want[at..at + run.len()].to_vec();
+            chunk.sort();
+            assert_eq!(cells(&solutions), chunk, "oracle: {name}");
+            at += run.len();
+        }
+        // The engine: row for row.
+        let t = query(&g, &text, &QueryOptions::default())
+            .unwrap_or_else(|e| panic!("{name}: {e}"))
+            .expect_solutions();
+        let got: Vec<oracle::Solution> = (t.rows.iter())
+            .map(|row| oracle::multiset(&t.vars, std::slice::from_ref(row)).remove(0))
+            .collect();
+        assert_eq!(rows_of(&got), want, "engine: {name}");
     }
 }

@@ -17,22 +17,35 @@
 //!
 //! The fragment: basic graph patterns (`a` included), the paths
 //! `/ | ^ + *`, `FILTER` with `= != < > <= >=` on numbers and terms,
-//! `&& || !`, `BOUND` and `[NOT] EXISTS`, `OPTIONAL`, `UNION`, `MINUS`,
-//! `BIND`, `VALUES`, projection, `DISTINCT`, and `COUNT([DISTINCT])`
-//! with `GROUP BY`. `ORDER BY` is ignored: the result is a multiset,
-//! which an order without `LIMIT` cannot change. Anything else panics,
-//! so a test cannot silently skip what the oracle does not know.
+//! `&& || !`, `BOUND`, `STR`, `+ - *` on numbers and `[NOT] EXISTS`,
+//! `OPTIONAL`, `UNION`, `MINUS`, `BIND`, `VALUES`, projection,
+//! `DISTINCT`, `COUNT([DISTINCT])` with `GROUP BY`, `ORDER BY` on those
+//! expressions, `OFFSET` and `LIMIT`. Anything else panics, so a test
+//! cannot silently skip what the oracle does not know.
+//!
+//! `ORDER BY` follows SPARQL 1.1 §15.1: unbound < blank node < IRI <
+//! literal, blank nodes by label and IRIs by text; among literals the
+//! numeric ones come first, by value (NaN after every other number), then
+//! the rest by lexical form; an expression error is unbound. The result of
+//! [`ordered`] is a sequence of runs, each run the solutions whose keys are
+//! equal: the order inside a run is the evaluator's business, so a run
+//! compares as a multiset, and a run that `OFFSET` / `LIMIT` cuts compares
+//! as a sub-multiset of the right size.
 //!
 //! One point follows the engine rather than the letter of SPARQL 1.1
 //! (which gives `/` and `|` bag semantics): a path other than a plain
 //! predicate relates each pair of nodes at most once.
 
+// Each test binary that includes this module uses part of it.
+#![allow(dead_code)]
+
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use feo_rdf::vocab::{rdf, xsd};
 use feo_rdf::{Iri, Literal, Term, Triple};
 use feo_sparql::ast::{
-    AggregateKind, Builtin, CompareOp, Expr, GroupCondition, GroupElement, GroupPattern,
+    AggregateKind, ArithOp, Builtin, CompareOp, Expr, GroupCondition, GroupElement, GroupPattern,
     LiteralPattern, Path, Projection, ProjectionItem, Query, QueryForm, TermPattern, TriplePattern,
 };
 
@@ -41,7 +54,17 @@ pub type Solution = BTreeMap<String, Term>;
 
 /// The solutions of the SELECT query `q` over `triples`, sorted: a
 /// multiset that compares equal to [`multiset`] of the engine's table.
+/// A query with `OFFSET` or `LIMIT` has no multiset; use [`ordered`].
 pub fn evaluate(triples: impl IntoIterator<Item = Triple>, q: &Query) -> Vec<Solution> {
+    if q.modifiers.offset.is_some() || q.modifiers.limit.is_some() {
+        outside(&q.modifiers);
+    }
+    ordered(triples, q).multiset()
+}
+
+/// The solutions of the SELECT query `q` over `triples`, in `ORDER BY`
+/// runs, with its `OFFSET` and `LIMIT`.
+pub fn ordered(triples: impl IntoIterator<Item = Triple>, q: &Query) -> Ordered {
     let mut oracle = Oracle::default();
     for t in triples {
         let s = oracle.id(&t.subject);
@@ -52,6 +75,102 @@ pub fn evaluate(triples: impl IntoIterator<Item = Triple>, q: &Query) -> Vec<Sol
     oracle.collect_group(&q.where_pattern);
     oracle.collect_query(q);
     oracle.select(q)
+}
+
+/// An ordered result before slicing: runs of solutions with equal
+/// `ORDER BY` keys (one run without `ORDER BY`), each sorted as a
+/// multiset, in key order.
+#[derive(Debug)]
+pub struct Ordered {
+    pub runs: Vec<Vec<Solution>>,
+    pub offset: usize,
+    pub limit: Option<usize>,
+}
+
+impl Ordered {
+    /// Every solution, sliced or not, as a sorted multiset.
+    pub fn multiset(&self) -> Vec<Solution> {
+        let mut out: Vec<Solution> = self.runs.concat();
+        out.sort();
+        out
+    }
+
+    /// Checks an engine table in row order: the rows `OFFSET` / `LIMIT`
+    /// keep, run by run, each run as a multiset (a cut run as a
+    /// sub-multiset of the size the slice leaves it).
+    pub fn check(&self, vars: &[String], rows: &[Vec<Option<Term>>]) -> Result<(), String> {
+        let total: usize = self.runs.iter().map(Vec::len).sum();
+        let start = self.offset.min(total);
+        let end = self.limit.map_or(total, |l| (start + l).min(total));
+        if rows.len() != end - start {
+            return Err(format!(
+                "{} rows where {} were due",
+                rows.len(),
+                end - start
+            ));
+        }
+        let (mut at, mut rest) = (0, rows);
+        for (i, run) in self.runs.iter().enumerate() {
+            let (lo, hi) = (at.max(start), (at + run.len()).min(end));
+            at += run.len();
+            if lo >= hi {
+                continue;
+            }
+            let (chunk, tail) = rest.split_at(hi - lo);
+            rest = tail;
+            // Both sorted: each row the engine kept takes its own match
+            // from the run, so a whole run must be the run itself.
+            let got = multiset(vars, chunk);
+            let mut want = run.iter();
+            if !got.iter().all(|s| want.any(|w| w == s)) {
+                return Err(format!("run {i}: {got:?} is not within {run:?}"));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// An `ORDER BY` key (see the module doc).
+#[derive(Debug)]
+enum Key {
+    Unbound,
+    Blank(String),
+    Iri(String),
+    Number(f64),
+    Text(String),
+}
+
+impl Key {
+    fn of(term: &Term) -> Key {
+        match term {
+            Term::BlankNode(b) => Key::Blank(b.as_str().to_string()),
+            Term::Iri(i) => Key::Iri(i.as_str().to_string()),
+            Term::Literal(l) => match l.as_double() {
+                Some(n) => Key::Number(n),
+                None => Key::Text(l.lexical_form().to_string()),
+            },
+        }
+    }
+
+    fn cmp(&self, other: &Key) -> Ordering {
+        let kind = |k: &Key| match k {
+            Key::Unbound => 0,
+            Key::Blank(_) => 1,
+            Key::Iri(_) => 2,
+            Key::Number(_) => 3,
+            Key::Text(_) => 4,
+        };
+        match (self, other) {
+            (Key::Blank(a), Key::Blank(b))
+            | (Key::Iri(a), Key::Iri(b))
+            | (Key::Text(a), Key::Text(b)) => a.cmp(b),
+            (Key::Number(a), Key::Number(b)) => match (a.is_nan(), b.is_nan()) {
+                (false, false) => a.partial_cmp(b).expect("neither is NaN"),
+                (nan_a, nan_b) => nan_a.cmp(&nan_b),
+            },
+            _ => kind(self).cmp(&kind(other)),
+        }
+    }
 }
 
 /// An engine table as a multiset of solutions: unbound cells dropped,
@@ -158,7 +277,7 @@ impl Oracle {
     fn collect_expr(&mut self, e: &Expr) {
         match e {
             Expr::Var(v) => self.add_var(v),
-            Expr::Or(a, b) | Expr::And(a, b) | Expr::Compare(_, a, b) => {
+            Expr::Or(a, b) | Expr::And(a, b) | Expr::Compare(_, a, b) | Expr::Arith(_, a, b) => {
                 self.collect_expr(a);
                 self.collect_expr(b);
             }
@@ -195,6 +314,9 @@ impl Oracle {
                 GroupCondition::Var(v) => self.add_var(v),
                 other => outside(other),
             }
+        }
+        for oc in &q.modifiers.order_by {
+            self.collect_expr(&oc.expr);
         }
     }
 
@@ -490,6 +612,22 @@ impl Oracle {
                 [Expr::Var(v)] => row[self.var(v)].is_some(),
                 other => outside(other),
             },
+            Expr::Call(Builtin::Str, args) => {
+                let [a] = args.as_slice() else { outside(args) };
+                let id = self.eval(a, row)?;
+                let text = match &self.terms[id as usize] {
+                    Term::Iri(i) => i.as_str().to_string(),
+                    Term::Literal(l) => l.lexical_form().to_string(),
+                    Term::BlankNode(_) => return None,
+                };
+                return Some(self.id(&Term::simple(text)));
+            }
+            Expr::Arith(op, a, b) => {
+                let (a, b) = (self.eval(a, row)?, self.eval(b, row)?);
+                let (a, b) = (&self.terms[a as usize], &self.terms[b as usize]);
+                let term = arith(*op, a.as_literal()?, b.as_literal()?)?;
+                return Some(self.id(&term));
+            }
             Expr::Exists(g, negated) => self.group(g, row.clone()).is_empty() == *negated,
             other => outside(other),
         };
@@ -498,7 +636,7 @@ impl Oracle {
 
     // ---- SELECT ---------------------------------------------------------
 
-    fn select(&mut self, q: &Query) -> Vec<Solution> {
+    fn select(&mut self, q: &Query) -> Ordered {
         let QueryForm::Select {
             distinct,
             reduced: false,
@@ -508,46 +646,90 @@ impl Oracle {
             outside(&q.form)
         };
         let m = &q.modifiers;
-        if !m.having.is_empty() || m.limit.is_some() || m.offset.is_some() {
+        if !m.having.is_empty() {
             outside(m);
         }
         let rows = self.group(&q.where_pattern, self.empty());
-        let items: &[ProjectionItem] = match projection {
-            Projection::All => &[],
-            Projection::Items(items) => items,
+        let names: Vec<usize> = match projection {
+            Projection::All => (0..self.vars.len())
+                .filter(|&i| !self.vars[i].starts_with("_:"))
+                .collect(),
+            Projection::Items(items) => items
+                .iter()
+                .map(|item| match item {
+                    ProjectionItem::Var(v) | ProjectionItem::Expr(Expr::Aggregate(_), v) => {
+                        self.var(v)
+                    }
+                    other => outside(other),
+                })
+                .collect(),
         };
         let aggregating = !m.group_by.is_empty()
-            || items
+            || matches!(projection, Projection::Items(items) if items
                 .iter()
-                .any(|i| matches!(i, ProjectionItem::Expr(Expr::Aggregate(_), _)));
-        let mut out: Vec<Solution> = if aggregating {
-            self.aggregate(q, items, rows)
-        } else {
-            rows.iter()
-                .map(|row| {
-                    let solution = self.solution(row);
-                    match projection {
-                        Projection::All => solution
-                            .into_iter()
-                            .filter(|(v, _)| !v.starts_with("_:"))
-                            .collect(),
-                        Projection::Items(items) => project(solution, items),
+                .any(|i| matches!(i, ProjectionItem::Expr(Expr::Aggregate(_), _))));
+        let rows = match projection {
+            Projection::Items(items) if aggregating => self.aggregate(q, items, rows),
+            _ => rows,
+        };
+        // Sort on the keys, then cut the rows into runs of equal keys.
+        let mut keyed: Vec<(Vec<Key>, Row)> = rows
+            .into_iter()
+            .map(|row| {
+                let keys = (m.order_by.iter())
+                    .map(|oc| match self.eval(&oc.expr, &row) {
+                        Some(id) => Key::of(&self.terms[id as usize]),
+                        None => Key::Unbound,
+                    })
+                    .collect();
+                (keys, row)
+            })
+            .collect();
+        let order = |a: &[Key], b: &[Key]| {
+            (a.iter().zip(b).zip(&m.order_by))
+                .map(|((x, y), oc)| {
+                    let o = x.cmp(y);
+                    if oc.descending {
+                        o.reverse()
+                    } else {
+                        o
                     }
                 })
-                .collect()
+                .find(|o| o.is_ne())
+                .unwrap_or(Ordering::Equal)
         };
-        if *distinct {
-            let unique: BTreeSet<Solution> = out.into_iter().collect();
-            out = unique.into_iter().collect();
+        keyed.sort_by(|(a, _), (b, _)| order(a, b));
+        let mut runs: Vec<Vec<Solution>> = Vec::new();
+        let mut seen: BTreeSet<Solution> = BTreeSet::new();
+        let mut i = 0;
+        while i < keyed.len() {
+            let n = (keyed[i..].iter())
+                .take_while(|(k, _)| order(k, &keyed[i].0).is_eq())
+                .count();
+            let mut run: Vec<Solution> = (keyed[i..i + n].iter())
+                .map(|(_, row)| self.solution(row, &names))
+                .collect();
+            if *distinct {
+                // A solution stays where it first occurs.
+                run.retain(|s| seen.insert(s.clone()));
+            }
+            run.sort();
+            if !run.is_empty() {
+                runs.push(run);
+            }
+            i += n;
         }
-        out.sort();
-        out
+        Ordered {
+            runs,
+            offset: m.offset.unwrap_or(0),
+            limit: m.limit,
+        }
     }
 
-    /// One solution per group of `rows` with equal `GROUP BY` values (one
+    /// One row per group of `rows` with equal `GROUP BY` values (one
     /// group in all when there is no `GROUP BY`), binding those values
     /// and each `COUNT`.
-    fn aggregate(&mut self, q: &Query, items: &[ProjectionItem], rows: Vec<Row>) -> Vec<Solution> {
+    fn aggregate(&mut self, q: &Query, items: &[ProjectionItem], rows: Vec<Row>) -> Vec<Row> {
         let keys: Vec<usize> = (q.modifiers.group_by.iter())
             .map(|gc| match gc {
                 GroupCondition::Var(v) => self.var(v),
@@ -564,11 +746,9 @@ impl Oracle {
         }
         let mut out = Vec::new();
         for (key, members) in groups {
-            let mut solution = Solution::new();
+            let mut row = self.empty();
             for (&k, value) in keys.iter().zip(&key) {
-                if let Some(id) = value {
-                    solution.insert(self.vars[k].clone(), self.terms[*id as usize].clone());
-                }
+                row[k] = *value;
             }
             for item in items {
                 let ProjectionItem::Expr(Expr::Aggregate(agg), alias) = item else {
@@ -588,34 +768,20 @@ impl Oracle {
                         }
                     }
                 };
-                solution.insert(alias.clone(), Term::integer(count as i64));
+                let slot = self.var(alias);
+                row[slot] = Some(self.id(&Term::integer(count as i64)));
             }
-            out.push(project(solution, items));
+            out.push(row);
         }
         out
     }
 
-    fn solution(&self, row: &Row) -> Solution {
-        (self.vars.iter().zip(row))
-            .filter_map(|(v, cell)| Some((v.clone(), self.terms[(*cell)? as usize].clone())))
+    /// `row` on the variables `names` (indexes) it binds.
+    fn solution(&self, row: &Row, names: &[usize]) -> Solution {
+        (names.iter())
+            .filter_map(|&i| Some((self.vars[i].clone(), self.terms[row[i]? as usize].clone())))
             .collect()
     }
-}
-
-/// `solution` restricted to the projected names.
-fn project(solution: Solution, items: &[ProjectionItem]) -> Solution {
-    let names: Vec<&str> = items
-        .iter()
-        .map(|item| match item {
-            ProjectionItem::Var(v) => v.as_str(),
-            ProjectionItem::Expr(Expr::Aggregate(_), v) => v.as_str(),
-            other => outside(other),
-        })
-        .collect();
-    solution
-        .into_iter()
-        .filter(|(v, _)| names.contains(&v.as_str()))
-        .collect()
 }
 
 /// Binds `id` at `pos`: true when the position is a constant or cell
@@ -706,4 +872,28 @@ fn compare(op: CompareOp, a: &Term, b: &Term) -> Option<bool> {
         CompareOp::Gt => order.is_gt(),
         CompareOp::Ge => order.is_ge(),
     })
+}
+
+/// `a op b` on numeric literals: integers stay integers (but for `/`),
+/// anything else is a double.
+fn arith(op: ArithOp, a: &Literal, b: &Literal) -> Option<Term> {
+    if let (Some(x), Some(y), false) = (a.as_integer(), b.as_integer(), op == ArithOp::Div) {
+        return Some(Term::integer(match op {
+            ArithOp::Add => x.checked_add(y)?,
+            ArithOp::Sub => x.checked_sub(y)?,
+            _ => x.checked_mul(y)?,
+        }));
+    }
+    let (x, y) = (a.as_double()?, b.as_double()?);
+    let v = match op {
+        ArithOp::Add => x + y,
+        ArithOp::Sub => x - y,
+        ArithOp::Mul => x * y,
+        ArithOp::Div if y == 0.0 => return None,
+        ArithOp::Div => x / y,
+    };
+    Some(Term::Literal(Literal::typed(
+        format!("{v:?}"),
+        Iri::new(xsd::DOUBLE),
+    )))
 }
