@@ -138,7 +138,7 @@ impl PlanCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use feo_rdf::Graph;
+    use feo_rdf::{Graph, GraphStore};
 
     fn graph() -> Graph {
         let mut g = Graph::new();

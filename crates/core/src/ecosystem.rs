@@ -183,6 +183,7 @@ mod tests {
     use super::*;
     use feo_foodkg::{curated, Season};
     use feo_rdf::vocab::rdf;
+    use feo_rdf::GraphView;
 
     fn scenario_b() -> (FoodKg, UserProfile, SystemContext) {
         let kg = curated();

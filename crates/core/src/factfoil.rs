@@ -17,7 +17,7 @@
 use feo_ontology::ns::{eo, feo};
 use feo_owl::Reasoner;
 use feo_rdf::vocab::rdf;
-use feo_rdf::{Graph, TermId};
+use feo_rdf::{Graph, GraphStore, GraphView, TermId};
 
 /// Where a characteristic lands in the Figure 3 matrix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -202,7 +202,7 @@ impl Population {
 mod tests {
     use super::*;
     use feo_foodkg::curated;
-    use feo_rdf::Graph;
+    use feo_rdf::{Graph, GraphView};
 
     #[test]
     fn records_reference_known_entities() {

@@ -4,7 +4,7 @@
 
 use feo_ontology::ns::{feo, food};
 use feo_rdf::vocab::rdf;
-use feo_rdf::{Graph, Term, TermId};
+use feo_rdf::{Graph, GraphView, Term, TermId};
 
 use crate::model::{Diet, FoodKg, Goal, Ingredient, Recipe, Season};
 

@@ -168,7 +168,7 @@ pub fn context_to_rdf(ctx: &SystemContext, g: &mut impl GraphStore) {
 mod tests {
     use super::*;
     use crate::data::curated;
-    use feo_rdf::Graph;
+    use feo_rdf::{Graph, GraphView};
 
     #[test]
     fn kg_emits_expected_triples() {

@@ -6,7 +6,7 @@
 
 use feo_rdf::term::{Literal, Term};
 use feo_rdf::vocab::{owl, rdf, rdfs};
-use feo_rdf::{Graph, TermId};
+use feo_rdf::{Graph, GraphStore, TermId};
 
 /// TBox builder over a graph.
 pub struct TBox<'g> {

@@ -23,6 +23,7 @@ pub fn tboxes_turtle() -> String {
 mod tests {
     use super::*;
     use feo_rdf::turtle::parse_turtle_into;
+    use feo_rdf::GraphView;
 
     #[test]
     fn turtle_export_round_trips() {

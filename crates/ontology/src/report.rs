@@ -7,7 +7,7 @@
 //!   transitivity, chains).
 
 use feo_rdf::vocab::{owl, rdf, rdfs};
-use feo_rdf::{Graph, TermId};
+use feo_rdf::{Graph, GraphView, TermId};
 
 use crate::ns::feo;
 

@@ -347,6 +347,7 @@ mod tests {
     use super::*;
     use feo_owl::{extract_axioms, Reasoner};
     use feo_rdf::vocab::rdf;
+    use feo_rdf::{GraphStore, GraphView};
 
     #[test]
     fn tboxes_load_without_extraction_warnings() {
@@ -563,6 +564,7 @@ mod tests {
 mod hardening_tests {
     use super::*;
     use feo_owl::{InconsistencyKind, Reasoner};
+    use feo_rdf::GraphStore;
 
     #[test]
     fn self_ingredient_is_inconsistent() {
@@ -597,6 +599,7 @@ mod hardening_tests {
 mod profile_hardening_tests {
     use super::*;
     use feo_owl::{InconsistencyKind, Reasoner};
+    use feo_rdf::GraphStore;
 
     #[test]
     fn liking_and_disliking_same_food_is_inconsistent() {

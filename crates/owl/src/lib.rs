@@ -18,7 +18,7 @@
 //! `eo:Fact` / `eo:Foil` machinery of the paper's Figure 3).
 //!
 //! ```
-//! use feo_rdf::Graph;
+//! use feo_rdf::{Graph, GraphView};
 //! use feo_rdf::turtle::parse_turtle_into;
 //! use feo_owl::Reasoner;
 //!

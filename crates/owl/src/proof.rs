@@ -95,7 +95,7 @@ mod tests {
     use crate::reasoner::{Reasoner, ReasonerOptions};
     use feo_rdf::turtle::parse_turtle_into;
     use feo_rdf::vocab::{rdf, rdfs};
-    use feo_rdf::Graph;
+    use feo_rdf::{Graph, GraphStore};
 
     fn tracked() -> Reasoner {
         Reasoner::with_options(ReasonerOptions {

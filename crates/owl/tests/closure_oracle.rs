@@ -11,7 +11,7 @@ use std::collections::BTreeSet;
 use feo_owl::Reasoner;
 use feo_rdf::turtle::parse_turtle_into;
 use feo_rdf::vocab::{owl, rdf, rdfs};
-use feo_rdf::Graph;
+use feo_rdf::{Graph, GraphView};
 use proptest::prelude::*;
 
 const N_CLASSES: u8 = 6;

@@ -12,7 +12,7 @@ use std::collections::BTreeSet;
 
 use feo_owl::{extract_axioms, Axiom, ClassExpr, InconsistencyKind};
 use feo_rdf::vocab::{owl, rdf, rdfs};
-use feo_rdf::{Graph, GraphView, TermId};
+use feo_rdf::{Graph, GraphStore, GraphView, TermId};
 
 /// A term, as its dictionary index.
 type Id = u32;

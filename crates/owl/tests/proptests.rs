@@ -6,7 +6,7 @@ use std::collections::{BTreeSet, HashMap};
 
 use feo_owl::Reasoner;
 use feo_rdf::vocab::{owl, rdf, rdfs};
-use feo_rdf::Graph;
+use feo_rdf::{Graph, GraphStore, GraphView};
 use proptest::prelude::*;
 
 const N_CLASSES: u8 = 8;

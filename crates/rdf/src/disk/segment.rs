@@ -44,6 +44,7 @@ use super::codec;
 use super::mmap::{map_file, MapData};
 use super::{fnv_bytes, StoreError, FNV_OFFSET, FORMAT_VERSION};
 use crate::graph::IdTriple;
+use crate::index::{match_runs, Rotation};
 use crate::intern::TermId;
 use crate::stats::{GraphStats, PredicateStats};
 use crate::term::Term;
@@ -233,12 +234,13 @@ pub fn write_segment<V: GraphView + ?Sized>(
     }
     drop((offsets, dict_blob, perm));
 
-    // The three sorted runs out of one buffer, rotated in place:
-    // [s, p, o] → [p, o, s] → [o, s, p].
+    // The three sorted runs, one per `Rotation`, out of one buffer
+    // re-keyed in place: `Rotation::Pos` turns every key one step left,
+    // [s, p, o] → [p, o, s], and a second pass → [o, s, p].
     w.put_run(&run)?;
-    for _ in 0..2 {
+    for _ in 1..Rotation::ALL.len() {
         for t in &mut run {
-            t.rotate_left(1);
+            *t = Rotation::Pos.apply(*t);
         }
         run.sort_unstable();
         w.put_run(&run)?;
@@ -272,10 +274,8 @@ pub struct Segment {
     triple_count: usize,
     dict_offsets: usize, // byte offset of the offset table
     dict_blob: Range<usize>,
-    perm: usize, // byte offset of the permutation
-    spo: usize,  // byte offsets of the three runs
-    pos: usize,
-    osp: usize,
+    perm: usize,      // byte offset of the permutation
+    runs: [usize; 3], // byte offsets of the runs, one per `Rotation`
     stats: GraphStats,
     base_inferred: u64,
     /// Lazily-decoded term cache, one slot per dictionary entry.
@@ -474,9 +474,7 @@ impl Segment {
             dict_offsets,
             dict_blob: blob_start..blob_start + blob_len,
             perm,
-            spo,
-            pos,
-            osp,
+            runs: [spo, pos, osp],
             stats,
             base_inferred,
             terms,
@@ -522,48 +520,15 @@ impl Segment {
         ]
     }
 
-    /// Index of the first triple in `run` that is `>= key`.
-    fn lower_bound(&self, run: usize, key: [u32; 3]) -> usize {
-        let (mut lo, mut hi) = (0usize, self.triple_count);
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if self.tri_at(run, mid) < key {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
-    }
-
-    /// The `[a, b, *]` / `[a, *, *]` / `[*, *, *]` prefix range of a
-    /// run — the mmap dual of the ledger's sorted-slice `scan2`.
-    fn scan(&self, run: usize, a: Option<u32>, b: Option<u32>) -> Range<usize> {
-        let (lo, hi) = match (a, b) {
-            (Some(a), Some(b)) => ([a, b, 0], [a, b, u32::MAX]),
-            (Some(a), None) => ([a, 0, 0], [a, u32::MAX, u32::MAX]),
-            (None, _) => return 0..self.triple_count,
-        };
-        let start = self.lower_bound(run, lo);
-        let mut end = start;
-        while end < self.triple_count && self.tri_at(run, end) <= hi {
-            end += 1;
-        }
-        start..end
-    }
-
-    fn collect(
+    /// The triples matching `s p o`, read off the mapped runs in place.
+    fn matches(
         &self,
-        run: usize,
-        range: Range<usize>,
-        map: fn([u32; 3]) -> [u32; 3],
-    ) -> Vec<IdTriple> {
-        range
-            .map(|i| {
-                let [a, b, c] = map(self.tri_at(run, i));
-                [TermId(a), TermId(b), TermId(c)]
-            })
-            .collect()
+        s: Option<TermId>,
+        p: Option<TermId>,
+        o: Option<TermId>,
+    ) -> impl Iterator<Item = IdTriple> + '_ {
+        let at = |r: Rotation, i| self.tri_at(self.runs[r as usize], i);
+        match_runs(self.triple_count, at, s, p, o)
     }
 }
 
@@ -605,9 +570,7 @@ impl GraphView for Segment {
     }
 
     fn contains_ids(&self, s: TermId, p: TermId, o: TermId) -> bool {
-        let key = [s.0, p.0, o.0];
-        let at = self.lower_bound(self.spo, key);
-        at < self.triple_count && self.tri_at(self.spo, at) == key
+        self.matches(Some(s), Some(p), Some(o)).next().is_some()
     }
 
     fn match_pattern(
@@ -616,33 +579,7 @@ impl GraphView for Segment {
         p: Option<TermId>,
         o: Option<TermId>,
     ) -> Vec<IdTriple> {
-        let id = |x: TermId| x.0;
-        match (s.map(id), p.map(id), o.map(id)) {
-            (Some(s), Some(p), Some(o)) => {
-                if self.contains_ids(TermId(s), TermId(p), TermId(o)) {
-                    vec![[TermId(s), TermId(p), TermId(o)]]
-                } else {
-                    Vec::new()
-                }
-            }
-            (Some(s), p, None) => {
-                let r = self.scan(self.spo, Some(s), p);
-                self.collect(self.spo, r, |t| t)
-            }
-            (None, Some(p), o) => {
-                let r = self.scan(self.pos, Some(p), o);
-                self.collect(self.pos, r, |[p, o, s]| [s, p, o])
-            }
-            (Some(s), None, Some(o)) => {
-                let r = self.scan(self.osp, Some(o), Some(s));
-                self.collect(self.osp, r, |[o, s, p]| [s, p, o])
-            }
-            (None, None, Some(o)) => {
-                let r = self.scan(self.osp, Some(o), None);
-                self.collect(self.osp, r, |[o, s, p]| [s, p, o])
-            }
-            (None, None, None) => self.collect(self.spo, 0..self.triple_count, |t| t),
-        }
+        self.matches(s, p, o).collect()
     }
 
     fn maintained_stats(&self) -> Option<&GraphStats> {
@@ -650,10 +587,9 @@ impl GraphView for Segment {
     }
 
     fn iter_ids(&self) -> Box<dyn Iterator<Item = IdTriple> + '_> {
-        Box::new((0..self.triple_count).map(move |i| {
-            let [s, p, o] = self.tri_at(self.spo, i);
-            [TermId(s), TermId(p), TermId(o)]
-        }))
+        Box::new(
+            (0..self.triple_count).map(move |i| Rotation::Spo.triple(self.tri_at(self.runs[0], i))),
+        )
     }
 }
 
@@ -661,6 +597,7 @@ impl GraphView for Segment {
 mod tests {
     use super::*;
     use crate::graph::Graph;
+    use crate::view::GraphStore;
     use crate::vocab::rdf;
 
     fn sample() -> Graph {

@@ -13,6 +13,7 @@
 //! old pair, or the new one). Stale pairs are deleted best-effort
 //! afterwards.
 
+use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -178,9 +179,17 @@ impl DiskStore {
         }
         // Each record's triples may only reference the dictionary as it
         // stood when that record was committed: segment terms plus all
-        // earlier spills plus its own.
+        // earlier spills plus its own. A spill holds each term once (a
+        // layer's dictionary is an `Interner`), so a repeated term would
+        // shift every later id.
         let mut term_limit = segment.term_count();
         for (k, rec) in replay.records.iter().enumerate() {
+            let mut seen = HashSet::with_capacity(rec.terms.len());
+            if !rec.terms.iter().all(|t| seen.insert(t)) {
+                return Err(StoreError::Corrupt {
+                    what: format!("wal record {k}: repeated spill term"),
+                });
+            }
             let limit = term_limit + rec.terms.len();
             if rec.triples.iter().flatten().any(|&id| id as usize >= limit) {
                 return Err(StoreError::Corrupt {
@@ -233,6 +242,7 @@ mod tests {
     use super::*;
     use crate::graph::Graph;
     use crate::term::Term;
+    use crate::view::GraphStore;
 
     fn sample() -> Graph {
         let mut g = Graph::new();

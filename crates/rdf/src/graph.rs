@@ -1,17 +1,21 @@
 //! An in-memory indexed triple store.
 //!
-//! Triples are stored as interned-id triples in three B-tree orderings
-//! (SPO, POS, OSP) so that every triple pattern with at least one bound
-//! position resolves to a contiguous range scan. This mirrors the classic
-//! Hexastore layout trimmed to the three orders sufficient for the access
-//! paths our SPARQL evaluator and reasoner use.
+//! Triples are stored as interned-id triples in the crate's one B-tree
+//! index: three orderings (SPO, POS, OSP) so that every triple pattern
+//! with at least one bound position resolves to a contiguous range scan
+//! ([`access_path`](crate::access_path)). This
+//! mirrors the classic Hexastore layout trimmed to the three orders
+//! sufficient for the access paths our SPARQL evaluator and reasoner use.
+//! The read and write surface beyond ids (term-level triples, lists,
+//! convenience lookups) comes from [`GraphView`] and [`GraphStore`].
 
-use std::collections::BTreeSet;
+use std::borrow::Cow;
 
+use crate::index::TripleIndex;
 use crate::intern::{Interner, TermId};
 use crate::stats::GraphStats;
-use crate::term::{Iri, Term, Triple};
-use crate::vocab::rdf;
+use crate::term::{Term, Triple};
+use crate::view::{GraphStore, GraphView};
 
 /// An interned triple: `[subject, predicate, object]` ids.
 pub type IdTriple = [TermId; 3];
@@ -20,11 +24,8 @@ pub type IdTriple = [TermId; 3];
 #[derive(Debug, Default, Clone)]
 pub struct Graph {
     dict: Interner,
-    spo: BTreeSet<[u32; 3]>,
-    pos: BTreeSet<[u32; 3]>,
-    osp: BTreeSet<[u32; 3]>,
+    index: TripleIndex,
     next_bnode: u64,
-    stats: GraphStats,
 }
 
 impl Graph {
@@ -34,11 +35,11 @@ impl Graph {
 
     /// Number of triples.
     pub fn len(&self) -> usize {
-        self.spo.len()
+        self.index.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.spo.is_empty()
+        self.index.is_empty()
     }
 
     /// Number of distinct terms in the dictionary.
@@ -48,34 +49,14 @@ impl Graph {
 
     /// Incrementally-maintained statistics (see [`GraphStats`]).
     pub fn stats(&self) -> &GraphStats {
-        &self.stats
+        self.index.stats()
     }
 
     // ---- dictionary access ----------------------------------------------
 
     /// Interns a term into this graph's dictionary.
     pub fn intern(&mut self, term: &Term) -> TermId {
-        let before = self.dict.len();
-        let id = self.dict.intern(term);
-        if self.dict.len() > before {
-            self.stats.note_new_term(id, term);
-        }
-        id
-    }
-
-    /// Interns an owned term without cloning when it is new.
-    fn intern_owned(&mut self, term: Term) -> TermId {
-        let before = self.dict.len();
-        let id = self.dict.intern_owned(term);
-        if self.dict.len() > before {
-            self.stats.note_new_term(id, self.dict.term(id));
-        }
-        id
-    }
-
-    /// Interns an IRI string.
-    pub fn intern_iri(&mut self, iri: &str) -> TermId {
-        self.intern_owned(Term::iri(iri))
+        self.index.intern(&mut self.dict, Cow::Borrowed(term))
     }
 
     /// Looks up a term without interning it.
@@ -83,24 +64,9 @@ impl Graph {
         self.dict.lookup(term)
     }
 
-    /// Looks up an IRI string without interning it.
-    pub fn lookup_iri(&self, iri: &str) -> Option<TermId> {
-        self.dict.lookup(&Term::iri(iri))
-    }
-
     /// Resolves an id back to its term.
     pub fn term(&self, id: TermId) -> &Term {
         self.dict.term(id)
-    }
-
-    /// Pretty form of a term for messages: local name for IRIs, lexical
-    /// form for literals, `_:label` for blank nodes.
-    pub fn term_name(&self, id: TermId) -> String {
-        match self.term(id) {
-            Term::Iri(i) => i.local_name().to_string(),
-            Term::BlankNode(b) => format!("_:{}", b.as_str()),
-            Term::Literal(l) => l.lexical_form().to_string(),
-        }
     }
 
     /// Iterates all `(id, term)` pairs of the dictionary in id order.
@@ -126,73 +92,12 @@ impl Graph {
 
     /// Inserts an interned triple. Returns true when newly added.
     pub fn insert_ids(&mut self, s: TermId, p: TermId, o: TermId) -> bool {
-        if !self.spo.insert([s.0, p.0, o.0]) {
-            return false;
-        }
-        // First-seen flags for the stats, read off the indexes before
-        // the secondary inserts: (s,p) pair is new iff the SPO range for
-        // it holds only the triple just added; likewise (p,o) in POS.
-        let new_sp = self
-            .spo
-            .range([s.0, p.0, 0]..=[s.0, p.0, u32::MAX])
-            .nth(1)
-            .is_none();
-        let new_po = self
-            .pos
-            .range([p.0, o.0, 0]..=[p.0, o.0, u32::MAX])
-            .next()
-            .is_none();
-        self.pos.insert([p.0, o.0, s.0]);
-        self.osp.insert([o.0, s.0, p.0]);
-        self.stats.record_insert(s, p, o, new_sp, new_po);
-        true
-    }
-
-    /// Interns the terms of `triple` and inserts it.
-    pub fn insert(&mut self, triple: &Triple) -> bool {
-        let s = self.intern(&triple.subject);
-        let p = self.intern(&triple.predicate);
-        let o = self.intern(&triple.object);
-        self.insert_ids(s, p, o)
-    }
-
-    /// Convenience: insert three terms.
-    pub fn insert_terms(
-        &mut self,
-        s: impl Into<Term>,
-        p: impl Into<Term>,
-        o: impl Into<Term>,
-    ) -> bool {
-        let s = self.intern_owned(s.into());
-        let p = self.intern_owned(p.into());
-        let o = self.intern_owned(o.into());
-        self.insert_ids(s, p, o)
-    }
-
-    /// Convenience: insert a triple of IRI strings.
-    pub fn insert_iris(&mut self, s: &str, p: &str, o: &str) -> bool {
-        self.insert_terms(Iri::new(s), Iri::new(p), Iri::new(o))
+        self.index.insert([s, p, o])
     }
 
     /// Removes an interned triple. Returns true when it was present.
     pub fn remove_ids(&mut self, s: TermId, p: TermId, o: TermId) -> bool {
-        let removed = self.spo.remove(&[s.0, p.0, o.0]);
-        if removed {
-            self.pos.remove(&[p.0, o.0, s.0]);
-            self.osp.remove(&[o.0, s.0, p.0]);
-            let last_sp = self
-                .spo
-                .range([s.0, p.0, 0]..=[s.0, p.0, u32::MAX])
-                .next()
-                .is_none();
-            let last_po = self
-                .pos
-                .range([p.0, o.0, 0]..=[p.0, o.0, u32::MAX])
-                .next()
-                .is_none();
-            self.stats.record_remove(s, p, o, last_sp, last_po);
-        }
-        removed
+        self.index.remove([s, p, o])
     }
 
     /// Removes a term-level triple if present.
@@ -207,31 +112,11 @@ impl Graph {
         }
     }
 
-    /// Copies every triple of `other` into `self` (dictionaries may differ;
-    /// terms are re-interned).
-    pub fn extend_from(&mut self, other: &Graph) {
-        for t in other.iter_triples() {
-            self.insert(&t);
-        }
-    }
-
     // ---- queries ---------------------------------------------------------
 
     /// Does the graph contain this interned triple?
     pub fn contains_ids(&self, s: TermId, p: TermId, o: TermId) -> bool {
-        self.spo.contains(&[s.0, p.0, o.0])
-    }
-
-    /// Does the graph contain this term-level triple?
-    pub fn contains(&self, triple: &Triple) -> bool {
-        match (
-            self.dict.lookup(&triple.subject),
-            self.dict.lookup(&triple.predicate),
-            self.dict.lookup(&triple.object),
-        ) {
-            (Some(s), Some(p), Some(o)) => self.contains_ids(s, p, o),
-            _ => false,
-        }
+        self.index.contains([s, p, o])
     }
 
     /// All triples matching a pattern of optionally-bound positions, as
@@ -242,140 +127,66 @@ impl Graph {
         p: Option<TermId>,
         o: Option<TermId>,
     ) -> Vec<IdTriple> {
-        fn range3<'a>(
-            set: &'a BTreeSet<[u32; 3]>,
-            a: Option<u32>,
-            b: Option<u32>,
-        ) -> impl Iterator<Item = &'a [u32; 3]> + 'a {
-            let (lo, hi) = match (a, b) {
-                (Some(a), Some(b)) => ([a, b, 0], [a, b, u32::MAX]),
-                (Some(a), None) => ([a, 0, 0], [a, u32::MAX, u32::MAX]),
-                (None, _) => ([0, 0, 0], [u32::MAX, u32::MAX, u32::MAX]),
-            };
-            set.range(lo..=hi)
-        }
-
-        let id = |x: TermId| x.0;
-        match (s.map(id), p.map(id), o.map(id)) {
-            (Some(s), Some(p), Some(o)) => {
-                if self.spo.contains(&[s, p, o]) {
-                    vec![[TermId(s), TermId(p), TermId(o)]]
-                } else {
-                    Vec::new()
-                }
-            }
-            (Some(s), p, None) => range3(&self.spo, Some(s), p)
-                .map(|&[s, p, o]| [TermId(s), TermId(p), TermId(o)])
-                .collect(),
-            (None, Some(p), o) => range3(&self.pos, Some(p), o)
-                .map(|&[p, o, s]| [TermId(s), TermId(p), TermId(o)])
-                .collect(),
-            (Some(s), None, Some(o)) => range3(&self.osp, Some(o), Some(s))
-                .map(|&[o, s, p]| [TermId(s), TermId(p), TermId(o)])
-                .collect(),
-            (None, None, Some(o)) => range3(&self.osp, Some(o), None)
-                .map(|&[o, s, p]| [TermId(s), TermId(p), TermId(o)])
-                .collect(),
-            (None, None, None) => self
-                .spo
-                .iter()
-                .map(|&[s, p, o]| [TermId(s), TermId(p), TermId(o)])
-                .collect(),
-        }
-    }
-
-    /// Objects of all `s p ?o` triples.
-    pub fn objects(&self, s: TermId, p: TermId) -> Vec<TermId> {
-        self.match_pattern(Some(s), Some(p), None)
-            .into_iter()
-            .map(|t| t[2])
-            .collect()
-    }
-
-    /// The first object of `s p ?o`, if any (deterministic: lowest id).
-    pub fn object(&self, s: TermId, p: TermId) -> Option<TermId> {
-        self.match_pattern(Some(s), Some(p), None)
-            .first()
-            .map(|t| t[2])
-    }
-
-    /// Subjects of all `?s p o` triples.
-    pub fn subjects(&self, p: TermId, o: TermId) -> Vec<TermId> {
-        self.match_pattern(None, Some(p), Some(o))
-            .into_iter()
-            .map(|t| t[0])
-            .collect()
-    }
-
-    /// All subjects with `rdf:type` `class_id`.
-    pub fn instances_of(&self, class_id: TermId) -> Vec<TermId> {
-        match self.lookup_iri(rdf::TYPE) {
-            Some(ty) => self.subjects(ty, class_id),
-            None => Vec::new(),
-        }
+        let mut out = Vec::new();
+        self.index.matches_into(&mut out, s, p, o);
+        out
     }
 
     /// Iterates all triples as interned ids in SPO order.
     pub fn iter_ids(&self) -> impl Iterator<Item = IdTriple> + '_ {
-        self.spo
-            .iter()
-            .map(|&[s, p, o]| [TermId(s), TermId(p), TermId(o)])
-    }
-
-    /// Iterates all triples as term-level [`Triple`]s (clones terms).
-    pub fn iter_triples(&self) -> impl Iterator<Item = Triple> + '_ {
-        self.iter_ids().map(move |[s, p, o]| Triple {
-            subject: self.term(s).clone(),
-            predicate: self.term(p).clone(),
-            object: self.term(o).clone(),
-        })
-    }
-
-    /// Reads an RDF collection (`rdf:first`/`rdf:rest` list) rooted at
-    /// `head`, returning its members in order. Returns `None` when the node
-    /// is not a well-formed list.
-    pub fn read_list(&self, head: TermId) -> Option<Vec<TermId>> {
-        let first = self.lookup_iri(rdf::FIRST)?;
-        let rest = self.lookup_iri(rdf::REST)?;
-        let nil = self.lookup_iri(rdf::NIL)?;
-        let mut members = Vec::new();
-        let mut node = head;
-        let mut steps = 0usize;
-        while node != nil {
-            members.push(self.object(node, first)?);
-            node = self.object(node, rest)?;
-            steps += 1;
-            if steps > self.len() + 1 {
-                return None; // cyclic list
-            }
-        }
-        Some(members)
-    }
-
-    /// Writes `items` as an RDF collection, returning the head node
-    /// (`rdf:nil` for an empty list).
-    pub fn write_list(&mut self, items: &[TermId]) -> TermId {
-        let first = self.intern_iri(rdf::FIRST);
-        let rest = self.intern_iri(rdf::REST);
-        let nil = self.intern_iri(rdf::NIL);
-        let mut head = nil;
-        for &item in items.iter().rev() {
-            let node = self.fresh_bnode();
-            self.insert_ids(node, first, item);
-            self.insert_ids(node, rest, head);
-            head = node;
-        }
-        head
+        self.index.iter()
     }
 
     /// Checks the three indexes agree; used by tests and debug assertions.
     pub fn check_index_coherence(&self) -> bool {
-        if self.spo.len() != self.pos.len() || self.spo.len() != self.osp.len() {
-            return false;
-        }
-        self.spo
-            .iter()
-            .all(|&[s, p, o]| self.pos.contains(&[p, o, s]) && self.osp.contains(&[o, s, p]))
+        self.index.is_coherent()
+    }
+}
+
+impl GraphView for Graph {
+    fn len(&self) -> usize {
+        Graph::len(self)
+    }
+    fn term_count(&self) -> usize {
+        Graph::term_count(self)
+    }
+    fn lookup(&self, term: &Term) -> Option<TermId> {
+        Graph::lookup(self, term)
+    }
+    fn term(&self, id: TermId) -> &Term {
+        Graph::term(self, id)
+    }
+    fn contains_ids(&self, s: TermId, p: TermId, o: TermId) -> bool {
+        Graph::contains_ids(self, s, p, o)
+    }
+    fn match_pattern(
+        &self,
+        s: Option<TermId>,
+        p: Option<TermId>,
+        o: Option<TermId>,
+    ) -> Vec<IdTriple> {
+        Graph::match_pattern(self, s, p, o)
+    }
+    fn maintained_stats(&self) -> Option<&GraphStats> {
+        Some(Graph::stats(self))
+    }
+    fn iter_ids(&self) -> Box<dyn Iterator<Item = IdTriple> + '_> {
+        Box::new(Graph::iter_ids(self))
+    }
+}
+
+impl GraphStore for Graph {
+    fn intern(&mut self, term: &Term) -> TermId {
+        Graph::intern(self, term)
+    }
+    fn intern_owned(&mut self, term: Term) -> TermId {
+        self.index.intern(&mut self.dict, Cow::Owned(term))
+    }
+    fn fresh_bnode(&mut self) -> TermId {
+        Graph::fresh_bnode(self)
+    }
+    fn insert_ids(&mut self, s: TermId, p: TermId, o: TermId) -> bool {
+        Graph::insert_ids(self, s, p, o)
     }
 }
 
@@ -383,6 +194,7 @@ impl Graph {
 mod tests {
     use super::*;
     use crate::term::Term;
+    use crate::vocab::rdf;
 
     fn g3() -> Graph {
         let mut g = Graph::new();
@@ -468,18 +280,6 @@ mod tests {
         let b1 = g.fresh_bnode();
         let b2 = g.fresh_bnode();
         assert_ne!(b1, b2);
-    }
-
-    #[test]
-    fn extend_from_reinterns() {
-        let mut g1 = g3();
-        let g2 = g3();
-        g1.extend_from(&g2);
-        assert_eq!(g1.len(), 3); // identical triples deduplicate
-        let mut g4 = Graph::new();
-        g4.insert_iris("http://e/x", "http://e/p", "http://e/y");
-        g1.extend_from(&g4);
-        assert_eq!(g1.len(), 4);
     }
 
     #[test]

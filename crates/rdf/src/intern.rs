@@ -21,9 +21,13 @@ impl TermId {
     }
 }
 
-/// A bidirectional Term ↔ TermId dictionary.
+/// A bidirectional Term ↔ TermId dictionary. Ids are dense from a
+/// first id: 0 for a graph's own dictionary, the term count of what
+/// lies beneath for a dictionary layered over another (an overlay's
+/// spill, a committed layer's terms).
 #[derive(Debug, Default, Clone)]
 pub struct Interner {
+    first: usize,
     terms: Vec<Term>,
     ids: HashMap<Term, TermId>,
 }
@@ -33,15 +37,20 @@ impl Interner {
         Interner::default()
     }
 
+    /// An empty dictionary whose first id is `first`.
+    pub(crate) fn starting_at(first: usize) -> Self {
+        Interner {
+            first,
+            ..Interner::default()
+        }
+    }
+
     /// Interns a term, returning its id. Idempotent.
     pub fn intern(&mut self, term: &Term) -> TermId {
-        if let Some(&id) = self.ids.get(term) {
-            return id;
+        match self.ids.get(term) {
+            Some(&id) => id,
+            None => self.intern_owned(term.clone()),
         }
-        let id = TermId(u32::try_from(self.terms.len()).expect("interner overflow: >4G terms"));
-        self.terms.push(term.clone());
-        self.ids.insert(term.clone(), id);
-        id
     }
 
     /// Interns an owned term without cloning when it is new.
@@ -49,7 +58,8 @@ impl Interner {
         if let Some(&id) = self.ids.get(&term) {
             return id;
         }
-        let id = TermId(u32::try_from(self.terms.len()).expect("interner overflow: >4G terms"));
+        let raw = self.first + self.terms.len();
+        let id = TermId(u32::try_from(raw).expect("interner overflow: >4G terms"));
         self.terms.push(term.clone());
         self.ids.insert(term, id);
         id
@@ -65,7 +75,12 @@ impl Interner {
     /// # Panics
     /// Panics if `id` did not come from this interner.
     pub fn term(&self, id: TermId) -> &Term {
-        &self.terms[id.0 as usize]
+        &self.terms[id.index() - self.first]
+    }
+
+    /// The first id this dictionary hands out.
+    pub(crate) fn first(&self) -> usize {
+        self.first
     }
 
     /// Number of distinct interned terms.
@@ -77,12 +92,22 @@ impl Interner {
         self.terms.is_empty()
     }
 
+    /// The interned terms in id order: term `i` has id `first() + i`.
+    pub(crate) fn terms(&self) -> &[Term] {
+        &self.terms
+    }
+
+    /// The interned terms in id order, consuming the dictionary.
+    pub(crate) fn into_terms(self) -> Vec<Term> {
+        self.terms
+    }
+
     /// Iterates over all (id, term) pairs in id order.
     pub fn iter(&self) -> impl Iterator<Item = (TermId, &Term)> {
         self.terms
             .iter()
             .enumerate()
-            .map(|(i, t)| (TermId(i as u32), t))
+            .map(|(i, t)| (TermId((self.first + i) as u32), t))
     }
 }
 
@@ -118,6 +143,16 @@ mod tests {
         let plain = d.intern(&Term::simple("42"));
         let typed = d.intern(&Term::integer(42));
         assert_ne!(plain, typed);
+    }
+
+    #[test]
+    fn a_layered_dictionary_starts_at_its_first_id() {
+        let mut d = Interner::starting_at(7);
+        let a = d.intern(&Term::iri("http://e/a"));
+        assert_eq!(a.index(), 7);
+        assert_eq!(d.term(a), &Term::iri("http://e/a"));
+        assert_eq!(d.iter().map(|(id, _)| id).collect::<Vec<_>>(), vec![a]);
+        assert_eq!(d.len(), 1);
     }
 
     #[test]

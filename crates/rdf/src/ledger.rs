@@ -19,12 +19,13 @@
 //! private chain of layers. A branch view shares the base and the
 //! forked prefix by reference — forking copies nothing.
 
-use std::collections::HashMap;
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use crate::disk::Segment;
 use crate::graph::{Graph, IdTriple};
-use crate::intern::TermId;
+use crate::index::{match_runs, Rotation, TripleIndex};
+use crate::intern::{Interner, TermId};
 use crate::stats::{GraphStats, PredicateStats};
 use crate::term::{Term, Triple};
 use crate::view::GraphView;
@@ -71,112 +72,80 @@ fn fnv_term(h: u64, term: &Term) -> u64 {
     fnv_bytes(h, format!("{term:?}").as_bytes())
 }
 
-// ---- sorted-slice range scans ----------------------------------------
-
-/// Matches `[a, b, *]` / `[a, *, *]` / `[*, *, *]` prefixes of a sorted
-/// permuted index, the slice dual of `Overlay`'s BTree range scans.
-fn scan2(sorted: &[[u32; 3]], a: Option<u32>, b: Option<u32>) -> &[[u32; 3]] {
-    let (lo, hi) = match (a, b) {
-        (Some(a), Some(b)) => ([a, b, 0], [a, b, u32::MAX]),
-        (Some(a), None) => ([a, 0, 0], [a, u32::MAX, u32::MAX]),
-        (None, _) => return sorted,
-    };
-    let start = sorted.partition_point(|t| *t < lo);
-    let end = sorted.partition_point(|t| *t <= hi);
-    &sorted[start..end]
-}
-
 // ---- Layer -----------------------------------------------------------
 
 /// One committed, immutable delta: the intern spill and triples a
 /// session added, with their statistics and a chained content hash.
 #[derive(Debug)]
 pub struct Layer {
-    /// First spill id — the total term count of this layer's prefix.
-    term_base: u32,
-    /// Spill dictionary: term `i` holds id `term_base + i`.
-    terms: Vec<Term>,
-    term_ids: HashMap<Term, TermId>,
-    /// Delta triples in three sorted permutations (`[s,p,o]`,
-    /// `[p,o,s]`, `[o,s,p]`), mirroring `Graph`'s indexes.
-    spo: Vec<[u32; 3]>,
-    pos: Vec<[u32; 3]>,
-    osp: Vec<[u32; 3]>,
+    /// Spill dictionary, from id `term_base` (the total term count of
+    /// this layer's prefix) up.
+    dict: Interner,
+    /// Delta triples in three sorted runs, one per [`Rotation`], as
+    /// `Graph` indexes them.
+    runs: [Vec<[u32; 3]>; 3],
     /// Counters over this delta only; views sum them across the stack.
     stats: GraphStats,
     /// FNV-1a over the parent epoch's hash, the spill, and the triples.
     hash: u64,
 }
 
+/// FNV-1a over a layer's parent hash, term base, spill and SPO run.
+fn layer_hash(parent: u64, dict: &Interner, spo: &[[u32; 3]]) -> u64 {
+    let mut hash = fnv_u64(parent, dict.first() as u64);
+    for t in dict.terms() {
+        hash = fnv_term(hash, t);
+    }
+    for &[s, p, o] in spo {
+        hash = fnv_triple(hash, [TermId(s), TermId(p), TermId(o)]);
+    }
+    hash
+}
+
 impl Layer {
     /// Freezes a session delta into a layer. `terms` and `delta` follow
     /// the `Overlay::into_delta` contract: spill term `i` has id
-    /// `term_base + i`, and `delta` is in SPO order.
+    /// `term_base + i`, so no term repeats (`DiskStore::open` rejects a
+    /// WAL record that repeats one). The delta is indexed as live inserts index it,
+    /// so its statistics are exactly what an overlay kept for it.
     fn new(
-        term_base: u32,
+        term_base: usize,
         parent_hash: u64,
         rdf_type: Option<TermId>,
         terms: Vec<Term>,
         delta: Vec<IdTriple>,
     ) -> Layer {
-        let mut term_ids = HashMap::with_capacity(terms.len());
-        let mut stats = GraphStats::new();
-        stats.set_rdf_type_id(rdf_type);
-        for (i, t) in terms.iter().enumerate() {
-            let id = TermId(term_base + i as u32);
-            term_ids.insert(t.clone(), id);
-            stats.note_new_term(id, t);
+        let mut dict = Interner::starting_at(term_base);
+        let mut index = TripleIndex::new(rdf_type);
+        let spilled = terms.len();
+        for t in terms {
+            index.intern(&mut dict, Cow::Owned(t));
         }
-
-        let mut spo: Vec<[u32; 3]> = delta.iter().map(|&[s, p, o]| [s.0, p.0, o.0]).collect();
-        spo.sort_unstable();
-        spo.dedup();
-        let mut pos: Vec<[u32; 3]> = spo.iter().map(|&[s, p, o]| [p, o, s]).collect();
-        pos.sort_unstable();
-        let mut osp: Vec<[u32; 3]> = spo.iter().map(|&[s, p, o]| [o, s, p]).collect();
-        osp.sort_unstable();
-
-        // Replay the delta into the stats exactly as live inserts would.
-        let mut seen_sp: HashMap<[u32; 2], ()> = HashMap::new();
-        let mut seen_po: HashMap<[u32; 2], ()> = HashMap::new();
-        for &[s, p, o] in &spo {
-            let new_sp = seen_sp.insert([s, p], ()).is_none();
-            let new_po = seen_po.insert([p, o], ()).is_none();
-            stats.record_insert(TermId(s), TermId(p), TermId(o), new_sp, new_po);
+        debug_assert_eq!(dict.len(), spilled, "a spill repeats a term");
+        for t in delta {
+            index.insert(t);
         }
-
-        let mut hash = fnv_u64(parent_hash, u64::from(term_base));
-        for t in &terms {
-            hash = fnv_term(hash, t);
-        }
-        for &[s, p, o] in &spo {
-            hash = fnv_triple(hash, [TermId(s), TermId(p), TermId(o)]);
-        }
-
+        let (runs, stats) = index.into_runs();
         Layer {
-            term_base,
-            terms,
-            term_ids,
-            spo,
-            pos,
-            osp,
+            hash: layer_hash(parent_hash, &dict, &runs[0]),
+            dict,
+            runs,
             stats,
-            hash,
         }
     }
 
     /// Number of delta triples in this layer.
     pub fn len(&self) -> usize {
-        self.spo.len()
+        self.runs[0].len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.spo.is_empty()
+        self.runs[0].is_empty()
     }
 
     /// Number of terms this layer spilled into the dictionary.
     pub fn term_len(&self) -> usize {
-        self.terms.len()
+        self.dict.len()
     }
 
     /// The chained tamper-evidence hash of this layer.
@@ -184,53 +153,17 @@ impl Layer {
         self.hash
     }
 
-    /// First spill id of this layer.
-    pub fn term_base(&self) -> u32 {
-        self.term_base
-    }
-
-    fn contains(&self, s: TermId, p: TermId, o: TermId) -> bool {
-        self.spo.binary_search(&[s.0, p.0, o.0]).is_ok()
-    }
-
-    fn matches(&self, s: Option<TermId>, p: Option<TermId>, o: Option<TermId>) -> Vec<IdTriple> {
-        let id = |x: TermId| x.0;
-        match (s.map(id), p.map(id), o.map(id)) {
-            (Some(s), Some(p), Some(o)) => {
-                if self.contains(TermId(s), TermId(p), TermId(o)) {
-                    vec![[TermId(s), TermId(p), TermId(o)]]
-                } else {
-                    Vec::new()
-                }
-            }
-            (Some(s), p, None) => scan2(&self.spo, Some(s), p)
-                .iter()
-                .map(|&[s, p, o]| [TermId(s), TermId(p), TermId(o)])
-                .collect(),
-            (None, Some(p), o) => scan2(&self.pos, Some(p), o)
-                .iter()
-                .map(|&[p, o, s]| [TermId(s), TermId(p), TermId(o)])
-                .collect(),
-            (Some(s), None, Some(o)) => scan2(&self.osp, Some(o), Some(s))
-                .iter()
-                .map(|&[o, s, p]| [TermId(s), TermId(p), TermId(o)])
-                .collect(),
-            (None, None, Some(o)) => scan2(&self.osp, Some(o), None)
-                .iter()
-                .map(|&[o, s, p]| [TermId(s), TermId(p), TermId(o)])
-                .collect(),
-            (None, None, None) => self
-                .spo
-                .iter()
-                .map(|&[s, p, o]| [TermId(s), TermId(p), TermId(o)])
-                .collect(),
-        }
+    fn matches(
+        &self,
+        s: Option<TermId>,
+        p: Option<TermId>,
+        o: Option<TermId>,
+    ) -> impl Iterator<Item = IdTriple> + '_ {
+        match_runs(self.len(), |r, i| self.runs[r as usize][i], s, p, o)
     }
 
     fn iter_ids(&self) -> impl Iterator<Item = IdTriple> + '_ {
-        self.spo
-            .iter()
-            .map(|&[s, p, o]| [TermId(s), TermId(p), TermId(o)])
+        self.runs[0].iter().map(|&t| Rotation::Spo.triple(t))
     }
 
     /// This layer's delta statistics.
@@ -239,15 +172,15 @@ impl Layer {
     }
 
     /// The spill dictionary in id order (term `i` has id
-    /// `term_base() + i`) — what the WAL persists per commit.
+    /// `term_base + i`) — what the WAL persists per commit.
     pub fn spill_terms(&self) -> &[Term] {
-        &self.terms
+        self.dict.terms()
     }
 
     /// The delta triples in SPO order as raw ids — what the WAL
     /// persists per commit.
     pub fn spo_raw(&self) -> &[[u32; 3]] {
-        &self.spo
+        &self.runs[0]
     }
 }
 
@@ -452,7 +385,7 @@ impl Ledger {
             "delta references ids beyond the committed dictionary"
         );
         let parent = self.hash_at(head).unwrap_or(self.base_hash);
-        let layer = Layer::new(term_base as u32, parent, self.rdf_type, terms, delta);
+        let layer = Layer::new(term_base, parent, self.rdf_type, terms, delta);
         self.layers.push(std::sync::Arc::new(layer));
         self.head()
     }
@@ -520,7 +453,7 @@ impl Ledger {
             .map(|l| l.hash())
             .or_else(|| self.hash_at(chain.fork))
             .unwrap_or(self.base_hash);
-        let layer = Layer::new(term_base as u32, parent, self.rdf_type, terms, delta);
+        let layer = Layer::new(term_base, parent, self.rdf_type, terms, delta);
         chain.layers.push(std::sync::Arc::new(layer));
         chain.head()
     }
@@ -531,14 +464,7 @@ impl Ledger {
     pub fn verify_chain(&self) -> Option<EpochId> {
         let mut parent = self.base_hash;
         for (i, layer) in self.layers.iter().enumerate() {
-            let mut h = fnv_u64(parent, u64::from(layer.term_base));
-            for t in &layer.terms {
-                h = fnv_term(h, t);
-            }
-            for &[s, p, o] in &layer.spo {
-                h = fnv_triple(h, [TermId(s), TermId(p), TermId(o)]);
-            }
-            if h != layer.hash {
+            if layer_hash(parent, &layer.dict, &layer.runs[0]) != layer.hash {
                 return Some(EpochId(i as u64 + 1));
             }
             parent = layer.hash;
@@ -632,24 +558,27 @@ impl GraphView for LedgerView<'_> {
             return Some(id);
         }
         // A term spills into at most one layer of a consistent stack.
-        self.layers
-            .iter()
-            .find_map(|l| l.term_ids.get(term).copied())
+        self.layers.iter().find_map(|l| l.dict.lookup(term))
     }
 
     fn term(&self, id: TermId) -> &Term {
         if (id.0 as usize) < self.base.term_count() {
             return self.base.term(id);
         }
-        // Layers are ordered by ascending term_base: the owner is the
-        // last layer whose base is <= id.
-        let idx = self.layers.partition_point(|l| l.term_base <= id.0);
-        let layer = &self.layers[idx.saturating_sub(1)];
-        &layer.terms[(id.0 - layer.term_base) as usize]
+        // Layers are ordered by ascending first id: the owner is the
+        // last layer whose first id is <= id.
+        let idx = self
+            .layers
+            .partition_point(|l| l.dict.first() <= id.index());
+        self.layers[idx.saturating_sub(1)].dict.term(id)
     }
 
     fn contains_ids(&self, s: TermId, p: TermId, o: TermId) -> bool {
-        self.base.contains_ids(s, p, o) || self.layers.iter().any(|l| l.contains(s, p, o))
+        self.base.contains_ids(s, p, o)
+            || self
+                .layers
+                .iter()
+                .any(|l| l.matches(Some(s), Some(p), Some(o)).next().is_some())
     }
 
     fn match_pattern(
@@ -668,17 +597,12 @@ impl GraphView for LedgerView<'_> {
     }
 
     fn predicate_stats(&self, p: TermId) -> PredicateStats {
-        let mut acc = self.base.stats().predicate(p);
-        // Distinct counts add across layers (a subject can recur), so
-        // these are upper bounds — fine for join-order estimates, and
-        // identical to what Overlay reports for the same stack.
-        for l in &self.layers {
-            let d = l.stats.predicate(p);
-            acc.triples += d.triples;
-            acc.distinct_subjects += d.distinct_subjects;
-            acc.distinct_objects += d.distinct_objects;
-        }
-        acc
+        // The sum Overlay takes for the same stack.
+        self.layers
+            .iter()
+            .fold(self.base.stats().predicate(p), |acc, l| {
+                acc + l.stats.predicate(p)
+            })
     }
 
     fn class_instance_count(&self, class_id: TermId) -> u64 {

@@ -11,8 +11,11 @@
 //!
 //! - [`term`] — IRIs, blank nodes, literals, triples;
 //! - [`intern`] — Term ↔ dense-id dictionary;
-//! - [`graph`] — SPO/POS/OSP-indexed triple store with pattern matching
-//!   and RDF collection helpers;
+//! - [`graph`] — SPO/POS/OSP-indexed in-memory triple store;
+//! - [`view`] — the read and write traits every store implements
+//!   (pattern matching, RDF collection helpers) and the overlay;
+//! - [`access_path`] — which of the three orders answers a pattern, for
+//!   every store;
 //! - [`turtle`] / [`ntriples`] — parsers and serializers;
 //! - [`vocab`] — RDF/RDFS/OWL/XSD vocabulary constants.
 //!
@@ -35,6 +38,7 @@
 pub mod disk;
 pub mod governor;
 pub mod graph;
+mod index;
 pub mod intern;
 pub mod ledger;
 pub mod ntriples;
@@ -48,6 +52,7 @@ pub mod vocab;
 pub use disk::{DiskStore, OpenOptions, OpenedStore, Segment, StoreError, WalRecord};
 pub use governor::{Budget, CancelFlag, Exhausted, Guard, Resource};
 pub use graph::{Graph, IdTriple};
+pub use index::{access_path, Rotation};
 pub use intern::{Interner, TermId};
 pub use ledger::{BaseStore, BranchChain, EpochId, Layer, Ledger, LedgerView};
 pub use pool::Parallelism;

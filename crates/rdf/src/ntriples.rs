@@ -9,6 +9,7 @@
 use crate::graph::Graph;
 use crate::term::Triple;
 use crate::turtle::{parse_turtle_raw, TurtleError};
+use crate::view::GraphStore;
 use crate::{ParseOptions, RdfError};
 
 /// Parses an N-Triples document.
@@ -94,6 +95,7 @@ mod tests {
     use super::*;
     use crate::governor::Guard;
     use crate::term::Term;
+    use crate::view::GraphView;
 
     fn syntax(err: RdfError) -> TurtleError {
         match err {

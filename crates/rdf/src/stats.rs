@@ -53,6 +53,22 @@ impl PredicateStats {
     }
 }
 
+/// The counters of a stack of layers: the sum of each layer's. Delta
+/// triples never duplicate a lower layer's, so `triples` is exact, but
+/// a subject or object can recur across layers, so the distinct counts
+/// are upper bounds — fine for join-order estimates.
+impl std::ops::Add for PredicateStats {
+    type Output = PredicateStats;
+
+    fn add(self, other: PredicateStats) -> PredicateStats {
+        PredicateStats {
+            triples: self.triples + other.triples,
+            distinct_subjects: self.distinct_subjects + other.distinct_subjects,
+            distinct_objects: self.distinct_objects + other.distinct_objects,
+        }
+    }
+}
+
 /// Aggregate statistics over one triple store (or one overlay delta).
 ///
 /// Maintained by the owning store: [`note_new_term`](Self::note_new_term)
@@ -211,11 +227,9 @@ impl GraphStats {
     pub fn merged_with(&self, other: &GraphStats) -> GraphStats {
         let mut out = self.clone();
         out.total += other.total;
-        for (&p, ps) in &other.predicates {
+        for (&p, &ps) in &other.predicates {
             let e = out.predicates.entry(p).or_default();
-            e.triples += ps.triples;
-            e.distinct_subjects += ps.distinct_subjects;
-            e.distinct_objects += ps.distinct_objects;
+            *e = *e + ps;
         }
         for (&c, &n) in &other.class_instances {
             *out.class_instances.entry(c).or_insert(0) += n;

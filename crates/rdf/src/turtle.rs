@@ -14,6 +14,7 @@ use std::fmt;
 use crate::governor::{Exhausted, Guard};
 use crate::graph::Graph;
 use crate::term::{BlankNode, Iri, Literal, Term, Triple};
+use crate::view::GraphStore;
 use crate::vocab::{rdf, xsd};
 use crate::{ParseOptions, RdfError};
 
@@ -824,6 +825,7 @@ pub fn write_turtle<G: crate::GraphView + ?Sized>(graph: &G, prefixes: &[(&str, 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::view::GraphView;
 
     fn parse_ok(src: &str) -> Vec<Triple> {
         parse_turtle(src, &ParseOptions::default()).expect("parse should succeed")

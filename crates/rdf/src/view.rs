@@ -12,10 +12,12 @@
 //! newly seen terms spill into a private dictionary whose ids start at
 //! `base.term_count()` so base ids stay valid verbatim.
 
-use std::collections::{BTreeSet, HashMap};
+use std::borrow::Cow;
+use std::collections::BTreeSet;
 
-use crate::graph::{Graph, IdTriple};
-use crate::intern::TermId;
+use crate::graph::IdTriple;
+use crate::index::TripleIndex;
+use crate::intern::{Interner, TermId};
 use crate::stats::{GraphStats, PredicateStats};
 use crate::term::{Iri, Term, Triple};
 use crate::vocab::rdf;
@@ -39,7 +41,7 @@ pub(crate) fn scan_predicate_stats<G: GraphView + ?Sized>(g: &G, p: TermId) -> P
 
 /// Read-only view of a triple store with an interned dictionary.
 ///
-/// Implemented by [`Graph`], [`Overlay`], and references to either, so
+/// Implemented by [`Graph`](crate::Graph), [`Overlay`], and references to either, so
 /// query-shaped code can run over a plain graph, a snapshot + delta, or
 /// `&mut` borrows call sites already hold.
 pub trait GraphView {
@@ -131,7 +133,7 @@ pub trait GraphView {
     }
 
     /// Incrementally-maintained whole-view counters, when this view
-    /// keeps them. Flat stores ([`Graph`], disk segments, ledger bases)
+    /// keeps them. Flat stores ([`Graph`](crate::Graph), disk segments, ledger bases)
     /// return theirs; layered views return `None` and instead override
     /// the derived methods to sum per-layer stats.
     fn maintained_stats(&self) -> Option<&GraphStats> {
@@ -171,7 +173,9 @@ pub trait GraphView {
         }))
     }
 
-    /// Reads an RDF collection rooted at `head` (see [`Graph::read_list`]).
+    /// Reads an RDF collection (`rdf:first`/`rdf:rest` list) rooted at
+    /// `head`, returning its members in order. Returns `None` when the
+    /// node is not a well-formed list.
     fn read_list(&self, head: TermId) -> Option<Vec<TermId>> {
         let first = self.lookup_iri(rdf::FIRST)?;
         let rest = self.lookup_iri(rdf::REST)?;
@@ -199,9 +203,15 @@ pub trait GraphStore: GraphView {
     /// overlay whose base already lacks it).
     fn intern(&mut self, term: &Term) -> TermId;
 
+    /// Interns an owned term; stores override it to skip the clone a
+    /// new term costs [`Self::intern`].
+    fn intern_owned(&mut self, term: Term) -> TermId {
+        self.intern(&term)
+    }
+
     /// Interns an IRI string.
     fn intern_iri(&mut self, iri: &str) -> TermId {
-        self.intern(&Term::iri(iri))
+        self.intern_owned(Term::iri(iri))
     }
 
     /// A fresh blank node unique within this store.
@@ -223,9 +233,9 @@ pub trait GraphStore: GraphView {
     where
         Self: Sized,
     {
-        let s = self.intern(&s.into());
-        let p = self.intern(&p.into());
-        let o = self.intern(&o.into());
+        let s = self.intern_owned(s.into());
+        let p = self.intern_owned(p.into());
+        let o = self.intern_owned(o.into());
         self.insert_ids(s, p, o)
     }
 
@@ -237,7 +247,8 @@ pub trait GraphStore: GraphView {
         self.insert_terms(Iri::new(s), Iri::new(p), Iri::new(o))
     }
 
-    /// Writes `items` as an RDF collection, returning the head node.
+    /// Writes `items` as an RDF collection, returning the head node
+    /// (`rdf:nil` for an empty list).
     fn write_list(&mut self, items: &[TermId]) -> TermId {
         let first = self.intern_iri(rdf::FIRST);
         let rest = self.intern_iri(rdf::REST);
@@ -253,69 +264,7 @@ pub trait GraphStore: GraphView {
     }
 }
 
-// ---- trait impls for Graph and references -------------------------------
-
-impl GraphView for Graph {
-    fn len(&self) -> usize {
-        Graph::len(self)
-    }
-    fn term_count(&self) -> usize {
-        Graph::term_count(self)
-    }
-    fn lookup(&self, term: &Term) -> Option<TermId> {
-        Graph::lookup(self, term)
-    }
-    fn lookup_iri(&self, iri: &str) -> Option<TermId> {
-        Graph::lookup_iri(self, iri)
-    }
-    fn term(&self, id: TermId) -> &Term {
-        Graph::term(self, id)
-    }
-    fn term_name(&self, id: TermId) -> String {
-        Graph::term_name(self, id)
-    }
-    fn contains_ids(&self, s: TermId, p: TermId, o: TermId) -> bool {
-        Graph::contains_ids(self, s, p, o)
-    }
-    fn contains(&self, triple: &Triple) -> bool {
-        Graph::contains(self, triple)
-    }
-    fn match_pattern(
-        &self,
-        s: Option<TermId>,
-        p: Option<TermId>,
-        o: Option<TermId>,
-    ) -> Vec<IdTriple> {
-        Graph::match_pattern(self, s, p, o)
-    }
-    fn maintained_stats(&self) -> Option<&GraphStats> {
-        Some(Graph::stats(self))
-    }
-    fn iter_ids(&self) -> Box<dyn Iterator<Item = IdTriple> + '_> {
-        Box::new(Graph::iter_ids(self))
-    }
-    fn read_list(&self, head: TermId) -> Option<Vec<TermId>> {
-        Graph::read_list(self, head)
-    }
-}
-
-impl GraphStore for Graph {
-    fn intern(&mut self, term: &Term) -> TermId {
-        Graph::intern(self, term)
-    }
-    fn intern_iri(&mut self, iri: &str) -> TermId {
-        Graph::intern_iri(self, iri)
-    }
-    fn fresh_bnode(&mut self) -> TermId {
-        Graph::fresh_bnode(self)
-    }
-    fn insert_ids(&mut self, s: TermId, p: TermId, o: TermId) -> bool {
-        Graph::insert_ids(self, s, p, o)
-    }
-    fn write_list(&mut self, items: &[TermId]) -> TermId {
-        Graph::write_list(self, items)
-    }
-}
+// ---- trait impls for references ----------------------------------------
 
 macro_rules! deref_graph_view {
     ($($ref_ty:ty),*) => {$(
@@ -323,13 +272,10 @@ macro_rules! deref_graph_view {
             fn len(&self) -> usize { (**self).len() }
             fn term_count(&self) -> usize { (**self).term_count() }
             fn lookup(&self, term: &Term) -> Option<TermId> { (**self).lookup(term) }
-            fn lookup_iri(&self, iri: &str) -> Option<TermId> { (**self).lookup_iri(iri) }
             fn term(&self, id: TermId) -> &Term { (**self).term(id) }
-            fn term_name(&self, id: TermId) -> String { (**self).term_name(id) }
             fn contains_ids(&self, s: TermId, p: TermId, o: TermId) -> bool {
                 (**self).contains_ids(s, p, o)
             }
-            fn contains(&self, triple: &Triple) -> bool { (**self).contains(triple) }
             fn match_pattern(
                 &self,
                 s: Option<TermId>,
@@ -350,9 +296,6 @@ macro_rules! deref_graph_view {
             fn iter_ids(&self) -> Box<dyn Iterator<Item = IdTriple> + '_> {
                 (**self).iter_ids()
             }
-            fn read_list(&self, head: TermId) -> Option<Vec<TermId>> {
-                (**self).read_list(head)
-            }
         }
     )*};
 }
@@ -363,8 +306,8 @@ impl<T: GraphStore> GraphStore for &mut T {
     fn intern(&mut self, term: &Term) -> TermId {
         (**self).intern(term)
     }
-    fn intern_iri(&mut self, iri: &str) -> TermId {
-        (**self).intern_iri(iri)
+    fn intern_owned(&mut self, term: Term) -> TermId {
+        (**self).intern_owned(term)
     }
     fn fresh_bnode(&mut self) -> TermId {
         (**self).fresh_bnode()
@@ -372,27 +315,9 @@ impl<T: GraphStore> GraphStore for &mut T {
     fn insert_ids(&mut self, s: TermId, p: TermId, o: TermId) -> bool {
         (**self).insert_ids(s, p, o)
     }
-    fn write_list(&mut self, items: &[TermId]) -> TermId {
-        (**self).write_list(items)
-    }
 }
 
 // ---- Overlay -------------------------------------------------------------
-
-/// Matches `[a, b, *]` / `[a, *, *]` / `[*, *, *]` prefixes in a
-/// permuted index, mirroring `Graph::match_pattern`'s range scans.
-fn range3<'a>(
-    set: &'a BTreeSet<[u32; 3]>,
-    a: Option<u32>,
-    b: Option<u32>,
-) -> impl Iterator<Item = &'a [u32; 3]> + 'a {
-    let (lo, hi) = match (a, b) {
-        (Some(a), Some(b)) => ([a, b, 0], [a, b, u32::MAX]),
-        (Some(a), None) => ([a, 0, 0], [a, u32::MAX, u32::MAX]),
-        (None, _) => ([0, 0, 0], [u32::MAX, u32::MAX, u32::MAX]),
-    };
-    set.range(lo..=hi)
-}
 
 /// An immutable base snapshot plus a private mutable delta.
 ///
@@ -405,36 +330,24 @@ fn range3<'a>(
 #[derive(Debug, Clone)]
 pub struct Overlay<B> {
     base: B,
-    /// `base.term_count()` at construction, the split point of id space.
-    base_terms: u32,
-    spill_terms: Vec<Term>,
-    spill_ids: HashMap<Term, TermId>,
-    spo: BTreeSet<[u32; 3]>,
-    pos: BTreeSet<[u32; 3]>,
-    osp: BTreeSet<[u32; 3]>,
+    /// Terms the base lacks, from id `base.term_count()` up.
+    spill: Interner,
+    /// Triples the base lacks, with counters over them only; reads sum
+    /// those with the base's.
+    delta: TripleIndex,
     /// Delta triples in insertion order (for semi-naïve seeding).
     log: Vec<IdTriple>,
     next_bnode: u64,
-    /// Counters over the delta only; reads sum them with the base's.
-    delta_stats: GraphStats,
 }
 
 impl<B: GraphView> Overlay<B> {
     pub fn new(base: B) -> Self {
-        let base_terms = u32::try_from(base.term_count()).expect("interner overflow: >4G terms");
-        let mut delta_stats = GraphStats::new();
-        delta_stats.set_rdf_type_id(base.lookup_iri(rdf::TYPE));
         Overlay {
+            spill: Interner::starting_at(base.term_count()),
+            delta: TripleIndex::new(base.lookup_iri(rdf::TYPE)),
             base,
-            base_terms,
-            spill_terms: Vec::new(),
-            spill_ids: HashMap::new(),
-            spo: BTreeSet::new(),
-            pos: BTreeSet::new(),
-            osp: BTreeSet::new(),
             log: Vec::new(),
             next_bnode: 0,
-            delta_stats,
         }
     }
 
@@ -445,7 +358,7 @@ impl<B: GraphView> Overlay<B> {
 
     /// Number of triples in the delta only.
     pub fn delta_len(&self) -> usize {
-        self.spo.len()
+        self.delta.len()
     }
 
     /// Delta triples in insertion order. Triples already present in the
@@ -454,103 +367,51 @@ impl<B: GraphView> Overlay<B> {
         &self.log
     }
 
-    /// Delta triples in SPO order.
-    pub fn delta_ids(&self) -> impl Iterator<Item = IdTriple> + '_ {
-        self.spo
-            .iter()
-            .map(|&[s, p, o]| [TermId(s), TermId(p), TermId(o)])
-    }
-
     /// Consumes the overlay, returning the spill dictionary (term `i`
-    /// holds overlay id `base_terms + i`) and the delta triples in SPO
-    /// order. Because the base interner also assigns dense sequential
-    /// ids, interning the spill terms into the base **in this order**
-    /// re-creates the exact same ids — so the returned id triples (and
-    /// anything referencing them, e.g. derivation records) stay valid
-    /// after merging the delta into the base.
+    /// holds overlay id `base.term_count() + i`) and the delta triples
+    /// in SPO order. Because the base interner also assigns dense
+    /// sequential ids, interning the spill terms into the base **in
+    /// this order** re-creates the exact same ids — so the returned id
+    /// triples (and anything referencing them, e.g. derivation records)
+    /// stay valid after merging the delta into the base.
     pub fn into_delta(self) -> (Vec<Term>, Vec<IdTriple>) {
-        let ids = self
-            .spo
-            .iter()
-            .map(|&[s, p, o]| [TermId(s), TermId(p), TermId(o)])
-            .collect();
-        (self.spill_terms, ids)
+        let ids = self.delta.iter().collect();
+        (self.spill.into_terms(), ids)
     }
 
     /// Drops every delta triple and spill term, returning the overlay to
     /// a pristine view of the base.
     pub fn clear_delta(&mut self) {
-        self.spill_terms.clear();
-        self.spill_ids.clear();
-        self.spo.clear();
-        self.pos.clear();
-        self.osp.clear();
+        self.spill = Interner::starting_at(self.spill.first());
+        self.delta.clear();
         self.log.clear();
         self.next_bnode = 0;
-        self.delta_stats.clear();
-    }
-
-    fn delta_match(
-        &self,
-        s: Option<TermId>,
-        p: Option<TermId>,
-        o: Option<TermId>,
-    ) -> Vec<IdTriple> {
-        let id = |x: TermId| x.0;
-        match (s.map(id), p.map(id), o.map(id)) {
-            (Some(s), Some(p), Some(o)) => {
-                if self.spo.contains(&[s, p, o]) {
-                    vec![[TermId(s), TermId(p), TermId(o)]]
-                } else {
-                    Vec::new()
-                }
-            }
-            (Some(s), p, None) => range3(&self.spo, Some(s), p)
-                .map(|&[s, p, o]| [TermId(s), TermId(p), TermId(o)])
-                .collect(),
-            (None, Some(p), o) => range3(&self.pos, Some(p), o)
-                .map(|&[p, o, s]| [TermId(s), TermId(p), TermId(o)])
-                .collect(),
-            (Some(s), None, Some(o)) => range3(&self.osp, Some(o), Some(s))
-                .map(|&[o, s, p]| [TermId(s), TermId(p), TermId(o)])
-                .collect(),
-            (None, None, Some(o)) => range3(&self.osp, Some(o), None)
-                .map(|&[o, s, p]| [TermId(s), TermId(p), TermId(o)])
-                .collect(),
-            (None, None, None) => self
-                .spo
-                .iter()
-                .map(|&[s, p, o]| [TermId(s), TermId(p), TermId(o)])
-                .collect(),
-        }
     }
 }
 
 impl<B: GraphView> GraphView for Overlay<B> {
     fn len(&self) -> usize {
-        self.base.len() + self.spo.len()
+        self.base.len() + self.delta.len()
     }
 
     fn term_count(&self) -> usize {
-        self.base_terms as usize + self.spill_terms.len()
+        self.spill.first() + self.spill.len()
     }
 
     fn lookup(&self, term: &Term) -> Option<TermId> {
-        self.base
-            .lookup(term)
-            .or_else(|| self.spill_ids.get(term).copied())
+        self.base.lookup(term).or_else(|| self.spill.lookup(term))
     }
 
     fn term(&self, id: TermId) -> &Term {
-        if id.0 < self.base_terms {
+        if id.index() < self.spill.first() {
             self.base.term(id)
         } else {
-            &self.spill_terms[(id.0 - self.base_terms) as usize]
+            self.spill.term(id)
         }
     }
 
     fn contains_ids(&self, s: TermId, p: TermId, o: TermId) -> bool {
-        self.base.contains_ids(s, p, o) || self.spo.contains(&[s.0, p.0, o.0])
+        self.base.contains_ids(s, p, o) || self.delta.contains([s, p, o])
     }
 
     fn match_pattern(
@@ -560,48 +421,38 @@ impl<B: GraphView> GraphView for Overlay<B> {
         o: Option<TermId>,
     ) -> Vec<IdTriple> {
         let mut out = self.base.match_pattern(s, p, o);
-        if !self.spo.is_empty() {
-            out.extend(self.delta_match(s, p, o));
+        if !self.delta.is_empty() {
+            self.delta.matches_into(&mut out, s, p, o);
         }
         out
     }
 
     fn predicate_stats(&self, p: TermId) -> PredicateStats {
-        let base = self.base.predicate_stats(p);
-        let delta = self.delta_stats.predicate(p);
-        // Distinct counts add across layers (delta triples are never
-        // duplicates of base triples, but a subject/object can recur),
-        // so these are upper bounds — fine for join-order estimates.
-        PredicateStats {
-            triples: base.triples + delta.triples,
-            distinct_subjects: base.distinct_subjects + delta.distinct_subjects,
-            distinct_objects: base.distinct_objects + delta.distinct_objects,
-        }
+        self.base.predicate_stats(p) + self.delta.stats().predicate(p)
     }
 
     fn class_instance_count(&self, class_id: TermId) -> u64 {
-        self.base.class_instance_count(class_id) + self.delta_stats.class_instances(class_id)
+        self.base.class_instance_count(class_id) + self.delta.stats().class_instances(class_id)
     }
 
     fn iter_ids(&self) -> Box<dyn Iterator<Item = IdTriple> + '_> {
-        Box::new(self.base.iter_ids().chain(self.delta_ids()))
+        Box::new(self.base.iter_ids().chain(self.delta.iter()))
     }
 }
 
 impl<B: GraphView> GraphStore for Overlay<B> {
     fn intern(&mut self, term: &Term) -> TermId {
-        if let Some(id) = self.base.lookup(term) {
-            return id;
+        match self.base.lookup(term) {
+            Some(id) => id,
+            None => self.delta.intern(&mut self.spill, Cow::Borrowed(term)),
         }
-        if let Some(&id) = self.spill_ids.get(term) {
-            return id;
+    }
+
+    fn intern_owned(&mut self, term: Term) -> TermId {
+        match self.base.lookup(&term) {
+            Some(id) => id,
+            None => self.delta.intern(&mut self.spill, Cow::Owned(term)),
         }
-        let raw = self.base_terms as usize + self.spill_terms.len();
-        let id = TermId(u32::try_from(raw).expect("interner overflow: >4G terms"));
-        self.spill_terms.push(term.clone());
-        self.spill_ids.insert(term.clone(), id);
-        self.delta_stats.note_new_term(id, term);
-        id
     }
 
     fn fresh_bnode(&mut self) -> TermId {
@@ -612,32 +463,16 @@ impl<B: GraphView> GraphStore for Overlay<B> {
             self.next_bnode += 1;
             let t = Term::bnode(label);
             if self.lookup(&t).is_none() {
-                return self.intern(&t);
+                return self.intern_owned(t);
             }
         }
     }
 
     fn insert_ids(&mut self, s: TermId, p: TermId, o: TermId) -> bool {
-        if self.base.contains_ids(s, p, o) {
+        if self.base.contains_ids(s, p, o) || !self.delta.insert([s, p, o]) {
             return false;
         }
-        if !self.spo.insert([s.0, p.0, o.0]) {
-            return false;
-        }
-        let new_sp = self
-            .spo
-            .range([s.0, p.0, 0]..=[s.0, p.0, u32::MAX])
-            .nth(1)
-            .is_none();
-        let new_po = self
-            .pos
-            .range([p.0, o.0, 0]..=[p.0, o.0, u32::MAX])
-            .next()
-            .is_none();
-        self.pos.insert([p.0, o.0, s.0]);
-        self.osp.insert([o.0, s.0, p.0]);
         self.log.push([s, p, o]);
-        self.delta_stats.record_insert(s, p, o, new_sp, new_po);
         true
     }
 }
@@ -645,6 +480,7 @@ impl<B: GraphView> GraphStore for Overlay<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::Graph;
 
     fn base() -> Graph {
         let mut g = Graph::new();

@@ -8,7 +8,7 @@
 use std::path::PathBuf;
 
 use feo_rdf::disk::{wal, Segment};
-use feo_rdf::{DiskStore, StoreError, Term, WalRecord};
+use feo_rdf::{DiskStore, GraphStore, StoreError, Term, WalRecord};
 use proptest::prelude::*;
 
 fn tmp_file(name: &str, case: u64) -> PathBuf {

@@ -2,10 +2,14 @@
 //! arbitrary insert/remove interleavings, Turtle and N-Triples round-trips
 //! for arbitrary term shapes, and interner stability.
 
-use feo_rdf::graph::Graph;
+use std::sync::Arc;
+
+use feo_rdf::disk::segment::write_segment;
+use feo_rdf::graph::{Graph, IdTriple};
 use feo_rdf::ntriples::{parse_ntriples_into, write_ntriples};
 use feo_rdf::term::{Iri, Literal, Term, Triple};
 use feo_rdf::turtle::{parse_turtle_into, write_turtle};
+use feo_rdf::{BaseStore, GraphStore, GraphView, Ledger, Overlay, Segment};
 use proptest::prelude::*;
 
 /// A small pool of IRIs so triples collide often enough to exercise
@@ -37,6 +41,56 @@ fn arb_triple() -> impl Strategy<Value = Triple> {
     })
 }
 
+/// A term every representation interns but no triple uses.
+fn absent() -> Term {
+    Term::iri("http://example.org/absent")
+}
+
+/// Checks that `view` answers every pattern shape — bound to each
+/// stored triple's ids, and to an id no triple uses — with the sorted
+/// set a naive filter over `triples` gives, and that `contains_ids`
+/// agrees with that filter on the fully bound shape.
+fn check_shapes<V: GraphView>(
+    name: &str,
+    view: &V,
+    triples: &[Triple],
+) -> Result<(), TestCaseError> {
+    let id = |t: &Term| view.lookup(t).expect("every term is interned");
+    let mut all: Vec<IdTriple> = triples
+        .iter()
+        .map(|t| [id(&t.subject), id(&t.predicate), id(&t.object)])
+        .collect();
+    all.sort_unstable();
+    all.dedup();
+    prop_assert_eq!(view.len(), all.len(), "{}: len", name);
+    let none = id(&absent());
+    for key in all.iter().copied().chain([[none; 3]]) {
+        for mask in 0..8u8 {
+            let bound = |i: usize| (mask & (1 << i) != 0).then_some(key[i]);
+            let (s, p, o) = (bound(0), bound(1), bound(2));
+            let mut got = view.match_pattern(s, p, o);
+            got.sort_unstable();
+            let want: Vec<IdTriple> = all
+                .iter()
+                .copied()
+                .filter(|t| (0..3).all(|i| bound(i).is_none_or(|x| t[i] == x)))
+                .collect();
+            if mask == 7 {
+                let [s, p, o] = key;
+                prop_assert_eq!(
+                    view.contains_ids(s, p, o),
+                    !want.is_empty(),
+                    "{}: contains_ids on {:?}",
+                    name,
+                    key
+                );
+            }
+            prop_assert_eq!(got, want, "{}: pattern mask {} on {:?}", name, mask, key);
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #[test]
     fn indexes_stay_coherent_under_inserts_and_removes(
@@ -64,30 +118,61 @@ proptest! {
     fn match_pattern_agrees_with_full_scan(
         triples in prop::collection::vec(arb_triple(), 1..60)
     ) {
-        let mut g = Graph::new();
-        for t in &triples {
-            g.insert(t);
-        }
-        // For every stored triple, each of the 8 pattern shapes must find it.
-        for [s, p, o] in g.iter_ids().collect::<Vec<_>>() {
-            for mask in 0..8u8 {
-                let ps = (mask & 1 != 0).then_some(s);
-                let pp = (mask & 2 != 0).then_some(p);
-                let po = (mask & 4 != 0).then_some(o);
-                let found = g.match_pattern(ps, pp, po);
-                prop_assert!(
-                    found.contains(&[s, p, o]),
-                    "pattern mask {mask} failed to find triple"
-                );
-                // And everything the pattern returns must satisfy it.
-                for m in &found {
-                    if let Some(x) = ps { prop_assert_eq!(m[0], x); }
-                    if let Some(x) = pp { prop_assert_eq!(m[1], x); }
-                    if let Some(x) = po { prop_assert_eq!(m[2], x); }
-                    prop_assert!(g.contains_ids(m[0], m[1], m[2]));
-                }
+        // Every representation holds the same triples, split across its
+        // layers: a graph, an overlay over a graph, an overlay over an
+        // overlay, ledger views of two layers over a memory and a disk
+        // base, and a bare segment.
+        let (first, rest) = triples.split_at(triples.len() / 3);
+        let (second, third) = rest.split_at(rest.len() / 2);
+        let graph_of = |ts: &[Triple]| {
+            let mut g = Graph::new();
+            g.intern(&absent());
+            for t in ts {
+                g.insert(t);
             }
+            g
+        };
+        let full = graph_of(&triples);
+        let base = graph_of(first);
+        check_shapes("graph", &full, &triples)?;
+
+        let mut one = Overlay::new(&base);
+        for t in rest {
+            one.insert(t);
         }
+        check_shapes("overlay", &one, &triples)?;
+
+        let mut inner = Overlay::new(&base);
+        for t in second {
+            inner.insert(t);
+        }
+        let mut two = Overlay::new(&inner);
+        for t in third {
+            two.insert(t);
+        }
+        check_shapes("overlay over overlay", &two, &triples)?;
+
+        let dir = std::env::temp_dir().join(format!("feo-proptest-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (base_path, full_path) = (dir.join("base.feo"), dir.join("full.feo"));
+        write_segment(&base_path, &base, base.stats(), 0).unwrap();
+        write_segment(&full_path, &full, full.stats(), 0).unwrap();
+        let disk = BaseStore::Disk(Arc::new(Segment::open(&base_path, true).unwrap()));
+        let stores = [("ledger over memory", BaseStore::Mem(base.clone())), ("ledger over disk", disk)];
+        for (name, store) in stores {
+            let mut ledger = Ledger::from_base(store);
+            for layer in [second, third] {
+                let mut ov = Overlay::new(ledger.head_view());
+                for t in layer {
+                    ov.insert(t);
+                }
+                let (terms, delta) = ov.into_delta();
+                ledger.commit(terms, delta);
+            }
+            check_shapes(name, &ledger.head_view(), &triples)?;
+        }
+        check_shapes("segment", &Segment::open(&full_path, true).unwrap(), &triples)?;
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use feo_rdf::vocab::rdf;
-use feo_rdf::{Graph, GraphStore, Overlay};
+use feo_rdf::{Graph, GraphStore, GraphView, Overlay};
 use proptest::prelude::*;
 
 /// A from-scratch recount of everything `GraphStats` tracks, keyed by

@@ -17,7 +17,7 @@
 use std::path::PathBuf;
 
 use feo_rdf::disk::{wal, OpenOptions};
-use feo_rdf::{DiskStore, GraphView, Segment, StoreError, Term, WalRecord};
+use feo_rdf::{DiskStore, GraphStore, GraphView, Segment, StoreError, Term, WalRecord};
 
 fn tmp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("feo-corrupt-{}-{name}", std::process::id()));
@@ -331,6 +331,29 @@ fn bit_flipped_wal_never_leaks_a_wrong_record() {
 }
 
 // ---- cross-file damage -------------------------------------------------
+
+/// A checksum-valid record whose spill lists a term twice is corrupt:
+/// a layer's dictionary holds each term once, so the repeat would
+/// shift every later id rather than replay the committed numbering.
+#[test]
+fn repeated_spill_term_is_corrupt() {
+    let g = sample_graph();
+    let dir = tmp_dir("wal-repeat");
+    let base = g.term_count() as u32;
+    let extra = Term::iri("http://e/extra");
+    let rec = WalRecord {
+        label: "repeat".to_string(),
+        inferred: 0,
+        terms: vec![extra.clone(), extra],
+        triples: vec![[0, 1, base], [2, 1, base + 1]],
+    };
+    DiskStore::save(&dir, &g, g.stats(), 0, &[rec]).expect("save");
+    assert!(matches!(
+        DiskStore::open(&dir, OpenOptions::default()),
+        Err(StoreError::Corrupt { .. })
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+}
 
 /// Deleting either half of the pair, or the MANIFEST, is a typed error.
 #[test]

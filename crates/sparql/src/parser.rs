@@ -310,12 +310,9 @@ impl Parser {
                         expr: Expr::Var(v),
                         descending: false,
                     });
-                } else if matches!(self.peek(), Tok::LParen) {
-                    self.bump();
-                    let e = self.parse_expr()?;
-                    self.expect(Tok::RParen, "')' closing ORDER BY expression")?;
+                } else if self.at_constraint_start() {
                     m.order_by.push(OrderCondition {
-                        expr: e,
+                        expr: self.parse_constraint()?,
                         descending: false,
                     });
                 } else {
@@ -339,8 +336,8 @@ impl Parser {
         Ok(m)
     }
 
-    /// True when the next token can begin a HAVING/FILTER constraint:
-    /// `(`, a builtin or aggregate name, or (NOT) EXISTS.
+    /// True when the next token can begin a FILTER, HAVING or ORDER BY
+    /// constraint: `(`, a builtin or aggregate name, or (NOT) EXISTS.
     fn at_constraint_start(&self) -> bool {
         match self.peek() {
             Tok::LParen => true,
@@ -791,8 +788,8 @@ impl Parser {
 
     // ---- expressions ---------------------------------------------------
 
-    /// FILTER constraint: parenthesized expression, builtin call, or
-    /// EXISTS / NOT EXISTS.
+    /// FILTER, HAVING or ORDER BY constraint: parenthesized expression,
+    /// builtin call, or EXISTS / NOT EXISTS.
     fn parse_constraint(&mut self) -> Result<Expr> {
         if self.at_kw("EXISTS") || (self.at_kw("NOT") && peek2_is_exists(self)) {
             return self.parse_exists();
@@ -802,9 +799,9 @@ impl Parser {
                 return self.parse_primary_expr();
             }
         }
-        self.expect(Tok::LParen, "'(' opening FILTER constraint")?;
+        self.expect(Tok::LParen, "'(' opening constraint")?;
         let e = self.parse_expr()?;
-        self.expect(Tok::RParen, "')' closing FILTER constraint")?;
+        self.expect(Tok::RParen, "')' closing constraint")?;
         Ok(e)
     }
 
@@ -1206,6 +1203,27 @@ mod tests {
         assert!(q.modifiers.order_by[0].descending);
         assert_eq!(q.modifiers.limit, Some(10));
         assert_eq!(q.modifiers.offset, Some(2));
+    }
+
+    #[test]
+    fn order_by_takes_a_bare_builtin_call() {
+        let bare = parse("SELECT ?x WHERE { ?x <http://e/p> ?y } ORDER BY STR(?x) ?y");
+        let asc = parse("SELECT ?x WHERE { ?x <http://e/p> ?y } ORDER BY ASC(STR(?x)) ?y");
+        assert_eq!(bare.modifiers.order_by, asc.modifiers.order_by);
+        assert!(matches!(
+            bare.modifiers.order_by[0].expr,
+            Expr::Call(Builtin::Str, _)
+        ));
+        // A variable key still ends where LIMIT begins.
+        let q = parse("SELECT ?x WHERE { ?x <http://e/p> ?y } ORDER BY ?x LIMIT 1");
+        assert_eq!(
+            q.modifiers.order_by,
+            [OrderCondition {
+                expr: Expr::Var("x".into()),
+                descending: false,
+            }]
+        );
+        assert_eq!(q.modifiers.limit, Some(1));
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! before any row flows: per BGP it picks a join order by selectivity
 //! estimates read from the graph's incrementally-maintained statistics
 //! ([`feo_rdf::GraphStats`] via [`GraphView::predicate_stats`] /
-//! [`GraphView::class_instance_count`]), records which hexastore index
-//! the evaluator's dispatch will hit for each pattern, and marks steps
+//! [`GraphView::class_instance_count`]), records which index the store
+//! scans for each pattern ([`feo_rdf::access_path`]), and marks steps
 //! whose build side is large enough that a hash join beats per-row
 //! B-tree range scans; per group it places each FILTER after the last
 //! element that mentions its variables. The evaluator executes the plan
@@ -25,7 +25,7 @@ use std::fmt::Write as _;
 
 use feo_rdf::governor::Guard;
 use feo_rdf::vocab::rdf;
-use feo_rdf::GraphView;
+use feo_rdf::{access_path, GraphView, Rotation};
 
 use crate::ast::{
     GroupElement, GroupPattern, LiteralPattern, Path, Query, TermPattern, TriplePattern,
@@ -86,12 +86,12 @@ impl<'a> QueryOptions<'a> {
     }
 }
 
-/// Which access path the evaluator's pattern dispatch hits.
+/// Which index the store scans for a step ([`feo_rdf::access_path`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IndexChoice {
-    /// Subject-bound prefix scan (subject, or subject+object, known).
+    /// Subject-bound prefix scan (subject, subject+predicate, or all three).
     Spo,
-    /// Predicate-bound prefix scan (predicate, or predicate+object).
+    /// Predicate-bound prefix scan with the subject free.
     Pos,
     /// Object-bound prefix scan with the predicate free.
     Osp,
@@ -102,6 +102,20 @@ pub enum IndexChoice {
 }
 
 impl IndexChoice {
+    /// The store's access path for a pattern with these positions bound
+    /// ([`feo_rdf::access_path`]): the rotation scanned, or a full scan
+    /// when no position is bound.
+    fn of(s: bool, p: bool, o: bool) -> IndexChoice {
+        if !(s || p || o) {
+            return IndexChoice::Full;
+        }
+        match access_path(s, p, o) {
+            Rotation::Spo => IndexChoice::Spo,
+            Rotation::Pos => IndexChoice::Pos,
+            Rotation::Osp => IndexChoice::Osp,
+        }
+    }
+
     fn name(&self) -> &'static str {
         match self {
             IndexChoice::Spo => "spo",
@@ -381,7 +395,7 @@ fn term_bound(tp: &TermPattern, vars: &VarTable, bound: &HashSet<usize>) -> bool
 }
 
 /// Estimated matching triples for `tp` given what is bound, and the
-/// access path the evaluator's dispatch will take for that boundness.
+/// access path the store takes for that boundness.
 fn estimate<G: GraphView>(
     view: &G,
     tp: &TriplePattern,
@@ -391,30 +405,29 @@ fn estimate<G: GraphView>(
     let s_bound = term_bound(&tp.subject, vars, bound);
     let o_bound = term_bound(&tp.object, vars, bound);
     let total = view.len() as f64;
-    match &tp.path {
+    let (est, p_bound) = match &tp.path {
         Path::Iri(p) => {
-            let Some(pid) = view.lookup_iri(p) else {
+            let est = match (view.lookup_iri(p), class_scan(tp)) {
                 // Unknown predicate: matches nothing, run it first.
-                return (0.0, IndexChoice::Pos);
-            };
-            let ps = view.predicate_stats(pid);
-            let triples = ps.triples as f64;
-            let ds = ps.distinct_subjects.max(1) as f64;
-            let dout = ps.distinct_objects.max(1) as f64;
-            match (s_bound, o_bound) {
-                (true, true) => ((triples / (ds * dout)).min(1.0), IndexChoice::Spo),
-                (true, false) => (triples / ds, IndexChoice::Spo),
-                (false, true) => {
-                    if let Some(class) = class_scan(tp) {
-                        let n = view
-                            .lookup_iri(class)
-                            .map_or(0, |c| view.class_instance_count(c));
-                        return (n as f64, IndexChoice::Pos);
-                    }
-                    (triples / dout, IndexChoice::Pos)
+                (None, _) => 0.0,
+                (Some(_), Some(class)) if !s_bound => {
+                    view.lookup_iri(class)
+                        .map_or(0, |c| view.class_instance_count(c)) as f64
                 }
-                (false, false) => (triples, IndexChoice::Pos),
-            }
+                (Some(pid), _) => {
+                    let ps = view.predicate_stats(pid);
+                    let triples = ps.triples as f64;
+                    let ds = ps.distinct_subjects.max(1) as f64;
+                    let dout = ps.distinct_objects.max(1) as f64;
+                    match (s_bound, o_bound) {
+                        (true, true) => (triples / (ds * dout)).min(1.0),
+                        (true, false) => triples / ds,
+                        (false, true) => triples / dout,
+                        (false, false) => triples,
+                    }
+                }
+            };
+            (est, true)
         }
         Path::Var(v) => {
             // Unknown predicate distribution: decay the total per bound
@@ -426,14 +439,7 @@ fn estimate<G: GraphView>(
                     est = est.sqrt();
                 }
             }
-            let index = if s_bound {
-                IndexChoice::Spo
-            } else if o_bound {
-                IndexChoice::Osp
-            } else {
-                IndexChoice::Full
-            };
-            (est.max(1.0), index)
+            (est.max(1.0), p_bound)
         }
         _ => {
             // Complex paths run closure loops; without endpoint anchors
@@ -443,9 +449,10 @@ fn estimate<G: GraphView>(
             } else {
                 total * 4.0
             };
-            (est + 1.0, IndexChoice::Path)
+            return (est + 1.0, IndexChoice::Path);
         }
-    }
+    };
+    (est, IndexChoice::of(s_bound, p_bound, o_bound))
 }
 
 /// The class of a `?x rdf:type <C>` pattern: the one scan the statistics
@@ -648,7 +655,7 @@ fn fmt_path(p: &Path) -> String {
 mod tests {
     use super::*;
     use crate::parser::parse_query;
-    use feo_rdf::Graph;
+    use feo_rdf::{Graph, GraphStore};
 
     fn sample_graph() -> Graph {
         let mut g = Graph::new();
@@ -704,6 +711,32 @@ mod tests {
         assert_eq!(bp.steps[0].pattern, 1, "class pattern first");
         assert_eq!(bp.steps[0].est_rows, 5.0, "exact instance count");
         assert_eq!(bp.steps[0].index, IndexChoice::Pos);
+    }
+
+    #[test]
+    fn variable_predicate_steps_name_the_index_the_store_scans() {
+        let g = sample_graph();
+        let index_of = |text: &str| {
+            let (_, plan) = plan_for(&g, text);
+            let ElementPlan::Bgp(bp) = &plan.root.elements[0] else {
+                panic!("expected BGP plan");
+            };
+            bp.steps.iter().map(|st| st.index).collect::<Vec<_>>()
+        };
+        // `<s> ?p <o>` with ?p free: the store scans OSP.
+        assert_eq!(
+            index_of("SELECT * WHERE { <http://e/r0> ?p <http://e/only> }"),
+            [IndexChoice::Osp]
+        );
+        // `?s ?p ?o` and `?s ?p <o>` once ?p is bound: the store scans POS.
+        assert_eq!(
+            index_of("SELECT * WHERE { <http://e/r0> ?p ?x . ?s ?p ?o }"),
+            [IndexChoice::Spo, IndexChoice::Pos]
+        );
+        assert_eq!(
+            index_of("SELECT * WHERE { <http://e/r0> ?p ?x . ?s ?p <http://e/v0> }"),
+            [IndexChoice::Spo, IndexChoice::Pos]
+        );
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! property sets with inverse members.
 
 use feo_rdf::turtle::parse_turtle_into;
-use feo_rdf::{Graph, Term};
+use feo_rdf::{Graph, GraphView, Term};
 use feo_sparql::{query, SolutionTable};
 
 fn graph(src: &str) -> Graph {

@@ -2,7 +2,7 @@
 //! checks query results against hand-computed answers.
 
 use feo_rdf::turtle::parse_turtle_into;
-use feo_rdf::{Graph, Term};
+use feo_rdf::{Graph, GraphView, Term};
 use feo_sparql::{
     execute_seeded, parse_query, plan_seeded, query, QueryOptions, QueryResult, SolutionTable,
 };

@@ -1,6 +1,7 @@
 //! Robustness: the SPARQL lexer/parser must never panic on arbitrary
 //! input, and near-valid query mutations must fail cleanly.
 
+use feo_rdf::GraphStore;
 use feo_sparql::parse_query;
 use proptest::prelude::*;
 

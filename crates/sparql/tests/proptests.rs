@@ -4,7 +4,7 @@
 //! closure vs. repeated join), plus regex-lite differential checks
 //! against a naive reference for a restricted pattern class.
 
-use feo_rdf::Graph;
+use feo_rdf::{Graph, GraphStore};
 use feo_sparql::regexlite::Regex;
 use feo_sparql::{query, SolutionTable};
 use proptest::prelude::*;

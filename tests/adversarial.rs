@@ -14,7 +14,7 @@ use feo_foodkg::adversarial::{
 use feo_owl::{MaterializeOptions, Reasoner, ReasonerError};
 use feo_rdf::governor::{Budget, CancelFlag, Guard, Resource};
 use feo_rdf::turtle::{parse_turtle, parse_turtle_into};
-use feo_rdf::{Graph, ParseOptions, RdfError};
+use feo_rdf::{Graph, GraphView, ParseOptions, RdfError};
 use feo_sparql::{query, QueryOptions, SparqlError};
 
 /// Generous ceiling for "the governor actually stopped the work": each

@@ -17,6 +17,7 @@ use feo::foodkg::{
 };
 use feo::owl::Reasoner;
 use feo::rdf::Graph;
+use feo_rdf::GraphView;
 use proptest::prelude::*;
 
 fn triples(g: &Graph) -> BTreeSet<String> {

@@ -430,6 +430,12 @@ const ORDERED: &[Case] = &[
         &[&[("x", "a")], &[("x", "b")], &[("x", "c")]],
     ),
     (
+        "ORDER BY a bare builtin call: STR of an IRI",
+        ":b :p 1 . :a :p 2 . :c :p 3 .",
+        "SELECT ?x WHERE { ?x :p ?n } ORDER BY STR(?x)",
+        &[&[("x", "a")], &[("x", "b")], &[("x", "c")]],
+    ),
+    (
         "ORDER BY a computed key: DESC of a product",
         ":b :p 1 . :a :p 2 . :c :p 3 .",
         "SELECT ?x WHERE { ?x :p ?n } ORDER BY DESC(?n * 2)",

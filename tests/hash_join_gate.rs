@@ -8,6 +8,7 @@
 
 use feo::rdf::Graph;
 use feo::sparql::{join_counters, query, QueryOptions, QueryResult};
+use feo_rdf::GraphStore;
 
 /// `n` subjects tagged `<tag{n}>`; 200 subjects linked into 50 targets,
 /// so a join on `?s` against `<link>` has a 200-triple build scan.

@@ -7,6 +7,7 @@ use feo::core::{classify, Classification, EngineBase, ExplainOptions, Question};
 use feo::foodkg::{synthetic, FoodKg, Season, SyntheticConfig, SystemContext, UserProfile};
 use feo::owl::Reasoner;
 use feo::recommender::{HealthCoach, Recommender};
+use feo_rdf::{GraphStore, GraphView};
 use proptest::prelude::*;
 
 fn arb_season() -> impl Strategy<Value = Season> {

@@ -13,6 +13,7 @@ use feo::owl::Reasoner;
 use feo::rdf::governor::Budget;
 use feo::rdf::Graph;
 use feo::sparql::{parse_query, query, QueryOptions, SolutionTable, SparqlError};
+use feo_rdf::{GraphStore, GraphView};
 use proptest::prelude::*;
 
 /// Queries chosen to give the planner real decisions: multi-pattern
