@@ -17,6 +17,7 @@
 //! - [`access_path`] — which of the three orders answers a pattern, for
 //!   every store;
 //! - [`turtle`] / [`ntriples`] — parsers and serializers;
+//! - [`syntax`] — the cursor and term scanners Turtle and SPARQL share;
 //! - [`vocab`] — RDF/RDFS/OWL/XSD vocabulary constants.
 //!
 //! ## Example
@@ -44,6 +45,7 @@ pub mod ledger;
 pub mod ntriples;
 pub mod pool;
 pub mod stats;
+pub mod syntax;
 pub mod term;
 pub mod turtle;
 pub mod view;

@@ -1,21 +1,23 @@
 //! Turtle (Terse RDF Triple Language) parser and serializer.
 //!
-//! The parser is a hand-written recursive-descent parser over a char
-//! cursor, covering the Turtle 1.1 constructs the workspace's ontologies
-//! use: prefix/base directives (both `@` and SPARQL-style), prefixed
-//! names, IRI references with `\u`/`\U` escapes and relative resolution,
-//! blank-node labels and property lists, collections, all literal forms
-//! (quoted/long/numeric/boolean, language tags, datatypes), predicate-
-//! object and object lists, and comments.
+//! The parser is a hand-written recursive-descent parser over the
+//! [`Cursor`] it shares with the SPARQL lexer, covering the Turtle 1.1
+//! constructs the workspace's ontologies use: prefix/base directives
+//! (both `@` and SPARQL-style), predicate-object and object lists,
+//! blank-node property lists, collections, `a`, `true` / `false`, prefix
+//! expansion and relative IRI resolution. The terminals (IRIs, strings,
+//! language tags, numbers, prefixed names, blank node labels, comments)
+//! are scanned by [`crate::syntax`].
 
 use std::collections::HashMap;
 use std::fmt;
 
 use crate::governor::{Exhausted, Guard};
 use crate::graph::Graph;
+use crate::syntax::{reads_back_as_local, Cursor, SyntaxError};
 use crate::term::{BlankNode, Iri, Literal, Term, Triple};
 use crate::view::GraphStore;
-use crate::vocab::{rdf, xsd};
+use crate::vocab::rdf;
 use crate::{ParseOptions, RdfError};
 
 /// A Turtle parse error with 1-based line/column location.
@@ -24,6 +26,16 @@ pub struct TurtleError {
     pub message: String,
     pub line: usize,
     pub column: usize,
+}
+
+impl From<SyntaxError> for TurtleError {
+    fn from(e: SyntaxError) -> Self {
+        TurtleError {
+            message: e.message,
+            line: e.line,
+            column: e.column,
+        }
+    }
 }
 
 impl fmt::Display for TurtleError {
@@ -55,7 +67,7 @@ pub fn parse_turtle(input: &str, opts: &ParseOptions) -> Result<Vec<Triple>, Rdf
         Ok(()) => Ok(parser.triples),
         Err(e) => match parser.tripped.take() {
             Some(exhausted) => Err(RdfError::Exhausted(exhausted)),
-            None => Err(RdfError::Syntax(e)),
+            None => Err(RdfError::Syntax(e.into())),
         },
     }
 }
@@ -86,104 +98,51 @@ pub fn parse_turtle_into(
 }
 
 struct Parser<'a> {
-    chars: Vec<char>,
-    pos: usize,
-    line: usize,
-    column: usize,
+    cur: Cursor,
     base: Option<String>,
     prefixes: HashMap<String, String>,
     triples: Vec<Triple>,
     bnode_counter: u64,
     guard: Option<&'a Guard>,
     tripped: Option<Exhausted>,
-    _input: &'a str,
 }
 
 impl<'a> Parser<'a> {
-    fn new(input: &'a str) -> Self {
+    fn new(input: &str) -> Self {
         Parser {
-            chars: input.chars().collect(),
-            pos: 0,
-            line: 1,
-            column: 1,
+            cur: Cursor::new(input),
             base: None,
             prefixes: HashMap::new(),
             triples: Vec::new(),
             bnode_counter: 0,
             guard: None,
             tripped: None,
-            _input: input,
         }
     }
 
     /// Hot-loop budget check. On a trip the [`Exhausted`] detail is
     /// stashed in `self.tripped` (the guarded entry point surfaces it)
-    /// and a plain [`TurtleError`] unwinds the recursive descent.
-    fn check_guard(&mut self) -> Result<(), TurtleError> {
+    /// and a plain [`SyntaxError`] unwinds the recursive descent.
+    fn check_guard(&mut self) -> Result<(), SyntaxError> {
         if let Some(g) = self.guard {
             if let Err(exhausted) = g.check_time() {
                 self.tripped = Some(exhausted);
-                return self.error("execution budget exhausted");
+                return self.cur.error("execution budget exhausted");
             }
         }
         Ok(())
     }
 
-    fn error<T>(&self, message: impl Into<String>) -> Result<T, TurtleError> {
-        Err(TurtleError {
-            message: message.into(),
-            line: self.line,
-            column: self.column,
-        })
-    }
-
-    fn peek(&self) -> Option<char> {
-        self.chars.get(self.pos).copied()
-    }
-
-    fn peek_at(&self, off: usize) -> Option<char> {
-        self.chars.get(self.pos + off).copied()
-    }
-
-    fn bump(&mut self) -> Option<char> {
-        let c = self.peek()?;
-        self.pos += 1;
-        if c == '\n' {
-            self.line += 1;
-            self.column = 1;
-        } else {
-            self.column += 1;
-        }
-        Some(c)
-    }
-
-    fn skip_ws(&mut self) {
-        loop {
-            match self.peek() {
-                Some(c) if c.is_whitespace() => {
-                    self.bump();
-                }
-                Some('#') => {
-                    while let Some(c) = self.peek() {
-                        if c == '\n' {
-                            break;
-                        }
-                        self.bump();
-                    }
-                }
-                _ => break,
-            }
-        }
-    }
-
-    fn expect(&mut self, c: char) -> Result<(), TurtleError> {
-        match self.peek() {
+    fn expect(&mut self, c: char) -> Result<(), SyntaxError> {
+        match self.cur.peek() {
             Some(x) if x == c => {
-                self.bump();
+                self.cur.bump();
                 Ok(())
             }
-            Some(x) => self.error(format!("expected '{c}', found '{x}'")),
-            None => self.error(format!("expected '{c}', found end of input")),
+            Some(x) => self.cur.error(format!("expected '{c}', found '{x}'")),
+            None => self
+                .cur
+                .error(format!("expected '{c}', found end of input")),
         }
     }
 
@@ -191,16 +150,16 @@ impl<'a> Parser<'a> {
     fn try_keyword(&mut self, kw: &str) -> bool {
         let mut off = 0;
         for kc in kw.chars() {
-            match self.peek_at(off) {
+            match self.cur.peek_at(off) {
                 Some(c) if c.eq_ignore_ascii_case(&kc) => off += 1,
                 _ => return false,
             }
         }
-        match self.peek_at(off) {
+        match self.cur.peek_at(off) {
             Some(c) if c.is_alphanumeric() || c == '_' => false,
             _ => {
                 for _ in 0..off {
-                    self.bump();
+                    self.cur.bump();
                 }
                 true
             }
@@ -213,14 +172,14 @@ impl<'a> Parser<'a> {
         t
     }
 
-    fn parse_document(&mut self) -> Result<(), TurtleError> {
+    fn parse_document(&mut self) -> Result<(), SyntaxError> {
         loop {
             self.check_guard()?;
-            self.skip_ws();
-            if self.peek().is_none() {
+            self.cur.skip_ws();
+            if self.cur.peek().is_none() {
                 return Ok(());
             }
-            if self.peek() == Some('@') {
+            if self.cur.peek() == Some('@') {
                 self.parse_at_directive()?;
                 continue;
             }
@@ -233,65 +192,58 @@ impl<'a> Parser<'a> {
                 continue;
             }
             self.parse_triples_block()?;
-            self.skip_ws();
+            self.cur.skip_ws();
             self.expect('.')?;
         }
     }
 
-    fn parse_at_directive(&mut self) -> Result<(), TurtleError> {
+    fn parse_at_directive(&mut self) -> Result<(), SyntaxError> {
         self.expect('@')?;
         if self.try_keyword("prefix") {
             self.parse_prefix_body(true)
         } else if self.try_keyword("base") {
             self.parse_base_body(true)
         } else {
-            self.error("unknown @-directive (expected @prefix or @base)")
+            self.cur
+                .error("unknown @-directive (expected @prefix or @base)")
         }
     }
 
-    fn parse_prefix_body(&mut self, dotted: bool) -> Result<(), TurtleError> {
-        self.skip_ws();
-        let mut name = String::new();
-        while let Some(c) = self.peek() {
-            if c == ':' {
-                break;
-            }
-            if c.is_whitespace() {
-                return self.error("prefix name may not contain whitespace");
-            }
-            name.push(c);
-            self.bump();
-        }
-        self.expect(':')?;
-        self.skip_ws();
-        let iri = self.parse_iri_ref()?;
+    fn parse_prefix_body(&mut self, dotted: bool) -> Result<(), SyntaxError> {
+        self.cur.skip_ws();
+        let name = match self.cur.prefixed_name()? {
+            Some((name, local)) if local.is_empty() => name,
+            _ => return self.cur.error("expected a prefix name ending in ':'"),
+        };
+        self.cur.skip_ws();
+        let iri = self.iri_ref()?;
         self.prefixes.insert(name, iri);
         if dotted {
-            self.skip_ws();
+            self.cur.skip_ws();
             self.expect('.')?;
         }
         Ok(())
     }
 
-    fn parse_base_body(&mut self, dotted: bool) -> Result<(), TurtleError> {
-        self.skip_ws();
-        let iri = self.parse_iri_ref()?;
+    fn parse_base_body(&mut self, dotted: bool) -> Result<(), SyntaxError> {
+        self.cur.skip_ws();
+        let iri = self.iri_ref()?;
         self.base = Some(iri);
         if dotted {
-            self.skip_ws();
+            self.cur.skip_ws();
             self.expect('.')?;
         }
         Ok(())
     }
 
-    fn parse_triples_block(&mut self) -> Result<(), TurtleError> {
-        self.skip_ws();
+    fn parse_triples_block(&mut self) -> Result<(), SyntaxError> {
+        self.cur.skip_ws();
         // blankNodePropertyList as subject: may stand alone or take a
         // predicate-object list.
-        if self.peek() == Some('[') {
+        if self.cur.peek() == Some('[') {
             let subject = self.parse_bnode_property_list()?;
-            self.skip_ws();
-            if self.peek() != Some('.') {
+            self.cur.skip_ws();
+            if self.cur.peek() != Some('.') {
                 self.parse_predicate_object_list(&subject)?;
             }
             return Ok(());
@@ -300,139 +252,124 @@ impl<'a> Parser<'a> {
         self.parse_predicate_object_list(&subject)
     }
 
-    fn parse_subject(&mut self) -> Result<Term, TurtleError> {
-        self.skip_ws();
-        match self.peek() {
-            Some('<') => Ok(Term::Iri(Iri::new(self.parse_iri_ref_resolved()?))),
-            Some('_') => self.parse_bnode_label(),
+    fn parse_subject(&mut self) -> Result<Term, SyntaxError> {
+        self.cur.skip_ws();
+        match self.cur.peek() {
+            Some('<') => Ok(Term::iri(self.iri()?)),
+            Some('_') => self.blank_node(),
             Some('(') => self.parse_collection(),
-            Some(_) => Ok(Term::Iri(Iri::new(self.parse_prefixed_name()?))),
-            None => self.error("expected subject, found end of input"),
+            Some(_) => Ok(Term::iri(self.prefixed_name()?)),
+            None => self.cur.error("expected subject, found end of input"),
         }
     }
 
-    fn parse_predicate_object_list(&mut self, subject: &Term) -> Result<(), TurtleError> {
+    fn parse_predicate_object_list(&mut self, subject: &Term) -> Result<(), SyntaxError> {
         loop {
-            self.skip_ws();
+            self.cur.skip_ws();
             let predicate = self.parse_predicate()?;
             loop {
                 self.check_guard()?;
-                self.skip_ws();
+                self.cur.skip_ws();
                 let object = self.parse_object()?;
                 self.triples.push(Triple {
                     subject: subject.clone(),
                     predicate: predicate.clone(),
                     object,
                 });
-                self.skip_ws();
-                if self.peek() == Some(',') {
-                    self.bump();
-                } else {
+                self.cur.skip_ws();
+                if !self.cur.eat(',') {
                     break;
                 }
             }
-            self.skip_ws();
-            if self.peek() == Some(';') {
-                self.bump();
-                self.skip_ws();
-                // Trailing ';' before '.' or ']' is legal Turtle.
-                if matches!(self.peek(), Some('.') | Some(']')) || self.peek().is_none() {
-                    return Ok(());
-                }
-            } else {
+            self.cur.skip_ws();
+            if !self.cur.eat(';') {
+                return Ok(());
+            }
+            self.cur.skip_ws();
+            // Trailing ';' before '.' or ']' is legal Turtle.
+            if matches!(self.cur.peek(), Some('.' | ']') | None) {
                 return Ok(());
             }
         }
     }
 
-    fn parse_predicate(&mut self) -> Result<Term, TurtleError> {
-        self.skip_ws();
-        if self.peek() == Some('a')
-            && matches!(self.peek_at(1), Some(c) if c.is_whitespace() || c == '<' || c == '[' || c == '_')
+    fn parse_predicate(&mut self) -> Result<Term, SyntaxError> {
+        self.cur.skip_ws();
+        if self.cur.peek() == Some('a')
+            && matches!(self.cur.peek_at(1), Some(c) if c.is_whitespace() || c == '<' || c == '[' || c == '_')
         {
-            self.bump();
+            self.cur.bump();
             return Ok(Term::iri(rdf::TYPE));
         }
-        match self.peek() {
-            Some('<') => Ok(Term::Iri(Iri::new(self.parse_iri_ref_resolved()?))),
-            Some(_) => Ok(Term::Iri(Iri::new(self.parse_prefixed_name()?))),
-            None => self.error("expected predicate, found end of input"),
+        match self.cur.peek() {
+            Some('<') => Ok(Term::iri(self.iri()?)),
+            Some(_) => Ok(Term::iri(self.prefixed_name()?)),
+            None => self.cur.error("expected predicate, found end of input"),
         }
     }
 
-    fn parse_object(&mut self) -> Result<Term, TurtleError> {
-        self.skip_ws();
-        match self.peek() {
-            Some('<') => Ok(Term::Iri(Iri::new(self.parse_iri_ref_resolved()?))),
-            Some('_') => self.parse_bnode_label(),
+    fn parse_object(&mut self) -> Result<Term, SyntaxError> {
+        self.cur.skip_ws();
+        match self.cur.peek() {
+            Some('<') => Ok(Term::iri(self.iri()?)),
+            Some('_') => self.blank_node(),
             Some('[') => self.parse_bnode_property_list(),
             Some('(') => self.parse_collection(),
-            Some('"') | Some('\'') => self.parse_rdf_literal(),
-            Some(c) if c == '+' || c == '-' || c.is_ascii_digit() => self.parse_numeric_literal(),
+            Some('"' | '\'') => self.parse_rdf_literal(),
+            Some(sign @ ('+' | '-')) => {
+                self.cur.bump();
+                match self.cur.number() {
+                    Some((digits, dt)) => Ok(Term::Literal(Literal::typed(
+                        format!("{sign}{digits}"),
+                        Iri::new(dt),
+                    ))),
+                    None => self.cur.error("invalid numeric literal"),
+                }
+            }
             Some(_) => {
+                if let Some((lexical, dt)) = self.cur.number() {
+                    return Ok(Term::Literal(Literal::typed(lexical, Iri::new(dt))));
+                }
                 if self.try_keyword("true") {
                     return Ok(Term::boolean(true));
                 }
                 if self.try_keyword("false") {
                     return Ok(Term::boolean(false));
                 }
-                Ok(Term::Iri(Iri::new(self.parse_prefixed_name()?)))
+                Ok(Term::iri(self.prefixed_name()?))
             }
-            None => self.error("expected object, found end of input"),
+            None => self.cur.error("expected object, found end of input"),
         }
     }
 
-    fn parse_bnode_label(&mut self) -> Result<Term, TurtleError> {
-        self.expect('_')?;
-        self.expect(':')?;
-        let mut label = String::new();
-        while let Some(c) = self.peek() {
-            if c.is_alphanumeric() || c == '_' || c == '-' || c == '.' {
-                // '.' only allowed mid-label; stop if followed by non-name.
-                if c == '.' {
-                    match self.peek_at(1) {
-                        Some(n) if n.is_alphanumeric() || n == '_' || n == '-' => {}
-                        _ => break,
-                    }
-                }
-                label.push(c);
-                self.bump();
-            } else {
-                break;
-            }
-        }
-        if label.is_empty() {
-            return self.error("empty blank node label");
-        }
-        Ok(Term::BlankNode(BlankNode::new(label)))
+    fn blank_node(&mut self) -> Result<Term, SyntaxError> {
+        Ok(Term::BlankNode(BlankNode::new(self.cur.blank_label()?)))
     }
 
-    fn parse_bnode_property_list(&mut self) -> Result<Term, TurtleError> {
+    fn parse_bnode_property_list(&mut self) -> Result<Term, SyntaxError> {
         self.expect('[')?;
-        self.skip_ws();
+        self.cur.skip_ws();
         let node = self.fresh_bnode();
-        if self.peek() == Some(']') {
-            self.bump();
+        if self.cur.eat(']') {
             return Ok(node);
         }
         self.parse_predicate_object_list(&node)?;
-        self.skip_ws();
+        self.cur.skip_ws();
         self.expect(']')?;
         Ok(node)
     }
 
-    fn parse_collection(&mut self) -> Result<Term, TurtleError> {
+    fn parse_collection(&mut self) -> Result<Term, SyntaxError> {
         self.expect('(')?;
         let mut items = Vec::new();
         loop {
             self.check_guard()?;
-            self.skip_ws();
-            if self.peek() == Some(')') {
-                self.bump();
+            self.cur.skip_ws();
+            if self.cur.eat(')') {
                 break;
             }
-            if self.peek().is_none() {
-                return self.error("unterminated collection");
+            if self.cur.peek().is_none() {
+                return self.cur.error("unterminated collection");
             }
             items.push(self.parse_object()?);
         }
@@ -457,32 +394,17 @@ impl<'a> Parser<'a> {
         Ok(head)
     }
 
-    fn parse_rdf_literal(&mut self) -> Result<Term, TurtleError> {
-        let lexical = self.parse_string()?;
-        match self.peek() {
-            Some('@') => {
-                self.bump();
-                let mut tag = String::new();
-                while let Some(c) = self.peek() {
-                    if c.is_ascii_alphanumeric() || c == '-' {
-                        tag.push(c);
-                        self.bump();
-                    } else {
-                        break;
-                    }
-                }
-                if tag.is_empty() {
-                    return self.error("empty language tag");
-                }
-                Ok(Term::Literal(Literal::lang(lexical, tag)))
-            }
+    fn parse_rdf_literal(&mut self) -> Result<Term, SyntaxError> {
+        let lexical = self.cur.string()?;
+        match self.cur.peek() {
+            Some('@') => Ok(Term::Literal(Literal::lang(lexical, self.cur.lang_tag()?))),
             Some('^') => {
-                self.bump();
+                self.cur.bump();
                 self.expect('^')?;
-                self.skip_ws();
-                let dt = match self.peek() {
-                    Some('<') => self.parse_iri_ref_resolved()?,
-                    _ => self.parse_prefixed_name()?,
+                self.cur.skip_ws();
+                let dt = match self.cur.peek() {
+                    Some('<') => self.iri()?,
+                    _ => self.prefixed_name()?,
                 };
                 Ok(Term::Literal(Literal::typed(lexical, Iri::new(dt))))
             }
@@ -490,225 +412,32 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_string(&mut self) -> Result<String, TurtleError> {
-        let quote = match self.peek() {
-            Some(q @ ('"' | '\'')) => q,
-            _ => return self.error("expected string literal"),
-        };
-        // Long string?
-        if self.peek_at(1) == Some(quote) && self.peek_at(2) == Some(quote) {
-            self.bump();
-            self.bump();
-            self.bump();
-            let mut out = String::new();
-            loop {
-                if self.peek() == Some(quote)
-                    && self.peek_at(1) == Some(quote)
-                    && self.peek_at(2) == Some(quote)
-                {
-                    // Quotes are greedy: in `""""""` closing a string that
-                    // ends with `"`, the final three quotes terminate and
-                    // any extras before them belong to the content.
-                    let mut run = 3;
-                    while self.peek_at(run) == Some(quote) {
-                        run += 1;
-                    }
-                    for _ in 0..(run - 3) {
-                        out.push(quote);
-                        self.bump();
-                    }
-                    self.bump();
-                    self.bump();
-                    self.bump();
-                    return Ok(out);
-                }
-                match self.bump() {
-                    Some('\\') => out.push(self.parse_escape()?),
-                    Some(c) => out.push(c),
-                    None => return self.error("unterminated long string"),
-                }
-            }
-        }
-        self.bump();
-        let mut out = String::new();
-        loop {
-            match self.bump() {
-                Some(c) if c == quote => return Ok(out),
-                Some('\\') => out.push(self.parse_escape()?),
-                Some('\n') => return self.error("newline in short string literal"),
-                Some(c) => out.push(c),
-                None => return self.error("unterminated string"),
-            }
-        }
-    }
-
-    fn parse_escape(&mut self) -> Result<char, TurtleError> {
-        match self.bump() {
-            Some('t') => Ok('\t'),
-            Some('b') => Ok('\u{8}'),
-            Some('n') => Ok('\n'),
-            Some('r') => Ok('\r'),
-            Some('f') => Ok('\u{c}'),
-            Some('"') => Ok('"'),
-            Some('\'') => Ok('\''),
-            Some('\\') => Ok('\\'),
-            Some('u') => self.parse_unicode_escape(4),
-            Some('U') => self.parse_unicode_escape(8),
-            Some(c) => self.error(format!("invalid escape '\\{c}'")),
-            None => self.error("unterminated escape"),
-        }
-    }
-
-    fn parse_unicode_escape(&mut self, digits: usize) -> Result<char, TurtleError> {
-        let mut v: u32 = 0;
-        for _ in 0..digits {
-            match self.bump().and_then(|c| c.to_digit(16)) {
-                Some(d) => v = v * 16 + d,
-                None => return self.error("invalid unicode escape"),
-            }
-        }
-        char::from_u32(v).map_or_else(|| self.error("invalid unicode code point"), Ok)
-    }
-
-    fn parse_numeric_literal(&mut self) -> Result<Term, TurtleError> {
-        let mut s = String::new();
-        if matches!(self.peek(), Some('+') | Some('-')) {
-            s.push(self.bump().unwrap());
-        }
-        let mut has_dot = false;
-        let mut has_exp = false;
-        while let Some(c) = self.peek() {
-            if c.is_ascii_digit() {
-                s.push(c);
-                self.bump();
-            } else if c == '.' && !has_dot && !has_exp {
-                // Only consume the dot when a digit or exponent follows —
-                // otherwise it terminates the statement.
-                match self.peek_at(1) {
-                    Some(n) if n.is_ascii_digit() => {
-                        has_dot = true;
-                        s.push(c);
-                        self.bump();
-                    }
-                    Some('e') | Some('E') => {
-                        has_dot = true;
-                        s.push(c);
-                        self.bump();
-                    }
-                    _ => break,
-                }
-            } else if (c == 'e' || c == 'E') && !has_exp {
-                has_exp = true;
-                s.push(c);
-                self.bump();
-                if matches!(self.peek(), Some('+') | Some('-')) {
-                    s.push(self.bump().unwrap());
-                }
-            } else {
-                break;
-            }
-        }
-        if s.is_empty() || s == "+" || s == "-" {
-            return self.error("invalid numeric literal");
-        }
-        let dt = if has_exp {
-            xsd::DOUBLE
-        } else if has_dot {
-            xsd::DECIMAL
-        } else {
-            xsd::INTEGER
-        };
-        Ok(Term::Literal(Literal::typed(s, Iri::new(dt))))
-    }
-
-    /// `<...>` with escapes; returns the raw (possibly relative) IRI text.
-    fn parse_iri_ref(&mut self) -> Result<String, TurtleError> {
-        self.expect('<')?;
-        let mut out = String::new();
-        loop {
-            match self.bump() {
-                Some('>') => return Ok(out),
-                Some('\\') => match self.bump() {
-                    Some('u') => out.push(self.parse_unicode_escape(4)?),
-                    Some('U') => out.push(self.parse_unicode_escape(8)?),
-                    _ => return self.error("invalid IRI escape"),
-                },
-                Some(c) if c.is_whitespace() => return self.error("whitespace in IRI"),
-                Some(c) => out.push(c),
-                None => return self.error("unterminated IRI"),
-            }
+    /// `<...>` with escapes; the raw (possibly relative) IRI text.
+    fn iri_ref(&mut self) -> Result<String, SyntaxError> {
+        match self.cur.iri_ref()? {
+            Some(iri) => Ok(iri),
+            None => self.cur.error("expected an IRI reference"),
         }
     }
 
     /// `<...>` resolved against the document base.
-    fn parse_iri_ref_resolved(&mut self) -> Result<String, TurtleError> {
-        let raw = self.parse_iri_ref()?;
+    fn iri(&mut self) -> Result<String, SyntaxError> {
+        let raw = self.iri_ref()?;
         Ok(resolve_iri(self.base.as_deref(), &raw))
     }
 
-    fn parse_prefixed_name(&mut self) -> Result<String, TurtleError> {
-        let mut prefix = String::new();
-        while let Some(c) = self.peek() {
-            if c == ':' {
-                break;
-            }
-            if c.is_alphanumeric() || c == '_' || c == '-' || c == '.' {
-                prefix.push(c);
-                self.bump();
-            } else {
-                break;
-            }
-        }
-        if self.peek() != Some(':') {
-            return self.error(format!(
-                "expected prefixed name, found '{}'",
-                self.peek().map_or(String::from("EOF"), |c| c.to_string())
-            ));
-        }
-        self.bump(); // ':'
-        let ns = match self.prefixes.get(&prefix) {
-            Some(ns) => ns.clone(),
-            None => return self.error(format!("undeclared prefix '{prefix}:'")),
+    /// `prefix:local` expanded against the declared prefixes.
+    fn prefixed_name(&mut self) -> Result<String, SyntaxError> {
+        let Some((prefix, local)) = self.cur.prefixed_name()? else {
+            let found = self.cur.peek().map_or(String::from("EOF"), String::from);
+            return self
+                .cur
+                .error(format!("expected prefixed name, found '{found}'"));
         };
-        let mut local = String::new();
-        while let Some(c) = self.peek() {
-            if c.is_alphanumeric() || c == '_' || c == '-' {
-                local.push(c);
-                self.bump();
-            } else if c == '.' {
-                // '.' allowed only when followed by another name char.
-                match self.peek_at(1) {
-                    Some(n) if n.is_alphanumeric() || n == '_' || n == '-' || n == ':' => {
-                        local.push(c);
-                        self.bump();
-                    }
-                    _ => break,
-                }
-            } else if c == '\\' {
-                // PN_LOCAL_ESC
-                self.bump();
-                match self.bump() {
-                    Some(e) if "_~.-!$&'()*+,;=/?#@%".contains(e) => local.push(e),
-                    _ => return self.error("invalid local name escape"),
-                }
-            } else if c == '%' {
-                // percent-encoded
-                self.bump();
-                let h1 = self.bump();
-                let h2 = self.bump();
-                match (h1, h2) {
-                    (Some(a), Some(b)) if a.is_ascii_hexdigit() && b.is_ascii_hexdigit() => {
-                        local.push('%');
-                        local.push(a);
-                        local.push(b);
-                    }
-                    _ => return self.error("invalid percent encoding in local name"),
-                }
-            } else {
-                break;
-            }
+        match self.prefixes.get(&prefix) {
+            Some(ns) => Ok(format!("{ns}{local}")),
+            None => self.cur.error(format!("undeclared prefix '{prefix}:'")),
         }
-        Ok(format!("{ns}{local}"))
     }
 }
 
@@ -776,24 +505,15 @@ pub fn write_turtle<G: crate::GraphView + ?Sized>(graph: &G, prefixes: &[(&str, 
     }
 
     let compact = |term: &Term| -> String {
-        match term {
-            Term::Iri(iri) => {
-                for (name, ns) in prefixes {
-                    if let Some(local) = iri.as_str().strip_prefix(ns) {
-                        if !local.is_empty()
-                            && local
-                                .chars()
-                                .all(|c| c.is_alphanumeric() || c == '_' || c == '-' || c == '.')
-                            && !local.ends_with('.')
-                        {
-                            return format!("{name}:{local}");
-                        }
-                    }
+        if let Term::Iri(iri) = term {
+            for (name, ns) in prefixes {
+                match iri.as_str().strip_prefix(ns) {
+                    Some(local) if reads_back_as_local(local) => return format!("{name}:{local}"),
+                    _ => {}
                 }
-                term.to_string()
             }
-            _ => term.to_string(),
         }
+        term.to_string()
     };
 
     // Group triples by subject to emit predicate-object lists joined by ';'.
@@ -826,6 +546,7 @@ pub fn write_turtle<G: crate::GraphView + ?Sized>(graph: &G, prefixes: &[(&str, 
 mod tests {
     use super::*;
     use crate::view::GraphView;
+    use crate::vocab::xsd;
 
     fn parse_ok(src: &str) -> Vec<Triple> {
         parse_turtle(src, &ParseOptions::default()).expect("parse should succeed")
@@ -1056,12 +777,15 @@ mod tests {
         let mut g = Graph::new();
         parse_turtle_into(
             "@prefix e: <http://e/> .\n\
-             e:a a e:Food ; e:p \"v\"@en ; e:q 42 .",
+             e:a a e:Food ; e:p \"v\"@en ; e:q 42 .\n\
+             e:a.b e:p-q e:1st , <http://e/end.> , e:x:y , e:a%20b .",
             &mut g,
             &ParseOptions::default(),
         )
         .unwrap();
         let ttl = write_turtle(&g, &[("e", "http://e/")]);
+        assert!(ttl.contains("e:a.b e:p-q e:1st"), "{ttl}");
+        assert!(ttl.contains("<http://e/end.>"), "{ttl}");
         let mut g2 = Graph::new();
         parse_turtle_into(&ttl, &mut g2, &ParseOptions::default()).unwrap();
         assert_eq!(g.len(), g2.len());

@@ -3,6 +3,7 @@
 use std::fmt;
 
 use feo_rdf::governor::Exhausted;
+use feo_rdf::syntax::SyntaxError;
 
 /// An error raised while parsing or evaluating a SPARQL query.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -58,6 +59,12 @@ impl fmt::Display for SparqlError {
 }
 
 impl std::error::Error for SparqlError {}
+
+impl From<SyntaxError> for SparqlError {
+    fn from(e: SyntaxError) -> Self {
+        SparqlError::parse(e.message, e.line, e.column)
+    }
+}
 
 impl From<Exhausted> for SparqlError {
     fn from(e: Exhausted) -> Self {

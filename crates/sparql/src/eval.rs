@@ -156,6 +156,7 @@ pub fn execute_seeded<G: GraphView>(
         key_slots: Vec::new(),
         exists: FxMap::default(),
         memo: Memo::default(),
+        aggregated: Vec::new(),
     };
     let mut row = vec![None; ctx.vars.len()];
     for (name, term) in seed {
@@ -406,6 +407,10 @@ struct Ctx<'a, G: GraphView> {
     /// `EXISTS` results by (group address, key).
     exists: FxMap<(usize, SlotKey), bool>,
     memo: Memo,
+    /// The value of each aggregate over the group being finalised, by
+    /// the address of its AST node (a query has a handful: a scan beats
+    /// hashing); empty outside aggregation.
+    aggregated: Vec<(usize, Option<Value>)>,
 }
 
 /// What an execution resolves once and then reuses: each query constant
@@ -1173,7 +1178,10 @@ impl<'a, G: GraphView> Ctx<'a, G> {
             }
             Expr::Call(builtin, args) => self.call(*builtin, args, b),
             Expr::Exists(group, negated) => Some(Value::Bool(self.exists(group, b) != *negated)),
-            Expr::Aggregate(_) => None, // only valid in aggregation context
+            Expr::Aggregate(agg) => {
+                let at = &**agg as *const AggregateExpr as usize;
+                (self.aggregated.iter().find(|(a, _)| *a == at)).and_then(|(_, v)| v.clone())
+            }
         }
     }
 
@@ -1502,12 +1510,19 @@ impl<'a, G: GraphView> Ctx<'a, G> {
         distinct: bool,
         mut rows: Vec<Binding>,
     ) -> Result<QueryResult> {
-        let aggregating = !q.modifiers.group_by.is_empty()
-            || matches!(projection, Projection::Items(items)
-                if items.iter().any(|i| matches!(i, ProjectionItem::Expr(e, _) if contains_aggregate(e))));
-
-        if aggregating {
-            rows = self.aggregate_rows(q, projection, rows)?;
+        let mut aggs = Vec::new();
+        if let Projection::Items(items) = projection {
+            for item in items {
+                if let ProjectionItem::Expr(e, _) = item {
+                    aggregates(e, &mut aggs);
+                }
+            }
+        }
+        if !q.modifiers.group_by.is_empty() || !aggs.is_empty() {
+            for h in &q.modifiers.having {
+                aggregates(h, &mut aggs);
+            }
+            rows = self.aggregate_rows(q, projection, &aggs, rows)?;
         } else if let Projection::Items(items) = projection {
             // Extend rows with SELECT expression results.
             for item in items {
@@ -1634,6 +1649,7 @@ impl<'a, G: GraphView> Ctx<'a, G> {
         &mut self,
         q: &Query,
         projection: &Projection,
+        aggs: &[&AggregateExpr],
         rows: Vec<Binding>,
     ) -> Result<Vec<Binding>> {
         // Compute group keys.
@@ -1685,9 +1701,12 @@ impl<'a, G: GraphView> Ctx<'a, G> {
                     GroupCondition::Expr(_, None) => {}
                 }
             }
+            self.aggregated = (aggs.iter())
+                .map(|&a| (a as *const _ as usize, self.eval_aggregate(a, &members)))
+                .collect();
             // HAVING.
             for h in &q.modifiers.having {
-                let v = self.eval_group_expr(h, &members, &row);
+                let v = self.eval_expr(h, &row);
                 if v.and_then(|v| ebv(&self.g, &v)) != Some(true) {
                     continue 'group;
                 }
@@ -1701,7 +1720,7 @@ impl<'a, G: GraphView> Ctx<'a, G> {
                                 "aggregate projection variable ?{v} is not registered"
                             ))
                         })?;
-                        if let Some(val) = self.eval_group_expr(e, &members, &row) {
+                        if let Some(val) = self.eval_expr(e, &row) {
                             row[slot] = Some(val.into_term_id(&mut self.g));
                         }
                     }
@@ -1709,61 +1728,8 @@ impl<'a, G: GraphView> Ctx<'a, G> {
             }
             out.push(row);
         }
+        self.aggregated.clear();
         Ok(out)
-    }
-
-    /// Expression evaluation inside a group: aggregates compute over the
-    /// member rows, plain variables resolve from the group-key row.
-    fn eval_group_expr(
-        &mut self,
-        e: &Expr,
-        members: &[Binding],
-        keyrow: &Binding,
-    ) -> Option<Value> {
-        match e {
-            Expr::Aggregate(agg) => self.eval_aggregate(agg, members),
-            Expr::Or(a, x) => {
-                let l = self
-                    .eval_group_expr(a, members, keyrow)
-                    .and_then(|v| ebv(&self.g, &v));
-                let r = self
-                    .eval_group_expr(x, members, keyrow)
-                    .and_then(|v| ebv(&self.g, &v));
-                match (l, r) {
-                    (Some(true), _) | (_, Some(true)) => Some(Value::Bool(true)),
-                    (Some(false), Some(false)) => Some(Value::Bool(false)),
-                    _ => None,
-                }
-            }
-            Expr::And(a, x) => {
-                let l = self
-                    .eval_group_expr(a, members, keyrow)
-                    .and_then(|v| ebv(&self.g, &v));
-                let r = self
-                    .eval_group_expr(x, members, keyrow)
-                    .and_then(|v| ebv(&self.g, &v));
-                match (l, r) {
-                    (Some(false), _) | (_, Some(false)) => Some(Value::Bool(false)),
-                    (Some(true), Some(true)) => Some(Value::Bool(true)),
-                    _ => None,
-                }
-            }
-            Expr::Not(a) => {
-                let v = self.eval_group_expr(a, members, keyrow)?;
-                ebv(&self.g, &v).map(|t| Value::Bool(!t))
-            }
-            Expr::Compare(op, a, x) => {
-                let l = self.eval_group_expr(a, members, keyrow)?;
-                let r = self.eval_group_expr(x, members, keyrow)?;
-                self.compare(*op, &l, &r).map(Value::Bool)
-            }
-            Expr::Arith(op, a, x) => {
-                let l = self.eval_group_expr(a, members, keyrow)?;
-                let r = self.eval_group_expr(x, members, keyrow)?;
-                self.arith(*op, &l, &r)
-            }
-            other => self.eval_expr(other, keyrow),
-        }
     }
 
     fn eval_aggregate(&mut self, agg: &AggregateExpr, members: &[Binding]) -> Option<Value> {
@@ -2039,16 +2005,21 @@ fn index_scan(scan: &[[TermId; 3]], col: usize) -> HashMap<TermId, Vec<usize>> {
 /// plus one binding's matches per charging thread).
 const CHARGE_BATCH: usize = 256;
 
-fn contains_aggregate(e: &Expr) -> bool {
+/// Appends the aggregates `e` computes to `out`.
+fn aggregates<'q>(e: &'q Expr, out: &mut Vec<&'q AggregateExpr>) {
     match e {
-        Expr::Aggregate(_) => true,
+        Expr::Aggregate(agg) => out.push(agg),
         Expr::Or(a, b) | Expr::And(a, b) | Expr::Compare(_, a, b) | Expr::Arith(_, a, b) => {
-            contains_aggregate(a) || contains_aggregate(b)
+            aggregates(a, out);
+            aggregates(b, out);
         }
-        Expr::Not(a) | Expr::UnaryMinus(a) => contains_aggregate(a),
-        Expr::In(a, list, _) => contains_aggregate(a) || list.iter().any(contains_aggregate),
-        Expr::Call(_, args) => args.iter().any(contains_aggregate),
-        _ => false,
+        Expr::Not(a) | Expr::UnaryMinus(a) => aggregates(a, out),
+        Expr::In(a, list, _) => {
+            aggregates(a, out);
+            list.iter().for_each(|e| aggregates(e, out));
+        }
+        Expr::Call(_, args) => args.iter().for_each(|e| aggregates(e, out)),
+        _ => {}
     }
 }
 

@@ -3,12 +3,16 @@
 //! Produces a flat token stream with positions; the parser is a recursive
 //! descent over this stream. Keywords are recognized case-insensitively at
 //! parse time (they are lexed as `Word`), so variable-free prefixed names
-//! like `feo:Select` never collide with keywords.
+//! like `feo:Select` never collide with keywords. IRIs, strings, language
+//! tags, numbers, prefixed names and blank node labels are scanned by
+//! [`feo_rdf::syntax`], the scanners the Turtle reader uses.
 
-use crate::error::{Result, SparqlError};
+use feo_rdf::syntax::{Cursor, SyntaxError};
+
+use crate::error::Result;
 
 #[derive(Debug, Clone, PartialEq)]
-pub enum Tok {
+pub(crate) enum Tok {
     /// `<...>` IRI reference (raw text, unresolved).
     IriRef(String),
     /// `prefix:local` or `prefix:` or `:local` — kept split.
@@ -24,12 +28,8 @@ pub enum Tok {
     Str(String),
     /// `@lang`.
     LangTag(String),
-    /// Unsigned numeric literal; the bool flags (has_dot, has_exp).
-    Number {
-        lexical: String,
-        dot: bool,
-        exp: bool,
-    },
+    /// Unsigned numeric literal: lexical form and `xsd:` datatype.
+    Number(String, &'static str),
     /// Bare word: keyword, `a`, `true`, `false`, function names.
     Word(String),
     /// `^^`
@@ -67,465 +67,132 @@ pub enum Tok {
 }
 
 #[derive(Debug, Clone, PartialEq)]
-pub struct Token {
-    pub tok: Tok,
-    pub line: usize,
-    pub column: usize,
+pub(crate) struct Token {
+    pub(crate) tok: Tok,
+    pub(crate) line: usize,
+    pub(crate) column: usize,
 }
 
-pub fn tokenize(input: &str) -> Result<Vec<Token>> {
-    Lexer {
-        chars: input.chars().collect(),
-        pos: 0,
-        line: 1,
-        column: 1,
-    }
-    .run()
-}
-
-struct Lexer {
-    chars: Vec<char>,
-    pos: usize,
-    line: usize,
-    column: usize,
-}
-
-impl Lexer {
-    fn err<T>(&self, msg: impl Into<String>) -> Result<T> {
-        Err(SparqlError::parse(msg, self.line, self.column))
-    }
-
-    fn peek(&self) -> Option<char> {
-        self.chars.get(self.pos).copied()
-    }
-
-    fn peek_at(&self, off: usize) -> Option<char> {
-        self.chars.get(self.pos + off).copied()
-    }
-
-    fn bump(&mut self) -> Option<char> {
-        let c = self.peek()?;
-        self.pos += 1;
-        if c == '\n' {
-            self.line += 1;
-            self.column = 1;
-        } else {
-            self.column += 1;
-        }
-        Some(c)
-    }
-
-    fn run(mut self) -> Result<Vec<Token>> {
-        let mut out = Vec::new();
-        loop {
-            self.skip_ws();
-            let (line, column) = (self.line, self.column);
-            let Some(c) = self.peek() else {
-                out.push(Token {
-                    tok: Tok::Eof,
-                    line,
-                    column,
-                });
-                return Ok(out);
-            };
-            let tok = self.next_token(c)?;
-            out.push(Token { tok, line, column });
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        loop {
-            match self.peek() {
-                Some(c) if c.is_whitespace() => {
-                    self.bump();
-                }
-                Some('#') => {
-                    while let Some(c) = self.peek() {
-                        if c == '\n' {
-                            break;
-                        }
-                        self.bump();
-                    }
-                }
-                _ => break,
-            }
-        }
-    }
-
-    fn next_token(&mut self, c: char) -> Result<Tok> {
-        match c {
-            '<' => {
-                // IRI ref or comparison. An IRI ref has no whitespace and a
-                // closing '>' before any space; comparisons are followed by
-                // space/char. Heuristic per SPARQL grammar: after '<' an IRI
-                // char or '>' means IRIREF.
-                match self.peek_at(1) {
-                    Some('=') => {
-                        self.bump();
-                        self.bump();
-                        Ok(Tok::Le)
-                    }
-                    Some(n)
-                        if !n.is_whitespace()
-                            && n != '<'
-                            && (n.is_alphanumeric() || "/:#_.-~%?&=+>".contains(n)) =>
-                    {
-                        self.lex_iri_ref()
-                    }
-                    _ => {
-                        self.bump();
-                        Ok(Tok::Lt)
-                    }
-                }
-            }
-            '>' => {
-                self.bump();
-                if self.peek() == Some('=') {
-                    self.bump();
-                    Ok(Tok::Ge)
-                } else {
-                    Ok(Tok::Gt)
-                }
-            }
-            '?' | '$' => {
-                // Variable if a name char follows, else path '?'.
-                match self.peek_at(1) {
-                    Some(n) if n.is_alphanumeric() || n == '_' => {
-                        self.bump();
-                        let mut name = String::new();
-                        while let Some(c) = self.peek() {
-                            if c.is_alphanumeric() || c == '_' {
-                                name.push(c);
-                                self.bump();
-                            } else {
-                                break;
-                            }
-                        }
-                        Ok(Tok::Var(name))
-                    }
-                    _ => {
-                        self.bump();
-                        Ok(Tok::Question)
-                    }
-                }
-            }
-            '_' if self.peek_at(1) == Some(':') => {
-                self.bump();
-                self.bump();
-                let mut label = String::new();
-                while let Some(c) = self.peek() {
-                    if c.is_alphanumeric() || c == '_' || c == '-' {
-                        label.push(c);
-                        self.bump();
-                    } else {
-                        break;
-                    }
-                }
-                if label.is_empty() {
-                    return self.err("empty blank node label");
-                }
-                Ok(Tok::BlankLabel(label))
-            }
-            '"' | '\'' => self.lex_string(c),
-            '@' => {
-                self.bump();
-                let mut tag = String::new();
-                while let Some(c) = self.peek() {
-                    if c.is_ascii_alphanumeric() || c == '-' {
-                        tag.push(c);
-                        self.bump();
-                    } else {
-                        break;
-                    }
-                }
-                if tag.is_empty() {
-                    return self.err("empty language tag");
-                }
-                Ok(Tok::LangTag(tag))
-            }
-            '^' => {
-                self.bump();
-                if self.peek() == Some('^') {
-                    self.bump();
-                    Ok(Tok::DtSep)
-                } else {
-                    Ok(Tok::Caret)
-                }
-            }
-            '{' => {
-                self.bump();
-                Ok(Tok::LBrace)
-            }
-            '}' => {
-                self.bump();
-                Ok(Tok::RBrace)
-            }
-            '(' => {
-                self.bump();
-                Ok(Tok::LParen)
-            }
-            ')' => {
-                self.bump();
-                Ok(Tok::RParen)
-            }
-            '[' => {
-                self.bump();
-                Ok(Tok::LBracket)
-            }
-            ']' => {
-                self.bump();
-                Ok(Tok::RBracket)
-            }
-            ';' => {
-                self.bump();
-                Ok(Tok::Semicolon)
-            }
-            ',' => {
-                self.bump();
-                Ok(Tok::Comma)
-            }
-            '=' => {
-                self.bump();
-                Ok(Tok::Eq)
-            }
-            '!' => {
-                self.bump();
-                if self.peek() == Some('=') {
-                    self.bump();
-                    Ok(Tok::Ne)
-                } else {
-                    Ok(Tok::Bang)
-                }
-            }
-            '&' if self.peek_at(1) == Some('&') => {
-                self.bump();
-                self.bump();
-                Ok(Tok::AndAnd)
-            }
-            '|' => {
-                self.bump();
-                if self.peek() == Some('|') {
-                    self.bump();
-                    Ok(Tok::OrOr)
-                } else {
-                    Ok(Tok::Pipe)
-                }
-            }
-            '+' => {
-                self.bump();
-                Ok(Tok::Plus)
-            }
-            '-' => {
-                self.bump();
-                Ok(Tok::Minus)
-            }
-            '*' => {
-                self.bump();
-                Ok(Tok::Star)
-            }
-            '/' => {
-                self.bump();
-                Ok(Tok::Slash)
-            }
-            '.' => {
-                // Number like .5 or the DOT terminator.
-                if matches!(self.peek_at(1), Some(d) if d.is_ascii_digit()) {
-                    self.lex_number()
-                } else {
-                    self.bump();
-                    Ok(Tok::Dot)
-                }
-            }
-            c if c.is_ascii_digit() => self.lex_number(),
-            c if c.is_alphabetic() || c == '_' => self.lex_word_or_pname(),
-            ':' => self.lex_word_or_pname(),
-            other => self.err(format!("unexpected character '{other}'")),
-        }
-    }
-
-    fn lex_iri_ref(&mut self) -> Result<Tok> {
-        self.bump(); // '<'
-        let mut out = String::new();
-        loop {
-            match self.bump() {
-                Some('>') => return Ok(Tok::IriRef(out)),
-                Some('\\') => match self.bump() {
-                    Some('u') => out.push(self.unicode_escape(4)?),
-                    Some('U') => out.push(self.unicode_escape(8)?),
-                    _ => return self.err("invalid IRI escape"),
-                },
-                Some(c) if c.is_whitespace() => return self.err("whitespace in IRI"),
-                Some(c) => out.push(c),
-                None => return self.err("unterminated IRI"),
-            }
-        }
-    }
-
-    fn lex_string(&mut self, quote: char) -> Result<Tok> {
-        // Long form?
-        if self.peek_at(1) == Some(quote) && self.peek_at(2) == Some(quote) {
-            self.bump();
-            self.bump();
-            self.bump();
-            let mut out = String::new();
-            loop {
-                if self.peek() == Some(quote)
-                    && self.peek_at(1) == Some(quote)
-                    && self.peek_at(2) == Some(quote)
-                {
-                    let mut run = 3;
-                    while self.peek_at(run) == Some(quote) {
-                        run += 1;
-                    }
-                    for _ in 0..(run - 3) {
-                        out.push(quote);
-                        self.bump();
-                    }
-                    self.bump();
-                    self.bump();
-                    self.bump();
-                    return Ok(Tok::Str(out));
-                }
-                match self.bump() {
-                    Some('\\') => out.push(self.escape()?),
-                    Some(c) => out.push(c),
-                    None => return self.err("unterminated long string"),
-                }
-            }
-        }
-        self.bump();
-        let mut out = String::new();
-        loop {
-            match self.bump() {
-                Some(c) if c == quote => return Ok(Tok::Str(out)),
-                Some('\\') => out.push(self.escape()?),
-                Some('\n') => return self.err("newline in string literal"),
-                Some(c) => out.push(c),
-                None => return self.err("unterminated string"),
-            }
-        }
-    }
-
-    fn escape(&mut self) -> Result<char> {
-        match self.bump() {
-            Some('t') => Ok('\t'),
-            Some('b') => Ok('\u{8}'),
-            Some('n') => Ok('\n'),
-            Some('r') => Ok('\r'),
-            Some('f') => Ok('\u{c}'),
-            Some('"') => Ok('"'),
-            Some('\'') => Ok('\''),
-            Some('\\') => Ok('\\'),
-            Some('u') => self.unicode_escape(4),
-            Some('U') => self.unicode_escape(8),
-            Some(c) => self.err(format!("invalid escape '\\{c}'")),
-            None => self.err("unterminated escape"),
-        }
-    }
-
-    fn unicode_escape(&mut self, digits: usize) -> Result<char> {
-        let mut v: u32 = 0;
-        for _ in 0..digits {
-            match self.bump().and_then(|c| c.to_digit(16)) {
-                Some(d) => v = v * 16 + d,
-                None => return self.err("invalid unicode escape"),
-            }
-        }
-        char::from_u32(v).map_or_else(|| self.err("invalid code point"), Ok)
-    }
-
-    fn lex_number(&mut self) -> Result<Tok> {
-        let mut s = String::new();
-        let mut dot = false;
-        let mut exp = false;
-        while let Some(c) = self.peek() {
-            if c.is_ascii_digit() {
-                s.push(c);
-                self.bump();
-            } else if c == '.' && !dot && !exp {
-                match self.peek_at(1) {
-                    Some(d) if d.is_ascii_digit() => {
-                        dot = true;
-                        s.push(c);
-                        self.bump();
-                    }
-                    _ => break,
-                }
-            } else if (c == 'e' || c == 'E') && !exp {
-                match self.peek_at(1) {
-                    Some(d) if d.is_ascii_digit() || d == '+' || d == '-' => {
-                        exp = true;
-                        s.push(c);
-                        self.bump();
-                        if matches!(self.peek(), Some('+') | Some('-')) {
-                            s.push(self.bump().unwrap());
-                        }
-                    }
-                    _ => break,
-                }
-            } else {
-                break;
-            }
-        }
-        Ok(Tok::Number {
-            lexical: s,
-            dot,
-            exp,
-        })
-    }
-
-    /// A bare word (keyword / builtin) or a prefixed name. The word form
-    /// ends before ':'; if ':' immediately follows, it's a PName.
-    fn lex_word_or_pname(&mut self) -> Result<Tok> {
-        let mut word = String::new();
-        while let Some(c) = self.peek() {
-            if c.is_alphanumeric() || c == '_' || c == '-' {
-                word.push(c);
-                self.bump();
-            } else {
-                break;
-            }
-        }
-        if self.peek() == Some(':') {
-            self.bump();
-            let mut local = String::new();
-            while let Some(c) = self.peek() {
-                if c.is_alphanumeric() || c == '_' || c == '-' {
-                    local.push(c);
-                    self.bump();
-                } else if c == '.' {
-                    match self.peek_at(1) {
-                        Some(n) if n.is_alphanumeric() || n == '_' || n == '-' => {
-                            local.push(c);
-                            self.bump();
-                        }
-                        _ => break,
-                    }
-                } else if c == '\\' {
-                    self.bump();
-                    match self.bump() {
-                        Some(e) if "_~.-!$&'()*+,;=/?#@%".contains(e) => local.push(e),
-                        _ => return self.err("invalid local name escape"),
-                    }
-                } else {
-                    break;
-                }
-            }
-            return Ok(Tok::PName {
-                prefix: word,
-                local,
+pub(crate) fn tokenize(input: &str) -> Result<Vec<Token>> {
+    let mut cur = Cursor::new(input);
+    let mut out = Vec::new();
+    loop {
+        cur.skip_ws();
+        let (line, column) = cur.position();
+        let Some(c) = cur.peek() else {
+            out.push(Token {
+                tok: Tok::Eof,
+                line,
+                column,
             });
-        }
-        if word.is_empty() {
-            return self.err("unexpected ':'");
-        }
-        Ok(Tok::Word(word))
+            return Ok(out);
+        };
+        let tok = next_token(&mut cur, c)?;
+        out.push(Token { tok, line, column });
     }
+}
+
+/// The token starting with `c`, the next character of `cur`.
+fn next_token(cur: &mut Cursor, c: char) -> std::result::Result<Tok, SyntaxError> {
+    // A character that is a token on its own.
+    let single = match c {
+        '{' => Some(Tok::LBrace),
+        '}' => Some(Tok::RBrace),
+        '(' => Some(Tok::LParen),
+        ')' => Some(Tok::RParen),
+        '[' => Some(Tok::LBracket),
+        ']' => Some(Tok::RBracket),
+        ';' => Some(Tok::Semicolon),
+        ',' => Some(Tok::Comma),
+        '=' => Some(Tok::Eq),
+        '+' => Some(Tok::Plus),
+        '-' => Some(Tok::Minus),
+        '*' => Some(Tok::Star),
+        '/' => Some(Tok::Slash),
+        _ => None,
+    };
+    if let Some(tok) = single {
+        cur.bump();
+        return Ok(tok);
+    }
+    // `op` when `second` follows the first character, else `alone`.
+    let pair = |cur: &mut Cursor, second: char, op: Tok, alone: Tok| {
+        cur.bump();
+        if cur.eat(second) {
+            op
+        } else {
+            alone
+        }
+    };
+    Ok(match c {
+        // `<=` stays less-or-equal; a `<` no IRIREF follows is less-than.
+        '<' if cur.peek_at(1) == Some('=') => pair(cur, '=', Tok::Le, Tok::Lt),
+        '<' => match cur.iri_ref()? {
+            Some(iri) => Tok::IriRef(iri),
+            None => {
+                cur.bump();
+                Tok::Lt
+            }
+        },
+        '>' => pair(cur, '=', Tok::Ge, Tok::Gt),
+        '!' => pair(cur, '=', Tok::Ne, Tok::Bang),
+        '^' => pair(cur, '^', Tok::DtSep, Tok::Caret),
+        '|' => pair(cur, '|', Tok::OrOr, Tok::Pipe),
+        '&' if cur.peek_at(1) == Some('&') => {
+            cur.bump();
+            cur.bump();
+            Tok::AndAnd
+        }
+        // Variable if a name char follows, else path '?'.
+        '?' | '$'
+            if cur
+                .peek_at(1)
+                .is_some_and(|n| n.is_alphanumeric() || n == '_') =>
+        {
+            cur.bump();
+            let mut name = String::new();
+            while let Some(c) = cur.peek().filter(|c| c.is_alphanumeric() || *c == '_') {
+                name.push(c);
+                cur.bump();
+            }
+            Tok::Var(name)
+        }
+        '?' | '$' => {
+            cur.bump();
+            Tok::Question
+        }
+        '_' if cur.peek_at(1) == Some(':') => Tok::BlankLabel(cur.blank_label()?),
+        '"' | '\'' => Tok::Str(cur.string()?),
+        '@' => Tok::LangTag(cur.lang_tag()?),
+        '.' | '0'..='9' => match cur.number() {
+            Some((lexical, datatype)) => Tok::Number(lexical, datatype),
+            None => {
+                cur.bump();
+                Tok::Dot
+            }
+        },
+        c if c.is_alphabetic() || c == '_' || c == ':' => match cur.prefixed_name()? {
+            Some((prefix, local)) => Tok::PName { prefix, local },
+            None => {
+                let mut word = String::new();
+                while let Some(c) = cur
+                    .peek()
+                    .filter(|c| c.is_alphanumeric() || *c == '_' || *c == '-')
+                {
+                    word.push(c);
+                    cur.bump();
+                }
+                Tok::Word(word)
+            }
+        },
+        other => return cur.error(format!("unexpected character '{other}'")),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::SparqlError;
 
     fn toks(src: &str) -> Vec<Tok> {
         tokenize(src).unwrap().into_iter().map(|t| t.tok).collect()
@@ -547,12 +214,16 @@ mod tests {
     #[test]
     fn iri_vs_less_than() {
         assert_eq!(
-            toks("<http://e/a> < <= ?x"),
+            toks("<http://e/a> < <= ?x <> ?x<3"),
             vec![
                 Tok::IriRef("http://e/a".into()),
                 Tok::Lt,
                 Tok::Le,
                 Tok::Var("x".into()),
+                Tok::IriRef("".into()),
+                Tok::Var("x".into()),
+                Tok::Lt,
+                Tok::Number("3".into(), feo_rdf::vocab::xsd::INTEGER),
                 Tok::Eof
             ]
         );
@@ -609,29 +280,15 @@ mod tests {
 
     #[test]
     fn numbers() {
+        use feo_rdf::vocab::xsd;
         assert_eq!(
-            toks("42 3.5 1e3 .5"),
+            toks("42 3.5 1e3 .5 1.e5"),
             vec![
-                Tok::Number {
-                    lexical: "42".into(),
-                    dot: false,
-                    exp: false
-                },
-                Tok::Number {
-                    lexical: "3.5".into(),
-                    dot: true,
-                    exp: false
-                },
-                Tok::Number {
-                    lexical: "1e3".into(),
-                    dot: false,
-                    exp: true
-                },
-                Tok::Number {
-                    lexical: ".5".into(),
-                    dot: true,
-                    exp: false
-                },
+                Tok::Number("42".into(), xsd::INTEGER),
+                Tok::Number("3.5".into(), xsd::DECIMAL),
+                Tok::Number("1e3".into(), xsd::DOUBLE),
+                Tok::Number(".5".into(), xsd::DECIMAL),
+                Tok::Number("1.e5".into(), xsd::DOUBLE),
                 Tok::Eof
             ]
         );

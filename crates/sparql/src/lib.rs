@@ -4,7 +4,7 @@
 //! substitute for the Jena/ARQ-style engine the paper used to evaluate
 //! its competency questions (§IV–§V).
 //!
-//! Pipeline: [`lexer`] → [`parser`] → cost-based planning ([`plan`]) →
+//! Pipeline: lexer → [`parser`] → cost-based planning ([`plan`]) →
 //! evaluation ([`eval`]) with solution sets. Supported: SELECT / ASK /
 //! CONSTRUCT, BGPs in one statistics-driven join order (an EXISTS body,
 //! which has no plan, runs in author order), OPTIONAL, UNION, MINUS,
@@ -41,7 +41,7 @@
 pub mod ast;
 pub mod error;
 pub mod eval;
-pub mod lexer;
+mod lexer;
 pub mod parser;
 pub mod plan;
 pub mod regexlite;

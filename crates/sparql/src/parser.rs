@@ -10,7 +10,7 @@
 
 use std::collections::HashMap;
 
-use feo_rdf::vocab::rdf;
+use feo_rdf::vocab::{rdf, xsd};
 
 use crate::ast::*;
 use crate::error::{Result, SparqlError};
@@ -353,11 +353,7 @@ impl Parser {
 
     fn parse_unsigned(&mut self) -> Result<usize> {
         match self.bump() {
-            Tok::Number {
-                lexical,
-                dot: false,
-                exp: false,
-            } => lexical
+            Tok::Number(lexical, xsd::INTEGER) => lexical
                 .parse()
                 .map_err(|_| SparqlError::eval("integer out of range")),
             _ => self.err("expected a non-negative integer"),
@@ -636,29 +632,21 @@ impl Parser {
                     datatype: None,
                 })),
             },
-            Tok::Number { lexical, dot, exp } => {
-                Ok(TermPattern::Literal(numeric_literal(&lexical, dot, exp)))
-            }
-            Tok::Minus => match self.bump() {
-                Tok::Number { lexical, dot, exp } => Ok(TermPattern::Literal(numeric_literal(
-                    &format!("-{lexical}"),
-                    dot,
-                    exp,
-                ))),
-                _ => self.err("expected number after '-'"),
-            },
-            Tok::Plus => match self.bump() {
-                Tok::Number { lexical, dot, exp } => {
-                    Ok(TermPattern::Literal(numeric_literal(&lexical, dot, exp)))
+            Tok::Number(lexical, datatype) => Ok(TermPattern::Literal(typed(lexical, datatype))),
+            sign @ (Tok::Minus | Tok::Plus) => match self.bump() {
+                Tok::Number(digits, datatype) => {
+                    let sign = if sign == Tok::Minus { '-' } else { '+' };
+                    Ok(TermPattern::Literal(typed(
+                        format!("{sign}{digits}"),
+                        datatype,
+                    )))
                 }
-                _ => self.err("expected number after '+'"),
+                _ => self.err("expected number after sign"),
             },
-            Tok::Word(w) if w.eq_ignore_ascii_case("true") => {
-                Ok(TermPattern::Literal(boolean_literal(true)))
-            }
-            Tok::Word(w) if w.eq_ignore_ascii_case("false") => {
-                Ok(TermPattern::Literal(boolean_literal(false)))
-            }
+            Tok::Word(w) if is_boolean(&w) => Ok(TermPattern::Literal(typed(
+                w.to_ascii_lowercase(),
+                xsd::BOOLEAN,
+            ))),
             other => {
                 // restore position for error message accuracy
                 self.pos = self.pos.saturating_sub(1);
@@ -939,7 +927,7 @@ impl Parser {
                 self.bump();
                 Ok(Expr::Iri(self.expand(&prefix, &local)?))
             }
-            Tok::Str(_) | Tok::Number { .. } => {
+            Tok::Str(_) | Tok::Number(..) => {
                 let tp = self.parse_graph_term()?;
                 match tp {
                     TermPattern::Literal(l) => Ok(Expr::Literal(l)),
@@ -947,13 +935,9 @@ impl Parser {
                 }
             }
             Tok::Word(w) => {
-                if w.eq_ignore_ascii_case("true") {
+                if is_boolean(&w) {
                     self.bump();
-                    return Ok(Expr::Literal(boolean_literal(true)));
-                }
-                if w.eq_ignore_ascii_case("false") {
-                    self.bump();
-                    return Ok(Expr::Literal(boolean_literal(false)));
+                    return Ok(Expr::Literal(typed(w.to_ascii_lowercase(), xsd::BOOLEAN)));
                 }
                 if w.eq_ignore_ascii_case("EXISTS")
                     || (w.eq_ignore_ascii_case("NOT") && peek2_is_exists(self))
@@ -1010,28 +994,15 @@ fn peek2_is_in(p: &Parser) -> bool {
     matches!(p.peek2(), Tok::Word(w) if w.eq_ignore_ascii_case("IN"))
 }
 
-fn numeric_literal(lexical: &str, dot: bool, exp: bool) -> LiteralPattern {
-    use feo_rdf::vocab::xsd;
-    let dt = if exp {
-        xsd::DOUBLE
-    } else if dot {
-        xsd::DECIMAL
-    } else {
-        xsd::INTEGER
-    };
-    LiteralPattern {
-        lexical: lexical.to_string(),
-        language: None,
-        datatype: Some(dt.to_string()),
-    }
+fn is_boolean(word: &str) -> bool {
+    word.eq_ignore_ascii_case("true") || word.eq_ignore_ascii_case("false")
 }
 
-fn boolean_literal(v: bool) -> LiteralPattern {
-    use feo_rdf::vocab::xsd;
+fn typed(lexical: String, datatype: &str) -> LiteralPattern {
     LiteralPattern {
-        lexical: if v { "true" } else { "false" }.to_string(),
+        lexical,
         language: None,
-        datatype: Some(xsd::BOOLEAN.to_string()),
+        datatype: Some(datatype.to_string()),
     }
 }
 

@@ -587,3 +587,72 @@ fn seeded_execution_binds_parameters_like_bind() {
     );
     assert!(unknown.is_err(), "a seed must name a variable of the query");
 }
+
+#[test]
+fn aggregates_inside_any_expression() {
+    let mut g = graph("e:a e:c 1 . e:b e:c 2 . e:d e:c 4 .");
+    let typed = |lexical: &str, datatype: &str| {
+        Some(Term::Literal(feo_rdf::Literal::typed(
+            lexical,
+            feo_rdf::Iri::new(datatype),
+        )))
+    };
+    let xsd = "http://www.w3.org/2001/XMLSchema#";
+    // Values: 1, 2, 4. COUNT 3, SUM 7, AVG 7/3, MAX 4.
+    for (projection, expected) in [
+        ("STR(COUNT(?x))", Some(Term::simple("3"))),
+        ("-SUM(?x)", typed("-7", &format!("{xsd}integer"))),
+        ("ROUND(AVG(?x))", typed("2.0", &format!("{xsd}double"))),
+        ("COALESCE(MAX(?x), 0)", typed("4", &format!("{xsd}integer"))),
+    ] {
+        let t = select(
+            &mut g,
+            &format!("SELECT ({projection} AS ?v) WHERE {{ ?s e:c ?x }}"),
+        );
+        assert_eq!(t.rows, vec![vec![expected]], "{projection}");
+    }
+    let t = select(
+        &mut g,
+        "SELECT (COUNT(?x) AS ?n) WHERE { ?s e:c ?x } HAVING (COUNT(?x) IN (3))",
+    );
+    assert_eq!(t.local_rows(), vec![vec!["3".to_string()]]);
+}
+
+#[test]
+fn less_than_needs_no_space_before_its_right_operand() {
+    let mut g = graph(
+        r#"e:a e:x 1 ; e:y 2 ; e:s "abc" .
+           e:b e:x 5 ; e:y 4 ; e:s "ab" .
+           e:c e:x -4 ; e:y 0 ; e:s "" ."#,
+    );
+    for (rhs, expected) in [
+        ("3", ["a", "c"].as_slice()),
+        ("?y", &["a", "c"]),
+        ("-3", &["c"]),
+        ("STRLEN(?s)", &["a", "c"]),
+    ] {
+        let run = |g: &mut Graph, filter: String| {
+            let q = format!(
+                "SELECT ?r WHERE {{ ?r e:x ?x ; e:y ?y ; e:s ?s . FILTER({filter}) }} ORDER BY ?r"
+            );
+            select(g, &q).local_rows()
+        };
+        let tight = run(&mut g, format!("?x<{rhs}"));
+        assert_eq!(tight, run(&mut g, format!("?x < {rhs}")), "?x<{rhs}");
+        assert_eq!(
+            tight,
+            expected
+                .iter()
+                .map(|r| vec![r.to_string()])
+                .collect::<Vec<_>>()
+        );
+    }
+    // An IRI, `<=` and `<>` under BASE read as before.
+    let t = select(
+        &mut g,
+        "SELECT ?r WHERE { ?r <http://e/x> ?x . FILTER(?x<=1) }",
+    );
+    assert_eq!(t.len(), 2);
+    let t = select(&mut g, "BASE <http://e/b> SELECT ?x WHERE { <> e:x ?x }");
+    assert_eq!(t.local_rows(), vec![vec!["5".to_string()]]);
+}
