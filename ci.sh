@@ -137,6 +137,14 @@ timeout 180 cargo test -q --offline --release -p feo-rdf --test store_corruption
 timeout 180 cargo test -q --offline --release -p feo-rdf --test fuzz_store
 timeout 300 cargo test -q --offline --release --test warm_restart
 
+echo "== JSON wire format fuzzing (bounded wall-clock)"
+# One module reads every request body and writes every response: text
+# built from JSON tokens, cut escapes, lone surrogates, raw controls and
+# nesting past the cap must parse or fail, never panic; every escaped
+# string and every rendered explanation, outcome and table must read
+# back. A reader that slows down with input size fails the timeout.
+timeout 120 cargo test -q --offline --release -p feo-core --test fuzz_json
+
 echo "== serve: HTTP service end-to-end (boot, degrade, shed, drain)"
 # Boot the real binary on an ephemeral port, drive it with curl, then
 # SIGTERM it and require a clean drain (exit 0). Tenant quota is set

@@ -4,11 +4,16 @@
 //! example food question; this module models those question shapes and
 //! mints the question individuals (`feo:WhyEatCauliflowerPotatoCurry`,
 //! `feo:WhyEatButternutSquashSoupOverBroccoliCheddarSoup`, …) that the
-//! SPARQL competency queries bind on.
+//! SPARQL competency queries bind on. It also reads their wire forms,
+//! the one grammar `POST /explain` and the `feo` CLI share: a question
+//! from its JSON object ([`Question::from_json`]) and a hypothesis from
+//! its spec ([`Hypothesis::from_spec`]).
 
 use std::fmt;
 
 use feo_foodkg::FoodKg;
+
+use crate::json::Json;
 
 /// The nine explanation types of the paper's Table I. The first three are
 /// the evaluated competency-question types (§V); the remaining six are
@@ -89,6 +94,23 @@ pub enum Hypothesis {
 }
 
 impl Hypothesis {
+    /// Reads a hypothesis spec: exactly `pregnant`, or `diet:<Diet>` /
+    /// `allergic:<Ingredient>` with a non-empty name.
+    pub fn from_spec(spec: &str) -> Result<Hypothesis, String> {
+        let named = |prefix: &str| spec.strip_prefix(prefix).filter(|name| !name.is_empty());
+        if spec == "pregnant" {
+            Ok(Hypothesis::Pregnant)
+        } else if let Some(diet) = named("diet:") {
+            Ok(Hypothesis::FollowedDiet(diet.to_string()))
+        } else if let Some(ingredient) = named("allergic:") {
+            Ok(Hypothesis::AllergicTo(ingredient.to_string()))
+        } else {
+            Err(format!(
+                "bad hypothesis {spec:?} (expected pregnant | diet:<Diet> | allergic:<Ingredient>)"
+            ))
+        }
+    }
+
     pub fn describe(&self) -> String {
         match self {
             Hypothesis::Pregnant => "you were pregnant".to_string(),
@@ -125,6 +147,47 @@ pub enum Question {
 }
 
 impl Question {
+    /// Reads the wire form of a question: an object whose `type` names
+    /// it after the CLI verbs (`why-eat`, `why-over`, `steps`, …) and
+    /// whose string members fill it.
+    pub fn from_json(value: &Json) -> Result<Question, String> {
+        let Some(kind) = value.get("type").and_then(Json::as_str) else {
+            return Err("question missing a \"type\" string".to_string());
+        };
+        let field = |name: &str| -> Result<String, String> {
+            value
+                .get(name)
+                .and_then(Json::as_str)
+                .map(str::to_string)
+                .ok_or_else(|| format!("question type {kind:?} needs a {name:?} string"))
+        };
+        let food = || field("food");
+        Ok(match kind {
+            "why-eat" => Question::WhyEat { food: food()? },
+            "why-over" => Question::WhyEatOver {
+                preferred: field("preferred")?,
+                alternative: field("alternative")?,
+            },
+            "what-if" => Question::WhatIf {
+                hypothesis: Hypothesis::from_spec(&field("hypothesis")?)?,
+            },
+            "other-users" => Question::WhatOtherUsers { food: food()? },
+            "why-generally" => Question::WhyGenerally { food: food()? },
+            "literature" => Question::WhatLiterature { food: food()? },
+            "eaten-daily" => Question::WhatIfEatenDaily { food: food()? },
+            "diet-evidence" => Question::WhatEvidenceForDiet {
+                diet: field("diet")?,
+            },
+            "steps" => Question::WhatSteps { food: food()? },
+            other => {
+                return Err(format!(
+                    "unknown question type {other:?} (expected why-eat | why-over | what-if | \
+                     other-users | why-generally | literature | eaten-daily | diet-evidence | steps)"
+                ))
+            }
+        })
+    }
+
     /// The explanation type that answers this question.
     pub fn explanation_type(&self) -> ExplanationType {
         match self {
@@ -261,6 +324,59 @@ mod tests {
             hypothesis: Hypothesis::Pregnant,
         };
         assert_eq!(q.text(), "What if you were pregnant?");
+    }
+
+    #[test]
+    fn question_wire_forms_parse() {
+        use ExplanationType as T;
+        let cases = [
+            (r#"{"type":"why-eat","food":"Chicken"}"#, T::Contextual),
+            (
+                r#"{"type":"why-over","preferred":"A","alternative":"B"}"#,
+                T::Contrastive,
+            ),
+            (
+                r#"{"type":"what-if","hypothesis":"pregnant"}"#,
+                T::Counterfactual,
+            ),
+            (
+                r#"{"type":"what-if","hypothesis":"diet:DashDiet"}"#,
+                T::Counterfactual,
+            ),
+            (
+                r#"{"type":"what-if","hypothesis":"allergic:Peanut"}"#,
+                T::Counterfactual,
+            ),
+            (r#"{"type":"other-users","food":"A"}"#, T::CaseBased),
+            (r#"{"type":"why-generally","food":"A"}"#, T::Everyday),
+            (r#"{"type":"literature","food":"A"}"#, T::Scientific),
+            (r#"{"type":"eaten-daily","food":"A"}"#, T::SimulationBased),
+            (r#"{"type":"diet-evidence","diet":"D"}"#, T::Statistical),
+            (r#"{"type":"steps","food":"A"}"#, T::TraceBased),
+        ];
+        for (doc, expected_type) in cases {
+            let value = Json::parse(doc).expect("parses");
+            let question = Question::from_json(&value).expect(doc);
+            assert_eq!(question.explanation_type(), expected_type, "for {doc}");
+        }
+    }
+
+    #[test]
+    fn question_parse_errors_name_the_problem() {
+        let missing = Json::parse(r#"{"type":"why-eat"}"#).expect("parses");
+        let err = Question::from_json(&missing).expect_err("no food");
+        assert!(err.contains("food"), "{err}");
+        let unknown = Json::parse(r#"{"type":"why-not"}"#).expect("parses");
+        let err = Question::from_json(&unknown).expect_err("unknown type");
+        assert!(err.contains("why-not"), "{err}");
+        for bad in ["diet:", "allergic:", "mystery", "PREGNANT", "Pregnant", ""] {
+            let err = Hypothesis::from_spec(bad).expect_err(bad);
+            assert!(err.starts_with("bad hypothesis"), "{err}");
+        }
+        assert_eq!(
+            Hypothesis::from_spec("diet:DashDiet"),
+            Ok(Hypothesis::FollowedDiet("DashDiet".into()))
+        );
     }
 
     #[test]

@@ -38,11 +38,12 @@
 //! consistency rules over every fresh triple.
 
 use std::borrow::Cow;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::fmt;
 use std::ops::Range;
 
 use feo_rdf::governor::{Exhausted, Guard, Resource};
+use feo_rdf::hash::{FxMap, FxSet};
 use feo_rdf::vocab::{owl, rdf, rdfs};
 use feo_rdf::{GraphStore, GraphView, Overlay, TermId};
 
@@ -797,34 +798,6 @@ fn witnesses_in<V: GraphView + ?Sized>(
         ClassExpr::AllValuesFrom { .. } | ClassExpr::ComplementOf(_) => false,
     }
 }
-
-/// FxHash (rustc's multiply-rotate hash) for the closure's postings and
-/// fresh sets: keys are dictionary-assigned term ids, never text from
-/// outside, and SipHash would cost as much as the lookups it guards.
-#[derive(Default)]
-struct FxHasher(u64);
-
-impl std::hash::Hasher for FxHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.write_u64(u64::from_le_bytes(word));
-        }
-    }
-    fn write_u32(&mut self, word: u32) {
-        self.write_u64(u64::from(word));
-    }
-    fn write_u64(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-type FxMap<K, V> = HashMap<K, V, std::hash::BuildHasherDefault<FxHasher>>;
-type FxSet<K> = HashSet<K, std::hash::BuildHasherDefault<FxHasher>>;
 
 /// The seed and every triple derived since, numbered in insertion
 /// order, as posting lists so a pass reads only the triples its atoms

@@ -125,19 +125,3 @@ impl Default for OpenOptions {
         }
     }
 }
-
-// FNV-1a — the same hand-rolled constants the ledger chain uses
-// (`crate::ledger`); file checksums must not depend on the std hasher's
-// per-process seed.
-
-pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-pub(crate) const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a over `bytes`, continuing from `h`.
-pub(crate) fn fnv_bytes(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}

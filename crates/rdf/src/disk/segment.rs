@@ -42,8 +42,9 @@ use std::sync::OnceLock;
 
 use super::codec;
 use super::mmap::{map_file, MapData};
-use super::{fnv_bytes, StoreError, FNV_OFFSET, FORMAT_VERSION};
+use super::{StoreError, FORMAT_VERSION};
 use crate::graph::IdTriple;
+use crate::hash::{fnv_bytes, FNV_OFFSET};
 use crate::index::{match_runs, Rotation};
 use crate::intern::TermId;
 use crate::stats::{GraphStats, PredicateStats};

@@ -20,8 +20,9 @@ use std::io::Write;
 use std::path::Path;
 
 use super::codec;
-use super::{fnv_bytes, StoreError, FNV_OFFSET, FORMAT_VERSION};
+use super::{StoreError, FORMAT_VERSION};
 use crate::graph::IdTriple;
+use crate::hash::{fnv_bytes, FNV_OFFSET};
 use crate::intern::TermId;
 use crate::term::Term;
 

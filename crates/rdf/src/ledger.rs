@@ -24,6 +24,7 @@ use std::sync::Arc;
 
 use crate::disk::Segment;
 use crate::graph::{Graph, IdTriple};
+use crate::hash::{fnv_bytes, FNV_OFFSET};
 use crate::index::{match_runs, Rotation, TripleIndex};
 use crate::intern::{Interner, TermId};
 use crate::stats::{GraphStats, PredicateStats};
@@ -42,19 +43,7 @@ impl std::fmt::Display for EpochId {
     }
 }
 
-// ---- FNV-1a hashing (hand-rolled: the chain must not depend on the
-// std hasher's per-process seed) --------------------------------------
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv_bytes(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
+// ---- FNV-1a chain hashing ---------------------------------------------
 
 fn fnv_u64(h: u64, v: u64) -> u64 {
     fnv_bytes(h, &v.to_le_bytes())

@@ -18,6 +18,7 @@
 //!   every store;
 //! - [`turtle`] / [`ntriples`] — parsers and serializers;
 //! - [`syntax`] — the cursor and term scanners Turtle and SPARQL share;
+//! - [`hash`] — FNV-1a for what is written down, FxHash for id-keyed maps;
 //! - [`vocab`] — RDF/RDFS/OWL/XSD vocabulary constants.
 //!
 //! ## Example
@@ -39,6 +40,7 @@
 pub mod disk;
 pub mod governor;
 pub mod graph;
+pub mod hash;
 mod index;
 pub mod intern;
 pub mod ledger;

@@ -26,8 +26,8 @@
 //!   deadline, stragglers are cancelled, and the process exits 0.
 //!
 //! Everything is `std`-only: `TcpListener` + thread-per-connection,
-//! hand-rolled HTTP framing ([`http`]), and a small JSON parser
-//! ([`body`]). No async runtime, no serde, no `libc` crate: the three
+//! hand-rolled HTTP framing ([`http`]), and JSON read and written by
+//! `feo_core::json` (re-exported here as [`Json`]). No async runtime, no serde, no `libc` crate: the three
 //! system calls `std` lacks (`signal`, `poll`, a non-blocking `recv`
 //! peek) are declared by hand. A request's path through the transport
 //! neither sleeps nor spawns — a connection is accepted when it
@@ -53,14 +53,13 @@
 //! ```
 
 pub mod admission;
-pub mod body;
 pub mod http;
 pub mod server;
 pub mod shutdown;
 mod sys;
 
 pub use admission::{Admission, AdmissionConfig, AdmissionStats, Shed, TenantStats};
-pub use body::Json;
+pub use feo_core::json::Json;
 pub use http::{Request, Response};
 pub use server::{DrainOutcome, ServeConfig, ServeError, Server, ServerHandle};
 

@@ -40,12 +40,11 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use feo_core::json::{json_string, ToJson};
-use feo_core::{EngineBase, EngineError, EpochId, ExplainOptions, Hypothesis, Question};
+use feo_core::json::{self, Json, Object, ToJson};
+use feo_core::{EngineBase, EngineError, EpochId, ExplainOptions, Question};
 use feo_rdf::{Budget, CancelFlag, Parallelism};
 
 use crate::admission::{Admission, AdmissionConfig, AdmissionStats, Shed};
-use crate::body::Json;
 use crate::http::{write_response, Conn, HttpError, Request, Response};
 use crate::sys;
 
@@ -428,8 +427,8 @@ impl ServerHandle {
 
 /// 503s a connection accepted over the connection cap.
 fn reject_over_capacity(stream: TcpStream) {
-    let response =
-        Response::json(503, "{\"error\":\"shed\",\"reason\":\"connection_limit\"}").retry_after(1);
+    let body = error_body("shed").field("reason", "connection_limit").end();
+    let response = Response::json(503, body).retry_after(1);
     let _ = write_response(&stream, &response, true);
 }
 
@@ -451,10 +450,8 @@ fn handle_connection(ctx: &Arc<Ctx>, stream: TcpStream) {
             Ok(Some(request)) => {
                 let response = catch_unwind(AssertUnwindSafe(|| route(ctx, &request, &conn)))
                     .unwrap_or_else(|_| {
-                        Response::json(
-                            500,
-                            "{\"error\":\"internal\",\"message\":\"handler panicked\"}",
-                        )
+                        let body = error_body("internal").field("message", "handler panicked");
+                        Response::json(500, body.end())
                     });
                 let close = request.wants_close() || ctx.admission.is_draining();
                 if write_response(conn.stream(), &response, close).is_err() || close {
@@ -464,19 +461,11 @@ fn handle_connection(ctx: &Arc<Ctx>, stream: TcpStream) {
             Ok(None) => return,
             Err(error) => {
                 let response = match &error {
-                    HttpError::BodyTooLarge { declared, limit } => Response::json(
-                        413,
-                        format!(
-                            "{{\"error\":\"body_too_large\",\"declared\":{declared},\"limit\":{limit}}}"
-                        ),
-                    ),
-                    HttpError::Syntax(detail) => Response::json(
-                        400,
-                        format!(
-                            "{{\"error\":\"bad_request\",\"message\":{}}}",
-                            json_string(detail)
-                        ),
-                    ),
+                    HttpError::BodyTooLarge { declared, limit } => {
+                        let body = error_body("body_too_large").field("declared", *declared);
+                        Response::json(413, body.field("limit", *limit).end())
+                    }
+                    HttpError::Syntax(detail) => bad_request(detail),
                     HttpError::Disconnected | HttpError::Io(_) => return,
                 };
                 let _ = write_response(conn.stream(), &response, true);
@@ -489,66 +478,58 @@ fn handle_connection(ctx: &Arc<Ctx>, stream: TcpStream) {
 /// Dispatches one request.
 fn route(ctx: &Arc<Ctx>, request: &Request, conn: &Conn) -> Response {
     match (request.method.as_str(), request.path()) {
-        ("GET", "/health") => Response::json(
-            200,
-            format!("{{\"status\":\"ok\",\"epoch\":{}}}", ctx.base.head().0),
-        ),
+        ("GET", "/health") => {
+            let body = json::object().field("status", "ok");
+            Response::json(200, body.field("epoch", ctx.base.head().0).end())
+        }
         ("GET", "/ready") => {
             // `store` reports how the base is backed: "disk" when a
             // persistent store is attached (memory-mapped segment +
             // WAL), "memory" for a freshly materialized engine.
-            let store = if ctx.base.store().is_some() {
-                "disk"
-            } else {
-                "memory"
+            let store = match ctx.base.store() {
+                Some(_) => "disk",
+                None => "memory",
             };
-            if ctx.admission.is_draining() {
-                Response::json(503, "{\"ready\":false,\"reason\":\"draining\"}")
+            let draining = ctx.admission.is_draining();
+            let ready = json::object().field("ready", !draining);
+            if draining {
+                Response::json(503, ready.field("reason", "draining").end())
             } else {
-                Response::json(200, format!("{{\"ready\":true,\"store\":\"{store}\"}}"))
+                Response::json(200, ready.field("store", store).end())
             }
         }
         ("GET", "/stats") => Response::json(200, stats_json(ctx)),
-        ("POST", "/explain") => handle_explain(ctx, request, conn),
-        ("POST", "/query") => handle_query(ctx, request, conn),
+        ("POST", "/explain") => handle_explain(ctx, request, conn).unwrap_or_else(|e| e),
+        ("POST", "/query") => handle_query(ctx, request, conn).unwrap_or_else(|e| e),
         ("GET" | "POST", _) => Response::json(
             404,
-            format!(
-                "{{\"error\":\"not_found\",\"path\":{}}}",
-                json_string(request.path())
-            ),
+            error_body("not_found").field("path", request.path()).end(),
         ),
-        _ => Response::json(405, "{\"error\":\"method_not_allowed\"}"),
+        _ => Response::json(405, error_body("method_not_allowed").end()),
     }
 }
 
+/// An error body, `{"error":kind, …}`, for the caller to add to.
+fn error_body(kind: &str) -> Object<String> {
+    json::object().field("error", kind)
+}
+
 fn bad_request(message: &str) -> Response {
-    Response::json(
-        400,
-        format!(
-            "{{\"error\":\"bad_request\",\"message\":{}}}",
-            json_string(message)
-        ),
-    )
+    let body = error_body("bad_request").field("message", message);
+    Response::json(400, body.end())
 }
 
 /// 429/503 for a shed request, with `Retry-After` and a
 /// machine-readable reason.
 fn shed_response(shed: Shed) -> Response {
-    let status = if matches!(shed, Shed::Draining) {
-        503
-    } else {
-        429
+    let status = match shed {
+        Shed::Draining => 503,
+        _ => 429,
     };
-    Response::json(
-        status,
-        format!(
-            "{{\"error\":\"shed\",\"reason\":{},\"retry_after_secs\":{}}}",
-            json_string(shed.reason()),
-            shed.retry_after_secs()
-        ),
-    )
-    .retry_after(shed.retry_after_secs())
+    let body = error_body("shed")
+        .field("reason", shed.reason())
+        .field("retry_after_secs", shed.retry_after_secs());
+    Response::json(status, body.end()).retry_after(shed.retry_after_secs())
 }
 
 /// Maps engine errors to responses. `sparql_is_client_fault` is true
@@ -557,13 +538,8 @@ fn shed_response(shed: Shed) -> Response {
 fn engine_error_response(error: &EngineError, sparql_is_client_fault: bool) -> Response {
     let status = match error {
         EngineError::Exhausted(exhausted) => {
-            return Response::json(
-                206,
-                format!(
-                    "{{\"complete\":false,\"exhausted\":{}}}",
-                    exhausted.to_json()
-                ),
-            )
+            let body = json::object().field("complete", false);
+            return Response::json(206, body.field("exhausted", exhausted).end());
         }
         EngineError::UnknownEntity(_)
         | EngineError::MissingRecommendations
@@ -574,13 +550,8 @@ fn engine_error_response(error: &EngineError, sparql_is_client_fault: bool) -> R
         EngineError::Sparql(_) if sparql_is_client_fault => 400,
         EngineError::Sparql(_) | EngineError::Inconsistent(_) | EngineError::Store(_) => 500,
     };
-    Response::json(
-        status,
-        format!(
-            "{{\"error\":\"engine\",\"message\":{}}}",
-            json_string(&error.to_string())
-        ),
-    )
+    let body = error_body("engine").field("message", error.to_string());
+    Response::json(status, body.end())
 }
 
 /// `/stats` body: admission counters (global and per-tenant), the plan
@@ -589,106 +560,33 @@ fn engine_error_response(error: &EngineError, sparql_is_client_fault: bool) -> R
 fn stats_json(ctx: &Ctx) -> String {
     let a = ctx.admission.stats();
     let j = feo_sparql::join_counters();
-    let tenants = ctx
-        .admission
-        .tenant_stats()
-        .iter()
-        .map(|(name, t)| {
-            format!(
-                "{}:{{\"admitted\":{},\"shed\":{}}}",
-                json_string(name),
-                t.admitted,
-                t.shed
-            )
+    json::object()
+        .object("admission", |o| {
+            o.field("admitted", a.admitted)
+                .field("completed", a.completed)
+                .field("shed_queue_full", a.shed_queue_full)
+                .field("shed_deadline", a.shed_deadline)
+                .field("rejected_quota", a.rejected_quota)
+                .field("cancelled_disconnects", a.cancelled_disconnects)
+                .field("inflight", a.inflight)
+                .field("queued", a.queued)
+                .field("ewma_service_micros", a.ewma_service_micros)
+                .object("tenants", |tenants| {
+                    let stats = ctx.admission.tenant_stats().into_iter();
+                    stats.fold(tenants, |tenants, (name, t)| {
+                        tenants.object(&name, |o| {
+                            o.field("admitted", t.admitted).field("shed", t.shed)
+                        })
+                    })
+                })
         })
-        .collect::<Vec<_>>()
-        .join(",");
-    format!(
-        "{{\"admission\":{{\"admitted\":{},\"completed\":{},\"shed_queue_full\":{},\"shed_deadline\":{},\"rejected_quota\":{},\"cancelled_disconnects\":{},\"inflight\":{},\"queued\":{},\"ewma_service_micros\":{},\"tenants\":{{{tenants}}}}},\"plan_cache\":{},\"joins\":{{\"nested\":{},\"hash\":{}}},\"epoch\":{},\"draining\":{}}}",
-        a.admitted,
-        a.completed,
-        a.shed_queue_full,
-        a.shed_deadline,
-        a.rejected_quota,
-        a.cancelled_disconnects,
-        a.inflight,
-        a.queued,
-        a.ewma_service_micros,
-        ctx.base.plan_cache_stats().to_json(),
-        j.nested,
-        j.hash,
-        ctx.base.head().0,
-        ctx.admission.is_draining(),
-    )
-}
-
-/// Parses the wire form of a question. Type names follow the CLI
-/// verbs (`why-eat`, `why-over`, `steps`, …).
-fn parse_question(value: &Json) -> Result<Question, String> {
-    let Some(kind) = value.get("type").and_then(Json::as_str) else {
-        return Err("question missing a \"type\" string".to_string());
-    };
-    let field = |name: &str| -> Result<String, String> {
-        value
-            .get(name)
-            .and_then(Json::as_str)
-            .map(str::to_string)
-            .ok_or_else(|| format!("question type {kind:?} needs a {name:?} string"))
-    };
-    match kind {
-        "why-eat" => Ok(Question::WhyEat {
-            food: field("food")?,
-        }),
-        "why-over" => Ok(Question::WhyEatOver {
-            preferred: field("preferred")?,
-            alternative: field("alternative")?,
-        }),
-        "what-if" => Ok(Question::WhatIf {
-            hypothesis: parse_hypothesis(&field("hypothesis")?)?,
-        }),
-        "other-users" => Ok(Question::WhatOtherUsers {
-            food: field("food")?,
-        }),
-        "why-generally" => Ok(Question::WhyGenerally {
-            food: field("food")?,
-        }),
-        "literature" => Ok(Question::WhatLiterature {
-            food: field("food")?,
-        }),
-        "eaten-daily" => Ok(Question::WhatIfEatenDaily {
-            food: field("food")?,
-        }),
-        "diet-evidence" => Ok(Question::WhatEvidenceForDiet {
-            diet: field("diet")?,
-        }),
-        "steps" => Ok(Question::WhatSteps {
-            food: field("food")?,
-        }),
-        other => Err(format!(
-            "unknown question type {other:?} (expected why-eat | why-over | what-if | \
-             other-users | why-generally | literature | eaten-daily | diet-evidence | steps)"
-        )),
-    }
-}
-
-/// Hypothesis spec: `pregnant` | `diet:<Diet>` | `allergic:<Ingredient>`.
-fn parse_hypothesis(spec: &str) -> Result<Hypothesis, String> {
-    if spec == "pregnant" {
-        return Ok(Hypothesis::Pregnant);
-    }
-    if let Some(diet) = spec.strip_prefix("diet:") {
-        if !diet.is_empty() {
-            return Ok(Hypothesis::FollowedDiet(diet.to_string()));
-        }
-    }
-    if let Some(ingredient) = spec.strip_prefix("allergic:") {
-        if !ingredient.is_empty() {
-            return Ok(Hypothesis::AllergicTo(ingredient.to_string()));
-        }
-    }
-    Err(format!(
-        "bad hypothesis {spec:?} (expected pregnant | diet:<Diet> | allergic:<Ingredient>)"
-    ))
+        .field("plan_cache", ctx.base.plan_cache_stats())
+        .object("joins", |o| {
+            o.field("nested", j.nested).field("hash", j.hash)
+        })
+        .field("epoch", ctx.base.head().0)
+        .field("draining", ctx.admission.is_draining())
+        .end()
 }
 
 /// Builds the request's [`Budget`]: client wishes clamped to server
@@ -737,179 +635,131 @@ fn request_parallelism(cfg: &ServeConfig, body: &Json) -> Parallelism {
     }
 }
 
-/// POST `/explain`: parse, admit, execute under budget, map the
-/// outcome to 200 (complete) or 206 (degraded).
-fn handle_explain(ctx: &Arc<Ctx>, request: &Request, conn: &Conn) -> Response {
-    let Some(text) = request.body_utf8() else {
-        return bad_request("body is not UTF-8");
-    };
-    let body = match Json::parse(text) {
-        Ok(body) => body,
-        Err(error) => return bad_request(&error),
-    };
-    let Some(items) = body.get("questions").and_then(Json::as_array) else {
-        return bad_request("missing \"questions\" array");
-    };
-    if items.is_empty() {
-        return bad_request("\"questions\" is empty");
-    }
-    let max_questions = ctx.cfg.max_questions;
-    if items.len() > max_questions {
-        return bad_request(&format!("at most {max_questions} questions per request"));
-    }
-    let mut questions = Vec::with_capacity(items.len());
-    for item in items {
-        match parse_question(item) {
-            Ok(question) => questions.push(question),
-            Err(error) => return bad_request(&error),
-        }
-    }
-    let parallelism = request_parallelism(&ctx.cfg, &body);
+/// Runs `work` as one admitted request: the request's budget (with a
+/// fresh cancel flag), a queue wait bounded by its deadline, the
+/// tenant's admission slot, and a place in the live registry, all held
+/// until `work` returns. A shed request gets its response and no work.
+fn run_admitted<T>(
+    ctx: &Arc<Ctx>,
+    request: &Request,
+    conn: &Conn,
+    body: Option<&Json>,
+    work: impl FnOnce(&Budget) -> T,
+) -> Result<T, Response> {
     let cancel = CancelFlag::new();
-    let (budget, deadline_ms) = build_budget(&ctx.cfg, Some(&body), request, cancel.clone());
+    let (budget, deadline_ms) = build_budget(&ctx.cfg, body, request, cancel.clone());
     let tenant = request.header("x-feo-tenant").unwrap_or("anonymous");
     let wait = Duration::from_millis(deadline_ms.min(ctx.cfg.queue_wait_cap_ms));
-    let permit = match ctx.admission.admit(tenant, Instant::now() + wait) {
-        Ok(permit) => permit,
-        Err(shed) => return shed_response(shed),
-    };
+    let permit = ctx
+        .admission
+        .admit(tenant, Instant::now() + wait)
+        .map_err(shed_response)?;
     let live = ctx.register_live(conn.stream(), cancel);
-    let result = ctx
-        .base
-        .explain_batch_with_budget(&questions, &budget, parallelism);
+    let result = work(&budget);
     drop(live);
     drop(permit);
-    match result {
-        Ok(outcome) => {
-            let status = if outcome.is_complete() { 200 } else { 206 };
-            Response::json(status, outcome.to_json())
-        }
-        Err(error) => engine_error_response(&error, false),
+    Ok(result)
+}
+
+/// POST `/explain`: parse, admit, execute under budget, map the
+/// outcome to 200 (complete) or 206 (degraded).
+fn handle_explain(ctx: &Arc<Ctx>, request: &Request, conn: &Conn) -> Result<Response, Response> {
+    let body = json_body(request)?;
+    let items = body.get("questions").and_then(Json::as_array);
+    let items = items.ok_or_else(|| bad_request("missing \"questions\" array"))?;
+    if items.is_empty() {
+        return Err(bad_request("\"questions\" is empty"));
     }
+    if items.len() > ctx.cfg.max_questions {
+        let max = ctx.cfg.max_questions;
+        return Err(bad_request(&format!("at most {max} questions per request")));
+    }
+    let questions: Vec<Question> = items
+        .iter()
+        .map(Question::from_json)
+        .collect::<Result<_, _>>()
+        .map_err(|e| bad_request(&e))?;
+    let parallelism = request_parallelism(&ctx.cfg, &body);
+    let outcome = run_admitted(ctx, request, conn, Some(&body), |budget| {
+        ctx.base
+            .explain_batch_with_budget(&questions, budget, parallelism)
+    })?;
+    let outcome = outcome.map_err(|e| engine_error_response(&e, false))?;
+    let status = if outcome.is_complete() { 200 } else { 206 };
+    Ok(Response::json(status, outcome.to_json()))
 }
 
 /// POST `/query`: SPARQL against head, a historical epoch (`as_of`),
 /// or a named branch — budget-guarded like `/explain`.
-fn handle_query(ctx: &Arc<Ctx>, request: &Request, conn: &Conn) -> Response {
-    let Some(text) = request.body_utf8() else {
-        return bad_request("body is not UTF-8");
-    };
+fn handle_query(ctx: &Arc<Ctx>, request: &Request, conn: &Conn) -> Result<Response, Response> {
     // Either a JSON envelope or a raw query body.
     let raw_query = request
         .header("content-type")
-        .map(|ct| ct.starts_with("application/sparql-query"))
-        .unwrap_or(false);
-    let (body, sparql, as_of, branch) = if raw_query {
-        (None, text.to_string(), None, None)
+        .is_some_and(|ct| ct.starts_with("application/sparql-query"));
+    let body = if raw_query {
+        None
     } else {
-        let body = match Json::parse(text) {
-            Ok(body) => body,
-            Err(error) => return bad_request(&error),
-        };
-        let Some(sparql) = body
+        Some(json_body(request)?)
+    };
+    let sparql = match &body {
+        None => request
+            .body_utf8()
+            .ok_or_else(|| bad_request("body is not UTF-8"))?,
+        Some(body) => body
             .get("sparql")
             .and_then(Json::as_str)
-            .map(str::to_string)
-        else {
-            return bad_request("missing \"sparql\" string");
-        };
-        let as_of = body.get("as_of").and_then(Json::as_u64);
-        let branch = body
-            .get("branch")
-            .and_then(Json::as_str)
-            .map(str::to_string);
-        (Some(body), sparql, as_of, branch)
+            .ok_or_else(|| bad_request("missing \"sparql\" string"))?,
     };
+    let as_of = body
+        .as_ref()
+        .and_then(|b| b.get("as_of"))
+        .and_then(Json::as_u64);
+    let branch = body
+        .as_ref()
+        .and_then(|b| b.get("branch"))
+        .and_then(Json::as_str);
     if as_of.is_some() && branch.is_some() {
-        return bad_request("\"as_of\" and \"branch\" are mutually exclusive");
+        return Err(bad_request(
+            "\"as_of\" and \"branch\" are mutually exclusive",
+        ));
     }
     // Convenience: prepend the standard prologue when the query
     // doesn't declare its own prefixes.
     let full = if sparql.to_ascii_lowercase().contains("prefix") {
-        sparql
+        sparql.to_string()
     } else {
         format!("{}{}", feo_ontology::ns::sparql_prologue(), sparql)
     };
-    let cancel = CancelFlag::new();
-    let (budget, deadline_ms) = build_budget(&ctx.cfg, body.as_ref(), request, cancel.clone());
-    let tenant = request.header("x-feo-tenant").unwrap_or("anonymous");
-    let wait = Duration::from_millis(deadline_ms.min(ctx.cfg.queue_wait_cap_ms));
-    let permit = match ctx.admission.admit(tenant, Instant::now() + wait) {
-        Ok(permit) => permit,
-        Err(shed) => return shed_response(shed),
-    };
-    let live = ctx.register_live(conn.stream(), cancel);
-    let guard = budget.start();
-    let opts = ExplainOptions::guarded(&guard);
-    let result = match (as_of, branch.as_deref()) {
-        (Some(epoch), None) => match ctx.base.at_epoch(EpochId(epoch)) {
-            Some(mut session) => session.query_opts(&full, &opts),
-            None => Err(EngineError::UnknownEpoch(epoch)),
-        },
-        (None, Some(name)) => match ctx.base.branch_session(name) {
-            Some(mut session) => session.query_opts(&full, &opts),
-            None => Err(EngineError::UnknownBranch(name.to_string())),
-        },
-        _ => ctx.base.session().query_opts(&full, &opts),
-    };
-    drop(live);
-    drop(permit);
-    match result {
-        Ok(query_result) => Response::json(200, query_result.to_json()),
-        Err(error) => engine_error_response(&error, true),
-    }
+    let result = run_admitted(ctx, request, conn, body.as_ref(), |budget| {
+        let guard = budget.start();
+        let opts = ExplainOptions::guarded(&guard);
+        match (as_of, branch) {
+            (Some(epoch), None) => match ctx.base.at_epoch(EpochId(epoch)) {
+                Some(mut session) => session.query_opts(&full, &opts),
+                None => Err(EngineError::UnknownEpoch(epoch)),
+            },
+            (None, Some(name)) => match ctx.base.branch_session(name) {
+                Some(mut session) => session.query_opts(&full, &opts),
+                None => Err(EngineError::UnknownBranch(name.to_string())),
+            },
+            _ => ctx.base.session().query_opts(&full, &opts),
+        }
+    })?;
+    let result = result.map_err(|e| engine_error_response(&e, true))?;
+    Ok(Response::json(200, result.to_json()))
+}
+
+/// The request body as a JSON document, or the 400 saying why not.
+fn json_body(request: &Request) -> Result<Json, Response> {
+    let text = request
+        .body_utf8()
+        .ok_or_else(|| bad_request("body is not UTF-8"))?;
+    Json::parse(text).map_err(|e| bad_request(&e))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn question_wire_forms_parse() {
-        use feo_core::ExplanationType as T;
-        let cases = [
-            (r#"{"type":"why-eat","food":"Chicken"}"#, T::Contextual),
-            (
-                r#"{"type":"why-over","preferred":"A","alternative":"B"}"#,
-                T::Contrastive,
-            ),
-            (
-                r#"{"type":"what-if","hypothesis":"pregnant"}"#,
-                T::Counterfactual,
-            ),
-            (
-                r#"{"type":"what-if","hypothesis":"diet:DashDiet"}"#,
-                T::Counterfactual,
-            ),
-            (
-                r#"{"type":"what-if","hypothesis":"allergic:Peanut"}"#,
-                T::Counterfactual,
-            ),
-            (r#"{"type":"other-users","food":"A"}"#, T::CaseBased),
-            (r#"{"type":"why-generally","food":"A"}"#, T::Everyday),
-            (r#"{"type":"literature","food":"A"}"#, T::Scientific),
-            (r#"{"type":"eaten-daily","food":"A"}"#, T::SimulationBased),
-            (r#"{"type":"diet-evidence","diet":"D"}"#, T::Statistical),
-            (r#"{"type":"steps","food":"A"}"#, T::TraceBased),
-        ];
-        for (doc, expected_type) in cases {
-            let value = Json::parse(doc).expect("parses");
-            let question = parse_question(&value).expect(doc);
-            assert_eq!(question.explanation_type(), expected_type, "for {doc}");
-        }
-    }
-
-    #[test]
-    fn question_parse_errors_name_the_problem() {
-        let missing = Json::parse(r#"{"type":"why-eat"}"#).expect("parses");
-        let err = parse_question(&missing).expect_err("no food");
-        assert!(err.contains("food"), "{err}");
-        let unknown = Json::parse(r#"{"type":"why-not"}"#).expect("parses");
-        let err = parse_question(&unknown).expect_err("unknown type");
-        assert!(err.contains("why-not"), "{err}");
-        assert!(parse_hypothesis("diet:").is_err());
-        assert!(parse_hypothesis("mystery").is_err());
-    }
 
     #[test]
     fn budgets_clamp_to_server_ceilings() {

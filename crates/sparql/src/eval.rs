@@ -33,6 +33,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use feo_rdf::governor::{Exhausted, Guard};
+use feo_rdf::hash::{FxMap, FxSet};
 use feo_rdf::vocab::xsd;
 use feo_rdf::{Graph, GraphStore, GraphView, Overlay, Term, TermId, Triple};
 
@@ -1896,38 +1897,6 @@ impl Endpoint {
         self.ground.or_else(|| self.slot.and_then(|slot| b[slot]))
     }
 }
-
-/// FxHash (rustc's multiply-rotate hash) for the sub-pattern caches:
-/// SipHash made a cached EXISTS check cost as much as a small evaluation.
-/// Keys are dictionary-assigned term ids, never text from outside.
-#[derive(Default)]
-struct FxHasher(u64);
-
-impl std::hash::Hasher for FxHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.write_u64(u64::from_le_bytes(word));
-        }
-    }
-    // Ids, discriminants and lengths skip the byte loop (same hash).
-    fn write_u32(&mut self, n: u32) {
-        self.write_u64(n.into());
-    }
-    fn write_usize(&mut self, n: usize) {
-        self.write_u64(n as u64);
-    }
-    fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-type FxMap<K, V> = HashMap<K, V, std::hash::BuildHasherDefault<FxHasher>>;
-type FxSet<K> = HashSet<K, std::hash::BuildHasherDefault<FxHasher>>;
 
 /// A row's values on a sub-pattern's key slots, inline so a per-row key
 /// costs no allocation (the paper's listings read two slots; `None` pads,

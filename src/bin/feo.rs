@@ -113,19 +113,31 @@ fn usage_and_exit() -> ! {
     exit(2);
 }
 
-/// Parses a hypothesis spec: `pregnant`, `diet:<Diet>`, `allergic:<Ingredient>`.
-fn parse_hypothesis(spec: &str) -> Hypothesis {
-    if spec.eq_ignore_ascii_case("pregnant") {
-        return Hypothesis::Pregnant;
-    }
-    if let Some(d) = spec.strip_prefix("diet:") {
-        return Hypothesis::FollowedDiet(d.to_string());
-    }
-    if let Some(i) = spec.strip_prefix("allergic:") {
-        return Hypothesis::AllergicTo(i.to_string());
-    }
-    eprintln!("bad hypothesis spec '{spec}' (pregnant | diet:<D> | allergic:<I>)");
-    exit(2);
+/// Prints `message` and exits with `code`: 2 for bad usage, 1 for a
+/// command that could not be carried out.
+fn fail(code: i32, message: impl std::fmt::Display) -> ! {
+    eprintln!("{message}");
+    exit(code);
+}
+
+/// The value after flag `arg`; exits 2 when there is none.
+fn flag_value(arg: &str, value: Option<&String>) -> String {
+    value
+        .cloned()
+        .unwrap_or_else(|| fail(2, format_args!("{arg} needs a value")))
+}
+
+/// `value` parsed as a `T`; exits 2 saying `arg` needs `what` when it
+/// does not parse.
+fn parsed<T: std::str::FromStr>(arg: &str, value: String, what: &str) -> T {
+    value
+        .parse()
+        .unwrap_or_else(|_| fail(2, format_args!("{arg} needs {what}")))
+}
+
+/// Reads a hypothesis spec (`/explain`'s grammar); exits 2 on a bad one.
+fn parse_spec(spec: &str) -> Hypothesis {
+    Hypothesis::from_spec(spec).unwrap_or_else(|e| fail(2, e))
 }
 
 /// Parsed profile flags shared by all commands.
@@ -160,7 +172,6 @@ fn parse_opts(args: &[String]) -> Opts {
     let mut apply: Vec<(String, Hypothesis)> = Vec::new();
     let mut store: Option<std::path::PathBuf> = None;
     let mut positional = Vec::new();
-    let mut i = 0;
     let list = |v: &str| -> Vec<String> {
         v.split(',')
             .map(str::trim)
@@ -168,82 +179,51 @@ fn parse_opts(args: &[String]) -> Opts {
             .map(str::to_string)
             .collect()
     };
-    while i < args.len() {
-        let arg = &args[i];
-        let mut value = |name: &str| -> String {
-            i += 1;
-            args.get(i)
-                .unwrap_or_else(|| {
-                    eprintln!("{name} needs a value");
-                    exit(2);
-                })
-                .clone()
-        };
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        let mut value = || flag_value(arg, args.next());
         match arg.as_str() {
-            "--likes" => user.likes = list(&value("--likes")),
-            "--dislikes" => user.dislikes = list(&value("--dislikes")),
-            "--allergies" => user.allergies = list(&value("--allergies")),
-            "--diet" => user.diet = Some(value("--diet")),
-            "--goals" => user.goals = list(&value("--goals")),
-            "--region" => region = Some(value("--region")),
+            "--likes" => user.likes = list(&value()),
+            "--dislikes" => user.dislikes = list(&value()),
+            "--allergies" => user.allergies = list(&value()),
+            "--diet" => user.diet = Some(value()),
+            "--goals" => user.goals = list(&value()),
+            "--region" => region = Some(value()),
             "--season" => {
-                season = match value("--season").to_ascii_lowercase().as_str() {
+                season = match value().to_ascii_lowercase().as_str() {
                     "spring" => Season::Spring,
                     "summer" => Season::Summer,
                     "autumn" | "fall" => Season::Autumn,
                     "winter" => Season::Winter,
-                    other => {
-                        eprintln!("unknown season '{other}'");
-                        exit(2);
-                    }
+                    other => fail(2, format_args!("unknown season '{other}'")),
                 }
             }
             "--pregnant" => user.pregnant = true,
-            "--top" => {
-                top = value("--top").parse().unwrap_or_else(|_| {
-                    eprintln!("--top needs an integer");
-                    exit(2);
-                })
-            }
+            "--top" => top = parsed(arg, value(), "an integer"),
             "--raw" => raw = true,
             "--json" => json = true,
             "--explain" => explain = true,
-            "--as-of" => {
-                as_of = Some(value("--as-of").parse().unwrap_or_else(|_| {
-                    eprintln!("--as-of needs an epoch number");
-                    exit(2);
-                }))
-            }
+            "--as-of" => as_of = Some(parsed(arg, value(), "an epoch number")),
             "--commit" => {
-                let spec = value("--commit");
-                commits.push((spec.clone(), parse_hypothesis(&spec)));
+                let spec = value();
+                commits.push((spec.clone(), parse_spec(&spec)));
             }
             "--apply" => {
-                let spec = value("--apply");
-                apply.push((spec.clone(), parse_hypothesis(&spec)));
+                let spec = value();
+                apply.push((spec.clone(), parse_spec(&spec)));
             }
-            "--from" => {
-                from = Some(value("--from").parse().unwrap_or_else(|_| {
-                    eprintln!("--from needs an epoch number");
-                    exit(2);
-                }))
-            }
-            "--store" => store = Some(std::path::PathBuf::from(value("--store"))),
+            "--from" => from = Some(parsed(arg, value(), "an epoch number")),
+            "--store" => store = Some(std::path::PathBuf::from(value())),
             "--branch" => {
-                let v = value("--branch");
+                let v = value();
                 let Some((name, spec)) = v.split_once('=') else {
-                    eprintln!("--branch needs name=<hypothesis spec>");
-                    exit(2);
+                    fail(2, "--branch needs name=<hypothesis spec>");
                 };
-                branches.push((name.to_string(), parse_hypothesis(spec)));
+                branches.push((name.to_string(), parse_spec(spec)));
             }
-            other if other.starts_with("--") => {
-                eprintln!("unknown flag '{other}'");
-                exit(2);
-            }
+            other if other.starts_with("--") => fail(2, format_args!("unknown flag '{other}'")),
             other => positional.push(other.to_string()),
         }
-        i += 1;
     }
     if let Some(r) = &region {
         user.region = Some(r.clone());
@@ -283,21 +263,22 @@ fn base_with_chain(opts: &Opts) -> EngineBase {
         Some(dir) if dir.join("MANIFEST").exists() => {
             EngineBase::open(dir, curated(), opts.user.clone(), opts.ctx.clone()).unwrap_or_else(
                 |e| {
-                    eprintln!("failed to open store {}: {e}", dir.display());
-                    exit(1);
+                    fail(
+                        1,
+                        format_args!("failed to open store {}: {e}", dir.display()),
+                    )
                 },
             )
         }
         maybe_dir => {
             let mut base = EngineBase::new(curated(), opts.user.clone(), opts.ctx.clone())
-                .unwrap_or_else(|e| {
-                    eprintln!("failed to build engine: {e}");
-                    exit(1);
-                });
+                .unwrap_or_else(|e| fail(1, format_args!("failed to build engine: {e}")));
             if let Some(dir) = maybe_dir {
                 if let Err(e) = base.save_to(dir) {
-                    eprintln!("failed to write store {}: {e}", dir.display());
-                    exit(1);
+                    fail(
+                        1,
+                        format_args!("failed to write store {}: {e}", dir.display()),
+                    );
                 }
             }
             base
@@ -312,8 +293,7 @@ fn base_with_chain(opts: &Opts) -> EngineBase {
         let created = base.branch_create(name, head);
         let applied = created.and_then(|_| base.branch_apply(name, hypothesis));
         if let Err(e) = applied {
-            eprintln!("branch '{name}': {e}");
-            exit(1);
+            fail(1, format_args!("branch '{name}': {e}"));
         }
     }
     base
@@ -338,21 +318,23 @@ fn cmd_recommend(args: &[String]) {
 
 fn cmd_explain(args: &[String]) {
     let Some(kind) = args.first().cloned() else {
-        eprintln!("explain needs a subcommand (why-eat | why-over | what-if-pregnant | steps)");
-        exit(2);
+        fail(
+            2,
+            "explain needs a subcommand (why-eat | why-over | what-if-pregnant | steps)",
+        );
     };
     let opts = parse_opts(&args[1..]);
     let question = match kind.as_str() {
         "why-eat" => Question::WhyEat {
-            food: opts.positional.first().cloned().unwrap_or_else(|| {
-                eprintln!("why-eat needs a food id");
-                exit(2);
-            }),
+            food: opts
+                .positional
+                .first()
+                .cloned()
+                .unwrap_or_else(|| fail(2, "why-eat needs a food id")),
         },
         "why-over" => {
             if opts.positional.len() < 2 {
-                eprintln!("why-over needs two food ids");
-                exit(2);
+                fail(2, "why-over needs two food ids");
             }
             Question::WhyEatOver {
                 preferred: opts.positional[0].clone(),
@@ -363,15 +345,13 @@ fn cmd_explain(args: &[String]) {
             hypothesis: Hypothesis::Pregnant,
         },
         "steps" => Question::WhatSteps {
-            food: opts.positional.first().cloned().unwrap_or_else(|| {
-                eprintln!("steps needs a food id");
-                exit(2);
-            }),
+            food: opts
+                .positional
+                .first()
+                .cloned()
+                .unwrap_or_else(|| fail(2, "steps needs a food id")),
         },
-        other => {
-            eprintln!("unknown explain subcommand '{other}'");
-            exit(2);
-        }
+        other => fail(2, format_args!("unknown explain subcommand '{other}'")),
     };
     let mut base = base_with_chain(&opts);
     if matches!(question, Question::WhatSteps { .. }) {
@@ -393,33 +373,23 @@ fn cmd_explain(args: &[String]) {
             }
             println!("A: {}", e.answer);
         }
-        Err(err) => {
-            eprintln!("cannot explain: {err}");
-            exit(1);
-        }
+        Err(err) => fail(1, format_args!("cannot explain: {err}")),
     }
 }
 
 fn cmd_proof(args: &[String]) {
     if args.len() < 2 {
-        eprintln!("proof needs <Individual> <fact|foil>");
-        exit(2);
+        fail(2, "proof needs <Individual> <fact|foil>");
     }
     let individual = args[0].clone();
     let class = match args[1].to_ascii_lowercase().as_str() {
         "fact" => feo::ontology::ns::eo::FACT,
         "foil" => feo::ontology::ns::eo::FOIL,
-        other => {
-            eprintln!("expected 'fact' or 'foil', got '{other}'");
-            exit(2);
-        }
+        other => fail(2, format_args!("expected 'fact' or 'foil', got '{other}'")),
     };
     let opts = parse_opts(&args[2..]);
     let mut base = EngineBase::new_with_proofs(curated(), opts.user.clone(), opts.ctx.clone())
-        .unwrap_or_else(|e| {
-            eprintln!("failed to build engine: {e}");
-            exit(1);
-        });
+        .unwrap_or_else(|e| fail(1, format_args!("failed to build engine: {e}")));
     // Fact/foil classification is relative to a question parameter, so
     // the question (the first liked food, or a default) is committed
     // with its closure and derivations before the proof is read.
@@ -447,8 +417,7 @@ fn cmd_proof(args: &[String]) {
 fn cmd_query(args: &[String]) {
     let opts = parse_opts(args);
     let Some(sparql) = opts.positional.first() else {
-        eprintln!("query needs a SPARQL string");
-        exit(2);
+        fail(2, "query needs a SPARQL string");
     };
     // Prepend the standard prefixes so short queries work out of the box.
     let full = format!("{}{}", feo::ontology::ns::sparql_prologue(), sparql);
@@ -457,8 +426,7 @@ fn cmd_query(args: &[String]) {
     let base = base_with_chain(&opts);
     let epoch = opts.as_of.unwrap_or(base.head().0);
     let Some(view) = base.ledger().view(EpochId(epoch)) else {
-        eprintln!("{}", EngineError::UnknownEpoch(epoch));
-        exit(1);
+        fail(1, EngineError::UnknownEpoch(epoch));
     };
     let qopts = QueryOptions {
         explain: opts.explain,
@@ -466,10 +434,7 @@ fn cmd_query(args: &[String]) {
     };
     match feo::sparql::query(&view, &full, &qopts) {
         Ok(result) => print_query_result(result, opts.json),
-        Err(e) => {
-            eprintln!("{e}");
-            exit(1);
-        }
+        Err(e) => fail(1, e),
     }
 }
 
@@ -499,14 +464,13 @@ fn cmd_history(args: &[String]) {
     let opts = parse_opts(args);
     let base = base_with_chain(&opts);
     if opts.json {
-        let rows: Vec<String> = base.history().iter().map(|row| row.to_json()).collect();
         let chain_ok = base.ledger().verify_chain().is_none();
-        println!(
-            "{{\"head\":{},\"chain_ok\":{},\"commits\":[{}]}}",
-            base.head().0,
-            chain_ok,
-            rows.join(",")
-        );
+        let envelope = feo::core::json::object()
+            .field("head", base.head().0)
+            .field("chain_ok", chain_ok)
+            .field("commits", base.history())
+            .end();
+        println!("{envelope}");
         if !chain_ok {
             exit(1);
         }
@@ -521,10 +485,7 @@ fn cmd_history(args: &[String]) {
     }
     match base.ledger().verify_chain() {
         None => println!("chain OK"),
-        Some(epoch) => {
-            eprintln!("chain BROKEN at epoch {}", epoch.0);
-            exit(1);
-        }
+        Some(epoch) => fail(1, format_args!("chain BROKEN at epoch {}", epoch.0)),
     }
 }
 
@@ -533,40 +494,34 @@ fn cmd_history(args: &[String]) {
 /// the main chain from `--commit` specs, then forks branches in-process.
 fn cmd_branch(args: &[String]) {
     let Some(sub) = args.first().cloned() else {
-        eprintln!("branch needs a subcommand (create | diff | list)");
-        exit(2);
+        fail(2, "branch needs a subcommand (create | diff | list)");
     };
     let opts = parse_opts(&args[1..]);
     match sub.as_str() {
         "create" => {
             let Some(name) = opts.positional.first().cloned() else {
-                eprintln!("branch create needs a name");
-                exit(2);
+                fail(2, "branch create needs a name");
             };
             let mut base = base_with_chain(&opts);
             let from = EpochId(opts.from.unwrap_or(base.head().0));
             if let Err(e) = base.branch_create(&name, from) {
-                eprintln!("branch '{name}': {e}");
-                exit(1);
+                fail(1, format_args!("branch '{name}': {e}"));
             }
             for (spec, hypothesis) in &opts.apply {
                 if let Err(e) = base.branch_apply(&name, hypothesis) {
-                    eprintln!("branch '{name}' applying {spec}: {e}");
-                    exit(1);
+                    fail(1, format_args!("branch '{name}' applying {spec}: {e}"));
                 }
             }
             let Some(info) = base.branch_list().into_iter().find(|b| b.name == name) else {
-                eprintln!("branch '{name}' vanished after creation");
-                exit(1);
+                fail(1, format_args!("branch '{name}' vanished after creation"));
             };
             println!(
                 "branch '{}' forked at epoch {} with {} commit(s), head {}",
                 info.name, info.fork.0, info.commits, info.head.0
             );
-            let diff = base.branch_diff(&name, "main").unwrap_or_else(|e| {
-                eprintln!("diff vs main: {e}");
-                exit(1);
-            });
+            let diff = base
+                .branch_diff(&name, "main")
+                .unwrap_or_else(|e| fail(1, format_args!("diff vs main: {e}")));
             println!(
                 "diverges from main by +{} / -{} triples",
                 diff.only_in_a.len(),
@@ -575,8 +530,7 @@ fn cmd_branch(args: &[String]) {
         }
         "diff" => {
             if opts.positional.len() < 2 {
-                eprintln!("branch diff needs two names ('main' or --branch names)");
-                exit(2);
+                fail(2, "branch diff needs two names ('main' or --branch names)");
             }
             let base = base_with_chain(&opts);
             let (a, b) = (&opts.positional[0], &opts.positional[1]);
@@ -592,10 +546,7 @@ fn cmd_branch(args: &[String]) {
                         println!("  - {t}");
                     }
                 }
-                Err(e) => {
-                    eprintln!("{e}");
-                    exit(1);
-                }
+                Err(e) => fail(1, e),
             }
         }
         "list" => {
@@ -620,10 +571,10 @@ fn cmd_branch(args: &[String]) {
                 );
             }
         }
-        other => {
-            eprintln!("unknown branch subcommand '{other}' (create | diff | list)");
-            exit(2);
-        }
+        other => fail(
+            2,
+            format_args!("unknown branch subcommand '{other}' (create | diff | list)"),
+        ),
     }
 }
 
@@ -647,82 +598,40 @@ fn cmd_export(args: &[String]) {
 fn cmd_serve(args: &[String]) {
     let mut cfg = ServeConfig::default();
     let mut passthrough: Vec<String> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        let arg = args[i].as_str();
-        let mut value = |name: &str| -> String {
-            i += 1;
-            args.get(i)
-                .unwrap_or_else(|| {
-                    eprintln!("{name} needs a value");
-                    exit(2);
-                })
-                .clone()
-        };
-        let parse_u64 = |name: &str, v: String| -> u64 {
-            v.parse().unwrap_or_else(|_| {
-                eprintln!("{name} needs an unsigned integer");
-                exit(2);
-            })
-        };
-        let parse_f64 = |name: &str, v: String| -> f64 {
-            v.parse().unwrap_or_else(|_| {
-                eprintln!("{name} needs a number");
-                exit(2);
-            })
-        };
-        match arg {
-            "--addr" => cfg.addr = value("--addr"),
-            "--port" => cfg.addr = format!("127.0.0.1:{}", parse_u64("--port", value("--port"))),
-            "--max-inflight" => {
-                cfg.admission.max_inflight =
-                    parse_u64("--max-inflight", value("--max-inflight")).max(1) as usize
-            }
-            "--max-queue" => {
-                cfg.admission.max_queue = parse_u64("--max-queue", value("--max-queue")) as usize
-            }
-            "--tenant-rate" => {
-                cfg.admission.tenant_rate = parse_f64("--tenant-rate", value("--tenant-rate"))
-            }
-            "--tenant-burst" => {
-                cfg.admission.tenant_burst = parse_f64("--tenant-burst", value("--tenant-burst"))
-            }
-            "--deadline-ms" => {
-                cfg.default_deadline_ms = parse_u64("--deadline-ms", value("--deadline-ms")).max(1)
-            }
-            "--max-deadline-ms" => {
-                cfg.max_deadline_ms =
-                    parse_u64("--max-deadline-ms", value("--max-deadline-ms")).max(1)
-            }
-            "--drain-ms" => cfg.drain_deadline_ms = parse_u64("--drain-ms", value("--drain-ms")),
-            "--queue-wait-ms" => {
-                cfg.queue_wait_cap_ms = parse_u64("--queue-wait-ms", value("--queue-wait-ms"))
-            }
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        let mut value = || flag_value(arg, args.next());
+        let u64 = |v| -> u64 { parsed(arg, v, "an unsigned integer") };
+        let f64 = |v| -> f64 { parsed(arg, v, "a number") };
+        match arg.as_str() {
+            "--addr" => cfg.addr = value(),
+            "--port" => cfg.addr = format!("127.0.0.1:{}", u64(value())),
+            "--max-inflight" => cfg.admission.max_inflight = u64(value()).max(1) as usize,
+            "--max-queue" => cfg.admission.max_queue = u64(value()) as usize,
+            "--tenant-rate" => cfg.admission.tenant_rate = f64(value()),
+            "--tenant-burst" => cfg.admission.tenant_burst = f64(value()),
+            "--deadline-ms" => cfg.default_deadline_ms = u64(value()).max(1),
+            "--max-deadline-ms" => cfg.max_deadline_ms = u64(value()).max(1),
+            "--drain-ms" => cfg.drain_deadline_ms = u64(value()),
+            "--queue-wait-ms" => cfg.queue_wait_cap_ms = u64(value()),
             "--threads" => {
-                cfg.parallelism = match value("--threads").to_ascii_lowercase().as_str() {
+                cfg.parallelism = match value().to_ascii_lowercase().as_str() {
                     "off" | "1" => Parallelism::Off,
                     "auto" => Parallelism::Auto,
                     n => match n.parse::<usize>() {
                         Ok(n) if n > 0 => Parallelism::Fixed(n),
-                        _ => {
-                            eprintln!("--threads needs a positive integer, 'off', or 'auto'");
-                            exit(2);
-                        }
+                        _ => fail(2, "--threads needs a positive integer, 'off', or 'auto'"),
                     },
                 }
             }
             other => passthrough.push(other.to_string()),
         }
-        i += 1;
     }
     let opts = parse_opts(&passthrough);
     let base = std::sync::Arc::new(base_with_chain(&opts));
     let server = match Server::bind(base, cfg) {
         Ok(server) => server,
-        Err(e) => {
-            eprintln!("{e}");
-            exit(1);
-        }
+        Err(e) => fail(1, e),
     };
     // The ci.sh serve stage and the bench harness parse this line to
     // discover the ephemeral port, so keep its shape stable.
@@ -747,10 +656,7 @@ fn cmd_serve(args: &[String]) {
             }
             exit(0);
         }
-        Err(e) => {
-            eprintln!("{e}");
-            exit(1);
-        }
+        Err(e) => fail(1, e),
     }
 }
 
@@ -761,18 +667,18 @@ fn cmd_serve(args: &[String]) {
 fn cmd_compact(args: &[String]) {
     let opts = parse_opts(args);
     let Some(dir) = &opts.store else {
-        eprintln!("compact needs --store <dir>");
-        exit(2);
+        fail(2, "compact needs --store <dir>");
     };
     let mut base = EngineBase::open(dir, curated(), opts.user.clone(), opts.ctx.clone())
         .unwrap_or_else(|e| {
-            eprintln!("failed to open store {}: {e}", dir.display());
-            exit(1);
+            fail(
+                1,
+                format_args!("failed to open store {}: {e}", dir.display()),
+            )
         });
     let folded = base.head().0;
     if let Err(e) = base.compact() {
-        eprintln!("compact failed: {e}");
-        exit(1);
+        fail(1, format_args!("compact failed: {e}"));
     }
     let index = base.store().map(|s| s.segment_index()).unwrap_or_default();
     println!(

@@ -272,3 +272,21 @@ fn planner_flag_is_unknown() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("unknown flag '--planner'"), "{stderr}");
 }
+
+/// A hypothesis spec is read by `/explain`'s grammar: exactly
+/// `pregnant`, or a non-empty name after `diet:` / `allergic:`.
+#[test]
+fn bad_hypothesis_specs_exit_2() {
+    for spec in ["diet:", "allergic:", "PREGNANT", "mystery"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_feo"))
+            .args(["history", "--commit", spec])
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(2), "--commit {spec}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("bad hypothesis {spec:?} (expected pregnant")),
+            "{stderr}"
+        );
+    }
+}
