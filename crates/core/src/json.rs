@@ -292,7 +292,6 @@ impl ToJson for PlanCacheStats {
             .field("hits", self.hits)
             .field("misses", self.misses)
             .field("entries", self.entries)
-            .field("epoch", self.epoch)
             .end();
     }
 }

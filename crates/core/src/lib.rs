@@ -29,10 +29,10 @@
 //! assert!(e.answer.contains("current season"));
 //! ```
 
-pub mod cache;
+mod cache;
 pub mod competency;
 pub mod ecosystem;
-pub mod engine;
+mod engine;
 pub mod explanation;
 pub mod factfoil;
 pub mod json;

@@ -1,12 +1,11 @@
-//! Plan-cache behavior at the engine level. Explanations run the
-//! templates prepared with the base and never look a plan up; the cache
-//! serves ad-hoc query text: a repeated `Session::query` on an unchanged
-//! epoch reuses its plan (hits grow, misses do not), and a commit moves
-//! the head to a fresh cache partition while older epochs' entries stay
-//! retained for time-travel queries.
+//! The memo of parsed ad-hoc query text, at the engine level.
+//! Explanations run the templates prepared with the base and never
+//! look text up; `Session::query` parses a text once and plans it
+//! against its own view every time: at the head, after a commit, at a
+//! past epoch and on a branch.
 
 use feo_core::ecosystem::assert_question;
-use feo_core::{EngineBase, EpochId, ExplainOptions, Hypothesis, Question};
+use feo_core::{EngineBase, EpochId, ExplainOptions, Hypothesis, Question, Session};
 use feo_foodkg::{curated, Season, SystemContext, UserProfile};
 use feo_ontology::ns::sparql_prologue;
 
@@ -34,7 +33,7 @@ fn recipes_query() -> String {
 }
 
 /// The contract: explanations parse nothing, plan nothing
-/// and look nothing up — the cache's counters stay at zero however many
+/// and look nothing up — the memo's counters stay at zero however many
 /// questions, of whichever kind, are asked.
 #[test]
 fn explain_makes_no_plan_cache_lookups() {
@@ -62,10 +61,10 @@ fn explain_makes_no_plan_cache_lookups() {
     assert_eq!(stats.entries, 0);
 }
 
-/// Ad-hoc text is cached per query: a repeat is a pure hit, a new text
-/// gets its own entry.
+/// Ad-hoc text is memoised per text: a repeat is a pure hit, a new
+/// text gets its own entry.
 #[test]
-fn repeated_query_hits_the_plan_cache() {
+fn repeated_query_hits_the_memo() {
     let base = base();
     let text = recipes_query();
     let first = base.session().query(&text).unwrap().expect_solutions();
@@ -73,7 +72,7 @@ fn repeated_query_hits_the_plan_cache() {
     assert_eq!((stats.misses, stats.hits, stats.entries), (1, 0, 1));
 
     let again = base.session().query(&text).unwrap().expect_solutions();
-    assert_eq!(again, first, "the cached plan answers identically");
+    assert_eq!(again, first, "the memoised parse answers identically");
     let stats = base.plan_cache_stats();
     assert_eq!((stats.misses, stats.hits), (1, 1), "{stats:?}");
 
@@ -82,34 +81,56 @@ fn repeated_query_hits_the_plan_cache() {
     assert_eq!(base.plan_cache_stats().entries, 2);
 }
 
-/// A commit moves the head epoch. With epoch-keyed entries it drops
-/// nothing: a query at the new head re-plans under a fresh key (the
-/// statistics changed) while the epoch-0 plan stays retained for
-/// time-travel queries.
+/// One text, asked at the head, after a commit, at epoch 0 and on a
+/// branch forked after the commit, parses once — and each answer is
+/// its own view's: the committed question is seen at the head and on
+/// the branch, not at epoch 0.
 #[test]
-fn commit_rekeys_the_head() {
+fn one_parse_serves_every_epoch_and_branch() {
     let user = UserProfile::new("user").likes(&["BroccoliCheddarSoup"]);
     let ctx = SystemContext::new(Season::Autumn);
     let mut base = EngineBase::new(curated(), user, ctx).unwrap();
-    let text = recipes_query();
-    base.session().query(&text).unwrap();
-    for _ in 0..2 {
-        base.commit_with("question", |overlay| {
-            assert_question(&cq1(), overlay);
-        });
-    }
-    let committed = base.plan_cache_stats();
-    assert!(
-        committed.epoch >= 2,
-        "every commit bumps the epoch: {committed:?}"
+    let text = format!(
+        "{}SELECT ?p WHERE {{ <{}> ?p ?o }}",
+        sparql_prologue(),
+        cq1().iri()
     );
-    assert_eq!(committed.hits + committed.misses, 1, "{committed:?}");
+    let rows = |session: Session<'_>| session.query(&text).unwrap().expect_solutions().len();
 
-    base.session().query(&text).unwrap();
-    base.session().query(&text).unwrap();
-    base.at_epoch(EpochId(0)).unwrap().query(&text).unwrap();
+    assert_eq!(rows(base.session()), 0, "not yet committed");
+    base.commit_with("question", |overlay| {
+        assert_question(&cq1(), overlay);
+    });
+    base.branch_create("b", base.head()).unwrap();
+    let at_head = rows(base.session());
+    assert!(at_head > 0, "the commit is seen at the head");
+    assert_eq!(
+        rows(base.at_epoch(EpochId(0)).unwrap()),
+        0,
+        "not at epoch 0"
+    );
+    assert_eq!(rows(base.branch_session("b").unwrap()), at_head);
+
     let stats = base.plan_cache_stats();
-    assert_eq!(stats.misses, 2, "the head re-plans once: {stats:?}");
-    assert_eq!(stats.hits, 2, "head repeat and epoch 0 both hit: {stats:?}");
-    assert_eq!(stats.entries, 2, "epoch 0's plan is retained: {stats:?}");
+    assert_eq!(
+        (stats.misses, stats.hits, stats.entries),
+        (1, 3, 1),
+        "{stats:?}"
+    );
+}
+
+/// A text that does not parse is an error every time it is asked: it is
+/// not memoised.
+#[test]
+fn parse_errors_are_not_memoised() {
+    let base = base();
+    for _ in 0..2 {
+        assert!(base.session().query("SELEKT nonsense").is_err());
+    }
+    let stats = base.plan_cache_stats();
+    assert_eq!(
+        (stats.misses, stats.hits, stats.entries),
+        (2, 0, 0),
+        "{stats:?}"
+    );
 }

@@ -229,12 +229,23 @@ impl Conn {
                 "chunked transfer encoding is not supported".to_string(),
             ));
         }
-        let content_length = match headers.iter().find(|(k, _)| k == "content-length") {
-            Some((_, v)) => v
-                .parse::<usize>()
-                .map_err(|_| HttpError::Syntax(format!("bad content-length {v:?}")))?,
-            None => 0,
-        };
+        // RFC 9112 §6.3: the value is 1*DIGIT (`usize::from_str` would
+        // also take `+5`), and fields that disagree leave the framing
+        // ambiguous — a proxy in front that read another one would see
+        // a different request boundary.
+        let mut content_length = None;
+        for (_, v) in headers.iter().filter(|(k, _)| k == "content-length") {
+            let n = (v.parse::<usize>().ok())
+                .filter(|_| v.bytes().all(|b| b.is_ascii_digit()))
+                .ok_or_else(|| HttpError::Syntax(format!("bad content-length {v:?}")))?;
+            if content_length.is_some_and(|first| first != n) {
+                return Err(HttpError::Syntax(
+                    "conflicting content-length fields".to_string(),
+                ));
+            }
+            content_length = Some(n);
+        }
+        let content_length = content_length.unwrap_or(0);
         if content_length > self.max_body {
             return Err(HttpError::BodyTooLarge {
                 declared: content_length,
@@ -418,6 +429,30 @@ mod tests {
             conn.read_request(&|| false),
             Err(HttpError::BodyTooLarge { declared: 64, .. })
         ));
+    }
+
+    /// The body length the head `head` frames, or the framing error.
+    fn framed(head: &str) -> Result<usize, HttpError> {
+        let (mut client, server) = pair();
+        let mut conn = Conn::new(server, 1024).expect("conn");
+        client
+            .write_all(format!("POST /x HTTP/1.1\r\n{head}\r\nhelloworld").as_bytes())
+            .expect("write");
+        let request = conn.read_request(&|| false)?;
+        Ok(request.expect("a request").body.len())
+    }
+
+    #[test]
+    fn content_length_is_digits_and_agrees_with_itself() {
+        for bad in [
+            "Content-Length: +5\r\n",
+            "Content-Length: 0x10\r\n",
+            "Content-Length: 5\r\nContent-Length: 6\r\n",
+        ] {
+            assert!(matches!(framed(bad), Err(HttpError::Syntax(_))), "{bad:?}");
+        }
+        let twice = "Content-Length: 5\r\nContent-Length: 5\r\n";
+        assert_eq!(framed(twice).expect("frames"), 5);
     }
 
     #[test]

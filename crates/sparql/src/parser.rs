@@ -711,12 +711,26 @@ impl Parser {
                 self.bump();
                 Path::ZeroOrMore(Box::new(primary))
             }
-            Tok::Plus => {
+            // A `+` glued to the number after it is that number's sign,
+            // as SPARQL's longest-match tokenizer and Turtle read it:
+            // `<p> +7` and `<p>+7` have the object `+7`.
+            Tok::Plus if !self.plus_signs_number() => {
                 self.bump();
                 Path::OneOrMore(Box::new(primary))
             }
             _ => primary,
         })
+    }
+
+    /// True when the `+` here is followed, in the next column, by a
+    /// number.
+    fn plus_signs_number(&self) -> bool {
+        let (plus, next) = (
+            self.here(),
+            &self.tokens[(self.pos + 1).min(self.tokens.len() - 1)],
+        );
+        matches!(next.tok, Tok::Number(..))
+            && (next.line, next.column) == (plus.line, plus.column + 1)
     }
 
     fn parse_path_primary(&mut self) -> Result<Path> {
@@ -1072,6 +1086,40 @@ mod tests {
             }
             _ => panic!(),
         }
+    }
+
+    #[test]
+    fn a_plus_glued_to_a_number_is_its_sign() {
+        let object = |src: &str| {
+            let q = parse(&format!("SELECT * WHERE {{ <http://s> {src} }}"));
+            let GroupElement::Triples(ts) = &q.where_pattern.elements[0] else {
+                panic!("{src}")
+            };
+            (ts[0].path.clone(), ts[0].object.clone())
+        };
+        let p = || Path::Iri("http://p".into());
+        let plus_seven = TermPattern::Literal(typed("+7".into(), xsd::INTEGER));
+        assert_eq!(object("<http://p> +7"), (p(), plus_seven.clone()));
+        assert_eq!(object("<http://p>+7"), (p(), plus_seven));
+        assert_eq!(
+            object("<http://p>+ 7"),
+            (
+                Path::OneOrMore(Box::new(p())),
+                TermPattern::Literal(typed("7".into(), xsd::INTEGER))
+            )
+        );
+        assert_eq!(
+            object("<http://p>+?o"),
+            (Path::OneOrMore(Box::new(p())), TermPattern::Var("o".into()))
+        );
+        // In an expression a `+` stays addition, glued or not.
+        let q = parse("SELECT * WHERE { ?s ?p ?o FILTER(?o +1 > 0) }");
+        let GroupElement::Filter(Expr::Compare(CompareOp::Gt, sum, _)) =
+            &q.where_pattern.elements[1]
+        else {
+            panic!("{q:?}")
+        };
+        assert!(matches!(**sum, Expr::Arith(ArithOp::Add, _, _)), "{sum:?}");
     }
 
     #[test]

@@ -6,7 +6,7 @@
 use feo_rdf::turtle::parse_turtle;
 use feo_rdf::vocab::xsd;
 use feo_rdf::{Iri, Literal, Term};
-use feo_sparql::ast::{GroupElement, TermPattern};
+use feo_sparql::ast::{GroupElement, Path, TermPattern};
 use feo_sparql::parse_query;
 use proptest::prelude::*;
 
@@ -23,16 +23,21 @@ fn via_turtle(spelling: &str) -> Option<Term> {
     Some(triples[0].object.clone())
 }
 
-/// The object of `<http://s> ?p {spelling}` read as a SPARQL triple
-/// pattern. The predicate is a variable: after an IRI, SPARQL would read
-/// the `+` of `+7` as a path modifier.
+/// The object of `<http://s> <http://p> {spelling}` read as a SPARQL
+/// triple pattern.
 fn via_sparql(spelling: &str) -> Option<Term> {
-    let text = format!("{SPARQL_PROLOGUE}SELECT * WHERE {{ <http://s> ?p {spelling} ; }}");
+    let text = format!("{SPARQL_PROLOGUE}SELECT * WHERE {{ <http://s> <http://p> {spelling} ; }}");
     let q = parse_query(&text).ok()?;
     let [GroupElement::Triples(ts)] = q.where_pattern.elements.as_slice() else {
         panic!("one triple block expected from {text}: {q:?}");
     };
     assert_eq!(ts.len(), 1, "{text}");
+    // A `+` that does not sign a number is the one-or-more path
+    // modifier, which Turtle has no reading for: the spelling is then
+    // not one term.
+    if ts[0].path != Path::Iri("http://p".into()) {
+        return None;
+    }
     Some(match &ts[0].object {
         TermPattern::Iri(iri) => Term::iri(iri.clone()),
         // The parser keeps a query's own labels apart from the `qb`
