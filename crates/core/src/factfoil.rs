@@ -119,15 +119,14 @@ pub fn figure3_matrix() -> Vec<MatrixCell> {
 
     cases
         .iter()
-        .map(|(name, _, _, polarity, ecosystem)| {
-            let id = g
-                .lookup_iri(&format!("https://example.org/fig3#{name}"))
-                .expect("inserted above");
-            MatrixCell {
+        .filter_map(|(name, _, _, polarity, ecosystem)| {
+            // Every case was inserted above.
+            let id = g.lookup_iri(&format!("https://example.org/fig3#{name}"))?;
+            Some(MatrixCell {
                 polarity,
                 ecosystem,
                 classification: classify(&g, id),
-            }
+            })
         })
         .collect()
 }

@@ -21,12 +21,13 @@
 //!
 //! let user = UserProfile::new("u").allergies(&["Broccoli"]);
 //! let ctx = SystemContext::new(Season::Autumn);
-//! let base = EngineBase::new(curated(), user, ctx).unwrap();
+//! let base = EngineBase::new(curated(), user, ctx)?;
 //! let e = base.explain(
 //!     &Question::WhyEat { food: "CauliflowerPotatoCurry".into() },
 //!     &ExplainOptions::default(),
-//! ).unwrap();
+//! )?;
 //! assert!(e.answer.contains("current season"));
+//! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 mod cache;

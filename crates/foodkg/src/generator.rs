@@ -89,10 +89,10 @@ pub fn synthetic(cfg: &SyntheticConfig) -> FoodKg {
             ing.seasons.sort();
         }
         if rng.gen_bool(cfg.regional_fraction) {
-            ing.regions = vec![REGIONS.choose(&mut rng).unwrap().to_string()];
+            ing.regions = vec![REGIONS[rng.gen_range(0..REGIONS.len())].to_string()];
         }
         if rng.gen_bool(0.35) {
-            ing.categories = vec![CATEGORIES.choose(&mut rng).unwrap().to_string()];
+            ing.categories = vec![CATEGORIES[rng.gen_range(0..CATEGORIES.len())].to_string()];
         }
         let n_nutrients = rng.gen_range(0..=3);
         let mut nutrients = NUTRIENTS.to_vec();

@@ -29,15 +29,15 @@
 //!     e:SeasonCharacteristic rdfs:subClassOf e:SystemCharacteristic .
 //!     e:SystemCharacteristic rdfs:subClassOf e:Characteristic .
 //!     e:Autumn a e:SeasonCharacteristic .
-//! "#, &mut g, &Default::default()).unwrap();
+//! "#, &mut g, &Default::default())?;
 //! let result = Reasoner::new().materialize(&mut g, &Default::default())?;
 //! assert!(result.is_consistent());
 //! // Autumn is now also typed as Characteristic.
-//! let autumn = g.lookup_iri("http://e/Autumn").unwrap();
-//! let ty = g.lookup_iri("http://www.w3.org/1999/02/22-rdf-syntax-ns#type").unwrap();
-//! let characteristic = g.lookup_iri("http://e/Characteristic").unwrap();
+//! let autumn = g.lookup_iri("http://e/Autumn").ok_or("Autumn is in the graph")?;
+//! let ty = g.lookup_iri("http://www.w3.org/1999/02/22-rdf-syntax-ns#type").ok_or("rdf:type is")?;
+//! let characteristic = g.lookup_iri("http://e/Characteristic").ok_or("so is the class")?;
 //! assert!(g.contains_ids(autumn, ty, characteristic));
-//! # Ok::<(), feo_owl::ReasonerError>(())
+//! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 pub mod axiom;

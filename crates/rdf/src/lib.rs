@@ -33,8 +33,9 @@
 //!      feo:Autumn a feo:SeasonCharacteristic .",
 //!     &mut g,
 //!     &feo_rdf::ParseOptions::default(),
-//! ).unwrap();
+//! )?;
 //! assert_eq!(g.len(), 1);
+//! # Ok::<(), feo_rdf::RdfError>(())
 //! ```
 
 pub mod disk;

@@ -445,15 +445,15 @@ impl<'a> Parser<'a> {
 /// absolute references pass through, fragment/query references attach to
 /// the base, path references merge with the base path.
 pub fn resolve_iri(base: Option<&str>, reference: &str) -> String {
-    if reference.contains(':')
-        && reference.split(':').next().is_some_and(|s| {
-            !s.is_empty()
-                && s.chars()
-                    .all(|c| c.is_ascii_alphanumeric() || c == '+' || c == '-' || c == '.')
-        })
-    {
+    if let Some(colon) = reference.find(':') {
+        let scheme = &reference[..colon];
         // Looks like an absolute IRI with a scheme.
-        if reference.find(':').unwrap() < reference.find('/').unwrap_or(usize::MAX) {
+        if !scheme.is_empty()
+            && scheme
+                .chars()
+                .all(|c| c.is_ascii_alphanumeric() || c == '+' || c == '-' || c == '.')
+            && colon < reference.find('/').unwrap_or(usize::MAX)
+        {
             return reference.to_string();
         }
     }

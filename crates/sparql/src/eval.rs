@@ -4,15 +4,15 @@
 //! bindings) flowing through group-pattern elements, matching the SPARQL
 //! algebra: triples blocks join, OPTIONAL left-joins, UNION concatenates,
 //! MINUS anti-joins on shared domains, BIND extends, VALUES joins an
-//! inline table. BGPs run in the order and with the join operator (nested
-//! or hash) of a [`Plan`] compiled from the view's statistics; a group
-//! without a plan (an EXISTS body) runs its patterns in author order.
+//! inline table. Every group, EXISTS bodies included, runs as its
+//! [`Plan`] says: BGPs in the plan's order and with its join operator
+//! (nested or hash); a plan that does not fit the query is an error.
 //!
 //! A FILTER has group scope but runs where the plan placed it, once its
-//! variables are final (`GroupPlan::filters`; at group end without a
-//! plan), dropping the same rows in the same order. Correlated
-//! sub-patterns — an EXISTS group, an OPTIONAL's right side — run once
-//! per distinct key: the row's values on the slots they mention.
+//! variables are final (`GroupPlan::filters`), dropping the same rows in
+//! the same order. Correlated sub-patterns — an EXISTS group, an
+//! OPTIONAL's right side — run once per distinct key: the row's values on
+//! the slots the plan recorded (`GroupPlan::keys`).
 //!
 //! Evaluation is read-only: the input is any [`feo_rdf::GraphView`]
 //! (a `&Graph`, an [`feo_rdf::Overlay`] session, or the `&mut Graph`
@@ -41,7 +41,8 @@ use crate::ast::*;
 use crate::error::{Result, SparqlError};
 use crate::parser::parse_query;
 use crate::plan::{
-    plan_query, BgpPlan, ElementPlan, GroupPlan, JoinAlgo, Plan, QueryOptions, HASH_JOIN_MIN,
+    misfit, plan_query, BgpPlan, ElementPlan, GroupPlan, JoinAlgo, Plan, QueryOptions,
+    HASH_JOIN_MIN,
 };
 use crate::regexlite::Regex;
 use crate::results::{QueryResult, SolutionTable};
@@ -132,9 +133,8 @@ pub fn execute_prepared<G: GraphView>(
 /// would (a term the view lacks is interned into the scratch overlay).
 ///
 /// The plan must come from [`crate::plan_seeded`] on the same query and
-/// seeded names: its filter placement is trusted. A plan whose shape does
-/// not match runs the mismatched nodes' patterns in author order rather
-/// than misevaluating; [`Plan::default`] runs without one.
+/// seeded names: its filter placement and keys are trusted. A plan whose
+/// shape does not fit the query is a [`SparqlError`].
 pub fn execute_seeded<G: GraphView>(
     graph: G,
     q: &Query,
@@ -143,18 +143,18 @@ pub fn execute_seeded<G: GraphView>(
     opts: &QueryOptions,
 ) -> Result<QueryResult> {
     if opts.explain {
-        return Ok(QueryResult::Plan(plan.render(q)));
+        return Ok(QueryResult::Plan(plan.render(q)?));
     }
-    let mut vars = VarTable::default();
-    register_group_vars(&q.where_pattern, &mut vars);
-    register_modifier_vars(q, &mut vars);
+    let (vars, sites) = VarTable::of(q);
     let mut ctx = Ctx {
         g: Overlay::new(graph),
         vars,
         force: opts.force_join,
         guard: opts.guard,
         tripped: Cell::new(None),
-        key_slots: Vec::new(),
+        misfit: false,
+        plan,
+        sites,
         exists: FxMap::default(),
         memo: Memo::default(),
         aggregated: Vec::new(),
@@ -167,7 +167,7 @@ pub fn execute_seeded<G: GraphView>(
         row[slot] = Some(ctx.g.intern(term));
     }
 
-    let rows = ctx.eval_group(&q.where_pattern, vec![row], Some(&plan.root))?;
+    let rows = ctx.eval_group(&q.where_pattern, vec![row], &plan.root)?;
 
     let result = match &q.form {
         QueryForm::Ask => Ok(QueryResult::Boolean(!rows.is_empty())),
@@ -183,6 +183,9 @@ pub fn execute_seeded<G: GraphView>(
     if let Some(exhausted) = ctx.tripped.get() {
         return Err(SparqlError::Exhausted(exhausted));
     }
+    if ctx.misfit {
+        return Err(misfit());
+    }
     result
 }
 
@@ -197,6 +200,21 @@ pub(crate) struct VarTable {
 }
 
 impl VarTable {
+    /// The slots of every variable `q` mentions, in walk order, and the
+    /// address ([`site`]) of each EXISTS body it holds, in the same order.
+    pub(crate) fn of(q: &Query) -> (VarTable, Vec<usize>) {
+        let mut vars = VarTable::default();
+        let mut sites = Vec::new();
+        walk_query(q, &mut |seen| match seen {
+            Seen::Var(v) => {
+                vars.slot(v);
+            }
+            Seen::Exists(at) => sites.push(at),
+            Seen::Bind | Seen::BNode => {}
+        });
+        (vars, sites)
+    }
+
     fn len(&self) -> usize {
         self.names.len()
     }
@@ -218,16 +236,59 @@ impl VarTable {
 
 /// What a walk reports: a variable (a blank-node label spelled
 /// `_:label`), a `BIND` (it fails on a row that already binds its
-/// target) or a `BNODE()` call (a fresh node per evaluation).
+/// target), a `BNODE()` call (a fresh node per evaluation) or an EXISTS
+/// body, by its [`site`], before what the body mentions.
 pub(crate) enum Seen<'q> {
     Var(&'q str),
     Bind,
     BNode,
+    Exists(usize),
+}
+
+/// An EXISTS body's address: what an execution knows it by.
+pub(crate) fn site(body: &GroupPattern) -> usize {
+    body as *const GroupPattern as usize
+}
+
+/// Reports everything `q` mentions — its WHERE group, then its
+/// solution modifiers — in the order that fixes slot numbering.
+fn walk_query(q: &Query, f: &mut dyn FnMut(Seen<'_>)) {
+    walk_group(&q.where_pattern, f);
+    for (_, e, v) in modifier_items(q) {
+        e.into_iter().for_each(|e| walk_expr(e, f));
+        v.into_iter().for_each(|v| f(Seen::Var(v)));
+    }
+}
+
+/// The items of `q`'s SELECT, GROUP BY, HAVING and ORDER BY clauses in
+/// that order, each by clause, with its expression and the variable it
+/// names.
+pub(crate) fn modifier_items(
+    q: &Query,
+) -> impl Iterator<Item = (&'static str, Option<&Expr>, Option<&str>)> {
+    let select = match &q.form {
+        QueryForm::Select {
+            projection: Projection::Items(items),
+            ..
+        } => &items[..],
+        _ => &[],
+    };
+    let select = select.iter().map(|item| match item {
+        ProjectionItem::Var(v) => ("select", None, Some(v.as_str())),
+        ProjectionItem::Expr(e, v) => ("select", Some(e), Some(v.as_str())),
+    });
+    let group_by = q.modifiers.group_by.iter().map(|gc| match gc {
+        GroupCondition::Var(v) => ("group by", None, Some(v.as_str())),
+        GroupCondition::Expr(e, alias) => ("group by", Some(e), alias.as_deref()),
+    });
+    let having = q.modifiers.having.iter().map(|e| ("having", Some(e), None));
+    let order_by = (q.modifiers.order_by.iter()).map(|oc| ("order by", Some(&oc.expr), None));
+    select.chain(group_by).chain(having).chain(order_by)
 }
 
 /// Reports everything `group` mentions, EXISTS groups included, in the
 /// order that fixes slot numbering.
-fn walk_group(group: &GroupPattern, f: &mut dyn FnMut(Seen<'_>)) {
+pub(crate) fn walk_group(group: &GroupPattern, f: &mut dyn FnMut(Seen<'_>)) {
     for el in &group.elements {
         walk_element(el, f);
     }
@@ -277,109 +338,32 @@ fn walk_term(tp: &TermPattern, f: &mut dyn FnMut(Seen<'_>)) {
 fn walk_expr(e: &Expr, f: &mut dyn FnMut(Seen<'_>)) {
     match e {
         Expr::Var(v) => f(Seen::Var(v)),
+        Expr::Call(Builtin::BNode, _) => f(Seen::BNode),
+        Expr::Exists(g, _) => {
+            f(Seen::Exists(site(g)));
+            walk_group(g, f);
+        }
+        _ => {}
+    }
+    operands(e, &mut |x| walk_expr(x, f));
+}
+
+/// Calls `f` on each operand of `e`, an aggregate's argument included
+/// (an EXISTS body is a group, not an operand).
+pub(crate) fn operands<'q>(e: &'q Expr, f: &mut dyn FnMut(&'q Expr)) {
+    match e {
         Expr::Or(a, b) | Expr::And(a, b) | Expr::Compare(_, a, b) | Expr::Arith(_, a, b) => {
-            walk_expr(a, f);
-            walk_expr(b, f);
+            f(a);
+            f(b);
         }
-        Expr::Not(a) | Expr::UnaryMinus(a) => walk_expr(a, f),
+        Expr::Not(a) | Expr::UnaryMinus(a) => f(a),
         Expr::In(a, list, _) => {
-            walk_expr(a, f);
-            for e in list {
-                walk_expr(e, f);
-            }
+            f(a);
+            list.iter().for_each(f);
         }
-        Expr::Call(builtin, args) => {
-            if *builtin == Builtin::BNode {
-                f(Seen::BNode);
-            }
-            for a in args {
-                walk_expr(a, f);
-            }
-        }
-        Expr::Exists(g, _) => walk_group(g, f),
-        Expr::Aggregate(agg) => {
-            if let Some(inner) = &agg.expr {
-                walk_expr(inner, f);
-            }
-        }
-        Expr::Iri(_) | Expr::Literal(_) => {}
-    }
-}
-
-/// The slots a walk mentions (ascending) and whether it binds or mints.
-#[derive(Default)]
-pub(crate) struct Mentions {
-    pub(crate) slots: Vec<usize>,
-    pub(crate) binds: bool,
-    pub(crate) mints: bool,
-}
-
-impl Mentions {
-    pub(crate) fn of(vars: &VarTable, walk: impl FnOnce(&mut dyn FnMut(Seen<'_>))) -> Mentions {
-        let mut m = Mentions::default();
-        walk(&mut |seen| match seen {
-            Seen::Var(v) => m.slots.extend(vars.get(v)),
-            Seen::Bind => m.binds = true,
-            Seen::BNode => m.mints = true,
-        });
-        m.slots.sort_unstable();
-        m.slots.dedup();
-        m
-    }
-}
-
-pub(crate) fn register_group_vars(group: &GroupPattern, vars: &mut VarTable) {
-    walk_group(group, &mut |seen| {
-        if let Seen::Var(v) = seen {
-            vars.slot(v);
-        }
-    });
-}
-
-fn register_expr_vars(e: &Expr, vars: &mut VarTable) {
-    walk_expr(e, &mut |seen| {
-        if let Seen::Var(v) = seen {
-            vars.slot(v);
-        }
-    });
-}
-
-pub(crate) fn register_modifier_vars(q: &Query, vars: &mut VarTable) {
-    if let QueryForm::Select {
-        projection: Projection::Items(items),
-        ..
-    } = &q.form
-    {
-        for item in items {
-            match item {
-                ProjectionItem::Var(v) => {
-                    vars.slot(v);
-                }
-                ProjectionItem::Expr(e, v) => {
-                    register_expr_vars(e, vars);
-                    vars.slot(v);
-                }
-            }
-        }
-    }
-    for gc in &q.modifiers.group_by {
-        match gc {
-            GroupCondition::Var(v) => {
-                vars.slot(v);
-            }
-            GroupCondition::Expr(e, alias) => {
-                register_expr_vars(e, vars);
-                if let Some(a) = alias {
-                    vars.slot(a);
-                }
-            }
-        }
-    }
-    for h in &q.modifiers.having {
-        register_expr_vars(h, vars);
-    }
-    for oc in &q.modifiers.order_by {
-        register_expr_vars(&oc.expr, vars);
+        Expr::Call(_, args) => args.iter().for_each(f),
+        Expr::Aggregate(agg) => agg.expr.iter().for_each(f),
+        Expr::Var(_) | Expr::Iri(_) | Expr::Literal(_) | Expr::Exists(..) => {}
     }
 }
 
@@ -402,10 +386,13 @@ struct Ctx<'a, G: GraphView> {
     /// closures) that cannot return a `Result`; checked at element
     /// boundaries and again when evaluation finishes.
     tripped: Cell<Option<Exhausted>>,
-    /// Key slots of each correlated sub-pattern met so far, by address
-    /// (a query has a handful: a scan beats hashing).
-    key_slots: Vec<(usize, Option<Vec<usize>>)>,
-    /// `EXISTS` results by (group address, key).
+    /// Set when an EXISTS body's plan does not fit it: the query fails
+    /// when evaluation finishes, where a trip would surface too.
+    misfit: bool,
+    plan: &'a Plan,
+    /// The query's EXISTS sites, in [`Plan::exists`] order.
+    sites: Vec<usize>,
+    /// `EXISTS` results by (site, key).
     exists: FxMap<(usize, SlotKey), bool>,
     memo: Memo,
     /// The value of each aggregate over the group being finalised, by
@@ -431,31 +418,21 @@ impl<'a, G: GraphView> Ctx<'a, G> {
     /// surfaced as an error at the next fallible boundary.
     #[inline]
     fn guard_tripped(&self) -> bool {
-        if self.tripped.get().is_some() {
-            return true;
-        }
-        if let Some(g) = self.guard {
-            if let Err(exhausted) = g.check_time() {
+        if self.tripped.get().is_none() {
+            if let Some(Err(exhausted)) = self.guard.map(Guard::check_time) {
                 self.tripped.set(Some(exhausted));
-                return true;
             }
         }
-        false
+        self.tripped.get().is_some()
     }
 
     /// Fallible governor checkpoint: converts a recorded or fresh trip
     /// into a typed error.
     fn checkpoint(&self) -> Result<()> {
-        if let Some(exhausted) = self.tripped.get() {
-            return Err(SparqlError::Exhausted(exhausted));
-        }
-        if let Some(g) = self.guard {
-            if let Err(exhausted) = g.check_time() {
-                self.tripped.set(Some(exhausted));
-                return Err(SparqlError::Exhausted(exhausted));
-            }
-        }
-        Ok(())
+        self.guard_tripped();
+        self.tripped
+            .get()
+            .map_or(Ok(()), |e| Err(SparqlError::Exhausted(e)))
     }
 
     /// Charges `n` produced join rows against the solution budget.
@@ -471,67 +448,50 @@ impl<'a, G: GraphView> Ctx<'a, G> {
 
     // ---- group patterns ------------------------------------------------
 
-    /// Evaluates one group pattern. `plan` (when present) is walked in
-    /// lockstep with `group.elements`: element `i` consults plan node
-    /// `i`, recursing with the matching subplan. A shape mismatch at any
-    /// node simply drops the plan for that node — evaluation stays
-    /// correct, only the precomputed order is lost.
-    /// A FILTER runs where the plan placed it, or else at group end.
+    /// Evaluates one group pattern as `plan` says: element `i` runs
+    /// with plan node `i`, and a FILTER where the plan placed it, or else
+    /// at group end. A plan that does not fit the group is an error.
     fn eval_group(
         &mut self,
         group: &GroupPattern,
         input: Vec<Binding>,
-        plan: Option<&GroupPlan>,
+        plan: &GroupPlan,
     ) -> Result<Vec<Binding>> {
-        let placed: &[(usize, usize)] = plan.map_or(&[], |p| &p.filters);
+        if plan.elements.len() != group.elements.len() {
+            return Err(misfit());
+        }
+        let placed = &plan.filters;
         let mut next_placed = 0;
         let mut late: Vec<&Expr> = Vec::new();
         let mut rows = input;
-        for (i, el) in group.elements.iter().enumerate() {
+        for (i, (el, sub)) in group.elements.iter().zip(&plan.elements).enumerate() {
             self.run_placed(group, placed, &mut next_placed, i, &mut rows);
             self.checkpoint()?;
-            let sub = plan.and_then(|p| p.elements.get(i));
-            match el {
-                GroupElement::Filter(e) if placed.iter().all(|&(_, f)| f != i) => late.push(e),
-                GroupElement::Filter(_) => {}
-                GroupElement::Triples(ts) => {
-                    let bp = match sub {
-                        Some(ElementPlan::Bgp(bp)) => Some(bp),
-                        _ => None,
-                    };
+            match (el, sub) {
+                (GroupElement::Filter(e), ElementPlan::Leaf) => {
+                    if placed.iter().all(|&(_, f)| f != i) {
+                        late.push(e);
+                    }
+                }
+                (GroupElement::Triples(ts), ElementPlan::Bgp(bp)) => {
                     rows = self.eval_bgp(ts, rows, bp)?;
                 }
-                GroupElement::Group(inner) => {
-                    let gp = match sub {
-                        Some(ElementPlan::Group(gp)) => Some(gp),
-                        _ => None,
-                    };
+                (GroupElement::Group(inner), ElementPlan::Group(gp)) => {
                     rows = self.eval_group(inner, rows, gp)?;
                 }
-                GroupElement::Optional(inner) => {
-                    let gp = match sub {
-                        Some(ElementPlan::Optional(gp)) => Some(gp),
-                        _ => None,
-                    };
+                (GroupElement::Optional(inner), ElementPlan::Optional(gp)) => {
                     rows = self.left_join(inner, rows, gp)?;
                 }
-                GroupElement::Union(arms) => {
-                    let arm_plans = match sub {
-                        Some(ElementPlan::Union(ps)) => Some(ps),
-                        _ => None,
-                    };
+                (GroupElement::Union(arms), ElementPlan::Union(arm_plans))
+                    if arms.len() == arm_plans.len() =>
+                {
                     let mut out = Vec::new();
-                    for (j, arm) in arms.iter().enumerate() {
-                        let ap = arm_plans.and_then(|ps| ps.get(j));
+                    for (arm, ap) in arms.iter().zip(arm_plans) {
                         out.extend(self.eval_group(arm, rows.clone(), ap)?);
                     }
                     rows = out;
                 }
-                GroupElement::Minus(inner) => {
-                    let gp = match sub {
-                        Some(ElementPlan::Minus(gp)) => Some(gp),
-                        _ => None,
-                    };
+                (GroupElement::Minus(inner), ElementPlan::Minus(gp)) => {
                     let empty = vec![vec![None; self.vars.len()]];
                     let rhs = self.eval_group(inner, empty, gp)?;
                     // Drop a row compatible with some right-hand row on a
@@ -544,7 +504,7 @@ impl<'a, G: GraphView> Ctx<'a, G> {
                         })
                     });
                 }
-                GroupElement::Bind(e, v) => {
+                (GroupElement::Bind(e, v), ElementPlan::Leaf) => {
                     let slot = self
                         .vars
                         .get(v)
@@ -560,7 +520,7 @@ impl<'a, G: GraphView> Ctx<'a, G> {
                         }
                     }
                 }
-                GroupElement::Values(vb) => {
+                (GroupElement::Values(vb), ElementPlan::Leaf) => {
                     let slots: Vec<usize> = vb
                         .vars
                         .iter()
@@ -596,6 +556,7 @@ impl<'a, G: GraphView> Ctx<'a, G> {
                     }
                     rows = out;
                 }
+                _ => return Err(misfit()),
             }
         }
         self.run_placed(group, placed, &mut next_placed, usize::MAX, &mut rows);
@@ -633,36 +594,25 @@ impl<'a, G: GraphView> Ctx<'a, G> {
         }
     }
 
-    /// The slots a correlated sub-pattern's key reads: all it mentions,
-    /// since nothing else of the row can change its result. `None` (run
-    /// per row) when they do not fit a [`SlotKey`], or when it calls
-    /// `BNODE()`, whose fresh node rows with one key must not share.
-    fn key_slots(&mut self, group: &GroupPattern) -> Option<&[usize]> {
-        let addr = group as *const GroupPattern as usize;
-        let i = match self.key_slots.iter().position(|&(a, _)| a == addr) {
-            Some(i) => i,
-            None => {
-                let m = Mentions::of(&self.vars, |f| walk_group(group, f));
-                let cacheable = !m.mints && m.slots.len() <= KEY_SLOTS;
-                self.key_slots.push((addr, cacheable.then_some(m.slots)));
-                self.key_slots.len() - 1
-            }
-        };
-        self.key_slots[i].1.as_deref()
-    }
-
     /// `EXISTS { group }` for row `b`, evaluated once per distinct key
     /// per execution. A failed evaluation (a `BIND` conflict, or a trip
     /// that `tripped` surfaces at the next checkpoint) is "no solution"
-    /// and is not cached.
+    /// and is not cached; a plan that does not fit fails the query.
     fn exists(&mut self, group: &GroupPattern, b: &Binding) -> bool {
-        let site = group as *const GroupPattern as usize;
-        let key = self.key_slots(group).map(|s| (site, slot_key(s, b)));
+        let Ok(plan) = self.plan.body(&self.sites, group) else {
+            self.misfit = true;
+            return false;
+        };
+        let key = (plan.keys.as_deref()).map(|s| (site(group), slot_key(s, b)));
         if let Some(&hit) = key.and_then(|k| self.exists.get(&k)) {
             return hit;
         }
-        let Ok(rows) = self.eval_group(group, vec![b.clone()], None) else {
-            return false;
+        let rows = match self.eval_group(group, vec![b.clone()], plan) {
+            Ok(rows) => rows,
+            Err(e) => {
+                self.misfit |= e == misfit();
+                return false;
+            }
         };
         if let Some(k) = key {
             self.exists.insert(k, !rows.is_empty());
@@ -678,14 +628,11 @@ impl<'a, G: GraphView> Ctx<'a, G> {
         &mut self,
         inner: &GroupPattern,
         rows: Vec<Binding>,
-        plan: Option<&GroupPlan>,
+        plan: &GroupPlan,
     ) -> Result<Vec<Binding>> {
         // A single row has nothing to share a key with.
-        let keyed = self
-            .key_slots(inner)
-            .filter(|_| rows.len() > 1)
-            .map(<[usize]>::to_vec);
-        let slots = keyed.as_deref().unwrap_or(&[]);
+        let keyed = plan.keys.as_deref().filter(|_| rows.len() > 1);
+        let slots = keyed.unwrap_or(&[]);
         let w = slots.len();
         // Per key: where its extensions start in `exts`, and how many.
         let mut seen: FxMap<SlotKey, (usize, usize)> = FxMap::default();
@@ -725,46 +672,33 @@ impl<'a, G: GraphView> Ctx<'a, G> {
 
     // ---- BGP -------------------------------------------------------------
 
+    /// Runs the plan's steps in order, each with its join operator;
+    /// `force_join` swaps operators without touching order. A plan whose
+    /// steps do not run each pattern once is an error.
     fn eval_bgp(
         &mut self,
         patterns: &[TriplePattern],
         input: Vec<Binding>,
-        plan: Option<&BgpPlan>,
+        plan: &BgpPlan,
     ) -> Result<Vec<Binding>> {
-        // Planned path: execute the precomputed order with each step's
-        // join-algorithm choice; `force_join` swaps operators without
-        // touching order. A malformed plan (wrong length, index out of
-        // range, duplicate steps) falls through to author order below.
-        if let Some(bp) = plan {
-            if bgp_plan_matches(bp, patterns.len()) {
-                let mut rows = input;
-                for step in &bp.steps {
-                    let tp = &patterns[step.pattern];
-                    // A hash step builds its table only when enough rows
-                    // arrive to amortize it. Forcing an algorithm
-                    // bypasses that gate so differential tests exercise
-                    // the operator on any row count.
-                    let hash = match self.force {
-                        Some(forced) => forced == JoinAlgo::Hash,
-                        None => step.algo == JoinAlgo::Hash && rows.len() >= HASH_JOIN_MIN,
-                    };
-                    rows = if hash {
-                        self.match_triple_pattern_hash(tp, rows)?
-                    } else {
-                        self.match_triple_pattern(tp, rows)?
-                    };
-                    if rows.is_empty() {
-                        break;
-                    }
-                }
-                return Ok(rows);
-            }
+        if !plan.fits(patterns.len()) {
+            return Err(misfit());
         }
-        // Unplanned (an EXISTS body, or a plan that does not fit): author
-        // order.
         let mut rows = input;
-        for tp in patterns {
-            rows = self.match_triple_pattern(tp, rows)?;
+        for step in &plan.steps {
+            let tp = &patterns[step.pattern];
+            // A hash step builds its table only when enough rows arrive to
+            // amortize it. Forcing an algorithm bypasses that gate so
+            // differential tests exercise the operator on any row count.
+            let hash = match self.force {
+                Some(forced) => forced == JoinAlgo::Hash,
+                None => step.algo == JoinAlgo::Hash && rows.len() >= HASH_JOIN_MIN,
+            };
+            rows = if hash {
+                self.match_triple_pattern_hash(tp, rows)?
+            } else {
+                self.match_triple_pattern(tp, rows)?
+            };
             if rows.is_empty() {
                 break;
             }
@@ -1002,31 +936,21 @@ impl<'a, G: GraphView> Ctx<'a, G> {
             Path::ZeroOrMore(inner) => self.closure_pairs(inner, s, o, true),
             Path::OneOrMore(inner) => self.closure_pairs(inner, s, o, false),
             Path::Negated(members) => {
-                let forward: HashSet<TermId> = members
-                    .iter()
-                    .filter(|(_, inv)| !inv)
-                    .filter_map(|(iri, _)| self.lookup_const(iri))
-                    .collect();
-                let has_forward = members.iter().any(|(_, inv)| !inv);
-                let inverse: HashSet<TermId> = members
-                    .iter()
-                    .filter(|(_, inv)| *inv)
-                    .filter_map(|(iri, _)| self.lookup_const(iri))
-                    .collect();
-                let has_inverse = members.iter().any(|(_, inv)| *inv);
+                // Forward members' pairs first, then inverse members'.
                 let mut out = Vec::new();
                 let mut seen = HashSet::new();
-                if has_forward {
-                    for [ms, mp, mo] in self.g.match_pattern(s, None, o) {
-                        if !forward.contains(&mp) && seen.insert((ms, mo)) {
-                            out.push((ms, mo));
-                        }
+                for inverse in [false, true] {
+                    let side = members.iter().filter(|(_, inv)| *inv == inverse);
+                    if side.clone().next().is_none() {
+                        continue;
                     }
-                }
-                if has_inverse {
-                    for [ms, mp, mo] in self.g.match_pattern(o, None, s) {
-                        if !inverse.contains(&mp) && seen.insert((mo, ms)) {
-                            out.push((mo, ms));
+                    let excluded: HashSet<TermId> =
+                        side.filter_map(|(iri, _)| self.lookup_const(iri)).collect();
+                    let (from, to) = if inverse { (o, s) } else { (s, o) };
+                    for [ms, mp, mo] in self.g.match_pattern(from, None, to) {
+                        let pair = if inverse { (mo, ms) } else { (ms, mo) };
+                        if !excluded.contains(&mp) && seen.insert(pair) {
+                            out.push(pair);
                         }
                     }
                 }
@@ -1187,30 +1111,21 @@ impl<'a, G: GraphView> Ctx<'a, G> {
     }
 
     fn literal_value(&mut self, l: &LiteralPattern) -> Value {
+        let plain = || Value::Str {
+            s: l.lexical.clone(),
+            lang: l.language.clone(),
+        };
         match (&l.language, &l.datatype) {
-            (Some(lang), _) => Value::Str {
-                s: l.lexical.clone(),
-                lang: Some(lang.clone()),
-            },
-            (None, None) => Value::Str {
-                s: l.lexical.clone(),
-                lang: None,
-            },
             (None, Some(dt)) if dt == xsd::BOOLEAN => {
                 Value::Bool(l.lexical == "true" || l.lexical == "1")
             }
             (None, Some(dt)) if xsd::is_integer_type(dt) => {
-                l.lexical.parse().map(Value::Int).unwrap_or(Value::Str {
-                    s: l.lexical.clone(),
-                    lang: None,
-                })
+                l.lexical.parse().map_or_else(|_| plain(), Value::Int)
             }
             (None, Some(dt)) if xsd::is_numeric_type(dt) => {
-                l.lexical.parse().map(Value::Num).unwrap_or(Value::Str {
-                    s: l.lexical.clone(),
-                    lang: None,
-                })
+                l.lexical.parse().map_or_else(|_| plain(), Value::Num)
             }
+            (Some(_), _) | (None, None) => plain(),
             (None, Some(dt)) => {
                 let term = Term::Literal(feo_rdf::Literal::typed(
                     l.lexical.clone(),
@@ -1223,59 +1138,45 @@ impl<'a, G: GraphView> Ctx<'a, G> {
 
     fn compare(&self, op: CompareOp, l: &Value, r: &Value) -> Option<bool> {
         use std::cmp::Ordering;
+        let ord = || values_compare(&self.g, l, r);
         match op {
             CompareOp::Eq => values_equal(&self.g, l, r),
             CompareOp::Ne => values_equal(&self.g, l, r).map(|b| !b),
-            _ => {
-                let ord = values_compare(&self.g, l, r)?;
-                Some(match op {
-                    CompareOp::Lt => ord == Ordering::Less,
-                    CompareOp::Le => ord != Ordering::Greater,
-                    CompareOp::Gt => ord == Ordering::Greater,
-                    CompareOp::Ge => ord != Ordering::Less,
-                    // Eq/Ne are handled by the outer match arms.
-                    CompareOp::Eq | CompareOp::Ne => return None,
-                })
-            }
+            CompareOp::Lt => ord().map(Ordering::is_lt),
+            CompareOp::Le => ord().map(Ordering::is_le),
+            CompareOp::Gt => ord().map(Ordering::is_gt),
+            CompareOp::Ge => ord().map(Ordering::is_ge),
         }
     }
 
+    /// `l op r`: exact (checked) when both operands are integer-typed —
+    /// a computed integer or an integer literal — except for division,
+    /// and in `f64` otherwise.
     fn arith(&self, op: ArithOp, l: &Value, r: &Value) -> Option<Value> {
-        // Integer arithmetic stays integral except division.
-        if let (Value::Int(a), Value::Int(b)) = (l, r) {
+        let int = |v: &Value| match v {
+            Value::Int(i) => Some(*i),
+            Value::Term(id) => match self.g.term(*id) {
+                Term::Literal(l) => l.as_integer(),
+                _ => None,
+            },
+            _ => None,
+        };
+        if let (Some(a), Some(b), false) = (int(l), int(r), op == ArithOp::Div) {
             return match op {
-                ArithOp::Add => Some(Value::Int(a.checked_add(*b)?)),
-                ArithOp::Sub => Some(Value::Int(a.checked_sub(*b)?)),
-                ArithOp::Mul => Some(Value::Int(a.checked_mul(*b)?)),
-                ArithOp::Div => {
-                    if *b == 0 {
-                        None
-                    } else {
-                        Some(Value::Num(*a as f64 / *b as f64))
-                    }
-                }
-            };
+                ArithOp::Add => a.checked_add(b),
+                ArithOp::Sub => a.checked_sub(b),
+                _ => a.checked_mul(b),
+            }
+            .map(Value::Int);
         }
-        let a = as_numeric(&self.g, l)?;
-        let b = as_numeric(&self.g, r)?;
-        // Preserve integrality when both terms are integer-typed literals.
-        let both_int = as_integer(&self.g, l).is_some() && as_integer(&self.g, r).is_some();
-        let result = match op {
+        let (a, b) = (as_numeric(&self.g, l)?, as_numeric(&self.g, r)?);
+        Some(Value::Num(match op {
             ArithOp::Add => a + b,
             ArithOp::Sub => a - b,
             ArithOp::Mul => a * b,
-            ArithOp::Div => {
-                if b == 0.0 {
-                    return None;
-                }
-                a / b
-            }
-        };
-        if both_int && result.fract() == 0.0 && !matches!(op, ArithOp::Div) {
-            Some(Value::Int(result as i64))
-        } else {
-            Some(Value::Num(result))
-        }
+            ArithOp::Div if b == 0.0 => return None,
+            ArithOp::Div => a / b,
+        }))
     }
 
     fn call(&mut self, builtin: Builtin, args: &[Expr], b: &Binding) -> Option<Value> {
@@ -1386,47 +1287,20 @@ impl<'a, G: GraphView> Ctx<'a, G> {
                     lang,
                 })
             }
-            Contains => {
-                let (h, _) = as_string(&self.g, vals.first()?)?;
-                let (n, _) = as_string(&self.g, vals.get(1)?)?;
-                Some(Value::Bool(h.contains(&n)))
-            }
-            StrStarts => {
-                let (h, _) = as_string(&self.g, vals.first()?)?;
-                let (n, _) = as_string(&self.g, vals.get(1)?)?;
-                Some(Value::Bool(h.starts_with(&n)))
-            }
-            StrEnds => {
-                let (h, _) = as_string(&self.g, vals.first()?)?;
-                let (n, _) = as_string(&self.g, vals.get(1)?)?;
-                Some(Value::Bool(h.ends_with(&n)))
-            }
-            StrBefore => {
+            Contains | StrStarts | StrEnds | StrBefore | StrAfter => {
                 let (h, lang) = as_string(&self.g, vals.first()?)?;
                 let (n, _) = as_string(&self.g, vals.get(1)?)?;
-                Some(match h.find(&n) {
-                    Some(i) => Value::Str {
-                        s: h[..i].to_string(),
-                        lang,
-                    },
-                    None => Value::Str {
-                        s: String::new(),
-                        lang: None,
-                    },
-                })
-            }
-            StrAfter => {
-                let (h, lang) = as_string(&self.g, vals.first()?)?;
-                let (n, _) = as_string(&self.g, vals.get(1)?)?;
-                Some(match h.find(&n) {
-                    Some(i) => Value::Str {
-                        s: h[i + n.len()..].to_string(),
-                        lang,
-                    },
-                    None => Value::Str {
-                        s: String::new(),
-                        lang: None,
-                    },
+                let (s, lang) = match (builtin, h.find(&n)) {
+                    (Contains, at) => return Some(Value::Bool(at.is_some())),
+                    (StrStarts, _) => return Some(Value::Bool(h.starts_with(&n))),
+                    (StrEnds, _) => return Some(Value::Bool(h.ends_with(&n))),
+                    (StrBefore, Some(i)) => (&h[..i], lang),
+                    (_, Some(i)) => (&h[i + n.len()..], lang),
+                    (_, None) => ("", None),
+                };
+                Some(Value::Str {
+                    s: s.to_string(),
+                    lang,
                 })
             }
             SubStr => {
@@ -1764,26 +1638,17 @@ impl<'a, G: GraphView> Ctx<'a, G> {
         }
         match agg.kind {
             AggregateKind::Count => Some(Value::Int(values.len() as i64)),
-            AggregateKind::Sum => {
-                let mut acc = 0.0;
+            AggregateKind::Sum | AggregateKind::Avg => {
+                let mut sum = Value::Int(0);
                 for v in &values {
-                    acc += as_numeric(&self.g, v)?;
+                    sum = self.arith(ArithOp::Add, &sum, v)?;
                 }
-                Some(if acc.fract() == 0.0 {
-                    Value::Int(acc as i64)
-                } else {
-                    Value::Num(acc)
-                })
-            }
-            AggregateKind::Avg => {
-                if values.is_empty() {
-                    return Some(Value::Int(0));
+                match agg.kind {
+                    AggregateKind::Avg if !values.is_empty() => {
+                        self.arith(ArithOp::Div, &sum, &Value::Int(values.len() as i64))
+                    }
+                    _ => Some(sum),
                 }
-                let mut acc = 0.0;
-                for v in &values {
-                    acc += as_numeric(&self.g, v)?;
-                }
-                Some(Value::Num(acc / values.len() as f64))
             }
             AggregateKind::Min | AggregateKind::Max => {
                 let wins = match agg.kind {
@@ -1864,25 +1729,6 @@ fn union_pairs(
     out
 }
 
-/// A plan is executable against `n` patterns when it covers each
-/// pattern exactly once.
-fn bgp_plan_matches(bp: &BgpPlan, n: usize) -> bool {
-    if bp.steps.len() != n {
-        return false;
-    }
-    let mut seen = vec![false; n];
-    for step in &bp.steps {
-        let Some(slot) = seen.get_mut(step.pattern) else {
-            return false;
-        };
-        if *slot {
-            return false;
-        }
-        *slot = true;
-    }
-    true
-}
-
 /// One subject/object position of a triple pattern: a binding slot
 /// (variable or blank label) or an interned ground term, never both.
 #[derive(Clone, Copy)]
@@ -1902,12 +1748,12 @@ impl Endpoint {
 /// costs no allocation (the paper's listings read two slots; `None` pads,
 /// and one sub-pattern's keys all have one width).
 type SlotKey = [Option<TermId>; KEY_SLOTS];
-const KEY_SLOTS: usize = 4;
+pub(crate) const KEY_SLOTS: usize = 4;
 
 fn slot_key(slots: &[usize], b: &Binding) -> SlotKey {
     let mut key = [None; KEY_SLOTS];
     for (k, &s) in key.iter_mut().zip(slots) {
-        *k = b[s];
+        *k = b.get(s).copied().flatten();
     }
     key
 }
@@ -1978,17 +1824,7 @@ const CHARGE_BATCH: usize = 256;
 fn aggregates<'q>(e: &'q Expr, out: &mut Vec<&'q AggregateExpr>) {
     match e {
         Expr::Aggregate(agg) => out.push(agg),
-        Expr::Or(a, b) | Expr::And(a, b) | Expr::Compare(_, a, b) | Expr::Arith(_, a, b) => {
-            aggregates(a, out);
-            aggregates(b, out);
-        }
-        Expr::Not(a) | Expr::UnaryMinus(a) => aggregates(a, out),
-        Expr::In(a, list, _) => {
-            aggregates(a, out);
-            list.iter().for_each(|e| aggregates(e, out));
-        }
-        Expr::Call(_, args) => args.iter().for_each(|e| aggregates(e, out)),
-        _ => {}
+        e => operands(e, &mut |x| aggregates(x, out)),
     }
 }
 

@@ -6,8 +6,8 @@
 //!
 //! Pipeline: lexer → [`parser`] → cost-based planning ([`plan`]) →
 //! evaluation ([`eval`]) with solution sets. Supported: SELECT / ASK /
-//! CONSTRUCT, BGPs in one statistics-driven join order (an EXISTS body,
-//! which has no plan, runs in author order), OPTIONAL, UNION, MINUS,
+//! CONSTRUCT, BGPs in one statistics-driven join order (EXISTS bodies
+//! included), OPTIONAL, UNION, MINUS,
 //! FILTER (incl. EXISTS / NOT EXISTS), BIND, VALUES, property paths
 //! (`^ / | * + ?` and negated sets), the builtin function library,
 //! GROUP BY with aggregates, HAVING, ORDER BY, DISTINCT / REDUCED,
@@ -25,13 +25,14 @@
 //! parse_turtle_into(r#"
 //!     @prefix feo: <https://purl.org/heals/feo#> .
 //!     feo:Autumn a feo:SeasonCharacteristic .
-//! "#, &mut g, &Default::default()).unwrap();
+//! "#, &mut g, &Default::default())?;
 //! let result = query(&g,
 //!     "PREFIX feo: <https://purl.org/heals/feo#>
 //!      SELECT ?c WHERE { ?c a feo:SeasonCharacteristic }",
-//!     &Default::default()).unwrap();
+//!     &Default::default())?;
 //! let table = result.expect_solutions();
 //! assert!(table.contains_local("c", "Autumn"));
+//! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
 //! A query asked many times about different individuals is prepared

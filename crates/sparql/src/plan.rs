@@ -8,10 +8,13 @@
 //! scans for each pattern ([`feo_rdf::access_path`]), and marks steps
 //! whose build side is large enough that a hash join beats per-row
 //! B-tree range scans; per group it places each FILTER after the last
-//! element that mentions its variables. The evaluator executes the plan
-//! verbatim instead of re-deriving an order on every call, so a query
-//! planned once ([`plan_seeded`], with the variables a seed row will bind
-//! counted as bound) can run any number of times.
+//! element that mentions its variables. Every EXISTS body is planned the
+//! same way, from the one row that binds the enclosing group's variables,
+//! and each correlated group (an EXISTS body, an OPTIONAL side) records
+//! the slots that key its once-per-key evaluation. The evaluator executes
+//! the plan verbatim instead of re-deriving an order on every call, so a
+//! query planned once ([`plan_seeded`], with the variables a seed row
+//! will bind counted as bound) can run any number of times.
 //!
 //! Estimates are deliberately simple — uniform-distribution formulas
 //! over per-predicate triple / distinct-subject / distinct-object
@@ -21,16 +24,19 @@
 //! and snapshot.
 
 use std::collections::HashSet;
-use std::fmt::Write as _;
+use std::fmt::{Display, Write as _};
 
 use feo_rdf::governor::Guard;
 use feo_rdf::vocab::rdf;
 use feo_rdf::{access_path, GraphView, Rotation};
 
 use crate::ast::{
-    GroupElement, GroupPattern, LiteralPattern, Path, Query, TermPattern, TriplePattern,
+    Expr, GroupElement, GroupPattern, LiteralPattern, Path, Query, TermPattern, TriplePattern,
 };
-use crate::eval::{register_group_vars, register_modifier_vars, walk_element, Mentions, VarTable};
+use crate::error::{Result, SparqlError};
+use crate::eval::{
+    modifier_items, operands, site, walk_element, walk_group, Seen, VarTable, KEY_SLOTS,
+};
 
 /// Physical join algorithm for one BGP step.
 ///
@@ -127,14 +133,33 @@ impl IndexChoice {
     }
 }
 
-/// A compiled query plan, mirroring the query's group-pattern tree.
+/// A compiled query plan: the WHERE group's plan tree, and a plan for
+/// every EXISTS body.
 ///
-/// The evaluator walks plan and AST in lockstep; a structural mismatch
-/// runs the mismatched node's patterns in author order, but filter
-/// placement is trusted, so a plan is only for the query it came from.
+/// The evaluator walks plan and AST in lockstep. A plan whose shape does
+/// not fit the query — another group tree, a BGP whose steps do not cover
+/// its patterns once, a missing EXISTS plan — is a [`SparqlError`], and
+/// so is [`Plan::default`] for any query with a pattern. Filter placement
+/// and keys are trusted, so a plan is only for the query it came from.
 #[derive(Debug, Clone, Default)]
 pub struct Plan {
     pub root: GroupPlan,
+    /// One plan per EXISTS body, wherever its expression sits, in the
+    /// order a walk of the query meets them: the WHERE group (a body
+    /// before the bodies nested in it), then SELECT, GROUP BY, HAVING and
+    /// ORDER BY.
+    pub exists: Vec<GroupPlan>,
+}
+
+impl Plan {
+    /// The plan of EXISTS `body`, given the query's EXISTS `sites` (the
+    /// one table from site to plan that an execution keeps).
+    pub(crate) fn body(&self, sites: &[usize], body: &GroupPattern) -> Result<&GroupPlan> {
+        match sites.iter().position(|&s| s == site(body)) {
+            Some(k) if sites.len() == self.exists.len() => Ok(&self.exists[k]),
+            _ => Err(misfit()),
+        }
+    }
 }
 
 /// Plan node for one group pattern: one entry per group element.
@@ -143,8 +168,14 @@ pub struct GroupPlan {
     pub elements: Vec<ElementPlan>,
     /// `(point, filter)` pairs ordered by point: FILTER element `filter`
     /// runs once `point` elements have (0: on the group's input). One not
-    /// listed runs at group end, as without a plan; clearing is safe.
+    /// listed runs at group end; clearing is safe.
     pub filters: Vec<(usize, usize)>,
+    /// For a correlated group (an EXISTS body, an OPTIONAL side): the
+    /// slots its result depends on, all it mentions. It runs once per
+    /// distinct key of their values. `None` for any other group, and for
+    /// one that runs per row: its slots do not fit a key, or it calls
+    /// `BNODE()`, whose fresh node rows with one key must not share.
+    pub keys: Option<Vec<usize>>,
 }
 
 /// Plan node for one group element.
@@ -157,7 +188,8 @@ pub enum ElementPlan {
     Optional(GroupPlan),
     Minus(GroupPlan),
     Union(Vec<GroupPlan>),
-    /// FILTER / BIND / VALUES — no planning decisions to record.
+    /// FILTER / BIND / VALUES: an EXISTS body they hold is planned in
+    /// [`Plan::exists`].
     Leaf,
 }
 
@@ -167,6 +199,16 @@ pub struct BgpPlan {
     /// Steps in execution order; `pattern` indexes the author-order
     /// triple-pattern list.
     pub steps: Vec<PlanStep>,
+}
+
+impl BgpPlan {
+    /// Whether the steps run each of `n` patterns exactly once.
+    pub(crate) fn fits(&self, n: usize) -> bool {
+        let steps = &self.steps;
+        steps.len() == n
+            && (steps.iter().enumerate())
+                .all(|(i, s)| s.pattern < n && steps[..i].iter().all(|t| t.pattern != s.pattern))
+    }
 }
 
 /// One join step of a BGP.
@@ -190,6 +232,20 @@ pub struct PlanStep {
 /// building the table (DESIGN.md "Join execution" has the measurements).
 pub(crate) const HASH_JOIN_MIN: usize = 64;
 
+/// The error for a plan made for another query.
+pub(crate) fn misfit() -> SparqlError {
+    SparqlError::eval("the plan does not fit the query")
+}
+
+/// Appends the EXISTS bodies of `e` that no other body encloses, with
+/// whether each is negated.
+fn exists_in<'q>(e: &'q Expr, out: &mut Vec<(&'q GroupPattern, bool)>) {
+    match e {
+        Expr::Exists(body, negated) => out.push((body, *negated)),
+        e => operands(e, &mut |x| exists_in(x, out)),
+    }
+}
+
 /// Compiles `q` into a [`Plan`] using `view`'s statistics.
 pub fn plan_query<G: GraphView>(view: &G, q: &Query) -> Plan {
     plan_seeded(view, q, &[])
@@ -199,85 +255,211 @@ pub fn plan_query<G: GraphView>(view: &G, q: &Query) -> Plan {
 /// ([`crate::execute_seeded`]): the variables named in `seeded` count as
 /// bound from the start, as they would after a leading `BIND`.
 pub fn plan_seeded<G: GraphView>(view: &G, q: &Query, seeded: &[&str]) -> Plan {
-    let mut vars = VarTable::default();
-    register_group_vars(&q.where_pattern, &mut vars);
-    register_modifier_vars(q, &mut vars);
+    let (vars, sites) = VarTable::of(q);
     let mut bound: HashSet<usize> = seeded.iter().filter_map(|v| vars.get(v)).collect();
+    let mut planner = Planner {
+        view,
+        exists: vec![GroupPlan::default(); sites.len()],
+        vars,
+        sites,
+    };
+    let root = planner.group(&q.where_pattern, &mut bound, true);
+    // The modifiers run on the WHERE group's rows.
+    for (_, e, _) in modifier_items(q) {
+        e.into_iter().for_each(|e| planner.bodies(e, &bound));
+    }
     Plan {
-        root: plan_group(view, &q.where_pattern, &vars, &mut bound, true),
+        root,
+        exists: planner.exists,
     }
 }
 
-/// `one_row`: the group starts from a single row (the WHERE group does:
-/// the seed row). It stays one row through BINDs and FILTERs, so its
-/// first BGP's first step multiplies nothing (see [`plan_bgp`]).
-fn plan_group<G: GraphView>(
-    view: &G,
-    group: &GroupPattern,
-    vars: &VarTable,
-    bound: &mut HashSet<usize>,
-    mut one_row: bool,
-) -> GroupPlan {
-    let mut elements = Vec::with_capacity(group.elements.len());
-    for el in &group.elements {
-        let planned = match el {
-            GroupElement::Triples(ts) => ElementPlan::Bgp(plan_bgp(view, ts, vars, bound, one_row)),
-            GroupElement::Group(inner) => {
-                // Bindings escape a nested group: plan with, and keep, the
-                // shared bound set.
-                ElementPlan::Group(plan_group(view, inner, vars, bound, false))
-            }
-            GroupElement::Optional(inner) => {
-                // OPTIONAL may leave its variables unbound, so they do not
-                // count as bound for later estimates.
-                let mut inner_bound = bound.clone();
-                ElementPlan::Optional(plan_group(view, inner, vars, &mut inner_bound, false))
-            }
-            GroupElement::Minus(inner) => {
-                // MINUS evaluates against a fresh empty binding.
-                let mut inner_bound = HashSet::new();
-                ElementPlan::Minus(plan_group(view, inner, vars, &mut inner_bound, false))
-            }
-            GroupElement::Union(arms) => {
-                // A variable is bound after the union only when every arm
-                // binds it.
-                let mut arm_plans = Vec::with_capacity(arms.len());
-                let mut common: Option<HashSet<usize>> = None;
-                for arm in arms {
-                    let mut arm_bound = bound.clone();
-                    arm_plans.push(plan_group(view, arm, vars, &mut arm_bound, false));
-                    common = Some(match common {
-                        None => arm_bound,
-                        Some(c) => c.intersection(&arm_bound).copied().collect(),
-                    });
+struct Planner<'v, G> {
+    view: &'v G,
+    vars: VarTable,
+    /// The query's EXISTS sites, in [`Plan::exists`] order.
+    sites: Vec<usize>,
+    exists: Vec<GroupPlan>,
+}
+
+impl<G: GraphView> Planner<'_, G> {
+    /// `one_row`: the group starts from a single row (the WHERE group
+    /// does: the seed row; so does an EXISTS body). It stays one row
+    /// through BINDs and FILTERs, so its first BGP's first step multiplies
+    /// nothing (see [`Planner::bgp`]).
+    fn group(
+        &mut self,
+        group: &GroupPattern,
+        bound: &mut HashSet<usize>,
+        mut one_row: bool,
+    ) -> GroupPlan {
+        let mut elements = Vec::with_capacity(group.elements.len());
+        for el in &group.elements {
+            let planned = match el {
+                GroupElement::Triples(ts) => ElementPlan::Bgp(self.bgp(ts, bound, one_row)),
+                GroupElement::Group(inner) => {
+                    // Bindings escape a nested group: plan with, and keep,
+                    // the shared bound set.
+                    ElementPlan::Group(self.group(inner, bound, false))
                 }
-                if let Some(c) = common {
-                    bound.extend(c);
+                GroupElement::Optional(inner) => {
+                    // OPTIONAL may leave its variables unbound, so they do
+                    // not count as bound for later estimates.
+                    ElementPlan::Optional(self.correlated(inner, &mut bound.clone(), false))
                 }
-                ElementPlan::Union(arm_plans)
-            }
-            GroupElement::Bind(_, v) => {
-                if let Some(slot) = vars.get(v) {
-                    bound.insert(slot);
+                GroupElement::Minus(inner) => {
+                    // MINUS evaluates against a fresh empty binding.
+                    ElementPlan::Minus(self.group(inner, &mut HashSet::new(), false))
                 }
-                ElementPlan::Leaf
-            }
-            GroupElement::Values(vb) => {
-                for v in &vb.vars {
-                    if let Some(slot) = vars.get(v) {
-                        bound.insert(slot);
+                GroupElement::Union(arms) => {
+                    // A variable is bound after the union only when every
+                    // arm binds it.
+                    let mut arm_plans = Vec::with_capacity(arms.len());
+                    let mut common: Option<HashSet<usize>> = None;
+                    for arm in arms {
+                        let mut arm_bound = bound.clone();
+                        arm_plans.push(self.group(arm, &mut arm_bound, false));
+                        common = Some(match common {
+                            None => arm_bound,
+                            Some(c) => c.intersection(&arm_bound).copied().collect(),
+                        });
                     }
+                    if let Some(c) = common {
+                        bound.extend(c);
+                    }
+                    ElementPlan::Union(arm_plans)
                 }
-                ElementPlan::Leaf
+                GroupElement::Bind(e, v) => {
+                    self.bodies(e, bound);
+                    bound.extend(self.vars.get(v));
+                    ElementPlan::Leaf
+                }
+                GroupElement::Values(vb) => {
+                    bound.extend(vb.vars.iter().filter_map(|v| self.vars.get(v)));
+                    ElementPlan::Leaf
+                }
+                GroupElement::Filter(_) => ElementPlan::Leaf,
+            };
+            elements.push(planned);
+            one_row &= matches!(el, GroupElement::Bind(..) | GroupElement::Filter(_));
+        }
+        // A filter runs once the group has bound all of its variables it
+        // binds, so its EXISTS bodies see the group's final bound set.
+        for el in &group.elements {
+            if let GroupElement::Filter(e) = el {
+                self.bodies(e, bound);
             }
-            GroupElement::Filter(_) => ElementPlan::Leaf,
-        };
-        elements.push(planned);
-        one_row &= matches!(el, GroupElement::Bind(..) | GroupElement::Filter(_));
+        }
+        GroupPlan {
+            elements,
+            filters: place_filters(group, &self.vars),
+            keys: None,
+        }
     }
-    GroupPlan {
-        elements,
-        filters: place_filters(group, vars),
+
+    /// Plans each EXISTS body in `e` from one row that binds `bound`.
+    fn bodies(&mut self, e: &Expr, bound: &HashSet<usize>) {
+        let mut found = Vec::new();
+        exists_in(e, &mut found);
+        for (body, _) in found {
+            let plan = self.correlated(body, &mut bound.clone(), true);
+            if let Some(k) = self.sites.iter().position(|&s| s == site(body)) {
+                self.exists[k] = plan;
+            }
+        }
+    }
+
+    /// Plans a correlated group and fixes its key (see
+    /// [`GroupPlan::keys`]).
+    fn correlated(
+        &mut self,
+        group: &GroupPattern,
+        bound: &mut HashSet<usize>,
+        one_row: bool,
+    ) -> GroupPlan {
+        let mut plan = self.group(group, bound, one_row);
+        let m = Mentions::of(&self.vars, |f| walk_group(group, f));
+        plan.keys = (!m.mints && m.slots.len() <= KEY_SLOTS).then_some(m.slots);
+        plan
+    }
+
+    fn bgp(
+        &self,
+        patterns: &[TriplePattern],
+        bound: &mut HashSet<usize>,
+        one_row: bool,
+    ) -> BgpPlan {
+        let (view, vars) = (self.view, &self.vars);
+        let mut remaining: Vec<usize> = (0..patterns.len()).collect();
+        let mut steps = Vec::with_capacity(patterns.len());
+        while !remaining.is_empty() {
+            // No cross product while a pattern joins on a bound variable
+            // (or has none): a pattern that shares nothing pairs every row
+            // with all it matches, and a plan made on the base keeps that
+            // order at every later epoch. `?x rdf:type <C>` scans are
+            // counted exactly and still compete (DESIGN.md "Query
+            // planning"), as does every pattern for a first step from one
+            // row, which nothing can multiply. Minimum estimate wins; a
+            // strictly smaller test keeps the first minimum, so ties keep
+            // author order.
+            let joins = |pi: &usize| {
+                let slots = pattern_var_slots(&patterns[*pi], vars);
+                slots.is_empty() || slots.iter().any(|s| bound.contains(s))
+            };
+            let joining = !(one_row && steps.is_empty()) && remaining.iter().any(joins);
+            let mut best = 0;
+            let mut best_est = f64::INFINITY;
+            let mut best_index = IndexChoice::Full;
+            for (i, &pi) in remaining.iter().enumerate() {
+                if joining && !joins(&pi) && class_scan(&patterns[pi]).is_none() {
+                    continue;
+                }
+                let (est, index) = estimate(view, &patterns[pi], vars, bound);
+                if est < best_est {
+                    best = i;
+                    best_est = est;
+                    best_index = index;
+                }
+            }
+            let pi = remaining.remove(best);
+            let tp = &patterns[pi];
+            let algo = if hash_join_worthwhile(view, tp, vars, bound) {
+                JoinAlgo::Hash
+            } else {
+                JoinAlgo::Nested
+            };
+            bound.extend(pattern_var_slots(tp, vars));
+            steps.push(PlanStep {
+                pattern: pi,
+                est_rows: best_est,
+                index: best_index,
+                algo,
+            });
+        }
+        BgpPlan { steps }
+    }
+}
+
+/// The slots a walk mentions (ascending) and whether it binds or mints.
+#[derive(Default)]
+struct Mentions {
+    slots: Vec<usize>,
+    binds: bool,
+    mints: bool,
+}
+
+impl Mentions {
+    fn of(vars: &VarTable, walk: impl FnOnce(&mut dyn FnMut(Seen<'_>))) -> Mentions {
+        let mut m = Mentions::default();
+        walk(&mut |seen| match seen {
+            Seen::Var(v) => m.slots.extend(vars.get(v)),
+            Seen::Bind => m.binds = true,
+            Seen::BNode => m.mints = true,
+            Seen::Exists(_) => {}
+        });
+        m.slots.sort_unstable();
+        m.slots.dedup();
+        m
     }
 }
 
@@ -310,60 +492,6 @@ fn place_filters(group: &GroupPattern, vars: &VarTable) -> Vec<(usize, usize)> {
         .collect();
     placed.sort_by_key(|&(point, _)| point);
     placed
-}
-
-fn plan_bgp<G: GraphView>(
-    view: &G,
-    patterns: &[TriplePattern],
-    vars: &VarTable,
-    bound: &mut HashSet<usize>,
-    one_row: bool,
-) -> BgpPlan {
-    let mut remaining: Vec<usize> = (0..patterns.len()).collect();
-    let mut steps = Vec::with_capacity(patterns.len());
-    while !remaining.is_empty() {
-        // No cross product while a pattern joins on a bound variable (or
-        // has none): its estimate is an average that layers skew low.
-        // `?x rdf:type <C>` scans are counted exactly and still compete
-        // (DESIGN.md "Query planning"), as does every pattern for a first
-        // step from one row, which nothing can multiply. Minimum estimate
-        // wins; a strictly smaller test keeps the first minimum, so ties
-        // keep author order.
-        let joins = |pi: &usize| {
-            let slots = pattern_var_slots(&patterns[*pi], vars);
-            slots.is_empty() || slots.iter().any(|s| bound.contains(s))
-        };
-        let joining = !(one_row && steps.is_empty()) && remaining.iter().any(joins);
-        let mut best = 0;
-        let mut best_est = f64::INFINITY;
-        let mut best_index = IndexChoice::Full;
-        for (i, &pi) in remaining.iter().enumerate() {
-            if joining && !joins(&pi) && class_scan(&patterns[pi]).is_none() {
-                continue;
-            }
-            let (est, index) = estimate(view, &patterns[pi], vars, bound);
-            if est < best_est {
-                best = i;
-                best_est = est;
-                best_index = index;
-            }
-        }
-        let pi = remaining.remove(best);
-        let tp = &patterns[pi];
-        let algo = if hash_join_worthwhile(view, tp, vars, bound) {
-            JoinAlgo::Hash
-        } else {
-            JoinAlgo::Nested
-        };
-        bound.extend(pattern_var_slots(tp, vars));
-        steps.push(PlanStep {
-            pattern: pi,
-            est_rows: best_est,
-            index: best_index,
-            algo,
-        });
-    }
-    BgpPlan { steps }
 }
 
 /// Variable/blank slots this pattern can bind.
@@ -501,101 +629,123 @@ fn hash_join_worthwhile<G: GraphView>(
 
 impl Plan {
     /// Human-readable plan: the group tree with each BGP's join order,
-    /// index choice, estimate, and hash-join placement. `q` must be the
-    /// query this plan was compiled from.
-    pub fn render(&self, q: &Query) -> String {
-        let mut out = String::from("plan\n");
-        render_group(&mut out, &q.where_pattern, &self.root, 0);
-        out
-    }
-}
-
-fn indent(out: &mut String, depth: usize) {
-    for _ in 0..depth {
-        out.push_str("  ");
-    }
-}
-
-/// Renders a group's elements in author order, except that each placed
-/// filter appears at the point where it runs.
-fn render_group(out: &mut String, group: &GroupPattern, plan: &GroupPlan, depth: usize) {
-    let render_placed = |out: &mut String, point: usize| {
-        for _ in plan.filters.iter().filter(|&&(at, _)| at == point) {
-            indent(out, depth);
-            out.push_str("filter\n");
+    /// index choice, estimate, and hash-join placement, and under each
+    /// expression the plan of every EXISTS body it holds. `q` must be the
+    /// query this plan was compiled from: a plan that does not fit it is
+    /// an error.
+    pub fn render(&self, q: &Query) -> Result<String> {
+        let mut r = Render {
+            out: String::from("plan\n"),
+            plan: self,
+            sites: VarTable::of(q).1,
+        };
+        r.group(&q.where_pattern, &self.root, 0)?;
+        for (clause, e, _) in modifier_items(q) {
+            let mut found = Vec::new();
+            e.into_iter().for_each(|e| exists_in(e, &mut found));
+            if !found.is_empty() {
+                r.line(0, clause);
+                r.bodies(found, 1)?;
+            }
         }
-    };
-    render_placed(out, 0);
-    for (i, el) in group.elements.iter().enumerate() {
-        let sub = plan.elements.get(i);
-        match (el, sub) {
-            (GroupElement::Filter(_), _) if plan.filters.iter().any(|&(_, f)| f == i) => {}
-            (GroupElement::Triples(ts), Some(ElementPlan::Bgp(bp))) => {
-                indent(out, depth);
-                out.push_str("bgp\n");
-                for (order, step) in bp.steps.iter().enumerate() {
-                    indent(out, depth + 1);
-                    let pattern = ts
-                        .get(step.pattern)
-                        .map(fmt_pattern)
-                        .unwrap_or_else(|| "<pattern out of range>".to_string());
-                    let join = match step.algo {
-                        JoinAlgo::Nested => String::new(),
-                        algo => format!(" join={}", algo.name()),
+        Ok(r.out)
+    }
+}
+
+struct Render<'p> {
+    out: String,
+    plan: &'p Plan,
+    sites: Vec<usize>,
+}
+
+impl Render<'_> {
+    fn line(&mut self, depth: usize, text: impl Display) {
+        for _ in 0..depth {
+            self.out.push_str("  ");
+        }
+        let _ = writeln!(self.out, "{text}");
+    }
+
+    /// Renders a group's elements in author order, except that each
+    /// placed filter appears at the point where it runs.
+    fn group(&mut self, group: &GroupPattern, plan: &GroupPlan, depth: usize) -> Result<()> {
+        if plan.elements.len() != group.elements.len() {
+            return Err(misfit());
+        }
+        for i in 0..=group.elements.len() {
+            for &(_, f) in plan.filters.iter().filter(|&&(at, _)| at == i) {
+                if let Some(GroupElement::Filter(e)) = group.elements.get(f) {
+                    self.expr("filter", e, depth)?;
+                }
+            }
+            let (Some(el), Some(sub)) = (group.elements.get(i), plan.elements.get(i)) else {
+                break;
+            };
+            match (el, sub) {
+                (GroupElement::Filter(_), ElementPlan::Leaf)
+                    if plan.filters.iter().any(|&(_, f)| f == i) => {}
+                (GroupElement::Filter(e), ElementPlan::Leaf) => self.expr("filter", e, depth)?,
+                (GroupElement::Bind(e, v), ElementPlan::Leaf) => {
+                    self.expr(&format!("bind ?{v}"), e, depth)?
+                }
+                (GroupElement::Values(vb), ElementPlan::Leaf) => {
+                    self.line(depth, format_args!("values ({} rows)", vb.rows.len()))
+                }
+                (GroupElement::Triples(ts), ElementPlan::Bgp(bp)) if bp.fits(ts.len()) => {
+                    self.line(depth, "bgp");
+                    for (order, step) in bp.steps.iter().enumerate() {
+                        let join = match step.algo {
+                            JoinAlgo::Nested => "",
+                            JoinAlgo::Hash => " join=hash",
+                        };
+                        let (index, est) = (step.index.name(), step.est_rows);
+                        let pattern = fmt_pattern(&ts[step.pattern]);
+                        let text =
+                            format!("{}. {pattern}  [idx={index} est={est:.1}{join}]", order + 1);
+                        self.line(depth + 1, text);
+                    }
+                }
+                (GroupElement::Group(g), ElementPlan::Group(gp))
+                | (GroupElement::Optional(g), ElementPlan::Optional(gp))
+                | (GroupElement::Minus(g), ElementPlan::Minus(gp)) => {
+                    let name = match el {
+                        GroupElement::Optional(_) => "optional",
+                        GroupElement::Minus(_) => "minus",
+                        _ => "group",
                     };
-                    let _ = writeln!(
-                        out,
-                        "{}. {}  [idx={} est={:.1}{}]",
-                        order + 1,
-                        pattern,
-                        step.index.name(),
-                        step.est_rows,
-                        join
-                    );
+                    self.line(depth, name);
+                    self.group(g, gp, depth + 1)?;
                 }
-            }
-            (GroupElement::Group(g), Some(ElementPlan::Group(gp))) => {
-                indent(out, depth);
-                out.push_str("group\n");
-                render_group(out, g, gp, depth + 1);
-            }
-            (GroupElement::Optional(g), Some(ElementPlan::Optional(gp))) => {
-                indent(out, depth);
-                out.push_str("optional\n");
-                render_group(out, g, gp, depth + 1);
-            }
-            (GroupElement::Minus(g), Some(ElementPlan::Minus(gp))) => {
-                indent(out, depth);
-                out.push_str("minus\n");
-                render_group(out, g, gp, depth + 1);
-            }
-            (GroupElement::Union(arms), Some(ElementPlan::Union(arm_plans))) => {
-                indent(out, depth);
-                out.push_str("union\n");
-                for (arm, arm_plan) in arms.iter().zip(arm_plans.iter()) {
-                    indent(out, depth + 1);
-                    out.push_str("arm\n");
-                    render_group(out, arm, arm_plan, depth + 2);
+                (GroupElement::Union(arms), ElementPlan::Union(arm_plans))
+                    if arms.len() == arm_plans.len() =>
+                {
+                    self.line(depth, "union");
+                    for (arm, arm_plan) in arms.iter().zip(arm_plans) {
+                        self.line(depth + 1, "arm");
+                        self.group(arm, arm_plan, depth + 2)?;
+                    }
                 }
-            }
-            (GroupElement::Filter(_), _) => {
-                indent(out, depth);
-                out.push_str("filter\n");
-            }
-            (GroupElement::Bind(_, v), _) => {
-                indent(out, depth);
-                let _ = writeln!(out, "bind ?{v}");
-            }
-            (GroupElement::Values(vb), _) => {
-                indent(out, depth);
-                let _ = writeln!(out, "values ({} rows)", vb.rows.len());
-            }
-            (_, _) => {
-                indent(out, depth);
-                out.push_str("<plan/query shape mismatch>\n");
+                _ => return Err(misfit()),
             }
         }
-        render_placed(out, i + 1);
+        Ok(())
+    }
+
+    /// Renders the line `head`, then the plan of each EXISTS body in `e`.
+    fn expr(&mut self, head: &str, e: &Expr, depth: usize) -> Result<()> {
+        self.line(depth, head);
+        let mut found = Vec::new();
+        exists_in(e, &mut found);
+        self.bodies(found, depth + 1)
+    }
+
+    fn bodies(&mut self, found: Vec<(&GroupPattern, bool)>, depth: usize) -> Result<()> {
+        for (body, negated) in found {
+            self.line(depth, if negated { "not exists" } else { "exists" });
+            let plan = self.plan.body(&self.sites, body)?;
+            self.group(body, plan, depth + 1)?;
+        }
+        Ok(())
     }
 }
 
@@ -903,7 +1053,7 @@ mod tests {
         let second = &bp.steps[1];
         assert_eq!(second.pattern, 1);
         assert_eq!(second.algo, JoinAlgo::Hash, "{plan:?}");
-        let text = plan.render(&q);
+        let text = plan.render(&q).expect("the plan fits its query");
         assert!(text.contains("join=hash"), "{text}");
     }
 
@@ -915,7 +1065,7 @@ mod tests {
             "SELECT * WHERE { ?r <http://e/broad> ?v . ?r <http://e/narrow> ?o . \
              FILTER (?v != ?o) }",
         );
-        let text = plan.render(&q);
+        let text = plan.render(&q).expect("the plan fits its query");
         assert!(text.starts_with("plan\n"), "{text}");
         let narrow = text.find("narrow").expect("narrow rendered");
         let broad = text.find("broad").expect("broad rendered");
@@ -935,7 +1085,7 @@ mod tests {
              FILTER NOT EXISTS { ?sub <http://e/broad> ?p } }",
         );
         assert_eq!(plan.root.filters, vec![(1, 2)], "after the BGP: {plan:?}");
-        let text = plan.render(&q);
+        let text = plan.render(&q).expect("the plan fits its query");
         let lines: Vec<&str> = text.lines().map(str::trim_start).collect();
         let at = |s: &str| lines.iter().position(|l| *l == s).expect(s);
         assert!(at("bgp") < at("filter"), "{text}");
@@ -955,6 +1105,89 @@ mod tests {
             "SELECT * WHERE { ?r <http://e/broad> ?v FILTER (?zz = 3) }",
         );
         assert_eq!(plan.root.filters, vec![(0, 1)], "{plan:?}");
+    }
+
+    #[test]
+    fn render_lists_exists_body_steps_in_plan_order() {
+        let g = sample_graph();
+        let (q, plan) = plan_for(
+            &g,
+            "SELECT * WHERE { ?r <http://e/broad> ?v \
+             FILTER NOT EXISTS { ?a <http://e/broad> ?b . ?b <http://e/narrow> <http://e/only> } }",
+        );
+        let text = plan.render(&q).expect("the plan fits its query");
+        let lines: Vec<&str> = text.lines().collect();
+        let at = |prefix: &str| {
+            (lines
+                .iter()
+                .position(|l| l.trim_start().starts_with(prefix)))
+            .unwrap_or_else(|| panic!("no {prefix:?} in:\n{text}"))
+        };
+        let depth = |i: usize| lines[i].len() - lines[i].trim_start().len();
+        let (not_exists, narrow, broad) = (
+            at("not exists"),
+            at("1. ?b <http://e/narrow>"),
+            at("2. ?a <http://e/broad>"),
+        );
+        // The one-triple pattern runs first, and both steps sit under the
+        // body.
+        assert!(not_exists < narrow && narrow < broad, "{text}");
+        assert!(depth(narrow) > depth(not_exists), "{text}");
+        assert_eq!(plan.exists.len(), 1);
+        assert_eq!(
+            plan.exists[0].keys,
+            Some(vec![2, 3]),
+            "?a and ?b key the body"
+        );
+    }
+
+    #[test]
+    fn a_plan_that_does_not_fit_its_query_is_an_error() {
+        use crate::eval::execute_prepared;
+        use crate::results::QueryResult;
+        let g = sample_graph();
+        let bgp = "SELECT * WHERE { ?r <http://e/broad> ?v . ?r <http://e/narrow> ?o }";
+        let optional =
+            "SELECT * WHERE { ?r <http://e/broad> ?v OPTIONAL { ?r <http://e/narrow> ?o } }";
+        let one = "SELECT * WHERE { ?r <http://e/broad> ?v }";
+        let exists = "SELECT * WHERE { ?r <http://e/broad> ?v \
+                      FILTER EXISTS { ?r <http://e/narrow> ?o } }";
+        let exists_two = "SELECT * WHERE { ?r <http://e/broad> ?v \
+                          FILTER EXISTS { ?r <http://e/narrow> ?o . ?o <http://e/broad> ?x } }";
+        let opts = QueryOptions::default();
+        let explain = QueryOptions {
+            explain: true,
+            ..QueryOptions::default()
+        };
+        let planned = |text: &str| plan_for(&g, text).1;
+        for (run, plan) in [
+            (bgp, planned(optional)),
+            (optional, planned(bgp)),
+            (bgp, planned(one)),
+            (exists, planned(one)),
+            (exists, planned(exists_two)),
+            (exists_two, planned(exists)),
+            (one, Plan::default()),
+            (exists, Plan::default()),
+        ] {
+            let q = parse_query(run).expect("test query parses");
+            for o in [&opts, &explain] {
+                let result = execute_prepared(&g, &q, &plan, o);
+                assert!(
+                    matches!(result, Err(SparqlError::Eval(_))),
+                    "{run} ran with another query's plan: {result:?}"
+                );
+            }
+        }
+        // Its own plan runs, and so does the default plan of an empty
+        // pattern.
+        let q = parse_query(exists).expect("test query parses");
+        let table =
+            execute_prepared(&g, &q, &planned(exists), &opts).map(QueryResult::expect_solutions);
+        assert_eq!(table.map(|t| t.len()), Ok(1));
+        let q = parse_query("ASK { }").expect("test query parses");
+        let ask = execute_prepared(&g, &q, &Plan::default(), &opts);
+        assert!(matches!(ask, Ok(QueryResult::Boolean(true))), "{ask:?}");
     }
 
     #[test]

@@ -618,6 +618,68 @@ fn aggregates_inside_any_expression() {
     assert_eq!(t.local_rows(), vec![vec!["3".to_string()]]);
 }
 
+/// Integer operands add exactly whether they are written in the query
+/// or bound from data, overflow is an error rather than a saturated
+/// value, and SUM / AVG add through the same `+`: a non-integer sum is a
+/// double even when it is integral.
+#[test]
+fn integer_arithmetic_is_exact_and_sum_adds_like_plus() {
+    let mut g = Graph::new();
+    let xsd = "http://www.w3.org/2001/XMLSchema#";
+    let typed = |lexical: &str, datatype: &str| {
+        Some(Term::Literal(feo_rdf::Literal::typed(
+            lexical,
+            feo_rdf::Iri::new(format!("{xsd}{datatype}")),
+        )))
+    };
+    for (text, expected) in [
+        (
+            "SELECT (?a + ?b AS ?v) WHERE { VALUES (?a ?b) { (9007199254740993 1) } }",
+            typed("9007199254740994", "integer"),
+        ),
+        (
+            "SELECT ((9007199254740993 + 1) AS ?v) WHERE { }",
+            typed("9007199254740994", "integer"),
+        ),
+        (
+            "SELECT (?a + ?b AS ?v) WHERE { VALUES (?a ?b) { (9223372036854775807 1) } }",
+            None,
+        ),
+        ("SELECT ((9223372036854775807 + 1) AS ?v) WHERE { }", None),
+        (
+            "SELECT ((1.5 + 0.5) AS ?v) WHERE { }",
+            typed("2.0", "double"),
+        ),
+        (
+            "SELECT (SUM(?x) AS ?v) WHERE { VALUES ?x { 1.5 0.5 } }",
+            typed("2.0", "double"),
+        ),
+        (
+            "SELECT (SUM(?x) AS ?v) WHERE { VALUES ?x { 1.0e0 1.0e0 } }",
+            typed("2.0", "double"),
+        ),
+        (
+            "SELECT (SUM(?x) AS ?v) WHERE { VALUES ?x { 9223372036854775807 1 } }",
+            None,
+        ),
+        (
+            "SELECT (SUM(?x) AS ?v) WHERE { VALUES ?x { 9007199254740993 1 } }",
+            typed("9007199254740994", "integer"),
+        ),
+        (
+            "SELECT (AVG(?x) AS ?v) WHERE { VALUES ?x { 1 2 } }",
+            typed("1.5", "double"),
+        ),
+        (
+            "SELECT (AVG(?x) AS ?v) WHERE { VALUES ?x { } }",
+            typed("0", "integer"),
+        ),
+    ] {
+        let t = select(&mut g, text);
+        assert_eq!(t.rows, vec![vec![expected]], "{text}");
+    }
+}
+
 #[test]
 fn less_than_needs_no_space_before_its_right_operand() {
     let mut g = graph(

@@ -25,12 +25,13 @@
 //!     curated(),
 //!     UserProfile::new("u"),
 //!     SystemContext::new(Season::Autumn),
-//! ).unwrap();
+//! )?;
 //! let e = base.explain(
 //!     &Question::WhyEat { food: "CauliflowerPotatoCurry".into() },
 //!     &ExplainOptions::default(),
-//! ).unwrap();
+//! )?;
 //! println!("{}", e.answer);
+//! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 pub mod error;
