@@ -158,7 +158,7 @@ impl EngineBase {
         // Unguarded, so it cannot trip; keep whatever closed if it ever
         // does.
         let inference = self
-            .close(&mut overlay, None)
+            .close(&mut overlay, &self.rules, None)
             .unwrap_or_else(ReasonerError::into_partial);
         let (spill, delta) = overlay.into_delta();
         self.commit_labeled(label, spill, delta, inference)
@@ -249,7 +249,7 @@ impl EngineBase {
         let mut overlay = Overlay::new(self.ledger.branch_view(&self.branches[i].chain));
         write(&mut overlay);
         // A branch keeps whatever closed, and records no statistics.
-        let _ = self.close(&mut overlay, None);
+        let _ = self.close(&mut overlay, &self.rules, None);
         let (spill, delta) = overlay.into_delta();
         let chain = &mut self.branches[i].chain;
         Ok(self.ledger.commit_branch(chain, spill, delta))

@@ -184,6 +184,9 @@ pub struct EngineBase {
     /// Named counterfactual worlds forked from main-chain epochs.
     branches: Vec<NamedBranch>,
     rules: CompiledRules,
+    /// The rules that can derive a triple CQ3 reads: a what-if world is
+    /// closed under these alone (see [`Session`]'s counterfactual).
+    what_if_rules: CompiledRules,
     /// Closure statistics and derivations aggregated across the base
     /// and every main-chain commit (branch closures stay branch-local).
     inference: InferenceResult,
@@ -252,7 +255,8 @@ impl EngineBase {
     /// The one constructor behind [`EngineBase::new`] and
     /// [`EngineBase::open`]: `ledger` holds the closed base (and any
     /// replayed layers), `inference` the closure that produced it. The
-    /// templates are prepared against the base here.
+    /// templates are prepared against the base here, and the rules a
+    /// what-if world needs are chosen from what CQ3 reads on it.
     fn seal(
         kg: FoodKg,
         user: UserProfile,
@@ -263,6 +267,11 @@ impl EngineBase {
         track_proofs: bool,
     ) -> Result<Self, EngineError> {
         let templates = Templates::prepare(ledger.base())?;
+        let view = Overlay::new(ledger.head_view());
+        let what_if_rules = match templates.counterfactual.reads(&view) {
+            Some(reads) => rules.relevant_to(&reads),
+            None => rules.clone(),
+        };
         Ok(EngineBase {
             kg,
             user,
@@ -271,6 +280,7 @@ impl EngineBase {
             commit_log: Vec::new(),
             branches: Vec::new(),
             rules,
+            what_if_rules,
             inference,
             population: None,
             recommendations: None,
@@ -288,7 +298,7 @@ impl EngineBase {
         })
     }
 
-    /// Closes `overlay`'s delta incrementally with the precompiled rules
+    /// Closes `overlay`'s delta incrementally with precompiled `rules`
     /// under `guard` — the close behind every commit, branch commit,
     /// question and counterfactual world. On a trip the sound but
     /// incomplete closure is already in the overlay, and the error
@@ -296,11 +306,12 @@ impl EngineBase {
     fn close<B: GraphView>(
         &self,
         overlay: &mut Overlay<B>,
+        rules: &CompiledRules,
         guard: Option<&Guard>,
     ) -> Result<InferenceResult, ReasonerError> {
         let opts = MaterializeOptions {
             guard,
-            rules: Some(&self.rules),
+            rules: Some(rules),
         };
         Self::reasoner(self.track_proofs).materialize_delta(overlay, &opts)
     }
@@ -386,5 +397,68 @@ impl EngineBase {
 
     pub fn context(&self) -> &SystemContext {
         &self.ctx
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ecosystem::apply_hypothesis;
+    use crate::question::Hypothesis;
+    use feo_foodkg::{curated, Season};
+    use feo_ontology::ns::feo;
+    use feo_rdf::GraphStore;
+    use std::collections::BTreeSet;
+
+    /// CQ3's read set on the curated KG comes from the template and the
+    /// schema: the leaf subproperties of `feo:isCharacteristicOf`, the
+    /// ingredient edge of its OPTIONAL and `food:Food`. The polarity
+    /// properties are not leaves, so a what-if world is closed under
+    /// neither polarity chain nor the `prp-spo1` steps into them: from
+    /// an allergy and a new `feo:recommends` edge, every rule derives
+    /// both polarity properties and the what-if rules derive neither.
+    #[test]
+    fn cq3_reads_leaf_properties_and_skips_the_polarity_chains() {
+        let user = UserProfile::new("u").likes(&["LentilSoup"]);
+        let base = EngineBase::new(curated(), user, SystemContext::new(Season::Autumn))
+            .expect("curated is consistent");
+        let view = Overlay::new(base.ledger().head_view());
+        let reads = (base.templates.counterfactual)
+            .reads(&view)
+            .expect("CQ3's predicates are bounded");
+        let name = |id| view.term_name(id);
+        let mut predicates: Vec<String> = reads.predicates.iter().map(|&p| name(p)).collect();
+        predicates.sort();
+        let classes: Vec<String> = reads.classes.iter().map(|&c| name(c)).collect();
+        let expected = [
+            "forbids",
+            "isIngredientOf",
+            "isNutrientOf",
+            "recommends",
+            "regionOf",
+            "seasonOf",
+        ];
+        assert_eq!(predicates, expected);
+        assert_eq!(classes, ["Food"]);
+
+        let polarity = [
+            feo::IS_SUPPORTIVE_CHARACTERISTIC_OF,
+            feo::IS_OPPOSING_CHARACTERISTIC_OF,
+        ]
+        .map(|iri| view.lookup_iri(iri).expect("in the KG"));
+        let derived = |rules: &CompiledRules| {
+            let mut world = Overlay::new(base.ledger().head_view());
+            let allergy = Hypothesis::AllergicTo("Broccoli".into());
+            apply_hypothesis(&allergy, &base.user, &mut world);
+            let (fresh, spinach) = (FoodKg::iri("Fresh"), FoodKg::iri("Spinach"));
+            world.insert_iris(&fresh, feo::RECOMMENDS, &spinach);
+            let asserted = world.delta_len();
+            base.close(&mut world, rules, None).expect("unguarded");
+            let derived = world.delta_log()[asserted..].iter();
+            derived.map(|[_, p, _]| *p).collect::<BTreeSet<_>>()
+        };
+        let (every, what_if) = (derived(&base.rules), derived(&base.what_if_rules));
+        assert!(polarity.iter().all(|p| every.contains(p)));
+        assert!(polarity.iter().all(|p| !what_if.contains(p)));
     }
 }

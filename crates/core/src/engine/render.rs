@@ -105,15 +105,18 @@ impl Session<'_> {
         // Counterfactuals reason over a hypothetical world: a throwaway
         // overlay on this session's epoch view (the view is a stack of
         // references — no triples are copied). The hypothesis is pure
-        // ABox, so the precompiled rules close it incrementally; the
+        // ABox, so precompiled rules close it incrementally: only those
+        // that can derive a triple CQ3 reads, since nothing else reads
+        // this world and its consistency verdict is dropped with it. The
         // world is discarded when this call returns, a partial closure
-        // with it. For a *persistent* what-if world, use
-        // [`crate::EngineBase::branch_create`] +
+        // with it. For a *persistent* what-if world, closed under every
+        // rule, use [`crate::EngineBase::branch_create`] +
         // [`crate::EngineBase::branch_apply`] instead.
+        let base = self.base;
         let mut world = Overlay::new(self.overlay.base().clone());
-        apply_hypothesis(hypothesis, &self.base.user, &mut world);
+        apply_hypothesis(hypothesis, &base.user, &mut world);
         assert_question(question, &mut world);
-        self.base.close(&mut world, self.guard)?;
+        base.close(&mut world, &base.what_if_rules, self.guard)?;
 
         let subject_iri = match hypothesis {
             Hypothesis::Pregnant => feo::PREGNANCY_STATE.to_string(),

@@ -224,7 +224,8 @@ impl<'a> Session<'a> {
     /// question triples are pure ABox.
     pub(super) fn assert_and_close(&mut self, question: &Question) -> Result<(), EngineError> {
         assert_question(question, &mut self.overlay);
-        let (closed, tripped) = match self.base.close(&mut self.overlay, self.guard) {
+        let base = self.base;
+        let (closed, tripped) = match base.close(&mut self.overlay, &base.rules, self.guard) {
             Ok(closed) => (closed, None),
             // Keep the partial closure's statistics: the derived triples
             // are already in the overlay (sound but incomplete), and the

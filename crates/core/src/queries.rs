@@ -23,10 +23,21 @@
 //! base, and a session binds the parameters with a seed row; the
 //! `*_query` functions render each as text with them bound by `BIND`.
 
+use std::collections::BTreeSet;
+
 use feo_ontology::ns::sparql_prologue;
-use feo_rdf::GraphView;
-use feo_sparql::ast::Query;
-use feo_sparql::{parse_query, plan_seeded, Plan, SparqlError};
+use feo_owl::{ReadSet, SCHEMA_PREDICATES};
+use feo_rdf::ledger::LedgerView;
+use feo_rdf::vocab::rdf;
+use feo_rdf::{GraphView, Overlay, TermId};
+use feo_sparql::ast::{
+    Expr, GroupCondition, GroupElement, GroupPattern, Modifiers, Path, Projection, ProjectionItem,
+    Query, QueryForm, TermPattern, TriplePattern,
+};
+use feo_sparql::{
+    execute_prepared, parse_query, plan_query, plan_seeded, Plan, QueryOptions, QueryResult,
+    SparqlError,
+};
 
 use crate::question::Question;
 
@@ -126,6 +137,219 @@ pub(crate) struct Prepared {
     pub(crate) query: Query,
     pub(crate) plan: Plan,
     pub(crate) params: &'static [&'static str],
+}
+
+impl Prepared {
+    /// The triples this template can read in a world that differs from
+    /// `base` by ABox triples and their closure: the predicates of its
+    /// patterns, and for `?x rdf:type <C>` the class. A pattern over a
+    /// schema predicate reads the TBox, the same in every such world,
+    /// so it reads nothing a closure adds. A variable predicate reads
+    /// the properties the template's schema patterns and filters allow
+    /// it on `base`. `None` when one is not bounded that way. `base` is
+    /// the view type a session queries, so this one query compiles no
+    /// second copy of the evaluator.
+    pub(crate) fn reads(&self, base: &Overlay<LedgerView<'_>>) -> Option<ReadSet> {
+        let mut reads = ReadSet::default();
+        for pattern in patterns(&self.query) {
+            match (&pattern.path, &pattern.object) {
+                (Path::Iri(p), TermPattern::Iri(class)) if p == rdf::TYPE => {
+                    reads.classes.extend(base.lookup_iri(class))
+                }
+                (Path::Var(var), _) => reads.predicates.extend(self.bound(var, base)?),
+                (path, _) => {
+                    let read = iris(path)?.into_iter();
+                    let read = read.filter(|p| !SCHEMA_PREDICATES.contains(p));
+                    reads
+                        .predicates
+                        .extend(read.filter_map(|p| base.lookup_iri(p)));
+                }
+            }
+        }
+        Some(reads)
+    }
+
+    /// The values `var` can take in any world over `base`: those the
+    /// template's top-level schema patterns, and its top-level
+    /// `[NOT] EXISTS` filters over schema patterns alone, allow it on
+    /// `base`. A filter is kept only when every variable it shares with
+    /// the rest of the template is bound by those patterns, so it means
+    /// the same in the bounding query. `None` when no such pattern
+    /// names `var`.
+    fn bound(&self, var: &str, base: &Overlay<LedgerView<'_>>) -> Option<Vec<TermId>> {
+        let top = &self.query.where_pattern.elements;
+        let schema: Vec<&TriplePattern> = (top.iter())
+            .filter_map(|element| match element {
+                GroupElement::Triples(patterns) => Some(patterns),
+                _ => None,
+            })
+            .flatten()
+            .filter(|pattern| reads_schema(pattern))
+            .collect();
+        let bound: BTreeSet<&str> = schema.iter().flat_map(|pattern| vars(pattern)).collect();
+        if !bound.contains(var) {
+            return None;
+        }
+        let mut elements = vec![GroupElement::Triples(schema.into_iter().cloned().collect())];
+        for (i, element) in top.iter().enumerate() {
+            let GroupElement::Filter(Expr::Exists(body, _)) = element else {
+                continue;
+            };
+            let mut elsewhere = BTreeSet::new();
+            let others = (top.iter().enumerate()).filter(|&(j, _)| j != i);
+            each_element(others.map(|(_, e)| e), &mut |e| binders(e, &mut elsewhere));
+            let schema_only = body.elements.iter().all(|e| match e {
+                GroupElement::Triples(patterns) => patterns.iter().all(reads_schema),
+                _ => false,
+            });
+            let mut shared = BTreeSet::new();
+            each_element(&body.elements, &mut |e| binders(e, &mut shared));
+            if schema_only
+                && shared
+                    .iter()
+                    .all(|v| bound.contains(v) || !elsewhere.contains(v))
+            {
+                elements.push(element.clone());
+            }
+        }
+        let query = Query {
+            form: QueryForm::Select {
+                distinct: true,
+                reduced: false,
+                projection: Projection::Items(vec![ProjectionItem::Var(var.to_string())]),
+            },
+            where_pattern: GroupPattern { elements },
+            modifiers: Modifiers::default(),
+        };
+        let plan = plan_query(base.base(), &query);
+        let Ok(QueryResult::Solutions(table)) =
+            execute_prepared(base, &query, &plan, &QueryOptions::default())
+        else {
+            return None;
+        };
+        let values = table.rows.iter().filter_map(|row| row[0].as_ref());
+        Some(values.filter_map(|term| base.lookup(term)).collect())
+    }
+}
+
+/// Whether `pattern` reads the TBox alone: its predicate is a schema
+/// predicate.
+fn reads_schema(pattern: &TriplePattern) -> bool {
+    matches!(&pattern.path, Path::Iri(p) if SCHEMA_PREDICATES.contains(&p.as_str()))
+}
+
+/// The IRIs of a property path; `None` for a negated property set,
+/// which can read any predicate.
+fn iris(path: &Path) -> Option<Vec<&str>> {
+    Some(match path {
+        Path::Iri(p) => vec![p.as_str()],
+        Path::Var(_) | Path::Negated(_) => return None,
+        Path::Inverse(p) | Path::ZeroOrMore(p) | Path::OneOrMore(p) | Path::ZeroOrOne(p) => {
+            iris(p)?
+        }
+        Path::Sequence(a, b) | Path::Alternative(a, b) => [iris(a)?, iris(b)?].concat(),
+    })
+}
+
+/// The variables `pattern` names.
+fn vars(pattern: &TriplePattern) -> impl Iterator<Item = &str> {
+    let path = match &pattern.path {
+        Path::Var(v) => Some(v.as_str()),
+        _ => None,
+    };
+    let terms = [&pattern.subject, &pattern.object].into_iter();
+    (terms.filter_map(|t| match t {
+        TermPattern::Var(v) => Some(v.as_str()),
+        _ => None,
+    }))
+    .chain(path)
+}
+
+/// Adds the variables `element` binds (not those of its nested groups).
+fn binders<'q>(element: &'q GroupElement, out: &mut BTreeSet<&'q str>) {
+    match element {
+        GroupElement::Triples(patterns) => out.extend(patterns.iter().flat_map(vars)),
+        GroupElement::Bind(_, var) => _ = out.insert(var),
+        GroupElement::Values(values) => out.extend(values.vars.iter().map(String::as_str)),
+        _ => {}
+    }
+}
+
+/// Every triple pattern of `query`: in its WHERE group, the groups
+/// nested there, and every EXISTS body.
+fn patterns(query: &Query) -> Vec<&TriplePattern> {
+    let mut bodies = vec![&query.where_pattern];
+    if let QueryForm::Select {
+        projection: Projection::Items(items),
+        ..
+    } = &query.form
+    {
+        for item in items {
+            if let ProjectionItem::Expr(e, _) = item {
+                exists_bodies(e, &mut bodies);
+            }
+        }
+    }
+    let modifiers = &query.modifiers;
+    let grouped = (modifiers.group_by.iter()).filter_map(|g| match g {
+        GroupCondition::Expr(e, _) => Some(e),
+        GroupCondition::Var(_) => None,
+    });
+    let ordered = modifiers.order_by.iter().map(|o| &o.expr);
+    for e in grouped.chain(ordered).chain(&modifiers.having) {
+        exists_bodies(e, &mut bodies);
+    }
+    let mut out = Vec::new();
+    for body in bodies {
+        each_element(&body.elements, &mut |e| {
+            if let GroupElement::Triples(patterns) = e {
+                out.extend(patterns);
+            }
+        });
+    }
+    out
+}
+
+/// Calls `visit` on every element of `elements`, of the groups nested
+/// in them and of the EXISTS bodies in their expressions.
+fn each_element<'q>(
+    elements: impl IntoIterator<Item = &'q GroupElement>,
+    visit: &mut dyn FnMut(&'q GroupElement),
+) {
+    for element in elements {
+        visit(element);
+        let mut groups = Vec::new();
+        match element {
+            GroupElement::Optional(g) | GroupElement::Minus(g) | GroupElement::Group(g) => {
+                groups.push(g)
+            }
+            GroupElement::Union(arms) => groups.extend(arms),
+            GroupElement::Filter(e) | GroupElement::Bind(e, _) => exists_bodies(e, &mut groups),
+            GroupElement::Triples(_) | GroupElement::Values(_) => {}
+        }
+        for group in groups {
+            each_element(&group.elements, visit);
+        }
+    }
+}
+
+/// Adds the EXISTS bodies in `expr`.
+fn exists_bodies<'q>(expr: &'q Expr, out: &mut Vec<&'q GroupPattern>) {
+    match expr {
+        Expr::Exists(group, _) => out.push(group),
+        Expr::Or(a, b) | Expr::And(a, b) | Expr::Compare(_, a, b) | Expr::Arith(_, a, b) => {
+            exists_bodies(a, out);
+            exists_bodies(b, out);
+        }
+        Expr::Not(a) | Expr::UnaryMinus(a) => exists_bodies(a, out),
+        Expr::In(a, list, _) => {
+            exists_bodies(a, out);
+            list.iter().for_each(|e| exists_bodies(e, out));
+        }
+        Expr::Call(_, args) => args.iter().for_each(|e| exists_bodies(e, out)),
+        Expr::Aggregate(aggregate) => (aggregate.expr.iter()).for_each(|e| exists_bodies(e, out)),
+        Expr::Var(_) | Expr::Iri(_) | Expr::Literal(_) => {}
+    }
 }
 
 /// The six templates behind the seven SPARQL-backed explanation types,

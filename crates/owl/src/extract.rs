@@ -18,6 +18,33 @@ use feo_rdf::{GraphView, TermId};
 
 use crate::axiom::{Axiom, ClassExpr, Ontology};
 
+/// The predicates of OWL's RDF syntax that extraction reads as schema:
+/// every one it reads but `rdf:type` (which also types individuals)
+/// and `owl:sameAs` / `owl:differentFrom` (which relate individuals).
+/// No rule of a delta closure concludes one, so where a world differs
+/// from its base by ABox triples, a pattern over one of them reads the
+/// base's triples.
+pub const SCHEMA_PREDICATES: [&str; 18] = [
+    rdfs::SUB_CLASS_OF,
+    rdfs::SUB_PROPERTY_OF,
+    rdfs::DOMAIN,
+    rdfs::RANGE,
+    owl::EQUIVALENT_CLASS,
+    owl::EQUIVALENT_PROPERTY,
+    owl::DISJOINT_WITH,
+    owl::INVERSE_OF,
+    owl::PROPERTY_CHAIN_AXIOM,
+    owl::PROPERTY_DISJOINT_WITH,
+    owl::ON_PROPERTY,
+    owl::SOME_VALUES_FROM,
+    owl::ALL_VALUES_FROM,
+    owl::HAS_VALUE,
+    owl::INTERSECTION_OF,
+    owl::UNION_OF,
+    owl::COMPLEMENT_OF,
+    owl::ONE_OF,
+];
+
 /// Pre-resolved vocabulary ids for one graph. Missing entries mean the
 /// graph never mentions that IRI, so no axiom of that kind can exist.
 struct Vocab {

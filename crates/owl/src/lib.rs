@@ -46,9 +46,9 @@ pub mod proof;
 pub mod reasoner;
 
 pub use axiom::{Axiom, ClassExpr, Ontology};
-pub use extract::extract_axioms;
+pub use extract::{extract_axioms, SCHEMA_PREDICATES};
 pub use proof::{proof, ProofNode};
 pub use reasoner::{
     CompiledRules, Derivation, Inconsistency, InconsistencyKind, InferenceResult,
-    MaterializeOptions, Reasoner, ReasonerError, ReasonerOptions,
+    MaterializeOptions, ReadSet, Reasoner, ReasonerError, ReasonerOptions,
 };

@@ -50,6 +50,9 @@ use feo_rdf::{GraphStore, GraphView, Overlay, TermId};
 use crate::axiom::{Axiom, ClassExpr, Ontology};
 use crate::extract::extract_axioms;
 
+mod relevance;
+pub use relevance::ReadSet;
+
 /// Tuning knobs for materialization.
 #[derive(Debug, Clone)]
 pub struct ReasonerOptions {
@@ -481,36 +484,6 @@ impl CompiledRules {
         transitive_close(&mut sup_class);
         transitive_close(&mut sup_prop);
 
-        let complex_triggers: Vec<AxiomTriggers> = complex
-            .iter()
-            .map(|(sub, sup)| AxiomTriggers::compile(sub, sup))
-            .collect();
-        // Disjointness tests both sides as membership checks.
-        let disjoint_triggers = disjoint_classes
-            .iter()
-            .map(|(a, b)| AxiomTriggers {
-                lhs: [a, b].into_iter().flat_map(triggers_of).collect(),
-                rhs_universals: Vec::new(),
-                members: enumerated([a, b]),
-            })
-            .collect::<Vec<_>>();
-
-        let mut watched_predicates: BTreeSet<TermId> = chains
-            .iter()
-            .flat_map(|(chain, _)| chain.iter().copied())
-            .chain(disjoint_properties.iter().flat_map(|&(p, q)| [p, q]))
-            .chain(irreflexive.iter().chain(&asymmetric).copied())
-            .collect();
-        let mut watched_classes = BTreeSet::new();
-        for entries in complex_triggers.iter().chain(&disjoint_triggers) {
-            for trigger in entries.lhs.iter().chain(&entries.rhs_universals) {
-                match trigger.atom {
-                    TriggerAtom::Type(c) => watched_classes.insert(c),
-                    TriggerAtom::Value(p, _) | TriggerAtom::Edge(p) => watched_predicates.insert(p),
-                };
-            }
-        }
-
         CompiledRules {
             rdf_type,
             same_as,
@@ -531,13 +504,48 @@ impl CompiledRules {
             disjoint_properties,
             different_from,
             initial_same_as,
-            complex_triggers,
-            disjoint_triggers,
-            watched_predicates: watched_predicates.into_iter().collect(),
-            watched_classes: watched_classes.into_iter().collect(),
+            complex_triggers: Vec::new(),
+            disjoint_triggers: Vec::new(),
+            watched_predicates: Vec::new(),
+            watched_classes: Vec::new(),
             axiom_count: ontology.axioms.len(),
             warnings: ontology.warnings.clone(),
         }
+        .indexed()
+    }
+
+    /// Fills in the tables derived from the rules: the triggers of the
+    /// complex and disjointness axioms, and what the passes watch.
+    fn indexed(mut self) -> Self {
+        self.complex_triggers = (self.complex.iter())
+            .map(|(sub, sup)| AxiomTriggers::compile(sub, sup))
+            .collect();
+        // Disjointness tests both sides as membership checks.
+        self.disjoint_triggers = (self.disjoint_classes.iter())
+            .map(|(a, b)| AxiomTriggers {
+                lhs: [a, b].into_iter().flat_map(triggers_of).collect(),
+                rhs_universals: Vec::new(),
+                members: enumerated([a, b]),
+            })
+            .collect();
+
+        let mut watched_predicates: BTreeSet<TermId> = (self.chains.iter())
+            .flat_map(|(chain, _)| chain.iter().copied())
+            .chain(self.disjoint_properties.iter().flat_map(|&(p, q)| [p, q]))
+            .chain(self.irreflexive.iter().chain(&self.asymmetric).copied())
+            .collect();
+        let mut watched_classes = BTreeSet::new();
+        for entries in self.complex_triggers.iter().chain(&self.disjoint_triggers) {
+            for trigger in entries.lhs.iter().chain(&entries.rhs_universals) {
+                match trigger.atom {
+                    TriggerAtom::Type(c) => watched_classes.insert(c),
+                    TriggerAtom::Value(p, _) | TriggerAtom::Edge(p) => watched_predicates.insert(p),
+                };
+            }
+        }
+        self.watched_predicates = watched_predicates.into_iter().collect();
+        self.watched_classes = watched_classes.into_iter().collect();
+        self
     }
 
     /// Number of axioms the rules were compiled from.

@@ -123,8 +123,11 @@ fn explain_batch_complete_is_200() {
 #[test]
 fn budget_trip_degrades_to_206_with_report() {
     let handle = spawn(test_config());
-    // max_rounds: 1 cannot finish the counterfactual's delta closure,
-    // so the request degrades deterministically.
+    // max_rounds: 1 trips on the why-eat: its delta closure takes a
+    // second round on the batch's shared guard (spent 2, limit 1), and
+    // the report skips both questions. (The pregnancy what-if alone
+    // completes within one round.) So the request degrades
+    // deterministically.
     let body_doc = r#"{"questions":[{"type":"why-eat","food":"CauliflowerPotatoCurry"},{"type":"what-if","hypothesis":"pregnant"}],"budget":{"max_rounds":1}}"#;
     let (status, _, body) = post(handle.addr(), "/explain", body_doc);
     assert_eq!(status, 206, "{body}");
