@@ -82,9 +82,14 @@ echo "== evaluator oracle (bounded wall-clock)"
 # conformance cases for the scoping rules and for ORDER BY; and the six
 # explanation templates on the curated KG and the benchmark's world,
 # with Table I's rows. Ordered results compare in order: the runs of
-# equal ORDER BY keys in sequence, each run as a multiset.
+# equal ORDER BY keys in sequence, each run as a multiset. A result cell
+# must share its dictionary's strings (memory, segment and overlay spill),
+# and one pass of the benchmark's five query shapes on its reopened store
+# must stay under 0.4x the allocations of owned cells and per-row Vecs
+# (its own binary: the counting allocator sees every thread).
 timeout 240 cargo test -q --offline --release \
-    --test plan_equivalence --test evaluator_oracle --test template_oracle
+    --test plan_equivalence --test evaluator_oracle --test template_oracle \
+    --test shared_terms --test row_allocations
 
 echo "== join equivalence (bounded wall-clock)"
 # The two join operators, nested and hash, forced onto every step or

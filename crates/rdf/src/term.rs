@@ -1,10 +1,12 @@
 //! RDF 1.1 term model: IRIs, blank nodes, and literals.
 //!
-//! Terms are plain owned values; the [`crate::graph::Graph`] interns them
-//! into compact [`crate::intern::TermId`]s for storage and joins, so `Term`
-//! itself optimizes for clarity over footprint.
+//! The [`crate::graph::Graph`] interns terms into [`crate::intern::TermId`]s
+//! for storage and joins. A term's strings are `Arc<str>`, so a clone (a
+//! dictionary entry, a result cell) shares them, and the literal
+//! constructors' datatype IRIs are shared statics.
 
 use std::fmt;
+use std::sync::{Arc, LazyLock};
 
 use crate::vocab::{rdf, xsd};
 
@@ -12,13 +14,28 @@ use crate::vocab::{rdf, xsd};
 /// resolution happens at this level; the Turtle parser resolves against the
 /// document base before constructing an `Iri`).
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Iri(String);
+pub struct Iri(Arc<str>);
 
 impl Iri {
     /// Wraps a string as an IRI. The string is trusted to be an absolute
     /// IRI; parsers validate before calling this.
     pub fn new(iri: impl Into<String>) -> Self {
-        Iri(iri.into())
+        Iri(iri.into().into())
+    }
+
+    /// The shared copy of `iri` when it is `xsd:string`, `xsd:integer`,
+    /// `xsd:double`, `xsd:boolean` or `rdf:langString`.
+    fn shared(iri: &str) -> Option<Iri> {
+        use xsd::{BOOLEAN, DOUBLE, INTEGER, STRING};
+        static SHARED: LazyLock<[Iri; 5]> = LazyLock::new(|| {
+            [STRING, INTEGER, DOUBLE, BOOLEAN, rdf::LANG_STRING].map(|s| Iri(s.into()))
+        });
+        SHARED.iter().find(|d| d.as_str() == iri).cloned()
+    }
+
+    /// [`Iri::shared`] for one of those constants.
+    fn datatype(iri: &'static str) -> Iri {
+        Iri::shared(iri).unwrap_or_else(|| Iri::new(iri))
     }
 
     /// The IRI text, without angle brackets.
@@ -32,7 +49,7 @@ impl Iri {
     pub fn split_local(&self) -> (&str, &str) {
         match self.0.rfind(['#', '/', ':']) {
             Some(i) => self.0.split_at(i + 1),
-            None => ("", &self.0),
+            None => ("", self.as_str()),
         }
     }
 
@@ -62,11 +79,11 @@ impl From<String> for Iri {
 
 /// A blank node, identified by its label within a single document/graph.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct BlankNode(String);
+pub struct BlankNode(Arc<str>);
 
 impl BlankNode {
     pub fn new(label: impl Into<String>) -> Self {
-        BlankNode(label.into())
+        BlankNode(label.into().into())
     }
 
     pub fn as_str(&self) -> &str {
@@ -88,17 +105,17 @@ impl fmt::Display for BlankNode {
 /// follow the spec ("abc" == "abc"^^xsd:string).
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Literal {
-    lexical: String,
+    lexical: Arc<str>,
     datatype: Iri,
-    language: Option<String>,
+    language: Option<Arc<str>>,
 }
 
 impl Literal {
     /// A simple literal — datatype `xsd:string`.
     pub fn simple(lexical: impl Into<String>) -> Self {
         Literal {
-            lexical: lexical.into(),
-            datatype: Iri::new(xsd::STRING),
+            lexical: lexical.into().into(),
+            datatype: Iri::datatype(xsd::STRING),
             language: None,
         }
     }
@@ -107,38 +124,42 @@ impl Literal {
     /// tag is lower-cased, matching Turtle/SPARQL comparison semantics.
     pub fn lang(lexical: impl Into<String>, tag: impl Into<String>) -> Self {
         Literal {
-            lexical: lexical.into(),
-            datatype: Iri::new(rdf::LANG_STRING),
-            language: Some(tag.into().to_ascii_lowercase()),
+            lexical: lexical.into().into(),
+            datatype: Iri::datatype(rdf::LANG_STRING),
+            language: Some(tag.into().to_ascii_lowercase().into()),
         }
     }
 
-    /// A typed literal with an explicit datatype IRI.
+    /// A typed literal with an explicit datatype IRI (a well-known one
+    /// is swapped for its shared copy).
     pub fn typed(lexical: impl Into<String>, datatype: Iri) -> Self {
         let lexical = lexical.into();
         if datatype.as_str() == xsd::STRING {
             return Literal::simple(lexical);
         }
         Literal {
-            lexical,
-            datatype,
+            lexical: lexical.into(),
+            datatype: Iri::shared(datatype.as_str()).unwrap_or(datatype),
             language: None,
         }
     }
 
     /// An `xsd:boolean` literal in canonical form.
     pub fn boolean(v: bool) -> Self {
-        Literal::typed(if v { "true" } else { "false" }, Iri::new(xsd::BOOLEAN))
+        Literal::typed(
+            if v { "true" } else { "false" },
+            Iri::datatype(xsd::BOOLEAN),
+        )
     }
 
     /// An `xsd:integer` literal in canonical form.
     pub fn integer(v: i64) -> Self {
-        Literal::typed(v.to_string(), Iri::new(xsd::INTEGER))
+        Literal::typed(v.to_string(), Iri::datatype(xsd::INTEGER))
     }
 
     /// An `xsd:double` literal.
     pub fn double(v: f64) -> Self {
-        Literal::typed(format_double(v), Iri::new(xsd::DOUBLE))
+        Literal::typed(format_double(v), Iri::datatype(xsd::DOUBLE))
     }
 
     /// An `xsd:decimal` literal.
@@ -163,7 +184,7 @@ impl Literal {
         if self.datatype.as_str() != xsd::BOOLEAN {
             return None;
         }
-        match self.lexical.as_str() {
+        match &*self.lexical {
             "true" | "1" => Some(true),
             "false" | "0" => Some(false),
             _ => None,
@@ -426,6 +447,14 @@ mod tests {
     fn literal_escaping() {
         let l = Literal::simple("a\"b\\c\nd");
         assert_eq!(l.to_string(), "\"a\\\"b\\\\c\\nd\"");
+    }
+
+    #[test]
+    fn constructors_allocate_no_datatype_iri() {
+        let dt = |t: Term| t.as_literal().map(|l| l.datatype().as_str().as_ptr());
+        let parsed = |lexical, iri| Term::Literal(Literal::typed(lexical, Iri::new(iri)));
+        assert_eq!(dt(Term::simple("a")), dt(parsed("b", xsd::STRING)));
+        assert_eq!(dt(Term::integer(7)), dt(parsed("8", xsd::INTEGER)));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! SPARQL query evaluation over any [`feo_rdf::GraphView`].
 //!
-//! The evaluator executes the AST directly with solution sets (vectors of
-//! bindings) flowing through group-pattern elements, matching the SPARQL
+//! The evaluator executes the AST directly with solution sets ([`Rows`])
+//! flowing through group-pattern elements, matching the SPARQL
 //! algebra: triples blocks join, OPTIONAL left-joins, UNION concatenates,
 //! MINUS anti-joins on shared domains, BIND extends, VALUES joins an
 //! inline table. Every group, EXISTS bodies included, runs as its
@@ -23,10 +23,14 @@
 //! constant is resolved, and each REGEX pattern compiled, once per
 //! execution ([`Memo`]).
 //!
-//! Rows stay term ids to the end: ORDER BY ranks each distinct key id
-//! once and sorts rows by rank, projection and DISTINCT work on one flat
-//! id buffer, and only the cells that OFFSET / LIMIT keep are decoded
-//! into the [`SolutionTable`]'s terms.
+//! Rows stay term ids to the end, in flat slabs: a join step, an OPTIONAL
+//! replay or a VALUES merge copies the input row into its output slab and
+//! extends it there, a filter compacts a slab in place, and GROUP BY
+//! folds rows into per-group accumulators. ORDER BY ranks each distinct
+//! key id once and sorts rows by rank, projection and DISTINCT work on
+//! one flat id buffer, and only the cells that OFFSET / LIMIT keep become
+//! the [`SolutionTable`]'s terms (count bumps on the dictionary's
+//! strings): a result row costs one allocation.
 
 use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
@@ -52,7 +56,77 @@ use crate::value::{
 };
 
 /// One solution: a slot per registered variable.
-type Binding = Vec<Option<TermId>>;
+type Row = [Option<TermId>];
+
+/// A solution set: `len` rows of `width` slots, side by side in one buffer
+/// (`len` is its own field: a query without variables has width 0).
+#[derive(Clone)]
+struct Rows {
+    width: usize,
+    len: usize,
+    cells: Vec<Option<TermId>>,
+}
+
+impl Rows {
+    fn new(width: usize) -> Rows {
+        let (len, cells) = (0, Vec::new());
+        Rows { width, len, cells }
+    }
+
+    /// The set holding just `row`.
+    fn one(row: &Row) -> Rows {
+        let mut rows = Rows::new(row.len());
+        rows.push(row);
+        rows
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn row(&self, i: usize) -> &Row {
+        &self.cells[i * self.width..(i + 1) * self.width]
+    }
+
+    fn row_mut(&mut self, i: usize) -> &mut Row {
+        &mut self.cells[i * self.width..(i + 1) * self.width]
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &Row> {
+        (0..self.len).map(|i| self.row(i))
+    }
+
+    /// Appends a copy of `row` and hands it back to be extended in place.
+    fn push(&mut self, row: &Row) -> &mut Row {
+        self.cells.extend_from_slice(row);
+        self.len += 1;
+        self.row_mut(self.len - 1)
+    }
+
+    /// Drops the last row: an extension that did not fit.
+    fn pop(&mut self) {
+        self.len -= 1;
+        self.cells.truncate(self.len * self.width);
+    }
+
+    fn append(&mut self, other: &Rows) {
+        self.cells.extend_from_slice(&other.cells);
+        self.len += other.len;
+    }
+
+    /// Keeps the rows `keep` accepts, in order, compacting in place.
+    fn retain(&mut self, mut keep: impl FnMut(&Row) -> bool) {
+        let (w, mut kept) = (self.width, 0);
+        for i in 0..self.len {
+            if keep(self.row(i)) {
+                self.cells.copy_within(i * w..(i + 1) * w, kept * w);
+                kept += 1;
+            }
+        }
+        self.len = kept;
+        self.cells.truncate(kept * w);
+    }
+}
 
 // Process-wide join-operator invocation counters, one per physical
 // algorithm. Bumped once per operator execution (not per row) with
@@ -167,10 +241,10 @@ pub fn execute_seeded<G: GraphView>(
         row[slot] = Some(ctx.g.intern(term));
     }
 
-    let rows = ctx.eval_group(&q.where_pattern, vec![row], &plan.root)?;
+    let rows = ctx.eval_group(&q.where_pattern, Rows::one(&row), &plan.root)?;
 
     let result = match &q.form {
-        QueryForm::Ask => Ok(QueryResult::Boolean(!rows.is_empty())),
+        QueryForm::Ask => Ok(QueryResult::Boolean(rows.len() > 0)),
         QueryForm::Construct { template } => ctx.construct(template, rows),
         QueryForm::Select {
             distinct,
@@ -404,11 +478,13 @@ struct Ctx<'a, G: GraphView> {
 /// What an execution resolves once and then reuses: each query constant
 /// by the address of its AST node, so an EXISTS body, an OPTIONAL side or
 /// a filter that runs again per key or per row looks nothing up twice,
-/// and each compiled REGEX / REPLACE pattern (`None`: it does not
-/// compile) by its text and flags.
+/// each computed integer (a COUNT per group) by its value, and each
+/// compiled REGEX / REPLACE pattern (`None`: it does not compile) by its
+/// text and flags.
 #[derive(Default)]
 struct Memo {
     terms: FxMap<usize, Option<TermId>>,
+    ints: FxMap<i64, TermId>,
     regexes: HashMap<(String, String), Option<Regex>>,
 }
 
@@ -446,17 +522,21 @@ impl<'a, G: GraphView> Ctx<'a, G> {
         Ok(())
     }
 
+    /// Charges the rows `out` gained since its first `charged` were
+    /// charged, once a batch is due or the operator is `done`.
+    fn charge_rows(&self, out: &Rows, charged: &mut usize, done: bool) -> Result<()> {
+        if done || out.len() - *charged >= CHARGE_BATCH {
+            self.charge_solutions(out.len() - std::mem::replace(charged, out.len()))?;
+        }
+        Ok(())
+    }
+
     // ---- group patterns ------------------------------------------------
 
     /// Evaluates one group pattern as `plan` says: element `i` runs
     /// with plan node `i`, and a FILTER where the plan placed it, or else
     /// at group end. A plan that does not fit the group is an error.
-    fn eval_group(
-        &mut self,
-        group: &GroupPattern,
-        input: Vec<Binding>,
-        plan: &GroupPlan,
-    ) -> Result<Vec<Binding>> {
+    fn eval_group(&mut self, group: &GroupPattern, input: Rows, plan: &GroupPlan) -> Result<Rows> {
         if plan.elements.len() != group.elements.len() {
             return Err(misfit());
         }
@@ -485,14 +565,14 @@ impl<'a, G: GraphView> Ctx<'a, G> {
                 (GroupElement::Union(arms), ElementPlan::Union(arm_plans))
                     if arms.len() == arm_plans.len() =>
                 {
-                    let mut out = Vec::new();
+                    let mut out = Rows::new(rows.width);
                     for (arm, ap) in arms.iter().zip(arm_plans) {
-                        out.extend(self.eval_group(arm, rows.clone(), ap)?);
+                        out.append(&self.eval_group(arm, rows.clone(), ap)?);
                     }
                     rows = out;
                 }
                 (GroupElement::Minus(inner), ElementPlan::Minus(gp)) => {
-                    let empty = vec![vec![None; self.vars.len()]];
+                    let empty = Rows::one(&vec![None; rows.width]);
                     let rhs = self.eval_group(inner, empty, gp)?;
                     // Drop a row compatible with some right-hand row on a
                     // non-empty shared domain.
@@ -505,52 +585,38 @@ impl<'a, G: GraphView> Ctx<'a, G> {
                     });
                 }
                 (GroupElement::Bind(e, v), ElementPlan::Leaf) => {
-                    let slot = self
-                        .vars
-                        .get(v)
-                        .ok_or_else(|| SparqlError::eval("unregistered BIND variable"))?;
-                    for b in &mut rows {
-                        if b[slot].is_some() {
+                    let slot = self.slot_of(v)?;
+                    for i in 0..rows.len() {
+                        if rows.row(i)[slot].is_some() {
                             return Err(SparqlError::eval(format!(
                                 "BIND would rebind already-bound variable ?{v}"
                             )));
                         }
-                        if let Some(val) = self.eval_expr(e, b) {
-                            b[slot] = Some(val.into_term_id(&mut self.g));
+                        if let Some(val) = self.eval_expr(e, rows.row(i)) {
+                            rows.row_mut(i)[slot] = Some(self.intern_value(val));
                         }
                     }
                 }
                 (GroupElement::Values(vb), ElementPlan::Leaf) => {
-                    let slots: Vec<usize> = vb
-                        .vars
-                        .iter()
-                        .map(|v| {
-                            self.vars.get(v).ok_or_else(|| {
-                                SparqlError::eval(format!("VALUES variable ?{v} is not registered"))
-                            })
-                        })
+                    let slots: Vec<usize> = (vb.vars.iter())
+                        .map(|v| self.slot_of(v))
                         .collect::<Result<_>>()?;
                     // Intern the data terms.
-                    let table: Vec<Vec<Option<TermId>>> = vb
-                        .rows
-                        .iter()
-                        .map(|row| {
-                            row.iter()
-                                .map(|cell| {
-                                    cell.as_ref().map(|tp| self.intern_ground(tp)).transpose()
-                                })
-                                .collect::<Result<_>>()
-                        })
-                        .collect::<Result<_>>()?;
-                    let mut out = Vec::new();
-                    for b in &rows {
+                    let mut table = vec![Vec::new(); vb.rows.len()];
+                    for (row, cells) in vb.rows.iter().zip(&mut table) {
+                        for cell in row {
+                            cells.push(cell.as_ref().map(|tp| self.intern_ground(tp)).transpose()?);
+                        }
+                    }
+                    let mut out = Rows::new(rows.width);
+                    for b in rows.iter() {
                         for trow in &table {
-                            let mut merged = b.clone();
+                            let merged = out.push(b);
                             let mut cells = slots.iter().zip(trow);
-                            if cells.all(|(&s, cell)| {
-                                cell.is_none_or(|y| bind(&mut merged, Some(s), y))
-                            }) {
-                                out.push(merged);
+                            if !cells
+                                .all(|(&s, cell)| cell.is_none_or(|y| bind(merged, Some(s), y)))
+                            {
+                                out.pop();
                             }
                         }
                     }
@@ -574,7 +640,7 @@ impl<'a, G: GraphView> Ctx<'a, G> {
         placed: &[(usize, usize)],
         next: &mut usize,
         point: usize,
-        rows: &mut Vec<Binding>,
+        rows: &mut Rows,
     ) {
         while let Some(&(at, f)) = placed.get(*next) {
             if at > point {
@@ -587,7 +653,7 @@ impl<'a, G: GraphView> Ctx<'a, G> {
         }
     }
 
-    fn filter_passes(&mut self, e: &Expr, b: &Binding) -> bool {
+    fn filter_passes(&mut self, e: &Expr, b: &Row) -> bool {
         match self.eval_expr(e, b) {
             Some(v) => ebv(&self.g, &v) == Some(true),
             None => false,
@@ -598,7 +664,7 @@ impl<'a, G: GraphView> Ctx<'a, G> {
     /// per execution. A failed evaluation (a `BIND` conflict, or a trip
     /// that `tripped` surfaces at the next checkpoint) is "no solution"
     /// and is not cached; a plan that does not fit fails the query.
-    fn exists(&mut self, group: &GroupPattern, b: &Binding) -> bool {
+    fn exists(&mut self, group: &GroupPattern, b: &Row) -> bool {
         let Ok(plan) = self.plan.body(&self.sites, group) else {
             self.misfit = true;
             return false;
@@ -607,7 +673,7 @@ impl<'a, G: GraphView> Ctx<'a, G> {
         if let Some(&hit) = key.and_then(|k| self.exists.get(&k)) {
             return hit;
         }
-        let rows = match self.eval_group(group, vec![b.clone()], plan) {
+        let rows = match self.eval_group(group, Rows::one(b), plan) {
             Ok(rows) => rows,
             Err(e) => {
                 self.misfit |= e == misfit();
@@ -615,21 +681,16 @@ impl<'a, G: GraphView> Ctx<'a, G> {
             }
         };
         if let Some(k) = key {
-            self.exists.insert(k, !rows.is_empty());
+            self.exists.insert(k, rows.len() > 0);
         }
-        !rows.is_empty()
+        rows.len() > 0
     }
 
     /// `rows OPTIONAL { inner }` with the right side evaluated once per
     /// distinct key: a repeated key replays the recorded extensions (the
     /// key slots' values) onto its row, in order, charged to the solution
     /// budget like join rows.
-    fn left_join(
-        &mut self,
-        inner: &GroupPattern,
-        rows: Vec<Binding>,
-        plan: &GroupPlan,
-    ) -> Result<Vec<Binding>> {
+    fn left_join(&mut self, inner: &GroupPattern, rows: Rows, plan: &GroupPlan) -> Result<Rows> {
         // A single row has nothing to share a key with.
         let keyed = plan.keys.as_deref().filter(|_| rows.len() > 1);
         let slots = keyed.unwrap_or(&[]);
@@ -637,14 +698,13 @@ impl<'a, G: GraphView> Ctx<'a, G> {
         // Per key: where its extensions start in `exts`, and how many.
         let mut seen: FxMap<SlotKey, (usize, usize)> = FxMap::default();
         let mut exts: Vec<Option<TermId>> = Vec::new();
-        let (mut out, mut uncharged) = (Vec::new(), 0);
-        for b in rows {
-            let key = keyed.as_ref().map(|_| slot_key(slots, &b));
+        let (mut out, mut uncharged) = (Rows::new(rows.width), 0);
+        for b in rows.iter() {
+            let key = keyed.as_ref().map(|_| slot_key(slots, b));
             if let Some(&(start, n)) = key.and_then(|k| seen.get(&k)) {
                 for ext in (0..n).map(|i| &exts[start + i * w..start + (i + 1) * w]) {
-                    let mut nb = b.clone();
+                    let nb = out.push(b);
                     slots.iter().zip(ext).for_each(|(&s, &v)| nb[s] = v);
-                    out.push(nb);
                 }
                 if n == 0 {
                     out.push(b);
@@ -655,15 +715,15 @@ impl<'a, G: GraphView> Ctx<'a, G> {
                 }
                 continue;
             }
-            let extended = self.eval_group(inner, vec![b.clone()], plan)?;
+            let extended = self.eval_group(inner, Rows::one(b), plan)?;
             if let Some(k) = key {
                 seen.insert(k, (exts.len(), extended.len()));
                 exts.extend(extended.iter().flat_map(|e| slots.iter().map(|&s| e[s])));
             }
-            if extended.is_empty() {
+            if extended.len() == 0 {
                 out.push(b);
             } else {
-                out.extend(extended);
+                out.append(&extended);
             }
         }
         self.charge_solutions(uncharged)?;
@@ -678,9 +738,9 @@ impl<'a, G: GraphView> Ctx<'a, G> {
     fn eval_bgp(
         &mut self,
         patterns: &[TriplePattern],
-        input: Vec<Binding>,
+        input: Rows,
         plan: &BgpPlan,
-    ) -> Result<Vec<Binding>> {
+    ) -> Result<Rows> {
         if !plan.fits(patterns.len()) {
             return Err(misfit());
         }
@@ -699,18 +759,14 @@ impl<'a, G: GraphView> Ctx<'a, G> {
             } else {
                 self.match_triple_pattern(tp, rows)?
             };
-            if rows.is_empty() {
+            if rows.len() == 0 {
                 break;
             }
         }
         Ok(rows)
     }
 
-    fn match_triple_pattern(
-        &mut self,
-        tp: &TriplePattern,
-        rows: Vec<Binding>,
-    ) -> Result<Vec<Binding>> {
+    fn match_triple_pattern(&mut self, tp: &TriplePattern, rows: Rows) -> Result<Rows> {
         NESTED_JOINS.fetch_add(1, Ordering::Relaxed);
         let s = self.endpoint(&tp.subject)?;
         let o = self.endpoint(&tp.object)?;
@@ -720,66 +776,42 @@ impl<'a, G: GraphView> Ctx<'a, G> {
             Path::Iri(p) => match self.lookup_const(p) {
                 Some(id) => (Some(id), None),
                 // Unknown predicate: every row finds nothing.
-                None => return Ok(Vec::new()),
+                None => return Ok(Rows::new(rows.width)),
             },
             Path::Var(v) => (None, self.vars.get(v)),
             _ => (None, None),
         };
         let complex = !matches!(tp.path, Path::Iri(_) | Path::Var(_));
-        let mut uncharged: usize = 0;
-        let mut out = Vec::new();
-        for b in rows {
-            let produced_before = out.len();
-            let (s_val, o_val) = (s.value(&b), o.value(&b));
-            if complex {
-                for (ms, mo) in self.eval_path(&tp.path, s_val, o_val) {
-                    let mut nb = b.clone();
-                    if let Some(slot) = s.slot {
-                        nb[slot] = Some(ms);
-                    }
-                    if let Some(slot) = o.slot {
-                        nb[slot] = Some(mo);
-                    }
-                    out.push(nb);
-                }
+        let (mut out, mut charged) = (Rows::new(rows.width), 0);
+        for b in rows.iter() {
+            let (s_val, o_val) = (s.value(b), o.value(b));
+            let matches = if complex {
+                let pairs = self.eval_path(&tp.path, s_val, o_val);
+                pairs.into_iter().map(|(ms, mo)| [ms, mo, mo]).collect()
             } else {
                 let p_val = p_fixed.or_else(|| p_slot.and_then(|slot| b[slot]));
-                for [ms, mp, mo] in self.g.match_pattern(s_val, p_val, o_val) {
-                    let mut nb = b.clone();
-                    if let Some(slot) = s.slot {
-                        nb[slot] = Some(ms);
-                    }
-                    if let Some(slot) = p_slot {
-                        nb[slot] = Some(mp);
-                    }
-                    if let Some(slot) = o.slot {
-                        nb[slot] = Some(mo);
-                    }
-                    out.push(nb);
+                self.g.match_pattern(s_val, p_val, o_val)
+            };
+            for [ms, mp, mo] in matches {
+                let nb = out.push(b);
+                for (slot, v) in [(s.slot, ms), (p_slot, mp), (o.slot, mo)] {
+                    slot.into_iter().for_each(|slot| nb[slot] = Some(v));
                 }
             }
-            uncharged += out.len() - produced_before;
-            if uncharged >= CHARGE_BATCH {
-                self.charge_solutions(uncharged)?;
-                uncharged = 0;
-            }
+            self.charge_rows(&out, &mut charged, false)?;
         }
-        self.charge_solutions(uncharged)?;
+        self.charge_rows(&out, &mut charged, true)?;
         Ok(out)
     }
 
     /// Hash-join variant of [`Self::match_triple_pattern`] for plain-IRI
     /// predicates: one index scan over the pattern's predicate (narrowed
     /// by any ground endpoints) builds the join side, then each input
-    /// row probes hash maps instead of running its own B-tree range
-    /// scan. Probe structures are built lazily per boundness signature,
-    /// because rows in one solution set can differ in which endpoint
-    /// variables they bind (OPTIONAL, UNION).
-    fn match_triple_pattern_hash(
-        &mut self,
-        tp: &TriplePattern,
-        rows: Vec<Binding>,
-    ) -> Result<Vec<Binding>> {
+    /// row probes it, sorted by the columns the row binds, instead of
+    /// running its own B-tree range scan. A sorted index is built lazily
+    /// per boundness signature, because rows in one solution set can
+    /// differ in which endpoint variables they bind (OPTIONAL, UNION).
+    fn match_triple_pattern_hash(&mut self, tp: &TriplePattern, rows: Rows) -> Result<Rows> {
         let Path::Iri(p) = &tp.path else {
             // The planner only marks plain predicates; stay correct anyway.
             return self.match_triple_pattern(tp, rows);
@@ -787,44 +819,35 @@ impl<'a, G: GraphView> Ctx<'a, G> {
         HASH_JOINS.fetch_add(1, Ordering::Relaxed);
         let Some(p_id) = self.lookup_const(p) else {
             // Unknown predicate: every row finds nothing.
-            return Ok(Vec::new());
+            return Ok(Rows::new(rows.width));
         };
         let s = self.endpoint(&tp.subject)?;
         let o = self.endpoint(&tp.object)?;
         let triples = self.g.match_pattern(s.ground, Some(p_id), o.ground);
         let scan = PredicateScan { s, o, triples };
-        let mut by_s: Option<HashMap<TermId, Vec<usize>>> = None;
-        let mut by_o: Option<HashMap<TermId, Vec<usize>>> = None;
-        let mut by_so: Option<HashSet<(TermId, TermId)>> = None;
-        let mut out = Vec::new();
-        let mut uncharged: usize = 0;
-        for b in rows {
-            let produced_before = out.len();
-            match scan.bound_in(&b) {
+        // The scan sorted by subject, by object and by both.
+        let (mut by_s, mut by_o, mut by_so) = (None, None, None);
+        let (mut out, mut charged) = (Rows::new(rows.width), 0);
+        for b in rows.iter() {
+            match scan.bound_in(b) {
                 (Some(sv), Some(ov)) => {
-                    let set = by_so
-                        .get_or_insert_with(|| scan.triples.iter().map(|t| (t[0], t[2])).collect());
-                    if set.contains(&(sv, ov)) {
+                    if !scan.probe(&mut by_so, (0, 2), (sv, ov)).is_empty() {
                         out.push(b);
                     }
                 }
                 (Some(sv), None) => {
-                    let map = by_s.get_or_insert_with(|| index_scan(&scan.triples, 0));
-                    scan.extend(&mut out, &b, map.get(&sv).into_iter().flatten().copied());
+                    let hits = scan.probe(&mut by_s, (0, 0), (sv, sv));
+                    scan.extend(&mut out, b, hits.iter().copied());
                 }
                 (None, Some(ov)) => {
-                    let map = by_o.get_or_insert_with(|| index_scan(&scan.triples, 2));
-                    scan.extend(&mut out, &b, map.get(&ov).into_iter().flatten().copied());
+                    let hits = scan.probe(&mut by_o, (2, 2), (ov, ov));
+                    scan.extend(&mut out, b, hits.iter().copied());
                 }
-                (None, None) => scan.extend(&mut out, &b, 0..scan.triples.len()),
+                (None, None) => scan.extend(&mut out, b, 0..scan.triples.len()),
             }
-            uncharged += out.len() - produced_before;
-            if uncharged >= CHARGE_BATCH {
-                self.charge_solutions(uncharged)?;
-                uncharged = 0;
-            }
+            self.charge_rows(&out, &mut charged, false)?;
         }
-        self.charge_solutions(uncharged)?;
+        self.charge_rows(&out, &mut charged, true)?;
         Ok(out)
     }
 
@@ -873,6 +896,24 @@ impl<'a, G: GraphView> Ctx<'a, G> {
         *(self.memo.terms)
             .entry(node)
             .or_insert_with(|| resolve(&mut self.g))
+    }
+
+    /// `v` as a term id; a computed integer is interned once per execution.
+    fn intern_value(&mut self, v: Value) -> TermId {
+        match v {
+            Value::Int(i) => {
+                *(self.memo.ints.entry(i)).or_insert_with(|| self.g.intern(&Term::integer(i)))
+            }
+            v => v.into_term_id(&mut self.g),
+        }
+    }
+
+    /// A REGEX / REPLACE flags argument's text: empty when absent, `None`
+    /// when it is not a string.
+    fn flags(&self, arg: Option<&Value>) -> Option<String> {
+        arg.map_or(Some(String::new()), |v| {
+            as_string(&self.g, v).map(|(f, _)| f)
+        })
     }
 
     /// The compiled `pattern` under `flags`, or `None` when it does not
@@ -962,15 +1003,8 @@ impl<'a, G: GraphView> Ctx<'a, G> {
     /// Pairs related by a zero-length path: every graph node to itself.
     fn zero_length_pairs(&self, s: Option<TermId>, o: Option<TermId>) -> Vec<(TermId, TermId)> {
         match (s, o) {
-            (Some(a), Some(b)) => {
-                if a == b {
-                    vec![(a, a)]
-                } else {
-                    Vec::new()
-                }
-            }
-            (Some(a), None) => vec![(a, a)],
-            (None, Some(b)) => vec![(b, b)],
+            (Some(a), Some(b)) if a != b => Vec::new(),
+            (Some(a), _) | (None, Some(a)) => vec![(a, a)],
             (None, None) => self.all_nodes().into_iter().map(|n| (n, n)).collect(),
         }
     }
@@ -1015,14 +1049,11 @@ impl<'a, G: GraphView> Ctx<'a, G> {
                 if self.guard_tripped() {
                     break;
                 }
-                let steps: Vec<TermId> = if backward {
-                    let pairs = self.eval_path(inner, None, Some(node));
-                    pairs.into_iter().map(|(prev, _)| prev).collect()
-                } else {
-                    let pairs = self.eval_path(inner, Some(node), None);
-                    pairs.into_iter().map(|(_, next)| next).collect()
+                let pairs = match backward {
+                    true => self.eval_path(inner, None, Some(node)),
+                    false => self.eval_path(inner, Some(node), None),
                 };
-                for next in steps {
+                for next in pairs.into_iter().map(|(a, b)| if backward { a } else { b }) {
                     if reached.insert(next) {
                         frontier.push(next);
                     }
@@ -1043,7 +1074,7 @@ impl<'a, G: GraphView> Ctx<'a, G> {
     // ---- expressions ----------------------------------------------------
 
     /// Evaluates an expression; `None` is the SPARQL "error" value.
-    fn eval_expr(&mut self, e: &Expr, b: &Binding) -> Option<Value> {
+    fn eval_expr(&mut self, e: &Expr, b: &Row) -> Option<Value> {
         match e {
             Expr::Var(v) => self.vars.get(v).and_then(|s| b[s]).map(Value::Term),
             Expr::Iri(iri) => self
@@ -1126,13 +1157,7 @@ impl<'a, G: GraphView> Ctx<'a, G> {
                 l.lexical.parse().map_or_else(|_| plain(), Value::Num)
             }
             (Some(_), _) | (None, None) => plain(),
-            (None, Some(dt)) => {
-                let term = Term::Literal(feo_rdf::Literal::typed(
-                    l.lexical.clone(),
-                    feo_rdf::Iri::new(dt.clone()),
-                ));
-                Value::Term(self.g.intern(&term))
-            }
+            (None, Some(_)) => Value::Term(self.g.intern(&literal_pattern_to_term(l))),
         }
     }
 
@@ -1179,7 +1204,7 @@ impl<'a, G: GraphView> Ctx<'a, G> {
         }))
     }
 
-    fn call(&mut self, builtin: Builtin, args: &[Expr], b: &Binding) -> Option<Value> {
+    fn call(&mut self, builtin: Builtin, args: &[Expr], b: &Row) -> Option<Value> {
         use Builtin::*;
         // BOUND and COALESCE/IF must control evaluation of their args.
         match builtin {
@@ -1188,14 +1213,7 @@ impl<'a, G: GraphView> Ctx<'a, G> {
                 let bound = self.vars.get(v).and_then(|s| b[s]).is_some();
                 return Some(Value::Bool(bound));
             }
-            Coalesce => {
-                for a in args {
-                    if let Some(v) = self.eval_expr(a, b) {
-                        return Some(v);
-                    }
-                }
-                return None;
-            }
+            Coalesce => return args.iter().find_map(|a| self.eval_expr(a, b)),
             If => {
                 if args.len() != 3 {
                     return None;
@@ -1216,19 +1234,13 @@ impl<'a, G: GraphView> Ctx<'a, G> {
             Bound | Coalesce | If => None,
             Str => str_builtin(&self.g, vals.first()?).map(|s| Value::Str { s, lang: None }),
             Lang => {
-                let v = vals.first()?;
-                let lang = match v {
-                    Value::Term(id) => match self.g.term(*id) {
-                        Term::Literal(l) => l.language().unwrap_or("").to_string(),
-                        _ => return None,
-                    },
-                    Value::Str { lang, .. } => lang.clone().unwrap_or_default(),
+                let s = match vals.first()? {
+                    Value::Term(id) => self.g.term(*id).as_literal()?.language(),
+                    Value::Str { lang, .. } => lang.as_deref(),
                     _ => return None,
                 };
-                Some(Value::Str {
-                    s: lang,
-                    lang: None,
-                })
+                let s = s.unwrap_or_default().to_string();
+                Some(Value::Str { s, lang: None })
             }
             LangMatches => {
                 let (tag, _) = as_string(&self.g, vals.first()?)?;
@@ -1244,22 +1256,13 @@ impl<'a, G: GraphView> Ctx<'a, G> {
                 Some(Value::Bool(m))
             }
             Datatype => {
-                let v = vals.first()?;
-                let dt = match v {
-                    Value::Term(id) => match self.g.term(*id) {
-                        Term::Literal(l) => l.datatype().as_str().to_string(),
-                        _ => return None,
-                    },
-                    Value::Bool(_) => xsd::BOOLEAN.to_string(),
-                    Value::Int(_) => xsd::INTEGER.to_string(),
-                    Value::Num(_) => xsd::DOUBLE.to_string(),
-                    Value::Str { lang: None, .. } => xsd::STRING.to_string(),
-                    Value::Str { lang: Some(_), .. } => {
-                        feo_rdf::vocab::rdf::LANG_STRING.to_string()
-                    }
+                // A computed value's datatype is the one of the term it makes.
+                let id = match vals.into_iter().next()? {
                     Value::IriStr(_) => return None,
+                    v => self.intern_value(v),
                 };
-                Some(Value::IriStr(dt))
+                let dt = self.g.term(id).as_literal()?.datatype().as_str();
+                Some(Value::IriStr(dt.to_string()))
             }
             Iri => {
                 let s = str_builtin(&self.g, vals.first()?)?;
@@ -1273,19 +1276,14 @@ impl<'a, G: GraphView> Ctx<'a, G> {
                 let (s, _) = as_string(&self.g, vals.first()?)?;
                 Some(Value::Int(s.chars().count() as i64))
             }
-            UCase => {
+            UCase | LCase => {
                 let (s, lang) = as_string(&self.g, vals.first()?)?;
-                Some(Value::Str {
-                    s: s.to_uppercase(),
-                    lang,
-                })
-            }
-            LCase => {
-                let (s, lang) = as_string(&self.g, vals.first()?)?;
-                Some(Value::Str {
-                    s: s.to_lowercase(),
-                    lang,
-                })
+                let s = if builtin == UCase {
+                    s.to_uppercase()
+                } else {
+                    s.to_lowercase()
+                };
+                Some(Value::Str { s, lang })
             }
             Contains | StrStarts | StrEnds | StrBefore | StrAfter => {
                 let (h, lang) = as_string(&self.g, vals.first()?)?;
@@ -1321,29 +1319,22 @@ impl<'a, G: GraphView> Ctx<'a, G> {
                 let (s, lang) = as_string(&self.g, vals.first()?)?;
                 let (pat, _) = as_string(&self.g, vals.get(1)?)?;
                 let (rep, _) = as_string(&self.g, vals.get(2)?)?;
-                let flags = match vals.get(3) {
-                    Some(v) => as_string(&self.g, v)?.0,
-                    None => String::new(),
-                };
+                let flags = self.flags(vals.get(3))?;
                 Some(Value::Str {
                     s: self.regex(pat, flags)?.replace_all(&s, &rep),
                     lang,
                 })
             }
             Concat => {
-                let mut out = String::new();
-                for v in &vals {
-                    out.push_str(&str_builtin(&self.g, v)?);
-                }
-                Some(Value::Str { s: out, lang: None })
+                let s = (vals.iter())
+                    .map(|v| str_builtin(&self.g, v))
+                    .collect::<Option<_>>()?;
+                Some(Value::Str { s, lang: None })
             }
             Regex => {
                 let (text, _) = as_string(&self.g, vals.first()?)?;
                 let (pat, _) = as_string(&self.g, vals.get(1)?)?;
-                let flags = match vals.get(2) {
-                    Some(v) => as_string(&self.g, v)?.0,
-                    None => String::new(),
-                };
+                let flags = self.flags(vals.get(2))?;
                 Some(Value::Bool(self.regex(pat, flags)?.is_match(&text)))
             }
             Abs => as_numeric(&self.g, vals.first()?).map(|n| Value::Num(n.abs())),
@@ -1383,7 +1374,7 @@ impl<'a, G: GraphView> Ctx<'a, G> {
         q: &Query,
         projection: &Projection,
         distinct: bool,
-        mut rows: Vec<Binding>,
+        mut rows: Rows,
     ) -> Result<QueryResult> {
         let mut aggs = Vec::new();
         if let Projection::Items(items) = projection {
@@ -1398,22 +1389,9 @@ impl<'a, G: GraphView> Ctx<'a, G> {
                 aggregates(h, &mut aggs);
             }
             rows = self.aggregate_rows(q, projection, &aggs, rows)?;
-        } else if let Projection::Items(items) = projection {
-            // Extend rows with SELECT expression results.
-            for item in items {
-                if let ProjectionItem::Expr(e, v) = item {
-                    let slot = self.vars.get(v).ok_or_else(|| {
-                        SparqlError::eval(format!(
-                            "SELECT expression variable ?{v} is not registered"
-                        ))
-                    })?;
-                    for b in &mut rows {
-                        if let Some(val) = self.eval_expr(e, b) {
-                            b[slot] = Some(val.into_term_id(&mut self.g));
-                        }
-                    }
-                }
-            }
+        } else {
+            let all = 0..rows.len();
+            self.project_exprs(projection, &mut rows, all)?;
         }
         let order = self.order_by(&q.modifiers.order_by, &rows);
 
@@ -1426,24 +1404,13 @@ impl<'a, G: GraphView> Ctx<'a, G> {
                     .map(|(i, n)| (n.clone(), i))
                     .unzip()
             }
-            Projection::Items(items) => {
-                let pairs: Vec<(String, usize)> = items
-                    .iter()
-                    .map(|i| {
-                        let name = match i {
-                            ProjectionItem::Var(v) => v.clone(),
-                            ProjectionItem::Expr(_, v) => v.clone(),
-                        };
-                        let slot = self.vars.get(&name).ok_or_else(|| {
-                            SparqlError::eval(format!(
-                                "projected variable ?{name} is not registered"
-                            ))
-                        })?;
-                        Ok((name, slot))
-                    })
-                    .collect::<Result<_>>()?;
-                pairs.into_iter().unzip()
-            }
+            Projection::Items(items) => (items.iter())
+                .map(|(ProjectionItem::Var(v) | ProjectionItem::Expr(_, v))| {
+                    Ok((v.clone(), self.slot_of(v)?))
+                })
+                .collect::<Result<Vec<_>>>()?
+                .into_iter()
+                .unzip(),
         };
 
         // Projected rows, in order, side by side in one buffer; DISTINCT
@@ -1451,7 +1418,7 @@ impl<'a, G: GraphView> Ctx<'a, G> {
         let w = slots.len();
         let flat: Vec<Option<TermId>> = (order.iter())
             .flat_map(|&r| {
-                let b = &rows[r];
+                let b = rows.row(r);
                 slots.iter().map(move |&s| b[s])
             })
             .collect();
@@ -1481,7 +1448,7 @@ impl<'a, G: GraphView> Ctx<'a, G> {
     /// expression's value interned (an error is unbound). Each distinct
     /// id is decoded once into an [`OrderKey`], the keys are ranked (equal
     /// keys, equal ranks) and rows sort stably on their ranks.
-    fn order_by(&mut self, conditions: &[OrderCondition], rows: &[Binding]) -> Vec<usize> {
+    fn order_by(&mut self, conditions: &[OrderCondition], rows: &Rows) -> Vec<usize> {
         let mut order: Vec<usize> = (0..rows.len()).collect();
         let k = conditions.len();
         if k == 0 {
@@ -1495,7 +1462,7 @@ impl<'a, G: GraphView> Ctx<'a, G> {
                     rows.iter().map(|b| slot.and_then(|s| b[s])).collect()
                 }
                 e => (rows.iter())
-                    .map(|b| self.eval_expr(e, b).map(|v| v.into_term_id(&mut self.g)))
+                    .map(|b| self.eval_expr(e, b).map(|v| self.intern_value(v)))
                     .collect(),
             };
             let mut distinct = ids.clone();
@@ -1520,121 +1487,126 @@ impl<'a, G: GraphView> Ctx<'a, G> {
         order
     }
 
+    /// One row per group, in the order groups first appear: the group's
+    /// keys bound, its aggregates folded row by row into accumulators,
+    /// then HAVING and the projection's expressions.
     fn aggregate_rows(
         &mut self,
         q: &Query,
         projection: &Projection,
         aggs: &[&AggregateExpr],
-        rows: Vec<Binding>,
-    ) -> Result<Vec<Binding>> {
-        // Compute group keys.
-        let mut groups: Vec<(Vec<Option<TermId>>, Vec<Binding>)> = Vec::new();
-        let mut index: HashMap<Vec<Option<TermId>>, usize> = HashMap::new();
-        for b in rows {
-            let mut key = Vec::new();
-            for gc in &q.modifiers.group_by {
-                let v = match gc {
+        rows: Rows,
+    ) -> Result<Rows> {
+        let group_by = &q.modifiers.group_by;
+        // Per group, by its key: a row binding the key, and `aggs.len()`
+        // accumulators.
+        let mut index: FxMap<Vec<Option<TermId>>, usize> = FxMap::default();
+        let (mut groups, mut accs) = (Rows::new(rows.width), Vec::new());
+        let (empty, mut key) = (vec![None; rows.width], Vec::with_capacity(group_by.len()));
+        // With no GROUP BY: one group, even over no rows.
+        if group_by.is_empty() {
+            index.insert(Vec::new(), 0);
+            groups.push(&empty);
+            accs.extend(aggs.iter().map(|&a| Acc::new(a)));
+        }
+        for b in rows.iter() {
+            key.clear();
+            for gc in group_by {
+                key.push(match gc {
                     GroupCondition::Var(v) => self.vars.get(v).and_then(|s| b[s]),
                     GroupCondition::Expr(e, _) => {
-                        self.eval_expr(e, &b).map(|v| v.into_term_id(&mut self.g))
+                        self.eval_expr(e, b).map(|v| self.intern_value(v))
                     }
-                };
-                key.push(v);
+                });
             }
-            match index.get(&key) {
-                Some(&i) => groups[i].1.push(b),
+            let g = match index.get(key.as_slice()) {
+                Some(&g) => g,
                 None => {
-                    index.insert(key.clone(), groups.len());
-                    groups.push((key, vec![b]));
+                    let first = groups.push(&empty);
+                    for (gc, &k) in group_by.iter().zip(&key) {
+                        if let GroupCondition::Var(v) | GroupCondition::Expr(_, Some(v)) = gc {
+                            if let Some(slot) = self.vars.get(v) {
+                                first[slot] = k;
+                            }
+                        }
+                    }
+                    accs.extend(aggs.iter().map(|&a| Acc::new(a)));
+                    index.insert(key.clone(), groups.len() - 1);
+                    groups.len() - 1
                 }
+            };
+            let group = &mut accs[g * aggs.len()..(g + 1) * aggs.len()];
+            for (acc, agg) in group.iter_mut().zip(aggs) {
+                acc.add(agg.expr.as_ref().map(|e| self.eval_expr(e, b)));
             }
-        }
-        // With no GROUP BY but aggregates present: one implicit group.
-        if q.modifiers.group_by.is_empty() && groups.is_empty() {
-            groups.push((Vec::new(), Vec::new()));
-        } else if q.modifiers.group_by.is_empty() {
-            let all: Vec<Binding> = groups.drain(..).flat_map(|(_, v)| v).collect();
-            groups.push((Vec::new(), all));
         }
 
-        let mut out = Vec::new();
-        'group: for (key, members) in groups {
-            let mut row: Binding = vec![None; self.vars.len()];
-            // Bind group keys.
-            for (gc, k) in q.modifiers.group_by.iter().zip(key.iter()) {
-                match gc {
-                    GroupCondition::Var(v) => {
-                        if let Some(slot) = self.vars.get(v) {
-                            row[slot] = *k;
-                        }
-                    }
-                    GroupCondition::Expr(_, Some(alias)) => {
-                        if let Some(slot) = self.vars.get(alias) {
-                            row[slot] = *k;
-                        }
-                    }
-                    GroupCondition::Expr(_, None) => {}
-                }
-            }
-            self.aggregated = (aggs.iter())
-                .map(|&a| (a as *const _ as usize, self.eval_aggregate(a, &members)))
+        let (mut accs, mut kept) = (accs.into_iter(), Vec::with_capacity(groups.len()));
+        for g in 0..groups.len() {
+            self.aggregated = (aggs.iter().zip(accs.by_ref()))
+                .map(|(&a, acc)| (a as *const _ as usize, self.finish(a, acc)))
                 .collect();
-            // HAVING.
-            for h in &q.modifiers.having {
-                let v = self.eval_expr(h, &row);
-                if v.and_then(|v| ebv(&self.g, &v)) != Some(true) {
-                    continue 'group;
-                }
+            let passes = (q.modifiers.having.iter()).all(|h| {
+                let v = self.eval_expr(h, groups.row(g));
+                v.and_then(|v| ebv(&self.g, &v)) == Some(true)
+            });
+            if passes {
+                self.project_exprs(projection, &mut groups, g..g + 1)?;
             }
-            // Projection expressions.
-            if let Projection::Items(items) = projection {
-                for item in items {
-                    if let ProjectionItem::Expr(e, v) = item {
-                        let slot = self.vars.get(v).ok_or_else(|| {
-                            SparqlError::eval(format!(
-                                "aggregate projection variable ?{v} is not registered"
-                            ))
-                        })?;
-                        if let Some(val) = self.eval_expr(e, &row) {
-                            row[slot] = Some(val.into_term_id(&mut self.g));
-                        }
-                    }
-                }
-            }
-            out.push(row);
+            kept.push(passes);
         }
         self.aggregated.clear();
-        Ok(out)
+        let mut kept = kept.into_iter();
+        groups.retain(|_| kept.next() == Some(true));
+        Ok(groups)
     }
 
-    fn eval_aggregate(&mut self, agg: &AggregateExpr, members: &[Binding]) -> Option<Value> {
-        let mut values: Vec<Value> = Vec::new();
-        match &agg.expr {
-            None => {
-                // COUNT(*)
-                return Some(Value::Int(members.len() as i64));
-            }
-            Some(e) => {
-                for m in members {
-                    if let Some(v) = self.eval_expr(e, m) {
-                        values.push(v);
+    /// Binds each SELECT expression's variable, item by item, on the rows
+    /// `at` of `rows`.
+    fn project_exprs(
+        &mut self,
+        projection: &Projection,
+        rows: &mut Rows,
+        at: std::ops::Range<usize>,
+    ) -> Result<()> {
+        let Projection::Items(items) = projection else {
+            return Ok(());
+        };
+        for item in items {
+            if let ProjectionItem::Expr(e, v) = item {
+                let slot = self.slot_of(v)?;
+                for i in at.clone() {
+                    if let Some(val) = self.eval_expr(e, rows.row(i)) {
+                        rows.row_mut(i)[slot] = Some(self.intern_value(val));
                     }
                 }
             }
         }
+        Ok(())
+    }
+
+    /// The slot of a variable the query mentions.
+    fn slot_of(&self, v: &str) -> Result<usize> {
+        (self.vars.get(v)).ok_or_else(|| SparqlError::eval(format!("?{v} is not registered")))
+    }
+
+    /// An aggregate's value over the group `acc` folded.
+    fn finish(&self, agg: &AggregateExpr, acc: Acc) -> Option<Value> {
+        let mut values = match acc {
+            Acc::Count(n) => return Some(Value::Int(n)),
+            Acc::Values(values) => values,
+        };
         if agg.distinct {
-            let mut seen: Vec<Value> = Vec::new();
-            values.retain(|v| {
-                if seen
+            let mut kept: Vec<Value> = Vec::new();
+            for v in values {
+                if !kept
                     .iter()
-                    .any(|s| values_equal(&self.g, s, v) == Some(true))
+                    .any(|k| values_equal(&self.g, k, &v) == Some(true))
                 {
-                    false
-                } else {
-                    seen.push(v.clone());
-                    true
+                    kept.push(v);
                 }
-            });
+            }
+            values = kept;
         }
         match agg.kind {
             AggregateKind::Count => Some(Value::Int(values.len() as i64)),
@@ -1651,12 +1623,11 @@ impl<'a, G: GraphView> Ctx<'a, G> {
                 }
             }
             AggregateKind::Min | AggregateKind::Max => {
-                let wins = match agg.kind {
+                let wins = Some(match agg.kind {
                     AggregateKind::Min => std::cmp::Ordering::Less,
                     _ => std::cmp::Ordering::Greater,
-                };
-                let better =
-                    |v: &Value, best: &Value| values_compare(&self.g, v, best) == Some(wins);
+                });
+                let better = |v: &Value, best: &Value| values_compare(&self.g, v, best) == wins;
                 values
                     .into_iter()
                     .reduce(|best, v| if better(&v, &best) { v } else { best })
@@ -1676,7 +1647,7 @@ impl<'a, G: GraphView> Ctx<'a, G> {
 
     // ---- CONSTRUCT --------------------------------------------------------
 
-    fn construct(&mut self, template: &[TriplePattern], rows: Vec<Binding>) -> Result<QueryResult> {
+    fn construct(&mut self, template: &[TriplePattern], rows: Rows) -> Result<QueryResult> {
         let mut out = Graph::new();
         for (row_idx, b) in rows.iter().enumerate() {
             for tp in template {
@@ -1705,7 +1676,7 @@ impl<'a, G: GraphView> Ctx<'a, G> {
         Ok(QueryResult::Graph(Box::new(out)))
     }
 
-    fn template_term(&self, tp: &TermPattern, b: &Binding, row: usize) -> Option<Term> {
+    fn template_term(&self, tp: &TermPattern, b: &Row, row: usize) -> Option<Term> {
         match tp {
             TermPattern::Var(v) => self
                 .vars
@@ -1713,8 +1684,7 @@ impl<'a, G: GraphView> Ctx<'a, G> {
                 .and_then(|s| b[s])
                 .map(|id| self.g.term(id).clone()),
             TermPattern::Blank(l) => Some(Term::bnode(format!("c{row}_{l}"))),
-            TermPattern::Iri(i) => Some(Term::iri(i.clone())),
-            TermPattern::Literal(l) => Some(literal_pattern_to_term(l)),
+            ground => ground_to_term(ground),
         }
     }
 }
@@ -1739,7 +1709,7 @@ struct Endpoint {
 
 impl Endpoint {
     /// The id row `b` fixes this position to, if any.
-    fn value(self, b: &Binding) -> Option<TermId> {
+    fn value(self, b: &Row) -> Option<TermId> {
         self.ground.or_else(|| self.slot.and_then(|slot| b[slot]))
     }
 }
@@ -1750,7 +1720,7 @@ impl Endpoint {
 type SlotKey = [Option<TermId>; KEY_SLOTS];
 pub(crate) const KEY_SLOTS: usize = 4;
 
-fn slot_key(slots: &[usize], b: &Binding) -> SlotKey {
+fn slot_key(slots: &[usize], b: &Row) -> SlotKey {
     let mut key = [None; KEY_SLOTS];
     for (k, &s) in key.iter_mut().zip(slots) {
         *k = b.get(s).copied().flatten();
@@ -1770,22 +1740,42 @@ struct PredicateScan {
 
 impl PredicateScan {
     /// What row `b` binds the subject and object variables to.
-    fn bound_in(&self, b: &Binding) -> (Option<TermId>, Option<TermId>) {
+    fn bound_in(&self, b: &Row) -> (Option<TermId>, Option<TermId>) {
         (
             self.s.slot.and_then(|slot| b[slot]),
             self.o.slot.and_then(|slot| b[slot]),
         )
     }
 
+    /// The scan triples whose columns `(a, c)` hold `key`, in scan order,
+    /// through `index`: the triple numbers stably sorted on those columns,
+    /// built on first use.
+    fn probe<'i>(
+        &self,
+        index: &'i mut Option<Vec<usize>>,
+        (a, c): (usize, usize),
+        key: (TermId, TermId),
+    ) -> &'i [usize] {
+        let at = |i: &usize| (self.triples[*i][a], self.triples[*i][c]);
+        let index = index.get_or_insert_with(|| {
+            let mut order: Vec<usize> = (0..self.triples.len()).collect();
+            order.sort_by_key(at);
+            order
+        });
+        let start = index.partition_point(|i| at(i) < key);
+        let len = index[start..].partition_point(|i| at(i) == key);
+        &index[start..start + len]
+    }
+
     /// Pushes `b` extended by each scan triple in `hits`, in order. Both
     /// endpoints go through [`bind`], so a position the row already
     /// fixes is re-checked rather than overwritten.
-    fn extend(&self, out: &mut Vec<Binding>, b: &Binding, hits: impl IntoIterator<Item = usize>) {
+    fn extend(&self, out: &mut Rows, b: &Row, hits: impl IntoIterator<Item = usize>) {
         for i in hits {
             let [ms, _, mo] = self.triples[i];
-            let mut nb = b.clone();
-            if bind(&mut nb, self.s.slot, ms) && bind(&mut nb, self.o.slot, mo) {
-                out.push(nb);
+            let nb = out.push(b);
+            if !(bind(nb, self.s.slot, ms) && bind(nb, self.o.slot, mo)) {
+                out.pop();
             }
         }
     }
@@ -1794,7 +1784,7 @@ impl PredicateScan {
 /// Binds `val` into `slot` (when the position is a variable), reporting
 /// false on a conflict with an existing binding — the shared-variable
 /// case (`?x p ?x`) and probe-side rebinding both funnel through here.
-fn bind(b: &mut Binding, slot: Option<usize>, val: TermId) -> bool {
+fn bind(b: &mut Row, slot: Option<usize>, val: TermId) -> bool {
     let Some(slot) = slot else { return true };
     match b[slot] {
         None => {
@@ -1805,20 +1795,37 @@ fn bind(b: &mut Binding, slot: Option<usize>, val: TermId) -> bool {
     }
 }
 
-/// Hash index over one column of a scan (0 = subject, 2 = object).
-fn index_scan(scan: &[[TermId; 3]], col: usize) -> HashMap<TermId, Vec<usize>> {
-    let mut map: HashMap<TermId, Vec<usize>> = HashMap::new();
-    for (i, t) in scan.iter().enumerate() {
-        map.entry(t[col]).or_default().push(i);
-    }
-    map
-}
-
 /// Solution charging is batched: a guard call per input binding costs
 /// ~2% on small queries, so produced rows accumulate locally and are
 /// charged every `CHARGE_BATCH` rows (bounding overshoot to one batch
 /// plus one binding's matches per charging thread).
 const CHARGE_BATCH: usize = 256;
+
+/// One aggregate's running state over one group: a COUNT without
+/// DISTINCT (or of `*`) is a counter; any other keeps the values it saw.
+enum Acc {
+    Count(i64),
+    Values(Vec<Value>),
+}
+
+impl Acc {
+    fn new(agg: &AggregateExpr) -> Acc {
+        match (&agg.expr, agg.kind, agg.distinct) {
+            (None, ..) | (_, AggregateKind::Count, false) => Acc::Count(0),
+            _ => Acc::Values(Vec::new()),
+        }
+    }
+
+    /// Folds in one row: `None` for `*`, else its value (`None`: an error
+    /// or unbound, which no aggregate counts).
+    fn add(&mut self, value: Option<Option<Value>>) {
+        match (self, value) {
+            (Acc::Count(n), None | Some(Some(_))) => *n += 1,
+            (Acc::Values(values), Some(Some(v))) => values.push(v),
+            _ => {}
+        }
+    }
+}
 
 /// Appends the aggregates `e` computes to `out`.
 fn aggregates<'q>(e: &'q Expr, out: &mut Vec<&'q AggregateExpr>) {

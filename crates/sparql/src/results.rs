@@ -1,8 +1,8 @@
 //! Query result representation and formatting.
 //!
-//! [`SolutionTable`] owns its terms (cloned out of the graph dictionary)
-//! so results outlive the queried graph. The `Display` implementation
-//! renders the aligned text tables used throughout the paper's listings.
+//! [`SolutionTable`] owns its terms, so results outlive the queried graph;
+//! a cell is the dictionary's term cloned, a count bump on its shared
+//! strings. `Display` renders the paper's aligned listing tables.
 
 use std::borrow::Cow;
 use std::fmt;

@@ -37,24 +37,13 @@ impl Value {
             Value::Term(id) => id,
             Value::Bool(b) => g.intern(&Term::boolean(b)),
             Value::Int(i) => g.intern(&Term::integer(i)),
-            Value::Num(n) => g.intern(&Term::Literal(Literal::typed(
-                format_num(n),
-                feo_rdf::Iri::new(xsd::DOUBLE),
-            ))),
+            Value::Num(n) => g.intern(&Term::double(n)),
             Value::Str { s, lang } => match lang {
                 Some(l) => g.intern(&Term::Literal(Literal::lang(s, l))),
                 None => g.intern(&Term::simple(s)),
             },
             Value::IriStr(iri) => g.intern(&Term::iri(iri)),
         }
-    }
-}
-
-fn format_num(n: f64) -> String {
-    if n == n.trunc() && n.is_finite() && n.abs() < 1e15 {
-        format!("{n:.1}")
-    } else {
-        format!("{n}")
     }
 }
 
@@ -111,7 +100,7 @@ pub fn str_builtin<G: GraphView + ?Sized>(g: &G, v: &Value) -> Option<String> {
         Value::IriStr(i) => Some(i.clone()),
         Value::Bool(b) => Some(b.to_string()),
         Value::Int(i) => Some(i.to_string()),
-        Value::Num(n) => Some(format_num(*n)),
+        Value::Num(n) => Some(Literal::double(*n).lexical_form().to_string()),
         Value::Term(id) => match g.term(*id) {
             Term::Iri(i) => Some(i.as_str().to_string()),
             Term::Literal(l) => Some(l.lexical_form().to_string()),

@@ -10,7 +10,9 @@
 //! the planner's join operators and with each operator forced onto
 //! every step, ordered by up to three keys and sliced; every run must
 //! return the oracle's rows: its `ORDER BY` runs in order, each run as a
-//! multiset.
+//! multiset. Grouped queries count with and without `DISTINCT`, count
+//! `*`, count a variable the tail may leave unbound, and group by two
+//! keys whose second may be unbound.
 
 mod oracle;
 
@@ -57,9 +59,11 @@ type PatternSpec = (usize, bool, u8);
 /// A generated query: its patterns, how the tail is wrapped (0 plain,
 /// 1 `OPTIONAL`, 2 `UNION`, 3 `MINUS`, 4 `NOT EXISTS`, 5 `EXISTS`), an
 /// extra (1 `!BOUND` on the last variable, 2 a numeric filter, 3 a type
-/// pattern), the projection (0 `*`, 1 `DISTINCT`, 2 `COUNT`), the
-/// `ORDER BY` keys (which variable, descending) and the slice (0 none,
-/// 1 `LIMIT`, 2 `OFFSET`, 3 both).
+/// pattern), the projection (0 `*`, 1 `DISTINCT`, then grouped by `?v0`:
+/// 2 `COUNT(DISTINCT ?v1)`, 3 `COUNT` of the last variable, 4 `COUNT(*)`,
+/// 5 `COUNT(?v1)` grouped by the last variable too), the `ORDER BY` keys
+/// (which variable, descending) and the slice (0 none, 1 `LIMIT`, 2
+/// `OFFSET`, 3 both).
 type QuerySpec = (Vec<PatternSpec>, u8, u8, u8, Vec<(u8, bool)>, u8);
 
 fn generated_query(spec: &QuerySpec) -> String {
@@ -135,8 +139,8 @@ fn generated_query(spec: &QuerySpec) -> String {
     let keys: Vec<String> = (order.iter())
         .map(|&(v, descending)| {
             let var = match projection {
-                2 if v % 2 == 0 => "?v0".to_string(),
-                2 => "?n".to_string(),
+                2.. if v % 2 == 0 => "?v0".to_string(),
+                2.. => "?n".to_string(),
                 _ => format!("?v{}", v as usize % kinds.len()),
             };
             if descending {
@@ -157,12 +161,18 @@ fn generated_query(spec: &QuerySpec) -> String {
         modifiers.push_str(" OFFSET 3");
     }
     let p = sparql_prologue();
+    let (keys, count) = match projection {
+        2 => ("?v0".to_string(), "DISTINCT ?v1".to_string()),
+        3 => ("?v0".to_string(), format!("?v{last}")),
+        4 => ("?v0".to_string(), "*".to_string()),
+        _ => (format!("?v0 ?v{last}"), "?v1".to_string()),
+    };
     match projection {
+        0 => format!("{p}SELECT * WHERE {{ {body} }}{modifiers}"),
         1 => format!("{p}SELECT DISTINCT ?v0 ?v1 WHERE {{ {body} }}{modifiers}"),
-        2 => format!(
-            "{p}SELECT ?v0 (COUNT(DISTINCT ?v1) AS ?n) WHERE {{ {body} }} GROUP BY ?v0{modifiers}"
+        _ => format!(
+            "{p}SELECT {keys} (COUNT({count}) AS ?n) WHERE {{ {body} }} GROUP BY {keys}{modifiers}"
         ),
-        _ => format!("{p}SELECT * WHERE {{ {body} }}{modifiers}"),
     }
 }
 
@@ -190,6 +200,39 @@ fn delta(overlay: &mut impl GraphStore) {
         overlay.insert_iris(&recipe, food::HAS_INGREDIENT, &ingredient);
         overlay.insert_iris(&ingredient, food::IS_INGREDIENT_OF, &recipe);
     }
+}
+
+/// Every spec's query on a world of `recipes` recipes from generator
+/// seed `seed`: in memory, in a segment, and in an overlay over the
+/// segment, against the oracle.
+fn specs_match_the_oracle(
+    test: &str,
+    recipes: usize,
+    seed: u64,
+    specs: &[QuerySpec],
+) -> Result<(), TestCaseError> {
+    let g = world(recipes, seed);
+    let path = std::env::temp_dir().join(format!(
+        "feo-evaluator-oracle-{test}-{}-{recipes}-{seed}.seg",
+        std::process::id()
+    ));
+    write_segment(&path, &g, g.stats(), 0).expect("segment writes");
+    let seg = Segment::open(&path, true).expect("segment opens");
+    let mut overlay = Overlay::new(&seg);
+    delta(&mut overlay);
+    let checked = specs.iter().try_for_each(|spec| {
+        let text = generated_query(spec);
+        let parsed = parse_query(&text).expect("generated query parses");
+        let base = oracle::ordered(g.iter_triples(), &parsed);
+        engine_matches(&g, &text, &base, "memory")?;
+        engine_matches(&seg, &text, &base, "segment")?;
+        let layered = oracle::ordered(overlay.iter_triples(), &parsed);
+        engine_matches(&overlay, &text, &layered, "segment+overlay")
+    });
+    drop(overlay);
+    drop(seg);
+    let _ = std::fs::remove_file(&path);
+    checked
 }
 
 /// `text` on `view` under every join operator choice, against `expected`.
@@ -235,27 +278,29 @@ proptest! {
             6..7,
         ),
     ) {
-        let g = world(recipes, seed);
-        let path = std::env::temp_dir().join(format!(
-            "feo-evaluator-oracle-{}-{recipes}-{seed}.seg",
-            std::process::id()
-        ));
-        write_segment(&path, &g, g.stats(), 0).expect("segment writes");
-        let seg = Segment::open(&path, true).expect("segment opens");
-        let mut overlay = Overlay::new(&seg);
-        delta(&mut overlay);
-        for spec in &specs {
-            let text = generated_query(spec);
-            let parsed = parse_query(&text).expect("generated query parses");
-            let base = oracle::ordered(g.iter_triples(), &parsed);
-            engine_matches(&g, &text, &base, "memory")?;
-            engine_matches(&seg, &text, &base, "segment")?;
-            let layered = oracle::ordered(overlay.iter_triples(), &parsed);
-            engine_matches(&overlay, &text, &layered, "segment+overlay")?;
-        }
-        drop(overlay);
-        drop(seg);
-        let _ = std::fs::remove_file(&path);
+        specs_match_the_oracle("all", recipes, seed, &specs)?;
+    }
+
+    /// The grouped projections only, so COUNT's four forms and the
+    /// two-key GROUP BY meet every shape (`OPTIONAL` and `UNION` tails
+    /// leave the last variable unbound).
+    #[test]
+    fn generated_grouped_queries_match_the_oracle(
+        recipes in 10usize..20,
+        seed in 0u64..10_000,
+        specs in prop::collection::vec(
+            (
+                prop::collection::vec((0usize..8, any::<bool>(), 0u8..4), 2..5),
+                0u8..6,
+                0u8..4,
+                2u8..6,
+                prop::collection::vec((0u8..5, any::<bool>()), 0..4),
+                0u8..4,
+            ),
+            6..7,
+        ),
+    ) {
+        specs_match_the_oracle("grouped", recipes, seed, &specs)?;
     }
 }
 
