@@ -141,9 +141,14 @@ echo "== persistent store suite (bounded wall-clock)"
 # exhaustive corruption fault injection with typed errors,
 # binary-format fuzzing, and a warm-restart round trip through the real
 # binary (`--store` bootstrap → fresh-process reopen → `feo compact` →
-# byte-identical answers throughout).
-timeout 300 cargo test -q --offline --release --test store_equivalence
-timeout 180 cargo test -q --offline --release -p feo-rdf --test store_corruption
+# byte-identical answers throughout). The segment writer merges sorted
+# runs: its files must be byte-identical to a naive collect-and-sort
+# writer's on generated chains, and one compaction of the benchmark's
+# 16-layer chain must stay under 0.1x the allocations and 0.25x the
+# bytes of that writer (its own binary: the counting allocator sees
+# every thread).
+timeout 300 cargo test -q --offline --release --test store_equivalence --test compaction_allocations
+timeout 180 cargo test -q --offline --release -p feo-rdf --test store_corruption --test segment_merge
 timeout 180 cargo test -q --offline --release -p feo-rdf --test fuzz_store
 timeout 300 cargo test -q --offline --release --test warm_restart
 

@@ -5,7 +5,7 @@ use feo_foodkg::{FoodKg, SystemContext, UserProfile};
 use feo_owl::InferenceResult;
 use feo_rdf::disk::OpenOptions as StoreOpenOptions;
 use feo_rdf::ledger::{BaseStore, Ledger};
-use feo_rdf::{DiskStore, Overlay, Segment, StoreError, WalRecord};
+use feo_rdf::{DiskStore, Overlay, StoreError, WalRecord};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -72,10 +72,9 @@ impl EngineBase {
         if let Some(e) = &opened.recovered {
             inference.warnings.push(format!("wal recovered: {e}"));
         }
-        let mut ledger = Ledger::from_base(BaseStore::Disk(opened.segment.clone()));
+        let ledger = Ledger::replay(BaseStore::Disk(opened.segment.clone()), &opened.records)?;
         let mut commit_log = Vec::new();
         for rec in &opened.records {
-            ledger.commit(rec.terms.clone(), rec.id_triples());
             commit_log.push(CommitNote {
                 label: rec.label.clone(),
                 inferred: rec.inferred as usize,
@@ -120,12 +119,11 @@ impl EngineBase {
             .fold(self.ledger.base().stats().clone(), |acc, layer| {
                 acc.merged_with(layer.stats())
             });
-        store.compact(
+        let segment = store.compact(
             &self.ledger.head_view(),
             &stats,
             self.inference.added as u64,
         )?;
-        let segment = Segment::open(&store.segment_path(), true)?;
         self.ledger = Ledger::from_base(BaseStore::Disk(Arc::new(segment)));
         self.commit_log.clear();
         self.branches.clear();

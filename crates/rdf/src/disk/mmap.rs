@@ -19,6 +19,7 @@ mod sys {
 
     pub const PROT_READ: i32 = 1;
     pub const MAP_PRIVATE: i32 = 2;
+    pub const MADV_DONTNEED: i32 = 4;
 
     extern "C" {
         pub fn mmap(
@@ -30,6 +31,7 @@ mod sys {
             offset: i64,
         ) -> *mut c_void;
         pub fn munmap(addr: *mut c_void, len: usize) -> i32;
+        pub fn madvise(addr: *mut c_void, len: usize, advice: i32) -> i32;
     }
 }
 
@@ -60,6 +62,17 @@ impl MapData {
                 // value owns; munmap happens only in Drop.
                 unsafe { std::slice::from_raw_parts(*ptr, *len) }
             }
+        }
+    }
+
+    /// Drops this process's resident pages of a mapping (a no-op for
+    /// owned bytes). The map is read-only and private, so a later read
+    /// faults the same bytes back in from the file.
+    pub fn release(&self) {
+        #[cfg(unix)]
+        if let MapData::Mapped { ptr, len } = *self {
+            // SAFETY: ptr/len are this value's live mapping.
+            unsafe { sys::madvise(ptr as *mut _, len, sys::MADV_DONTNEED) };
         }
     }
 

@@ -27,6 +27,7 @@
 pub mod codec;
 pub mod mmap;
 pub mod segment;
+mod source;
 pub mod store;
 pub mod wal;
 

@@ -42,10 +42,11 @@ use std::sync::OnceLock;
 
 use super::codec;
 use super::mmap::{map_file, MapData};
+use super::source::{added_terms, SegmentSource};
 use super::{StoreError, FORMAT_VERSION};
-use crate::graph::IdTriple;
+use crate::graph::{Graph, IdTriple};
 use crate::hash::{fnv_bytes, FNV_OFFSET};
-use crate::index::{match_runs, Rotation};
+use crate::index::{match_runs, partition_point, Rotation};
 use crate::intern::TermId;
 use crate::stats::{GraphStats, PredicateStats};
 use crate::term::Term;
@@ -59,16 +60,7 @@ fn le32(b: &[u8], at: usize) -> u32 {
 }
 
 fn le64(b: &[u8], at: usize) -> u64 {
-    u64::from_le_bytes([
-        b[at],
-        b[at + 1],
-        b[at + 2],
-        b[at + 3],
-        b[at + 4],
-        b[at + 5],
-        b[at + 6],
-        b[at + 7],
-    ])
+    u64::from(le32(b, at)) | u64::from(le32(b, at + 4)) << 32
 }
 
 // ---- stats / meta section codecs ------------------------------------
@@ -144,6 +136,11 @@ fn decode_stats(bytes: &[u8]) -> Result<GraphStats, StoreError> {
 
 // ---- writer ----------------------------------------------------------
 
+/// Dictionary entry `id`, by an offset table into `blob`.
+fn entry_at<'a>(offsets: &[u8], blob: &'a [u8], id: usize) -> &'a [u8] {
+    &blob[le64(offsets, id * 8) as usize..le64(offsets, id * 8 + 8) as usize]
+}
+
 /// The segment file being written: buffered, with the body's FNV-1a
 /// kept as the bytes go by so the file is never held in memory.
 struct SegmentWriter<'p> {
@@ -161,49 +158,80 @@ impl SegmentWriter<'_> {
             .map_err(|e| StoreError::io("write", self.tmp, e))
     }
 
-    fn put_run(&mut self, run: &[[u32; 3]]) -> Result<(), StoreError> {
-        let mut record = [0u8; 12];
-        for &[a, b, c] in run {
-            record[..4].copy_from_slice(&a.to_le_bytes());
-            record[4..8].copy_from_slice(&b.to_le_bytes());
-            record[8..].copy_from_slice(&c.to_le_bytes());
-            self.put(&record)?;
+    /// Appends `base` — sorted records of `W` little-endian words, the
+    /// `i`th keyed by `base_key(i)` — in chunks as it is, with the sorted
+    /// `items` merged in, each keyed and encoded by `item`. A key held
+    /// twice is refused.
+    fn put_merged<T: Copy, K: Ord, const W: usize>(
+        &mut self,
+        base: &[u8],
+        base_key: impl Fn(usize) -> K,
+        items: &[T],
+        item: impl Fn(T) -> (K, [[u8; 4]; W]),
+    ) -> Result<(), StoreError> {
+        let (width, len) = (4 * W, base.len() / (4 * W));
+        let (mut at, mut prev) = (0, None);
+        for &t in items {
+            let (key, bytes) = item(t);
+            let pos = at + partition_point(len - at, |i| base_key(at + i) < key);
+            self.put(&base[at * width..pos * width])?;
+            if prev.as_ref() == Some(&key) || (pos < len && base_key(pos) == key) {
+                return Err(StoreError::Corrupt {
+                    what: "segment merge: a triple or term is held twice".to_string(),
+                });
+            }
+            self.put(bytes.as_flattened())?;
+            (at, prev) = (pos, Some(key));
         }
-        Ok(())
+        self.put(&base[at * width..])
     }
 }
 
-/// Writes `view` (with its maintained `stats` and the engine's epoch-0
+/// Writes `source` (with its maintained `stats` and the engine's epoch-0
 /// inferred-triple count) as a segment file at `path`, crash-safely:
 /// the bytes stream into `<path>.tmp` first, are fsynced, and only then
 /// renamed over `path` — a crash mid-write leaves either the old file
 /// or none.
-pub fn write_segment<V: GraphView + ?Sized>(
+///
+/// A merge of what the source holds in order: a segment base is copied
+/// from its map (whose pages are then dropped), and the terms and runs a
+/// graph base or a layer adds are merged in. Stats that disagree with the
+/// triple count, or a triple or term held twice, are refused.
+pub fn write_segment<S: SegmentSource + ?Sized>(
     path: &Path,
-    view: &V,
+    source: &S,
     stats: &GraphStats,
     base_inferred: u64,
 ) -> Result<(), StoreError> {
-    let n = view.term_count();
-
-    // Dictionary in dense id order, plus cumulative offsets.
-    let mut dict_blob = Vec::new();
-    let mut offsets: Vec<u64> = Vec::with_capacity(n + 1);
-    offsets.push(0);
-    for i in 0..n {
-        codec::encode_term(&mut dict_blob, view.term(TermId(i as u32)));
-        offsets.push(dict_blob.len() as u64);
+    let parts @ (segment, graph, layers) = source.parts();
+    // A segment base's sections as mapped; an empty base without one.
+    let ([offsets, blob, perm], runs) = match segment {
+        Some(seg) => {
+            let b = seg.data.bytes();
+            let run = |r: usize| &b[seg.runs[r]..seg.runs[r] + seg.triple_count * 12];
+            let offsets = &b[seg.dict_offsets..seg.dict_blob.start];
+            let (blob, perm) = (&b[seg.dict_blob.clone()], &b[seg.perm..seg.runs[0]]);
+            ([offsets, blob, perm], [run(0), run(1), run(2)])
+        }
+        None => ([&[0u8; 8][..], &[], &[]], [&[][..]; 3]),
+    };
+    let (base_terms, base_triples) = (perm.len() / 4, runs[0].len() / 12);
+    let (mut added_blob, mut added_ends) = (Vec::new(), vec![0]);
+    for term in added_terms(parts) {
+        codec::encode_term(&mut added_blob, term);
+        added_ends.push(added_blob.len());
     }
-
-    // Permutation of ids sorted by encoded bytes (the lookup index).
-    let entry =
-        |id: u32| &dict_blob[offsets[id as usize] as usize..offsets[id as usize + 1] as usize];
-    let mut perm: Vec<u32> = (0..n as u32).collect();
-    perm.sort_unstable_by(|&a, &b| entry(a).cmp(entry(b)));
-
-    let mut run: Vec<[u32; 3]> = view.iter_ids().map(|[s, p, o]| [s.0, p.0, o.0]).collect();
-    run.sort_unstable();
-    run.dedup();
+    let added = |i: u32| &added_blob[added_ends[i as usize]..added_ends[i as usize + 1]];
+    let mut added_order: Vec<u32> = (0..added_ends.len() as u32 - 1).collect();
+    added_order.sort_unstable_by(|&a, &b| added(a).cmp(added(b)));
+    let n = base_terms + added_order.len();
+    let t =
+        base_triples + graph.map_or(0, Graph::len) + layers.iter().map(|l| l.len()).sum::<usize>();
+    if stats.total_triples() != t as u64 {
+        return Err(StoreError::Corrupt {
+            what: "segment merge: stats total disagrees with triple count".to_string(),
+        });
+    }
 
     let mut stats_section = Vec::new();
     encode_stats(&mut stats_section, stats);
@@ -212,7 +240,7 @@ pub fn write_segment<V: GraphView + ?Sized>(
     let tmp = path.with_extension("tmp");
     let file = File::create(&tmp).map_err(|e| StoreError::io("write", &tmp, e))?;
     let mut w = SegmentWriter {
-        out: BufWriter::new(file),
+        out: BufWriter::with_capacity(1 << 16, file),
         tmp: &tmp,
         checksum: FNV_OFFSET,
     };
@@ -222,46 +250,46 @@ pub fn write_segment<V: GraphView + ?Sized>(
     w.out
         .write_all(&head)
         .map_err(|e| StoreError::io("write", &tmp, e))?;
-    w.put(&(n as u64).to_le_bytes())?;
-    w.put(&(run.len() as u64).to_le_bytes())?;
-    w.put(&(stats_section.len() as u64).to_le_bytes())?;
-    w.put(&(meta_section.len() as u64).to_le_bytes())?;
-    for off in &offsets {
-        w.put(&off.to_le_bytes())?;
+    for len in [n, t, stats_section.len(), meta_section.len()] {
+        w.put(&(len as u64).to_le_bytes())?;
     }
-    w.put(&dict_blob)?;
-    for id in &perm {
-        w.put(&id.to_le_bytes())?;
+    w.put(offsets)?;
+    for &end in &added_ends[1..] {
+        w.put(&((blob.len() + end) as u64).to_le_bytes())?;
     }
-    drop((offsets, dict_blob, perm));
-
-    // The three sorted runs, one per `Rotation`, out of one buffer
-    // re-keyed in place: `Rotation::Pos` turns every key one step left,
-    // [s, p, o] → [p, o, s], and a second pass → [o, s, p].
-    w.put_run(&run)?;
-    for _ in 1..Rotation::ALL.len() {
-        for t in &mut run {
-            *t = Rotation::Pos.apply(*t);
-        }
-        run.sort_unstable();
-        w.put_run(&run)?;
+    w.put(blob)?;
+    w.put(&added_blob)?;
+    let entry = |at: usize| entry_at(offsets, blob, le32(perm, at * 4) as usize);
+    w.put_merged(perm, entry, &added_order, |i| {
+        (added(i), [(base_terms as u32 + i).to_le_bytes()])
+    })?;
+    let mut delta = Vec::with_capacity(t - base_triples);
+    for (rotation, run) in Rotation::ALL.into_iter().zip(runs) {
+        let r = rotation as usize;
+        delta.clear();
+        delta.extend(graph.into_iter().flat_map(|g| &g.index().runs[r]));
+        delta.extend(layers.iter().flat_map(|l| l.run(rotation)));
+        delta.sort(); // a merge of the sorted runs just appended
+        let key = |i: usize| [0, 4, 8].map(|k| le32(run, i * 12 + k));
+        w.put_merged(run, key, &delta, |d| (d, d.map(u32::to_le_bytes)))?;
+    }
+    if let Some(seg) = segment {
+        seg.data.release(); // read in full: drop its pages from this process
     }
     w.put(&stats_section)?;
     w.put(&meta_section)?;
 
-    let checksum = w.checksum;
     let mut file = w
         .out
         .into_inner()
         .map_err(|e| StoreError::io("write", &tmp, e.into_error()))?;
     file.seek(SeekFrom::Start(8))
-        .and_then(|_| file.write_all(&checksum.to_le_bytes()))
+        .and_then(|_| file.write_all(&w.checksum.to_le_bytes()))
         .map_err(|e| StoreError::io("write", &tmp, e))?;
     file.sync_all()
         .map_err(|e| StoreError::io("fsync", &tmp, e))?;
     drop(file);
-    std::fs::rename(&tmp, path).map_err(|e| StoreError::io("rename", path, e))?;
-    Ok(())
+    std::fs::rename(&tmp, path).map_err(|e| StoreError::io("rename", path, e))
 }
 
 // ---- Segment ---------------------------------------------------------
@@ -395,11 +423,7 @@ impl Segment {
         // Permutation: in-range ids whose dictionary entries are
         // strictly increasing byte-wise. Strictness over n entries
         // implies all entries are distinct, hence a true permutation.
-        let entry = |id: usize| -> &[u8] {
-            let s = le64(bytes, dict_offsets + id * 8) as usize;
-            let e = le64(bytes, dict_offsets + (id + 1) * 8) as usize;
-            &bytes[blob_start + s..blob_start + e]
-        };
+        let entry = |id| entry_at(&bytes[dict_offsets..], &bytes[blob_start..], id);
         let mut prev_id: Option<usize> = None;
         for i in 0..n {
             let id = le32(bytes, perm + i * 4) as usize;
@@ -504,11 +528,21 @@ impl Segment {
         self.data.is_mapped()
     }
 
+    /// Fills the term cache from `source`, which this segment was written
+    /// from (ids survive the write): every term its segment base had
+    /// decoded and every term its graph or layers add.
+    pub(crate) fn adopt_terms<S: SegmentSource + ?Sized>(&mut self, source: &S) {
+        let parts = source.parts();
+        let base = parts.0.map_or(&[][..], |seg| &seg.terms[..]);
+        let added = added_terms(parts).map(|t| OnceLock::from(t.clone()));
+        for (slot, term) in self.terms.iter_mut().zip(base.iter().cloned().chain(added)) {
+            *slot = term;
+        }
+    }
+
     fn dict_entry(&self, id: usize) -> &[u8] {
-        let bytes = self.data.bytes();
-        let s = le64(bytes, self.dict_offsets + id * 8) as usize;
-        let e = le64(bytes, self.dict_offsets + (id + 1) * 8) as usize;
-        &bytes[self.dict_blob.start + s..self.dict_blob.start + e]
+        let b = self.data.bytes();
+        entry_at(&b[self.dict_offsets..], &b[self.dict_blob.clone()], id)
     }
 
     fn tri_at(&self, run: usize, i: usize) -> [u32; 3] {

@@ -10,14 +10,19 @@
 //! switches both atomically: compaction writes `segment-000001.feo`
 //! plus an empty `wal-000001.feo`, then renames the MANIFEST — a crash
 //! on either side of that rename leaves a fully consistent store (the
-//! old pair, or the new one). Stale pairs are deleted best-effort
-//! afterwards.
+//! old pair, or the new one). Every file is fsynced before a name
+//! points at it, and the directory after the names change (unix), so
+//! the MANIFEST never names a pair that a crash could lose. Stale pairs
+//! are deleted best-effort afterwards.
 
 use std::collections::HashSet;
+use std::fs::File;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use super::segment::{write_segment, Segment};
+use super::source::SegmentSource;
 use super::wal::{self, WalRecord};
 use super::{OpenOptions, StoreError, FORMAT_VERSION};
 use crate::stats::GraphStats;
@@ -75,15 +80,20 @@ fn read_manifest(dir: &Path) -> Result<u64, StoreError> {
         })
 }
 
-fn write_manifest(dir: &Path, index: u64) -> Result<(), StoreError> {
-    let path = manifest_path(dir);
-    let tmp = dir.join("MANIFEST.tmp");
-    let body = format!("feo-store {FORMAT_VERSION}\n{index}\n");
-    std::fs::write(&tmp, body).map_err(|e| StoreError::io("write", &tmp, e))?;
-    if let Ok(f) = std::fs::File::open(&tmp) {
-        f.sync_all().map_err(|e| StoreError::io("fsync", &tmp, e))?;
-    }
-    std::fs::rename(&tmp, &path).map_err(|e| StoreError::io("rename", &path, e))?;
+/// Writes `bytes` as the whole of `path` and fsyncs it.
+fn write_synced(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
+    let mut f = File::create(path).map_err(|e| StoreError::io("write", path, e))?;
+    f.write_all(bytes)
+        .map_err(|e| StoreError::io("write", path, e))?;
+    f.sync_all().map_err(|e| StoreError::io("fsync", path, e))
+}
+
+/// Fsyncs `dir` so that the names made in it survive a crash (unix).
+fn sync_dir(dir: &Path) -> Result<(), StoreError> {
+    #[cfg(unix)]
+    File::open(dir)
+        .and_then(|d| d.sync_all())
+        .map_err(|e| StoreError::io("fsync", dir, e))?;
     Ok(())
 }
 
@@ -108,40 +118,51 @@ impl DiskStore {
         self.dir.join(format!("wal-{:06}.feo", self.index))
     }
 
-    /// Writes a complete store into `dir`: a segment holding `view`
+    /// Publishes this pair, whose segment is already written: writes
+    /// and fsyncs its WAL, fsyncs the directory, switches the MANIFEST
+    /// (tmp, fsync, rename, directory fsync), then removes the pair at
+    /// `old` best-effort.
+    fn publish(&self, wal_bytes: &[u8], old: Option<u64>) -> Result<(), StoreError> {
+        write_synced(&self.wal_path(), wal_bytes)?;
+        sync_dir(&self.dir)?;
+        let tmp = self.dir.join("MANIFEST.tmp");
+        let body = format!("feo-store {FORMAT_VERSION}\n{}\n", self.index);
+        write_synced(&tmp, body.as_bytes())?;
+        let path = manifest_path(&self.dir);
+        std::fs::rename(&tmp, &path).map_err(|e| StoreError::io("rename", &path, e))?;
+        sync_dir(&self.dir)?;
+        if let Some(index) = old {
+            let mut stale = self.clone();
+            stale.index = index;
+            let _ = std::fs::remove_file(stale.segment_path());
+            let _ = std::fs::remove_file(stale.wal_path());
+        }
+        Ok(())
+    }
+
+    /// Writes a complete store into `dir`: a segment holding `source`
     /// plus a WAL holding `records`, published by the MANIFEST rename.
     /// An existing store in the same directory is superseded (new
     /// index) and its files removed best-effort.
-    pub fn save<V: GraphView + ?Sized>(
+    pub fn save<S: SegmentSource + ?Sized>(
         dir: &Path,
-        view: &V,
+        source: &S,
         stats: &GraphStats,
         base_inferred: u64,
         records: &[WalRecord],
     ) -> Result<DiskStore, StoreError> {
         std::fs::create_dir_all(dir).map_err(|e| StoreError::io("mkdir", dir, e))?;
         let old = read_manifest(dir).ok();
-        let index = old.map_or(0, |i| i + 1);
         let store = DiskStore {
             dir: dir.to_path_buf(),
-            index,
+            index: old.map_or(0, |i| i + 1),
         };
-        write_segment(&store.segment_path(), view, stats, base_inferred)?;
+        write_segment(&store.segment_path(), source, stats, base_inferred)?;
         let mut wal_bytes = wal::header().to_vec();
         for rec in records {
             wal_bytes.extend_from_slice(&wal::encode_record(rec));
         }
-        let wal_path = store.wal_path();
-        std::fs::write(&wal_path, &wal_bytes).map_err(|e| StoreError::io("write", &wal_path, e))?;
-        write_manifest(dir, index)?;
-        if let Some(old_index) = old {
-            let stale = DiskStore {
-                dir: dir.to_path_buf(),
-                index: old_index,
-            };
-            let _ = std::fs::remove_file(stale.segment_path());
-            let _ = std::fs::remove_file(stale.wal_path());
-        }
+        store.publish(&wal_bytes, old)?;
         Ok(store)
     }
 
@@ -173,8 +194,7 @@ impl DiskStore {
                 f.sync_all()
                     .map_err(|e| StoreError::io("fsync", &wal_path, e))?;
             } else {
-                std::fs::write(&wal_path, wal::header())
-                    .map_err(|e| StoreError::io("write", &wal_path, e))?;
+                write_synced(&wal_path, &wal::header())?;
             }
         }
         // Each record's triples may only reference the dictionary as it
@@ -211,29 +231,26 @@ impl DiskStore {
         wal::append_record(&self.wal_path(), rec)
     }
 
-    /// Compacts: freezes `view` (the current head, layers folded in) as
-    /// a new base segment with an empty WAL, switches the MANIFEST to
-    /// the new pair, and removes the old one best-effort. On return
-    /// `self` addresses the new pair.
-    pub fn compact<V: GraphView + ?Sized>(
+    /// Compacts: freezes `source` (the current head, layers folded in)
+    /// as a new base segment with an empty WAL, switches the MANIFEST to
+    /// the new pair, and removes the old one best-effort. Returns the new
+    /// segment, opened, with the terms `source` had decoded.
+    pub fn compact<S: SegmentSource + ?Sized>(
         &mut self,
-        view: &V,
+        source: &S,
         stats: &GraphStats,
         base_inferred: u64,
-    ) -> Result<(), StoreError> {
+    ) -> Result<Segment, StoreError> {
         let next = DiskStore {
             dir: self.dir.clone(),
             index: self.index + 1,
         };
-        write_segment(&next.segment_path(), view, stats, base_inferred)?;
-        let wal_path = next.wal_path();
-        std::fs::write(&wal_path, wal::header())
-            .map_err(|e| StoreError::io("write", &wal_path, e))?;
-        write_manifest(&self.dir, next.index)?;
-        let _ = std::fs::remove_file(self.segment_path());
-        let _ = std::fs::remove_file(self.wal_path());
+        write_segment(&next.segment_path(), source, stats, base_inferred)?;
+        next.publish(&wal::header(), Some(self.index))?;
         self.index = next.index;
-        Ok(())
+        let mut segment = Segment::open(&self.segment_path(), true)?;
+        segment.adopt_terms(source);
+        Ok(segment)
     }
 }
 

@@ -137,6 +137,11 @@ impl Graph {
         self.index.iter()
     }
 
+    /// The triple index, read by the segment writer.
+    pub(crate) fn index(&self) -> &TripleIndex {
+        &self.index
+    }
+
     /// Checks the three indexes agree; used by tests and debug assertions.
     pub fn check_index_coherence(&self) -> bool {
         self.index.is_coherent()

@@ -85,7 +85,7 @@ fn pattern_range(
 /// that holds on a prefix of that range. Halves without an early exit,
 /// as `slice::partition_point` does, so the step compiles to a
 /// conditional move rather than a mispredicted branch.
-fn partition_point(len: usize, below: impl Fn(usize) -> bool) -> usize {
+pub(crate) fn partition_point(len: usize, below: impl Fn(usize) -> bool) -> usize {
     if len == 0 {
         return 0;
     }
@@ -124,7 +124,7 @@ pub(crate) fn match_runs<'a>(
 /// statistics its inserts and removals maintain.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct TripleIndex {
-    runs: [BTreeSet<[u32; 3]>; 3],
+    pub(crate) runs: [BTreeSet<[u32; 3]>; 3],
     stats: GraphStats,
 }
 

@@ -22,9 +22,9 @@
 use std::borrow::Cow;
 use std::sync::Arc;
 
-use crate::disk::Segment;
+use crate::disk::{Segment, StoreError, WalRecord};
 use crate::graph::{Graph, IdTriple};
-use crate::hash::{fnv_bytes, FNV_OFFSET};
+use crate::hash::{fnv_bytes, FxSet, FNV_OFFSET};
 use crate::index::{match_runs, Rotation, TripleIndex};
 use crate::intern::{Interner, TermId};
 use crate::stats::{GraphStats, PredicateStats};
@@ -169,7 +169,12 @@ impl Layer {
     /// The delta triples in SPO order as raw ids — what the WAL
     /// persists per commit.
     pub fn spo_raw(&self) -> &[[u32; 3]] {
-        &self.runs[0]
+        self.run(Rotation::Spo)
+    }
+
+    /// The delta triples as keys of `rotation`'s order, sorted.
+    pub(crate) fn run(&self, rotation: Rotation) -> &[[u32; 3]] {
+        &self.runs[rotation as usize]
     }
 }
 
@@ -318,6 +323,26 @@ impl Ledger {
             rdf_type,
             layers: Vec::new(),
         }
+    }
+
+    /// Rebuilds a stored chain: `base` as epoch 0 and the WAL records
+    /// `DiskStore::open` validated committed on it in order. A record
+    /// repeating a triple of the base, an earlier record or itself is
+    /// `Corrupt`: a compaction would count it twice in its stats.
+    pub fn replay(base: BaseStore, records: &[WalRecord]) -> Result<Ledger, StoreError> {
+        let mut ledger = Ledger::from_base(base);
+        let mut seen = FxSet::default();
+        for (k, rec) in records.iter().enumerate() {
+            let triples = rec.id_triples();
+            let held = |&[s, p, o]: &IdTriple| ledger.base.contains_ids(s, p, o);
+            if triples.iter().any(|t| !seen.insert(*t) || held(t)) {
+                return Err(StoreError::Corrupt {
+                    what: format!("wal record {k}: repeats a triple"),
+                });
+            }
+            ledger.commit(rec.terms.clone(), triples);
+        }
+        Ok(ledger)
     }
 
     /// The epoch-0 store.
@@ -530,6 +555,11 @@ impl<'a> LedgerView<'a> {
     /// Number of stacked layers above the base.
     pub fn depth(&self) -> usize {
         self.layers.len()
+    }
+
+    /// The stacked layers, oldest first.
+    pub(crate) fn layers(&self) -> &[&'a Layer] {
+        &self.layers
     }
 }
 

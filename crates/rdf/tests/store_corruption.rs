@@ -17,7 +17,10 @@
 use std::path::PathBuf;
 
 use feo_rdf::disk::{wal, OpenOptions};
-use feo_rdf::{DiskStore, GraphStore, GraphView, Segment, StoreError, Term, WalRecord};
+use feo_rdf::{
+    BaseStore, DiskStore, EpochId, GraphStore, GraphView, Ledger, Segment, StoreError, Term,
+    TermId, WalRecord,
+};
 
 fn tmp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("feo-corrupt-{}-{name}", std::process::id()));
@@ -383,5 +386,85 @@ fn missing_files_are_typed_errors() {
         DiskStore::open(&dir, OpenOptions::default()),
         Err(StoreError::Io { .. })
     ));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A checksum-valid record holding a triple the chain already holds —
+/// in the segment, or in an earlier record — is corrupt: no commit
+/// repeats a triple, and the repeat would count twice in the statistics
+/// a compaction persists, so the compacted store would never reopen.
+#[test]
+fn repeated_wal_triple_is_corrupt() {
+    let g = sample_graph();
+    let base = g.term_count() as u32;
+    let replay = |name: &str, records: &[WalRecord]| {
+        let dir = tmp_dir(name);
+        DiskStore::save(&dir, &g, g.stats(), 0, records).expect("save");
+        let opened = DiskStore::open(&dir, OpenOptions::default()).expect("ids are in range");
+        let replayed = Ledger::replay(BaseStore::Disk(opened.segment), &opened.records);
+        let _ = std::fs::remove_dir_all(&dir);
+        replayed.map(|ledger| ledger.head())
+    };
+    let record = |k: u32, triples: Vec<[u32; 3]>| WalRecord {
+        label: format!("r{k}"),
+        inferred: 0,
+        terms: vec![Term::iri(format!("http://e/extra{k}"))],
+        triples,
+    };
+
+    // `s0 p o0` is the segment's first triple.
+    let in_segment = [record(0, vec![[0, 1, 2], [0, 1, base]])];
+    assert!(matches!(
+        replay("wal-repeat-seg", &in_segment),
+        Err(StoreError::Corrupt { .. })
+    ));
+    let in_earlier = [
+        record(0, vec![[0, 1, base]]),
+        record(1, vec![[0, 1, base], [0, 1, base + 1]]),
+    ];
+    assert!(matches!(
+        replay("wal-repeat-rec", &in_earlier),
+        Err(StoreError::Corrupt { .. })
+    ));
+    let in_itself = [record(0, vec![[0, 1, base], [0, 1, base]])];
+    assert!(matches!(
+        replay("wal-repeat-self", &in_itself),
+        Err(StoreError::Corrupt { .. })
+    ));
+    assert_eq!(replay("wal-sound", &wal_records(&g)), Ok(EpochId(3)));
+}
+
+/// The compaction merge refuses a chain that holds a triple twice or
+/// spills a term its base holds, before anything is renamed: the store
+/// keeps its pair and reopens.
+#[test]
+fn compaction_refuses_a_repeated_triple_or_term() {
+    let g = sample_graph();
+    let dir = tmp_dir("compact-repeat");
+    DiskStore::save(&dir, &g, g.stats(), 0, &[]).expect("save");
+    let iri = |s: &str| g.lookup_iri(s).expect("sample term");
+    let (s0, p, o0) = (iri("http://e/s0"), iri("http://e/p"), iri("http://e/o0"));
+    let attempts: [(Vec<Term>, Vec<[TermId; 3]>); 2] = [
+        (Vec::new(), vec![[s0, p, o0]]),
+        (vec![Term::iri("http://e/s0")], Vec::new()),
+    ];
+    for (terms, delta) in attempts {
+        let mut opened = DiskStore::open(&dir, OpenOptions::default()).expect("store opens");
+        let mut ledger = Ledger::from_base(BaseStore::Disk(opened.segment.clone()));
+        ledger.commit(terms, delta);
+        let stats = (ledger.layers().iter()).fold(ledger.base().stats().clone(), |acc, l| {
+            acc.merged_with(l.stats())
+        });
+        let refused = opened.store.compact(&ledger.head_view(), &stats, 0);
+        assert!(
+            matches!(refused, Err(StoreError::Corrupt { .. })),
+            "{refused:?}"
+        );
+        assert_eq!(opened.store.segment_index(), 0);
+        assert!(!dir.join("segment-000001.feo").exists());
+        let again = DiskStore::open(&dir, OpenOptions::default()).expect("old pair intact");
+        assert_eq!(again.store.segment_index(), 0);
+        assert_eq!(GraphView::len(&*again.segment), g.len());
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
