@@ -294,7 +294,6 @@ impl EngineBase {
     fn reasoner(track_proofs: bool) -> Reasoner {
         Reasoner::with_options(ReasonerOptions {
             track_derivations: track_proofs,
-            ..Default::default()
         })
     }
 

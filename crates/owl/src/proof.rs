@@ -100,7 +100,6 @@ mod tests {
     fn tracked() -> Reasoner {
         Reasoner::with_options(ReasonerOptions {
             track_derivations: true,
-            ..Default::default()
         })
     }
 
@@ -248,7 +247,6 @@ mod deep_proof_tests {
         .unwrap();
         let result = Reasoner::with_options(ReasonerOptions {
             track_derivations: true,
-            ..Default::default()
         })
         .materialize(&mut g, &Default::default())
         .expect("materialize");
@@ -282,7 +280,6 @@ mod deep_proof_tests {
         .unwrap();
         let result = Reasoner::with_options(ReasonerOptions {
             track_derivations: true,
-            ..Default::default()
         })
         .materialize(&mut g, &Default::default())
         .expect("materialize");

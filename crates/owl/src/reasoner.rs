@@ -1,77 +1,58 @@
-//! Forward-chaining materializing reasoner.
-//!
-//! Implements the OWL 2 RL entailment rules the FEO pipeline depends on,
-//! replacing the Pellet reasoner the paper used. The paper's workflow is
-//! "run the reasoner, export the ontology with the inferred axioms, then
-//! run SPARQL over the export" — [`Reasoner::materialize`] is exactly that
-//! export step: it adds every derivable triple to the graph in place.
+//! Forward-chaining materializing reasoner: the OWL 2 RL entailment
+//! rules the FEO pipeline depends on, in place of the paper's Pellet.
+//! [`Reasoner::materialize`] is the paper's export step: it adds every
+//! derivable triple to the graph in place.
 //!
 //! ## Rule coverage
 //!
-//! Schema: subclass/subproperty transitive closure (scm-sco, scm-spo),
-//! equivalence as bidirectional subsumption (scm-eqc, scm-eqp).
-//!
-//! Instance: cax-sco (type inheritance), prp-spo1 (subproperty),
-//! prp-inv (inverses), prp-symp (symmetric), prp-trp (transitive),
-//! prp-dom/prp-rng (domain/range, including complex class expressions via
-//! membership application), prp-spo2 (property chains), prp-fp / prp-ifp
-//! (functional → `owl:sameAs`), eq-sym/eq-rep (sameAs propagation and
-//! triple replication), cls-int1/2, cls-svf1, cls-hv1/2, cls-avf, cls-oo —
-//! realized as generic "satisfies / apply" evaluation of class
-//! expressions on each side of every (Sub|Equivalent)ClassOf axiom.
-//!
-//! Consistency: cax-dw (disjoint classes), prp-pdw (disjoint
-//! properties), cls-nothing2, prp-irp (irreflexive), prp-asyp
-//! (asymmetric), eq-diff1 (sameAs ∧ differentFrom).
+//! The TBox compiles to one rule program ([`CompiledRules`]): bodies of
+//! triple patterns, a triple or ⊥ as head, each rule named for the OWL 2
+//! RL/RDF rule it instantiates. It holds scm-sco and scm-spo as facts;
+//! cax-sco; prp-spo1, -inv, -symp, -trp, -dom, -rng, -spo2, -fp and -ifp;
+//! the cls-* rules of every class expression on either side of an axiom;
+//! and the consistency rules as ⊥ rules: cax-dw, cls-com, prp-pdw,
+//! cls-nothing2, prp-irp, prp-asyp and eq-diff1. eq-sym, eq-trans and
+//! eq-rep-* stay out of it: alias sets copy every triple along
+//! `owl:sameAs`, which a rule would need a variable predicate for.
+//! DESIGN.md lists every rule of the W3C tables and where it stands.
 //!
 //! ## One algorithm, two seeds
 //!
-//! Read as a Datalog program (DaRLing's reading of OWL 2 RL), the
-//! closure is one semi-naïve fixpoint: every pass joins only the triples
-//! added since its last turn against the store. [`Reasoner::materialize`]
-//! starts it from an empty closure, with every triple of the graph, the
-//! schema closure and the asserted `owl:sameAs` pairs as the seed;
-//! [`Reasoner::materialize_delta`] starts it from a closed base, with
-//! the overlay's delta triples and the base's `owl:sameAs` pairs as the
-//! seed. The instance rules run off a worklist, complex class axioms off
-//! per-atom triggers, property chains as a semi-naïve join, and the
-//! consistency rules over every fresh triple.
+//! One semi-naïve loop evaluates the program. A round binds each rule
+//! atom in turn to the triples that are new in it (in the first round,
+//! the seed); atoms to its left read only older triples and atoms to its
+//! right the whole store, so an instantiation is found in the round its
+//! last triple arrives. [`Reasoner::materialize`] asserts the facts and
+//! seeds it with every triple of the graph, all new, so that only first
+//! atoms bind; [`Reasoner::materialize_delta`] seeds it with an overlay's
+//! delta over a closed base.
 
 use std::borrow::Cow;
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
-use std::ops::Range;
 
 use feo_rdf::governor::{Exhausted, Guard, Resource};
 use feo_rdf::hash::{FxMap, FxSet};
-use feo_rdf::vocab::{owl, rdf, rdfs};
 use feo_rdf::{GraphStore, GraphView, Overlay, TermId};
 
-use crate::axiom::{Axiom, ClassExpr, Ontology};
-use crate::extract::extract_axioms;
-
 mod relevance;
+mod rules;
 pub use relevance::ReadSet;
+pub use rules::CompiledRules;
+use rules::{Atom, Check, Head, Rule, Slot};
+
+/// The unguarded safety valve on closure rounds: a closure still
+/// deriving after this many reports `converged: false` (guarded runs cap
+/// rounds with [`feo_rdf::governor::Budget::with_max_rounds`]).
+const MAX_ROUNDS: usize = 64;
 
 /// Tuning knobs for materialization.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ReasonerOptions {
-    /// Abort after this many outer rounds (safety valve; the fixpoint
-    /// normally converges in a handful). Default: 64.
-    pub max_rounds: usize,
     /// Record, for every inferred triple, the rule that produced it and
     /// its premise triples — the analogue of Pellet's axiom explanations.
     /// Default: false (costs memory proportional to the inferred set).
     pub track_derivations: bool,
-}
-
-impl Default for ReasonerOptions {
-    fn default() -> Self {
-        ReasonerOptions {
-            max_rounds: 64,
-            track_derivations: false,
-        }
-    }
 }
 
 /// Why an inferred triple holds: the rule that fired and the premise
@@ -95,7 +76,8 @@ pub struct Inconsistency {
     pub detail: String,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The kinds of violation, in the order a run reports them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum InconsistencyKind {
     DisjointClassesViolation,
     DisjointPropertiesViolation,
@@ -114,10 +96,10 @@ pub struct InferenceResult {
     /// alone, so a round budget trips at the same point on every host.
     pub rounds: usize,
     /// Whether the fixpoint actually converged. `false` means the round
-    /// cap ([`ReasonerOptions::max_rounds`]) cut the loop short and the
-    /// materialized output may be incomplete. The guarded entry points
-    /// surface the same condition as a typed
-    /// [`Exhausted`] with [`Resource::Rounds`] instead.
+    /// cap (64 rounds) cut the loop short and the materialized
+    /// output may be incomplete. The guarded entry points surface the
+    /// same condition as a typed [`Exhausted`] with [`Resource::Rounds`]
+    /// instead.
     pub converged: bool,
     /// Number of axioms extracted from the graph.
     pub axiom_count: usize,
@@ -190,14 +172,14 @@ impl ReasonerError {
 ///
 /// - `guard`: charge the closure against an execution [`Guard`]; a trip
 ///   surfaces as [`ReasonerError::Exhausted`] with the partial result.
-/// - `rules`: reuse a [`CompiledRules`] table instead of re-extracting
+/// - `rules`: reuse a [`CompiledRules`] program instead of re-extracting
 ///   and compiling the TBox on every call (the snapshot + overlay
 ///   pipeline compiles once per base graph).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MaterializeOptions<'a> {
     /// Execution guard; `None` runs unguarded (never errors).
     pub guard: Option<&'a Guard>,
-    /// Precompiled rule tables; `None` compiles from the store itself.
+    /// Precompiled rules; `None` compiles from the store itself.
     pub rules: Option<&'a CompiledRules>,
 }
 
@@ -270,19 +252,20 @@ impl Reasoner {
     /// closure (the transitive `rdfs:subClassOf` / `rdfs:subPropertyOf`
     /// pairs over named classes and properties, so SPARQL can use
     /// single-hop subclass patterns the way the paper's Listing 1 does)
-    /// and the asserted `owl:sameAs` pairs are derived first, and every
+    /// and the program's other facts are asserted first, and every
     /// triple of the graph is the seed.
     ///
     /// Behavior under [`MaterializeOptions`]:
-    /// - with `rules`, reuses the precompiled tables; otherwise extracts
+    /// - with `rules`, reuses the precompiled program; otherwise extracts
     ///   and compiles the TBox first (use [`Reasoner::compile`] to split
     ///   that work out across runs);
     /// - with `guard`, the derived-triple budget is charged per
-    ///   inference, the deadline / cancellation flag is polled in every
-    ///   hot loop, and a trip surfaces as [`ReasonerError::Exhausted`]
-    ///   carrying the partial statistics — triples derived before the
-    ///   trip stay in the graph. Unguarded runs never error (round caps
-    ///   surface as `converged: false` instead).
+    ///   inference, the deadline / cancellation flag is polled per seed
+    ///   or derived triple, and a trip surfaces as
+    ///   [`ReasonerError::Exhausted`] carrying the partial statistics —
+    ///   triples derived before the trip stay in the graph. Unguarded
+    ///   runs never error (round caps surface as `converged: false`
+    ///   instead).
     pub fn materialize(
         &self,
         graph: &mut impl GraphStore,
@@ -290,16 +273,15 @@ impl Reasoner {
     ) -> Result<InferenceResult, ReasonerError> {
         let rules = opts.rules_for(graph);
         let mut engine = Engine::new(graph, &rules, &self.options, opts.guard);
-        for &(a, b) in &rules.initial_same_as {
-            engine.note_alias(a, b);
+        for rule in rules.rules.iter().filter(|r| r.body.is_empty()) {
+            engine.conclude(rule, &[]);
         }
-        engine.materialize_schema();
         let seed: Vec<[TermId; 3]> = engine.g.iter_ids().collect();
         settle(engine.run(seed))
     }
 
-    /// Extracts the graph's axioms and compiles them into reusable rule
-    /// tables (see [`CompiledRules`]).
+    /// Extracts the graph's axioms and compiles them into a reusable
+    /// rule program (see [`CompiledRules`]).
     pub fn compile(&self, graph: &mut impl GraphStore) -> CompiledRules {
         CompiledRules::compile(graph)
     }
@@ -316,10 +298,10 @@ impl Reasoner {
     ///
     /// All derived triples land in the overlay's delta; the base is never
     /// touched. Consistency checking is likewise scoped to the delta:
-    /// only violations involving delta-affected triples or individuals
-    /// are reported.
+    /// only violations some delta or derived triple takes part in are
+    /// reported.
     ///
-    /// The rule tables normally arrive via [`MaterializeOptions::rules`],
+    /// The rules normally arrive via [`MaterializeOptions::rules`],
     /// compiled once from the base; when absent they are compiled from
     /// the overlay itself (correct, but repeats the TBox work the
     /// snapshot pipeline exists to avoid). With a guard set, a trip
@@ -359,553 +341,24 @@ fn settle(
     }
 }
 
-/// Rule tables compiled once from a graph's TBox, reusable across any
-/// number of closure runs over stores sharing that graph's id space
-/// (the graph itself, or [`Overlay`]s based on it).
-///
-/// Compilation is the expensive, schema-dependent half of what
-/// [`Reasoner::materialize`] used to do on every call: axiom extraction,
-/// schema transitive closure, and rule-table indexing. Splitting it out
-/// lets the engine answer many per-session deltas against one compiled
-/// TBox.
-#[derive(Debug, Clone)]
-pub struct CompiledRules {
-    rdf_type: TermId,
-    same_as: TermId,
-    /// Named-class superclasses (transitive, irreflexive-by-construction
-    /// unless cycles exist, in which case cycle members include each other).
-    sup_class: FxMap<TermId, BTreeSet<TermId>>,
-    /// Named-property superproperties (transitive).
-    sup_prop: FxMap<TermId, BTreeSet<TermId>>,
-    inverses: FxMap<TermId, Vec<TermId>>,
-    transitive: FxSet<TermId>,
-    symmetric: FxSet<TermId>,
-    asymmetric: BTreeSet<TermId>,
-    functional: FxSet<TermId>,
-    inverse_functional: FxSet<TermId>,
-    irreflexive: BTreeSet<TermId>,
-    domains: FxMap<TermId, Vec<ClassExpr>>,
-    ranges: FxMap<TermId, Vec<ClassExpr>>,
-    chains: Vec<(Vec<TermId>, TermId)>,
-    /// Subclass-like pairs where at least one side is a complex expression.
-    complex: Vec<(ClassExpr, ClassExpr)>,
-    disjoint_classes: Vec<(ClassExpr, ClassExpr)>,
-    disjoint_properties: Vec<(TermId, TermId)>,
-    different_from: Vec<(TermId, TermId)>,
-    /// Asserted `owl:sameAs` pairs (fed to the alias machinery at the
-    /// start of a closure from empty).
-    initial_same_as: Vec<(TermId, TermId)>,
-    /// Per `complex` axiom (same index), the triggers a new triple can
-    /// fire it through.
-    complex_triggers: Vec<AxiomTriggers>,
-    /// Per `disjoint_classes` pair (same index), the entry points of
-    /// both sides in `lhs` and `members`: a new triple matching one
-    /// nominates the individuals whose membership in either side it can
-    /// have changed.
-    disjoint_triggers: Vec<AxiomTriggers>,
-    /// The predicates, and the classes of `rdf:type` triples, that some
-    /// pass reads back from a closure's fresh triples: the trigger atoms,
-    /// the chain steps and the consistency rules' properties.
-    watched_predicates: Vec<TermId>,
-    watched_classes: Vec<TermId>,
-    axiom_count: usize,
-    warnings: Vec<String>,
-}
-
-impl CompiledRules {
-    /// Extracts axioms from the store and compiles them. `&mut` only to
-    /// intern the two vocabulary ids every rule needs (`rdf:type`,
-    /// `owl:sameAs`); no triples are added.
-    pub fn compile(g: &mut impl GraphStore) -> Self {
-        let ontology = extract_axioms(g);
-        Self::from_ontology(g, &ontology)
-    }
-
-    /// Compiles an already-extracted [`Ontology`].
-    pub fn from_ontology(g: &mut impl GraphStore, ontology: &Ontology) -> Self {
-        let rdf_type = g.intern_iri(rdf::TYPE);
-        let same_as = g.intern_iri(owl::SAME_AS);
-
-        let mut sup_class: FxMap<TermId, BTreeSet<TermId>> = FxMap::default();
-        let mut sup_prop: FxMap<TermId, BTreeSet<TermId>> = FxMap::default();
-        let mut inverses: FxMap<TermId, Vec<TermId>> = FxMap::default();
-        let mut transitive = FxSet::default();
-        let mut symmetric = FxSet::default();
-        let mut asymmetric = BTreeSet::new();
-        let mut functional = FxSet::default();
-        let mut inverse_functional = FxSet::default();
-        let mut irreflexive = BTreeSet::new();
-        let mut domains: FxMap<TermId, Vec<ClassExpr>> = FxMap::default();
-        let mut ranges: FxMap<TermId, Vec<ClassExpr>> = FxMap::default();
-        let mut chains = Vec::new();
-        let mut complex = Vec::new();
-        let mut disjoint_classes = Vec::new();
-        let mut disjoint_properties = Vec::new();
-        let mut different_from = Vec::new();
-        let mut initial_same_as = Vec::new();
-
-        for (sub, sup) in ontology.subclass_like() {
-            match (sub.as_named(), sup.as_named()) {
-                (Some(a), Some(b)) => {
-                    sup_class.entry(a).or_default().insert(b);
-                }
-                _ => complex.push((sub.clone(), sup.clone())),
-            }
-        }
-
-        for axiom in &ontology.axioms {
-            match axiom {
-                Axiom::SubPropertyOf(a, b) => _ = sup_prop.entry(*a).or_default().insert(*b),
-                Axiom::EquivalentProperties(a, b) => {
-                    sup_prop.entry(*a).or_default().insert(*b);
-                    sup_prop.entry(*b).or_default().insert(*a);
-                }
-                Axiom::InverseOf(a, b) => {
-                    inverses.entry(*a).or_default().push(*b);
-                    inverses.entry(*b).or_default().push(*a);
-                }
-                Axiom::TransitiveProperty(p) => _ = transitive.insert(*p),
-                Axiom::SymmetricProperty(p) => _ = symmetric.insert(*p),
-                Axiom::AsymmetricProperty(p) => _ = asymmetric.insert(*p),
-                Axiom::FunctionalProperty(p) => _ = functional.insert(*p),
-                Axiom::InverseFunctionalProperty(p) => _ = inverse_functional.insert(*p),
-                Axiom::IrreflexiveProperty(p) => _ = irreflexive.insert(*p),
-                Axiom::Domain(p, c) => domains.entry(*p).or_default().push(c.clone()),
-                Axiom::Range(p, c) => ranges.entry(*p).or_default().push(c.clone()),
-                Axiom::PropertyChain(chain, p) => chains.push((chain.clone(), *p)),
-                Axiom::DisjointClasses(a, b) => disjoint_classes.push((a.clone(), b.clone())),
-                Axiom::DisjointProperties(a, b) => disjoint_properties.push((*a, *b)),
-                Axiom::DifferentFrom(a, b) => different_from.push((*a, *b)),
-                Axiom::SameAs(a, b) => initial_same_as.push((*a, *b)),
-                _ => {}
-            }
-        }
-
-        transitive_close(&mut sup_class);
-        transitive_close(&mut sup_prop);
-
-        CompiledRules {
-            rdf_type,
-            same_as,
-            sup_class,
-            sup_prop,
-            inverses,
-            transitive,
-            symmetric,
-            asymmetric,
-            functional,
-            inverse_functional,
-            irreflexive,
-            domains,
-            ranges,
-            chains,
-            complex,
-            disjoint_classes,
-            disjoint_properties,
-            different_from,
-            initial_same_as,
-            complex_triggers: Vec::new(),
-            disjoint_triggers: Vec::new(),
-            watched_predicates: Vec::new(),
-            watched_classes: Vec::new(),
-            axiom_count: ontology.axioms.len(),
-            warnings: ontology.warnings.clone(),
-        }
-        .indexed()
-    }
-
-    /// Fills in the tables derived from the rules: the triggers of the
-    /// complex and disjointness axioms, and what the passes watch.
-    fn indexed(mut self) -> Self {
-        self.complex_triggers = (self.complex.iter())
-            .map(|(sub, sup)| AxiomTriggers::compile(sub, sup))
-            .collect();
-        // Disjointness tests both sides as membership checks.
-        self.disjoint_triggers = (self.disjoint_classes.iter())
-            .map(|(a, b)| AxiomTriggers {
-                lhs: [a, b].into_iter().flat_map(triggers_of).collect(),
-                rhs_universals: Vec::new(),
-                members: enumerated([a, b]),
-            })
-            .collect();
-
-        let mut watched_predicates: BTreeSet<TermId> = (self.chains.iter())
-            .flat_map(|(chain, _)| chain.iter().copied())
-            .chain(self.disjoint_properties.iter().flat_map(|&(p, q)| [p, q]))
-            .chain(self.irreflexive.iter().chain(&self.asymmetric).copied())
-            .collect();
-        let mut watched_classes = BTreeSet::new();
-        for entries in self.complex_triggers.iter().chain(&self.disjoint_triggers) {
-            for trigger in entries.lhs.iter().chain(&entries.rhs_universals) {
-                match trigger.atom {
-                    TriggerAtom::Type(c) => watched_classes.insert(c),
-                    TriggerAtom::Value(p, _) | TriggerAtom::Edge(p) => watched_predicates.insert(p),
-                };
-            }
-        }
-        self.watched_predicates = watched_predicates.into_iter().collect();
-        self.watched_classes = watched_classes.into_iter().collect();
-        self
-    }
-
-    /// Number of axioms the rules were compiled from.
-    pub fn axiom_count(&self) -> usize {
-        self.axiom_count
-    }
-}
-
-/// The atom of a class expression that a single new triple can make
-/// true.
-#[derive(Debug, Clone, Copy)]
-enum TriggerAtom {
-    /// `Named(c)`: a new `x rdf:type c`.
-    Type(TermId),
-    /// `HasValue { property, value }`: a new `x property value`.
-    Value(TermId, TermId),
-    /// `SomeValuesFrom { property, .. }`: a new `x property y`, the
-    /// filler still to be checked on `y`.
-    Edge(TermId),
-}
-
-/// One way a new triple can enter a class expression: the atom it
-/// matches and where that atom sits. `OneOf` contributes no trigger (no
-/// triple changes it; its members are [`AxiomTriggers::members`]) and
-/// `AllValuesFrom` / `ComplementOf` none because [`satisfies_in`] never
-/// holds for them.
-#[derive(Debug, Clone)]
-struct Trigger {
-    atom: TriggerAtom,
-    /// `someValuesFrom` properties from the expression's root down to
-    /// the atom's node: an individual `path.len()` such edges above the
-    /// triple's subject is the one whose membership may have changed.
-    path: Vec<TermId>,
-    /// Child index taken at each intersection / union from the root
-    /// down to the atom — the route [`holds_pinned`] follows.
-    route: Vec<usize>,
-}
-
-/// One [`Trigger`] per atom of `expr`.
-fn triggers_of(expr: &ClassExpr) -> Vec<Trigger> {
-    let mut out = Vec::new();
-    collect_triggers(expr, &mut Vec::new(), &mut Vec::new(), &mut out);
-    out
-}
-
-/// Appends the triggers of `expr`, itself at `path` and `route` inside
-/// the expression being compiled.
-fn collect_triggers(
-    expr: &ClassExpr,
-    path: &mut Vec<TermId>,
-    route: &mut Vec<usize>,
-    out: &mut Vec<Trigger>,
-) {
-    let mut push = |atom| {
-        out.push(Trigger {
-            atom,
-            path: path.clone(),
-            route: route.clone(),
-        })
-    };
-    match expr {
-        ClassExpr::Named(c) => push(TriggerAtom::Type(*c)),
-        ClassExpr::HasValue { property, value } => push(TriggerAtom::Value(*property, *value)),
-        ClassExpr::SomeValuesFrom { property, filler } => {
-            push(TriggerAtom::Edge(*property));
-            path.push(*property);
-            collect_triggers(filler, path, route, out);
-            path.pop();
-        }
-        ClassExpr::IntersectionOf(es) | ClassExpr::UnionOf(es) => {
-            for (i, e) in es.iter().enumerate() {
-                route.push(i);
-                collect_triggers(e, path, route, out);
-                route.pop();
-            }
-        }
-        ClassExpr::OneOf(_) | ClassExpr::AllValuesFrom { .. } | ClassExpr::ComplementOf(_) => {}
-    }
-}
-
-/// The entry points of one complex axiom `sub ⊑ sup`.
-#[derive(Debug, Clone)]
-struct AxiomTriggers {
-    /// One per atom of `sub`: a matching triple can make an individual
-    /// newly satisfy `sub`, tested with [`holds_pinned`].
-    lhs: Vec<Trigger>,
-    /// One per `AllValuesFrom` reachable in `sup` through intersections
-    /// and `AllValuesFrom` fillers (cls-avf): a new edge under an
-    /// individual that satisfied `sub` all along still owes its object
-    /// the filler, so the individual is re-tested with the unpinned
-    /// [`satisfies_in`] and `sup` applied again. `path` holds the
-    /// `allValuesFrom` properties above the edge; `route` is unused.
-    rhs_universals: Vec<Trigger>,
-    /// The individuals an enumeration in `sub` names: `sub` can hold
-    /// for them with no triple behind it, which no trigger sees, so a
-    /// closure tests them on the axiom's first turn.
-    members: Vec<TermId>,
-}
-
-impl AxiomTriggers {
-    fn compile(sub: &ClassExpr, sup: &ClassExpr) -> Self {
-        let mut rhs_universals = Vec::new();
-        collect_universal_triggers(sup, &mut Vec::new(), &mut rhs_universals);
-        AxiomTriggers {
-            lhs: triggers_of(sub),
-            rhs_universals,
-            members: enumerated([sub]),
-        }
-    }
-}
-
-/// The members of every `OneOf` reachable in `exprs` through
-/// intersections and unions.
-fn enumerated<'e>(exprs: impl IntoIterator<Item = &'e ClassExpr>) -> Vec<TermId> {
-    let (mut out, mut stack): (Vec<TermId>, Vec<&ClassExpr>) =
-        (Vec::new(), exprs.into_iter().collect());
-    while let Some(expr) = stack.pop() {
-        match expr {
-            ClassExpr::OneOf(ids) => out.extend(ids),
-            ClassExpr::IntersectionOf(es) | ClassExpr::UnionOf(es) => stack.extend(es),
-            _ => {}
-        }
-    }
-    out
-}
-
-/// Mirrors the cases of [`Engine::apply_membership_by`] that recurse.
-fn collect_universal_triggers(expr: &ClassExpr, path: &mut Vec<TermId>, out: &mut Vec<Trigger>) {
-    match expr {
-        ClassExpr::IntersectionOf(es) => {
-            for e in es {
-                collect_universal_triggers(e, path, out);
-            }
-        }
-        ClassExpr::AllValuesFrom { property, filler } => {
-            out.push(Trigger {
-                atom: TriggerAtom::Edge(*property),
-                path: path.clone(),
-                route: Vec::new(),
-            });
-            path.push(*property);
-            collect_universal_triggers(filler, path, out);
-            path.pop();
-        }
-        _ => {}
-    }
-}
-
-/// Sound membership check over any read-only view: does `g` entail
-/// `x ∈ expr` using only already-materialized triples?
-fn satisfies_in<V: GraphView + ?Sized>(
-    g: &V,
-    rules: &CompiledRules,
-    x: TermId,
-    expr: &ClassExpr,
-) -> bool {
-    witnesses_in(g, rules, x, expr, &mut Vec::new())
-}
-
-/// [`satisfies_in`] for `x ∈ expr` when a triple matching one
-/// [`Trigger`] of `expr` is already known to be there: the atoms on the
-/// trigger's `route` are true by construction, so only what branches
-/// off it is evaluated. `below` holds the nodes the walk back from the
-/// triple's subject passed, the subject first and `x`'s successor last;
-/// a `SomeValuesFrom` on the route descends to that known node instead
-/// of enumerating `objects`, and once `below` is used up it is the edge
-/// atom itself, whose filler `object_in` checks on the triple's object.
-/// A union takes the pinned arm only — another arm made true by another
-/// new triple is that triple's trigger.
-fn holds_pinned<V: GraphView + ?Sized>(
-    g: &V,
-    rules: &CompiledRules,
-    x: TermId,
-    expr: &ClassExpr,
-    route: &[usize],
-    below: &[TermId],
-    object_in: &mut dyn FnMut(&ClassExpr) -> bool,
-) -> bool {
-    match expr {
-        ClassExpr::Named(_) | ClassExpr::HasValue { .. } => true,
-        ClassExpr::IntersectionOf(es) => {
-            let Some((&pinned, route)) = route.split_first() else {
-                return false;
-            };
-            es.iter().enumerate().all(|(i, e)| {
-                if i == pinned {
-                    holds_pinned(g, rules, x, e, route, below, object_in)
-                } else {
-                    satisfies_in(g, rules, x, e)
-                }
-            })
-        }
-        ClassExpr::UnionOf(es) => match route.split_first() {
-            Some((&pinned, route)) => es
-                .get(pinned)
-                .is_some_and(|e| holds_pinned(g, rules, x, e, route, below, object_in)),
-            None => false,
-        },
-        ClassExpr::SomeValuesFrom { filler, .. } => match below.split_last() {
-            Some((&next, below)) => holds_pinned(g, rules, next, filler, route, below, object_in),
-            None => object_in(filler),
-        },
-        ClassExpr::OneOf(_) | ClassExpr::AllValuesFrom { .. } | ClassExpr::ComplementOf(_) => false,
-    }
-}
-
-/// [`satisfies_in`] that also collects the witnessing triples, for
-/// derivation tracking; a failed check leaves `out` as it was.
-fn witnesses_in<V: GraphView + ?Sized>(
-    g: &V,
-    rules: &CompiledRules,
-    x: TermId,
-    expr: &ClassExpr,
-    out: &mut Vec<[TermId; 3]>,
-) -> bool {
-    match expr {
-        ClassExpr::Named(c) => {
-            if g.contains_ids(x, rules.rdf_type, *c) {
-                out.push([x, rules.rdf_type, *c]);
-                true
-            } else {
-                false
-            }
-        }
-        ClassExpr::IntersectionOf(es) => {
-            let mark = out.len();
-            for e in es {
-                if !witnesses_in(g, rules, x, e, out) {
-                    out.truncate(mark);
-                    return false;
-                }
-            }
-            true
-        }
-        ClassExpr::UnionOf(es) => es.iter().any(|e| witnesses_in(g, rules, x, e, out)),
-        ClassExpr::SomeValuesFrom { property, filler } => {
-            for o in g.objects(x, *property) {
-                let mark = out.len();
-                out.push([x, *property, o]);
-                if witnesses_in(g, rules, o, filler, out) {
-                    return true;
-                }
-                out.truncate(mark);
-            }
-            false
-        }
-        ClassExpr::HasValue { property, value } => {
-            if g.contains_ids(x, *property, *value) {
-                out.push([x, *property, *value]);
-                true
-            } else {
-                false
-            }
-        }
-        ClassExpr::OneOf(ids) => ids.contains(&x),
-        // Open-world: membership in a complement or universal
-        // restriction is never derived, matching OWL 2 RL.
-        ClassExpr::AllValuesFrom { .. } | ClassExpr::ComplementOf(_) => false,
-    }
-}
-
-/// The seed and every triple derived since, numbered in insertion
-/// order, as posting lists so a pass reads only the triples its atoms
-/// can match: one per watched predicate, and one per watched class for
-/// the `rdf:type` triples (see [`CompiledRules`]). A posting is a
-/// triple with its number; the others are only counted.
-struct Fresh {
-    len: usize,
-    rdf_type: TermId,
-    by_predicate: FxMap<TermId, Vec<(u32, [TermId; 3])>>,
-    by_class: FxMap<TermId, Vec<(u32, [TermId; 3])>>,
-}
-
-impl Fresh {
-    fn new(rules: &CompiledRules, nothing: Option<TermId>) -> Self {
-        let lists =
-            |ids: &mut dyn Iterator<Item = TermId>| ids.map(|id| (id, Vec::new())).collect();
-        Fresh {
-            len: 0,
-            rdf_type: rules.rdf_type,
-            by_predicate: lists(&mut rules.watched_predicates.iter().copied()),
-            by_class: lists(&mut rules.watched_classes.iter().copied().chain(nothing)),
-        }
-    }
-
-    fn push(&mut self, triple: [TermId; 3]) {
-        let at = self.len as u32;
-        self.len += 1;
-        if let Some(list) = self.by_predicate.get_mut(&triple[1]) {
-            list.push((at, triple));
-        }
-        if triple[1] == self.rdf_type {
-            if let Some(list) = self.by_class.get_mut(&triple[2]) {
-                list.push((at, triple));
-            }
-        }
-    }
-
-    /// The triples at positions in `range` that `atom` can match (those
-    /// with its predicate, or for a class atom its `rdf:type` triples).
-    /// The atom's predicate or class must be watched.
-    fn matching(
-        &self,
-        atom: TriggerAtom,
-        range: Range<usize>,
-    ) -> impl Iterator<Item = [TermId; 3]> + '_ {
-        let list = match atom {
-            TriggerAtom::Type(c) => self.by_class.get(&c),
-            TriggerAtom::Value(p, _) | TriggerAtom::Edge(p) => self.by_predicate.get(&p),
-        };
-        let list = list.map_or(&[][..], Vec::as_slice);
-        let lo = list.partition_point(|&(at, _)| (at as usize) < range.start);
-        let hi = list.partition_point(|&(at, _)| (at as usize) < range.end);
-        list[lo..hi].iter().map(|&(_, triple)| triple)
-    }
-
-    fn with_predicate(
-        &self,
-        p: TermId,
-        range: Range<usize>,
-    ) -> impl Iterator<Item = [TermId; 3]> + '_ {
-        self.matching(TriggerAtom::Edge(p), range)
-    }
-}
-
-/// Polls the governor (amortized wall-clock / cancellation check) and
-/// reports whether execution should stop, recording the trip. A free
-/// function so hot loops can poll while other fields are borrowed.
-#[inline]
-fn poll(guard: Option<&Guard>, tripped: &mut Option<Exhausted>) -> bool {
-    if tripped.is_some() {
-        return true;
-    }
-    if let Some(g) = guard {
-        if let Err(exhausted) = g.check_time() {
-            *tripped = Some(exhausted);
-            return true;
-        }
-    }
-    false
-}
-
 /// The running fixpoint state over any [`GraphStore`].
 struct Engine<'a, S: GraphStore> {
     g: &'a mut S,
     rules: &'a CompiledRules,
-    opts: &'a ReasonerOptions,
+    track: bool,
     result: InferenceResult,
     /// sameAs alias sets, maintained incrementally.
     aliases: FxMap<TermId, BTreeSet<TermId>>,
-    queue: VecDeque<[TermId; 3]>,
-    /// The seed and every triple derived since: the complex, chain and
-    /// consistency passes read only these, each from its own cursor.
-    fresh: Fresh,
-    /// Per complex axiom, the position in `fresh` up to which its
-    /// triggers have been matched.
-    complex_cursors: Vec<usize>,
-    /// Per property chain, the position in `fresh` up to which it has
-    /// been evaluated.
-    chain_cursors: Vec<usize>,
+    /// The seed and every triple derived since, in order; a round is a
+    /// range of it.
+    log: Vec<[TermId; 3]>,
+    /// The log position of every triple a round may have to tell from
+    /// older ones: all derived triples, and the seed unless every triple
+    /// in the store is in it.
+    stamps: FxMap<[TermId; 3], usize>,
+    /// Violations found by the ⊥ rules: kind, group and key (see
+    /// [`Head::Bottom`]), in report order.
+    violations: BTreeSet<(InconsistencyKind, usize, Vec<TermId>)>,
     /// Execution governor for the guarded entry points; `None` on the
     /// unguarded paths.
     guard: Option<&'a Guard>,
@@ -918,396 +371,252 @@ impl<'a, S: GraphStore> Engine<'a, S> {
     fn new(
         g: &'a mut S,
         rules: &'a CompiledRules,
-        opts: &'a ReasonerOptions,
+        opts: &ReasonerOptions,
         guard: Option<&'a Guard>,
     ) -> Self {
-        let fresh = Fresh::new(rules, g.lookup_iri(owl::NOTHING));
         Engine {
             g,
             rules,
-            opts,
+            track: opts.track_derivations,
             result: InferenceResult {
-                axiom_count: rules.axiom_count,
+                axiom_count: rules.axiom_count(),
                 warnings: rules.warnings.clone(),
                 ..Default::default()
             },
             aliases: FxMap::default(),
-            queue: VecDeque::new(),
-            fresh,
-            complex_cursors: vec![0; rules.complex.len()],
-            chain_cursors: vec![0; rules.chains.len()],
+            log: Vec::new(),
+            stamps: FxMap::default(),
+            violations: BTreeSet::new(),
             guard,
             tripped: None,
         }
     }
 
-    #[inline]
+    /// Polls the governor (amortized wall-clock / cancellation check) and
+    /// reports whether execution should stop, recording the trip.
     fn guard_tripped(&mut self) -> bool {
-        poll(self.guard, &mut self.tripped)
-    }
-
-    /// Handles the outer round cap. Returns true when the loop must
-    /// stop. Unguarded, this flips `converged` and records a warning;
-    /// guarded, it additionally trips the guard so callers get a typed
-    /// `Exhausted { resource: Rounds }`.
-    fn round_cap_hit(&mut self) -> bool {
-        if self.result.rounds < self.opts.max_rounds {
-            return false;
+        if self.tripped.is_none() {
+            if let Some(Err(exhausted)) = self.guard.map(Guard::check_time) {
+                self.tripped = Some(exhausted);
+            }
         }
-        self.result.converged = false;
-        self.result.warnings.push(format!(
-            "fixpoint not reached after {} rounds — output may be incomplete",
-            self.opts.max_rounds
-        ));
-        if self.guard.is_some() && self.tripped.is_none() {
-            self.tripped = Some(Exhausted {
-                resource: Resource::Rounds,
-                spent: self.result.rounds as u64,
-                limit: self.opts.max_rounds as u64,
-            });
-        }
-        true
+        self.tripped.is_some()
     }
 
     /// The semi-naïve closure: derives what `seed` (triples already in
-    /// the store) and everything derived on the way can entail,
-    /// assuming the rest of the store is already closed under `rules`.
-    /// Triples the caller derived before (aliases, the schema closure)
-    /// are fresh and queued already; `seed` may repeat them, and the
-    /// queue takes it as given (a repeated `owl:sameAs` triple
-    /// replicates again what was derived since) while `fresh` records
-    /// each triple once.
+    /// the store) and everything derived on the way can entail, assuming
+    /// the rest of the store is already closed under the rules. Triples
+    /// derived before (the facts, re-noted aliases) are in the first
+    /// round with the seed, once.
     fn run(mut self, seed: Vec<[TermId; 3]>) -> (InferenceResult, Option<Exhausted>) {
-        let derived: FxSet<[TermId; 3]> = self.queue.iter().copied().collect();
-        for &t in seed.iter().filter(|t| !derived.contains(*t)) {
-            self.fresh.push(t);
-        }
-        self.queue.extend(seed);
-
-        loop {
-            if self.guard_tripped() {
+        let logged: FxSet<[TermId; 3]> = self.log.iter().copied().collect();
+        self.log
+            .extend(seed.into_iter().filter(|t| !logged.contains(t)));
+        // When every triple is in the first round, no atom can read an
+        // older one there, so only each rule's first atom is bound.
+        let all_fresh = self.g.len() == self.log.len();
+        let (mut start, seed) = (0, self.log.len());
+        while start < self.log.len() && self.tripped.is_none() {
+            if self.result.rounds == MAX_ROUNDS {
+                self.round_cap_hit();
                 break;
             }
             self.result.rounds += 1;
-            if let Some(g) = self.guard {
-                if let Err(exhausted) = g.add_round() {
-                    self.tripped = Some(exhausted);
-                    break;
-                }
-            }
-            self.drain_queue();
-            let before = self.result.added;
-            self.complex_pass();
-            self.chain_pass();
-            if self.tripped.is_some() {
+            if let Some(Err(exhausted)) = self.guard.map(Guard::add_round) {
+                self.tripped = Some(exhausted);
                 break;
             }
-            if self.result.added == before && self.queue.is_empty() {
-                break;
-            }
-            if self.round_cap_hit() {
-                break;
-            }
+            start = self.round(start, seed, all_fresh && start == 0);
         }
-
         if self.tripped.is_some() {
             // A tripped budget means the closure stopped early: whatever
             // was derived is sound, but the fixpoint was not reached.
             self.result.converged = false;
         } else {
-            self.check_consistency();
+            self.report();
         }
         (self.result, self.tripped)
     }
 
-    /// Calls `visit` once per way a fresh triple at a position in
-    /// `range` enters `trigger`: with each individual that reaches the
-    /// triple's subject backward along the trigger's `path` (the root),
-    /// the nodes walked on the way up — the subject first, the root's
-    /// successor last, as [`holds_pinned`] takes them — and the triple's
-    /// object. Stops once the guard has tripped.
-    fn for_each_entry(
+    /// The round from `log[start]`, returning where the next begins.
+    /// Rules of one atom need no join: they run on the round's triples
+    /// and on what they derive, as does eq-rep, until nothing is new.
+    /// Then every rule with a join runs once per atom on each triple of
+    /// the closed round; what those derive is the next round.
+    fn round(&mut self, start: usize, seed: usize, first_atoms_only: bool) -> usize {
+        let mut joins: Vec<(usize, &[(usize, usize)])> = Vec::new();
+        let mut at = start;
+        while at < self.log.len() && !self.guard_tripped() {
+            let t = self.log[at];
+            self.equality(t);
+            let first = first_atoms_only && at < seed;
+            for entry in [(t[1], None), (t[1], Some(t[2]))]
+                .iter()
+                .filter_map(|k| self.rules.index.get(k))
+            {
+                if entry.left && !first {
+                    self.stamps.insert(t, at);
+                }
+                self.fire_all(&entry.atoms[0], t, usize::MAX, first);
+                if !entry.atoms[1].is_empty() {
+                    joins.push((at, &entry.atoms[1]));
+                }
+            }
+            at += 1;
+        }
+        for (k, atoms) in joins {
+            if self.guard_tripped() {
+                break;
+            }
+            self.fire_all(atoms, self.log[k], start, first_atoms_only);
+        }
+        at
+    }
+
+    /// Fires the rule atoms `atoms` with `t`.
+    fn fire_all(
         &mut self,
-        trigger: &Trigger,
-        range: Range<usize>,
-        mut visit: impl FnMut(&S, TermId, &[TermId], TermId),
+        atoms: &[(usize, usize)],
+        t: [TermId; 3],
+        start: usize,
+        first_only: bool,
     ) {
-        let g = &*self.g;
-        for triple in self.fresh.matching(trigger.atom, range) {
-            if poll(self.guard, &mut self.tripped) {
+        for &(r, pos) in atoms {
+            if pos == 0 || !first_only {
+                self.fire(&self.rules.rules[r], pos, t, start);
+            }
+        }
+    }
+
+    /// Runs `rule` with its atom at `pos` bound to `t`, atoms to its left
+    /// reading only triples older than the round that began at `start`.
+    fn fire(&mut self, rule: &Rule, pos: usize, t: [TermId; 3], start: usize) {
+        // Bodies are small: bind on the stack unless one is not.
+        let (mut small, mut large) = ([None; 8], Vec::new());
+        let binding = match rule.vars {
+            n @ 0..=8 => &mut small[..n],
+            n => {
+                large.resize(n, None);
+                &mut large[..]
+            }
+        };
+        if bind(&rule.body[pos], t, binding).is_some() {
+            self.join(rule, &rule.orders[pos], (pos, start), binding);
+        }
+    }
+
+    /// Joins the atoms `order` names onto the binding `b` and concludes
+    /// every complete binding that passes the rule's checks. An atom left
+    /// of `fresh.0` reads only triples older than the round that began
+    /// at `fresh.1`.
+    fn join(
+        &mut self,
+        rule: &Rule,
+        order: &[usize],
+        fresh: (usize, usize),
+        b: &mut [Option<TermId>],
+    ) {
+        let Some((&j, rest)) = order.split_first() else {
+            if rule.checks.iter().all(|&c| check(&*self.g, c, b)) {
+                self.conclude(rule, b);
+            }
+            return;
+        };
+        let atom = rule.body[j];
+        let value = |s: Slot| match s {
+            Slot::Var(v) => b[v],
+            Slot::Id(id) => Some(id),
+        };
+        let stamps = &self.stamps;
+        let readable =
+            |t: &[TermId; 3]| j > fresh.0 || stamps.get(t).is_none_or(|&at| at < fresh.1);
+        let mut rows = match (value(atom.s), value(atom.o)) {
+            (Some(s), Some(o)) => {
+                if self.g.contains_ids(s, atom.p, o) && readable(&[s, atom.p, o]) {
+                    self.join(rule, rest, fresh, b);
+                }
                 return;
             }
-            // The posting list fixes the predicate, and a type atom's class.
-            if matches!(trigger.atom, TriggerAtom::Value(_, v) if v != triple[2]) {
-                continue;
-            }
-            if trigger.path.is_empty() {
-                visit(g, triple[0], &[], triple[2]);
-                continue;
-            }
-            let mut level = vec![(triple[0], Vec::new())];
-            for &step in trigger.path.iter().rev() {
-                if poll(self.guard, &mut self.tripped) {
-                    return;
-                }
-                let mut above = Vec::new();
-                for (node, below) in &level {
-                    for parent in g.subjects(step, *node) {
-                        let mut below = below.clone();
-                        below.push(*node);
-                        above.push((parent, below));
-                    }
-                }
-                level = above;
-            }
-            for (root, below) in &level {
-                visit(g, *root, below, triple[2]);
-            }
-        }
-    }
-
-    /// The complex subclass-like axioms, as a semi-naïve join: each
-    /// axiom matches the triples added since its last turn against its
-    /// own triggers and evaluates its left-hand side pinned to the
-    /// triple that fired it. Exact because an individual that newly
-    /// satisfies a left-hand side has a new triple somewhere in its
-    /// witness tree; that triple matches one atom, the individual
-    /// reaches the triple's subject along exactly that atom's path, and
-    /// when the last such triple comes up the rest of the tree is
-    /// already in the graph. An enumeration holds with no triple behind
-    /// it, so its members are tested on the axiom's first turn.
-    /// Individuals that held before are the closed store's business,
-    /// except for what `rhs_universals` covers.
-    fn complex_pass(&mut self) {
-        let rules = self.rules;
-        for (i, (sub, sup)) in rules.complex.iter().enumerate() {
-            let triggers = &rules.complex_triggers[i];
-            let end = self.fresh.len;
-            let start = std::mem::replace(&mut self.complex_cursors[i], end);
-            // Id order, the order a sorted candidate sweep applies in.
-            let mut roots: BTreeSet<TermId> = BTreeSet::new();
-            if start == 0 {
-                let g = &*self.g;
-                roots.extend(
-                    triggers
-                        .members
-                        .iter()
-                        .filter(|&&x| satisfies_in(g, rules, x, sub)),
-                );
-            }
-            for trigger in &triggers.lhs {
-                // An edge atom's filler is one expression, and the store
-                // does not change while roots are collected: the check
-                // on an object is made once per object.
-                let mut filled: FxMap<TermId, bool> = FxMap::default();
-                self.for_each_entry(trigger, start..end, |g, root, below, object| {
-                    let mut object_in = |filler: &ClassExpr| {
-                        *filled
-                            .entry(object)
-                            .or_insert_with(|| satisfies_in(g, rules, object, filler))
-                    };
-                    if !roots.contains(&root)
-                        && holds_pinned(g, rules, root, sub, &trigger.route, below, &mut object_in)
-                    {
-                        roots.insert(root);
-                    }
-                });
-            }
-            for trigger in &triggers.rhs_universals {
-                self.for_each_entry(trigger, start..end, |g, root, _, _| {
-                    if !roots.contains(&root) && satisfies_in(g, rules, root, sub) {
-                        roots.insert(root);
-                    }
-                });
-            }
-            for x in roots {
-                if self.guard_tripped() {
-                    return;
-                }
-                self.conclude(x, sub, sup);
-            }
-        }
-    }
-
-    /// Property chains (prp-spo2), as a semi-naïve join: each chain
-    /// matches the triples added since its last turn, and an instance is
-    /// found at its first step that is fresh in the turn, so its steps
-    /// to the left are old (in the store and not fresh when the turn
-    /// began) and its steps to the right may be anything in the store.
-    /// Like a forward sweep, a turn reads the store as it was when the
-    /// turn began: its conclusions are added when it ends, and the next
-    /// turn takes them as fresh. A step's fresh triples are walked in
-    /// store order (object, then subject), the order a forward sweep
-    /// from the chain's first step meets them.
-    fn chain_pass(&mut self) {
-        let rules = self.rules;
-        let tracking = self.opts.track_derivations;
-        for (c, (chain, q)) in rules.chains.iter().enumerate() {
-            let end = self.fresh.len;
-            let start = std::mem::replace(&mut self.chain_cursors[c], end);
-            // A left step's old triples are the store's minus the turn's
-            // fresh ones. When every triple in the store is fresh (the
-            // first turn of a closure from empty), a step with none before
-            // the turn has none, and no instance is found to its right.
-            let all_fresh = self.g.len() == end;
-            let lefts = &chain[..chain.len() - 1];
-            let no_old: FxSet<TermId> = lefts
-                .iter()
-                .copied()
-                .filter(|&p| all_fresh && self.fresh.with_predicate(p, 0..start).next().is_none())
-                .collect();
-            let fresh_lefts: FxSet<[TermId; 3]> = lefts
-                .iter()
-                .filter(|p| !no_old.contains(p))
-                .flat_map(|&p| self.fresh.with_predicate(p, start..end))
-                .collect();
-            let mut found: Vec<(TermId, TermId, Vec<[TermId; 3]>)> = Vec::new();
-            for (i, &p) in chain.iter().enumerate() {
-                if chain[..i].iter().any(|pj| no_old.contains(pj)) {
-                    continue;
-                }
-                let mut fresh: Vec<[TermId; 3]> =
-                    self.fresh.with_predicate(p, start..end).collect();
-                fresh.sort_unstable_by_key(|&[s, _, o]| (o, s));
-                for [a, _, b] in fresh {
-                    if self.guard_tripped() {
-                        return;
-                    }
-                    // Sequences over chain[..i] ending at `a`, walked
-                    // backward (steps recorded in reverse), and over
-                    // chain[i+1..] starting at `b`.
-                    let lefts = walk(a, chain[..i].iter().rev(), tracking, |pj, node| {
-                        let subjects = self.g.subjects(pj, node).into_iter();
-                        let old = subjects.filter(|&s| !fresh_lefts.contains(&[s, pj, node]));
-                        old.map(|s| (s, [s, pj, node])).collect()
-                    });
-                    if lefts.is_empty() {
-                        continue;
-                    }
-                    let rights = walk(b, chain[i + 1..].iter(), tracking, |pj, node| {
-                        let objects = self.g.objects(node, pj).into_iter();
-                        objects.map(|z| (z, [node, pj, z])).collect()
-                    });
-                    for (x, lsteps) in &lefts {
-                        for (z, rsteps) in &rights {
-                            let mut steps = Vec::new();
-                            if tracking {
-                                steps.extend(lsteps.iter().rev().copied());
-                                steps.push([a, p, b]);
-                                steps.extend(rsteps.iter().copied());
-                            }
-                            found.push((*x, *z, steps));
-                        }
-                    }
-                }
-            }
-            for (x, z, steps) in found {
-                self.add_by("prp-spo2", &steps, x, *q, z);
-            }
-        }
-    }
-
-    /// Consistency over everything fresh: a violation is reported when
-    /// a fresh triple or an individual some fresh triple enters either
-    /// side of a disjointness for takes part in it. From empty that is
-    /// every violation; over a consistent closed store it is exactly
-    /// the violations the fresh triples introduced, since a new one
-    /// needs a new triple in one side's witness tree. Each rule reports
-    /// in store order (object, then subject, for a property), each
-    /// violation once.
-    fn check_consistency(&mut self) {
-        use InconsistencyKind::*;
-        let rules = self.rules;
-        let all = 0..self.fresh.len;
-        let mut candidates = Vec::new();
-        for entries in &rules.disjoint_triggers {
-            let mut cand: BTreeSet<TermId> = entries.members.iter().copied().collect();
-            for trigger in &entries.lhs {
-                self.for_each_entry(trigger, all.clone(), |_, root, _, _| {
-                    cand.insert(root);
-                });
-            }
-            candidates.push(cand);
-        }
-        let (g, fresh) = (&*self.g, &self.fresh);
-        let name = |id| g.term_name(id);
-        let found = &mut self.result.inconsistencies;
-        let mut report = |kind, detail| found.push(Inconsistency { kind, detail });
-        // The (object, subject) pairs of the fresh `p` triples that
-        // `hold`, in store order.
-        let pairs = |p, hold: &dyn Fn(TermId, TermId) -> bool| -> BTreeSet<(TermId, TermId)> {
-            fresh
-                .with_predicate(p, all.clone())
-                .filter(|&[x, _, y]| hold(x, y))
-                .map(|[x, _, y]| (y, x))
-                .collect()
+            (s, o) => self.g.match_pattern(s, Some(atom.p), o),
         };
-        // cax-dw: disjoint classes sharing a member.
-        for ((a, b), cand) in rules.disjoint_classes.iter().zip(candidates) {
-            for x in cand {
-                if satisfies_in(g, rules, x, a) && satisfies_in(g, rules, x, b) {
-                    let detail = format!("{} is an instance of disjoint classes", name(x));
-                    report(DisjointClassesViolation, detail);
+        rows.retain(readable);
+        for t in rows {
+            if let Some(set) = bind(&atom, t, b) {
+                self.join(rule, rest, fresh, b);
+                unbind(set, b);
+            }
+        }
+    }
+
+    /// Asserts `rule`'s head for the complete binding `b`, or records its
+    /// violation.
+    fn conclude(&mut self, rule: &Rule, b: &[Option<TermId>]) {
+        let value = |s: Slot| match s {
+            Slot::Var(v) => b[v],
+            Slot::Id(id) => Some(id),
+        };
+        let triple = |a: &Atom| Some([value(a.s)?, a.p, value(a.o)?]);
+        match &rule.head {
+            Head::Triple(head) => {
+                let premises: Vec<[TermId; 3]> = match self.track {
+                    true => rule.body.iter().filter_map(triple).collect(),
+                    false => Vec::new(),
+                };
+                if let Some([s, p, o]) = triple(head) {
+                    self.add_by(rule.name, &premises, s, p, o);
+                }
+            }
+            Head::Bottom(kind, group, key) => {
+                if let Some(key) = key.iter().map(|&s| value(s)).collect() {
+                    self.violations.insert((*kind, *group, key));
                 }
             }
         }
-        // prp-pdw: disjoint properties linking the same pair, named in
-        // declaration order whichever side is fresh.
-        for &(p, q) in &rules.disjoint_properties {
-            let mut both = pairs(p, &|x, y| g.contains_ids(x, q, y));
-            both.extend(pairs(q, &|x, y| g.contains_ids(x, p, y)));
-            for (y, x) in both {
-                let (p, q, x, y) = (name(p), name(q), name(x), name(y));
-                let detail = format!("disjoint properties {p} and {q} both relate {x} to {y}");
-                report(DisjointPropertiesViolation, detail);
-            }
+    }
+
+    /// Handles the round cap: flips `converged` and records a warning;
+    /// guarded, it also trips the guard so callers get a typed
+    /// `Exhausted { resource: Rounds }`.
+    fn round_cap_hit(&mut self) {
+        self.result.converged = false;
+        self.result.warnings.push(format!(
+            "fixpoint not reached after {MAX_ROUNDS} rounds — output may be incomplete"
+        ));
+        if self.guard.is_some() {
+            self.tripped = Some(Exhausted {
+                resource: Resource::Rounds,
+                spent: self.result.rounds as u64,
+                limit: MAX_ROUNDS as u64,
+            });
         }
-        // cls-nothing2
-        if let Some(nothing) = g.lookup_iri(owl::NOTHING) {
-            let members: BTreeSet<TermId> = fresh
-                .matching(TriggerAtom::Type(nothing), all.clone())
-                .map(|[x, _, _]| x)
-                .collect();
-            for x in members {
-                report(
-                    NothingHasInstance,
-                    format!("{} is an instance of owl:Nothing", name(x)),
-                );
-            }
-        }
-        // prp-irp
-        for &p in &rules.irreflexive {
-            for (_, x) in pairs(p, &|x, y| x == y) {
-                let (p, x) = (name(p), name(x));
-                report(
-                    IrreflexiveViolation,
-                    format!("irreflexive property {p} relates {x} to itself"),
-                );
-            }
-        }
-        // prp-asyp: both directions are violations, each reported once.
-        for &p in &rules.asymmetric {
-            let one_way = pairs(p, &|x, y| x != y && g.contains_ids(y, p, x));
-            let both: BTreeSet<_> = one_way
-                .into_iter()
-                .flat_map(|(y, x)| [(y, x), (x, y)])
-                .collect();
-            for (y, x) in both {
-                let (p, x, y) = (name(p), name(x), name(y));
-                let detail =
-                    format!("asymmetric property {p} holds in both directions between {x} and {y}");
-                report(AsymmetricViolation, detail);
-            }
-        }
-        // eq-diff1
-        for &(a, b) in &rules.different_from {
-            if g.contains_ids(a, rules.same_as, b) || g.contains_ids(b, rules.same_as, a) {
-                let (a, b) = (name(a), name(b));
-                report(
-                    SameAndDifferent,
-                    format!("{a} and {b} are both sameAs and differentFrom"),
-                );
-            }
+    }
+
+    /// The violations found, in report order, as [`Inconsistency`]s.
+    fn report(&mut self) {
+        use InconsistencyKind::*;
+        for (kind, _, key) in &self.violations {
+            let names: Vec<String> = key.iter().map(|&id| self.g.term_name(id)).collect();
+            let detail = match (kind, &names[..]) {
+                (DisjointClassesViolation, [x]) => {
+                    format!("{x} is an instance of disjoint classes")
+                }
+                (DisjointPropertiesViolation, [y, x, p, q]) => {
+                    format!("disjoint properties {p} and {q} both relate {x} to {y}")
+                }
+                (NothingHasInstance, [x]) => format!("{x} is an instance of owl:Nothing"),
+                (IrreflexiveViolation, [x, p]) => {
+                    format!("irreflexive property {p} relates {x} to itself")
+                }
+                (AsymmetricViolation, [y, x, p]) => {
+                    format!("asymmetric property {p} holds in both directions between {x} and {y}")
+                }
+                (_, [a, b]) => format!("{a} and {b} are both sameAs and differentFrom"),
+                _ => continue,
+            };
+            let kind = *kind;
+            self.result
+                .inconsistencies
+                .push(Inconsistency { kind, detail });
         }
     }
 
@@ -1321,140 +630,56 @@ impl<'a, S: GraphStore> Engine<'a, S> {
         p: TermId,
         o: TermId,
     ) {
-        if self.tripped.is_some() {
+        if self.tripped.is_some() || !self.g.insert_ids(s, p, o) {
             return;
         }
-        if self.g.insert_ids(s, p, o) {
-            self.result.added += 1;
-            if let Some(g) = self.guard {
-                // Single choke point: every derived triple, whatever rule
-                // produced it, is charged here.
-                if let Err(exhausted) = g.add_inferred(1) {
-                    self.tripped = Some(exhausted);
-                }
-            }
-            self.queue.push_back([s, p, o]);
-            self.fresh.push([s, p, o]);
-            if self.opts.track_derivations {
-                self.result.derivations.insert(
-                    [s, p, o],
-                    Derivation {
-                        rule,
-                        premises: premises.to_vec(),
-                    },
-                );
-            }
+        self.result.added += 1;
+        if let Some(Err(exhausted)) = self.guard.map(|g| g.add_inferred(1)) {
+            // Single choke point: every derived triple, whatever rule
+            // produced it, is charged here.
+            self.tripped = Some(exhausted);
+        }
+        self.log.push([s, p, o]);
+        if self.track {
+            let premises = premises.to_vec();
+            self.result
+                .derivations
+                .insert([s, p, o], Derivation { rule, premises });
         }
     }
 
-    /// Inserts the schema closure: every named superclass and
-    /// superproperty pair of the compiled tables (scm-sco, scm-spo).
-    fn materialize_schema(&mut self) {
-        let rules = self.rules;
-        let sco = self.g.intern_iri(rdfs::SUB_CLASS_OF);
-        let spo = self.g.intern_iri(rdfs::SUB_PROPERTY_OF);
-        for (rule, p, sups) in [
-            ("scm-sco", sco, &rules.sup_class),
-            ("scm-spo", spo, &rules.sup_prop),
-        ] {
-            for (&sub, sups) in sups {
-                for &sup in sups {
-                    self.add_by(rule, &[], sub, p, sup);
-                }
-            }
-        }
-    }
-
-    /// Instance-rule propagation driven by a worklist of new triples; the
-    /// queue is empty on return unless the guard tripped.
-    fn drain_queue(&mut self) {
-        let rules = self.rules;
-        while let Some([s, p, o]) = self.queue.pop_front() {
-            if self.guard_tripped() {
+    /// The equality rules for one new triple: a sameAs pair links two
+    /// alias sets (eq-sym, eq-trans) and copies each side's triples to
+    /// the other (eq-rep-s, eq-rep-o); any other triple is copied across
+    /// the aliases of its subject and object.
+    fn equality(&mut self, [s, p, o]: [TermId; 3]) {
+        if p != self.rules.same_as {
+            if self.aliases.is_empty() {
                 return;
             }
-            let premise = [[s, p, o]];
-            // cax-sco: type inheritance through the named-class closure.
-            if p == rules.rdf_type {
-                for &sup in rules.sup_class.get(&o).into_iter().flatten() {
-                    self.add_by("cax-sco", &premise, s, p, sup);
-                }
-                self.replicate(s, p, o);
-                continue;
+            for a in self.aliases.get(&s).cloned().into_iter().flatten() {
+                self.add_by("eq-rep-s", &[[s, p, o]], a, p, o);
             }
-            if p == rules.same_as {
-                self.note_alias(s, o);
-                self.add_by("eq-sym", &premise, o, p, s);
-                self.replicate_for_alias(s, o);
-                self.replicate_for_alias(o, s);
-                continue;
+            for a in self.aliases.get(&o).cloned().into_iter().flatten() {
+                self.add_by("eq-rep-o", &[[s, p, o]], s, p, a);
             }
-            for &q in rules.sup_prop.get(&p).into_iter().flatten() {
-                self.add_by("prp-spo1", &premise, s, q, o);
-            }
-            for &q in rules.inverses.get(&p).into_iter().flatten() {
-                self.add_by("prp-inv", &premise, o, q, s);
-            }
-            if rules.symmetric.contains(&p) {
-                self.add_by("prp-symp", &premise, o, p, s);
-            }
-            if rules.transitive.contains(&p) {
-                for z in self.g.objects(o, p) {
-                    self.add_by("prp-trp", &[[s, p, o], [o, p, z]], s, p, z);
-                }
-                for x in self.g.subjects(p, s) {
-                    self.add_by("prp-trp", &[[x, p, s], [s, p, o]], x, p, o);
-                }
-            }
-            // prp-dom / prp-rng
-            for c in rules.domains.get(&p).into_iter().flatten() {
-                self.apply_membership_by(s, c, &[]);
-            }
-            for c in rules.ranges.get(&p).into_iter().flatten() {
-                self.apply_membership_by(o, c, &[]);
-            }
-            // prp-fp: functional — two objects are the same individual.
-            if rules.functional.contains(&p) {
-                for o2 in self.g.objects(s, p) {
-                    if o2 != o && self.g.term(o).is_resource() && self.g.term(o2).is_resource() {
-                        self.add_by("prp-fp", &[[s, p, o], [s, p, o2]], o, rules.same_as, o2);
-                    }
-                }
-            }
-            // prp-ifp
-            if rules.inverse_functional.contains(&p) {
-                for s2 in self.g.subjects(p, o) {
-                    if s2 != s {
-                        self.add_by("prp-ifp", &[[s, p, o], [s2, p, o]], s, rules.same_as, s2);
-                    }
-                }
-            }
-            self.replicate(s, p, o);
+            return;
         }
-    }
-
-    /// eq-rep: replicates a triple across the known aliases of its
-    /// subject and object.
-    fn replicate(&mut self, s: TermId, p: TermId, o: TermId) {
-        for a in self.aliases.get(&s).cloned().into_iter().flatten() {
-            self.add_by("eq-rep-s", &[[s, p, o]], a, p, o);
-        }
-        for a in self.aliases.get(&o).cloned().into_iter().flatten() {
-            self.add_by("eq-rep-o", &[[s, p, o]], s, p, a);
-        }
+        self.note_alias(s, o);
+        self.add_by("eq-sym", &[[s, p, o]], o, p, s);
+        self.replicate_for_alias(s, o);
+        self.replicate_for_alias(o, s);
     }
 
     /// Links two individuals as aliases, merging their alias sets so
-    /// sameAs chains stay transitively closed (eq-trans), and enqueues the
+    /// sameAs chains stay transitively closed (eq-trans), and derives the
     /// implied sameAs triples.
     fn note_alias(&mut self, a: TermId, b: TermId) {
         if a == b {
             return;
         }
         // The merged equivalence class of a and b.
-        let mut class: BTreeSet<TermId> = BTreeSet::new();
-        class.insert(a);
-        class.insert(b);
+        let mut class: BTreeSet<TermId> = BTreeSet::from([a, b]);
         class.extend(self.aliases.get(&a).into_iter().flatten().copied());
         class.extend(self.aliases.get(&b).into_iter().flatten().copied());
         for &member in &class {
@@ -1463,7 +688,6 @@ impl<'a, S: GraphStore> Engine<'a, S> {
                 .entry(member)
                 .or_default()
                 .extend(others.iter().copied());
-            // Materialize the pairwise sameAs triples (eq-trans/eq-sym).
             for &other in &others {
                 self.add_by("eq-trans", &[], member, self.rules.same_as, other);
             }
@@ -1475,122 +699,48 @@ impl<'a, S: GraphStore> Engine<'a, S> {
         if from == to {
             return;
         }
-        let as_subject: Vec<[TermId; 3]> = self.g.match_pattern(Some(from), None, None);
-        for [_, p, o] in as_subject {
+        for [_, p, o] in self.g.match_pattern(Some(from), None, None) {
             if p != self.rules.same_as {
                 self.add_by("eq-rep-s", &[[from, p, o]], to, p, o);
             }
         }
-        let as_object: Vec<[TermId; 3]> = self.g.match_pattern(None, None, Some(from));
-        for [s, p, _] in as_object {
+        for [s, p, _] in self.g.match_pattern(None, None, Some(from)) {
             if p != self.rules.same_as {
                 self.add_by("eq-rep-o", &[[s, p, from]], s, p, to);
             }
         }
     }
+}
 
-    /// Asserts `sup`'s consequences for an `x` that satisfies `sub`,
-    /// with `sub`'s witness triples as premises when derivations are
-    /// tracked (nothing is asserted if no witness is found).
-    fn conclude(&mut self, x: TermId, sub: &ClassExpr, sup: &ClassExpr) {
-        if self.opts.track_derivations {
-            let mut witnesses = Vec::new();
-            if witnesses_in(&*self.g, self.rules, x, sub, &mut witnesses) {
-                self.apply_membership_by(x, sup, &witnesses);
+/// Binds `atom`'s variables to the terms of `t`, or `None` when a fixed
+/// term or an earlier binding disagrees (then `b` is as it was).
+/// Returns the variables it bound.
+fn bind(atom: &Atom, t: [TermId; 3], b: &mut [Option<TermId>]) -> Option<[Option<usize>; 2]> {
+    let mut set = [None, None];
+    for (k, (slot, id)) in [(atom.s, t[0]), (atom.o, t[2])].into_iter().enumerate() {
+        match slot {
+            Slot::Var(v) if b[v].is_none() => (b[v], set[k]) = (Some(id), Some(v)),
+            Slot::Var(v) if b[v] == Some(id) => {}
+            Slot::Id(fixed) if fixed == id => {}
+            _ => {
+                unbind(set, b);
+                return None;
             }
-        } else {
-            self.apply_membership_by(x, sup, &[]);
         }
     }
+    Some(set)
+}
 
-    /// Asserts the consequences of `x ∈ expr`, recording `premises` as
-    /// the evidence for every consequence (with derivation tracking on,
-    /// the witness triples of the left-hand side).
-    fn apply_membership_by(&mut self, x: TermId, expr: &ClassExpr, premises: &[[TermId; 3]]) {
-        match expr {
-            ClassExpr::Named(c) => self.add_by("cls", premises, x, self.rules.rdf_type, *c),
-            ClassExpr::IntersectionOf(es) => {
-                for e in es {
-                    self.apply_membership_by(x, e, premises);
-                }
-            }
-            ClassExpr::HasValue { property, value } => {
-                self.add_by("cls-hv1", premises, x, *property, *value)
-            }
-            ClassExpr::AllValuesFrom { property, filler } => {
-                // cls-avf: every p-successor of x is in the filler.
-                for o in self.g.objects(x, *property) {
-                    let mut with_edge = premises.to_vec();
-                    with_edge.push([x, *property, o]);
-                    self.apply_membership_by(o, filler, &with_edge);
-                }
-            }
-            ClassExpr::OneOf(ids) if ids.len() == 1 => {
-                // Singleton enumeration: x is that individual.
-                self.add_by("cls-oo", premises, x, self.rules.same_as, ids[0]);
-            }
-            // No existential introduction (matches OWL 2 RL), and nothing
-            // sound to conclude from a union or general enumeration.
-            ClassExpr::SomeValuesFrom { .. }
-            | ClassExpr::UnionOf(_)
-            | ClassExpr::OneOf(_)
-            | ClassExpr::ComplementOf(_) => {}
-        }
+fn unbind(set: [Option<usize>; 2], binding: &mut [Option<TermId>]) {
+    for v in set.into_iter().flatten() {
+        binding[v] = None;
     }
 }
 
-/// The sequences of triples that lead from `start` along `steps`, one
-/// step at a time with the `(node it reaches, triple)` pairs `next`
-/// gives for `(step, node)`: each with the node it ends at, and its
-/// triples when `tracking`.
-fn walk<'s>(
-    start: TermId,
-    steps: impl Iterator<Item = &'s TermId>,
-    tracking: bool,
-    mut next: impl FnMut(TermId, TermId) -> Vec<(TermId, [TermId; 3])>,
-) -> Vec<(TermId, Vec<[TermId; 3]>)> {
-    let mut seqs = vec![(start, Vec::new())];
-    for &step in steps {
-        let mut longer = Vec::new();
-        for (node, seq) in seqs {
-            for (reached, triple) in next(step, node) {
-                let mut seq = seq.clone();
-                if tracking {
-                    seq.push(triple);
-                }
-                longer.push((reached, seq));
-            }
-        }
-        seqs = longer;
-        if seqs.is_empty() {
-            break;
-        }
-    }
-    seqs
-}
-
-/// In-place transitive closure of an adjacency map.
-fn transitive_close(map: &mut FxMap<TermId, BTreeSet<TermId>>) {
-    // Simple semi-naive closure; schema graphs are small.
-    loop {
-        let mut additions: BTreeMap<TermId, BTreeSet<TermId>> = BTreeMap::new();
-        for (&node, sups) in map.iter() {
-            for &mid in sups {
-                if let Some(next) = map.get(&mid) {
-                    for &far in next {
-                        if far != node && !sups.contains(&far) {
-                            additions.entry(node).or_default().insert(far);
-                        }
-                    }
-                }
-            }
-        }
-        if additions.is_empty() {
-            return;
-        }
-        for (node, sups) in additions {
-            map.entry(node).or_default().extend(sups);
-        }
+fn check<V: GraphView + ?Sized>(g: &V, check: Check, b: &[Option<TermId>]) -> bool {
+    match check {
+        Check::Distinct(x, y) => b[x] != b[y],
+        Check::Resource(x) => b[x].is_some_and(|x| g.term(x).is_resource()),
     }
 }
 
@@ -1598,6 +748,7 @@ fn transitive_close(map: &mut FxMap<TermId, BTreeSet<TermId>>) {
 mod tests {
     use super::*;
     use feo_rdf::turtle::parse_turtle_into;
+    use feo_rdf::vocab::{owl, rdf, rdfs};
     use feo_rdf::Graph;
 
     fn graph(src: &str) -> Graph {
@@ -1948,20 +1099,16 @@ mod tests {
 
     #[test]
     fn round_cap_reports_nonconvergence() {
-        let src = layered_some_values_src(6);
+        let src = layered_some_values_src(70);
         let mut g = graph(&src);
-        let opts = ReasonerOptions {
-            max_rounds: 1,
-            ..Default::default()
-        };
-        let r = Reasoner::with_options(opts)
+        let r = Reasoner::new()
             .materialize(&mut g, &Default::default())
             .expect("materialize");
         assert!(!r.converged, "cap hit must not look like convergence");
         assert!(r.warnings.iter().any(|w| w.contains("fixpoint")));
 
-        // And without the cap the same input converges cleanly.
-        let mut g2 = graph(&src);
+        // And a cascade the cap leaves room for converges cleanly.
+        let mut g2 = graph(&layered_some_values_src(6));
         let r2 = Reasoner::new()
             .materialize(&mut g2, &Default::default())
             .expect("materialize");
@@ -1974,12 +1121,8 @@ mod tests {
         use feo_rdf::governor::{Budget, Resource};
         let src = layered_some_values_src(6);
         let mut g = graph(&src);
-        let opts = ReasonerOptions {
-            max_rounds: 1,
-            ..Default::default()
-        };
-        let guard = Budget::new().start();
-        let err = Reasoner::with_options(opts)
+        let guard = Budget::new().with_max_rounds(1).start();
+        let err = Reasoner::new()
             .materialize(&mut g, &MaterializeOptions::guarded(&guard))
             .unwrap_err();
         let ReasonerError::Exhausted { exhausted, partial } = err;
@@ -2358,6 +1501,7 @@ mod tests {
 mod same_as_tests {
     use super::*;
     use feo_rdf::turtle::parse_turtle_into;
+    use feo_rdf::vocab::owl;
     use feo_rdf::Graph;
 
     fn graph(src: &str) -> Graph {
@@ -2413,6 +1557,7 @@ mod same_as_tests {
 mod disjoint_property_tests {
     use super::*;
     use feo_rdf::turtle::parse_turtle_into;
+    use feo_rdf::vocab::owl;
     use feo_rdf::Graph;
 
     #[test]

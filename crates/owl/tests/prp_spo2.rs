@@ -67,7 +67,6 @@ fn premises_are_chain_instances(g: &impl GraphView, result: &InferenceResult, ch
 fn reasoner() -> Reasoner {
     Reasoner::with_options(ReasonerOptions {
         track_derivations: true,
-        ..Default::default()
     })
 }
 

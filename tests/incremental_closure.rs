@@ -145,7 +145,6 @@ fn tracked_delta_derivation_of_a_fact_keeps_its_premises() {
     let mut base = assemble(&kg, &user, &ctx);
     let reasoner = Reasoner::with_options(ReasonerOptions {
         track_derivations: true,
-        ..Default::default()
     });
     let rules = reasoner.compile(&mut base);
     reasoner

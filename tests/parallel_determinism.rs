@@ -127,12 +127,9 @@ proptest! {
 fn tracked_derivations_survive_the_parallel_path() {
     let close = |track_derivations: bool| {
         let mut g = synthetic_world(40, 7);
-        let result = Reasoner::with_options(ReasonerOptions {
-            track_derivations,
-            ..Default::default()
-        })
-        .materialize(&mut g, &Default::default())
-        .expect("converges");
+        let result = Reasoner::with_options(ReasonerOptions { track_derivations })
+            .materialize(&mut g, &Default::default())
+            .expect("converges");
         (g, result)
     };
 
