@@ -665,8 +665,8 @@ impl<'a, S: GraphStore> Engine<'a, S> {
             }
             return;
         }
-        self.note_alias(s, o);
         self.add_by("eq-sym", &[[s, p, o]], o, p, s);
+        self.note_alias(s, o);
         self.replicate_for_alias(s, o);
         self.replicate_for_alias(o, s);
     }

@@ -140,7 +140,7 @@ impl CompiledRules {
             same_as,
             rules: Vec::new(),
             vars: 0,
-            groups: 0,
+            axiom: 0,
         };
         let (mut classes, mut properties) = (BTreeMap::new(), BTreeMap::new());
         for axiom in &ontology.axioms {
@@ -175,8 +175,9 @@ impl CompiledRules {
                 Head::Triple(edge(0, q, 1)),
             );
         }
-        for axiom in &ontology.axioms {
-            c.axiom(axiom);
+        for (i, axiom) in ontology.axioms.iter().enumerate() {
+            c.axiom = i;
+            c.compile(axiom);
         }
         if let Some(nothing) = g.lookup_iri(owl::NOTHING) {
             let body = [Atom::new(x, rdf_type, Slot::Id(nothing))];
@@ -263,15 +264,16 @@ struct Compiler {
     rules: Vec<Rule>,
     /// The next free variable of the axiom being compiled.
     vars: usize,
-    /// The next ⊥ group.
-    groups: usize,
+    /// The position of the axiom being compiled: the ⊥ group of its
+    /// violations.
+    axiom: usize,
 }
 
 impl Compiler {
     /// The rules of one axiom. Variables 0 and 1 are the subject and
     /// object of the axiom's first edge, or 0 the individual a class
     /// expression is tested on.
-    fn axiom(&mut self, axiom: &Axiom) {
+    fn compile(&mut self, axiom: &Axiom) {
         let (x, y) = (Slot::Var(0), Slot::Var(1));
         let head = |s, p, o| Head::Triple(edge(s, p, o));
         let distinct = [Check::Distinct(0, 1)];
@@ -312,7 +314,7 @@ impl Compiler {
             }
             Axiom::DisjointClasses(ref a, ref b) => {
                 self.vars = 1;
-                let group = self.group();
+                let group = self.axiom;
                 let (a, b) = (self.holds(x, a), self.holds(x, b));
                 for body in a.iter().flat_map(|a| b.iter().map(move |b| a.and(b))) {
                     let bottom = Head::Bottom(DisjointClassesViolation, group, vec![x]);
@@ -321,7 +323,7 @@ impl Compiler {
             }
             Axiom::DisjointProperties(p, q) => {
                 let key = vec![y, x, Slot::Id(p), Slot::Id(q)];
-                let bottom = Head::Bottom(DisjointPropertiesViolation, self.group(), key);
+                let bottom = Head::Bottom(DisjointPropertiesViolation, self.axiom, key);
                 self.rule("prp-pdw", &[edge(0, p, 1), edge(0, q, 1)], &[], bottom);
             }
             Axiom::IrreflexiveProperty(p) => {
@@ -342,18 +344,13 @@ impl Compiler {
                 // eq-sym derives the reverse of every sameAs triple, so
                 // one direction finds every violation.
                 let (a, b) = (Slot::Id(a), Slot::Id(b));
-                let bottom = Head::Bottom(SameAndDifferent, self.group(), vec![a, b]);
+                let bottom = Head::Bottom(SameAndDifferent, self.axiom, vec![a, b]);
                 self.rule("eq-diff1", &[Atom::new(a, self.same_as, b)], &[], bottom);
             }
             // Compiled with the class and property hierarchies; asserted
             // sameAs pairs are seed triples like any other.
             Axiom::SubPropertyOf(..) | Axiom::EquivalentProperties(..) | Axiom::SameAs(..) => {}
         }
-    }
-
-    fn group(&mut self) -> usize {
-        self.groups += 1;
-        self.groups - 1
     }
 
     fn var(&mut self) -> Slot {
@@ -427,7 +424,7 @@ impl Compiler {
             }
             ClassExpr::ComplementOf(d) => {
                 // cls-com: `x ∈ ¬D` and `x ∈ D` clash.
-                let bottom = Head::Bottom(DisjointClassesViolation, self.group(), vec![x]);
+                let bottom = Head::Bottom(DisjointClassesViolation, self.axiom, vec![x]);
                 for inside in self.holds(x, d) {
                     self.push("cls-com", &body.and(&inside), &[], bottom.clone());
                 }

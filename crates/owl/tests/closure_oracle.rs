@@ -332,3 +332,41 @@ fn every_pair_of_axiom_kinds_closes_a_delta_like_every_rule_on_the_read_set() {
         }
     }
 }
+
+/// A complement applied to an individual that is in the complemented
+/// class is a contradiction (cls-com), reported as a disjointness
+/// violation: on the right of a subclass axiom, around an existential,
+/// under a universal, and as a domain or a range.
+#[test]
+fn a_complement_superclass_is_inconsistent() {
+    use feo_owl::InconsistencyKind;
+    let typings = [(0, 1), (0, 2), (1, 3), (2, 2)];
+    let edges = [(0, 0, 1), (0, 0, 2), (3, 1, 0)];
+    let some_p_c3 = "[ a owl:Restriction ; owl:onProperty t:p ; owl:someValuesFrom t:C3 ]";
+    let shapes = [
+        "t:C1 rdfs:subClassOf [ owl:complementOf t:C2 ] .".to_string(),
+        format!("t:C1 rdfs:subClassOf [ owl:complementOf {some_p_c3} ] ."),
+        "t:C1 rdfs:subClassOf [ a owl:Restriction ; owl:onProperty t:p ;\n\
+           owl:allValuesFrom [ owl:complementOf t:C2 ] ] ."
+            .to_string(),
+        "t:p rdfs:domain [ owl:complementOf t:C2 ] .".to_string(),
+        "t:q rdfs:range [ owl:complementOf t:C1 ] .".to_string(),
+    ];
+    for shape in shapes {
+        let src = ontology(&[], &typings, &edges, &[]) + &shape;
+        if let Err(diff) = engine_matches_oracle(&src) {
+            panic!("{diff}\n{src}");
+        }
+        let mut g = Graph::new();
+        parse_turtle_into(&src, &mut g, &Default::default()).expect("parses");
+        let result = Reasoner::new()
+            .materialize(&mut g, &Default::default())
+            .expect("unguarded closure cannot trip");
+        let kinds: Vec<_> = result.inconsistencies.iter().map(|i| i.kind).collect();
+        assert_eq!(
+            kinds,
+            [InconsistencyKind::DisjointClassesViolation],
+            "{src}"
+        );
+    }
+}

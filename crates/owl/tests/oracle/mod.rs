@@ -31,7 +31,7 @@ enum Class {
     All(Id, Box<Class>),
     Value(Id, Id),
     OneOf(Vec<Id>),
-    Not,
+    Not(Box<Class>),
 }
 
 impl Class {
@@ -49,7 +49,7 @@ impl Class {
             }
             ClassExpr::HasValue { property, value } => Class::Value(id(*property), id(*value)),
             ClassExpr::OneOf(ids) => Class::OneOf(ids.iter().map(|&t| id(t)).collect()),
-            ClassExpr::ComplementOf(_) => Class::Not,
+            ClassExpr::ComplementOf(c) => Class::Not(Box::new(Class::of(c))),
         }
     }
 }
@@ -60,8 +60,9 @@ struct Tbox {
     /// Named subclass pairs (equivalences both ways), transitively closed.
     sub_class: BTreeSet<(Id, Id)>,
     sub_prop: BTreeSet<(Id, Id)>,
-    /// Subclass pairs with a complex side.
-    complex: Vec<(Class, Class)>,
+    /// Subclass pairs with a complex side, with the position of the
+    /// axiom they come from.
+    complex: Vec<(usize, Class, Class)>,
     inverse: Vec<(Id, Id)>,
     transitive: Vec<Id>,
     symmetric: Vec<Id>,
@@ -69,8 +70,9 @@ struct Tbox {
     functional: Vec<Id>,
     inverse_functional: Vec<Id>,
     irreflexive: Vec<Id>,
-    domain: Vec<(Id, Class)>,
-    range: Vec<(Id, Class)>,
+    /// Domain and range expressions, with the position of their axiom.
+    domain: Vec<(usize, Id, Class)>,
+    range: Vec<(usize, Id, Class)>,
     chains: Vec<(Vec<Id>, Id)>,
     disjoint_classes: Vec<(Class, Class)>,
     disjoint_properties: Vec<(Id, Id)>,
@@ -81,13 +83,18 @@ impl Tbox {
     fn of(g: &Graph) -> Tbox {
         let ontology = extract_axioms(g);
         let mut t = Tbox::default();
-        for (sub, sup) in ontology.subclass_like() {
-            match (sub.as_named(), sup.as_named()) {
-                (Some(a), Some(b)) => _ = t.sub_class.insert((id(a), id(b))),
-                _ => t.complex.push((Class::of(sub), Class::of(sup))),
+        for (i, axiom) in ontology.axioms.iter().enumerate() {
+            let pairs = match axiom {
+                Axiom::SubClassOf(a, b) => vec![(a, b)],
+                Axiom::EquivalentClasses(a, b) => vec![(a, b), (b, a)],
+                _ => vec![],
+            };
+            for (sub, sup) in pairs {
+                match (sub.as_named(), sup.as_named()) {
+                    (Some(a), Some(b)) => _ = t.sub_class.insert((id(a), id(b))),
+                    _ => t.complex.push((i, Class::of(sub), Class::of(sup))),
+                }
             }
-        }
-        for axiom in &ontology.axioms {
             match axiom {
                 Axiom::SubPropertyOf(a, b) => _ = t.sub_prop.insert((id(*a), id(*b))),
                 Axiom::EquivalentProperties(a, b) => {
@@ -104,8 +111,8 @@ impl Tbox {
                 Axiom::FunctionalProperty(p) => t.functional.push(id(*p)),
                 Axiom::InverseFunctionalProperty(p) => t.inverse_functional.push(id(*p)),
                 Axiom::IrreflexiveProperty(p) => t.irreflexive.push(id(*p)),
-                Axiom::Domain(p, c) => t.domain.push((id(*p), Class::of(c))),
-                Axiom::Range(p, c) => t.range.push((id(*p), Class::of(c))),
+                Axiom::Domain(p, c) => t.domain.push((i, id(*p), Class::of(c))),
+                Axiom::Range(p, c) => t.range.push((i, id(*p), Class::of(c))),
                 Axiom::PropertyChain(chain, p) => t
                     .chains
                     .push((chain.iter().map(|&s| id(s)).collect(), id(*p))),
@@ -168,23 +175,25 @@ impl Round<'_> {
             Class::Some(p, f) => self.objects(x, *p).any(|y| self.holds(y, f)),
             Class::Value(p, v) => self.has([x, *p, *v]),
             Class::OneOf(members) => members.contains(&x),
-            Class::All(..) | Class::Not => false,
+            Class::All(..) | Class::Not(_) => false,
         }
     }
 
-    /// What `x ∈ c` entails.
-    fn apply(&self, x: Id, c: &Class, out: &mut Vec<Triple>) {
+    /// What `x ∈ c` entails: triples, and the individuals found in a
+    /// class as well as in its complement (cls-com).
+    fn apply(&self, x: Id, c: &Class, out: &mut Vec<Triple>, clashes: &mut Vec<Id>) {
         match c {
             Class::Named(c) => out.push([x, self.rdf_type, *c]),
-            Class::And(cs) => cs.iter().for_each(|c| self.apply(x, c, out)),
+            Class::And(cs) => cs.iter().for_each(|c| self.apply(x, c, out, clashes)),
             Class::Value(p, v) => out.push([x, *p, *v]),
             Class::All(p, f) => {
                 for y in self.objects(x, *p) {
-                    self.apply(y, f, out);
+                    self.apply(y, f, out, clashes);
                 }
             }
             Class::OneOf(members) if members.len() == 1 => out.push([x, self.same_as, members[0]]),
-            Class::Or(_) | Class::Some(..) | Class::OneOf(_) | Class::Not => {}
+            Class::Not(d) if self.holds(x, d) => clashes.push(x),
+            Class::Or(_) | Class::Some(..) | Class::OneOf(_) | Class::Not(_) => {}
         }
     }
 
@@ -192,11 +201,19 @@ impl Round<'_> {
         self.graph.term(self.ids[x as usize]).is_resource()
     }
 
-    /// Every triple any rule derives from the facts.
-    fn consequences(&self) -> Vec<Triple> {
+    /// Every triple any rule derives from the facts, and the
+    /// individuals a class axiom or a domain or range puts in a
+    /// complement of a class they are in, with the axiom's position.
+    fn consequences(&self) -> (Vec<Triple>, BTreeSet<(usize, Id)>) {
         let t = self.tbox;
         let (ty, same) = (self.rdf_type, self.same_as);
         let mut out = Vec::new();
+        let mut clashes = BTreeSet::new();
+        let mut apply = |axiom: usize, x: Id, c: &Class, out: &mut Vec<Triple>| {
+            let mut found = Vec::new();
+            self.apply(x, c, out, &mut found);
+            clashes.extend(found.into_iter().map(|x| (axiom, x)));
+        };
         for &[s, p, o] in self.facts {
             // eq-rep: every triple but a sameAs one holds of an alias.
             if p != same {
@@ -243,11 +260,11 @@ impl Round<'_> {
                 out.extend(self.objects(o, p).map(|z| [s, p, z]));
             }
             // prp-dom, prp-rng
-            for (_, c) in t.domain.iter().filter(|(q, _)| *q == p) {
-                self.apply(s, c, &mut out);
+            for (i, _, c) in t.domain.iter().filter(|(_, q, _)| *q == p) {
+                apply(*i, s, c, &mut out);
             }
-            for (_, c) in t.range.iter().filter(|(q, _)| *q == p) {
-                self.apply(o, c, &mut out);
+            for (i, _, c) in t.range.iter().filter(|(_, q, _)| *q == p) {
+                apply(*i, o, c, &mut out);
             }
             // prp-fp, prp-ifp
             if t.functional.contains(&p) {
@@ -267,9 +284,9 @@ impl Round<'_> {
         }
         // Class axioms with a complex side, on every individual.
         for x in self.individuals() {
-            for (sub, sup) in &t.complex {
+            for (i, sub, sup) in &t.complex {
                 if self.holds(x, sub) {
-                    self.apply(x, sup, &mut out);
+                    apply(*i, x, sup, &mut out);
                 }
             }
         }
@@ -289,7 +306,7 @@ impl Round<'_> {
             }
             out.extend(ends.into_iter().map(|(x, z)| [x, *q, z]));
         }
-        out
+        (out, clashes)
     }
 
     fn individuals(&self) -> BTreeSet<Id> {
@@ -300,12 +317,17 @@ impl Round<'_> {
         self.graph.term_name(self.ids[x as usize])
     }
 
-    /// Every violation of the consistency rules in the facts.
-    fn inconsistencies(&self) -> Vec<(InconsistencyKind, String)> {
+    /// Every violation of the consistency rules in the facts, given the
+    /// complement clashes of their consequences.
+    fn inconsistencies(&self, clashes: &BTreeSet<(usize, Id)>) -> Vec<(InconsistencyKind, String)> {
         use InconsistencyKind::*;
         let t = self.tbox;
         let n = |x| self.name(x);
         let mut out = Vec::new();
+        for &(_, x) in clashes {
+            let detail = format!("{} is an instance of disjoint classes", n(x));
+            out.push((DisjointClassesViolation, detail));
+        }
         for (a, b) in &t.disjoint_classes {
             for x in self.individuals() {
                 if self.holds(x, a) && self.holds(x, b) {
@@ -381,25 +403,16 @@ pub fn close(g: &mut Graph) -> Vec<(InconsistencyKind, String)> {
             same_as,
             nothing,
         };
-        let derived = round.consequences();
-        let before = facts.len();
-        facts.extend(derived);
-        if facts.len() == before {
-            break;
+        let (derived, clashes) = round.consequences();
+        if derived.iter().all(|t| facts.contains(t)) {
+            // A round that derives nothing ran over the closure: its
+            // clashes are the closure's.
+            let inconsistencies = round.inconsistencies(&clashes);
+            for &[s, p, o] in &facts {
+                g.insert_ids(ids[s as usize], ids[p as usize], ids[o as usize]);
+            }
+            return inconsistencies;
         }
+        facts.extend(derived);
     }
-    let inconsistencies = Round {
-        facts: &facts,
-        tbox: &tbox,
-        graph: g,
-        ids: &ids,
-        rdf_type,
-        same_as,
-        nothing,
-    }
-    .inconsistencies();
-    for &[s, p, o] in &facts {
-        g.insert_ids(ids[s as usize], ids[p as usize], ids[o as usize]);
-    }
-    inconsistencies
 }
