@@ -1,31 +1,26 @@
-//! Forward-chaining materializing reasoner: the OWL 2 RL entailment
-//! rules the FEO pipeline depends on, in place of the paper's Pellet.
+//! Forward-chaining materializing reasoner: the OWL 2 RL rules the FEO
+//! pipeline depends on, in place of the paper's Pellet.
 //! [`Reasoner::materialize`] is the paper's export step: it adds every
 //! derivable triple to the graph in place.
 //!
 //! ## Rule coverage
 //!
-//! The TBox compiles to one rule program ([`CompiledRules`]): bodies of
-//! triple patterns, a triple or ⊥ as head, each rule named for the OWL 2
-//! RL/RDF rule it instantiates. It holds scm-sco and scm-spo as facts;
-//! cax-sco; prp-spo1, -inv, -symp, -trp, -dom, -rng, -spo2, -fp and -ifp;
-//! the cls-* rules of every class expression on either side of an axiom;
-//! and the consistency rules as ⊥ rules: cax-dw, cls-com, prp-pdw,
-//! cls-nothing2, prp-irp, prp-asyp and eq-diff1. eq-sym, eq-trans and
-//! eq-rep-* stay out of it: alias sets copy every triple along
-//! `owl:sameAs`, which a rule would need a variable predicate for.
-//! DESIGN.md lists every rule of the W3C tables and where it stands.
+//! The TBox compiles to one rule program ([`CompiledRules`]) of OWL 2
+//! RL/RDF rules: scm-sco and scm-spo as facts; cax-sco; prp-spo1, -inv,
+//! -symp, -trp, -dom, -rng, -spo2, -fp and -ifp; the cls-* rules of the
+//! class expressions on either side of an axiom; and cax-dw, cls-com,
+//! prp-pdw, cls-nothing2, prp-irp, prp-asyp and eq-diff1 as ⊥ rules.
+//! eq-sym, eq-trans and eq-rep-* stay out of it: alias sets copy every
+//! triple along `owl:sameAs`, which a rule would need a variable
+//! predicate for. DESIGN.md tables every W3C rule and where it stands.
 //!
 //! ## One algorithm, two seeds
 //!
-//! One semi-naïve loop evaluates the program. A round binds each rule
-//! atom in turn to the triples that are new in it (in the first round,
-//! the seed); atoms to its left read only older triples and atoms to its
-//! right the whole store, so an instantiation is found in the round its
-//! last triple arrives. [`Reasoner::materialize`] asserts the facts and
-//! seeds it with every triple of the graph, all new, so that only first
-//! atoms bind; [`Reasoner::materialize_delta`] seeds it with an overlay's
-//! delta over a closed base.
+//! One semi-naïve loop evaluates the program, round by round, binding
+//! rule atoms to each round's new triples (see `Engine::round`).
+//! [`Reasoner::materialize`] asserts the facts and seeds it with every
+//! triple of the graph; [`Reasoner::materialize_delta`] seeds it with an
+//! overlay's delta over a closed base.
 
 use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
@@ -35,18 +30,16 @@ use feo_rdf::governor::{Exhausted, Guard, Resource};
 use feo_rdf::hash::{FxMap, FxSet};
 use feo_rdf::{GraphStore, GraphView, Overlay, TermId};
 
-mod relevance;
 mod rules;
-pub use relevance::ReadSet;
-pub use rules::CompiledRules;
-use rules::{Atom, Check, Head, Rule, Slot};
+use rules::{Atom, Binding, Head, Rule, Slot};
+pub use rules::{CompiledRules, ReadSet};
 
 /// The unguarded safety valve on closure rounds: a closure still
 /// deriving after this many reports `converged: false` (guarded runs cap
 /// rounds with [`feo_rdf::governor::Budget::with_max_rounds`]).
 const MAX_ROUNDS: usize = 64;
 
-/// Tuning knobs for materialization.
+/// Materialization options.
 #[derive(Debug, Clone, Default)]
 pub struct ReasonerOptions {
     /// Record, for every inferred triple, the rule that produced it and
@@ -92,14 +85,12 @@ pub enum InconsistencyKind {
 pub struct InferenceResult {
     /// Triples added to the graph by inference.
     pub added: usize,
-    /// Outer fixpoint rounds used — a function of the input and rule set
-    /// alone, so a round budget trips at the same point on every host.
+    /// Fixpoint rounds used — a function of the input and rule set alone,
+    /// so a round budget trips at the same point on every host.
     pub rounds: usize,
-    /// Whether the fixpoint actually converged. `false` means the round
-    /// cap (64 rounds) cut the loop short and the materialized
-    /// output may be incomplete. The guarded entry points surface the
-    /// same condition as a typed [`Exhausted`] with [`Resource::Rounds`]
-    /// instead.
+    /// `false` when the unguarded cap of 64 rounds cut the fixpoint short
+    /// and the output may be incomplete (guarded runs surface it as an
+    /// [`Exhausted`] on [`Resource::Rounds`]).
     pub converged: bool,
     /// Number of axioms extracted from the graph.
     pub axiom_count: usize,
@@ -137,11 +128,9 @@ impl InferenceResult {
 /// Error surface of the guarded materialization entry points.
 #[derive(Debug, Clone)]
 pub enum ReasonerError {
-    /// An execution budget tripped mid-closure. The triples derived up to
-    /// that point are already in the graph/overlay (sound but possibly
-    /// incomplete), and `partial` carries the statistics for them —
-    /// callers can keep the partial materialization or roll the overlay
-    /// back.
+    /// An execution budget tripped mid-closure. The triples derived so
+    /// far (sound, perhaps incomplete) are in the graph or overlay, and
+    /// `partial` carries their statistics.
     Exhausted {
         exhausted: Exhausted,
         partial: Box<InferenceResult>,
@@ -156,9 +145,7 @@ impl ReasonerError {
         }
     }
 
-    /// Unwraps the partial result, discarding the trip. The derived
-    /// triples are already in the store, so callers that want
-    /// best-effort semantics (keep whatever closure completed) use
+    /// The partial result, for best-effort callers:
     /// `materialize(..).unwrap_or_else(|e| e.into_partial())`.
     pub fn into_partial(self) -> InferenceResult {
         match self {
@@ -167,19 +154,14 @@ impl ReasonerError {
     }
 }
 
-/// Options accepted by the unified materialization entry points
-/// ([`Reasoner::materialize`] / [`Reasoner::materialize_delta`]).
-///
-/// - `guard`: charge the closure against an execution [`Guard`]; a trip
-///   surfaces as [`ReasonerError::Exhausted`] with the partial result.
-/// - `rules`: reuse a [`CompiledRules`] program instead of re-extracting
-///   and compiling the TBox on every call (the snapshot + overlay
-///   pipeline compiles once per base graph).
+/// Options of [`Reasoner::materialize`] and [`Reasoner::materialize_delta`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MaterializeOptions<'a> {
-    /// Execution guard; `None` runs unguarded (never errors).
+    /// Execution guard, charged per round and per derived triple; a trip
+    /// surfaces as [`ReasonerError::Exhausted`]. `None` never errors.
     pub guard: Option<&'a Guard>,
-    /// Precompiled rules; `None` compiles from the store itself.
+    /// Precompiled rules (the snapshot + overlay pipeline compiles once
+    /// per base graph); `None` compiles the store's own TBox.
     pub rules: Option<&'a CompiledRules>,
 }
 
@@ -223,14 +205,10 @@ impl fmt::Display for ReasonerError {
 
 impl std::error::Error for ReasonerError {}
 
-/// The materializing reasoner.
-///
-/// [`Reasoner::materialize`] recompiles the TBox on every call unless
-/// given [`CompiledRules`], so graphs whose schema changes between runs
-/// keep working. The snapshot + overlay pipeline instead calls
+/// The materializing reasoner. The snapshot + overlay pipeline calls
 /// [`Reasoner::compile`] once on the base graph and then
-/// [`Reasoner::materialize_delta`] per session overlay: the same
-/// closure, seeded with the session's triples instead of the graph's.
+/// [`Reasoner::materialize_delta`] per session overlay: the closure of
+/// [`Reasoner::materialize`], seeded with the session's triples.
 #[derive(Debug, Default, Clone)]
 pub struct Reasoner {
     options: ReasonerOptions,
@@ -248,36 +226,24 @@ impl Reasoner {
     /// Materializes all derivable triples into `graph` and returns run
     /// statistics. Idempotent: a second run adds nothing.
     ///
-    /// This is the semi-naïve closure started from empty: the schema
-    /// closure (the transitive `rdfs:subClassOf` / `rdfs:subPropertyOf`
-    /// pairs over named classes and properties, so SPARQL can use
-    /// single-hop subclass patterns the way the paper's Listing 1 does)
-    /// and the program's other facts are asserted first, and every
-    /// triple of the graph is the seed.
-    ///
-    /// Behavior under [`MaterializeOptions`]:
-    /// - with `rules`, reuses the precompiled program; otherwise extracts
-    ///   and compiles the TBox first (use [`Reasoner::compile`] to split
-    ///   that work out across runs);
-    /// - with `guard`, the derived-triple budget is charged per
-    ///   inference, the deadline / cancellation flag is polled per seed
-    ///   or derived triple, and a trip surfaces as
-    ///   [`ReasonerError::Exhausted`] carrying the partial statistics —
-    ///   triples derived before the trip stay in the graph. Unguarded
-    ///   runs never error (round caps surface as `converged: false`
-    ///   instead).
+    /// This is the semi-naïve closure started from empty: the program's
+    /// facts are asserted first (among them the transitive subclass and
+    /// subproperty pairs, so SPARQL can use single-hop subclass patterns
+    /// the way the paper's Listing 1 does), and every triple of the graph
+    /// is the seed. After a guard trip the triples derived so far stay in
+    /// the graph and the error carries their statistics.
     pub fn materialize(
         &self,
         graph: &mut impl GraphStore,
         opts: &MaterializeOptions,
     ) -> Result<InferenceResult, ReasonerError> {
         let rules = opts.rules_for(graph);
-        let mut engine = Engine::new(graph, &rules, &self.options, opts.guard);
+        let mut engine = Engine::new(graph, &rules, self.options.track_derivations, opts.guard);
         for rule in rules.rules.iter().filter(|r| r.body.is_empty()) {
             engine.conclude(rule, &[]);
         }
         let seed: Vec<[TermId; 3]> = engine.g.iter_ids().collect();
-        settle(engine.run(seed))
+        engine.run(seed)
     }
 
     /// Extracts the graph's axioms and compiles them into a reusable
@@ -288,25 +254,14 @@ impl Reasoner {
 
     /// Semi-naïve incremental re-closure of an overlay whose base is
     /// already materialized: the closure [`Reasoner::materialize`] runs,
-    /// seeded with the overlay's delta triples instead of every triple,
-    /// so only consequences reachable from them are derived. That is
-    /// equivalent to a full re-materialization of `base ∪ delta` when
+    /// seeded with the overlay's delta instead of every triple. It equals
+    /// a full re-materialization of `base ∪ delta` when the base was
+    /// closed under the same rules and the delta holds ABox triples only.
     ///
-    /// - the base was materialized under the same `rules`, and
-    /// - the delta contains ABox assertions only (the TBox, and therefore
-    ///   `rules`, is unchanged).
-    ///
-    /// All derived triples land in the overlay's delta; the base is never
-    /// touched. Consistency checking is likewise scoped to the delta:
-    /// only violations some delta or derived triple takes part in are
-    /// reported.
-    ///
-    /// The rules normally arrive via [`MaterializeOptions::rules`],
-    /// compiled once from the base; when absent they are compiled from
-    /// the overlay itself (correct, but repeats the TBox work the
-    /// snapshot pipeline exists to avoid). With a guard set, a trip
-    /// leaves the triples derived so far in the overlay's delta; the
-    /// caller decides whether to keep or discard the partial closure.
+    /// Derived triples land in the overlay's delta, and only violations
+    /// some delta or derived triple takes part in are reported. After a
+    /// guard trip the partial closure stays in the delta; the caller
+    /// keeps or discards it.
     pub fn materialize_delta<B: GraphView>(
         &self,
         overlay: &mut Overlay<B>,
@@ -314,30 +269,14 @@ impl Reasoner {
     ) -> Result<InferenceResult, ReasonerError> {
         let rules = opts.rules_for(overlay);
         let seed: Vec<[TermId; 3]> = overlay.delta_log().to_vec();
-        // Aliases derived in the base closure exist only as `owl:sameAs`
-        // triples there; rebuild the alias sets so eq-rep fires when a
-        // delta triple touches an aliased individual. On a closed base
-        // every re-noted pair is a no-op insert.
+        // The base's aliases are its `owl:sameAs` triples: rebuild their
+        // sets so eq-rep fires on delta triples (adding nothing there).
         let same_as = overlay.match_pattern(None, Some(rules.same_as), None);
-        let mut engine = Engine::new(overlay, &rules, &self.options, opts.guard);
+        let mut engine = Engine::new(overlay, &rules, self.options.track_derivations, opts.guard);
         for [a, _, b] in same_as {
             engine.note_alias(a, b);
         }
-        settle(engine.run(seed))
-    }
-}
-
-/// Maps an engine run's `(result, tripped)` pair onto the guarded
-/// entry points' `Result` surface.
-fn settle(
-    (result, tripped): (InferenceResult, Option<Exhausted>),
-) -> Result<InferenceResult, ReasonerError> {
-    match tripped {
-        None => Ok(result),
-        Some(exhausted) => Err(ReasonerError::Exhausted {
-            exhausted,
-            partial: Box::new(result),
-        }),
+        engine.run(seed)
     }
 }
 
@@ -349,35 +288,24 @@ struct Engine<'a, S: GraphStore> {
     result: InferenceResult,
     /// sameAs alias sets, maintained incrementally.
     aliases: FxMap<TermId, BTreeSet<TermId>>,
-    /// The seed and every triple derived since, in order; a round is a
-    /// range of it.
+    /// The seed and every triple derived since; a round is a range of it.
     log: Vec<[TermId; 3]>,
-    /// The log position of every triple a round may have to tell from
-    /// older ones: all derived triples, and the seed unless every triple
-    /// in the store is in it.
+    /// Log positions of the triples a join can read left of the atom it
+    /// binds (`rules::Entry::left`); any other is older than any round.
     stamps: FxMap<[TermId; 3], usize>,
-    /// Violations found by the ⊥ rules: kind, group and key (see
-    /// [`Head::Bottom`]), in report order.
+    /// ⊥ rule findings as `(kind, group, key)`, in report order.
     violations: BTreeSet<(InconsistencyKind, usize, Vec<TermId>)>,
-    /// Execution governor for the guarded entry points; `None` on the
-    /// unguarded paths.
     guard: Option<&'a Guard>,
-    /// Set when the guard trips; every hot loop bails out once this is
-    /// populated so the engine unwinds quickly with its partial result.
+    /// Set when the guard trips; every loop bails out once it is.
     tripped: Option<Exhausted>,
 }
 
 impl<'a, S: GraphStore> Engine<'a, S> {
-    fn new(
-        g: &'a mut S,
-        rules: &'a CompiledRules,
-        opts: &ReasonerOptions,
-        guard: Option<&'a Guard>,
-    ) -> Self {
+    fn new(g: &'a mut S, rules: &'a CompiledRules, track: bool, guard: Option<&'a Guard>) -> Self {
         Engine {
             g,
             rules,
-            track: opts.track_derivations,
+            track,
             result: InferenceResult {
                 axiom_count: rules.axiom_count(),
                 warnings: rules.warnings.clone(),
@@ -406,19 +334,25 @@ impl<'a, S: GraphStore> Engine<'a, S> {
     /// The semi-naïve closure: derives what `seed` (triples already in
     /// the store) and everything derived on the way can entail, assuming
     /// the rest of the store is already closed under the rules. Triples
-    /// derived before (the facts, re-noted aliases) are in the first
-    /// round with the seed, once.
-    fn run(mut self, seed: Vec<[TermId; 3]>) -> (InferenceResult, Option<Exhausted>) {
+    /// derived before (the facts, re-noted aliases) join the seed.
+    fn run(mut self, seed: Vec<[TermId; 3]>) -> Result<InferenceResult, ReasonerError> {
         let logged: FxSet<[TermId; 3]> = self.log.iter().copied().collect();
         self.log
             .extend(seed.into_iter().filter(|t| !logged.contains(t)));
-        // When every triple is in the first round, no atom can read an
-        // older one there, so only each rule's first atom is bound.
         let all_fresh = self.g.len() == self.log.len();
         let (mut start, seed) = (0, self.log.len());
         while start < self.log.len() && self.tripped.is_none() {
             if self.result.rounds == MAX_ROUNDS {
-                self.round_cap_hit();
+                self.result.converged = false;
+                self.result.warnings.push(format!(
+                    "fixpoint not reached after {MAX_ROUNDS} rounds — output may be incomplete"
+                ));
+                // Guarded runs surface the cap as a typed trip.
+                self.tripped = self.guard.map(|_| Exhausted {
+                    resource: Resource::Rounds,
+                    spent: MAX_ROUNDS as u64,
+                    limit: MAX_ROUNDS as u64,
+                });
                 break;
             }
             self.result.rounds += 1;
@@ -428,21 +362,26 @@ impl<'a, S: GraphStore> Engine<'a, S> {
             }
             start = self.round(start, seed, all_fresh && start == 0);
         }
-        if self.tripped.is_some() {
-            // A tripped budget means the closure stopped early: whatever
-            // was derived is sound, but the fixpoint was not reached.
-            self.result.converged = false;
-        } else {
+        let Some(exhausted) = self.tripped else {
             self.report();
-        }
-        (self.result, self.tripped)
+            return Ok(self.result);
+        };
+        // Whatever was derived is sound, but the fixpoint was not reached.
+        self.result.converged = false;
+        let partial = Box::new(self.result);
+        Err(ReasonerError::Exhausted { exhausted, partial })
     }
 
     /// The round from `log[start]`, returning where the next begins.
-    /// Rules of one atom need no join: they run on the round's triples
-    /// and on what they derive, as does eq-rep, until nothing is new.
-    /// Then every rule with a join runs once per atom on each triple of
-    /// the closed round; what those derive is the next round.
+    /// Rules of one atom, and rules closing one predicate over itself,
+    /// run as a worklist on the round's triples and on what they derive,
+    /// as does eq-rep, until nothing is new; they read every triple.
+    /// Then every other join runs once per atom on each triple of the
+    /// closed round, with atoms to its left reading only older rounds
+    /// and atoms to its right the whole store, so an instantiation is
+    /// found in the round its last triple arrives. What those derive is
+    /// the next round. When every triple of the store is in the seed, no
+    /// atom can read an older one, so seed triples bind first atoms only.
     fn round(&mut self, start: usize, seed: usize, first_atoms_only: bool) -> usize {
         let mut joins: Vec<(usize, &[(usize, usize)])> = Vec::new();
         let mut at = start;
@@ -450,10 +389,8 @@ impl<'a, S: GraphStore> Engine<'a, S> {
             let t = self.log[at];
             self.equality(t);
             let first = first_atoms_only && at < seed;
-            for entry in [(t[1], None), (t[1], Some(t[2]))]
-                .iter()
-                .filter_map(|k| self.rules.index.get(k))
-            {
+            let keys = [(t[1], None), (t[1], Some(t[2]))];
+            for entry in keys.iter().filter_map(|k| self.rules.index.get(k)) {
                 if entry.left && !first {
                     self.stamps.insert(t, at);
                 }
@@ -473,64 +410,41 @@ impl<'a, S: GraphStore> Engine<'a, S> {
         at
     }
 
-    /// Fires the rule atoms `atoms` with `t`.
-    fn fire_all(
-        &mut self,
-        atoms: &[(usize, usize)],
-        t: [TermId; 3],
-        start: usize,
-        first_only: bool,
-    ) {
-        for &(r, pos) in atoms {
-            if pos == 0 || !first_only {
-                self.fire(&self.rules.rules[r], pos, t, start);
+    /// Runs each of the rule atoms `atoms` bound to `t`, only those at
+    /// position 0 when `first`; atoms left of the bound one read
+    /// only triples stamped before `start`.
+    fn fire_all(&mut self, atoms: &[(usize, usize)], t: [TermId; 3], start: usize, first: bool) {
+        for &(r, pos) in atoms.iter().filter(|&&(_, pos)| pos == 0 || !first) {
+            let rule = &self.rules.rules[r];
+            // Bodies are small: bind on the stack unless one is not.
+            let (mut small, mut large) = ([None; 8], Vec::new());
+            let binding = match rule.vars {
+                n @ 0..=8 => &mut small[..n],
+                n => {
+                    large.resize(n, None);
+                    &mut large[..]
+                }
+            };
+            if bind(&rule.body[pos], t, binding).is_some() {
+                self.join(rule, &rule.orders[pos], (pos, start), binding);
             }
-        }
-    }
-
-    /// Runs `rule` with its atom at `pos` bound to `t`, atoms to its left
-    /// reading only triples older than the round that began at `start`.
-    fn fire(&mut self, rule: &Rule, pos: usize, t: [TermId; 3], start: usize) {
-        // Bodies are small: bind on the stack unless one is not.
-        let (mut small, mut large) = ([None; 8], Vec::new());
-        let binding = match rule.vars {
-            n @ 0..=8 => &mut small[..n],
-            n => {
-                large.resize(n, None);
-                &mut large[..]
-            }
-        };
-        if bind(&rule.body[pos], t, binding).is_some() {
-            self.join(rule, &rule.orders[pos], (pos, start), binding);
         }
     }
 
     /// Joins the atoms `order` names onto the binding `b` and concludes
     /// every complete binding that passes the rule's checks. An atom left
-    /// of `fresh.0` reads only triples older than the round that began
-    /// at `fresh.1`.
-    fn join(
-        &mut self,
-        rule: &Rule,
-        order: &[usize],
-        fresh: (usize, usize),
-        b: &mut [Option<TermId>],
-    ) {
+    /// of position `fresh.0` reads only triples older than `fresh.1`.
+    fn join(&mut self, rule: &Rule, order: &[usize], fresh: (usize, usize), b: &mut Binding) {
         let Some((&j, rest)) = order.split_first() else {
-            if rule.checks.iter().all(|&c| check(&*self.g, c, b)) {
+            if rule.checks.iter().all(|c| c.holds(&*self.g, b)) {
                 self.conclude(rule, b);
             }
             return;
         };
-        let atom = rule.body[j];
-        let value = |s: Slot| match s {
-            Slot::Var(v) => b[v],
-            Slot::Id(id) => Some(id),
-        };
-        let stamps = &self.stamps;
+        let (atom, stamps) = (rule.body[j], &self.stamps);
         let readable =
             |t: &[TermId; 3]| j > fresh.0 || stamps.get(t).is_none_or(|&at| at < fresh.1);
-        let mut rows = match (value(atom.s), value(atom.o)) {
+        let mut rows = match (atom.s.value(b), atom.o.value(b)) {
             (Some(s), Some(o)) => {
                 if self.g.contains_ids(s, atom.p, o) && readable(&[s, atom.p, o]) {
                     self.join(rule, rest, fresh, b);
@@ -548,46 +462,24 @@ impl<'a, S: GraphStore> Engine<'a, S> {
         }
     }
 
-    /// Asserts `rule`'s head for the complete binding `b`, or records its
-    /// violation.
-    fn conclude(&mut self, rule: &Rule, b: &[Option<TermId>]) {
-        let value = |s: Slot| match s {
-            Slot::Var(v) => b[v],
-            Slot::Id(id) => Some(id),
-        };
-        let triple = |a: &Atom| Some([value(a.s)?, a.p, value(a.o)?]);
+    /// Asserts `rule`'s head for the complete binding `b`, with the body
+    /// it instantiates as the premises, or records its violation.
+    fn conclude(&mut self, rule: &Rule, b: &Binding) {
         match &rule.head {
             Head::Triple(head) => {
                 let premises: Vec<[TermId; 3]> = match self.track {
-                    true => rule.body.iter().filter_map(triple).collect(),
+                    true => rule.body.iter().filter_map(|a| a.triple(b)).collect(),
                     false => Vec::new(),
                 };
-                if let Some([s, p, o]) = triple(head) {
-                    self.add_by(rule.name, &premises, s, p, o);
+                if let Some(t) = head.triple(b) {
+                    self.add_by(rule.name, &premises, t);
                 }
             }
             Head::Bottom(kind, group, key) => {
-                if let Some(key) = key.iter().map(|&s| value(s)).collect() {
+                if let Some(key) = key.iter().map(|s| s.value(b)).collect() {
                     self.violations.insert((*kind, *group, key));
                 }
             }
-        }
-    }
-
-    /// Handles the round cap: flips `converged` and records a warning;
-    /// guarded, it also trips the guard so callers get a typed
-    /// `Exhausted { resource: Rounds }`.
-    fn round_cap_hit(&mut self) {
-        self.result.converged = false;
-        self.result.warnings.push(format!(
-            "fixpoint not reached after {MAX_ROUNDS} rounds — output may be incomplete"
-        ));
-        if self.guard.is_some() {
-            self.tripped = Some(Exhausted {
-                resource: Resource::Rounds,
-                spent: self.result.rounds as u64,
-                limit: MAX_ROUNDS as u64,
-            });
         }
     }
 
@@ -613,30 +505,23 @@ impl<'a, S: GraphStore> Engine<'a, S> {
                 (_, [a, b]) => format!("{a} and {b} are both sameAs and differentFrom"),
                 _ => continue,
             };
-            let kind = *kind;
-            self.result
-                .inconsistencies
-                .push(Inconsistency { kind, detail });
+            let found = Inconsistency {
+                kind: *kind,
+                detail,
+            };
+            self.result.inconsistencies.push(found);
         }
     }
 
     /// Inserts a derived triple, recording its derivation when tracking
     /// is enabled. The first derivation of a triple wins.
-    fn add_by(
-        &mut self,
-        rule: &'static str,
-        premises: &[[TermId; 3]],
-        s: TermId,
-        p: TermId,
-        o: TermId,
-    ) {
+    fn add_by(&mut self, rule: &'static str, premises: &[[TermId; 3]], [s, p, o]: [TermId; 3]) {
         if self.tripped.is_some() || !self.g.insert_ids(s, p, o) {
             return;
         }
         self.result.added += 1;
+        // Every derived triple, whatever rule produced it, is charged here.
         if let Some(Err(exhausted)) = self.guard.map(|g| g.add_inferred(1)) {
-            // Single choke point: every derived triple, whatever rule
-            // produced it, is charged here.
             self.tripped = Some(exhausted);
         }
         self.log.push([s, p, o]);
@@ -648,27 +533,24 @@ impl<'a, S: GraphStore> Engine<'a, S> {
         }
     }
 
-    /// The equality rules for one new triple: a sameAs pair links two
-    /// alias sets (eq-sym, eq-trans) and copies each side's triples to
-    /// the other (eq-rep-s, eq-rep-o); any other triple is copied across
-    /// the aliases of its subject and object.
+    /// The equality rules for one new triple: a sameAs pair is symmetric
+    /// (eq-sym), links two alias sets (eq-trans) and copies each side's
+    /// triples to the other (eq-rep-s, eq-rep-o); any other triple is
+    /// copied across the aliases of its subject and object.
     fn equality(&mut self, [s, p, o]: [TermId; 3]) {
-        if p != self.rules.same_as {
-            if self.aliases.is_empty() {
-                return;
-            }
+        if p == self.rules.same_as {
+            self.add_by("eq-sym", &[[s, p, o]], [o, p, s]);
+            self.note_alias(s, o);
+            self.replicate_for_alias(s, o);
+            self.replicate_for_alias(o, s);
+        } else if !self.aliases.is_empty() {
             for a in self.aliases.get(&s).cloned().into_iter().flatten() {
-                self.add_by("eq-rep-s", &[[s, p, o]], a, p, o);
+                self.add_by("eq-rep-s", &[[s, p, o]], [a, p, o]);
             }
             for a in self.aliases.get(&o).cloned().into_iter().flatten() {
-                self.add_by("eq-rep-o", &[[s, p, o]], s, p, a);
+                self.add_by("eq-rep-o", &[[s, p, o]], [s, p, a]);
             }
-            return;
         }
-        self.add_by("eq-sym", &[[s, p, o]], o, p, s);
-        self.note_alias(s, o);
-        self.replicate_for_alias(s, o);
-        self.replicate_for_alias(o, s);
     }
 
     /// Links two individuals as aliases, merging their alias sets so
@@ -678,18 +560,15 @@ impl<'a, S: GraphStore> Engine<'a, S> {
         if a == b {
             return;
         }
-        // The merged equivalence class of a and b.
         let mut class: BTreeSet<TermId> = BTreeSet::from([a, b]);
         class.extend(self.aliases.get(&a).into_iter().flatten().copied());
         class.extend(self.aliases.get(&b).into_iter().flatten().copied());
         for &member in &class {
             let others: BTreeSet<TermId> = class.iter().copied().filter(|&m| m != member).collect();
-            self.aliases
-                .entry(member)
-                .or_default()
-                .extend(others.iter().copied());
+            let aliases = self.aliases.entry(member).or_default();
+            aliases.extend(&others);
             for &other in &others {
-                self.add_by("eq-trans", &[], member, self.rules.same_as, other);
+                self.add_by("eq-trans", &[], [member, self.rules.same_as, other]);
             }
         }
     }
@@ -701,12 +580,12 @@ impl<'a, S: GraphStore> Engine<'a, S> {
         }
         for [_, p, o] in self.g.match_pattern(Some(from), None, None) {
             if p != self.rules.same_as {
-                self.add_by("eq-rep-s", &[[from, p, o]], to, p, o);
+                self.add_by("eq-rep-s", &[[from, p, o]], [to, p, o]);
             }
         }
         for [s, p, _] in self.g.match_pattern(None, None, Some(from)) {
             if p != self.rules.same_as {
-                self.add_by("eq-rep-o", &[[s, p, from]], s, p, to);
+                self.add_by("eq-rep-o", &[[s, p, from]], [s, p, to]);
             }
         }
     }
@@ -715,7 +594,7 @@ impl<'a, S: GraphStore> Engine<'a, S> {
 /// Binds `atom`'s variables to the terms of `t`, or `None` when a fixed
 /// term or an earlier binding disagrees (then `b` is as it was).
 /// Returns the variables it bound.
-fn bind(atom: &Atom, t: [TermId; 3], b: &mut [Option<TermId>]) -> Option<[Option<usize>; 2]> {
+fn bind(atom: &Atom, t: [TermId; 3], b: &mut Binding) -> Option<[Option<usize>; 2]> {
     let mut set = [None, None];
     for (k, (slot, id)) in [(atom.s, t[0]), (atom.o, t[2])].into_iter().enumerate() {
         match slot {
@@ -731,16 +610,9 @@ fn bind(atom: &Atom, t: [TermId; 3], b: &mut [Option<TermId>]) -> Option<[Option
     Some(set)
 }
 
-fn unbind(set: [Option<usize>; 2], binding: &mut [Option<TermId>]) {
+fn unbind(set: [Option<usize>; 2], b: &mut Binding) {
     for v in set.into_iter().flatten() {
-        binding[v] = None;
-    }
-}
-
-fn check<V: GraphView + ?Sized>(g: &V, check: Check, b: &[Option<TermId>]) -> bool {
-    match check {
-        Check::Distinct(x, y) => b[x] != b[y],
-        Check::Resource(x) => b[x].is_some_and(|x| g.term(x).is_resource()),
+        b[v] = None;
     }
 }
 

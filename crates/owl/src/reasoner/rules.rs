@@ -16,17 +16,30 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use feo_rdf::hash::FxMap;
 use feo_rdf::vocab::{owl, rdf, rdfs};
-use feo_rdf::{GraphStore, TermId};
+use feo_rdf::{GraphStore, GraphView, TermId};
 
 use super::InconsistencyKind::{self, *};
 use crate::axiom::{Axiom, ClassExpr, Ontology};
 use crate::extract::extract_axioms;
+
+/// The terms a rule's variables are bound to, by variable.
+pub(super) type Binding = [Option<TermId>];
 
 /// A subject or object position of an atom: a rule variable or a term.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(super) enum Slot {
     Var(usize),
     Id(TermId),
+}
+
+impl Slot {
+    /// The term at this slot under the binding `b`.
+    pub(super) fn value(self, b: &Binding) -> Option<TermId> {
+        match self {
+            Slot::Var(v) => b[v],
+            Slot::Id(id) => Some(id),
+        }
+    }
 }
 
 /// A triple pattern. Every predicate the TBox names is a constant.
@@ -42,14 +55,18 @@ impl Atom {
         Atom { s, p, o }
     }
 
-    /// The key a triple matching this atom is found under: its
-    /// predicate, with its object when that is fixed (`rdf:type` with a
-    /// class, or a property with a value).
-    pub(super) fn key(&self) -> (TermId, Option<TermId>) {
+    /// The key a matching triple is found under: the predicate, with the
+    /// object when it is fixed (a class of `rdf:type`, or a value).
+    fn key(&self) -> (TermId, Option<TermId>) {
         match self.o {
             Slot::Id(o) => (self.p, Some(o)),
             Slot::Var(_) => (self.p, None),
         }
+    }
+
+    /// The triple this atom stands for under the binding `b`.
+    pub(super) fn triple(&self, b: &Binding) -> Option<[TermId; 3]> {
+        Some([self.s.value(b)?, self.p, self.o.value(b)?])
     }
 }
 
@@ -60,6 +77,15 @@ pub(super) enum Check {
     Distinct(usize, usize),
     /// The variable is bound to an IRI or a blank node.
     Resource(usize),
+}
+
+impl Check {
+    pub(super) fn holds<V: GraphView + ?Sized>(self, g: &V, b: &Binding) -> bool {
+        match self {
+            Check::Distinct(x, y) => b[x] != b[y],
+            Check::Resource(x) => b[x].is_some_and(|x| g.term(x).is_resource()),
+        }
+    }
 }
 
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -87,38 +113,50 @@ pub(super) struct Rule {
     pub orders: Vec<Vec<usize>>,
 }
 
-/// Rule body positions `(rule, position)` by the key of their atom.
-pub(super) type Index = FxMap<(TermId, Option<TermId>), Entry>;
-
-/// The rule atoms a triple with one key matches, as `(rule, position)`.
+/// The rule atoms a triple with one key matches, as `(rule, position)`:
+/// those of rules of one atom or closing one predicate over itself
+/// (prp-trp), then those of the other joins. `left` when one of the
+/// latter is left of another atom, where it reads only older triples.
 #[derive(Debug, Clone, Default)]
 pub(super) struct Entry {
-    /// Those of rules of one atom, or of rules that close one predicate
-    /// over itself (prp-trp), then those of the other joins.
     pub atoms: [Vec<(usize, usize)>; 2],
-    /// Whether a join reads such a triple left of the atom it binds,
-    /// where it must be told from the round's new triples.
     pub left: bool,
 }
 
-/// Rules compiled once from a graph's TBox, reusable across any number
-/// of closure runs over stores sharing that graph's id space (the graph
-/// itself, or [`feo_rdf::Overlay`]s based on it).
-///
-/// Compilation is the schema-dependent half of a closure: axiom
-/// extraction, the transitive closure of the named class and property
-/// hierarchies, and the unfolding of class expressions into rules.
+/// The rule program compiled once from a graph's TBox, reusable by any
+/// closure over a store sharing that graph's id space (the graph itself,
+/// or [`feo_rdf::Overlay`]s based on it).
 #[derive(Debug, Clone)]
 pub struct CompiledRules {
     pub(super) rdf_type: TermId,
     pub(super) same_as: TermId,
+    /// The program. A rule with an empty body is a fact: a pair of the
+    /// schema closure, or an enumerated member's class.
     pub(super) rules: Vec<Rule>,
-    /// The rules' body positions by the key of the atom there: those of
-    /// one-atom rules, then those of joins. A rule with an empty body is
-    /// a fact (the schema closure, or an enumerated member).
-    pub(super) index: Index,
-    axiom_count: usize,
+    pub(super) index: FxMap<(TermId, Option<TermId>), Entry>,
+    pub(super) axiom_count: usize,
     pub(super) warnings: Vec<String>,
+}
+
+/// The triples a reader can see: every triple whose predicate is in
+/// `predicates` (`rdf:type` there stands for every typing), and the
+/// `rdf:type` triples whose class is in `classes`.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ReadSet {
+    pub predicates: BTreeSet<TermId>,
+    pub classes: BTreeSet<TermId>,
+}
+
+impl ReadSet {
+    /// Whether some triple `atom` matches can be seen.
+    fn sees(&self, rdf_type: TermId, atom: &Atom) -> bool {
+        self.predicates.contains(&atom.p)
+            || atom.p == rdf_type
+                && match atom.o {
+                    Slot::Id(c) => self.classes.contains(&c),
+                    Slot::Var(_) => !self.classes.is_empty(),
+                }
+    }
 }
 
 impl CompiledRules {
@@ -160,70 +198,88 @@ impl CompiledRules {
         }
         // scm-sco and cax-sco, scm-spo and prp-spo1: a fact and a rule
         // per pair of the transitive closure.
-        let x = Slot::Var(0);
+        let (x, id) = (Slot::Var(0), Slot::Id);
         for (a, b) in transitive_close(classes) {
-            c.fact("scm-sco", Atom::new(Slot::Id(a), sco, Slot::Id(b)));
-            let head = Head::Triple(Atom::new(x, rdf_type, Slot::Id(b)));
-            c.rule("cax-sco", &[Atom::new(x, rdf_type, Slot::Id(a))], &[], head);
+            c.fact("scm-sco", Atom::new(id(a), sco, id(b)));
+            let typed = |c| Atom::new(x, rdf_type, id(c));
+            c.rule("cax-sco", &[typed(a)], &[], Head::Triple(typed(b)));
         }
         for (p, q) in transitive_close(properties) {
-            c.fact("scm-spo", Atom::new(Slot::Id(p), spo, Slot::Id(q)));
-            c.rule(
-                "prp-spo1",
-                &[edge(0, p, 1)],
-                &[],
-                Head::Triple(edge(0, q, 1)),
-            );
+            c.fact("scm-spo", Atom::new(id(p), spo, id(q)));
+            c.rule("prp-spo1", &[edge(0, p, 1)], &[], head(0, q, 1));
         }
         for (i, axiom) in ontology.axioms.iter().enumerate() {
             c.axiom = i;
             c.compile(axiom);
         }
         if let Some(nothing) = g.lookup_iri(owl::NOTHING) {
-            let body = [Atom::new(x, rdf_type, Slot::Id(nothing))];
-            c.rule(
-                "cls-nothing2",
-                &body,
-                &[],
-                Head::Bottom(NothingHasInstance, 0, vec![x]),
-            );
+            let body = [Atom::new(x, rdf_type, id(nothing))];
+            let bottom = Head::Bottom(NothingHasInstance, 0, vec![x]);
+            c.rule("cls-nothing2", &body, &[], bottom);
         }
-        let (count, warnings) = (ontology.axioms.len(), ontology.warnings.clone());
-        Self::new(rdf_type, same_as, c.rules, count, warnings)
-    }
-
-    /// The program made of `rules`, indexed.
-    pub(super) fn new(
-        rdf_type: TermId,
-        same_as: TermId,
-        rules: Vec<Rule>,
-        axiom_count: usize,
-        warnings: Vec<String>,
-    ) -> Self {
-        let mut index: Index = FxMap::default();
-        for (r, rule) in rules.iter().enumerate() {
-            let closes =
-                matches!(&rule.head, Head::Triple(h) if rule.body.iter().all(|a| a.p == h.p));
-            let join = usize::from(rule.body.len() > 1 && !closes);
-            for (pos, atom) in rule.body.iter().enumerate() {
-                let entry = index.entry(atom.key()).or_default();
-                entry.atoms[join].push((r, pos));
-                entry.left |= join == 1 && pos + 1 < rule.body.len();
-            }
-        }
-        CompiledRules {
+        let (index, axiom_count) = (FxMap::default(), ontology.axioms.len());
+        let (rules, warnings) = (c.rules, ontology.warnings.clone());
+        let program = CompiledRules {
             rdf_type,
             same_as,
             rules,
             index,
             axiom_count,
             warnings,
+        };
+        program.indexed()
+    }
+
+    /// The program with its index built.
+    pub(super) fn indexed(mut self) -> Self {
+        for (r, rule) in self.rules.iter().enumerate() {
+            let closes =
+                matches!(&rule.head, Head::Triple(h) if rule.body.iter().all(|a| a.p == h.p));
+            let join = usize::from(rule.body.len() > 1 && !closes);
+            for (pos, atom) in rule.body.iter().enumerate() {
+                let entry = self.index.entry(atom.key()).or_default();
+                entry.atoms[join].push((r, pos));
+                entry.left |= join == 1 && pos + 1 < rule.body.len();
+            }
         }
+        self
     }
 
     /// Number of axioms the rules were compiled from.
     pub fn axiom_count(&self) -> usize {
         self.axiom_count
+    }
+
+    /// The rules that can derive a triple `reads` sees, compiled for a
+    /// closure run like any other rule set: the relevance step of query
+    /// rewriting (DaRLing; Gottlob, Orsi and Pieris), a walk back from
+    /// what is read over each rule's head to its body. A closure under
+    /// them derives on the read set what the closure under every rule
+    /// derives there, since every derivation of a read triple uses such
+    /// rules only; a delta closure keeps that as long as its base was
+    /// closed under every rule. `owl:sameAs` is always read, as eq-rep
+    /// copies every triple along it. No ⊥ rule is kept: a closure under
+    /// these makes no consistency claim.
+    pub fn relevant_to(&self, reads: &ReadSet) -> CompiledRules {
+        let mut read = reads.clone();
+        read.predicates.insert(self.same_as);
+        let mut kept = BTreeSet::new();
+        while let Some(r) = (0..self.rules.len()).find(|r| {
+            !kept.contains(r)
+                && matches!(&self.rules[*r].head, Head::Triple(h) if read.sees(self.rdf_type, h))
+        }) {
+            kept.insert(r);
+            for atom in &self.rules[r].body {
+                match atom.o {
+                    Slot::Id(c) if atom.p == self.rdf_type => read.classes.insert(c),
+                    _ => read.predicates.insert(atom.p),
+                };
+            }
+        }
+        let mut program = self.clone();
+        program.rules = kept.into_iter().map(|r| self.rules[r].clone()).collect();
+        program.index.clear();
+        program.indexed()
     }
 }
 
@@ -232,29 +288,24 @@ fn edge(s: usize, p: TermId, o: usize) -> Atom {
     Atom::new(Slot::Var(s), p, Slot::Var(o))
 }
 
+/// The head `?s p ?o`.
+fn head(s: usize, p: TermId, o: usize) -> Head {
+    Head::Triple(edge(s, p, o))
+}
+
 /// One way an individual satisfies a class expression: the atoms that
 /// witness it, and the members an enumeration binds variables to.
 #[derive(Debug, Clone, Default)]
-struct Body {
-    atoms: Vec<Atom>,
-    binds: Vec<(usize, TermId)>,
-}
+struct Body(Vec<Atom>, Vec<(usize, TermId)>);
 
 impl Body {
-    fn and(&self, other: &Body) -> Body {
-        let mut out = self.clone();
-        out.atoms.extend(&other.atoms);
-        out.binds.extend(&other.binds);
-        out
+    fn of(atom: Atom) -> Body {
+        Body(vec![atom], vec![])
     }
-}
 
-impl From<Atom> for Body {
-    fn from(atom: Atom) -> Body {
-        Body {
-            atoms: vec![atom],
-            binds: Vec::new(),
-        }
+    fn and(&self, other: &Body) -> Body {
+        let atoms = [&self.0[..], &other.0].concat();
+        Body(atoms, [&self.1[..], &other.1].concat())
     }
 }
 
@@ -264,18 +315,16 @@ struct Compiler {
     rules: Vec<Rule>,
     /// The next free variable of the axiom being compiled.
     vars: usize,
-    /// The position of the axiom being compiled: the ⊥ group of its
-    /// violations.
+    /// The position of the axiom being compiled: its violations' group.
     axiom: usize,
 }
 
 impl Compiler {
     /// The rules of one axiom. Variables 0 and 1 are the subject and
-    /// object of the axiom's first edge, or 0 the individual a class
-    /// expression is tested on.
+    /// object of its first edge, or 0 the individual a class expression
+    /// is tested on.
     fn compile(&mut self, axiom: &Axiom) {
-        let (x, y) = (Slot::Var(0), Slot::Var(1));
-        let head = |s, p, o| Head::Triple(edge(s, p, o));
+        let (x, y, group) = (Slot::Var(0), Slot::Var(1), self.axiom);
         let distinct = [Check::Distinct(0, 1)];
         self.vars = 2;
         match *axiom {
@@ -295,8 +344,8 @@ impl Compiler {
                 let body = [edge(0, p, 1), edge(1, p, 2)];
                 self.rule("prp-trp", &body, &[], head(0, p, 2));
             }
-            Axiom::Domain(p, ref c) => self.apply("prp-dom", x, c, &edge(0, p, 1).into()),
-            Axiom::Range(p, ref c) => self.apply("prp-rng", x, c, &edge(1, p, 0).into()),
+            Axiom::Domain(p, ref c) => self.apply("prp-dom", x, c, &Body::of(edge(0, p, 1))),
+            Axiom::Range(p, ref c) => self.apply("prp-rng", x, c, &Body::of(edge(1, p, 0))),
             Axiom::FunctionalProperty(p) => {
                 let body = [edge(2, p, 0), edge(2, p, 1)];
                 let checks = [distinct[0], Check::Resource(0), Check::Resource(1)];
@@ -314,7 +363,6 @@ impl Compiler {
             }
             Axiom::DisjointClasses(ref a, ref b) => {
                 self.vars = 1;
-                let group = self.axiom;
                 let (a, b) = (self.holds(x, a), self.holds(x, b));
                 for body in a.iter().flat_map(|a| b.iter().map(move |b| a.and(b))) {
                     let bottom = Head::Bottom(DisjointClassesViolation, group, vec![x]);
@@ -323,7 +371,7 @@ impl Compiler {
             }
             Axiom::DisjointProperties(p, q) => {
                 let key = vec![y, x, Slot::Id(p), Slot::Id(q)];
-                let bottom = Head::Bottom(DisjointPropertiesViolation, self.axiom, key);
+                let bottom = Head::Bottom(DisjointPropertiesViolation, group, key);
                 self.rule("prp-pdw", &[edge(0, p, 1), edge(0, q, 1)], &[], bottom);
             }
             Axiom::IrreflexiveProperty(p) => {
@@ -331,20 +379,15 @@ impl Compiler {
                 self.rule("prp-irp", &[edge(0, p, 0)], &[], bottom);
             }
             Axiom::AsymmetricProperty(p) => {
-                let key = vec![y, x, Slot::Id(p)];
-                let bottom = Head::Bottom(AsymmetricViolation, p.index(), key);
-                self.rule(
-                    "prp-asyp",
-                    &[edge(0, p, 1), edge(1, p, 0)],
-                    &distinct,
-                    bottom,
-                );
+                let body = [edge(0, p, 1), edge(1, p, 0)];
+                let bottom = Head::Bottom(AsymmetricViolation, p.index(), vec![y, x, Slot::Id(p)]);
+                self.rule("prp-asyp", &body, &distinct, bottom);
             }
             Axiom::DifferentFrom(a, b) => {
                 // eq-sym derives the reverse of every sameAs triple, so
                 // one direction finds every violation.
                 let (a, b) = (Slot::Id(a), Slot::Id(b));
-                let bottom = Head::Bottom(SameAndDifferent, self.axiom, vec![a, b]);
+                let bottom = Head::Bottom(SameAndDifferent, group, vec![a, b]);
                 self.rule("eq-diff1", &[Atom::new(a, self.same_as, b)], &[], bottom);
             }
             // Compiled with the class and property hierarchies; asserted
@@ -372,14 +415,13 @@ impl Compiler {
     /// The bodies in which `x` satisfies `expr`; none for a universal or
     /// a complement, whose membership OWL 2 RL never derives.
     fn holds(&mut self, x: Slot, expr: &ClassExpr) -> Vec<Body> {
+        let atom = |p, o| vec![Body::of(Atom::new(x, p, Slot::Id(o)))];
         match expr {
-            ClassExpr::Named(c) => vec![Atom::new(x, self.rdf_type, Slot::Id(*c)).into()],
-            ClassExpr::HasValue { property, value } => {
-                vec![Atom::new(x, *property, Slot::Id(*value)).into()]
-            }
+            ClassExpr::Named(c) => atom(self.rdf_type, *c),
+            ClassExpr::HasValue { property, value } => atom(*property, *value),
             ClassExpr::SomeValuesFrom { property, filler } => {
                 let y = self.var();
-                let edge = Body::from(Atom::new(x, *property, y));
+                let edge = Body::of(Atom::new(x, *property, y));
                 let fillers = self.holds(y, filler);
                 fillers.iter().map(|body| edge.and(body)).collect()
             }
@@ -391,10 +433,7 @@ impl Compiler {
             ClassExpr::UnionOf(es) => es.iter().flat_map(|e| self.holds(x, e)).collect(),
             ClassExpr::OneOf(ids) => (ids.iter())
                 .filter_map(|&id| match x {
-                    Slot::Var(v) => Some(Body {
-                        atoms: Vec::new(),
-                        binds: vec![(v, id)],
-                    }),
+                    Slot::Var(v) => Some(Body(vec![], vec![(v, id)])),
                     Slot::Id(x) => (x == id).then(Body::default),
                 })
                 .collect(),
@@ -419,7 +458,7 @@ impl Compiler {
             ClassExpr::IntersectionOf(es) => es.iter().for_each(|e| self.apply(name, x, e, body)),
             ClassExpr::AllValuesFrom { property, filler } => {
                 let y = self.var();
-                let body = body.and(&Atom::new(x, *property, y).into());
+                let body = body.and(&Body::of(Atom::new(x, *property, y)));
                 self.apply(name, y, filler, &body);
             }
             ClassExpr::ComplementOf(d) => {
@@ -434,15 +473,11 @@ impl Compiler {
     }
 
     fn fact(&mut self, name: &'static str, head: Atom) {
-        self.push(name, &Body::default(), &[], Head::Triple(head));
+        self.rule(name, &[], &[], Head::Triple(head));
     }
 
     fn rule(&mut self, name: &'static str, atoms: &[Atom], checks: &[Check], head: Head) {
-        let body = Body {
-            atoms: atoms.to_vec(),
-            binds: Vec::new(),
-        };
-        self.push(name, &body, checks, head);
+        self.push(name, &Body(atoms.to_vec(), vec![]), checks, head);
     }
 
     /// Adds `head ← body, checks` with the body's enumeration binds
@@ -452,29 +487,23 @@ impl Compiler {
     /// could see: both are dropped, as is a rule the program has.
     fn push(&mut self, name: &'static str, body: &Body, checks: &[Check], head: Head) {
         let mut fixed: BTreeMap<usize, TermId> = BTreeMap::new();
-        for &(v, id) in &body.binds {
-            if *fixed.entry(v).or_insert(id) != id {
-                return;
-            }
+        if (body.1.iter()).any(|&(v, id)| *fixed.entry(v).or_insert(id) != id) {
+            return;
         }
         let fix = |s: Slot| match s {
             Slot::Var(v) => fixed.get(&v).map_or(s, |&id| Slot::Id(id)),
             id => id,
         };
-        let atoms: Vec<Atom> = (body.atoms.iter())
-            .map(|a| Atom::new(fix(a.s), a.p, fix(a.o)))
-            .collect();
-        let head = match head {
-            Head::Triple(a) => Head::Triple(Atom::new(fix(a.s), a.p, fix(a.o))),
+        let fix_atom = |a: &Atom| Atom::new(fix(a.s), a.p, fix(a.o));
+        let atoms: Vec<Atom> = body.0.iter().map(fix_atom).collect();
+        let (head, named) = match head {
+            Head::Triple(a) => (Head::Triple(fix_atom(&a)), vec![fix(a.s), fix(a.o)]),
             Head::Bottom(kind, group, key) => {
-                Head::Bottom(kind, group, key.into_iter().map(fix).collect())
+                let key: Vec<Slot> = key.into_iter().map(fix).collect();
+                (Head::Bottom(kind, group, key.clone()), key)
             }
         };
         let bound: BTreeSet<usize> = atoms.iter().flat_map(vars).collect();
-        let named: Vec<Slot> = match &head {
-            Head::Triple(a) => vec![a.s, a.o],
-            Head::Bottom(_, _, key) => key.clone(),
-        };
         if named
             .iter()
             .any(|s| matches!(s, Slot::Var(v) if !bound.contains(v)))
@@ -513,9 +542,8 @@ fn join_order(body: &[Atom], first: usize) -> Vec<usize> {
     let mut order = Vec::new();
     while !left.is_empty() {
         let rank = |(at, &j): (usize, &usize)| {
-            let (atom, free) = (&body[j], vars(&body[j]).filter(|v| !bound.contains(v)));
-            let free = free.count();
-            let reached = free < vars(atom).count() || matches!(atom.s, Slot::Id(_));
+            let free = vars(&body[j]).filter(|v| !bound.contains(v)).count();
+            let reached = free < vars(&body[j]).count() || matches!(body[j].s, Slot::Id(_));
             (free == 0, reached, std::cmp::Reverse(at))
         };
         let pick = (left.iter().enumerate()).max_by_key(|&e| rank(e));
@@ -528,20 +556,17 @@ fn join_order(body: &[Atom], first: usize) -> Vec<usize> {
 
 /// The pairs of the transitive closure of `map`. A node reaches itself
 /// only where it was asserted to.
-fn transitive_close(mut map: BTreeMap<TermId, BTreeSet<TermId>>) -> Vec<(TermId, TermId)> {
-    loop {
-        let mut more: Vec<(TermId, TermId)> = Vec::new();
-        for (&a, bs) in &map {
-            let far = bs.iter().filter_map(|b| map.get(b)).flatten();
-            more.extend(far.filter(|&c| *c != a && !bs.contains(c)).map(|&c| (a, c)));
+fn transitive_close(map: BTreeMap<TermId, BTreeSet<TermId>>) -> Vec<(TermId, TermId)> {
+    let mut pairs = Vec::new();
+    for (&a, direct) in &map {
+        let (mut seen, mut todo) = (BTreeSet::new(), Vec::from_iter(direct.iter().copied()));
+        while let Some(b) = todo.pop() {
+            if seen.insert(b) {
+                todo.extend(map.get(&b).into_iter().flatten());
+            }
         }
-        if more.is_empty() {
-            return (map.iter())
-                .flat_map(|(&a, bs)| bs.iter().map(move |&b| (a, b)))
-                .collect();
-        }
-        for (a, c) in more {
-            map.entry(a).or_default().insert(c);
-        }
+        let reached = seen.into_iter().filter(|&b| b != a || direct.contains(&a));
+        pairs.extend(reached.map(|b| (a, b)));
     }
+    pairs
 }
