@@ -27,7 +27,7 @@ use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
 use feo_rdf::governor::{Exhausted, Guard, Resource};
-use feo_rdf::hash::{FxMap, FxSet};
+use feo_rdf::hash::FxMap;
 use feo_rdf::{GraphStore, GraphView, Overlay, TermId};
 
 mod rules;
@@ -242,8 +242,9 @@ impl Reasoner {
         for rule in rules.rules.iter().filter(|r| r.body.is_empty()) {
             engine.conclude(rule, &[]);
         }
-        let seed: Vec<[TermId; 3]> = engine.g.iter_ids().collect();
-        engine.run(seed)
+        // Every triple of the graph, the facts among them, is the seed.
+        engine.log = engine.g.iter_ids().collect();
+        engine.run()
     }
 
     /// Extracts the graph's axioms and compiles them into a reusable
@@ -273,10 +274,11 @@ impl Reasoner {
         // sets so eq-rep fires on delta triples (adding nothing there).
         let same_as = overlay.match_pattern(None, Some(rules.same_as), None);
         let mut engine = Engine::new(overlay, &rules, self.options.track_derivations, opts.guard);
+        engine.log = seed;
         for [a, _, b] in same_as {
             engine.note_alias(a, b);
         }
-        engine.run(seed)
+        engine.run()
     }
 }
 
@@ -331,14 +333,10 @@ impl<'a, S: GraphStore> Engine<'a, S> {
         self.tripped.is_some()
     }
 
-    /// The semi-naïve closure: derives what `seed` (triples already in
-    /// the store) and everything derived on the way can entail, assuming
-    /// the rest of the store is already closed under the rules. Triples
-    /// derived before (the facts, re-noted aliases) join the seed.
-    fn run(mut self, seed: Vec<[TermId; 3]>) -> Result<InferenceResult, ReasonerError> {
-        let logged: FxSet<[TermId; 3]> = self.log.iter().copied().collect();
-        self.log
-            .extend(seed.into_iter().filter(|t| !logged.contains(t)));
+    /// The semi-naïve closure: derives what the seed (the log, triples
+    /// already in the store) and everything derived on the way can
+    /// entail, assuming the rest of the store is closed under the rules.
+    fn run(mut self) -> Result<InferenceResult, ReasonerError> {
         let all_fresh = self.g.len() == self.log.len();
         let (mut start, seed) = (0, self.log.len());
         while start < self.log.len() && self.tripped.is_none() {
@@ -391,7 +389,7 @@ impl<'a, S: GraphStore> Engine<'a, S> {
             let first = first_atoms_only && at < seed;
             let keys = [(t[1], None), (t[1], Some(t[2]))];
             for entry in keys.iter().filter_map(|k| self.rules.index.get(k)) {
-                if entry.left && !first {
+                if entry.left && !first_atoms_only {
                     self.stamps.insert(t, at);
                 }
                 self.fire_all(&entry.atoms[0], t, usize::MAX, first);
