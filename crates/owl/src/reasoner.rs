@@ -1280,6 +1280,25 @@ mod tests {
         );
     }
 
+    /// A delta may be the first to name `owl:Nothing`; the program
+    /// compiled from the base still checks it (cls-nothing2).
+    #[test]
+    fn delta_reports_an_instance_of_nothing_the_base_never_named() {
+        let mut base = graph("e:A rdfs:subClassOf e:B .");
+        let reasoner = Reasoner::new();
+        let rules = reasoner.compile(&mut base);
+        reasoner
+            .materialize(&mut base, &MaterializeOptions::with_rules(&rules))
+            .expect("materialize");
+        let mut overlay = Overlay::new(&base);
+        overlay.insert_iris("http://e/x", rdf::TYPE, owl::NOTHING);
+        let r = reasoner
+            .materialize_delta(&mut overlay, &MaterializeOptions::with_rules(&rules))
+            .expect("materialize_delta");
+        let kinds: Vec<_> = r.inconsistencies.iter().map(|i| i.kind).collect();
+        assert_eq!(kinds, [InconsistencyKind::NothingHasInstance]);
+    }
+
     /// Counts the scans that reach the base and the rows they return.
     struct CountingView<'g> {
         inner: &'g Graph,

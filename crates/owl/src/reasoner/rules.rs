@@ -128,13 +128,13 @@ pub(super) struct Entry {
 /// or [`feo_rdf::Overlay`]s based on it).
 #[derive(Debug, Clone)]
 pub struct CompiledRules {
-    pub(super) rdf_type: TermId,
+    rdf_type: TermId,
     pub(super) same_as: TermId,
     /// The program. A rule with an empty body is a fact: a pair of the
     /// schema closure, or an enumerated member's class.
     pub(super) rules: Vec<Rule>,
     pub(super) index: FxMap<(TermId, Option<TermId>), Entry>,
-    pub(super) axiom_count: usize,
+    axiom_count: usize,
     pub(super) warnings: Vec<String>,
 }
 
@@ -161,8 +161,9 @@ impl ReadSet {
 
 impl CompiledRules {
     /// Extracts axioms from the store and compiles them. `&mut` only to
-    /// intern the vocabulary the rules derive (`rdf:type`, `owl:sameAs`,
-    /// `rdfs:subClassOf`, `rdfs:subPropertyOf`); no triples are added.
+    /// intern the vocabulary the rules name (`rdf:type`, `owl:sameAs`,
+    /// `rdfs:subClassOf`, `rdfs:subPropertyOf`, `owl:Nothing`), so a
+    /// store that names it later uses the same ids; no triple is added.
     pub fn compile(g: &mut impl GraphStore) -> Self {
         let ontology = extract_axioms(g);
         Self::from_ontology(g, &ontology)
@@ -212,11 +213,9 @@ impl CompiledRules {
             c.axiom = i;
             c.compile(axiom);
         }
-        if let Some(nothing) = g.lookup_iri(owl::NOTHING) {
-            let body = [Atom::new(x, rdf_type, id(nothing))];
-            let bottom = Head::Bottom(NothingHasInstance, 0, vec![x]);
-            c.rule("cls-nothing2", &body, &[], bottom);
-        }
+        let body = [Atom::new(x, rdf_type, id(g.intern_iri(owl::NOTHING)))];
+        let bottom = Head::Bottom(NothingHasInstance, 0, vec![x]);
+        c.rule("cls-nothing2", &body, &[], bottom);
         let (index, axiom_count) = (FxMap::default(), ontology.axioms.len());
         let (rules, warnings) = (c.rules, ontology.warnings.clone());
         let program = CompiledRules {
