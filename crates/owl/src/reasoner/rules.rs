@@ -230,7 +230,7 @@ impl CompiledRules {
     }
 
     /// The program with its index built.
-    pub(super) fn indexed(mut self) -> Self {
+    fn indexed(mut self) -> Self {
         for (r, rule) in self.rules.iter().enumerate() {
             let closes =
                 matches!(&rule.head, Head::Triple(h) if rule.body.iter().all(|a| a.p == h.p));
