@@ -1001,6 +1001,39 @@ mod tests {
         assert!(partial.added > 0, "partial derivations are kept");
     }
 
+    /// A guarded run with no round budget still stops at the fixed cap,
+    /// as a typed trip.
+    #[test]
+    fn guarded_run_past_the_fixed_cap_is_typed_exhausted() {
+        use feo_rdf::governor::{Budget, Resource};
+        let mut g = graph(&layered_some_values_src(70));
+        let guard = Budget::new().with_max_inferred(1_000_000).start();
+        let err = Reasoner::new()
+            .materialize(&mut g, &MaterializeOptions::guarded(&guard))
+            .unwrap_err();
+        let ReasonerError::Exhausted { exhausted, partial } = err;
+        assert_eq!(exhausted.resource, Resource::Rounds);
+        assert_eq!(exhausted.limit, MAX_ROUNDS as u64);
+        assert!(!partial.converged);
+    }
+
+    /// A chain longer than the bindings kept on the stack closes like a
+    /// short one.
+    #[test]
+    fn long_property_chain() {
+        let steps: Vec<String> = (0..10).map(|k| format!("e:p{k}")).collect();
+        let mut src = format!("e:r owl:propertyChainAxiom ( {} ) .\n", steps.join(" "));
+        for (k, step) in steps.iter().enumerate() {
+            src.push_str(&format!("e:n{k} {step} e:n{} .\n", k + 1));
+        }
+        let mut g = graph(&src);
+        Reasoner::new()
+            .materialize(&mut g, &Default::default())
+            .expect("materialize");
+        assert!(has(&g, "n0", "r", "n10"));
+        assert!(!has(&g, "n1", "r", "n10"));
+    }
+
     #[test]
     fn guarded_inference_budget_trips_and_keeps_partial() {
         use feo_rdf::governor::{Budget, Resource};
