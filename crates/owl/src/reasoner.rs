@@ -1313,6 +1313,29 @@ mod tests {
         );
     }
 
+    /// A transitive step meets a step its own round derives later: the
+    /// worklist joins a triple with everything already in the store,
+    /// its round's triples included.
+    #[test]
+    fn delta_transitivity_meets_a_step_derived_later_in_its_round() {
+        let mut base = graph(
+            "e:p a owl:TransitiveProperty . e:q rdfs:subPropertyOf e:p .\n\
+             e:o e:p e:o2 .",
+        );
+        let reasoner = Reasoner::new();
+        let rules = reasoner.compile(&mut base);
+        reasoner
+            .materialize(&mut base, &MaterializeOptions::with_rules(&rules))
+            .expect("materialize");
+        let mut overlay = Overlay::new(&base);
+        overlay.insert_iris("http://e/a", "http://e/p", "http://e/b");
+        overlay.insert_iris("http://e/b", "http://e/q", "http://e/c");
+        reasoner
+            .materialize_delta(&mut overlay, &MaterializeOptions::with_rules(&rules))
+            .expect("materialize_delta");
+        assert!(has(&overlay, "a", "p", "c"));
+    }
+
     /// A delta may be the first to name `owl:Nothing`; the program
     /// compiled from the base still checks it (cls-nothing2).
     #[test]
