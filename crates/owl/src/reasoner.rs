@@ -182,10 +182,10 @@ impl<'a> MaterializeOptions<'a> {
         }
     }
 
-    /// The precompiled rules, or rules compiled from `g`.
+    /// The precompiled rules, `for_store(g)`, or rules compiled from `g`.
     fn rules_for(&self, g: &mut impl GraphStore) -> Cow<'a, CompiledRules> {
         match self.rules {
-            Some(rules) => Cow::Borrowed(rules),
+            Some(rules) => rules.for_store(g).map_or(Cow::Borrowed(rules), Cow::Owned),
             None => Cow::Owned(CompiledRules::compile(g)),
         }
     }
@@ -269,13 +269,11 @@ impl Reasoner {
         opts: &MaterializeOptions,
     ) -> Result<InferenceResult, ReasonerError> {
         let rules = opts.rules_for(overlay);
-        let seed: Vec<[TermId; 3]> = overlay.delta_log().to_vec();
+        let mut engine = Engine::new(overlay, &rules, self.options.track_derivations, opts.guard);
+        engine.log = engine.g.delta_log().to_vec();
         // The base's aliases are its `owl:sameAs` triples: rebuild their
         // sets so eq-rep fires on delta triples (adding nothing there).
-        let same_as = overlay.match_pattern(None, Some(rules.same_as), None);
-        let mut engine = Engine::new(overlay, &rules, self.options.track_derivations, opts.guard);
-        engine.log = seed;
-        for [a, _, b] in same_as {
+        for [a, _, b] in engine.g.match_pattern(None, Some(rules.same_as), None) {
             engine.note_alias(a, b);
         }
         engine.run()
@@ -297,6 +295,8 @@ struct Engine<'a, S: GraphStore> {
     stamps: FxMap<[TermId; 3], usize>,
     /// ⊥ rule findings as `(kind, group, key)`, in report order.
     violations: BTreeSet<(InconsistencyKind, usize, Vec<TermId>)>,
+    /// The binding each join starts from, kept to reuse its allocation.
+    binding: Vec<Option<TermId>>,
     guard: Option<&'a Guard>,
     /// Set when the guard trips; every loop bails out once it is.
     tripped: Option<Exhausted>,
@@ -317,6 +317,7 @@ impl<'a, S: GraphStore> Engine<'a, S> {
             log: Vec::new(),
             stamps: FxMap::default(),
             violations: BTreeSet::new(),
+            binding: Vec::new(),
             guard,
             tripped: None,
         }
@@ -371,9 +372,10 @@ impl<'a, S: GraphStore> Engine<'a, S> {
     }
 
     /// The round from `log[start]`, returning where the next begins.
-    /// Rules of one atom, and rules closing one predicate over itself,
-    /// run as a worklist on the round's triples and on what they derive,
-    /// as does eq-rep, until nothing is new; they read every triple.
+    /// Rules of one atom, and rules whose atoms and head share one
+    /// predicate (see `rules::Entry`), run as a worklist on the round's
+    /// triples and on what they derive, as does eq-rep, until nothing is
+    /// new; they read every triple.
     /// Then every other join runs once per atom on each triple of the
     /// closed round, with atoms to its left reading only older rounds
     /// and atoms to its right the whole store, so an instantiation is
@@ -408,25 +410,19 @@ impl<'a, S: GraphStore> Engine<'a, S> {
         at
     }
 
-    /// Runs each of the rule atoms `atoms` bound to `t`, only those at
-    /// position 0 when `first`; atoms left of the bound one read
-    /// only triples stamped before `start`.
+    /// Runs each rule atom of `atoms` bound to `t`, at position 0 only
+    /// when `first`; atoms left of it read triples stamped before `start`.
     fn fire_all(&mut self, atoms: &[(usize, usize)], t: [TermId; 3], start: usize, first: bool) {
+        let mut b = std::mem::take(&mut self.binding);
         for &(r, pos) in atoms.iter().filter(|&&(_, pos)| pos == 0 || !first) {
             let rule = &self.rules.rules[r];
-            // Bodies are small: bind on the stack unless one is not.
-            let (mut small, mut large) = ([None; 8], Vec::new());
-            let binding = match rule.vars {
-                n @ 0..=8 => &mut small[..n],
-                n => {
-                    large.resize(n, None);
-                    &mut large[..]
-                }
-            };
-            if bind(&rule.body[pos], t, binding).is_some() {
-                self.join(rule, &rule.orders[pos], (pos, start), binding);
+            b.clear();
+            b.resize(rule.vars, None);
+            if bind(&rule.body[pos], t, &mut b).is_some() {
+                self.join(rule, &rule.orders[pos], (pos, start), &mut b);
             }
         }
+        self.binding = b;
     }
 
     /// Joins the atoms `order` names onto the binding `b` and concludes
@@ -465,10 +461,8 @@ impl<'a, S: GraphStore> Engine<'a, S> {
     fn conclude(&mut self, rule: &Rule, b: &Binding) {
         match &rule.head {
             Head::Triple(head) => {
-                let premises: Vec<[TermId; 3]> = match self.track {
-                    true => rule.body.iter().filter_map(|a| a.triple(b)).collect(),
-                    false => Vec::new(),
-                };
+                let body = rule.body.iter().filter(|_| self.track);
+                let premises: Vec<[TermId; 3]> = body.filter_map(|a| a.triple(b)).collect();
                 if let Some(t) = head.triple(b) {
                     self.add_by(rule.name, &premises, t);
                 }
@@ -484,7 +478,7 @@ impl<'a, S: GraphStore> Engine<'a, S> {
     /// The violations found, in report order, as [`Inconsistency`]s.
     fn report(&mut self) {
         use InconsistencyKind::*;
-        for (kind, _, key) in &self.violations {
+        for &(kind, _, ref key) in &self.violations {
             let names: Vec<String> = key.iter().map(|&id| self.g.term_name(id)).collect();
             let detail = match (kind, &names[..]) {
                 (DisjointClassesViolation, [x]) => {
@@ -503,10 +497,7 @@ impl<'a, S: GraphStore> Engine<'a, S> {
                 (_, [a, b]) => format!("{a} and {b} are both sameAs and differentFrom"),
                 _ => continue,
             };
-            let found = Inconsistency {
-                kind: *kind,
-                detail,
-            };
+            let found = Inconsistency { kind, detail };
             self.result.inconsistencies.push(found);
         }
     }
@@ -531,13 +522,12 @@ impl<'a, S: GraphStore> Engine<'a, S> {
         }
     }
 
-    /// The equality rules for one new triple: a sameAs pair is symmetric
-    /// (eq-sym), links two alias sets (eq-trans) and copies each side's
-    /// triples to the other (eq-rep-s, eq-rep-o); any other triple is
-    /// copied across the aliases of its subject and object.
+    /// The equality rules for one new triple: a sameAs pair links two
+    /// alias sets (eq-sym and eq-trans) and copies each side's triples
+    /// to the other (eq-rep-s, eq-rep-o); any other triple is copied
+    /// across the aliases of its subject and object.
     fn equality(&mut self, [s, p, o]: [TermId; 3]) {
         if p == self.rules.same_as {
-            self.add_by("eq-sym", &[[s, p, o]], [o, p, s]);
             self.note_alias(s, o);
             self.replicate_for_alias(s, o);
             self.replicate_for_alias(o, s);
@@ -552,8 +542,8 @@ impl<'a, S: GraphStore> Engine<'a, S> {
     }
 
     /// Links two individuals as aliases, merging their alias sets so
-    /// sameAs chains stay transitively closed (eq-trans), and derives the
-    /// implied sameAs triples.
+    /// sameAs chains stay closed, and derives the implied sameAs triples
+    /// in both directions, all recorded as eq-trans.
     fn note_alias(&mut self, a: TermId, b: TermId) {
         if a == b {
             return;
@@ -1017,8 +1007,8 @@ mod tests {
         assert!(!partial.converged);
     }
 
-    /// A chain longer than the bindings kept on the stack closes like a
-    /// short one.
+    /// A chain of ten steps, one rule of eleven variables, closes like
+    /// a short one.
     #[test]
     fn long_property_chain() {
         let steps: Vec<String> = (0..10).map(|k| format!("e:p{k}")).collect();
@@ -1337,7 +1327,9 @@ mod tests {
     }
 
     /// A delta may be the first to name `owl:Nothing`; the program
-    /// compiled from the base still checks it (cls-nothing2).
+    /// compiled from the base still checks it (cls-nothing2), though
+    /// neither compiling nor closing the base interns it (so opening a
+    /// store that never named it writes no term).
     #[test]
     fn delta_reports_an_instance_of_nothing_the_base_never_named() {
         let mut base = graph("e:A rdfs:subClassOf e:B .");
@@ -1346,6 +1338,7 @@ mod tests {
         reasoner
             .materialize(&mut base, &MaterializeOptions::with_rules(&rules))
             .expect("materialize");
+        assert_eq!(base.lookup_iri(owl::NOTHING), None);
         let mut overlay = Overlay::new(&base);
         overlay.insert_iris("http://e/x", rdf::TYPE, owl::NOTHING);
         let r = reasoner
@@ -1353,6 +1346,29 @@ mod tests {
             .expect("materialize_delta");
         let kinds: Vec<_> = r.inconsistencies.iter().map(|i| i.kind).collect();
         assert_eq!(kinds, [InconsistencyKind::NothingHasInstance]);
+    }
+
+    /// eq-diff1, like every ⊥ rule, reports over a delta only a clash a
+    /// delta or derived triple takes part in: one the base already
+    /// holds was reported when the base was closed.
+    #[test]
+    fn delta_over_a_clashing_base_reports_only_its_own_clashes() {
+        let mut base = graph("e:a owl:sameAs e:b ; owl:differentFrom e:b .");
+        let reasoner = Reasoner::new();
+        let rules = reasoner.compile(&mut base);
+        let closed = reasoner
+            .materialize(&mut base, &MaterializeOptions::with_rules(&rules))
+            .expect("materialize");
+        let kinds: Vec<_> = closed.inconsistencies.iter().map(|i| i.kind).collect();
+        assert_eq!(kinds, [InconsistencyKind::SameAndDifferent]);
+        let mut overlay = Overlay::new(&base);
+        overlay.insert_iris("http://e/a", "http://e/p", "http://e/c");
+        overlay.insert_iris("http://e/c", owl::SAME_AS, "http://e/d");
+        let r = reasoner
+            .materialize_delta(&mut overlay, &MaterializeOptions::with_rules(&rules))
+            .expect("materialize_delta");
+        assert!(r.added > 0, "the delta derives");
+        assert!(r.is_consistent(), "{:?}", r.inconsistencies);
     }
 
     /// Counts the scans that reach the base and the rows they return.

@@ -16,7 +16,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use feo_rdf::hash::FxMap;
 use feo_rdf::vocab::{owl, rdf, rdfs};
-use feo_rdf::{GraphStore, GraphView, TermId};
+use feo_rdf::{GraphStore, GraphView, Term, TermId};
 
 use super::InconsistencyKind::{self, *};
 use crate::axiom::{Axiom, ClassExpr, Ontology};
@@ -91,10 +91,8 @@ impl Check {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(super) enum Head {
     Triple(Atom),
-    /// ⊥: a violation of a kind, reported once per group (one per
-    /// axiom, or per property for irreflexivity and asymmetry) and
-    /// instantiated key, in `(kind, group, key)` order. The key holds
-    /// the terms the report names, in the order violations are listed.
+    /// ⊥: one violation per kind, group (an axiom, or the property of
+    /// prp-irp and prp-asyp) and key (the terms named, in store order).
     Bottom(InconsistencyKind, usize, Vec<Slot>),
 }
 
@@ -114,9 +112,10 @@ pub(super) struct Rule {
 }
 
 /// The rule atoms a triple with one key matches, as `(rule, position)`:
-/// those of rules of one atom or closing one predicate over itself
-/// (prp-trp), then those of the other joins. `left` when one of the
-/// latter is left of another atom, where it reads only older triples.
+/// those of rules of one atom or whose atoms and head share one
+/// predicate (prp-trp, a chain `p∘p ⊑ p`, `A ⊓ B ⊑ C`), then those of
+/// the other joins. `left` when one of the latter is left of another
+/// atom, where it reads only older triples.
 #[derive(Debug, Clone, Default)]
 pub(super) struct Entry {
     pub atoms: [Vec<(usize, usize)>; 2],
@@ -134,6 +133,8 @@ pub struct CompiledRules {
     /// schema closure, or an enumerated member's class.
     pub(super) rules: Vec<Rule>,
     pub(super) index: FxMap<(TermId, Option<TermId>), Entry>,
+    /// `owl:Nothing` while cls-nothing2 waits for a closed store naming it.
+    unnamed_nothing: Option<Term>,
     axiom_count: usize,
     pub(super) warnings: Vec<String>,
 }
@@ -161,8 +162,8 @@ impl ReadSet {
 
 impl CompiledRules {
     /// Extracts axioms from the store and compiles them. `&mut` only to
-    /// intern the vocabulary the rules name (`rdf:type`, `owl:sameAs`,
-    /// `rdfs:subClassOf`, `rdfs:subPropertyOf`, `owl:Nothing`), so a
+    /// intern the vocabulary the rules derive with (`rdf:type`,
+    /// `owl:sameAs`, `rdfs:subClassOf`, `rdfs:subPropertyOf`), so a
     /// store that names it later uses the same ids; no triple is added.
     pub fn compile(g: &mut impl GraphStore) -> Self {
         let ontology = extract_axioms(g);
@@ -213,24 +214,38 @@ impl CompiledRules {
             c.axiom = i;
             c.compile(axiom);
         }
-        let body = [Atom::new(x, rdf_type, id(g.intern_iri(owl::NOTHING)))];
-        let bottom = Head::Bottom(NothingHasInstance, 0, vec![x]);
-        c.rule("cls-nothing2", &body, &[], bottom);
-        let (index, axiom_count) = (FxMap::default(), ontology.axioms.len());
-        let (rules, warnings) = (c.rules, ontology.warnings.clone());
         let program = CompiledRules {
             rdf_type,
             same_as,
-            rules,
-            index,
-            axiom_count,
-            warnings,
+            rules: c.rules,
+            index: FxMap::default(),
+            unnamed_nothing: Some(Term::iri(owl::NOTHING)),
+            axiom_count: ontology.axioms.len(),
+            warnings: ontology.warnings.clone(),
         };
-        program.indexed()
+        program.for_store(&*g).unwrap_or_else(|| program.indexed())
+    }
+
+    /// This program with cls-nothing2, when it lacks the rule and `g`
+    /// names `owl:Nothing` (a store that does not has no instance of it).
+    pub(super) fn for_store(&self, g: &impl GraphView) -> Option<CompiledRules> {
+        let nothing = g.lookup(self.unnamed_nothing.as_ref()?)?;
+        let (mut program, x) = (self.clone(), Slot::Var(0));
+        program.rules.push(Rule {
+            name: "cls-nothing2",
+            body: vec![Atom::new(x, self.rdf_type, Slot::Id(nothing))],
+            checks: Vec::new(),
+            head: Head::Bottom(NothingHasInstance, 0, vec![x]),
+            vars: 1,
+            orders: vec![Vec::new()],
+        });
+        program.unnamed_nothing = None;
+        Some(program.indexed())
     }
 
     /// The program with its index built.
     fn indexed(mut self) -> Self {
+        self.index.clear();
         for (r, rule) in self.rules.iter().enumerate() {
             let closes =
                 matches!(&rule.head, Head::Triple(h) if rule.body.iter().all(|a| a.p == h.p));
@@ -249,16 +264,13 @@ impl CompiledRules {
         self.axiom_count
     }
 
-    /// The rules that can derive a triple `reads` sees, compiled for a
-    /// closure run like any other rule set: the relevance step of query
-    /// rewriting (DaRLing; Gottlob, Orsi and Pieris), a walk back from
-    /// what is read over each rule's head to its body. A closure under
-    /// them derives on the read set what the closure under every rule
-    /// derives there, since every derivation of a read triple uses such
-    /// rules only; a delta closure keeps that as long as its base was
-    /// closed under every rule. `owl:sameAs` is always read, as eq-rep
-    /// copies every triple along it. No ⊥ rule is kept: a closure under
-    /// these makes no consistency claim.
+    /// The rules that can derive a triple `reads` sees: the relevance
+    /// step of query rewriting (DaRLing; Gottlob, Orsi and Pieris), a
+    /// walk back from what is read over each rule's head to its body.
+    /// Every derivation of a read triple uses these rules only, so a
+    /// closure under them, over a base closed under every rule, derives
+    /// on the read set what every rule would. `owl:sameAs` is always
+    /// read, as eq-rep copies every triple along it. No ⊥ rule is kept.
     pub fn relevant_to(&self, reads: &ReadSet) -> CompiledRules {
         let mut read = reads.clone();
         read.predicates.insert(self.same_as);
@@ -277,7 +289,7 @@ impl CompiledRules {
         }
         let mut program = self.clone();
         program.rules = kept.into_iter().map(|r| self.rules[r].clone()).collect();
-        program.index.clear();
+        program.unnamed_nothing = None;
         program.indexed()
     }
 }
@@ -343,8 +355,8 @@ impl Compiler {
                 let body = [edge(0, p, 1), edge(1, p, 2)];
                 self.rule("prp-trp", &body, &[], head(0, p, 2));
             }
-            Axiom::Domain(p, ref c) => self.apply("prp-dom", x, c, &Body::of(edge(0, p, 1))),
-            Axiom::Range(p, ref c) => self.apply("prp-rng", x, c, &Body::of(edge(1, p, 0))),
+            Axiom::Domain(p, ref c) => self.apply(x, c, &Body::of(edge(0, p, 1))),
+            Axiom::Range(p, ref c) => self.apply(x, c, &Body::of(edge(1, p, 0))),
             Axiom::FunctionalProperty(p) => {
                 let body = [edge(2, p, 0), edge(2, p, 1)];
                 let checks = [distinct[0], Check::Resource(0), Check::Resource(1)];
@@ -406,7 +418,7 @@ impl Compiler {
         if sub.as_named().is_none() || sup.as_named().is_none() {
             self.vars = 1;
             for body in self.holds(Slot::Var(0), sub) {
-                self.apply("cls", Slot::Var(0), sup, &body);
+                self.apply(Slot::Var(0), sup, &body);
             }
         }
     }
@@ -441,24 +453,25 @@ impl Compiler {
     }
 
     /// The rules asserting `x ∈ expr` when `body` holds. A named class is
-    /// asserted under `name`; the other heads are named for their own
-    /// rule. No existential is introduced and nothing follows from a
-    /// union or an enumeration of more than one member (OWL 2 RL).
-    fn apply(&mut self, name: &'static str, x: Slot, expr: &ClassExpr, body: &Body) {
+    /// asserted as `cls`, under a domain or range too (the name proofs
+    /// show); the other heads are named for their own rule. No
+    /// existential is introduced and nothing follows from a union or an
+    /// enumeration of more than one member (OWL 2 RL).
+    fn apply(&mut self, x: Slot, expr: &ClassExpr, body: &Body) {
         let head = |p, o| Head::Triple(Atom::new(x, p, Slot::Id(o)));
         match expr {
-            ClassExpr::Named(c) => self.push(name, body, &[], head(self.rdf_type, *c)),
+            ClassExpr::Named(c) => self.push("cls", body, &[], head(self.rdf_type, *c)),
             ClassExpr::HasValue { property, value } => {
                 self.push("cls-hv1", body, &[], head(*property, *value))
             }
             ClassExpr::OneOf(ids) if ids.len() == 1 => {
                 self.push("cls-oo", body, &[], head(self.same_as, ids[0]))
             }
-            ClassExpr::IntersectionOf(es) => es.iter().for_each(|e| self.apply(name, x, e, body)),
+            ClassExpr::IntersectionOf(es) => es.iter().for_each(|e| self.apply(x, e, body)),
             ClassExpr::AllValuesFrom { property, filler } => {
                 let y = self.var();
                 let body = body.and(&Body::of(Atom::new(x, *property, y)));
-                self.apply(name, y, filler, &body);
+                self.apply(y, filler, &body);
             }
             ClassExpr::ComplementOf(d) => {
                 // cls-com: `x ∈ ¬D` and `x ∈ D` clash.
@@ -525,10 +538,9 @@ impl Compiler {
 
 /// The variables of an atom.
 fn vars(atom: &Atom) -> impl Iterator<Item = usize> {
-    [atom.s, atom.o].into_iter().filter_map(|s| match s {
-        Slot::Var(v) => Some(v),
-        Slot::Id(_) => None,
-    })
+    [atom.s, atom.o]
+        .into_iter()
+        .filter_map(|s| if let Slot::Var(v) = s { Some(v) } else { None })
 }
 
 /// The order the atoms other than `first` are joined in once `first` is
