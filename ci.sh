@@ -35,6 +35,11 @@ cargo fmt --all -- --check
 echo "== cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "== cargo doc (deny warnings)"
+# Every intra-doc link must resolve: a link to a deleted or private item
+# fails here rather than rendering as dead text.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
+
 echo "== tier-1: release build + tests"
 cargo build --release --offline
 cargo test -q --offline

@@ -72,7 +72,7 @@ impl EngineBase {
         if let Some(e) = &opened.recovered {
             inference.warnings.push(format!("wal recovered: {e}"));
         }
-        let ledger = Ledger::replay(BaseStore::Disk(opened.segment.clone()), &opened.records)?;
+        let ledger = Ledger::replay(BaseStore::Disk(opened.segment.clone()), &opened.records);
         let mut commit_log = Vec::new();
         for rec in &opened.records {
             commit_log.push(CommitNote {

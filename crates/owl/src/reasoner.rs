@@ -1406,6 +1406,12 @@ mod tests {
             self.scans.set((calls + 1, total + rows.len() as u64));
             rows
         }
+        fn predicate_stats(&self, p: TermId) -> feo_rdf::PredicateStats {
+            GraphView::predicate_stats(self.inner, p)
+        }
+        fn class_instance_count(&self, class_id: TermId) -> u64 {
+            GraphView::class_instance_count(self.inner, class_id)
+        }
         fn iter_ids(&self) -> Box<dyn Iterator<Item = [TermId; 3]> + '_> {
             GraphView::iter_ids(self.inner)
         }

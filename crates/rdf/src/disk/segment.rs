@@ -2,7 +2,8 @@
 //!
 //! One segment persists one closed graph (the ledger's epoch-0 base):
 //! the full term dictionary in dense id order, the three sorted triple
-//! permutations `Graph` keeps in memory, the maintained [`GraphStats`],
+//! permutations `Graph` keeps in memory, the [`GraphStats`] it was
+//! written with (read back at open, never recounted),
 //! and a small metadata section. Layout (all integers little-endian):
 //!
 //! ```text
@@ -187,7 +188,7 @@ impl SegmentWriter<'_> {
     }
 }
 
-/// Writes `source` (with its maintained `stats` and the engine's epoch-0
+/// Writes `source` (with its counted `stats` and the engine's epoch-0
 /// inferred-triple count) as a segment file at `path`, crash-safely:
 /// the bytes stream into `<path>.tmp` first, are fsynced, and only then
 /// renamed over `path` — a crash mid-write leaves either the old file
@@ -507,7 +508,7 @@ impl Segment {
         })
     }
 
-    /// The maintained statistics persisted with the graph.
+    /// The statistics persisted with the graph.
     pub fn stats(&self) -> &GraphStats {
         &self.stats
     }
@@ -617,8 +618,12 @@ impl GraphView for Segment {
         self.matches(s, p, o).collect()
     }
 
-    fn maintained_stats(&self) -> Option<&GraphStats> {
-        Some(&self.stats)
+    fn predicate_stats(&self, p: TermId) -> PredicateStats {
+        self.stats.predicate(p)
+    }
+
+    fn class_instance_count(&self, class_id: TermId) -> u64 {
+        self.stats.class_instances(class_id)
     }
 
     fn iter_ids(&self) -> Box<dyn Iterator<Item = IdTriple> + '_> {

@@ -25,6 +25,8 @@ use super::segment::{write_segment, Segment};
 use super::source::SegmentSource;
 use super::wal::{self, WalRecord};
 use super::{OpenOptions, StoreError, FORMAT_VERSION};
+use crate::hash::FxSet;
+use crate::intern::TermId;
 use crate::stats::GraphStats;
 use crate::view::GraphView;
 
@@ -201,8 +203,11 @@ impl DiskStore {
         // stood when that record was committed: segment terms plus all
         // earlier spills plus its own. A spill holds each term once (a
         // layer's dictionary is an `Interner`), so a repeated term would
-        // shift every later id.
+        // shift every later id. No commit repeats a triple the chain
+        // holds (in the segment, an earlier record or itself): a repeat
+        // would count twice in the statistics a compaction persists.
         let mut term_limit = segment.term_count();
+        let mut triples = FxSet::default();
         for (k, rec) in replay.records.iter().enumerate() {
             let mut seen = HashSet::with_capacity(rec.terms.len());
             if !rec.terms.iter().all(|t| seen.insert(t)) {
@@ -214,6 +219,15 @@ impl DiskStore {
             if rec.triples.iter().flatten().any(|&id| id as usize >= limit) {
                 return Err(StoreError::Corrupt {
                     what: format!("wal record {k}: term id beyond dictionary"),
+                });
+            }
+            let held = |t: [u32; 3]| {
+                let [s, p, o] = t.map(TermId);
+                segment.contains_ids(s, p, o)
+            };
+            if rec.triples.iter().any(|&t| !triples.insert(t) || held(t)) {
+                return Err(StoreError::Corrupt {
+                    what: format!("wal record {k}: repeats a triple"),
                 });
             }
             term_limit = limit;

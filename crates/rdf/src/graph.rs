@@ -8,14 +8,17 @@
 //! sufficient for the access paths our SPARQL evaluator and reasoner use.
 //! The read and write surface beyond ids (term-level triples, lists,
 //! convenience lookups) comes from [`GraphView`] and [`GraphStore`].
+//! Statistics are counted on the first read after the last mutation
+//! and kept until the next one, so a sealed graph counts once.
 
-use std::borrow::Cow;
+use std::sync::OnceLock;
 
 use crate::index::TripleIndex;
 use crate::intern::{Interner, TermId};
-use crate::stats::GraphStats;
+use crate::stats::{GraphStats, PredicateStats};
 use crate::term::{Term, Triple};
 use crate::view::{GraphStore, GraphView};
+use crate::vocab::rdf;
 
 /// An interned triple: `[subject, predicate, object]` ids.
 pub type IdTriple = [TermId; 3];
@@ -25,6 +28,9 @@ pub type IdTriple = [TermId; 3];
 pub struct Graph {
     dict: Interner,
     index: TripleIndex,
+    /// The statistics of the triples and dictionary as they stand;
+    /// every mutation that could change them empties it.
+    stats: OnceLock<GraphStats>,
     next_bnode: u64,
 }
 
@@ -47,16 +53,31 @@ impl Graph {
         self.dict.len()
     }
 
-    /// Incrementally-maintained statistics (see [`GraphStats`]).
+    /// The graph's statistics, counted on the first call after the last
+    /// mutation (see [`GraphStats`]).
     pub fn stats(&self) -> &GraphStats {
-        self.index.stats()
+        self.stats.get_or_init(|| {
+            let rdf_type = self.dict.lookup(&Term::iri(rdf::TYPE));
+            self.index.count_stats(rdf_type)
+        })
     }
 
     // ---- dictionary access ----------------------------------------------
 
     /// Interns a term into this graph's dictionary.
     pub fn intern(&mut self, term: &Term) -> TermId {
-        self.index.intern(&mut self.dict, Cow::Borrowed(term))
+        self.interned(|dict| dict.intern(term))
+    }
+
+    /// Interns through `intern`, dropping the counted statistics when
+    /// the term is new: it may be `rdf:type`, whose id they carry.
+    fn interned(&mut self, intern: impl FnOnce(&mut Interner) -> TermId) -> TermId {
+        let terms = self.dict.len();
+        let id = intern(&mut self.dict);
+        if self.dict.len() > terms {
+            self.stats.take();
+        }
+        id
     }
 
     /// Looks up a term without interning it.
@@ -92,12 +113,20 @@ impl Graph {
 
     /// Inserts an interned triple. Returns true when newly added.
     pub fn insert_ids(&mut self, s: TermId, p: TermId, o: TermId) -> bool {
-        self.index.insert([s, p, o])
+        let added = self.index.insert([s, p, o]);
+        if added {
+            self.stats.take();
+        }
+        added
     }
 
     /// Removes an interned triple. Returns true when it was present.
     pub fn remove_ids(&mut self, s: TermId, p: TermId, o: TermId) -> bool {
-        self.index.remove([s, p, o])
+        let removed = self.index.remove([s, p, o]);
+        if removed {
+            self.stats.take();
+        }
+        removed
     }
 
     /// Removes a term-level triple if present.
@@ -172,8 +201,11 @@ impl GraphView for Graph {
     ) -> Vec<IdTriple> {
         Graph::match_pattern(self, s, p, o)
     }
-    fn maintained_stats(&self) -> Option<&GraphStats> {
-        Some(Graph::stats(self))
+    fn predicate_stats(&self, p: TermId) -> PredicateStats {
+        self.stats().predicate(p)
+    }
+    fn class_instance_count(&self, class_id: TermId) -> u64 {
+        self.stats().class_instances(class_id)
     }
     fn iter_ids(&self) -> Box<dyn Iterator<Item = IdTriple> + '_> {
         Box::new(Graph::iter_ids(self))
@@ -185,7 +217,7 @@ impl GraphStore for Graph {
         Graph::intern(self, term)
     }
     fn intern_owned(&mut self, term: Term) -> TermId {
-        self.index.intern(&mut self.dict, Cow::Owned(term))
+        self.interned(|dict| dict.intern_owned(term))
     }
     fn fresh_bnode(&mut self) -> TermId {
         Graph::fresh_bnode(self)

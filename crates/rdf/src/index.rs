@@ -11,14 +11,17 @@
 //! runs for a committed [`Layer`](crate::Layer) (slices) and a
 //! [`Segment`](crate::Segment) (mmap) — but all of them read through
 //! [`pattern_range`], and the frozen ones through [`match_runs`].
+//!
+//! The SPO and POS orders are also what a store's statistics are
+//! counted from ([`GraphStats::count`]): a [`TripleIndex`] when its
+//! owner is first read after a mutation, a layer's runs when it is
+//! committed. Inserting and removing keep nothing but the B-trees.
 
-use std::borrow::Cow;
 use std::collections::BTreeSet;
 
 use crate::graph::IdTriple;
-use crate::intern::{Interner, TermId};
+use crate::intern::TermId;
 use crate::stats::GraphStats;
-use crate::term::Term;
 
 /// One sorted order of a triple index: a rotation of `[s, p, o]`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -120,23 +123,13 @@ pub(crate) fn match_runs<'a>(
         .map(move |t| rotation.triple(t))
 }
 
-/// A mutable triple index: one B-tree per rotation, plus the
-/// statistics its inserts and removals maintain.
+/// A mutable triple index: one B-tree per rotation.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct TripleIndex {
     pub(crate) runs: [BTreeSet<[u32; 3]>; 3],
-    stats: GraphStats,
 }
 
 impl TripleIndex {
-    /// An empty index whose statistics know `rdf:type`'s id up front
-    /// (a layer over a base that interned it).
-    pub(crate) fn new(rdf_type: Option<TermId>) -> TripleIndex {
-        let mut index = TripleIndex::default();
-        index.stats.set_rdf_type_id(rdf_type);
-        index
-    }
-
     pub(crate) fn len(&self) -> usize {
         self.runs[0].len()
     }
@@ -145,22 +138,11 @@ impl TripleIndex {
         self.runs[0].is_empty()
     }
 
-    pub(crate) fn stats(&self) -> &GraphStats {
-        &self.stats
-    }
-
-    /// Interns `term` into `dict`, showing every new id to the
-    /// statistics (they recognise `rdf:type` by it).
-    pub(crate) fn intern(&mut self, dict: &mut Interner, term: Cow<'_, Term>) -> TermId {
-        let before = dict.len();
-        let id = match term {
-            Cow::Borrowed(term) => dict.intern(term),
-            Cow::Owned(term) => dict.intern_owned(term),
-        };
-        if dict.len() > before {
-            self.stats.note_new_term(id, dict.term(id));
-        }
-        id
+    /// Counts the index's statistics; `rdf_type` is `rdf:type`'s id in
+    /// the owning store's dictionary.
+    pub(crate) fn count_stats(&self, rdf_type: Option<TermId>) -> GraphStats {
+        let [spo, pos, _] = &self.runs;
+        GraphStats::count(rdf_type, spo.iter().copied(), pos.iter().copied())
     }
 
     /// Inserts a triple. Returns true when newly added.
@@ -169,15 +151,9 @@ impl TripleIndex {
         if !self.runs[0].insert(t) {
             return false;
         }
-        // First-seen flags for the stats, read off the indexes before
-        // the secondary inserts: (s,p) pair is new iff the SPO range for
-        // it holds only the triple just added; likewise (p,o) in POS.
-        let new_sp = self.scan(Some(s), Some(p), None).nth(1).is_none();
-        let new_po = self.scan(None, Some(p), Some(o)).next().is_none();
         for rotation in [Rotation::Pos, Rotation::Osp] {
             self.runs[rotation as usize].insert(rotation.apply(t));
         }
-        self.stats.record_insert(s, p, o, new_sp, new_po);
         true
     }
 
@@ -190,9 +166,6 @@ impl TripleIndex {
         for rotation in [Rotation::Pos, Rotation::Osp] {
             self.runs[rotation as usize].remove(&rotation.apply(t));
         }
-        let last_sp = self.scan(Some(s), Some(p), None).next().is_none();
-        let last_po = self.scan(None, Some(p), Some(o)).next().is_none();
-        self.stats.record_remove(s, p, o, last_sp, last_po);
         true
     }
 
@@ -239,15 +212,9 @@ impl TripleIndex {
         self.runs[0].iter().map(|&t| Rotation::Spo.triple(t))
     }
 
-    /// Drops every triple and counter; `rdf:type`'s id is kept.
+    /// Drops every triple.
     pub(crate) fn clear(&mut self) {
         self.runs.iter_mut().for_each(BTreeSet::clear);
-        self.stats.clear();
-    }
-
-    /// Freezes the index into its three sorted runs and its statistics.
-    pub(crate) fn into_runs(self) -> ([Vec<[u32; 3]>; 3], GraphStats) {
-        (self.runs.map(|run| run.into_iter().collect()), self.stats)
     }
 
     /// Do the three rotations hold the same triples?

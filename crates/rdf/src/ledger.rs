@@ -19,13 +19,12 @@
 //! private chain of layers. A branch view shares the base and the
 //! forked prefix by reference — forking copies nothing.
 
-use std::borrow::Cow;
 use std::sync::Arc;
 
-use crate::disk::{Segment, StoreError, WalRecord};
+use crate::disk::{Segment, WalRecord};
 use crate::graph::{Graph, IdTriple};
-use crate::hash::{fnv_bytes, FxSet, FNV_OFFSET};
-use crate::index::{match_runs, Rotation, TripleIndex};
+use crate::hash::{fnv_bytes, FNV_OFFSET};
+use crate::index::{match_runs, Rotation};
 use crate::intern::{Interner, TermId};
 use crate::stats::{GraphStats, PredicateStats};
 use crate::term::{Term, Triple};
@@ -92,31 +91,39 @@ fn layer_hash(parent: u64, dict: &Interner, spo: &[[u32; 3]]) -> u64 {
 }
 
 impl Layer {
-    /// Freezes a session delta into a layer. `terms` and `delta` follow
-    /// the `Overlay::into_delta` contract: spill term `i` has id
-    /// `term_base + i`, so no term repeats (`DiskStore::open` rejects a
-    /// WAL record that repeats one). The delta is indexed as live inserts index it,
-    /// so its statistics are exactly what an overlay kept for it.
-    fn new(
-        term_base: usize,
-        parent_hash: u64,
-        rdf_type: Option<TermId>,
-        terms: Vec<Term>,
-        delta: Vec<IdTriple>,
-    ) -> Layer {
-        let mut dict = Interner::starting_at(term_base);
-        let mut index = TripleIndex::new(rdf_type);
+    /// Freezes a session delta committed on `on` into a layer. `terms`
+    /// and `delta` follow the `Overlay::into_delta` contract: spill term
+    /// `i` has id `on.term_count() + i`, so no term repeats
+    /// (`DiskStore::open` rejects a WAL record that repeats one). The
+    /// delta's three rotations are sorted here and its statistics
+    /// counted from them, with `rdf:type` as `on` or the spill names it.
+    fn new(on: &LedgerView<'_>, parent_hash: u64, terms: Vec<Term>, delta: Vec<IdTriple>) -> Layer {
+        let limit = on.term_count() + terms.len();
+        debug_assert!(
+            delta.iter().flatten().all(|id| id.index() < limit),
+            "a delta references ids beyond its dictionary"
+        );
+        let mut dict = Interner::starting_at(on.term_count());
         let spilled = terms.len();
         for t in terms {
-            index.intern(&mut dict, Cow::Owned(t));
+            dict.intern_owned(t);
         }
         debug_assert_eq!(dict.len(), spilled, "a spill repeats a term");
-        for t in delta {
-            index.insert(t);
-        }
-        let (runs, stats) = index.into_runs();
+        let runs = Rotation::ALL.map(|rotation| {
+            let mut run: Vec<[u32; 3]> = delta
+                .iter()
+                .map(|&[s, p, o]| rotation.apply([s.0, p.0, o.0]))
+                .collect();
+            run.sort_unstable();
+            run.dedup();
+            run
+        });
+        let rdf_type = Term::iri(rdf::TYPE);
+        let rdf_type = on.lookup(&rdf_type).or_else(|| dict.lookup(&rdf_type));
+        let [spo, pos, _] = &runs;
+        let stats = GraphStats::count(rdf_type, spo.iter().copied(), pos.iter().copied());
         Layer {
-            hash: layer_hash(parent_hash, &dict, &runs[0]),
+            hash: layer_hash(parent_hash, &dict, spo),
             dict,
             runs,
             stats,
@@ -214,7 +221,7 @@ impl BaseStore {
         }
     }
 
-    /// The maintained statistics (persisted ones, for a segment).
+    /// The counted statistics (persisted ones, for a segment).
     pub fn stats(&self) -> &GraphStats {
         match self {
             BaseStore::Mem(g) => g.stats(),
@@ -275,8 +282,11 @@ impl GraphView for BaseStore {
             BaseStore::Disk(seg) => GraphView::match_pattern(&**seg, s, p, o),
         }
     }
-    fn maintained_stats(&self) -> Option<&GraphStats> {
-        Some(self.stats())
+    fn predicate_stats(&self, p: TermId) -> PredicateStats {
+        self.stats().predicate(p)
+    }
+    fn class_instance_count(&self, class_id: TermId) -> u64 {
+        self.stats().class_instances(class_id)
     }
     fn iter_ids(&self) -> Box<dyn Iterator<Item = IdTriple> + '_> {
         match self {
@@ -296,7 +306,6 @@ impl GraphView for BaseStore {
 pub struct Ledger {
     base: BaseStore,
     base_hash: u64,
-    rdf_type: Option<TermId>,
     layers: Vec<std::sync::Arc<Layer>>,
 }
 
@@ -316,33 +325,21 @@ impl Ledger {
         for t in GraphView::iter_ids(&base) {
             h = fnv_triple(h, t);
         }
-        let rdf_type = base.lookup_iri(rdf::TYPE);
         Ledger {
             base,
             base_hash: h,
-            rdf_type,
             layers: Vec::new(),
         }
     }
 
     /// Rebuilds a stored chain: `base` as epoch 0 and the WAL records
-    /// `DiskStore::open` validated committed on it in order. A record
-    /// repeating a triple of the base, an earlier record or itself is
-    /// `Corrupt`: a compaction would count it twice in its stats.
-    pub fn replay(base: BaseStore, records: &[WalRecord]) -> Result<Ledger, StoreError> {
+    /// `DiskStore::open` validated committed on it in order.
+    pub fn replay(base: BaseStore, records: &[WalRecord]) -> Ledger {
         let mut ledger = Ledger::from_base(base);
-        let mut seen = FxSet::default();
-        for (k, rec) in records.iter().enumerate() {
-            let triples = rec.id_triples();
-            let held = |&[s, p, o]: &IdTriple| ledger.base.contains_ids(s, p, o);
-            if triples.iter().any(|t| !seen.insert(*t) || held(t)) {
-                return Err(StoreError::Corrupt {
-                    what: format!("wal record {k}: repeats a triple"),
-                });
-            }
-            ledger.commit(rec.terms.clone(), triples);
+        for rec in records {
+            ledger.commit(rec.terms.clone(), rec.id_triples());
         }
-        Ok(ledger)
+        ledger
     }
 
     /// The epoch-0 store.
@@ -369,37 +366,12 @@ impl Ledger {
         }
     }
 
-    /// Total term count visible at `epoch`, or `None` past the head.
-    pub fn term_count_at(&self, epoch: EpochId) -> Option<usize> {
-        if epoch.0 as usize > self.layers.len() {
-            return None;
-        }
-        Some(
-            self.base.term_count()
-                + self.layers[..epoch.0 as usize]
-                    .iter()
-                    .map(|l| l.term_len())
-                    .sum::<usize>(),
-        )
-    }
-
     /// Commits a session delta (per the `Overlay::into_delta` contract:
     /// spill ids start at the head's term count, triples in SPO order)
     /// as a new layer and returns the new head epoch.
     pub fn commit(&mut self, terms: Vec<Term>, delta: Vec<IdTriple>) -> EpochId {
-        let head = self.head();
-        let term_base = self
-            .term_count_at(head)
-            .unwrap_or_else(|| self.base.term_count());
-        debug_assert!(
-            delta
-                .iter()
-                .flatten()
-                .all(|id| (id.0 as usize) < term_base + terms.len()),
-            "delta references ids beyond the committed dictionary"
-        );
-        let parent = self.hash_at(head).unwrap_or(self.base_hash);
-        let layer = Layer::new(term_base, parent, self.rdf_type, terms, delta);
+        let parent = self.hash_at(self.head()).unwrap_or(self.base_hash);
+        let layer = Layer::new(&self.head_view(), parent, terms, delta);
         self.layers.push(std::sync::Arc::new(layer));
         self.head()
     }
@@ -453,21 +425,13 @@ impl Ledger {
         terms: Vec<Term>,
         delta: Vec<IdTriple>,
     ) -> EpochId {
-        let term_base = self.branch_view(chain).term_count();
-        debug_assert!(
-            delta
-                .iter()
-                .flatten()
-                .all(|id| (id.0 as usize) < term_base + terms.len()),
-            "branch delta references ids beyond the branch dictionary"
-        );
         let parent = chain
             .layers
             .last()
             .map(|l| l.hash())
             .or_else(|| self.hash_at(chain.fork))
             .unwrap_or(self.base_hash);
-        let layer = Layer::new(term_base, parent, self.rdf_type, terms, delta);
+        let layer = Layer::new(&self.branch_view(chain), parent, terms, delta);
         chain.layers.push(std::sync::Arc::new(layer));
         chain.head()
     }
@@ -776,6 +740,32 @@ mod tests {
         assert_eq!(only_b.len(), 1);
         assert!(only_b[0].contains("urn:z"));
         assert!(only_m.is_empty());
+    }
+
+    /// A layer counts class instances by `rdf:type` as the view it is
+    /// committed on names it, even when a layer above the base interned
+    /// it: the base here never holds `rdf:type`.
+    #[test]
+    fn layers_above_the_one_that_interned_rdf_type_count_classes() {
+        let mut base = Graph::new();
+        base.insert_iris("urn:a", "urn:p", "urn:b");
+        let mut ledger = Ledger::new(base);
+        for (s, class) in [("urn:a", "urn:C"), ("urn:b", "urn:D")] {
+            let mut ov = Overlay::new(ledger.head_view());
+            ov.insert_iris(s, rdf::TYPE, class);
+            let (terms, delta) = ov.into_delta();
+            ledger.commit(terms, delta);
+        }
+        let head = ledger.head_view();
+        for class in ["urn:C", "urn:D"] {
+            let id = head.lookup_iri(class).expect("class interned");
+            assert_eq!(head.class_instance_count(id), 1, "{class}");
+        }
+        let ty = head.lookup_iri(rdf::TYPE);
+        assert!(ledger
+            .layers()
+            .iter()
+            .all(|l| l.stats().rdf_type_id() == ty));
     }
 
     #[test]

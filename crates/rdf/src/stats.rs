@@ -1,24 +1,36 @@
-//! Incrementally-maintained graph statistics for cost-based planning.
+//! Graph statistics for cost-based planning, counted once from a
+//! store's sorted runs.
 //!
 //! The SPARQL planner orders joins by estimated cardinality, which it
 //! derives from three families of counters: per-predicate triple counts
 //! with distinct-subject/object counts (fan-out estimates for bound
 //! subject or object lookups), class-instance counts (exact
 //! cardinalities for `?x rdf:type <C>` patterns), and the total triple
-//! count. [`Graph`](crate::Graph) and [`Overlay`](crate::Overlay)
-//! maintain a [`GraphStats`] on every insert/remove, so reading a
-//! counter is O(1) at plan time — no scan ever runs just to cost one.
+//! count. `GraphStats::count` is the one place they are computed: one
+//! pass over a store's SPO and POS runs, where each `(s, p)` and each
+//! `(p, o)` pair is one contiguous range. Each store counts where its
+//! runs are final:
 //!
-//! Distinct counts are exact for a single store. An overlay reports the
-//! sum of its base's counts and its delta's counts, which can overcount
-//! a subject or object present in both layers; estimates only steer
-//! join order, so an upper bound is acceptable there.
+//! - a [`Layer`](crate::Layer) when it is committed;
+//! - a [`Segment`](crate::Segment) persists the stats it was written
+//!   with (its graph's count, or after a compaction its base's and
+//!   layers' folded by [`GraphStats::merged_with`]) and reads them back
+//!   at open;
+//! - a [`Graph`](crate::Graph) on the first read after its last insert
+//!   or removal, so a sealed base counts once;
+//! - an [`Overlay`](crate::Overlay) counts its delta on every read,
+//!   uncached, and adds its base's counts (no product path plans over
+//!   an overlay).
+//!
+//! Nothing is counted on insert. Distinct counts are exact for a single
+//! store. A stack of layers reports the sum of each layer's counts,
+//! which can overcount a subject or object present in two layers;
+//! estimates only steer join order, so an upper bound is acceptable
+//! there.
 
 use std::collections::HashMap;
 
 use crate::intern::TermId;
-use crate::term::Term;
-use crate::vocab::rdf;
 
 /// Distribution counters for a single predicate.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -69,13 +81,8 @@ impl std::ops::Add for PredicateStats {
     }
 }
 
-/// Aggregate statistics over one triple store (or one overlay delta).
-///
-/// Maintained by the owning store: [`note_new_term`](Self::note_new_term)
-/// on every dictionary allocation, [`record_insert`](Self::record_insert)
-/// / [`record_remove`](Self::record_remove) on every index mutation. The
-/// first-seen/last-seen flags come from the store, which can read them
-/// off its B-tree indexes in O(log n) before mutating.
+/// Aggregate statistics over one triple store (or one overlay delta),
+/// counted by `GraphStats::count`.
 #[derive(Debug, Clone, Default)]
 pub struct GraphStats {
     predicates: HashMap<u32, PredicateStats>,
@@ -85,11 +92,50 @@ pub struct GraphStats {
 }
 
 impl GraphStats {
-    pub fn new() -> Self {
-        GraphStats::default()
+    /// Counts a store kept as sorted, deduplicated runs of the same
+    /// triples: `spo` as `[s, p, o]` keys, `pos` as `[p, o, s]` keys.
+    /// `rdf_type` is `rdf:type`'s id in the store's dictionary, when it
+    /// has one. Each run is read once. POS order keeps each predicate's
+    /// triples together, each `(p, o)` pair's within them, so a new pair
+    /// is a new object of `p` (and, under `rdf:type`, a new class); in
+    /// SPO order a new `(s, p)` pair is a new subject of `p`.
+    pub(crate) fn count(
+        rdf_type: Option<TermId>,
+        spo: impl IntoIterator<Item = [u32; 3]>,
+        pos: impl IntoIterator<Item = [u32; 3]>,
+    ) -> GraphStats {
+        let (mut predicates, mut classes) = (Vec::<(u32, PredicateStats)>::new(), Vec::new());
+        let (mut total, mut last) = (0, None);
+        for [p, o, _] in pos {
+            total += 1;
+            if predicates.last().is_none_or(|&(q, _)| q != p) {
+                predicates.push((p, PredicateStats::default()));
+            }
+            if let Some((_, e)) = predicates.last_mut() {
+                e.triples += 1;
+                e.distinct_objects += u64::from(last != Some([p, o]));
+            }
+            last = Some([p, o]);
+            if rdf_type == Some(TermId(p)) {
+                match classes.last_mut() {
+                    Some((c, n)) if *c == o => *n += 1,
+                    _ => classes.push((o, 1)),
+                }
+            }
+        }
+        let mut last = None;
+        for [s, p, _] in spo {
+            if last != Some([s, p]) {
+                last = Some([s, p]);
+                if let Ok(i) = predicates.binary_search_by_key(&p, |&(q, _)| q) {
+                    predicates[i].1.distinct_subjects += 1;
+                }
+            }
+        }
+        GraphStats::from_entries(rdf_type, total, predicates, classes)
     }
 
-    /// Total triples recorded.
+    /// Total triples counted.
     pub fn total_triples(&self) -> u64 {
         self.total
     }
@@ -104,85 +150,10 @@ impl GraphStats {
         self.class_instances.get(&class.0).copied().unwrap_or(0)
     }
 
-    /// The interned id of `rdf:type` in the owning store's dictionary,
-    /// once it has been interned there.
+    /// The id of `rdf:type` in the counted store's dictionary, when it
+    /// has one.
     pub fn rdf_type_id(&self) -> Option<TermId> {
         self.rdf_type
-    }
-
-    /// Pre-seeds the `rdf:type` id (an overlay copies it from its base
-    /// so base-id type triples in the delta are classified correctly).
-    pub fn set_rdf_type_id(&mut self, id: Option<TermId>) {
-        if self.rdf_type.is_none() {
-            self.rdf_type = id;
-        }
-    }
-
-    /// Must be called whenever the owning dictionary allocates a fresh
-    /// id, so `rdf:type` is recognized without a lookup per insert.
-    pub fn note_new_term(&mut self, id: TermId, term: &Term) {
-        if self.rdf_type.is_none() {
-            if let Term::Iri(iri) = term {
-                if iri.as_str() == rdf::TYPE {
-                    self.rdf_type = Some(id);
-                }
-            }
-        }
-    }
-
-    /// Records a newly-inserted triple. `new_subject` / `new_object` say
-    /// whether this is the first triple with this (subject, predicate) /
-    /// (predicate, object) pair.
-    pub fn record_insert(&mut self, s: TermId, p: TermId, o: TermId, new_sp: bool, new_po: bool) {
-        let _ = s;
-        self.total += 1;
-        let e = self.predicates.entry(p.0).or_default();
-        e.triples += 1;
-        if new_sp {
-            e.distinct_subjects += 1;
-        }
-        if new_po {
-            e.distinct_objects += 1;
-        }
-        if self.rdf_type == Some(p) {
-            *self.class_instances.entry(o.0).or_insert(0) += 1;
-        }
-    }
-
-    /// Records a removed triple. `last_sp` / `last_po` say whether the
-    /// store no longer holds any triple with this (subject, predicate) /
-    /// (predicate, object) pair.
-    pub fn record_remove(&mut self, s: TermId, p: TermId, o: TermId, last_sp: bool, last_po: bool) {
-        let _ = s;
-        self.total = self.total.saturating_sub(1);
-        if let Some(e) = self.predicates.get_mut(&p.0) {
-            e.triples = e.triples.saturating_sub(1);
-            if last_sp {
-                e.distinct_subjects = e.distinct_subjects.saturating_sub(1);
-            }
-            if last_po {
-                e.distinct_objects = e.distinct_objects.saturating_sub(1);
-            }
-            if e.triples == 0 {
-                self.predicates.remove(&p.0);
-            }
-        }
-        if self.rdf_type == Some(p) {
-            if let Some(n) = self.class_instances.get_mut(&o.0) {
-                *n = n.saturating_sub(1);
-                if *n == 0 {
-                    self.class_instances.remove(&o.0);
-                }
-            }
-        }
-    }
-
-    /// Forgets everything (overlay `clear_delta`). The `rdf:type` id is
-    /// kept: dictionary ids are never evicted, so it stays valid.
-    pub fn clear(&mut self) {
-        self.predicates.clear();
-        self.class_instances.clear();
-        self.total = 0;
     }
 
     /// All per-predicate counters as `(raw id, counters)` pairs sorted
@@ -221,9 +192,10 @@ impl GraphStats {
         }
     }
 
-    /// Folds `other`'s counters into `self` (overlay reads: base stats
-    /// plus delta stats). Distinct counts add, so a term present in
-    /// both layers is double-counted — the result is an upper bound.
+    /// Folds `other`'s counters into `self`: a compaction persists its
+    /// base's stats folded with each layer's. Distinct counts add, so a
+    /// term present in both is double-counted — the result is an upper
+    /// bound, as a stack of layers reports it.
     pub fn merged_with(&self, other: &GraphStats) -> GraphStats {
         let mut out = self.clone();
         out.total += other.total;
@@ -246,6 +218,7 @@ mod tests {
     use super::*;
     use crate::graph::Graph;
     use crate::view::{GraphStore, GraphView, Overlay};
+    use crate::vocab::rdf;
 
     #[test]
     fn graph_maintains_predicate_counters() {
@@ -262,6 +235,27 @@ mod tests {
         // Duplicate insert changes nothing.
         g.insert_iris("http://e/a", "http://e/p", "http://e/b");
         assert_eq!(g.stats().predicate(p).triples, 3);
+    }
+
+    /// A read counts once; every later insert, removal or new term is
+    /// seen by the next read.
+    #[test]
+    fn graph_recounts_after_each_mutation() {
+        let mut g = Graph::new();
+        g.insert_iris("http://e/a", "http://e/p", "http://e/b");
+        g.insert_iris("http://e/c", "http://e/q", "http://e/b");
+        let p = g.lookup_iri("http://e/p").unwrap();
+        assert_eq!(g.stats().predicate(p).triples, 1);
+        // Known terms only: the insert alone must drop the count.
+        g.insert_iris("http://e/c", "http://e/p", "http://e/b");
+        assert_eq!(g.stats().predicate(p).distinct_subjects, 2);
+        let a = g.lookup_iri("http://e/a").unwrap();
+        let b = g.lookup_iri("http://e/b").unwrap();
+        g.remove_ids(a, p, b);
+        assert_eq!(g.stats().total_triples(), 2);
+        assert_eq!(g.stats().rdf_type_id(), None);
+        let ty = g.intern_iri(rdf::TYPE);
+        assert_eq!(g.stats().rdf_type_id(), Some(ty));
     }
 
     #[test]
@@ -339,20 +333,5 @@ mod tests {
         ov.clear_delta();
         let p = GraphView::lookup_iri(&ov, "http://e/p").unwrap();
         assert_eq!(GraphView::predicate_stats(&ov, p).triples, 1);
-    }
-
-    #[test]
-    fn default_trait_impl_matches_maintained_counters() {
-        // A view without an O(1) override (here: a bare closure over
-        // match_pattern via the default trait body) must agree with the
-        // incremental counters.
-        let mut g = Graph::new();
-        g.insert_iris("http://e/a", "http://e/p", "http://e/b");
-        g.insert_iris("http://e/a", "http://e/p", "http://e/c");
-        g.insert_iris("http://e/d", "http://e/q", "http://e/c");
-        let p = g.lookup_iri("http://e/p").unwrap();
-        let maintained = g.stats().predicate(p);
-        let scanned = crate::view::scan_predicate_stats(&g, p);
-        assert_eq!(maintained, scanned);
     }
 }

@@ -492,7 +492,7 @@ pub fn resolve_iri(base: Option<&str>, reference: &str) -> String {
 
 /// Serializes a graph view as Turtle, using the provided prefix map
 /// (`prefix name → namespace IRI`) to compact IRIs. Accepts any
-/// [`GraphView`] — plain graphs, overlays, and stacked ledger views
+/// [`GraphView`](crate::GraphView) — plain graphs, overlays, and stacked ledger views
 /// export alike. Output is deterministic: subjects and predicates
 /// appear in sorted term order.
 pub fn write_turtle<G: crate::GraphView + ?Sized>(graph: &G, prefixes: &[(&str, &str)]) -> String {

@@ -11,9 +11,12 @@
 //! indexes with the delta indexes, writes go to the delta only, and
 //! newly seen terms spill into a private dictionary whose ids start at
 //! `base.term_count()` so base ids stay valid verbatim.
-
-use std::borrow::Cow;
-use std::collections::BTreeSet;
+//!
+//! Every view answers the planner's statistics (`predicate_stats`,
+//! `class_instance_count`) from [`GraphStats`] its store counted once
+//! (see [`crate::stats`]). An `Overlay` counts its delta on each such
+//! read and adds its base's answer; the product plans over epoch views
+//! only, so only tests pay for that.
 
 use crate::graph::IdTriple;
 use crate::index::TripleIndex;
@@ -21,23 +24,6 @@ use crate::intern::{Interner, TermId};
 use crate::stats::{GraphStats, PredicateStats};
 use crate::term::{Iri, Term, Triple};
 use crate::vocab::rdf;
-
-/// Computes [`PredicateStats`] by scanning: the fallback used by views
-/// with no incrementally-maintained counters.
-pub(crate) fn scan_predicate_stats<G: GraphView + ?Sized>(g: &G, p: TermId) -> PredicateStats {
-    let matches = g.match_pattern(None, Some(p), None);
-    let mut subjects: BTreeSet<u32> = BTreeSet::new();
-    let mut objects: BTreeSet<u32> = BTreeSet::new();
-    for t in &matches {
-        subjects.insert(t[0].0);
-        objects.insert(t[2].0);
-    }
-    PredicateStats {
-        triples: matches.len() as u64,
-        distinct_subjects: subjects.len() as u64,
-        distinct_objects: objects.len() as u64,
-    }
-}
 
 /// Read-only view of a triple store with an interned dictionary.
 ///
@@ -132,34 +118,15 @@ pub trait GraphView {
         }
     }
 
-    /// Incrementally-maintained whole-view counters, when this view
-    /// keeps them. Flat stores ([`Graph`](crate::Graph), disk segments, ledger bases)
-    /// return theirs; layered views return `None` and instead override
-    /// the derived methods to sum per-layer stats.
-    fn maintained_stats(&self) -> Option<&GraphStats> {
-        None
-    }
-
     /// Distribution counters for one predicate, used by the SPARQL
-    /// planner's selectivity estimates. Answered in O(1) from
-    /// [`Self::maintained_stats`] when available; the scanning fallback
-    /// only runs for views with no maintained counters.
-    fn predicate_stats(&self, p: TermId) -> PredicateStats {
-        match self.maintained_stats() {
-            Some(st) => st.predicate(p),
-            None => scan_predicate_stats(self, p),
-        }
-    }
+    /// planner's selectivity estimates. Every store answers from the
+    /// [`GraphStats`] it counted; a stack sums its layers'.
+    fn predicate_stats(&self, p: TermId) -> PredicateStats;
 
     /// Number of `rdf:type` triples whose object is `class_id` — the
-    /// exact cardinality of a `?x rdf:type <C>` pattern. O(1) wherever
-    /// [`Self::maintained_stats`] answers.
-    fn class_instance_count(&self, class_id: TermId) -> u64 {
-        match self.maintained_stats() {
-            Some(st) => st.class_instances(class_id),
-            None => self.instances_of(class_id).len() as u64,
-        }
-    }
+    /// exact cardinality of a `?x rdf:type <C>` pattern, from the same
+    /// counted statistics.
+    fn class_instance_count(&self, class_id: TermId) -> u64;
 
     /// Iterates all triples as interned ids.
     fn iter_ids(&self) -> Box<dyn Iterator<Item = IdTriple> + '_>;
@@ -284,9 +251,6 @@ macro_rules! deref_graph_view {
             ) -> Vec<IdTriple> {
                 (**self).match_pattern(s, p, o)
             }
-            fn maintained_stats(&self) -> Option<&GraphStats> {
-                (**self).maintained_stats()
-            }
             fn predicate_stats(&self, p: TermId) -> PredicateStats {
                 (**self).predicate_stats(p)
             }
@@ -332,8 +296,7 @@ pub struct Overlay<B> {
     base: B,
     /// Terms the base lacks, from id `base.term_count()` up.
     spill: Interner,
-    /// Triples the base lacks, with counters over them only; reads sum
-    /// those with the base's.
+    /// Triples the base lacks.
     delta: TripleIndex,
     /// Delta triples in insertion order (for semi-naïve seeding).
     log: Vec<IdTriple>,
@@ -344,7 +307,7 @@ impl<B: GraphView> Overlay<B> {
     pub fn new(base: B) -> Self {
         Overlay {
             spill: Interner::starting_at(base.term_count()),
-            delta: TripleIndex::new(base.lookup_iri(rdf::TYPE)),
+            delta: TripleIndex::default(),
             base,
             log: Vec::new(),
             next_bnode: 0,
@@ -377,6 +340,12 @@ impl<B: GraphView> Overlay<B> {
     pub fn into_delta(self) -> (Vec<Term>, Vec<IdTriple>) {
         let ids = self.delta.iter().collect();
         (self.spill.into_terms(), ids)
+    }
+
+    /// The delta's statistics, counted afresh, with `rdf:type` as the
+    /// base or spill names it.
+    fn delta_stats(&self) -> GraphStats {
+        self.delta.count_stats(self.lookup_iri(rdf::TYPE))
     }
 
     /// Drops every delta triple and spill term, returning the overlay to
@@ -428,11 +397,11 @@ impl<B: GraphView> GraphView for Overlay<B> {
     }
 
     fn predicate_stats(&self, p: TermId) -> PredicateStats {
-        self.base.predicate_stats(p) + self.delta.stats().predicate(p)
+        self.base.predicate_stats(p) + self.delta_stats().predicate(p)
     }
 
     fn class_instance_count(&self, class_id: TermId) -> u64 {
-        self.base.class_instance_count(class_id) + self.delta.stats().class_instances(class_id)
+        self.base.class_instance_count(class_id) + self.delta_stats().class_instances(class_id)
     }
 
     fn iter_ids(&self) -> Box<dyn Iterator<Item = IdTriple> + '_> {
@@ -444,14 +413,14 @@ impl<B: GraphView> GraphStore for Overlay<B> {
     fn intern(&mut self, term: &Term) -> TermId {
         match self.base.lookup(term) {
             Some(id) => id,
-            None => self.delta.intern(&mut self.spill, Cow::Borrowed(term)),
+            None => self.spill.intern(term),
         }
     }
 
     fn intern_owned(&mut self, term: Term) -> TermId {
         match self.base.lookup(&term) {
             Some(id) => id,
-            None => self.delta.intern(&mut self.spill, Cow::Owned(term)),
+            None => self.spill.intern_owned(term),
         }
     }
 

@@ -250,7 +250,8 @@ fn recovered_wal_accepts_appends() {
         label: "post-crash".to_string(),
         inferred: 0,
         terms: Vec::new(),
-        triples: vec![[0, 1, 2]],
+        // `s0 p s1`: ids the segment holds, a triple it does not.
+        triples: vec![[0, 1, 3]],
     };
     opened
         .store
@@ -389,10 +390,17 @@ fn missing_files_are_typed_errors() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// True when `open` refused the store for its repeated-triple check,
+/// not for any other corruption it detects.
+fn repeats_a_triple<T>(opened: &Result<T, StoreError>) -> bool {
+    matches!(opened, Err(StoreError::Corrupt { what }) if what.ends_with("repeats a triple"))
+}
+
 /// A checksum-valid record holding a triple the chain already holds —
-/// in the segment, or in an earlier record — is corrupt: no commit
-/// repeats a triple, and the repeat would count twice in the statistics
-/// a compaction persists, so the compacted store would never reopen.
+/// in the segment, or in an earlier record — is corrupt at open: no
+/// commit repeats a triple, and the repeat would count twice in the
+/// statistics a compaction persists, so the compacted store would never
+/// reopen.
 #[test]
 fn repeated_wal_triple_is_corrupt() {
     let g = sample_graph();
@@ -400,10 +408,9 @@ fn repeated_wal_triple_is_corrupt() {
     let replay = |name: &str, records: &[WalRecord]| {
         let dir = tmp_dir(name);
         DiskStore::save(&dir, &g, g.stats(), 0, records).expect("save");
-        let opened = DiskStore::open(&dir, OpenOptions::default()).expect("ids are in range");
-        let replayed = Ledger::replay(BaseStore::Disk(opened.segment), &opened.records);
+        let opened = DiskStore::open(&dir, OpenOptions::default());
         let _ = std::fs::remove_dir_all(&dir);
-        replayed.map(|ledger| ledger.head())
+        opened.map(|o| Ledger::replay(BaseStore::Disk(o.segment), &o.records).head())
     };
     let record = |k: u32, triples: Vec<[u32; 3]>| WalRecord {
         label: format!("r{k}"),
@@ -414,24 +421,36 @@ fn repeated_wal_triple_is_corrupt() {
 
     // `s0 p o0` is the segment's first triple.
     let in_segment = [record(0, vec![[0, 1, 2], [0, 1, base]])];
-    assert!(matches!(
-        replay("wal-repeat-seg", &in_segment),
-        Err(StoreError::Corrupt { .. })
-    ));
+    assert!(repeats_a_triple(&replay("wal-repeat-seg", &in_segment)));
     let in_earlier = [
         record(0, vec![[0, 1, base]]),
         record(1, vec![[0, 1, base], [0, 1, base + 1]]),
     ];
-    assert!(matches!(
-        replay("wal-repeat-rec", &in_earlier),
-        Err(StoreError::Corrupt { .. })
-    ));
+    assert!(repeats_a_triple(&replay("wal-repeat-rec", &in_earlier)));
     let in_itself = [record(0, vec![[0, 1, base], [0, 1, base]])];
-    assert!(matches!(
-        replay("wal-repeat-self", &in_itself),
-        Err(StoreError::Corrupt { .. })
-    ));
+    assert!(repeats_a_triple(&replay("wal-repeat-self", &in_itself)));
     assert_eq!(replay("wal-sound", &wal_records(&g)), Ok(EpochId(3)));
+}
+
+/// `DiskStore::open` itself refuses a record that repeats a triple of
+/// the segment, before any layer is built: a chain that commits the
+/// records it returns never reaches a compaction holding a triple twice.
+#[test]
+fn record_repeating_a_segment_triple_is_corrupt_at_open() {
+    let g = sample_graph();
+    let dir = tmp_dir("wal-repeat-open");
+    let iri = |s: &str| g.lookup_iri(s).expect("sample term").index() as u32;
+    let (s0, p, o0) = (iri("http://e/s0"), iri("http://e/p"), iri("http://e/o0"));
+    let rec = WalRecord {
+        label: "repeat".to_string(),
+        inferred: 0,
+        terms: Vec::new(),
+        triples: vec![[s0, p, o0]],
+    };
+    DiskStore::save(&dir, &g, g.stats(), 0, &[rec]).expect("save");
+    let opened = DiskStore::open(&dir, OpenOptions::default());
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(repeats_a_triple(&opened));
 }
 
 /// The compaction merge refuses a chain that holds a triple twice or

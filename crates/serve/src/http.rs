@@ -7,7 +7,7 @@
 //! *incremental over an owned buffer*: reads use a short socket
 //! timeout so the connection thread can notice server drain between
 //! packets, and partially received requests survive those timeouts
-//! because bytes accumulate in [`Conn::buf`] rather than in a
+//! because bytes accumulate in `Conn::buf` rather than in a
 //! `BufRead` adapter that would lose them.
 
 use std::io::{ErrorKind, Read, Write};
@@ -132,7 +132,7 @@ impl Conn {
     /// requests, or when `give_up` reports true while the connection
     /// is idle (server draining) — either way the caller just closes.
     /// A partially received request keeps accumulating across read
-    /// timeouts until [`STALL_DEADLINE`].
+    /// timeouts until `STALL_DEADLINE`.
     pub fn read_request(
         &mut self,
         give_up: &dyn Fn() -> bool,

@@ -1,6 +1,6 @@
 //! SPARQL query evaluation over any [`feo_rdf::GraphView`].
 //!
-//! The evaluator executes the AST directly with solution sets ([`Rows`])
+//! The evaluator executes the AST directly with solution sets (`Rows`)
 //! flowing through group-pattern elements, matching the SPARQL
 //! algebra: triples blocks join, OPTIONAL left-joins, UNION concatenates,
 //! MINUS anti-joins on shared domains, BIND extends, VALUES joins an
@@ -21,7 +21,7 @@
 //! overlay that is dropped when evaluation finishes, so the caller's
 //! dictionary is never polluted by the queries it answers. Each query
 //! constant is resolved, and each REGEX pattern compiled, once per
-//! execution ([`Memo`]).
+//! execution (`Memo`).
 //!
 //! Rows stay term ids to the end, in flat slabs: a join step, an OPTIONAL
 //! replay or a VALUES merge copies the input row into its output slab and

@@ -2,7 +2,7 @@
 //!
 //! [`plan_query`] compiles a parsed [`Query`] into an explicit [`Plan`]
 //! before any row flows: per BGP it picks a join order by selectivity
-//! estimates read from the graph's incrementally-maintained statistics
+//! estimates read from the statistics the view's stores counted
 //! ([`feo_rdf::GraphStats`] via [`GraphView::predicate_stats`] /
 //! [`GraphView::class_instance_count`]), records which index the store
 //! scans for each pattern ([`feo_rdf::access_path`]), and marks steps

@@ -16,7 +16,7 @@ use feo::core::queries::contextual_query;
 use feo::core::{EngineBase, ExplainOptions, Population, Question};
 use feo::foodkg::{curated, synthetic, Season, SyntheticConfig, SystemContext, UserProfile};
 use feo::owl::{CompiledRules, MaterializeOptions, Reasoner, ReasonerOptions};
-use feo::rdf::{Graph, GraphView, IdTriple, Overlay, Parallelism, Term, TermId};
+use feo::rdf::{Graph, GraphView, IdTriple, Overlay, Parallelism, PredicateStats, Term, TermId};
 use feo::sparql::query;
 use proptest::prelude::*;
 
@@ -172,8 +172,7 @@ fn tracked_derivations_survive_the_parallel_path() {
 }
 
 /// A view that is deliberately `!Sync`: it counts `match_pattern` calls
-/// in a `Cell`. Only the required methods delegate, so the planner's
-/// statistics take the trait's scanning defaults.
+/// in a `Cell`. Only the required methods delegate.
 struct CountingView<'g> {
     inner: &'g Graph,
     scans: Cell<u64>,
@@ -203,6 +202,12 @@ impl GraphView for CountingView<'_> {
     ) -> Vec<IdTriple> {
         self.scans.set(self.scans.get() + 1);
         GraphView::match_pattern(self.inner, s, p, o)
+    }
+    fn predicate_stats(&self, p: TermId) -> PredicateStats {
+        GraphView::predicate_stats(self.inner, p)
+    }
+    fn class_instance_count(&self, class_id: TermId) -> u64 {
+        GraphView::class_instance_count(self.inner, class_id)
     }
     fn iter_ids(&self) -> Box<dyn Iterator<Item = IdTriple> + '_> {
         GraphView::iter_ids(self.inner)
