@@ -156,7 +156,12 @@ echo "== persistent store suite (bounded wall-clock)"
 # writer's on generated chains, and one compaction of the benchmark's
 # 16-layer chain must stay under 0.1x the allocations and 0.25x the
 # bytes of that writer (its own binary: the counting allocator sees
-# every thread).
+# every thread). A compaction adopts the segment it wrote instead of
+# reopening it: the adopted segment must read exactly as a verified
+# `Segment::open` of the same file, its carried base hash must be the
+# content's, and a compacted engine's history must hash as a cold
+# open's. Version-1 segment, WAL and MANIFEST files are refused with a
+# typed error (there is no migration).
 timeout 300 cargo test -q --offline --release --test store_equivalence --test compaction_allocations
 timeout 180 cargo test -q --offline --release -p feo-rdf --test store_corruption --test segment_merge
 timeout 180 cargo test -q --offline --release -p feo-rdf --test fuzz_store

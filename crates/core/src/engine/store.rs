@@ -103,7 +103,9 @@ impl EngineBase {
     /// The MANIFEST rename publishes the new segment/WAL pair
     /// atomically, so a crash mid-compaction leaves the old pair
     /// intact. Afterwards the in-memory chain re-anchors on the new
-    /// segment: history collapses to a single epoch 0, and branches
+    /// segment, adopted as written rather than reopened, with epoch 0's
+    /// hash carried from the old base and the layers rather than
+    /// recomputed: history collapses to a single epoch 0, and branches
     /// (forked from the old chain's epochs) are dropped. Term ids are
     /// preserved by the flatten, so accumulated derivations stay valid.
     pub fn compact(&mut self) -> Result<(), EngineError> {

@@ -38,11 +38,12 @@ pub use wal::{WalRecord, WalReplay};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-/// The on-disk format version this build reads and writes. Bumped on
-/// any incompatible layout change; files carrying a different version
-/// byte are rejected with [`StoreError::UnsupportedVersion`] rather
-/// than misread.
-pub const FORMAT_VERSION: u8 = 1;
+/// The on-disk format version of the segment, the WAL and the MANIFEST,
+/// the only one this build reads and writes (2: word-at-a-time
+/// checksums, the base's triple sum in the segment). A file with another
+/// version byte is refused with [`StoreError::UnsupportedVersion`], never
+/// misread or migrated.
+pub const FORMAT_VERSION: u8 = 2;
 
 /// Typed failure surface of the persistent store. Every corrupt or
 /// unreadable byte pattern maps to one of these — the module never
@@ -84,7 +85,8 @@ impl fmt::Display for StoreError {
             }
             StoreError::UnsupportedVersion { path, found } => write!(
                 f,
-                "unsupported store format version {found} (this build reads v{FORMAT_VERSION}): {}",
+                "unsupported store format version {found} (this build reads v{FORMAT_VERSION} \
+                 only; rebuild the store from source): {}",
                 path.display()
             ),
             StoreError::Truncated { what } => write!(f, "truncated store file: {what}"),
@@ -112,8 +114,8 @@ impl StoreError {
 /// Options for opening a segment / store.
 #[derive(Debug, Clone, Copy)]
 pub struct OpenOptions {
-    /// Verify the segment's whole-file FNV checksum at open. One linear
-    /// pass over the mapped bytes — vastly cheaper than the parse +
+    /// Verify the segment's whole-body checksum at open: one pass, word
+    /// at a time, over the mapped bytes — vastly cheaper than the parse +
     /// materialize it replaces, but skippable for huge read-mostly
     /// deployments that trust the medium.
     pub verify_checksum: bool,

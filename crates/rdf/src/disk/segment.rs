@@ -8,21 +8,22 @@
 //!
 //! ```text
 //! offset 0   magic  b"FEOSEG\0"                     (7 bytes)
-//!        7   format version                         (1 byte, = 1)
-//!        8   checksum: FNV-1a over bytes[16..]      (u64)
+//!        7   format version                         (1 byte, = 2)
+//!        8   checksum: hash::checksum(bytes[16..])  (u64)
 //!       16   term_count                             (u64)
 //!       24   triple_count                           (u64)
 //!       32   stats section length                   (u64)
-//!       40   meta section length                    (u64)
-//!       48   dict offset table  (term_count+1)×u64  (relative to blob)
+//!       40   dict offset table  (term_count+1)×u64  (relative to blob)
 //!        …   dict blob          concatenated codec-encoded terms
 //!        …   sorted permutation term_count×u32      (ids by entry bytes)
 //!        …   SPO run            triple_count×[u32;3]
 //!        …   POS run            triple_count×[u32;3]
 //!        …   OSP run            triple_count×[u32;3]
 //!        …   stats section
-//!        …   meta section
+//!        …   meta section       base_inferred, `hash::triple_sum` (2×u64)
 //! ```
+//!
+//! The ledger's epoch-0 hash takes the triple sum as it is kept here.
 //!
 //! The dictionary keeps the graph's dense interner ids verbatim, so a
 //! reopened segment answers with *exactly* the ids the original graph
@@ -34,6 +35,7 @@
 //! Every structural invariant (section bounds, offset monotonicity, run
 //! sort order, id ranges) is validated at open, after the checksum; a
 //! file that passes [`Segment::open`] cannot make any later read panic.
+//! A compaction adopts the file it has just written without either.
 
 use std::fs::File;
 use std::io::{BufWriter, Seek, SeekFrom, Write};
@@ -46,7 +48,7 @@ use super::mmap::{map_file, MapData};
 use super::source::{added_terms, SegmentSource};
 use super::{StoreError, FORMAT_VERSION};
 use crate::graph::{Graph, IdTriple};
-use crate::hash::{fnv_bytes, FNV_OFFSET};
+use crate::hash::{checksum, triple_sum, Checksum};
 use crate::index::{match_runs, partition_point, Rotation};
 use crate::intern::TermId;
 use crate::stats::{GraphStats, PredicateStats};
@@ -54,13 +56,15 @@ use crate::term::Term;
 use crate::view::GraphView;
 
 pub(crate) const MAGIC: &[u8; 7] = b"FEOSEG\0";
-const HEADER_LEN: usize = 48;
+const HEADER_LEN: usize = 40;
+/// The meta section: `base_inferred` and the triple sum.
+const META_LEN: usize = 16;
 
 fn le32(b: &[u8], at: usize) -> u32 {
     u32::from_le_bytes([b[at], b[at + 1], b[at + 2], b[at + 3]])
 }
 
-fn le64(b: &[u8], at: usize) -> u64 {
+pub(super) fn le64(b: &[u8], at: usize) -> u64 {
     u64::from(le32(b, at)) | u64::from(le32(b, at + 4)) << 32
 }
 
@@ -142,18 +146,35 @@ fn entry_at<'a>(offsets: &[u8], blob: &'a [u8], id: usize) -> &'a [u8] {
     &blob[le64(offsets, id * 8) as usize..le64(offsets, id * 8 + 8) as usize]
 }
 
-/// The segment file being written: buffered, with the body's FNV-1a
-/// kept as the bytes go by so the file is never held in memory.
+/// The file under the segment writer's buffer: the body's checksum takes
+/// each chunk as it goes to the file, whole buffers rather than single
+/// ids, so the file is never held in memory.
+struct Summed {
+    file: File,
+    checksum: Checksum,
+}
+
+impl Write for Summed {
+    fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+        let n = self.file.write(bytes)?;
+        self.checksum.update(&bytes[..n]);
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.file.flush()
+    }
+}
+
+/// The segment file being written, buffered over [`Summed`].
 struct SegmentWriter<'p> {
-    out: BufWriter<File>,
+    out: BufWriter<Summed>,
     tmp: &'p Path,
-    checksum: u64,
 }
 
 impl SegmentWriter<'_> {
     /// Appends bytes the checksum covers (everything from offset 16).
     fn put(&mut self, bytes: &[u8]) -> Result<(), StoreError> {
-        self.checksum = fnv_bytes(self.checksum, bytes);
         self.out
             .write_all(bytes)
             .map_err(|e| StoreError::io("write", self.tmp, e))
@@ -188,6 +209,14 @@ impl SegmentWriter<'_> {
     }
 }
 
+/// What [`write_segment`] knows of the file it wrote, all a segment needs
+/// besides its map and stats: term and triple counts, the blob's length
+/// and the meta section.
+pub struct Written {
+    lens: [usize; 3],
+    meta: [u64; 2],
+}
+
 /// Writes `source` (with its counted `stats` and the engine's epoch-0
 /// inferred-triple count) as a segment file at `path`, crash-safely:
 /// the bytes stream into `<path>.tmp` first, are fsynced, and only then
@@ -203,14 +232,14 @@ pub fn write_segment<S: SegmentSource + ?Sized>(
     source: &S,
     stats: &GraphStats,
     base_inferred: u64,
-) -> Result<(), StoreError> {
+) -> Result<Written, StoreError> {
     let parts @ (segment, graph, layers) = source.parts();
     // A segment base's sections as mapped; an empty base without one.
     let ([offsets, blob, perm], runs) = match segment {
         Some(seg) => {
             let b = seg.data.bytes();
             let run = |r: usize| &b[seg.runs[r]..seg.runs[r] + seg.triple_count * 12];
-            let offsets = &b[seg.dict_offsets..seg.dict_blob.start];
+            let offsets = &b[HEADER_LEN..seg.dict_blob.start];
             let (blob, perm) = (&b[seg.dict_blob.clone()], &b[seg.perm..seg.runs[0]]);
             ([offsets, blob, perm], [run(0), run(1), run(2)])
         }
@@ -236,22 +265,21 @@ pub fn write_segment<S: SegmentSource + ?Sized>(
 
     let mut stats_section = Vec::new();
     encode_stats(&mut stats_section, stats);
-    let meta_section = base_inferred.to_le_bytes();
+    let mut meta = [base_inferred, segment.map_or(0, Segment::triple_sum)];
 
     let tmp = path.with_extension("tmp");
-    let file = File::create(&tmp).map_err(|e| StoreError::io("write", &tmp, e))?;
-    let mut w = SegmentWriter {
-        out: BufWriter::with_capacity(1 << 16, file),
-        tmp: &tmp,
-        checksum: FNV_OFFSET,
-    };
+    let mut file = File::create(&tmp).map_err(|e| StoreError::io("write", &tmp, e))?;
     let mut head = [0u8; 16]; // checksum at 8..16 patched below
     head[..7].copy_from_slice(MAGIC);
     head[7] = FORMAT_VERSION;
-    w.out
-        .write_all(&head)
+    file.write_all(&head)
         .map_err(|e| StoreError::io("write", &tmp, e))?;
-    for len in [n, t, stats_section.len(), meta_section.len()] {
+    let checksum = Checksum::default();
+    let mut w = SegmentWriter {
+        out: BufWriter::with_capacity(1 << 16, Summed { file, checksum }),
+        tmp: &tmp,
+    };
+    for len in [n, t, stats_section.len()] {
         w.put(&(len as u64).to_le_bytes())?;
     }
     w.put(offsets)?;
@@ -271,6 +299,9 @@ pub fn write_segment<S: SegmentSource + ?Sized>(
         delta.extend(graph.into_iter().flat_map(|g| &g.index().runs[r]));
         delta.extend(layers.iter().flat_map(|l| l.run(rotation)));
         delta.sort(); // a merge of the sorted runs just appended
+        if rotation == Rotation::Spo {
+            meta[1] = triple_sum(meta[1], &delta);
+        }
         let key = |i: usize| [0, 4, 8].map(|k| le32(run, i * 12 + k));
         w.put_merged(run, key, &delta, |d| (d, d.map(u32::to_le_bytes)))?;
     }
@@ -278,19 +309,21 @@ pub fn write_segment<S: SegmentSource + ?Sized>(
         seg.data.release(); // read in full: drop its pages from this process
     }
     w.put(&stats_section)?;
-    w.put(&meta_section)?;
+    w.put(meta.map(u64::to_le_bytes).as_flattened())?;
 
-    let mut file = w
+    let Summed { mut file, checksum } = w
         .out
         .into_inner()
         .map_err(|e| StoreError::io("write", &tmp, e.into_error()))?;
     file.seek(SeekFrom::Start(8))
-        .and_then(|_| file.write_all(&w.checksum.to_le_bytes()))
+        .and_then(|_| file.write_all(&checksum.finish().to_le_bytes()))
         .map_err(|e| StoreError::io("write", &tmp, e))?;
     file.sync_all()
         .map_err(|e| StoreError::io("fsync", &tmp, e))?;
     drop(file);
-    std::fs::rename(&tmp, path).map_err(|e| StoreError::io("rename", path, e))
+    std::fs::rename(&tmp, path).map_err(|e| StoreError::io("rename", path, e))?;
+    let lens = [n, t, blob.len() + added_blob.len()];
+    Ok(Written { lens, meta })
 }
 
 // ---- Segment ---------------------------------------------------------
@@ -302,12 +335,12 @@ pub struct Segment {
     path: PathBuf,
     term_count: usize,
     triple_count: usize,
-    dict_offsets: usize, // byte offset of the offset table
-    dict_blob: Range<usize>,
-    perm: usize,      // byte offset of the permutation
-    runs: [usize; 3], // byte offsets of the runs, one per `Rotation`
+    dict_blob: Range<usize>, // the offset table is at HEADER_LEN
+    perm: usize,             // byte offset of the permutation
+    runs: [usize; 3],        // byte offsets of the runs, one per `Rotation`
     stats: GraphStats,
     base_inferred: u64,
+    triple_sum: u64,
     /// Lazily-decoded term cache, one slot per dictionary entry.
     terms: Vec<OnceLock<Term>>,
     /// Sentinel returned for out-of-range ids instead of panicking.
@@ -328,6 +361,37 @@ impl std::fmt::Debug for Segment {
 }
 
 impl Segment {
+    /// The segment over `data` as `written` lays it out, with the `stats`
+    /// it was written with, reading nothing back: how a compaction takes
+    /// the file it has just written and fsynced, with no checksum pass
+    /// and no structural checks. [`Segment::open`] runs those first.
+    pub(crate) fn adopt(
+        data: MapData,
+        path: &Path,
+        written: Written,
+        stats: GraphStats,
+    ) -> Segment {
+        let ([n, t, blob_len], [base_inferred, triple_sum]) = (written.lens, written.meta);
+        let blob = HEADER_LEN + (n + 1) * 8;
+        let (perm, spo) = (blob + blob_len, blob + blob_len + n * 4);
+        let mut terms = Vec::with_capacity(n);
+        terms.resize_with(n, OnceLock::new);
+        Segment {
+            data,
+            path: path.to_path_buf(),
+            term_count: n,
+            triple_count: t,
+            dict_blob: blob..perm,
+            perm,
+            runs: [spo, spo + t * 12, spo + t * 24],
+            stats,
+            base_inferred,
+            triple_sum,
+            terms,
+            corrupt: Term::iri("urn:feo:store:corrupt-term"),
+        }
+    }
+
     /// Opens and fully validates a segment file. After `open` succeeds,
     /// no read on the returned value can panic — every bound checked
     /// here is what the read paths rely on.
@@ -350,64 +414,41 @@ impl Segment {
                 found: bytes[7],
             });
         }
-        let term_count_raw = le64(bytes, 16);
-        let triple_count_raw = le64(bytes, 24);
-        let stats_len = le64(bytes, 32) as usize;
-        let meta_len = le64(bytes, 40) as usize;
-        if term_count_raw > u64::from(u32::MAX) || triple_count_raw > u64::from(u32::MAX) {
+        let [n, t, stats_len] = [16, 24, 32].map(|at| le64(bytes, at));
+        if n > u64::from(u32::MAX) || t > u64::from(u32::MAX) {
             return Err(StoreError::Corrupt {
                 what: "segment header: counts exceed u32 id space".to_string(),
             });
         }
-        let n = term_count_raw as usize;
-        let t = triple_count_raw as usize;
+        // The blob's length, summed in u128: a corrupt header must not
+        // wrap it into a "valid" small one.
+        let fixed = (HEADER_LEN + 8 + META_LEN) as u128 + 12 * n as u128 + 36 * t as u128;
+        let blob_len = (bytes.len() as u128)
+            .checked_sub(fixed + u128::from(stats_len))
+            .ok_or(StoreError::Truncated {
+                what: "segment sections",
+            })? as usize;
+        let (n, t, stats_len) = (n as usize, t as usize, stats_len as usize);
 
-        // Section layout, with overflow-checked arithmetic: a corrupt
-        // header must not wrap these into "valid" small offsets.
-        let sized = (|| {
-            let dict_offsets = HEADER_LEN;
-            let blob_start = dict_offsets.checked_add(n.checked_add(1)?.checked_mul(8)?)?;
-            let after_blob_fixed = n
-                .checked_mul(4)? // perm
-                .checked_add(t.checked_mul(36)?)? // three runs
-                .checked_add(stats_len)?
-                .checked_add(meta_len)?;
-            let blob_len = bytes
-                .len()
-                .checked_sub(blob_start)?
-                .checked_sub(after_blob_fixed)?;
-            Some((dict_offsets, blob_start, blob_len))
-        })();
-        let (dict_offsets, blob_start, blob_len) = match sized {
-            Some(v) => v,
-            None => {
-                return Err(StoreError::Truncated {
-                    what: "segment sections",
-                })
-            }
-        };
-        let perm = blob_start + blob_len;
-        let spo = perm + n * 4;
-        let pos = spo + t * 12;
-        let osp = pos + t * 12;
-        let stats_at = osp + t * 12;
-        let meta_at = stats_at + stats_len;
-        debug_assert_eq!(meta_at + meta_len, bytes.len());
-
-        if verify_checksum {
-            let stored = le64(bytes, 8);
-            let actual = fnv_bytes(FNV_OFFSET, &bytes[16..]);
-            if stored != actual {
-                return Err(StoreError::ChecksumMismatch {
-                    what: "segment body",
-                });
-            }
+        if verify_checksum && le64(bytes, 8) != checksum(&bytes[16..]) {
+            return Err(StoreError::ChecksumMismatch {
+                what: "segment body",
+            });
         }
+        let meta_at = bytes.len() - META_LEN;
+        let stats = decode_stats(&bytes[meta_at - stats_len..meta_at])?;
+        let written = Written {
+            lens: [n, t, blob_len],
+            meta: [le64(bytes, meta_at), le64(bytes, meta_at + 8)],
+        };
+        let seg = Segment::adopt(data, path, written, stats);
+        let bytes = seg.data.bytes();
+        let (blob_start, perm) = (seg.dict_blob.start, seg.perm);
 
         // Offset table: monotone, in-bounds, covering the whole blob.
         let mut prev = 0u64;
         for i in 0..=n {
-            let off = le64(bytes, dict_offsets + i * 8);
+            let off = le64(bytes, HEADER_LEN + i * 8);
             if off < prev || off > blob_len as u64 {
                 return Err(StoreError::Corrupt {
                     what: format!("segment dictionary: offset {i} out of order or out of bounds"),
@@ -424,7 +465,7 @@ impl Segment {
         // Permutation: in-range ids whose dictionary entries are
         // strictly increasing byte-wise. Strictness over n entries
         // implies all entries are distinct, hence a true permutation.
-        let entry = |id| entry_at(&bytes[dict_offsets..], &bytes[blob_start..], id);
+        let entry = |id| entry_at(&bytes[HEADER_LEN..], &bytes[blob_start..], id);
         let mut prev_id: Option<usize> = None;
         for i in 0..n {
             let id = le32(bytes, perm + i * 4) as usize;
@@ -444,7 +485,7 @@ impl Segment {
         }
 
         // Runs: sorted, deduplicated, ids in range.
-        for (name, at) in [("spo", spo), ("pos", pos), ("osp", osp)] {
+        for (name, at) in ["spo", "pos", "osp"].into_iter().zip(seg.runs) {
             let mut prev: Option<[u32; 3]> = None;
             for i in 0..t {
                 let base = at + i * 12;
@@ -469,43 +510,19 @@ impl Segment {
             }
         }
 
-        let stats = decode_stats(&bytes[stats_at..stats_at + stats_len])?;
-        if stats.total_triples() != t as u64 {
+        if seg.stats.total_triples() != t as u64 {
             return Err(StoreError::Corrupt {
                 what: "segment stats: total disagrees with triple count".to_string(),
             });
         }
-        if let Some(ty) = stats.rdf_type_id() {
+        if let Some(ty) = seg.stats.rdf_type_id() {
             if ty.index() >= n {
                 return Err(StoreError::Corrupt {
                     what: "segment stats: rdf:type id out of range".to_string(),
                 });
             }
         }
-        let mut meta = codec::Reader::new(&bytes[meta_at..meta_at + meta_len], "segment meta");
-        let base_inferred = meta.u64()?;
-        if !meta.is_empty() {
-            return Err(StoreError::Corrupt {
-                what: "segment meta: trailing bytes".to_string(),
-            });
-        }
-
-        let mut terms = Vec::with_capacity(n);
-        terms.resize_with(n, OnceLock::new);
-        Ok(Segment {
-            data,
-            path: path.to_path_buf(),
-            term_count: n,
-            triple_count: t,
-            dict_offsets,
-            dict_blob: blob_start..blob_start + blob_len,
-            perm,
-            runs: [spo, pos, osp],
-            stats,
-            base_inferred,
-            terms,
-            corrupt: Term::iri("urn:feo:store:corrupt-term"),
-        })
+        Ok(seg)
     }
 
     /// The statistics persisted with the graph.
@@ -517,6 +534,12 @@ impl Segment {
     /// (epoch 0's share of `InferenceResult::added`).
     pub fn base_inferred(&self) -> u64 {
         self.base_inferred
+    }
+
+    /// The wrapping sum of the triples' hashes (`hash::triple_sum`), as the
+    /// file keeps it.
+    pub fn triple_sum(&self) -> u64 {
+        self.triple_sum
     }
 
     /// The file this segment was opened from.
@@ -543,7 +566,7 @@ impl Segment {
 
     fn dict_entry(&self, id: usize) -> &[u8] {
         let b = self.data.bytes();
-        entry_at(&b[self.dict_offsets..], &b[self.dict_blob.clone()], id)
+        entry_at(&b[HEADER_LEN..], &b[self.dict_blob.clone()], id)
     }
 
     fn tri_at(&self, run: usize, i: usize) -> [u32; 3] {
@@ -706,8 +729,8 @@ mod tests {
     }
 
     /// The format is pinned byte for byte: length and checksum field of
-    /// this fixed graph, as the build-in-memory writer this one replaced
-    /// produced them.
+    /// this fixed graph. The length is the build-in-memory writer's, the
+    /// checksum format version 2's.
     #[test]
     fn written_bytes_are_pinned() {
         let g = sample();
@@ -715,8 +738,8 @@ mod tests {
         write_segment(&path, &g, g.stats(), 7).unwrap();
         let bytes = std::fs::read(&path).unwrap();
         assert_eq!(bytes.len(), 671);
-        assert_eq!(le64(&bytes, 8), 0xd3f6_a7cb_53c1_442b);
-        assert_eq!(fnv_bytes(FNV_OFFSET, &bytes[16..]), le64(&bytes, 8));
+        assert_eq!(le64(&bytes, 8), 0x9dd5_dc81_e2b6_69cc);
+        assert_eq!(checksum(&bytes[16..]), le64(&bytes, 8));
         assert!(!path.with_extension("tmp").exists());
     }
 

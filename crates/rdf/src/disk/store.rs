@@ -1,7 +1,7 @@
 //! The on-disk store directory: MANIFEST + paired segment/WAL files.
 //!
 //! ```text
-//! <dir>/MANIFEST            "feo-store 1\n<index>\n" (tmp+rename)
+//! <dir>/MANIFEST            "feo-store 2\n<index>\n" (tmp+rename)
 //! <dir>/segment-000000.feo  the active base segment
 //! <dir>/wal-000000.feo      the delta log paired with that segment
 //! ```
@@ -21,6 +21,7 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+use super::mmap::map_file;
 use super::segment::{write_segment, Segment};
 use super::source::SegmentSource;
 use super::wal::{self, WalRecord};
@@ -248,7 +249,8 @@ impl DiskStore {
     /// Compacts: freezes `source` (the current head, layers folded in)
     /// as a new base segment with an empty WAL, switches the MANIFEST to
     /// the new pair, and removes the old one best-effort. Returns the new
-    /// segment, opened, with the terms `source` had decoded.
+    /// segment, adopted as written (with `stats` and the triple sum, not
+    /// read back), with the terms `source` had decoded.
     pub fn compact<S: SegmentSource + ?Sized>(
         &mut self,
         source: &S,
@@ -259,10 +261,11 @@ impl DiskStore {
             dir: self.dir.clone(),
             index: self.index + 1,
         };
-        write_segment(&next.segment_path(), source, stats, base_inferred)?;
+        let written = write_segment(&next.segment_path(), source, stats, base_inferred)?;
         next.publish(&wal::header(), Some(self.index))?;
         self.index = next.index;
-        let mut segment = Segment::open(&self.segment_path(), true)?;
+        let path = self.segment_path();
+        let mut segment = Segment::adopt(map_file(&path)?, &path, written, stats.clone());
         segment.adopt_terms(source);
         Ok(segment)
     }
@@ -402,7 +405,11 @@ mod tests {
             DiskStore::open(&dir, OpenOptions::default()),
             Err(StoreError::BadMagic { .. })
         ));
-        std::fs::write(dir.join("MANIFEST"), "feo-store 1\n").unwrap();
+        std::fs::write(
+            dir.join("MANIFEST"),
+            format!("feo-store {FORMAT_VERSION}\n"),
+        )
+        .unwrap();
         assert!(matches!(
             DiskStore::open(&dir, OpenOptions::default()),
             Err(StoreError::Corrupt { .. })

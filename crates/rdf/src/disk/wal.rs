@@ -7,8 +7,8 @@
 //! the log through `Ledger::commit` therefore reconstructs the *same*
 //! chain: same epochs, same term ids, same layer hashes.
 //!
-//! Layout: an 8-byte header (`b"FEOWAL\0"` + format version) followed
-//! by records of `[u64 payload_len][u64 payload_fnv][payload]`. A crash
+//! Layout: an 8-byte header (`b"FEOWAL\0"` + format version) followed by
+//! records of `[u64 len][u64 hash::checksum(payload)][payload]`. A crash
 //! can tear the final record; [`parse_wal`] replays the intact prefix
 //! and reports the tear as a typed [`StoreError`] in
 //! [`WalReplay::truncated`], with [`WalReplay::valid_len`] marking
@@ -20,9 +20,10 @@ use std::io::Write;
 use std::path::Path;
 
 use super::codec;
+use super::segment::le64;
 use super::{StoreError, FORMAT_VERSION};
 use crate::graph::IdTriple;
-use crate::hash::{fnv_bytes, FNV_OFFSET};
+use crate::hash::checksum;
 use crate::intern::TermId;
 use crate::term::Term;
 
@@ -79,7 +80,7 @@ pub fn encode_record(rec: &WalRecord) -> Vec<u8> {
     }
     let mut out = Vec::with_capacity(payload.len() + 16);
     out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&fnv_bytes(FNV_OFFSET, &payload).to_le_bytes());
+    out.extend_from_slice(&checksum(&payload).to_le_bytes());
     out.extend_from_slice(&payload);
     out
 }
@@ -166,26 +167,7 @@ pub fn parse_wal(bytes: &[u8]) -> Result<WalReplay, StoreError> {
                 truncated: Some(tear("wal record header")),
             });
         }
-        let len = u64::from_le_bytes([
-            bytes[at],
-            bytes[at + 1],
-            bytes[at + 2],
-            bytes[at + 3],
-            bytes[at + 4],
-            bytes[at + 5],
-            bytes[at + 6],
-            bytes[at + 7],
-        ]) as usize;
-        let stored_fnv = u64::from_le_bytes([
-            bytes[at + 8],
-            bytes[at + 9],
-            bytes[at + 10],
-            bytes[at + 11],
-            bytes[at + 12],
-            bytes[at + 13],
-            bytes[at + 14],
-            bytes[at + 15],
-        ]);
+        let (len, stored_sum) = (le64(bytes, at) as usize, le64(bytes, at + 8));
         let body_at = at + 16;
         if len > bytes.len() - body_at {
             return Ok(WalReplay {
@@ -195,7 +177,7 @@ pub fn parse_wal(bytes: &[u8]) -> Result<WalReplay, StoreError> {
             });
         }
         let payload = &bytes[body_at..body_at + len];
-        if fnv_bytes(FNV_OFFSET, payload) != stored_fnv {
+        if checksum(payload) != stored_sum {
             return Ok(WalReplay {
                 records,
                 valid_len: at as u64,

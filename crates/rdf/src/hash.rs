@@ -1,27 +1,104 @@
-//! The workspace's two hand-rolled hashes.
+//! The workspace's hand-rolled hashes, all on one seedless step: rotate,
+//! xor a 64-bit word in, multiply (rustc's FxHash).
 //!
-//! - **FNV-1a** for what is written down: the ledger's chained epoch
-//!   hashes and the segment and WAL checksums. These must not depend on
-//!   the std hasher's per-process seed.
-//! - **FxHash** (rustc's multiply-rotate hash) for the in-memory maps on
-//!   hot paths: the reasoner's postings and fresh sets, the evaluator's
-//!   sub-pattern caches. Their keys are dictionary-assigned term ids,
-//!   never text from outside, and SipHash would cost as much as the
-//!   lookups it guards.
+//! - `Checksum` for what is written down or chained: the segment body
+//!   and each WAL record (format version 2), the ledger's epoch hashes.
+//!   Four lanes overlap their multiplies: about memory speed.
+//! - `triple_sum` for a base's content, summed per triple so that a
+//!   compacted base's is the old base's plus its layers'.
+//! - [`FxHasher`] for the in-memory maps on hot paths: the reasoner's
+//!   postings and fresh sets, the evaluator's sub-pattern caches. Their
+//!   keys are dictionary-assigned term ids, never text from outside,
+//!   and SipHash would cost as much as the lookups it guards.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
-pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+const K: u64 = 0x517c_c1b7_2722_0a95;
 
-/// FNV-1a over `bytes`, continuing from `h`.
-pub(crate) fn fnv_bytes(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
+#[inline]
+fn step(h: u64, word: u64) -> u64 {
+    (h.rotate_left(5) ^ word).wrapping_mul(K)
+}
+
+/// Murmur3's 64-bit finaliser: every input bit reaches every output bit.
+fn fmix(mut h: u64) -> u64 {
+    h = (h ^ h >> 33).wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h = (h ^ h >> 33).wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^ h >> 33
+}
+
+/// `sum` plus (wrapping) each triple's hash. The sum over a store does
+/// not depend on order, and disjoint stores' sums add.
+pub(crate) fn triple_sum<'a>(sum: u64, triples: impl IntoIterator<Item = &'a [u32; 3]>) -> u64 {
+    triples.into_iter().fold(sum, |sum, &[s, p, o]| {
+        let sp = u64::from(s) | u64::from(p) << 32;
+        sum.wrapping_add(fmix(step(step(0, sp), u64::from(o))))
+    })
+}
+
+const STRIPE: usize = 32;
+
+/// A word-at-a-time checksum over a byte stream. Word `i` (8 bytes,
+/// little-endian) steps lane `i % 4`, the stream zero-padded to a whole
+/// 32-byte stripe; `finish` steps the byte length through the four
+/// lanes and mixes. Bytes may arrive in pieces of any size: the value
+/// depends on their concatenation only. A change confined to one word
+/// always changes the value (each step is a bijection of its state).
+#[derive(Default)]
+pub(crate) struct Checksum {
+    lanes: [u64; 4],
+    tail: [u8; STRIPE], // the bytes past the last whole stripe
+    len: u64,
+}
+
+impl Checksum {
+    /// Appends `bytes` to the stream.
+    pub(crate) fn update(&mut self, mut bytes: &[u8]) {
+        let held = self.len as usize % STRIPE;
+        self.len += bytes.len() as u64;
+        if held > 0 {
+            let take = bytes.len().min(STRIPE - held);
+            self.tail[held..held + take].copy_from_slice(&bytes[..take]);
+            if held + take < STRIPE {
+                return;
+            }
+            let tail = self.tail;
+            self.stripe(&tail);
+            bytes = &bytes[take..];
+        }
+        let mut stripes = bytes.chunks_exact(STRIPE);
+        stripes.by_ref().for_each(|stripe| self.stripe(stripe));
+        let rest = stripes.remainder();
+        self.tail[..rest.len()].copy_from_slice(rest);
     }
-    h
+
+    #[inline]
+    fn stripe(&mut self, stripe: &[u8]) {
+        for (lane, word) in self.lanes.iter_mut().zip(stripe.chunks_exact(8)) {
+            let mut w = [0; 8];
+            w.copy_from_slice(word);
+            *lane = step(*lane, u64::from_le_bytes(w));
+        }
+    }
+
+    /// The checksum of everything appended.
+    pub(crate) fn finish(mut self) -> u64 {
+        let held = self.len as usize % STRIPE;
+        if held > 0 {
+            self.tail[held..].fill(0);
+            let tail = self.tail;
+            self.stripe(&tail);
+        }
+        fmix(self.lanes.iter().fold(self.len, |h, &lane| step(h, lane)))
+    }
+}
+
+/// [`Checksum`] of `bytes`.
+pub(crate) fn checksum(bytes: &[u8]) -> u64 {
+    let mut sum = Checksum::default();
+    sum.update(bytes);
+    sum.finish()
 }
 
 /// FxHash state. Every write is folded in as 64-bit words, so ids,
@@ -51,7 +128,7 @@ impl Hasher for FxHasher {
 
     #[inline]
     fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
+        self.0 = step(self.0, n);
     }
 
     #[inline]

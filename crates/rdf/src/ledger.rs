@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 use crate::disk::{Segment, WalRecord};
 use crate::graph::{Graph, IdTriple};
-use crate::hash::{fnv_bytes, FNV_OFFSET};
+use crate::hash::{triple_sum, Checksum};
 use crate::index::{match_runs, Rotation};
 use crate::intern::{Interner, TermId};
 use crate::stats::{GraphStats, PredicateStats};
@@ -42,24 +42,6 @@ impl std::fmt::Display for EpochId {
     }
 }
 
-// ---- FNV-1a chain hashing ---------------------------------------------
-
-fn fnv_u64(h: u64, v: u64) -> u64 {
-    fnv_bytes(h, &v.to_le_bytes())
-}
-
-fn fnv_triple(h: u64, [s, p, o]: IdTriple) -> u64 {
-    fnv_u64(
-        fnv_u64(fnv_u64(h, u64::from(s.0)), u64::from(p.0)),
-        u64::from(o.0),
-    )
-}
-
-fn fnv_term(h: u64, term: &Term) -> u64 {
-    // Debug rendering is deterministic and distinguishes term kinds.
-    fnv_bytes(h, format!("{term:?}").as_bytes())
-}
-
 // ---- Layer -----------------------------------------------------------
 
 /// One committed, immutable delta: the intern spill and triples a
@@ -74,20 +56,27 @@ pub struct Layer {
     runs: [Vec<[u32; 3]>; 3],
     /// Counters over this delta only; views sum them across the stack.
     stats: GraphStats,
-    /// FNV-1a over the parent epoch's hash, the spill, and the triples.
+    /// Checksum over the parent epoch's hash, the spill, and the triples.
     hash: u64,
 }
 
-/// FNV-1a over a layer's parent hash, term base, spill and SPO run.
+/// Checksum over a layer's parent hash, term base, spill (each term's
+/// Debug rendering, which is deterministic and tells kinds apart) and
+/// SPO run.
 fn layer_hash(parent: u64, dict: &Interner, spo: &[[u32; 3]]) -> u64 {
-    let mut hash = fnv_u64(parent, dict.first() as u64);
+    let mut hash = Checksum::default();
+    hash.update(
+        [parent, dict.first() as u64]
+            .map(u64::to_le_bytes)
+            .as_flattened(),
+    );
     for t in dict.terms() {
-        hash = fnv_term(hash, t);
+        hash.update(format!("{t:?}").as_bytes());
     }
-    for &[s, p, o] in spo {
-        hash = fnv_triple(hash, [TermId(s), TermId(p), TermId(o)]);
+    for triple in spo {
+        hash.update(triple.map(u32::to_le_bytes).as_flattened());
     }
-    hash
+    hash.finish()
 }
 
 impl Layer {
@@ -316,18 +305,21 @@ impl Ledger {
     }
 
     /// Seals any base store — in-memory or a reopened segment — as
-    /// epoch 0. The base hash depends only on content, so a ledger
-    /// rebuilt over a segment chains identically to the one whose
-    /// graph the segment was written from.
+    /// epoch 0. The base hash depends only on content (term count, triple
+    /// count, triple sum: kept by a segment, one pass over a graph), so a
+    /// ledger rebuilt over a segment chains identically to the one whose
+    /// graph the segment was written from, without rehashing it.
     pub fn from_base(base: BaseStore) -> Ledger {
-        let mut h = fnv_u64(FNV_OFFSET, base.term_count() as u64);
-        h = fnv_u64(h, base.len() as u64);
-        for t in GraphView::iter_ids(&base) {
-            h = fnv_triple(h, t);
-        }
+        let sum = match &base {
+            BaseStore::Mem(g) => triple_sum(0, &g.index().runs[0]),
+            BaseStore::Disk(s) => s.triple_sum(),
+        };
+        let words = [base.term_count() as u64, base.len() as u64, sum];
+        let mut h = Checksum::default();
+        h.update(words.map(u64::to_le_bytes).as_flattened());
         Ledger {
+            base_hash: h.finish(),
             base,
-            base_hash: h,
             layers: Vec::new(),
         }
     }
@@ -740,6 +732,56 @@ mod tests {
         assert_eq!(only_b.len(), 1);
         assert!(only_b[0].contains("urn:z"));
         assert!(only_m.is_empty());
+    }
+
+    /// Over a base a compaction adopted, the chain hashes as one over
+    /// the same content in memory, and `verify_chain` still names the
+    /// layer tampered with.
+    #[test]
+    fn a_tampered_layer_is_named_after_a_compaction() {
+        use crate::disk::{DiskStore, OpenOptions};
+        let commit = |ledger: &mut Ledger, s: &str| {
+            let mut ov = Overlay::new(ledger.head_view());
+            ov.insert_iris(s, "urn:p", "urn:q");
+            let (terms, delta) = ov.into_delta();
+            ledger.commit(terms, delta);
+        };
+        let dir = std::env::temp_dir().join(format!("feo-ledger-tamper-{}", std::process::id()));
+        let g = seed_graph();
+        DiskStore::save(&dir, &g, g.stats(), 0, &[]).unwrap();
+        let mut opened = DiskStore::open(&dir, OpenOptions::default()).unwrap();
+        let mut disk = Ledger::from_base(BaseStore::Disk(opened.segment.clone()));
+        let mut mem = Ledger::new(seed_graph());
+        for s in ["urn:c", "urn:d"] {
+            commit(&mut disk, s);
+            commit(&mut mem, s);
+        }
+        let stats = (disk.layers.iter()).fold(disk.base.stats().clone(), |acc, l| {
+            acc.merged_with(l.stats())
+        });
+        let adopted = opened.store.compact(&disk.head_view(), &stats, 0).unwrap();
+        let mut disk = Ledger::from_base(BaseStore::Disk(Arc::new(adopted)));
+        let head = mem.head_view();
+        let mut flat = Graph::new();
+        for i in 0..head.term_count() {
+            flat.intern(head.term(TermId(i as u32)));
+        }
+        for [s, p, o] in head.iter_ids() {
+            flat.insert_ids(s, p, o);
+        }
+        let mut flat = Ledger::new(flat);
+        for s in ["urn:e", "urn:f", "urn:g"] {
+            commit(&mut disk, s);
+            commit(&mut flat, s);
+        }
+        for epoch in (0..=3).map(EpochId) {
+            assert_eq!(disk.hash_at(epoch), flat.hash_at(epoch), "epoch {epoch}");
+        }
+        assert_eq!(disk.verify_chain(), None);
+        let layer = Arc::get_mut(&mut disk.layers[1]).expect("not shared");
+        layer.runs[0][0][2] = layer.runs[0][0][0];
+        assert_eq!(disk.verify_chain(), Some(EpochId(2)));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// A layer counts class instances by `rdf:type` as the view it is

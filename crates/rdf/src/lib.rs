@@ -18,7 +18,8 @@
 //!   every store;
 //! - [`turtle`] / [`ntriples`] — parsers and serializers;
 //! - [`syntax`] — the cursor and term scanners Turtle and SPARQL share;
-//! - [`hash`] — FNV-1a for what is written down, FxHash for id-keyed maps;
+//! - [`hash`] — the checksum for what is written down or chained, the
+//!   per-triple content hash, FxHash for id-keyed maps;
 //! - [`vocab`] — RDF/RDFS/OWL/XSD vocabulary constants.
 //!
 //! ## Example

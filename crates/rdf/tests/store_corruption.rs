@@ -177,6 +177,51 @@ fn structural_validation_holds_without_checksum() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A version-1 segment, WAL or MANIFEST is refused with a typed error
+/// that names version 1 and tells the operator to rebuild the store:
+/// this build reads version 2 only, and migrates nothing.
+#[test]
+fn version_one_files_are_refused() {
+    let g = sample_graph();
+    let dir = tmp_dir("v1");
+    let store = DiskStore::save(&dir, &g, g.stats(), 0, &wal_records(&g)).expect("save");
+    let refused = |what: &str| match DiskStore::open(&dir, OpenOptions::default()) {
+        Err(e @ StoreError::UnsupportedVersion { found: 1, .. }) => {
+            let message = e.to_string();
+            assert!(message.contains("reads v2"), "{what}: {message}");
+            assert!(message.contains("rebuild the store"), "{what}: {message}");
+        }
+        other => panic!("{what}: {other:?}"),
+    };
+    // A version-1 header: magic, version byte 1, then the v1 header's
+    // checksum, counts and section lengths (zero here).
+    let v1 = |magic: &[u8], len: usize| {
+        let mut bytes = magic.to_vec();
+        bytes.push(1);
+        bytes.resize(len, 0);
+        bytes
+    };
+    let (segment, log) = (store.segment_path(), store.wal_path());
+    let (seg_bytes, log_bytes) = (
+        std::fs::read(&segment).unwrap(),
+        std::fs::read(&log).unwrap(),
+    );
+    std::fs::write(&segment, v1(b"FEOSEG\0", 48)).unwrap();
+    refused("segment");
+    std::fs::write(&segment, &seg_bytes).unwrap();
+    std::fs::write(&log, v1(b"FEOWAL\0", 8)).unwrap();
+    refused("wal");
+    std::fs::write(&log, &log_bytes).unwrap();
+    let manifest = dir.join("MANIFEST");
+    let current = std::fs::read(&manifest).unwrap();
+    std::fs::write(&manifest, "feo-store 1\n0\n").unwrap();
+    refused("manifest");
+    std::fs::write(&manifest, current).unwrap();
+    let opened = DiskStore::open(&dir, OpenOptions::default()).expect("v2 files reopen");
+    assert_eq!(opened.records, wal_records(&g));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 // ---- WAL tears ---------------------------------------------------------
 
 /// Tearing the log at every byte recovers exactly the records whose

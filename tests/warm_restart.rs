@@ -116,6 +116,51 @@ fn reopened_engine_skips_materialization_and_answers_identically() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A compaction carries the base's hash instead of rehashing the base it
+/// writes: after `compact` and two more commits, epoch 0's hash and the
+/// history of every later commit equal a cold open's of the same store.
+#[test]
+fn compacted_chain_hashes_as_a_cold_open() {
+    let dir = tmp_dir("compact-hash");
+    let ctx = || SystemContext::new(Season::Autumn).region("Florida");
+    let mut engine = EngineBase::new(curated(), paper_user(), ctx()).expect("consistent");
+    engine.save_to(&dir).expect("save");
+    let commit = |engine: &mut EngineBase, name: &str, hypothesis: Hypothesis| {
+        let user = UserProfile::new(name);
+        engine.commit_with(name, |overlay| {
+            feo::core::ecosystem::apply_hypothesis(&hypothesis, &user, overlay);
+        });
+    };
+    commit(&mut engine, "before", Hypothesis::Pregnant);
+    engine.compact().expect("compact");
+    commit(
+        &mut engine,
+        "vegan",
+        Hypothesis::FollowedDiet("Vegan".into()),
+    );
+    commit(&mut engine, "nuts", Hypothesis::AllergicTo("Peanut".into()));
+    assert_eq!(engine.head(), EpochId(2), "both commits made a layer");
+
+    let reopened = EngineBase::open(&dir, curated(), paper_user(), ctx()).expect("open");
+    let base_hash = |b: &EngineBase| b.ledger().hash_at(EpochId(0));
+    assert_eq!(base_hash(&engine), base_hash(&reopened));
+    let history = |b: &EngineBase| {
+        b.history()
+            .iter()
+            .map(|c| {
+                let (epoch, label, hash) = (c.epoch.0, &c.label, c.hash);
+                format!(
+                    "{epoch}|{label}|{}|{}|{}|{hash:016x}",
+                    c.triples, c.terms, c.inferred
+                )
+            })
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(history(&engine), history(&reopened));
+    assert_eq!(reopened.ledger().verify_chain(), None);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 // ---- fresh-process restarts (the real contract) ------------------------
 
 fn feo(args: &[&str]) -> (String, String, bool) {
